@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import math
 import sys
 
 import numpy as np
-import yaml
 
 from . import enomp, harness, sysmodel
 
@@ -43,12 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_experiment(args) -> int:
-    raw = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh) or {}
-        if not isinstance(raw, dict):
-            raise ValueError("config root must be a mapping")
+    raw = harness.read_config(args.config) if args.config else {}
     raw.setdefault("experiment", args.command)
     if raw["experiment"] != args.command:
         raise ValueError(
@@ -65,10 +58,7 @@ def _run_experiment(args) -> int:
     if config.out:
         print(f"wrote {len(rows)} rows to {config.out}")
     else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["experiment", "sweep", "metric", "value", "trials", "std_error"])
-        for r in rows:
-            writer.writerow([r.experiment, repr(r.sweep), r.metric, repr(r.value), r.trials, repr(r.std_error)])
+        harness.rows_to_csv(rows, sys.stdout)
     return 0
 
 
@@ -76,10 +66,8 @@ def _run_extract(args) -> int:
     cfg = sysmodel.SystemConfig()
     seed = 0 if args.seed is None else args.seed
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh) or {}
-        system = raw.get("system", {}) or {}
-        cfg = sysmodel.SystemConfig(**system)
+        raw = harness.read_config(args.config)
+        cfg = sysmodel.SystemConfig(**(raw.get("system") or {}))
         if args.seed is None:
             seed = raw.get("seed", 0)
     cfg = dataclasses.replace(cfg, P=10.0 ** (args.snr_db / 10.0))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,30 +60,47 @@ class ExperimentConfig:
         object.__setattr__(self, "attenuation_db", tuple(float(a) for a in self.attenuation_db))
 
 
-def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Build an ExperimentConfig from parsed YAML, rejecting unknown keys."""
+def check_config_keys(raw) -> None:
+    """Reject a parsed YAML config whose root is not a mapping or that has
+    unknown top-level or ``system`` keys.  Every CLI subcommand applies it."""
     if not isinstance(raw, dict):
         raise ValueError("config root must be a mapping")
-    data = dict(raw)
-    system_raw = data.pop("system", {}) or {}
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"system"}
-    unknown = set(data) - known
+    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    unknown = set(raw) - known
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    system = raw.get("system") or {}
+    if not isinstance(system, dict):
+        raise ValueError("config key 'system' must be a mapping")
     sys_known = {f.name for f in dataclasses.fields(SystemConfig)}
-    sys_unknown = set(system_raw) - sys_known
+    sys_unknown = set(system) - sys_known
     if sys_unknown:
         raise ValueError(f"unknown system config keys: {sorted(sys_unknown)}")
+
+
+def config_from_dict(raw: dict) -> ExperimentConfig:
+    """Build an ExperimentConfig from parsed YAML, rejecting unknown keys."""
+    check_config_keys(raw)
+    data = dict(raw)
+    system_raw = data.pop("system", {}) or {}
     for key in ("snr_db", "deltas", "attenuation_db"):
         if key in data and data[key] is not None:
             data[key] = tuple(data[key])
     return ExperimentConfig(system=SystemConfig(**system_raw), **data)
 
 
-def load_config(path: str) -> ExperimentConfig:
+def read_config(path: str) -> dict:
+    """Parsed YAML config file with the key checks applied; an empty file
+    is an empty mapping."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = yaml.safe_load(fh)
-    return config_from_dict(raw)
+    raw = {} if raw is None else raw
+    check_config_keys(raw)
+    return raw
+
+
+def load_config(path: str) -> ExperimentConfig:
+    return config_from_dict(read_config(path))
 
 
 @dataclass(frozen=True)
@@ -105,15 +123,21 @@ def _aggregate(experiment: str, sweep: float, metric: str, samples) -> ResultRow
     return ResultRow(experiment, float(sweep), metric, float(np.mean(arr)), int(arr.size), se)
 
 
-def rows_to_csv(rows, path: str) -> None:
-    """Write rows with repr-formatted floats so reruns are byte-identical."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["experiment", "sweep", "metric", "value", "trials", "std_error"])
-        for r in rows:
-            writer.writerow(
-                [r.experiment, repr(r.sweep), r.metric, repr(r.value), str(r.trials), repr(r.std_error)]
-            )
+def rows_to_csv(rows, dest) -> None:
+    """Write rows with repr-formatted floats so reruns are byte-identical.
+
+    ``dest`` is a file path or an open text stream such as ``sys.stdout``.
+    """
+    if isinstance(dest, (str, os.PathLike)):
+        with open(dest, "w", encoding="utf-8", newline="") as fh:
+            rows_to_csv(rows, fh)
+        return
+    writer = csv.writer(dest, lineterminator="\n")
+    writer.writerow(["experiment", "sweep", "metric", "value", "trials", "std_error"])
+    for r in rows:
+        writer.writerow(
+            [r.experiment, repr(r.sweep), r.metric, repr(r.value), str(r.trials), repr(r.std_error)]
+        )
 
 
 def _trial_rng(master_seed: int, stream: int, trial: int) -> np.random.Generator:
@@ -188,11 +212,7 @@ def _zf_rates(h_true_rows, h_hat_rows, t_pilot: int, cfg: SystemConfig) -> float
 
     Both arguments are (N, K, M) stacks of per-subcarrier channel matrices.
     """
-    n_sc = h_true_rows.shape[0]
-    sinr_all = np.empty((n_sc, h_true_rows.shape[1]))
-    for n in range(n_sc):
-        state = mueval.zf_precoder(h_hat_rows[n])
-        sinr_all[n] = mueval.sinr(h_true_rows[n], state, cfg.P)
+    sinr_all = mueval.sinr(h_true_rows, mueval.zf_precoder(h_hat_rows), cfg.P)
     return mueval.sum_rate(sinr_all, t_pilot, cfg.T_c)
 
 

@@ -16,13 +16,20 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# Draws per stacked ZF call in monte_carlo_sinr. At K=10, M=128, chunks of
+# 8 to 128 draws run about equally fast; one chunk of all 1000 draws is
+# slower again, its 20 MB of normals no longer staying in cache.
+_MC_CHUNK = 32
+
+
 @dataclass(frozen=True)
 class PrecodingState:
-    """ZF precoder pieces for one subcarrier.
+    """ZF precoder pieces for a stack of subcarriers (or a single one).
 
-    ``pinv`` is the right pseudo-inverse of the channel estimate and
-    ``alphas[k] = 1 / (sqrt(K) ||pinv[:, k]||)`` normalizes each user's beam
-    to power 1/K, so the full precoder always spends unit power.
+    ``pinv`` (..., M, K) is the right pseudo-inverse of the (..., K, M)
+    channel estimate and ``alphas[..., k] = 1 / (sqrt(K) ||pinv[..., :, k]||)``
+    normalizes each user's beam to power 1/K, so every precoder in the stack
+    spends unit power.
     """
 
     channel: np.ndarray
@@ -31,39 +38,50 @@ class PrecodingState:
 
     @property
     def precoder(self) -> np.ndarray:
-        return self.pinv * self.alphas[None, :]
+        return self.pinv * self.alphas[..., None, :]
 
 
 def zf_precoder(h_hat: np.ndarray) -> PrecodingState:
-    """Zero-forcing precoder from a K x M channel estimate (rows = users).
+    """Zero-forcing precoders from a (..., K, M) stack of channel estimates
+    (rows = users); a single K x M matrix is a stack of one.
 
-    Raises for K > M or a rank-deficient estimate; dropping users is the
-    caller's policy decision.
+    The pseudo-inverse goes through the Hermitian K x K Gram G = H H^H:
+    with G = V diag(lam) V^H, pinv = H^H V diag(1/lam) V^H, and the beam
+    norms come from diag(G^-1) since ||pinv[:, k]||^2 = [G^-1]_kk.
+
+    Rank rule: a matrix is rejected with ``np.linalg.LinAlgError`` when
+    lam_min <= lam_max * max(K, M) * eps.  The Gram squares the condition
+    number, so at M = 128 this rejects cond(H) above about 6e6; one rejected
+    matrix fails the whole stack.  K > M also raises (ValueError); dropping
+    users is the caller's policy decision.
     """
     H = np.asarray(h_hat)
-    if H.ndim != 2:
-        raise ValueError("channel estimate must be a K x M matrix")
-    n_users, n_ant = H.shape
+    if H.ndim < 2:
+        raise ValueError("channel estimate must be a (..., K, M) stack of matrices")
+    n_users, n_ant = H.shape[-2:]
     if n_users == 0 or n_users > n_ant:
         raise ValueError(f"need 1 <= K <= M, got K={n_users}, M={n_ant}")
-    u, s, vh = np.linalg.svd(H, full_matrices=False)
-    tol = s[0] * max(H.shape) * np.finfo(np.float64).eps
-    if s[-1] <= tol:
+    h_herm = H.conj().swapaxes(-1, -2)
+    lam, v = np.linalg.eigh(H @ h_herm)
+    tol = lam[..., -1] * max(n_users, n_ant) * np.finfo(np.float64).eps
+    if np.any(lam[..., 0] <= tol):
         raise np.linalg.LinAlgError("channel estimate is rank deficient")
-    pinv = (vh.conj().T / s) @ u.conj().T
-    alphas = 1.0 / (math.sqrt(n_users) * np.linalg.norm(pinv, axis=0))
+    gram_inv = (v / lam[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    pinv = h_herm @ gram_inv
+    col_norms2 = np.diagonal(gram_inv, axis1=-2, axis2=-1).real
+    alphas = 1.0 / (math.sqrt(n_users) * np.sqrt(col_norms2))
     return PrecodingState(channel=H, pinv=pinv, alphas=alphas)
 
 
 def sinr(h_true: np.ndarray, state: PrecodingState, p_tx: float, noise_power: float = 1.0) -> np.ndarray:
-    """Per-user SINR on one subcarrier under a given precoder.
+    """Per-user SINR for each (..., K, M) true channel under its precoder.
 
-    Entry k is P |h_k w_k|^2 / (sum_{j != k} P |h_k w_j|^2 + noise).
+    Entry [..., k] is P |h_k w_k|^2 / (sum_{j != k} P |h_k w_j|^2 + noise).
     """
     gains = np.asarray(h_true) @ state.precoder
     powers = p_tx * np.abs(gains) ** 2
-    signal = np.diag(powers).copy()
-    interference = powers.sum(axis=1) - signal
+    signal = np.diagonal(powers, axis1=-2, axis2=-1)
+    interference = powers.sum(axis=-1) - signal
     return signal / (interference + noise_power)
 
 
@@ -106,12 +124,19 @@ def analytic_sinr(h_true: np.ndarray, delta: float, p_tx: float) -> np.ndarray:
     return signal / (interference + 1.0)
 
 
+def _channel_error(h_true: np.ndarray, delta: float, z: np.ndarray) -> np.ndarray:
+    """Errors CN(0, delta |H_{k,i}|^2) from standard normals z of shape
+    (..., 2, K, M): z[..., 0, :, :] is the real part, z[..., 1, :, :] the
+    imaginary part."""
+    std = np.sqrt(delta) * np.abs(h_true)
+    noise = z[..., 0, :, :] + 1j * z[..., 1, :, :]
+    return std * noise / math.sqrt(2.0)
+
+
 def draw_channel_error(h_true: np.ndarray, delta: float, rng: np.random.Generator) -> np.ndarray:
     """One channel-error draw: independent CN(0, delta |H_{k,i}|^2) entries."""
     H = np.asarray(h_true)
-    std = np.sqrt(delta) * np.abs(H)
-    noise = rng.standard_normal(H.shape) + 1j * rng.standard_normal(H.shape)
-    return std * noise / math.sqrt(2.0)
+    return _channel_error(H, delta, rng.standard_normal((2,) + H.shape))
 
 
 def monte_carlo_sinr(
@@ -130,9 +155,12 @@ def monte_carlo_sinr(
     rng = np.random.default_rng(seed)
     H = np.asarray(h_true)
     acc = np.zeros(H.shape[0])
-    for _ in range(n_draws):
-        h_hat = H + draw_channel_error(H, delta, rng)
-        acc += sinr(H, zf_precoder(h_hat), p_tx)
+    for start in range(0, n_draws, _MC_CHUNK):
+        # A (c, 2, K, M) block is the same stream as c draw_channel_error calls.
+        z = rng.standard_normal((min(_MC_CHUNK, n_draws - start), 2) + H.shape)
+        h_hat = H + _channel_error(H, delta, z)
+        for row in sinr(H, zf_precoder(h_hat), p_tx):
+            acc += row  # draw by draw, so the sum is the same for any chunk size
     return acc / n_draws
 
 

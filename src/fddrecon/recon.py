@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from ._kernels import kron3
-from .sysmodel import SystemConfig, delay_vector, steering_factors
+from .sysmodel import TWO_PI, SystemConfig, delay_vector, steering_factors
 
 
 def _path_sum(paths, gains, cfg: SystemConfig, carrier_shift: bool) -> np.ndarray:
@@ -121,15 +121,17 @@ def steering_covariance(cfg: SystemConfig, n_draws: int = 10_000, seed=0) -> np.
     """Monte Carlo estimate of E[a a^H] over uniform downtilt and azimuth."""
     rng = np.random.default_rng(seed)
     acc = np.zeros((cfg.M, cfg.M), dtype=np.complex128)
+    kappa = TWO_PI * cfg.d_over_lambda
     block = 512
     for start in range(0, n_draws, block):
         count = min(block, n_draws - start)
         thetas = rng.uniform(-np.pi / 2, np.pi / 2, count)
         phis = rng.uniform(-np.pi / 2, np.pi / 2, count)
-        a = np.empty((count, cfg.M), dtype=np.complex128)
-        for i in range(count):
-            a_v, a_h = steering_factors(thetas[i], phis[i], cfg)
-            a[i] = np.kron(a_v, a_h)
+        # Row i is steering_factors(thetas[i], phis[i]) combined as np.kron,
+        # with the same scalar operations, so the result matches bit for bit.
+        a_v = np.exp(1j * kappa * np.sin(thetas)[:, None] * np.arange(cfg.M_v))
+        a_h = np.exp(1j * kappa * np.cos(thetas)[:, None] * np.sin(phis)[:, None] * np.arange(cfg.M_h))
+        a = (a_v[:, :, None] * a_h[:, None, :]).reshape(count, cfg.M)
         acc += a.T @ a.conj()
     sym = acc / n_draws
     return (sym + sym.conj().T) / 2.0

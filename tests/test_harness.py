@@ -217,6 +217,30 @@ class TestCli:
         assert cli.main(["fig4", "--config", str(path)]) == 1
         assert "bogus" in capsys.readouterr().err
 
+    def test_stdout_bytes_equal_out_file(self, tmp_path, capsysbinary):
+        config = self.write_config(tmp_path, "fig4")
+        out = tmp_path / "out.csv"
+        assert cli.main(["fig4", "--config", config, "--out", str(out)]) == 0
+        capsysbinary.readouterr()
+        assert cli.main(["fig4", "--config", config]) == 0
+        assert capsysbinary.readouterr().out == out.read_bytes()
+
+    @pytest.mark.parametrize("command", ["fig4", "extract"])
+    @pytest.mark.parametrize("content, message", [
+        ({"bogus": 1}, "unknown config keys: ['bogus']"),
+        ([1, 2], "config root must be a mapping"),
+        ({"system": {"M_q": 3}}, "unknown system config keys: ['M_q']"),
+        ({"system": [1]}, "config key 'system' must be a mapping"),
+    ])
+    def test_config_contract_every_subcommand(self, tmp_path, capsys, command,
+                                              content, message):
+        import yaml
+
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(content))
+        assert cli.main([command, "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_trials_override(self, tmp_path):
         config = self.write_config(tmp_path, "fig4")
         out = tmp_path / "out.csv"

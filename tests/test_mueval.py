@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fddrecon import mueval
 
@@ -9,6 +11,39 @@ from fddrecon import mueval
 def random_channel(n_users, n_ant, seed):
     rng = np.random.default_rng(seed)
     return rng.standard_normal((n_users, n_ant)) + 1j * rng.standard_normal((n_users, n_ant))
+
+
+def channel_with_singular_values(s, n_ant, rng):
+    """K x M channel U diag(s) V^H with random orthonormal U and V."""
+    k = len(s)
+    u, _ = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+    v, _ = np.linalg.qr(rng.standard_normal((n_ant, k)) + 1j * rng.standard_normal((n_ant, k)))
+    return (u * s) @ v.conj().T
+
+
+@st.composite
+def stack_shapes(draw, min_users=1):
+    """(S, K, M, seed) with K <= M."""
+    n_users = draw(st.integers(min_users, 6))
+    return (draw(st.integers(1, 5)), n_users, draw(st.integers(n_users, 24)),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+def well_conditioned_stack(n_stack, n_users, n_ant, rng):
+    """Stack of channels with singular values in [1, 4] (cond <= 4)."""
+    return np.stack([
+        channel_with_singular_values(rng.uniform(1.0, 4.0, n_users), n_ant, rng)
+        for _ in range(n_stack)])
+
+
+def reference_sinr(h_true, h_hat, p_tx):
+    """Per-matrix ZF SINR from np.linalg.pinv with unit-power columns."""
+    n_users = h_hat.shape[0]
+    pinv = np.linalg.pinv(h_hat)
+    w = pinv / (np.sqrt(n_users) * np.linalg.norm(pinv, axis=0))
+    powers = p_tx * np.abs(h_true @ w) ** 2
+    signal = np.diag(powers)
+    return signal / (powers.sum(axis=1) - signal + 1.0)
 
 
 class TestZfPrecoder:
@@ -48,6 +83,77 @@ class TestZfPrecoder:
         h[2] = h[0]  # duplicate user
         with pytest.raises(np.linalg.LinAlgError):
             mueval.zf_precoder(h)
+
+
+class TestStackedZf:
+    @settings(max_examples=60, deadline=None)
+    @given(stack_shapes())
+    def test_pinv_matches_per_slice_numpy_pinv(self, shape):
+        n_stack, n_users, n_ant, seed = shape
+        h = well_conditioned_stack(n_stack, n_users, n_ant, np.random.default_rng(seed))
+        state = mueval.zf_precoder(h)
+        ref = np.stack([np.linalg.pinv(x) for x in h])
+        assert state.pinv.shape == (n_stack, n_ant, n_users)
+        np.testing.assert_allclose(state.pinv, ref, rtol=1e-10,
+                                   atol=1e-10 * np.abs(ref).max())
+        col_powers = np.sum(np.abs(state.precoder) ** 2, axis=-2)
+        np.testing.assert_allclose(col_powers, 1.0 / n_users, rtol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(stack_shapes())
+    def test_stacked_sinr_matches_per_slice_loop(self, shape):
+        n_stack, n_users, n_ant, seed = shape
+        rng = np.random.default_rng(seed)
+        h_true = well_conditioned_stack(n_stack, n_users, n_ant, rng)
+        h_hat = h_true + 0.1 * well_conditioned_stack(n_stack, n_users, n_ant, rng)
+        got = mueval.sinr(h_true, mueval.zf_precoder(h_hat), 10.0)
+        loop = np.stack([reference_sinr(t, e, 10.0) for t, e in zip(h_true, h_hat)])
+        assert got.shape == (n_stack, n_users)
+        np.testing.assert_allclose(got, loop, rtol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(stack_shapes(min_users=2), st.data())
+    def test_duplicated_user_in_one_slice_raises(self, shape, data):
+        n_stack, n_users, n_ant, seed = shape
+        h = well_conditioned_stack(n_stack, n_users, n_ant, np.random.default_rng(seed))
+        bad = data.draw(st.integers(0, n_stack - 1))
+        src, dst = data.draw(st.permutations(range(n_users)))[:2]
+        h[bad, dst] = h[bad, src]
+        with pytest.raises(np.linalg.LinAlgError):
+            mueval.zf_precoder(h)
+
+    @pytest.mark.parametrize("cond, rejected", [(1e5, False), (1e8, True)])
+    def test_rank_rule_on_condition_number(self, cond, rejected):
+        # Rejected when lam_min(G) <= lam_max(G) max(K, M) eps, i.e. about
+        # cond(H) > 6e6 at M = 128.
+        rng = np.random.default_rng(18)
+        h = well_conditioned_stack(3, 10, 128, rng)
+        h[1] = channel_with_singular_values(np.geomspace(1.0, 1.0 / cond, 10), 128, rng)
+        if rejected:
+            with pytest.raises(np.linalg.LinAlgError):
+                mueval.zf_precoder(h)
+        else:
+            assert np.all(np.isfinite(mueval.zf_precoder(h).pinv))
+
+
+class TestMonteCarloSinr:
+    def test_chunk_size_does_not_change_result(self, monkeypatch):
+        h = random_channel(4, 16, seed=19)
+        results = []
+        for chunk in (1, 7, 32):
+            monkeypatch.setattr(mueval, "_MC_CHUNK", chunk)
+            results.append(mueval.monte_carlo_sinr(h, 1e-2, 10.0, n_draws=75, seed=20))
+        np.testing.assert_array_equal(results[0], results[1])
+        np.testing.assert_array_equal(results[0], results[2])
+
+    def test_matches_per_draw_reference(self):
+        h = random_channel(4, 16, seed=21)
+        rng = np.random.default_rng(22)
+        acc = np.zeros(4)
+        for _ in range(75):
+            acc += reference_sinr(h, h + mueval.draw_channel_error(h, 1e-2, rng), 10.0)
+        got = mueval.monte_carlo_sinr(h, 1e-2, 10.0, n_draws=75, seed=22)
+        np.testing.assert_allclose(got, acc / 75, rtol=1e-12)
 
 
 class TestSumRate:

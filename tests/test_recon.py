@@ -8,7 +8,8 @@ import pytest
 from fddrecon import recon
 from fddrecon.enomp import DetectedPath
 from fddrecon.sysmodel import (SystemConfig, downlink_channel, generate_scenario,
-                               mean_linear_attenuation, uplink_channel)
+                               mean_linear_attenuation, steering_factors,
+                               uplink_channel)
 
 
 def small_cfg(**kw):
@@ -170,6 +171,25 @@ class TestCovariance:
         assert np.min(np.linalg.eigvalsh(r)) > -1e-10
         r2 = recon.steering_covariance(cfg, n_draws=2000, seed=3)
         np.testing.assert_array_equal(r, r2)
+
+    def test_steering_covariance_matches_per_draw_loop(self):
+        # Reference: one steering_factors + np.kron per draw, in the same
+        # 512-draw blocks; 1300 draws leave a partial tail block.
+        cfg = SystemConfig()
+        n_draws, seed = 1300, 11
+        rng = np.random.default_rng(seed)
+        acc = np.zeros((cfg.M, cfg.M), dtype=np.complex128)
+        for start in range(0, n_draws, 512):
+            count = min(512, n_draws - start)
+            thetas = rng.uniform(-np.pi / 2, np.pi / 2, count)
+            phis = rng.uniform(-np.pi / 2, np.pi / 2, count)
+            a = np.array([np.kron(*steering_factors(t, p, cfg))
+                          for t, p in zip(thetas, phis)])
+            acc += a.T @ a.conj()
+        ref = acc / n_draws
+        ref = (ref + ref.conj().T) / 2.0
+        np.testing.assert_array_equal(
+            recon.steering_covariance(cfg, n_draws=n_draws, seed=seed), ref)
 
     def test_channel_covariance_scale(self):
         cfg = small_cfg()
