@@ -1,8 +1,11 @@
 """Timing comparison of the numba and numpy kernel implementations.
 
 Runs the two hot kernels (atom synthesis and the weighted-moment
-contraction) at full system scale with both backends, plus one end-to-end
-path extraction with whichever backend is active, and prints a table.
+contraction) at full system scale with both backends, the joint gain fit of
+eight atoms both ways (lstsq on the materialized basis as extraction once
+did, and `enomp.fit_gains` on the factored Gram), each followed by its
+residual, plus one end-to-end path extraction with whichever backend is
+active, and prints a table.
 
 Usage:
     python3 benchmarks/bench_kernels.py [--repeats N]
@@ -48,9 +51,28 @@ def main():
           + 1j * rng.standard_normal((cfg.M_v, cfg.M_h, cfg.N)))
     centers = ((cfg.M_v - 1) / 2, (cfg.M_h - 1) / 2, (cfg.N - 1) / 2)
 
+    paths = [enomp.DetectedPath(0j, float(rng.uniform(-1.4, 1.4)),
+                                float(rng.uniform(-1.4, 1.4)),
+                                float(rng.uniform(0.0, 0.99) * cfg.tau_max))
+             for _ in range(8)]
+    factors = enomp.path_factors(paths, cfg)
+    atoms = [_kernels.kron3(*(f[:, i] for f in factors)) for i in range(len(paths))]
+    y = y3.ravel()
+
+    def lstsq_fit():
+        basis = np.stack(atoms, axis=1)
+        gains = np.linalg.lstsq(basis, y, rcond=None)[0]
+        return y - basis @ gains
+
+    def gram_fit():
+        gains, _ = enomp.fit_gains(y, *factors)
+        return y - enomp.atom_sum(gains, *factors)
+
     cases = [
         ("kron3", "numpy", _kernels.kron3_numpy, (a_v, a_h, p_n)),
         ("moment_cube", "numpy", _kernels.moment_cube_numpy, (y3, a_v, a_h, p_n) + centers),
+        ("gain_fit_L8", "lstsq", lstsq_fit, ()),
+        ("gain_fit_L8", "gram", gram_fit, ()),
     ]
     if _kernels._HAVE_NUMBA:
         cases += [
@@ -72,6 +94,8 @@ def main():
         if (name, "numba") in results:
             ratio = results[(name, "numpy")] / results[(name, "numba")]
             print(f"{name}: numba is {ratio:.2f}x the numpy speed")
+    ratio = results[("gain_fit_L8", "lstsq")] / results[("gain_fit_L8", "gram")]
+    print(f"gain_fit_L8: the factored Gram fit is {ratio:.1f}x the lstsq speed")
 
     scenario = sysmodel.generate_scenario(1, 6, cfg, seed=1)
     y = sysmodel.sounding_observation(scenario.users[0], cfg,

@@ -20,7 +20,7 @@ import numpy as np
 
 def kron3_numpy(a_v, a_h, p_n):
     """Atom a_v (x) a_h (x) p_n flattened to length M_v*M_h*N."""
-    return np.einsum("v,h,n->vhn", a_v, a_h, p_n).ravel()
+    return (np.outer(a_v, a_h).reshape(-1, 1) * p_n).ravel()
 
 
 def moment_cube_numpy(y3, a_v, a_h, p_n, c_v=0.0, c_h=0.0, c_n=0.0):
@@ -35,7 +35,9 @@ def moment_cube_numpy(y3, a_v, a_h, p_n, c_v=0.0, c_h=0.0, c_n=0.0):
     M_v, M_h, N = y3.shape
     n = np.arange(N) - c_n
     pw = np.stack([p_n, p_n * n, p_n * n * n], axis=1)           # (N, 3)
-    v = (y3.conj().reshape(M_v * M_h, N) @ pw).reshape(M_v, M_h, 3)
+    # contract y3 against conj(pw) and conjugate the small result: the same
+    # numbers as conj(y3) @ pw without copying the whole cube
+    v = (y3.reshape(M_v * M_h, N) @ pw.conj()).conj().reshape(M_v, M_h, 3)
     h = np.arange(M_h) - c_h
     hw = np.stack([a_h, a_h * h, a_h * h * h], axis=1)           # (M_h, 3)
     t = np.einsum("vhc,hb->vbc", v, hw)

@@ -3,9 +3,9 @@
 Pipeline per detected path: coarse detection on an oversampled
 angle-angle-delay codebook via matched filtering, a safeguarded Newton step
 on the continuous parameters, cyclic re-refinement of all paths found so
-far, and a joint least-squares gain update. Detection stops when the
-largest projected power of the residual drops below a constant false-alarm
-threshold.
+far, and a joint least-squares gain update (`fit_gains`, on the L x L
+Gram of the separable atoms). Detection stops when the largest projected
+power of the residual drops below a constant false-alarm threshold.
 """
 
 from __future__ import annotations
@@ -90,9 +90,11 @@ def synth_atom(theta: float, phi: float, tau: float, cfg: SystemConfig) -> np.nd
 
 
 def _atom_correlation(y3: np.ndarray, a_v, a_h, p_n) -> complex:
-    """y^H c for the separable atom, via staged contractions."""
-    z = (y3.conj().reshape(-1, y3.shape[2]) @ p_n).reshape(y3.shape[0], y3.shape[1])
-    return complex((z @ a_h) @ a_v)
+    """y^H c for the separable atom, via staged contractions of y against
+    the conjugated factors (c^H y), conjugated at the end so that y itself
+    is never copied."""
+    z = (y3.reshape(-1, y3.shape[2]) @ p_n.conj()).reshape(y3.shape[0], y3.shape[1])
+    return complex(((z @ a_h.conj()) @ a_v.conj()).conjugate())
 
 
 def detection_threshold(mn: int, p_fa: float, noise_variance: float = 1.0) -> float:
@@ -304,17 +306,77 @@ def newton_refine(y_r: np.ndarray, gain: complex, theta: float, phi: float,
     return theta, phi, tau, False
 
 
+# The Gram route is taken only while lam_min(G) > _GRAM_RCOND * lam_max(G),
+# i.e. cond(A) < 1e4: forming G = A^H A squares the condition number, so at
+# most 8 of the 16 digits are lost. Worse-conditioned atom sets go to lstsq
+# on the materialized basis, whose rank rule (cond(A) up to about
+# 1 / (MN eps)) is the one extraction's "degenerate" stop has always used.
+_GRAM_RCOND = 1e-8
+
+
+def _stack_factors(factors) -> tuple:
+    """Per-atom (a_v, a_h, p_n) triples -> factor matrices of shapes
+    (M_v, L), (M_h, L), (N, L)."""
+    return tuple(np.stack(f, axis=1) for f in zip(*factors))
+
+
+def path_factors(paths, cfg: SystemConfig) -> tuple:
+    """Factor matrices (A_v, A_h, P) of the atoms of `paths`: the atom of
+    paths[l] is A_v[:, l] (x) A_h[:, l] (x) P[:, l]."""
+    return _stack_factors(
+        (*steering_factors(p.theta, p.phi, cfg), delay_vector(p.tau, cfg))
+        for p in paths)
+
+
+def _atom_gram(a_v, a_h, p_n) -> np.ndarray:
+    """A^H A of the atoms a_v[:, l] (x) a_h[:, l] (x) p_n[:, l]: the Hadamard
+    product of the three factor Grams."""
+    return (a_v.conj().T @ a_v) * (a_h.conj().T @ a_h) * (p_n.conj().T @ p_n)
+
+
+def atom_sum(gains, a_v, a_h, p_n) -> np.ndarray:
+    """A g = sum_l gains[l] a_v[:, l] (x) a_h[:, l] (x) p_n[:, l], flattened to
+    length M_v*M_h*N, without forming any atom."""
+    vh = (a_v * gains)[:, None, :] * a_h[None, :, :]
+    return (vh.reshape(a_v.shape[0] * a_h.shape[0], len(gains)) @ p_n.T).ravel()
+
+
+def fit_gains(y: np.ndarray, a_v, a_h, p_n):
+    """Joint least-squares gains of the atoms a_v[:, l] (x) a_h[:, l] (x)
+    p_n[:, l] (factor matrices as from `path_factors`) for the observation y.
+
+    While the Gram G = A^H A is well conditioned (see _GRAM_RCOND), the gains
+    solve G g = A^H y through the eigendecomposition of the L x L G, and
+    A^H y comes from staged contractions, so no atom is formed. Otherwise the
+    M_v*M_h*N x L basis is materialized and np.linalg.lstsq returns the
+    minimum-norm gains and the rank.
+
+    Returns (gains, rank).
+    """
+    count = a_v.shape[1]
+    lam, vecs = np.linalg.eigh(_atom_gram(a_v, a_h, p_n))
+    if lam[0] > _GRAM_RCOND * lam[-1]:
+        m_v, m_h = a_v.shape[0], a_h.shape[0]
+        z = (y.reshape(m_v * m_h, -1) @ p_n.conj()).reshape(m_v, m_h, count)
+        rhs = np.einsum("vhl,hl,vl->l", z, a_h.conj(), a_v.conj())
+        return vecs @ ((vecs.conj().T @ rhs) / lam), count
+    basis = np.stack([_kernels.kron3(a_v[:, i], a_h[:, i], p_n[:, i])
+                      for i in range(count)], axis=1)
+    gains, _, rank, _ = np.linalg.lstsq(basis, y, rcond=None)
+    return gains, int(rank)
+
+
 class _Track:
-    """Mutable per-path state while extraction runs."""
+    """Mutable per-path state while extraction runs; `factors` are the atom's
+    (a_v, a_h, p_n) and `atom` their Kronecker product."""
 
-    __slots__ = ("gain", "theta", "phi", "tau", "atom")
+    __slots__ = ("gain", "theta", "phi", "tau", "factors", "atom")
 
-    def __init__(self, gain, theta, phi, tau, atom):
+    def __init__(self, gain, theta, phi, tau):
         self.gain = gain
         self.theta = theta
         self.phi = phi
         self.tau = tau
-        self.atom = atom
 
 
 def _refine_track(track: _Track, y_local: np.ndarray, cfg: SystemConfig,
@@ -328,7 +390,9 @@ def _refine_track(track: _Track, y_local: np.ndarray, cfg: SystemConfig,
             break
     track.theta, track.phi, track.tau = th, ph, ta
     track.gain = g
-    track.atom = synth_atom(th, ph, ta, cfg)
+    a_v, a_h = steering_factors(th, ph, cfg)
+    track.factors = (a_v, a_h, delay_vector(ta, cfg))
+    track.atom = _kernels.kron3(*track.factors)
 
 
 def extract(y_ul: np.ndarray, cfg: SystemConfig, codebook: Codebook = None, *,
@@ -372,7 +436,7 @@ def extract(y_ul: np.ndarray, cfg: SystemConfig, codebook: Codebook = None, *,
         iterations += 1
         theta, phi, tau, _ = omp_detect(residual, cb)
         gain = coarse_gain(residual, theta, phi, tau, cfg)
-        new = _Track(gain, theta, phi, tau, None)
+        new = _Track(gain, theta, phi, tau)
         _refine_track(new, residual, cfg, newton_steps)
         tracks.append(new)
         residual = residual - new.gain * new.atom
@@ -383,26 +447,22 @@ def extract(y_ul: np.ndarray, cfg: SystemConfig, codebook: Codebook = None, *,
                 _refine_track(track, y_local, cfg, newton_steps)
                 residual = y_local - track.gain * track.atom
 
-        basis = np.stack([t.atom for t in tracks], axis=1)
-        gains, _, rank, _ = np.linalg.lstsq(basis, y, rcond=None)
-        if rank < len(tracks):
-            # degenerate atom set: drop the newest atom and stop
+        factors = _stack_factors(t.factors for t in tracks)
+        gains, rank = fit_gains(y, *factors)
+        degenerate = rank < len(tracks)
+        if degenerate:
+            # drop the newest atom and refit the rest; a single unit-modulus
+            # atom always has rank 1, so at least one track remains
             tracks.pop()
-            if tracks:
-                basis = basis[:, :-1]
-                gains, _, _, _ = np.linalg.lstsq(basis, y, rcond=None)
-                for t, g in zip(tracks, gains):
-                    t.gain = complex(g)
-                residual = y - basis @ gains
-            else:
-                residual = y.copy()
-            norms.append(float(np.linalg.norm(residual)))
-            stop_reason = "degenerate"
-            break
+            factors = tuple(f[:, :-1] for f in factors)
+            gains, _ = fit_gains(y, *factors)
         for t, g in zip(tracks, gains):
             t.gain = complex(g)
-        residual = y - basis @ gains
+        residual = y - atom_sum(gains, *factors)
         norms.append(float(np.linalg.norm(residual)))
+        if degenerate:
+            stop_reason = "degenerate"
+            break
 
     paths = tuple(DetectedPath(gain=t.gain, theta=t.theta, phi=t.phi, tau=t.tau)
                   for t in tracks)

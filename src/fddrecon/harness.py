@@ -199,12 +199,13 @@ def _unscale_gains(paths, p_tx: float):
 
 def _oracle_gains(est_paths, truth_dl: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     """Downlink gains that best realize the true channel with the estimated
-    geometry; the reference against which training-gain error is measured."""
-    basis = np.stack(
-        [recon.reconstruct([p], [1.0], cfg) for p in est_paths], axis=1
-    )
-    g, _, _, _ = np.linalg.lstsq(basis, truth_dl, rcond=None)
-    return g
+    geometry; the reference against which training-gain error is measured.
+
+    The fit runs on the plain atoms; `reconstruct` multiplies each gain by
+    its path's carrier-shift phase, so that phase is divided out here."""
+    g, _ = enomp.fit_gains(truth_dl, *enomp.path_factors(est_paths, cfg))
+    taus = np.array([p.tau for p in est_paths])
+    return g / np.exp(2j * np.pi * cfg.carrier_shift * taus)
 
 
 def _zf_rates(h_true_rows, h_hat_rows, t_pilot: int, cfg: SystemConfig) -> float:

@@ -77,10 +77,11 @@ def ls_baseline(y: np.ndarray, pilot_matrix: np.ndarray, cfg: SystemConfig) -> n
     if X.shape[0] != X.shape[1]:
         raise ValueError("pilot matrix must be square")
     Y = np.asarray(y).reshape(X.shape[0], -1)
-    est, _, rank, _ = np.linalg.lstsq(X, Y, rcond=None)
-    if rank < X.shape[1]:
+    # np.linalg.lstsq's default rank rule, so the same pilots are rejected
+    s = np.linalg.svd(X, compute_uv=False)
+    if s[-1] <= s[0] * max(X.shape) * np.finfo(float).eps:
         raise np.linalg.LinAlgError("pilot matrix is rank deficient")
-    return (est / math.sqrt(cfg.P)).ravel()
+    return (np.linalg.solve(X, Y) / math.sqrt(cfg.P)).ravel()
 
 
 @dataclass(frozen=True)

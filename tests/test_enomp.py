@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fddrecon import enomp
 from fddrecon.sysmodel import (PathComponent, SystemConfig, delay_vector,
@@ -320,6 +322,37 @@ class TestExtract:
         assert res.iterations == len(norms)
         assert np.all(np.diff(norms) <= 1e-9 * norms[:-1])
 
+    def test_coincident_redetection_stops_degenerate(self, monkeypatch):
+        # the second detection lands 1e-13 rad from the first, so the two
+        # atoms are rank deficient for lstsq: the newest one is dropped and
+        # extraction stops, keeping the first path with its lstsq gain
+        cfg = SystemConfig()
+        cb = enomp.build_codebook(cfg)
+        y = ((1.2 - 0.4j) * enomp.synth_atom(cb.thetas[5], cb.phis[9], cb.taus[40], cfg)
+             + (0.8 + 0.1j) * enomp.synth_atom(cb.thetas[11], cb.phis[20], cb.taus[90], cfg))
+        detect, found = enomp.omp_detect, []
+
+        def redetect(residual, codebook):
+            if not found:
+                found.append(detect(residual, codebook))
+                return found[0]
+            theta, phi, tau, power = found[0]
+            return theta + 1e-13, phi, tau, power
+
+        monkeypatch.setattr(enomp, "omp_detect", redetect)
+        lstsq = counted_lstsq(monkeypatch)
+        res = enomp.extract(y, cfg, cb, newton_steps=0)
+        assert lstsq.calls == 1
+        assert res.stop_reason == "degenerate"
+        assert res.iterations == len(res.residual_norms) == 2
+        assert len(res.paths) == 1
+        path = res.paths[0]
+        assert (path.theta, path.phi, path.tau) == found[0][:3]
+        atom = enomp.synth_atom(path.theta, path.phi, path.tau, cfg)
+        want = lstsq(atom[:, None], y, rcond=None)[0][0]
+        assert path.gain == pytest.approx(want, rel=1e-12)
+        np.testing.assert_allclose(res.residual, y - want * atom, rtol=0, atol=1e-10)
+
     def test_iteration_cap(self):
         cfg = small_cfg()
         y = (enomp.synth_atom(0.3, 0.2, 2e-6, cfg)
@@ -342,3 +375,89 @@ class TestExtract:
         cfg = small_cfg()
         with pytest.raises(ValueError):
             enomp.extract(np.zeros(7), cfg)
+
+
+@st.composite
+def atom_sets(draw, max_atoms=5):
+    """A small system, L random path geometries and a random observation."""
+    cfg = SystemConfig(M_v=draw(st.integers(1, 4)), M_h=draw(st.integers(1, 5)),
+                       N=draw(st.integers(2, 16)))
+    count = draw(st.integers(1, max_atoms))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    paths = [enomp.DetectedPath(gain=0j, theta=float(rng.uniform(-1.5, 1.5)),
+                                phi=float(rng.uniform(-1.5, 1.5)),
+                                tau=float(rng.uniform(0.0, 0.99) * cfg.tau_max))
+             for _ in range(count)]
+    mn = cfg.M * cfg.N
+    y = rng.standard_normal(mn) + 1j * rng.standard_normal(mn)
+    return cfg, paths, y
+
+
+def counted_lstsq(monkeypatch):
+    """Patch np.linalg.lstsq with a wrapper that counts its calls."""
+    lstsq = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        counted.calls += 1
+        return lstsq(*args, **kwargs)
+
+    counted.calls = 0
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    return counted
+
+
+def materialized_basis(paths, cfg):
+    return np.stack([enomp.synth_atom(p.theta, p.phi, p.tau, cfg) for p in paths], axis=1)
+
+
+class TestFitGains:
+    @settings(max_examples=80, deadline=None)
+    @given(atom_sets())
+    def test_hadamard_gram_equals_basis_gram(self, case):
+        cfg, paths, _ = case
+        basis = materialized_basis(paths, cfg)
+        gram = enomp._atom_gram(*enomp.path_factors(paths, cfg))
+        # off-diagonal entries can be near zero: atol relative to the diagonal MN
+        np.testing.assert_allclose(gram, basis.conj().T @ basis,
+                                   rtol=1e-12, atol=1e-12 * cfg.M * cfg.N)
+
+    @settings(max_examples=80, deadline=None)
+    @given(atom_sets())
+    def test_gains_and_residual_match_materialized_lstsq(self, case):
+        cfg, paths, y = case
+        basis = materialized_basis(paths, cfg)
+        assume(len(paths) <= cfg.M * cfg.N and np.linalg.cond(basis) < 1e2)
+        factors = enomp.path_factors(paths, cfg)
+        gains, rank = enomp.fit_gains(y, *factors)
+        want, _, want_rank, _ = np.linalg.lstsq(basis, y, rcond=None)
+        assert rank == want_rank == len(paths)
+        np.testing.assert_allclose(gains, want, rtol=1e-9)
+        np.testing.assert_allclose(y - enomp.atom_sum(gains, *factors),
+                                   y - basis @ gains, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("sep, rank", [(1e-10, 2), (1e-13, 1)])
+    def test_near_coincident_atoms_take_lstsq_route(self, monkeypatch, sep, rank):
+        # cond(A) is about 3.5 / sep at this size: past the Gram route's 1e4
+        # at 1e-10 rad yet inside lstsq's full-rank region, rank deficient
+        # for lstsq at 1e-13 rad
+        cfg = SystemConfig()
+        paths = [enomp.DetectedPath(0j, 0.3, -0.4, 5e-6),
+                 enomp.DetectedPath(0j, 0.3 + sep, -0.4, 5e-6)]
+        basis = materialized_basis(paths, cfg)
+        y = basis @ np.array([1.0 + 0.5j, -0.3j])
+        lstsq = counted_lstsq(monkeypatch)
+        gains, got_rank = enomp.fit_gains(y, *enomp.path_factors(paths, cfg))
+        assert lstsq.calls == 1
+        want, _, want_rank, _ = lstsq(basis, y, rcond=None)
+        assert got_rank == want_rank == rank
+        np.testing.assert_array_equal(gains, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(atom_sets(max_atoms=1))
+    def test_atom_correlation_matches_conjugated_observation_form(self, case):
+        cfg, paths, y = case
+        y3 = y.reshape(cfg.M_v, cfg.M_h, cfg.N)
+        a_v, a_h, p_n = (f[:, 0] for f in enomp.path_factors(paths, cfg))
+        old = (y3.conj().reshape(-1, cfg.N) @ p_n).reshape(cfg.M_v, cfg.M_h)
+        want = complex((old @ a_h) @ a_v)
+        np.testing.assert_allclose(enomp._atom_correlation(y3, a_v, a_h, p_n), want, rtol=1e-13)

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from fddrecon import cli, harness
+from fddrecon import cli, enomp, harness, recon, sysmodel
 from fddrecon.harness import ExperimentConfig, ResultRow
 
 TINY_SYSTEM = {"M_v": 2, "M_h": 4, "N": 16}
@@ -141,6 +143,24 @@ class TestRunners:
         # tighter targets cannot be met with fewer training symbols
         assert (by_metric(rows, 1e-2)["t_pilot"].value
                 >= by_metric(rows, 1e-1)["t_pilot"].value)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 5), st.integers(2, 16),
+           st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_oracle_gains_match_lstsq_on_reconstructed_atoms(self, m_v, m_h, n, count, seed):
+        cfg = sysmodel.SystemConfig(M_v=m_v, M_h=m_h, N=n)
+        rng = np.random.default_rng(seed)
+        truth = sysmodel.generate_scenario(1, 3, cfg, seed=rng).users[0]
+        est = [enomp.DetectedPath(gain=0j, theta=float(rng.uniform(-1.5, 1.5)),
+                                  phi=float(rng.uniform(-1.5, 1.5)),
+                                  tau=float(rng.uniform(0.0, 0.99) * cfg.tau_max))
+               for _ in range(count)]
+        # the reference: lstsq on atoms carrying their carrier-shift phase
+        basis = np.stack([recon.reconstruct([p], [1.0], cfg) for p in est], axis=1)
+        assume(count <= cfg.M * cfg.N and np.linalg.cond(basis) < 1e2)
+        truth_dl = sysmodel.downlink_channel(truth, cfg)
+        want, _, _, _ = np.linalg.lstsq(basis, truth_dl, rcond=None)
+        np.testing.assert_allclose(harness._oracle_gains(est, truth_dl, cfg), want, rtol=1e-9)
 
     def test_theorem1_smoke(self):
         cfg = tiny_config("theorem1", trials=2, users=3,

@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fddrecon import _kernels
 
@@ -52,6 +54,30 @@ def test_moment_cube_matches_loop_oracle():
         oracle = cube_oracle(y3, a_v, a_h, p_n, c_v, c_h, c_n)
         got = _kernels.moment_cube_numpy(y3, a_v, a_h, p_n, c_v, c_h, c_n)
         np.testing.assert_allclose(got, oracle, rtol=1e-12, atol=1e-12)
+
+
+def moment_cube_conj_copy(y3, a_v, a_h, p_n, c_v, c_h, c_n):
+    """The contraction as first written: conj(y3) copied, then contracted."""
+    M_v, M_h, N = y3.shape
+    n = np.arange(N) - c_n
+    pw = np.stack([p_n, p_n * n, p_n * n * n], axis=1)
+    v = (y3.conj().reshape(M_v * M_h, N) @ pw).reshape(M_v, M_h, 3)
+    h = np.arange(M_h) - c_h
+    t = np.einsum("vhc,hb->vbc", v, np.stack([a_h, a_h * h, a_h * h * h], axis=1))
+    m = np.arange(M_v) - c_v
+    return np.einsum("vbc,va->abc", t, np.stack([a_v, a_v * m, a_v * m * m], axis=1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(st.integers(1, 8), st.integers(1, 16), st.integers(1, 64)),
+       st.integers(0, 2**32 - 1))
+def test_moment_cube_matches_conjugated_copy_form(shape, seed):
+    rng = np.random.default_rng(seed)
+    y3, a_v, a_h, p_n = random_inputs(rng, shape)
+    centers = tuple((np.array(shape) - 1) / 2.0)
+    np.testing.assert_allclose(_kernels.moment_cube_numpy(y3, a_v, a_h, p_n, *centers),
+                               moment_cube_conj_copy(y3, a_v, a_h, p_n, *centers),
+                               rtol=1e-13)
 
 
 def test_moment_cube_default_centers_zero():

@@ -139,9 +139,9 @@ class TestLsBaseline:
         cfg = small_cfg()
         with pytest.raises(ValueError):
             recon.ls_baseline(np.zeros(cfg.M * cfg.N), np.ones((2, 3)), cfg)
-        singular = np.zeros((cfg.M, cfg.M))
-        with pytest.raises(np.linalg.LinAlgError):
-            recon.ls_baseline(np.zeros(cfg.M * cfg.N), singular, cfg)
+        for singular in (np.zeros((cfg.M, cfg.M)), np.ones((cfg.M, cfg.M))):
+            with pytest.raises(np.linalg.LinAlgError):
+                recon.ls_baseline(np.zeros(cfg.M * cfg.N), singular, cfg)
 
 
 class TestCovariance:
