@@ -1,19 +1,13 @@
-"""Timing comparison of the numba and numpy kernel implementations.
+"""Timings of the hot numeric kernels at full system scale.
 
 Runs the two hot kernels (atom synthesis and the weighted-moment
-contraction) at full system scale with both backends, the joint gain fit of
-eight atoms both ways (lstsq on the materialized basis as extraction once
-did, and `enomp.fit_gains` on the factored Gram), each followed by its
-residual, plus one end-to-end path extraction with whichever backend is
-active, and prints a table.
+contraction), the joint gain fit of eight atoms both ways (lstsq on the
+materialized basis as extraction once did, and `enomp.fit_gains` on the
+factored Gram), each followed by its residual, plus one end-to-end path
+extraction, and prints a table.
 
 Usage:
     python3 benchmarks/bench_kernels.py [--repeats N]
-
-The backend used by the library itself is controlled by the FDDRECON_NUMBA
-environment variable; this script times both implementations directly, so
-it reports the comparison regardless of that setting (numba rows are
-skipped when numba is not installed).
 """
 
 import argparse
@@ -27,7 +21,7 @@ from fddrecon.sysmodel import SystemConfig
 
 
 def _time(fn, args, repeats):
-    fn(*args)  # warm up (also triggers jit compilation)
+    fn(*args)  # warm up
     best = math.inf
     for _ in range(repeats):
         t0 = time.perf_counter()
@@ -69,31 +63,20 @@ def main():
         return y - enomp.atom_sum(gains, *factors)
 
     cases = [
-        ("kron3", "numpy", _kernels.kron3_numpy, (a_v, a_h, p_n)),
-        ("moment_cube", "numpy", _kernels.moment_cube_numpy, (y3, a_v, a_h, p_n) + centers),
+        ("kron3", "numpy", _kernels.kron3, (a_v, a_h, p_n)),
+        ("moment_cube", "numpy", _kernels.moment_cube, (y3, a_v, a_h, p_n) + centers),
         ("gain_fit_L8", "lstsq", lstsq_fit, ()),
         ("gain_fit_L8", "gram", gram_fit, ()),
     ]
-    if _kernels._HAVE_NUMBA:
-        cases += [
-            ("kron3", "numba", _kernels.kron3_numba, (a_v, a_h, p_n)),
-            ("moment_cube", "numba", _kernels.moment_cube_numba, (y3, a_v, a_h, p_n) + centers),
-        ]
-    else:
-        print("numba not installed; timing the numpy implementations only\n")
 
     print(f"system {cfg.M_v}x{cfg.M_h} antennas x {cfg.N} subcarriers, "
-          f"best of {args.repeats} runs, active backend: {_kernels.BACKEND}\n")
+          f"best of {args.repeats} runs\n")
     print(f"{'kernel':<14}{'impl':<8}{'best':>12}")
     results = {}
     for name, impl, fn, fn_args in cases:
         best = _time(fn, fn_args, args.repeats)
         results[(name, impl)] = best
         print(f"{name:<14}{impl:<8}{best * 1e6:>10.1f} us")
-    for name in ("kron3", "moment_cube"):
-        if (name, "numba") in results:
-            ratio = results[(name, "numpy")] / results[(name, "numba")]
-            print(f"{name}: numba is {ratio:.2f}x the numpy speed")
     ratio = results[("gain_fit_L8", "lstsq")] / results[("gain_fit_L8", "gram")]
     print(f"gain_fit_L8: the factored Gram fit is {ratio:.1f}x the lstsq speed")
 
@@ -105,8 +88,7 @@ def main():
     t0 = time.perf_counter()
     result = enomp.extract(y, cfg, book)
     dt = time.perf_counter() - t0
-    print(f"\nend-to-end extraction ({len(result.paths)} paths, backend "
-          f"{_kernels.BACKEND}): {dt * 1e3:.0f} ms")
+    print(f"\nend-to-end extraction ({len(result.paths)} paths): {dt * 1e3:.0f} ms")
 
 
 if __name__ == "__main__":

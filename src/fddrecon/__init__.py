@@ -6,94 +6,6 @@ re-estimate the downlink gains those beams expose, rebuild the downlink
 channel from geometry plus gains, and precode on the result.
 """
 
-from .dltrain import (
-    AngleGrid,
-    CoefficientMatrix,
-    TrainingPlan,
-    build_angle_grid,
-    check_success,
-    coefficient_matrix,
-    estimate_downlink_gains,
-    grid_point,
-    optimal_grid_point,
-    pilot_subcarriers,
-    predict_nmse,
-    projected_power,
-    schedule_beams,
-    simulate_downlink_training,
-)
-from .enomp import (
-    Codebook,
-    DetectedPath,
-    ExtractionResult,
-    build_codebook,
-    detection_threshold,
-    extract,
-    newton_refine,
-    objective_derivatives,
-    omp_detect,
-)
-from .harness import (
-    ExperimentConfig,
-    ResultRow,
-    config_from_dict,
-    load_config,
-    rows_to_csv,
-    run_experiment,
-    run_fig4,
-    run_fig6,
-    run_theorem1,
-)
-from .mueval import (
-    PrecodingState,
-    analytic_sinr,
-    monte_carlo_sinr,
-    sinr,
-    sum_rate,
-    zf_precoder,
-)
-from .recon import (
-    CostReport,
-    SpaceFrequencyCovariance,
-    channel_covariance,
-    channel_matrix,
-    channel_nmse,
-    cost_report,
-    lmmse_baseline,
-    ls_baseline,
-    reconstruct,
-    uplink_channel_estimate,
-)
-from .sysmodel import (
-    PathComponent,
-    Scenario,
-    SystemConfig,
-    downlink_channel,
-    generate_scenario,
-    sounding_observation,
-    steering_vector,
-    uplink_channel,
-)
+from . import cli, dltrain, enomp, harness, mueval, recon, sysmodel  # noqa: F401
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AngleGrid", "CoefficientMatrix", "TrainingPlan", "build_angle_grid",
-    "check_success", "coefficient_matrix", "estimate_downlink_gains",
-    "grid_point", "optimal_grid_point", "pilot_subcarriers", "predict_nmse",
-    "projected_power", "schedule_beams", "simulate_downlink_training",
-    "Codebook", "DetectedPath", "ExtractionResult", "build_codebook",
-    "detection_threshold", "extract", "newton_refine",
-    "objective_derivatives", "omp_detect",
-    "ExperimentConfig", "ResultRow", "config_from_dict", "load_config",
-    "rows_to_csv", "run_experiment", "run_fig4", "run_fig6", "run_theorem1",
-    "PrecodingState", "analytic_sinr", "monte_carlo_sinr", "sinr",
-    "sum_rate", "zf_precoder",
-    "CostReport", "SpaceFrequencyCovariance", "channel_covariance",
-    "channel_matrix", "channel_nmse", "cost_report", "lmmse_baseline",
-    "ls_baseline", "reconstruct", "uplink_channel_estimate",
-    "PathComponent", "Scenario", "SystemConfig", "downlink_channel",
-    "generate_scenario", "sounding_observation", "steering_vector",
-    "uplink_channel",
-    "__version__",
-]

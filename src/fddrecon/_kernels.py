@@ -1,29 +1,23 @@
-"""Hot numeric kernels with numba and pure-numpy implementations.
+"""Hot numeric kernels of path extraction, in numpy.
 
 Two inner loops dominate the path-extraction runtime once the FFTs are done:
 synthesizing rank-1 Kronecker atoms and contracting the observation against
 an atom with polynomial index weights (the moments behind the Newton
-gradient/Hessian). Both carry an @njit version and a numpy version.
-
-Backend selection: the FDDRECON_NUMBA environment variable.
-  "auto" (default)  use numba when importable, else numpy
-  "0"/"off"/"false" force the numpy path
-  "1"/"on"/"require" require numba, raise if it is missing
-FFTs and dense linear algebra always stay on numpy; numba offers nothing
-there.
+gradient/Hessian).
 """
-
-import os
 
 import numpy as np
 
+# the only implementation; benchmark result files record it
+BACKEND = "numpy"
 
-def kron3_numpy(a_v, a_h, p_n):
+
+def kron3(a_v, a_h, p_n):
     """Atom a_v (x) a_h (x) p_n flattened to length M_v*M_h*N."""
     return (np.outer(a_v, a_h).reshape(-1, 1) * p_n).ravel()
 
 
-def moment_cube_numpy(y3, a_v, a_h, p_n, c_v=0.0, c_h=0.0, c_n=0.0):
+def moment_cube(y3, a_v, a_h, p_n, c_v=0.0, c_h=0.0, c_n=0.0):
     """Weighted inner products of an atom against conj(y).
 
     Returns a (3, 3, 3) complex cube W with
@@ -44,72 +38,3 @@ def moment_cube_numpy(y3, a_v, a_h, p_n, c_v=0.0, c_h=0.0, c_n=0.0):
     m = np.arange(M_v) - c_v
     vw = np.stack([a_v, a_v * m, a_v * m * m], axis=1)           # (M_v, 3)
     return np.einsum("vbc,va->abc", t, vw)
-
-
-_HAVE_NUMBA = False
-_mode = os.environ.get("FDDRECON_NUMBA", "auto").strip().lower()
-
-if _mode not in ("0", "off", "false"):
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        if _mode in ("1", "on", "require"):
-            raise ImportError(
-                "FDDRECON_NUMBA requires numba but it is not installed")
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def kron3_numba(a_v, a_h, p_n):
-        M_v = a_v.shape[0]
-        M_h = a_h.shape[0]
-        N = p_n.shape[0]
-        out = np.empty(M_v * M_h * N, dtype=np.complex128)
-        i = 0
-        for v in range(M_v):
-            for h in range(M_h):
-                w = a_v[v] * a_h[h]
-                for n in range(N):
-                    out[i] = w * p_n[n]
-                    i += 1
-        return out
-
-    @njit(cache=True)
-    def moment_cube_numba(y3, a_v, a_h, p_n, c_v=0.0, c_h=0.0, c_n=0.0):
-        M_v, M_h, N = y3.shape
-        out = np.zeros((3, 3, 3), dtype=np.complex128)
-        for v in range(M_v):
-            dv = v - c_v
-            for h in range(M_h):
-                s0 = 0.0 + 0.0j
-                s1 = 0.0 + 0.0j
-                s2 = 0.0 + 0.0j
-                for n in range(N):
-                    u = np.conj(y3[v, h, n]) * p_n[n]
-                    dn = n - c_n
-                    s0 += u
-                    s1 += u * dn
-                    s2 += u * dn * dn
-                w = a_v[v] * a_h[h]
-                dh = h - c_h
-                fa = 1.0
-                for a in range(3):
-                    fb = 1.0
-                    for b in range(3):
-                        coeff = w * (fa * fb)
-                        out[a, b, 0] += coeff * s0
-                        out[a, b, 1] += coeff * s1
-                        out[a, b, 2] += coeff * s2
-                        fb *= dh
-                    fa *= dv
-        return out
-
-    kron3 = kron3_numba
-    moment_cube = moment_cube_numba
-    BACKEND = "numba"
-else:
-    kron3 = kron3_numpy
-    moment_cube = moment_cube_numpy
-    BACKEND = "numpy"

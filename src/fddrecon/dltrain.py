@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .sysmodel import SystemConfig, steering_vector
+from .sysmodel import SystemConfig, complex_noise, steering_vector
 
 
 @dataclass(frozen=True)
@@ -120,17 +120,25 @@ class CoefficientMatrix:
     """Pilot observation model of one user: y = sqrt(P) * A g_dl + noise.
 
     Rows are pilot-symbol major: row t * N_p + i is symbol t, pilot
-    subcarrier i.  Columns follow the user's estimated paths.  Singular
-    values are cached because both the accuracy predictor and the gain
-    estimator are functions of them alone.
+    subcarrier i.  Columns follow the user's estimated paths.
     """
 
     matrix: np.ndarray
-    singular_values: np.ndarray
 
     @property
     def shape(self) -> tuple:
         return self.matrix.shape
+
+
+def _path_factors(paths, beams: np.ndarray, pilots: np.ndarray, cfg: SystemConfig):
+    """The three factors of a coefficient matrix: beam gains a^T b_t
+    (L, T), pilot-subcarrier delay phases (N_p, L), and carrier-shift phases
+    (L,)."""
+    a = np.stack([steering_vector(p.theta, p.phi, cfg) for p in paths])
+    taus = np.array([p.tau for p in paths])
+    pil = np.exp(2j * np.pi * cfg.delta_f * np.outer(pilots, taus))
+    shift = np.exp(2j * np.pi * cfg.carrier_shift * taus)
+    return a @ beams, pil, shift
 
 
 def coefficient_matrix(paths, plan: TrainingPlan, cfg: SystemConfig) -> CoefficientMatrix:
@@ -145,35 +153,41 @@ def coefficient_matrix(paths, plan: TrainingPlan, cfg: SystemConfig) -> Coeffici
         raise ValueError("coefficient matrix needs at least one path")
     if plan.beams.shape[1] == 0:
         raise ValueError("coefficient matrix needs at least one beam")
-    a = np.stack([steering_vector(p.theta, p.phi, cfg) for p in paths])
-    taus = np.array([p.tau for p in paths])
-    theta_gain = a @ plan.beams  # (L, T)
-    pil = np.exp(2j * np.pi * cfg.delta_f * np.outer(plan.pilot_subcarriers, taus))
-    shift = np.exp(2j * np.pi * cfg.carrier_shift * taus)
+    theta_gain, pil, shift = _path_factors(paths, plan.beams, plan.pilot_subcarriers, cfg)
     mat = theta_gain.T[:, None, :] * pil[None, :, :] * shift[None, None, :]
-    mat = mat.reshape(-1, len(paths))
-    sv = np.linalg.svd(mat, compute_uv=False)
-    return CoefficientMatrix(matrix=mat, singular_values=sv)
+    return CoefficientMatrix(matrix=mat.reshape(-1, len(paths)))
+
+
+def _gram_nmse(gram: np.ndarray, n_rows: int, gnorm2: float, cfg: SystemConfig) -> float:
+    """Predicted gain NMSE sum(1 / lambda_i) / (P ||g||^2) from the
+    eigenvalues of the (L x L) Gram A^H A of an (n_rows x L) coefficient
+    matrix A.
+
+    Rank rule: inf when n_rows < L or lambda_min <= lambda_max * max(L,
+    n_rows) * eps.  The Gram squares the condition number, so this rejects
+    cond(A) above about 1e6 to 1e7.
+    """
+    if gnorm2 == 0.0:
+        raise ValueError("uplink gain vector has zero norm")
+    n_paths = gram.shape[0]
+    if n_rows < n_paths:
+        return math.inf
+    eig = np.linalg.eigvalsh(gram)
+    if eig[0] <= eig[-1] * max(n_paths, n_rows) * np.finfo(np.float64).eps:
+        return math.inf
+    return float(np.sum(1.0 / eig)) / (cfg.P * gnorm2)
 
 
 def predict_nmse(coef: CoefficientMatrix, g_ul: np.ndarray, cfg: SystemConfig) -> float:
     """Closed-form NMSE the pilot least squares will achieve, in expectation,
-    at unit noise power: sum(1 / lambda_i^2) / (P ||g_ul||^2).
+    at unit noise power: trace((A^H A)^-1) / (P ||g_ul||^2).
 
     Returns inf when the matrix is rank deficient (some gain direction is
-    unobservable under the current beam set).
+    unobservable under the current beam set); see :func:`_gram_nmse`.
     """
-    sv = coef.singular_values
-    n_paths = coef.matrix.shape[1]
+    mat = coef.matrix
     gnorm2 = float(np.sum(np.abs(np.asarray(g_ul)) ** 2))
-    if gnorm2 == 0.0:
-        raise ValueError("uplink gain vector has zero norm")
-    if len(sv) < n_paths:
-        return math.inf
-    tol = sv[0] * max(coef.matrix.shape) * np.finfo(np.float64).eps
-    if sv[-1] <= tol:
-        return math.inf
-    return float(np.sum(1.0 / sv**2)) / (cfg.P * gnorm2)
+    return _gram_nmse(mat.conj().T @ mat, mat.shape[0], gnorm2, cfg)
 
 
 def check_success(coef: CoefficientMatrix, g_ul: np.ndarray, cfg: SystemConfig) -> bool:
@@ -196,31 +210,19 @@ class _UserState:
         self.gnorm2 = float(sum(abs(p.gain) ** 2 for p in paths))
         if self.n_paths == 0:
             return
-        a = np.stack([steering_vector(p.theta, p.phi, cfg) for p in paths])
-        taus = np.array([p.tau for p in paths])
         beams_all = grid.steering[:, [j - 1 for j in order]].conj() / math.sqrt(cfg.M)
-        self.theta_gain = a @ beams_all  # (L, S) over the full scan order
-        pil = np.exp(2j * np.pi * cfg.delta_f * np.outer(pilot_subcarriers(cfg), taus))
+        # theta_gain is (L, S) over the full scan order
+        self.theta_gain, pil, shift = _path_factors(paths, beams_all, pilot_subcarriers(cfg), cfg)
         self.pilot_gram = pil.conj().T @ pil  # (L, L)
-        shift = np.exp(2j * np.pi * cfg.carrier_shift * taus)
         self.shift_outer = np.outer(shift.conj(), shift)
 
     def subset_nmse(self, cols: np.ndarray, cfg: SystemConfig) -> float:
         """Predicted NMSE when only the scan-order columns ``cols`` are kept."""
         if self.n_paths == 0:
             return 0.0
-        if self.gnorm2 == 0.0:
-            return math.inf
-        if len(cols) == 0:
-            return math.inf
         tg = self.theta_gain[:, cols]
         gram = (tg.conj() @ tg.T) * self.pilot_gram * self.shift_outer
-        eig = np.linalg.eigvalsh(gram)
-        n_rows = len(cols) * _n_pilots(cfg)
-        tol = eig[-1] * max(self.n_paths, n_rows) * np.finfo(np.float64).eps
-        if eig[0] <= tol:
-            return math.inf
-        return float(np.sum(1.0 / eig)) / (cfg.P * self.gnorm2)
+        return _gram_nmse(gram, len(cols) * _n_pilots(cfg), self.gnorm2, cfg)
 
 
 def _n_pilots(cfg: SystemConfig) -> int:
@@ -231,7 +233,6 @@ def schedule_beams(
     users_paths: Sequence[Sequence],
     grid: AngleGrid,
     cfg: SystemConfig,
-    continue_scan: bool = False,
 ) -> TrainingPlan:
     """Pick the beam directions to train, trimming redundant ones.
 
@@ -239,9 +240,8 @@ def schedule_beams(
     its estimated paths.  Marked points are scanned in ascending order of
     weight (number of distinct users marking them, index as tie-break), and
     a point is dropped when every user is still predicted to meet the
-    accuracy target delta without it.  By default the scan stops at the
-    first indispensable point; with ``continue_scan`` it keeps probing the
-    remaining points, which can only shorten the plan further.
+    accuracy target delta without it.  The scan stops at the first
+    indispensable point.
     """
     marks: dict[int, int] = {}
     for paths in users_paths:
@@ -263,7 +263,7 @@ def schedule_beams(
             )
             if all(st.subset_nmse(trial, cfg) < cfg.delta for st in states):
                 removed.add(s)
-            elif not continue_scan:
+            else:
                 break
 
     kept = [order[s] for s in range(len(order)) if s not in removed]
@@ -292,8 +292,7 @@ def simulate_downlink_training(
     g_dl = np.array([p.g_dl for p in true_paths])
     y = math.sqrt(cfg.P) * coef.matrix @ g_dl
     if noise_seed is not None:
-        rng = noise_seed if isinstance(noise_seed, np.random.Generator) else np.random.default_rng(noise_seed)
-        y = y + (rng.standard_normal(len(y)) + 1j * rng.standard_normal(len(y))) / math.sqrt(2.0)
+        y = y + complex_noise(np.random.default_rng(noise_seed), len(y))
     return y
 
 

@@ -16,9 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .sysmodel import SystemConfig, delay_vector, steering_factors
-
-TWO_PI = 2.0 * math.pi
+from .sysmodel import TWO_PI, SystemConfig, delay_vector, steering_factors
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,6 @@ class PrecodingState:
     spends unit power.
     """
 
-    channel: np.ndarray
     pinv: np.ndarray
     alphas: np.ndarray
 
@@ -70,7 +69,7 @@ def zf_precoder(h_hat: np.ndarray) -> PrecodingState:
     pinv = h_herm @ gram_inv
     col_norms2 = np.diagonal(gram_inv, axis1=-2, axis2=-1).real
     alphas = 1.0 / (math.sqrt(n_users) * np.sqrt(col_norms2))
-    return PrecodingState(channel=H, pinv=pinv, alphas=alphas)
+    return PrecodingState(pinv=pinv, alphas=alphas)
 
 
 def sinr(h_true: np.ndarray, state: PrecodingState, p_tx: float, noise_power: float = 1.0) -> np.ndarray:

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernels
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -85,10 +87,7 @@ class PathComponent:
     tau: float     # delay [s], [0, 1/delta_f)
 
     def __post_init__(self):
-        if not -math.pi / 2 <= self.theta < math.pi / 2:
-            raise ValueError("theta out of [-pi/2, pi/2)")
-        if not -math.pi / 2 <= self.phi < math.pi / 2:
-            raise ValueError("phi out of [-pi/2, pi/2)")
+        _check_angles(self.theta, self.phi)
         if self.tau < 0:
             raise ValueError("tau must be non-negative")
 
@@ -155,17 +154,28 @@ def delay_vector(tau: float, cfg: SystemConfig) -> np.ndarray:
     return np.exp(1j * TWO_PI * cfg.delta_f * tau * np.arange(cfg.N))
 
 
-def uplink_channel(paths, cfg: SystemConfig) -> np.ndarray:
-    """Stacked space-frequency uplink channel, antenna-major.
+def path_sum(paths, gains, cfg: SystemConfig, carrier_shift: bool = False) -> np.ndarray:
+    """Stacked space-frequency channel of weighted paths, antenna-major.
 
-    h = sum_l g_ul,l * a(theta_l, phi_l) (x) p(tau_l), length M * N. Entry
-    (m, n) sits at index m * N + n.
+    h = sum_l g_l * a_v(theta_l, phi_l) (x) a_h(theta_l, phi_l) (x) p(tau_l),
+    length M * N; entry (m, n) sits at index m * N + n. With
+    ``carrier_shift`` each gain is first rotated by
+    exp(j 2 pi (f_dl - f_ul) tau_l), which moves uplink geometry to the
+    downlink carrier.
     """
     h = np.zeros(cfg.M * cfg.N, dtype=np.complex128)
-    for p in paths:
-        h += p.g_ul * np.kron(steering_vector(p.theta, p.phi, cfg),
-                              delay_vector(p.tau, cfg))
+    for p, g in zip(paths, gains):
+        if carrier_shift:
+            g = g * np.exp(1j * TWO_PI * cfg.carrier_shift * p.tau)
+        a_v, a_h = steering_factors(p.theta, p.phi, cfg)
+        h += g * _kernels.kron3(a_v, a_h, delay_vector(p.tau, cfg))
     return h
+
+
+def uplink_channel(paths, cfg: SystemConfig) -> np.ndarray:
+    """Stacked space-frequency uplink channel: :func:`path_sum` of the
+    uplink gains."""
+    return path_sum(paths, [p.g_ul for p in paths], cfg)
 
 
 def downlink_channel(paths, cfg: SystemConfig) -> np.ndarray:
@@ -174,12 +184,7 @@ def downlink_channel(paths, cfg: SystemConfig) -> np.ndarray:
     Identical geometry to the uplink, downlink gains, and each path rotated
     by exp(j 2 pi (f_dl - f_ul) tau_l) for the carrier shift.
     """
-    h = np.zeros(cfg.M * cfg.N, dtype=np.complex128)
-    for p in paths:
-        shift = np.exp(1j * TWO_PI * cfg.carrier_shift * p.tau)
-        h += p.g_dl * shift * np.kron(steering_vector(p.theta, p.phi, cfg),
-                                      delay_vector(p.tau, cfg))
-    return h
+    return path_sum(paths, [p.g_dl for p in paths], cfg, carrier_shift=True)
 
 
 def complex_noise(rng: np.random.Generator, size: int) -> np.ndarray:

@@ -55,7 +55,7 @@ def test_traced_toy_run_completes(tracer_module, tmp_path, experiment):
     assert summary["errors"] == dict.fromkeys(tracer_module.LAYERS, 0)
     calls = {label: f["calls"] for label, f in summary["functions"].items()}
     for label in ("cli.main", "enomp.extract", "enomp.omp_detect", "enomp.newton_refine",
-                  "kernels.kron3", "kernels.moment_cube", "recon.kron3"):
+                  "kernels.kron3", "kernels.moment_cube", "sysmodel.uplink_channel"):
         assert calls[label] > 0, label
     counters = summary["counters"]
     assert counters["enomp.iterations"] > 0

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fddrecon import sysmodel
 from fddrecon.sysmodel import PathComponent, SystemConfig
@@ -43,6 +45,35 @@ def brute_force_uplink(paths, cfg):
                     d = np.exp(2j * np.pi * n * cfg.delta_f * p.tau)
                     h[idx] += p.g_ul * a * d
     return h
+
+
+def kron_reference(paths, cfg, downlink):
+    """The channel sum as nested np.kron of the full steering vector and the
+    delay vector, one path at a time."""
+    h = np.zeros(cfg.M * cfg.N, dtype=np.complex128)
+    for p in paths:
+        atom = np.kron(sysmodel.steering_vector(p.theta, p.phi, cfg),
+                       sysmodel.delay_vector(p.tau, cfg))
+        if downlink:
+            shift = np.exp(1j * sysmodel.TWO_PI * cfg.carrier_shift * p.tau)
+            h += p.g_dl * shift * atom
+        else:
+            h += p.g_ul * atom
+    return h
+
+
+_angles = st.floats(-math.pi / 2, math.pi / 2, exclude_max=True)
+_gains = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def scenarios(draw):
+    cfg = SystemConfig(M_v=draw(st.integers(1, 4)), M_h=draw(st.integers(1, 6)),
+                       N=draw(st.integers(1, 16)))
+    taus = st.floats(0.0, cfg.tau_max, exclude_max=True)
+    paths = draw(st.lists(st.builds(PathComponent, g_ul=_gains, g_dl=_gains, theta=_angles,
+                                    phi=_angles, tau=taus), max_size=5))
+    return cfg, tuple(paths)
 
 
 class TestSystemConfig:
@@ -174,6 +205,16 @@ class TestChannels:
                         shift = np.exp(2j * np.pi * cfg.carrier_shift * p.tau)
                         expect[idx] += p.g_dl * shift * a * d
         np.testing.assert_allclose(h, expect, rtol=1e-12, atol=1e-12)
+
+
+    @settings(max_examples=80, deadline=None)
+    @given(scenarios())
+    def test_channels_equal_kron_reference_exactly(self, scenario):
+        cfg, paths = scenario
+        np.testing.assert_array_equal(sysmodel.uplink_channel(paths, cfg),
+                                      kron_reference(paths, cfg, downlink=False))
+        np.testing.assert_array_equal(sysmodel.downlink_channel(paths, cfg),
+                                      kron_reference(paths, cfg, downlink=True))
 
 
 class TestSounding:
