@@ -6,6 +6,6 @@ re-estimate the downlink gains those beams expose, rebuild the downlink
 channel from geometry plus gains, and precode on the result.
 """
 
-from . import cli, dltrain, enomp, harness, mueval, recon, sysmodel  # noqa: F401
+from . import dltrain, enomp, harness, mueval, recon, sysmodel  # noqa: F401
 
 __version__ = "0.1.0"

@@ -115,21 +115,6 @@ class TrainingPlan:
         return len(self.grid_indices)
 
 
-@dataclass(frozen=True)
-class CoefficientMatrix:
-    """Pilot observation model of one user: y = sqrt(P) * A g_dl + noise.
-
-    Rows are pilot-symbol major: row t * N_p + i is symbol t, pilot
-    subcarrier i.  Columns follow the user's estimated paths.
-    """
-
-    matrix: np.ndarray
-
-    @property
-    def shape(self) -> tuple:
-        return self.matrix.shape
-
-
 def _path_factors(paths, beams: np.ndarray, pilots: np.ndarray, cfg: SystemConfig):
     """The three factors of a coefficient matrix: beam gains a^T b_t
     (L, T), pilot-subcarrier delay phases (N_p, L), and carrier-shift phases
@@ -141,13 +126,15 @@ def _path_factors(paths, beams: np.ndarray, pilots: np.ndarray, cfg: SystemConfi
     return a @ beams, pil, shift
 
 
-def coefficient_matrix(paths, plan: TrainingPlan, cfg: SystemConfig) -> CoefficientMatrix:
-    """Build the pilot coefficient matrix of one user.
+def coefficient_matrix(paths, plan: TrainingPlan, cfg: SystemConfig) -> np.ndarray:
+    """Pilot observation model of one user: y = sqrt(P) * A g_dl + noise.
 
     ``paths`` is any sequence of objects carrying theta/phi/tau attributes.
-    Entry (t*N_p + i, l) is exp(j 2 pi (f_dl - f_ul) tau_l) * a^T(theta_l,
-    phi_l) b_t * exp(j 2 pi n_i delta_f tau_l): the carrier shift, the beam
-    gain, and the pilot-subcarrier delay phase of path l under symbol t.
+    Rows are pilot-symbol major and columns follow ``paths``: entry
+    (t*N_p + i, l), symbol t on pilot subcarrier i, is
+    exp(j 2 pi (f_dl - f_ul) tau_l) * a^T(theta_l, phi_l) b_t
+    * exp(j 2 pi n_i delta_f tau_l): the carrier shift, the beam gain, and
+    the pilot-subcarrier delay phase of path l under symbol t.
     """
     if len(paths) == 0:
         raise ValueError("coefficient matrix needs at least one path")
@@ -155,7 +142,7 @@ def coefficient_matrix(paths, plan: TrainingPlan, cfg: SystemConfig) -> Coeffici
         raise ValueError("coefficient matrix needs at least one beam")
     theta_gain, pil, shift = _path_factors(paths, plan.beams, plan.pilot_subcarriers, cfg)
     mat = theta_gain.T[:, None, :] * pil[None, :, :] * shift[None, None, :]
-    return CoefficientMatrix(matrix=mat.reshape(-1, len(paths)))
+    return mat.reshape(-1, len(paths))
 
 
 def _gram_nmse(gram: np.ndarray, n_rows: int, gnorm2: float, cfg: SystemConfig) -> float:
@@ -178,21 +165,15 @@ def _gram_nmse(gram: np.ndarray, n_rows: int, gnorm2: float, cfg: SystemConfig) 
     return float(np.sum(1.0 / eig)) / (cfg.P * gnorm2)
 
 
-def predict_nmse(coef: CoefficientMatrix, g_ul: np.ndarray, cfg: SystemConfig) -> float:
+def predict_nmse(coef: np.ndarray, g_ul: np.ndarray, cfg: SystemConfig) -> float:
     """Closed-form NMSE the pilot least squares will achieve, in expectation,
     at unit noise power: trace((A^H A)^-1) / (P ||g_ul||^2).
 
     Returns inf when the matrix is rank deficient (some gain direction is
     unobservable under the current beam set); see :func:`_gram_nmse`.
     """
-    mat = coef.matrix
     gnorm2 = float(np.sum(np.abs(np.asarray(g_ul)) ** 2))
-    return _gram_nmse(mat.conj().T @ mat, mat.shape[0], gnorm2, cfg)
-
-
-def check_success(coef: CoefficientMatrix, g_ul: np.ndarray, cfg: SystemConfig) -> bool:
-    """True when the predicted NMSE is strictly below the target delta."""
-    return predict_nmse(coef, g_ul, cfg) < cfg.delta
+    return _gram_nmse(coef.conj().T @ coef, coef.shape[0], gnorm2, cfg)
 
 
 class _UserState:
@@ -290,14 +271,14 @@ def simulate_downlink_training(
     """
     coef = coefficient_matrix(true_paths, plan, cfg)
     g_dl = np.array([p.g_dl for p in true_paths])
-    y = math.sqrt(cfg.P) * coef.matrix @ g_dl
+    y = math.sqrt(cfg.P) * coef @ g_dl
     if noise_seed is not None:
         y = y + complex_noise(np.random.default_rng(noise_seed), len(y))
     return y
 
 
 def estimate_downlink_gains(
-    y: np.ndarray, coef: CoefficientMatrix, cfg: SystemConfig
+    y: np.ndarray, coef: np.ndarray, cfg: SystemConfig
 ) -> np.ndarray:
     """Least squares downlink gains from the pilot observations:
     (1 / sqrt(P)) (A^H A)^{-1} A^H y.
@@ -305,8 +286,8 @@ def estimate_downlink_gains(
     Raises when the coefficient matrix is rank deficient; the scheduler is
     responsible for never producing such a plan.
     """
-    n_paths = coef.matrix.shape[1]
-    g, _, rank, _ = np.linalg.lstsq(coef.matrix, np.asarray(y), rcond=None)
+    n_paths = coef.shape[1]
+    g, _, rank, _ = np.linalg.lstsq(coef, np.asarray(y), rcond=None)
     if rank < n_paths:
         raise np.linalg.LinAlgError(
             f"coefficient matrix rank {rank} < {n_paths} paths; gains unidentifiable"

@@ -18,6 +18,15 @@ import numpy as np
 from . import _kernels
 from .sysmodel import TWO_PI, SystemConfig, delay_vector, steering_factors
 
+# Constants of the extraction schedule. The cap is 4x the largest plausible
+# path count; every detection is followed by _REFINE_ROUNDS cyclic sweeps
+# over all paths found so far, each visit taking up to _NEWTON_STEPS
+# safeguarded Newton steps. Sounding noise has unit variance per entry.
+_MAX_PATHS = 32
+_REFINE_ROUNDS = 3
+_NEWTON_STEPS = 1
+_NOISE_VARIANCE = 1.0
+
 
 @dataclass(frozen=True)
 class Codebook:
@@ -95,12 +104,12 @@ def _atom_correlation(y3: np.ndarray, a_v, a_h, p_n) -> complex:
     return complex(((z @ a_h.conj()) @ a_v.conj()).conjugate())
 
 
-def detection_threshold(mn: int, p_fa: float, noise_variance: float = 1.0) -> float:
+def detection_threshold(mn: int, p_fa: float) -> float:
     """Projected-power stop level: ln(MN) - ln(-ln(1 - P_fa)), scaled by the
     noise variance."""
     if not 0 < p_fa < 1:
         raise ValueError("p_fa must lie in (0, 1)")
-    return noise_variance * (math.log(mn) - math.log(-math.log1p(-p_fa)))
+    return _NOISE_VARIANCE * (math.log(mn) - math.log(-math.log1p(-p_fa)))
 
 
 def stopping_statistic(y_r: np.ndarray, cfg: SystemConfig) -> float:
@@ -377,11 +386,10 @@ class _Track:
         self.tau = tau
 
 
-def _refine_track(track: _Track, y_local: np.ndarray, cfg: SystemConfig,
-                  newton_steps: int) -> None:
+def _refine_track(track: _Track, y_local: np.ndarray, cfg: SystemConfig) -> None:
     """Refine one path against observation-plus-own-atom, then refit its gain."""
     th, ph, ta, g = track.theta, track.phi, track.tau, track.gain
-    for _ in range(newton_steps):
+    for _ in range(_NEWTON_STEPS):
         th, ph, ta, accepted = newton_refine(y_local, g, th, ph, ta, cfg)
         g = coarse_gain(y_local, th, ph, ta, cfg)
         if not accepted:
@@ -393,9 +401,7 @@ def _refine_track(track: _Track, y_local: np.ndarray, cfg: SystemConfig,
     track.atom = _kernels.kron3(*track.factors)
 
 
-def extract(y_ul: np.ndarray, cfg: SystemConfig, codebook: Codebook = None, *,
-            max_paths: int = 32, refine_rounds: int = 3, newton_steps: int = 1,
-            noise_variance: float = 1.0) -> ExtractionResult:
+def extract(y_ul: np.ndarray, cfg: SystemConfig, codebook: Codebook = None) -> ExtractionResult:
     """Detect, refine, and fit all significant paths in one snapshot.
 
     Parameters
@@ -405,21 +411,13 @@ def extract(y_ul: np.ndarray, cfg: SystemConfig, codebook: Codebook = None, *,
     cfg : SystemConfig
     codebook : Codebook, optional
         Prebuilt detection grids; built on demand otherwise.
-    max_paths : int
-        Hard iteration cap (4x the largest plausible path count by default).
-    refine_rounds : int
-        Cyclic refinement sweeps over all detected paths per iteration.
-    newton_steps : int
-        Safeguarded Newton steps per refinement visit.
-    noise_variance : float
-        Per-entry noise variance used by the stopping threshold.
     """
     y = np.asarray(y_ul, dtype=np.complex128)
     if y.size != cfg.M * cfg.N:
         raise ValueError("observation length does not match M*N")
     y = y.ravel()
     cb = codebook if codebook is not None else build_codebook(cfg)
-    threshold = detection_threshold(cfg.M * cfg.N, cfg.P_fa, noise_variance)
+    threshold = detection_threshold(cfg.M * cfg.N, cfg.P_fa)
 
     residual = y.copy()
     tracks = []
@@ -427,7 +425,7 @@ def extract(y_ul: np.ndarray, cfg: SystemConfig, codebook: Codebook = None, *,
     iterations = 0
     stop_reason = "cap"
 
-    for _ in range(max_paths):
+    for _ in range(_MAX_PATHS):
         if stopping_statistic(residual, cfg) < threshold:
             stop_reason = "below_threshold"
             break
@@ -435,14 +433,14 @@ def extract(y_ul: np.ndarray, cfg: SystemConfig, codebook: Codebook = None, *,
         theta, phi, tau, _ = omp_detect(residual, cb)
         gain = coarse_gain(residual, theta, phi, tau, cfg)
         new = _Track(gain, theta, phi, tau)
-        _refine_track(new, residual, cfg, newton_steps)
+        _refine_track(new, residual, cfg)
         tracks.append(new)
         residual = residual - new.gain * new.atom
 
-        for _ in range(refine_rounds):
+        for _ in range(_REFINE_ROUNDS):
             for track in tracks:
                 y_local = residual + track.gain * track.atom
-                _refine_track(track, y_local, cfg, newton_steps)
+                _refine_track(track, y_local, cfg)
                 residual = y_local - track.gain * track.atom
 
         factors = _stack_factors(t.factors for t in tracks)

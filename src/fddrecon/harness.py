@@ -34,12 +34,12 @@ class ExperimentConfig:
     experiment: str
     system: SystemConfig = field(default_factory=SystemConfig)
     seed: int = 20240
-    trials: int = 0  # 0 means the per-experiment default
+    trials: int | None = None  # None means the per-experiment default
     snr_db: tuple = (0.0, 5.0, 10.0)
     deltas: tuple = (1e-3, 1e-2, 1e-1)
     users: int = 10
     paths_per_user: int = 6
-    attenuation_db: tuple = ()  # empty means the per-experiment default
+    attenuation_db: tuple | None = None  # None means the per-experiment default
     covariance_draws: int = 10_000
     mc_draws: int = 10_000
     out: str | None = None
@@ -47,16 +47,24 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENTS}")
-        if self.trials == 0:
+        if self.trials is None:
             object.__setattr__(self, "trials", _DEFAULT_TRIALS[self.experiment])
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if len(self.attenuation_db) == 0:
+        if self.attenuation_db is None:
             object.__setattr__(self, "attenuation_db", _DEFAULT_ATTENUATION[self.experiment])
-        if not self.snr_db or not self.deltas:
-            raise ValueError("sweep lists must be nonempty")
-        object.__setattr__(self, "snr_db", tuple(float(s) for s in self.snr_db))
-        object.__setattr__(self, "deltas", tuple(float(d) for d in self.deltas))
+        for name in ("trials", "users", "paths_per_user", "covariance_draws", "mc_draws"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1")
+        for name in ("snr_db", "deltas"):
+            if not getattr(self, name):
+                raise ValueError("sweep lists must be nonempty")
+            values = tuple(float(v) for v in getattr(self, name))
+            # rows are grouped by sweep value, so a repeat would merge two groups
+            if not all(map(math.isfinite, values)) or len(set(values)) < len(values):
+                raise ValueError(f"{name} values must be finite and distinct")
+            object.__setattr__(self, name, values)
+        if len(self.attenuation_db) != 2:
+            raise ValueError("attenuation_db must be a [lo, hi] pair")
         object.__setattr__(self, "attenuation_db", tuple(float(a) for a in self.attenuation_db))
 
 
@@ -99,10 +107,6 @@ def read_config(path: str) -> dict:
     return raw
 
 
-def load_config(path: str) -> ExperimentConfig:
-    return config_from_dict(read_config(path))
-
-
 @dataclass(frozen=True)
 class ResultRow:
     """One aggregated metric at one sweep point."""
@@ -121,6 +125,16 @@ def _aggregate(experiment: str, sweep: float, metric: str, samples) -> ResultRow
         raise ValueError(f"no successful trials for metric {metric!r} at sweep {sweep}")
     se = float(np.std(arr, ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
     return ResultRow(experiment, float(sweep), metric, float(np.mean(arr)), int(arr.size), se)
+
+
+def _rows(experiment: str, sweep, samples, failures, trials: int) -> list:
+    """Per sweep value, in the order of ``sweep``: one aggregated row per
+    metric of ``samples[value]``, then the ``failed_trials`` row."""
+    rows = []
+    for x in sweep:
+        rows.extend(_aggregate(experiment, x, metric, vals) for metric, vals in samples[x].items())
+        rows.append(ResultRow(experiment, float(x), "failed_trials", float(failures[x]), trials, 0.0))
+    return rows
 
 
 def rows_to_csv(rows, dest) -> None:
@@ -156,7 +170,6 @@ def run_fig4(config: ExperimentConfig) -> list:
     cov = recon.channel_covariance(
         cfg, config.attenuation_db, n_draws=config.covariance_draws, seed=config.seed
     )
-    eye = np.eye(cfg.M)
     samples = {snr: {"nmse_ls": [], "nmse_lmmse": [], "nmse_enomp": []} for snr in config.snr_db}
     failures = {snr: 0 for snr in config.snr_db}
     for trial in range(config.trials):
@@ -170,8 +183,8 @@ def run_fig4(config: ExperimentConfig) -> list:
             cfg_snr = dataclasses.replace(cfg, P=10.0 ** (snr / 10.0))
             y = sysmodel.sounding_observation(paths, cfg_snr, _trial_rng(config.seed, 1, trial))
             try:
-                nmse_ls = recon.channel_nmse(recon.ls_baseline(y, eye, cfg_snr), truth)
-                nmse_lmmse = recon.channel_nmse(recon.lmmse_baseline(y, cov, eye, cfg_snr), truth)
+                nmse_ls = recon.channel_nmse(recon.ls_baseline(y, cfg_snr), truth)
+                nmse_lmmse = recon.channel_nmse(recon.lmmse_baseline(y, cov, cfg_snr), truth)
                 result = enomp.extract(y, cfg_snr, codebook)
                 scaled = recon.uplink_channel_estimate(result.paths, cfg_snr)
                 nmse_enomp = recon.channel_nmse(scaled / math.sqrt(cfg_snr.P), truth)
@@ -181,12 +194,7 @@ def run_fig4(config: ExperimentConfig) -> list:
             samples[snr]["nmse_ls"].append(nmse_ls)
             samples[snr]["nmse_lmmse"].append(nmse_lmmse)
             samples[snr]["nmse_enomp"].append(nmse_enomp)
-    rows = []
-    for snr in config.snr_db:
-        for metric, vals in samples[snr].items():
-            rows.append(_aggregate("fig4", snr, metric, vals))
-        rows.append(ResultRow("fig4", float(snr), "failed_trials", float(failures[snr]), config.trials, 0.0))
-    return rows
+    return _rows("fig4", config.snr_db, samples, failures, config.trials)
 
 
 def _unscale_gains(paths, p_tx: float):
@@ -236,7 +244,6 @@ def run_fig6(config: ExperimentConfig) -> list:
     cov = recon.channel_covariance(
         cfg, config.attenuation_db, n_draws=config.covariance_draws, seed=config.seed
     )
-    eye = np.eye(cfg.M)
     metrics = ("t_pilot", "gain_nmse", "channel_nmse", "rate_recon", "rate_perfect", "rate_lmmse")
     samples = {d: {m: [] for m in metrics} for d in config.deltas}
     failures = {d: 0 for d in config.deltas}
@@ -275,7 +282,7 @@ def run_fig6(config: ExperimentConfig) -> list:
                     for k in range(config.users):
                         rng = _trial_rng(config.seed, 3, trial * config.users + k)
                         y_full = math.sqrt(cfg.P) * truths_dl[k] + sysmodel.complex_noise(rng, cfg.M * cfg.N)
-                        lmmse_dl.append(recon.lmmse_baseline(y_full, cov, eye, cfg))
+                        lmmse_dl.append(recon.lmmse_baseline(y_full, cov, cfg))
                     h_lmmse_rows = _stack_channels(lmmse_dl, cfg)
                     lmmse_rate = _zf_rates(h_true_rows, h_lmmse_rows, cfg.M, cfg)
                 samples[d]["t_pilot"].append(float(plan.T_p))
@@ -288,12 +295,7 @@ def run_fig6(config: ExperimentConfig) -> list:
                 samples[d]["rate_lmmse"].append(lmmse_rate)
             except (np.linalg.LinAlgError, FloatingPointError, ValueError):
                 failures[d] += 1
-    rows = []
-    for d in config.deltas:
-        for metric in metrics:
-            rows.append(_aggregate("fig6", d, metric, samples[d][metric]))
-        rows.append(ResultRow("fig6", float(d), "failed_trials", float(failures[d]), config.trials, 0.0))
-    return rows
+    return _rows("fig6", config.deltas, samples, failures, config.trials)
 
 
 def run_theorem1(config: ExperimentConfig) -> list:
@@ -327,12 +329,7 @@ def run_theorem1(config: ExperimentConfig) -> list:
                 samples[d]["rel_error_max"].append(float(np.max(rel)))
             except np.linalg.LinAlgError:
                 failures[d] += 1
-    rows = []
-    for d in config.deltas:
-        for metric in metrics:
-            rows.append(_aggregate("theorem1", d, metric, samples[d][metric]))
-        rows.append(ResultRow("theorem1", float(d), "failed_trials", float(failures[d]), config.trials, 0.0))
-    return rows
+    return _rows("theorem1", config.deltas, samples, failures, config.trials)
 
 
 _RUNNERS = {"fig4": run_fig4, "fig6": run_fig6, "theorem1": run_theorem1}

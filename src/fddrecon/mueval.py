@@ -21,6 +21,9 @@ import numpy as np
 # slower again, its 20 MB of normals no longer staying in cache.
 _MC_CHUNK = 32
 
+# Receiver noise power per user; transmit powers are SNRs against it.
+_NOISE_POWER = 1.0
+
 
 @dataclass(frozen=True)
 class PrecodingState:
@@ -72,7 +75,7 @@ def zf_precoder(h_hat: np.ndarray) -> PrecodingState:
     return PrecodingState(pinv=pinv, alphas=alphas)
 
 
-def sinr(h_true: np.ndarray, state: PrecodingState, p_tx: float, noise_power: float = 1.0) -> np.ndarray:
+def sinr(h_true: np.ndarray, state: PrecodingState, p_tx: float) -> np.ndarray:
     """Per-user SINR for each (..., K, M) true channel under its precoder.
 
     Entry [..., k] is P |h_k w_k|^2 / (sum_{j != k} P |h_k w_j|^2 + noise).
@@ -81,7 +84,7 @@ def sinr(h_true: np.ndarray, state: PrecodingState, p_tx: float, noise_power: fl
     powers = p_tx * np.abs(gains) ** 2
     signal = np.diagonal(powers, axis1=-2, axis2=-1)
     interference = powers.sum(axis=-1) - signal
-    return signal / (interference + noise_power)
+    return signal / (interference + _NOISE_POWER)
 
 
 def sum_rate(sinr_values: np.ndarray, t_pilot: int, t_coherence: int) -> float:
@@ -104,7 +107,7 @@ def analytic_sinr(h_true: np.ndarray, delta: float, p_tx: float) -> np.ndarray:
     With hat H = H + E, E entries independent CN(0, delta |H_{k,i}|^2), a
     first-order expansion of the pseudo-inverse gives an expected signal
     power S_k and pairwise interference powers I_{k,j}; the SINR estimate is
-    S_k / (sum_{j != k} I_{k,j} + 1).  All three reduce to the exact
+    S_k / (sum_{j != k} I_{k,j} + noise).  All three reduce to the exact
     zero-interference ZF values at delta = 0.
     """
     if delta < 0:
@@ -120,7 +123,7 @@ def analytic_sinr(h_true: np.ndarray, delta: float, p_tx: float) -> np.ndarray:
     signal = p_tx * (1.0 + delta * np.diag(cross)) / denom
     pair = p_tx * delta * cross / denom[None, :]
     interference = pair.sum(axis=1) - np.diag(pair)
-    return signal / (interference + 1.0)
+    return signal / (interference + _NOISE_POWER)
 
 
 def _channel_error(h_true: np.ndarray, delta: float, z: np.ndarray) -> np.ndarray:
@@ -161,9 +164,3 @@ def monte_carlo_sinr(
         for row in sinr(H, zf_precoder(h_hat), p_tx):
             acc += row  # draw by draw, so the sum is the same for any chunk size
     return acc / n_draws
-
-
-def taylor_pinv(h_matrix: np.ndarray, error: np.ndarray) -> np.ndarray:
-    """First-order expansion of pinv(H + E) around H: H^+ - H^+ E H^+."""
-    pinv = zf_precoder(h_matrix).pinv
-    return pinv - pinv @ (np.asarray(error) @ pinv)

@@ -56,23 +56,14 @@ def channel_nmse(estimate: np.ndarray, truth: np.ndarray) -> float:
     return float(np.sum(np.abs(np.asarray(estimate) - truth) ** 2)) / denom
 
 
-def ls_baseline(y: np.ndarray, pilot_matrix: np.ndarray, cfg: SystemConfig) -> np.ndarray:
-    """Least squares channel estimate under full orthogonal training.
+def ls_baseline(y: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    """Least squares channel estimate under full identity training.
 
-    The observation model is Y = sqrt(P) X H + Z with X the (M x M) pilot
-    matrix acting on the antenna axis and H the channel reshaped to M x N.
-    With a unitary X the noise passes through unattenuated, which is the
-    classical full-pilot LS benchmark.
+    The observation is y = sqrt(P) h + z with one pilot symbol per antenna,
+    so the estimate is y / sqrt(P) and the noise passes through unattenuated:
+    the classical full-pilot LS benchmark.
     """
-    X = np.asarray(pilot_matrix)
-    if X.shape[0] != X.shape[1]:
-        raise ValueError("pilot matrix must be square")
-    Y = np.asarray(y).reshape(X.shape[0], -1)
-    # np.linalg.lstsq's default rank rule, so the same pilots are rejected
-    s = np.linalg.svd(X, compute_uv=False)
-    if s[-1] <= s[0] * max(X.shape) * np.finfo(float).eps:
-        raise np.linalg.LinAlgError("pilot matrix is rank deficient")
-    return (np.linalg.solve(X, Y) / math.sqrt(cfg.P)).ravel()
+    return np.asarray(y).ravel() / math.sqrt(cfg.P)
 
 
 @dataclass(frozen=True)
@@ -142,50 +133,14 @@ def channel_covariance(
     )
 
 
-def lmmse_baseline(
-    y: np.ndarray,
-    cov: SpaceFrequencyCovariance,
-    pilot_matrix: np.ndarray,
-    cfg: SystemConfig,
-) -> np.ndarray:
+def lmmse_baseline(y: np.ndarray, cov: SpaceFrequencyCovariance, cfg: SystemConfig) -> np.ndarray:
     """LMMSE channel estimate: R (R + I/P)^{-1} applied to the LS estimate.
 
     The Kronecker covariance makes the filter act on the antenna axis only;
-    subcarriers decouple.  Requires a unitary pilot matrix so the LS error
-    stays white (the classical orthogonal-training setting).
+    subcarriers decouple.
     """
-    X = np.asarray(pilot_matrix)
-    if not np.allclose(X.conj().T @ X, np.eye(X.shape[0]), atol=1e-10):
-        raise ValueError("LMMSE baseline expects a unitary pilot matrix")
-    h_ls = ls_baseline(y, X, cfg).reshape(cfg.M, cfg.N)
+    h_ls = ls_baseline(y, cfg).reshape(cfg.M, cfg.N)
     w, v = cov.eigensystem
     lam = cov.scale * w
     shrink = lam / (lam + 1.0 / cfg.P)
     return (v @ (shrink[:, None] * (v.conj().T @ h_ls))).ravel()
-
-
-@dataclass(frozen=True)
-class CostReport:
-    """Training symbols and feedback volume of the two CSI acquisition routes."""
-
-    recon_training_symbols: int
-    recon_feedback_complex: int
-    full_training_symbols: int
-    full_feedback_complex: int
-
-
-def cost_report(plan, extractions, cfg: SystemConfig) -> CostReport:
-    """Compare acquisition cost of reconstruction vs full-channel feedback.
-
-    Reconstruction trains T_p beams and feeds back one downlink gain per
-    retained path; the full-dimension baseline trains all M antenna
-    directions and feeds back the entire M x N channel of every user.
-    """
-    n_users = len(extractions)
-    n_paths = sum(len(getattr(e, "paths", e)) for e in extractions)
-    return CostReport(
-        recon_training_symbols=plan.T_p,
-        recon_feedback_complex=n_paths,
-        full_training_symbols=cfg.M,
-        full_feedback_complex=cfg.M * cfg.N * n_users,
-    )

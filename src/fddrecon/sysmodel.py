@@ -9,7 +9,7 @@ the per-path complex gains differ between uplink and downlink carriers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -201,15 +201,6 @@ def sounding_observation(paths, cfg: SystemConfig, noise_seed) -> np.ndarray:
     """
     rng = np.random.default_rng(noise_seed)
     return math.sqrt(cfg.P) * uplink_channel(paths, cfg) + complex_noise(rng, cfg.M * cfg.N)
-
-
-def scale_gains(paths, factor: complex):
-    """Return the same paths with both link gains multiplied by `factor`."""
-    return tuple(
-        PathComponent(g_ul=p.g_ul * factor, g_dl=p.g_dl * factor,
-                      theta=p.theta, phi=p.phi, tau=p.tau)
-        for p in paths
-    )
 
 
 def mean_linear_attenuation(att_range_db=(-10.0, 0.0)) -> float:

@@ -149,7 +149,7 @@ class TestCoefficientMatrix:
         coef = dltrain.coefficient_matrix([path], plan, cfg)
         n_p = len(plan.pilot_subcarriers)
         assert coef.shape == (n_p, 1)
-        np.testing.assert_allclose(np.abs(coef.matrix), math.sqrt(cfg.M), rtol=1e-12)
+        np.testing.assert_allclose(np.abs(coef), math.sqrt(cfg.M), rtol=1e-12)
         predicted = dltrain.predict_nmse(coef, np.array([path.gain]), cfg)
         expect = 1.0 / (cfg.P * abs(path.gain) ** 2 * n_p * cfg.M)
         assert predicted == pytest.approx(expect, rel=1e-12)
@@ -166,7 +166,7 @@ class TestCoefficientMatrix:
                             phi=math.asin(2.0 / cfg.M_h), tau=1.0e-6)
         plan = manual_plan([j_zero], grid, cfg)
         coef = dltrain.coefficient_matrix([path], plan, cfg)
-        assert np.max(np.abs(coef.matrix)) < 1e-10
+        assert np.max(np.abs(coef)) < 1e-10
 
     def test_zero_delay_no_carrier_shift_is_real(self):
         cfg = small_cfg(f_dl=2.0e9, f_ul=2.0e9)
@@ -175,8 +175,8 @@ class TestCoefficientMatrix:
         th, ph = dltrain.grid_point(j, cfg)
         path = DetectedPath(gain=1.0, theta=th, phi=ph, tau=0.0)
         coef = dltrain.coefficient_matrix([path], manual_plan([j], grid, cfg), cfg)
-        np.testing.assert_allclose(coef.matrix.imag, 0.0, atol=1e-10)
-        np.testing.assert_allclose(coef.matrix.real, math.sqrt(cfg.M), rtol=1e-12)
+        np.testing.assert_allclose(coef.imag, 0.0, atol=1e-10)
+        np.testing.assert_allclose(coef.real, math.sqrt(cfg.M), rtol=1e-12)
 
     def test_entrywise_oracle(self):
         cfg = small_cfg(N=16)
@@ -194,7 +194,7 @@ class TestCoefficientMatrix:
                     entry = (np.exp(2j * np.pi * cfg.carrier_shift * p.tau)
                              * np.dot(a, plan.beams[:, t])
                              * np.exp(2j * np.pi * n * cfg.delta_f * p.tau))
-                    got = coef.matrix[t * len(pilots) + i, l]
+                    got = coef[t * len(pilots) + i, l]
                     assert abs(got - entry) < 1e-10 * max(1.0, abs(entry))
 
     def test_requires_paths_and_beams(self):
@@ -224,7 +224,7 @@ class TestPredictor:
         v, _ = np.linalg.qr(rng.standard_normal((n_paths, n_paths))
                             + 1j * rng.standard_normal((n_paths, n_paths)))
         s = np.geomspace(1.0, 1.0 / cond, n_paths)
-        coef = dltrain.CoefficientMatrix(matrix=(u * s) @ v.conj().T)
+        coef = (u * s) @ v.conj().T
         nmse = dltrain.predict_nmse(coef, np.ones(n_paths), small_cfg())
         if finite:
             assert nmse == pytest.approx(np.sum(1.0 / s**2) / (10.0 * n_paths), rel=1e-4)
@@ -232,22 +232,21 @@ class TestPredictor:
             assert nmse == math.inf
 
     def test_fewer_rows_than_paths_is_inf(self):
-        coef = dltrain.CoefficientMatrix(matrix=np.array([[1.0 + 0j, 2.0 + 0j]]))
+        coef = np.array([[1.0 + 0j, 2.0 + 0j]])
         assert dltrain.predict_nmse(coef, np.array([1.0, 1.0]), small_cfg()) == math.inf
 
     def test_zero_gain_rejected(self):
         cfg = small_cfg()
-        coef = dltrain.CoefficientMatrix(matrix=np.array([[2.0 + 0j]]))
+        coef = np.array([[2.0 + 0j]])
         with pytest.raises(ValueError):
             dltrain.predict_nmse(coef, np.array([0.0]), cfg)
 
-    def test_strict_threshold(self):
-        cfg = small_cfg(P=1.0, delta=0.25)
-        coef = dltrain.CoefficientMatrix(matrix=np.array([[2.0 + 0j]]))
-        # predicted NMSE = (1/4) / (1 * 1) = 0.25, exactly the target
+    def test_scalar_value(self):
+        cfg = small_cfg(P=1.0)
+        coef = np.array([[2.0 + 0j]])
+        # predicted NMSE = (1/4) / (1 * 1) = 0.25
         assert dltrain.predict_nmse(coef, np.array([1.0 + 0j]), cfg) == 0.25
-        assert not dltrain.check_success(coef, np.array([1.0 + 0j]), cfg)
-        assert dltrain.check_success(coef, np.array([math.sqrt(2.0)]), cfg)
+        assert dltrain.predict_nmse(coef, np.array([math.sqrt(2.0)]), cfg) == pytest.approx(0.125)
 
     def test_monte_carlo_agreement(self):
         cfg = small_cfg()
@@ -276,7 +275,7 @@ class TestPredictor:
         plan = manual_plan([4, 19, 27], grid, cfg)
         coef = dltrain.coefficient_matrix(paths, plan, cfg)
         g = np.array([p.gain for p in paths])
-        _, sv, vh = np.linalg.svd(coef.matrix, full_matrices=False)
+        _, sv, vh = np.linalg.svd(coef, full_matrices=False)
         draws = 4000
         comp = np.zeros(len(g))
         for _ in range(draws):

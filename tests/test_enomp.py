@@ -8,8 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fddrecon import enomp
-from fddrecon.sysmodel import (PathComponent, SystemConfig, delay_vector,
-                               sounding_observation, steering_factors,
+from fddrecon.sysmodel import (PathComponent, SystemConfig, sounding_observation,
                                uplink_channel)
 
 
@@ -89,9 +88,10 @@ class TestDetection:
         assert enomp.detection_threshold(32768, 1e-2) == pytest.approx(expect, rel=1e-12)
         assert expect == pytest.approx(14.9974, abs=5e-4)
 
-    def test_threshold_scales_with_noise_variance(self):
-        t1 = enomp.detection_threshold(1024, 1e-2, 1.0)
-        t2 = enomp.detection_threshold(1024, 1e-2, 2.5)
+    def test_threshold_scales_with_noise_variance(self, monkeypatch):
+        t1 = enomp.detection_threshold(1024, 1e-2)
+        monkeypatch.setattr(enomp, "_NOISE_VARIANCE", 2.5)
+        t2 = enomp.detection_threshold(1024, 1e-2)
         assert t2 == pytest.approx(2.5 * t1, rel=1e-12)
         with pytest.raises(ValueError):
             enomp.detection_threshold(1024, 0.0)
@@ -341,7 +341,8 @@ class TestExtract:
 
         monkeypatch.setattr(enomp, "omp_detect", redetect)
         lstsq = counted_lstsq(monkeypatch)
-        res = enomp.extract(y, cfg, cb, newton_steps=0)
+        monkeypatch.setattr(enomp, "_NEWTON_STEPS", 0)
+        res = enomp.extract(y, cfg, cb)
         assert lstsq.calls == 1
         assert res.stop_reason == "degenerate"
         assert res.iterations == len(res.residual_norms) == 2
@@ -353,11 +354,12 @@ class TestExtract:
         assert path.gain == pytest.approx(want, rel=1e-12)
         np.testing.assert_allclose(res.residual, y - want * atom, rtol=0, atol=1e-10)
 
-    def test_iteration_cap(self):
+    def test_iteration_cap(self, monkeypatch):
         cfg = small_cfg()
         y = (enomp.synth_atom(0.3, 0.2, 2e-6, cfg)
              + enomp.synth_atom(-0.8, -0.5, 8e-6, cfg))
-        res = enomp.extract(y, cfg, max_paths=1)
+        monkeypatch.setattr(enomp, "_MAX_PATHS", 1)
+        res = enomp.extract(y, cfg)
         assert res.stop_reason == "cap"
         assert res.iterations == 1
         assert len(res.paths) == 1

@@ -1,6 +1,10 @@
 """Experiment configs, runners, CSV emission, and the CLI."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,9 +12,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fddrecon import cli, enomp, harness, recon, sysmodel
-from fddrecon.harness import ExperimentConfig, ResultRow
+from fddrecon.harness import ResultRow
 
 TINY_SYSTEM = {"M_v": 2, "M_h": 4, "N": 16}
+SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 
 
 def tiny_config(experiment, **kw):
@@ -47,27 +52,37 @@ class TestConfig:
         cfg = tiny_config("fig4")
         assert (cfg.system.M_v, cfg.system.M_h, cfg.system.N) == (2, 4, 16)
 
-    def test_rejects_bad_input(self):
+    @pytest.mark.parametrize("raw", [
+        {"experiment": "fig5"},
+        {"experiment": "fig4", "bogus": 1},
+        {"experiment": "fig4", "system": {"M": 1}},
+        ["experiment", "fig4"],
+        {"experiment": "fig4", "trials": -1},
+        {"experiment": "fig4", "trials": 0},
+        {"experiment": "fig4", "trials": 2.5},
+        {"experiment": "fig6", "users": 0},
+        {"experiment": "fig6", "paths_per_user": 0},
+        {"experiment": "fig4", "covariance_draws": 0},
+        {"experiment": "theorem1", "mc_draws": 0},
+        {"experiment": "fig4", "snr_db": []},
+        {"experiment": "fig4", "snr_db": [0, 0]},
+        {"experiment": "fig4", "snr_db": [0.0, -0.0]},
+        {"experiment": "fig4", "snr_db": [0, float("nan")]},
+        {"experiment": "fig6", "deltas": [1e-2, 1e-2]},
+        {"experiment": "fig6", "deltas": [float("inf")]},
+        {"experiment": "fig4", "attenuation_db": []},
+    ])
+    def test_rejects_bad_input(self, raw):
         with pytest.raises(ValueError):
-            harness.config_from_dict({"experiment": "fig5"})
-        with pytest.raises(ValueError):
-            harness.config_from_dict({"experiment": "fig4", "bogus": 1})
-        with pytest.raises(ValueError):
-            harness.config_from_dict({"experiment": "fig4", "system": {"M": 1}})
-        with pytest.raises(ValueError):
-            harness.config_from_dict(["experiment", "fig4"])
-        with pytest.raises(ValueError):
-            harness.config_from_dict({"experiment": "fig4", "trials": -1})
-        with pytest.raises(ValueError):
-            harness.config_from_dict({"experiment": "fig4", "snr_db": []})
+            harness.config_from_dict(raw)
 
-    def test_load_config_yaml(self, tmp_path):
+    def test_yaml_file_config(self, tmp_path):
         path = tmp_path / "exp.yaml"
         path.write_text(
             "experiment: fig6\nseed: 11\ntrials: 2\n"
             "system:\n  M_v: 2\n  M_h: 4\n  N: 16\n"
             "deltas: [1.0e-2]\n")
-        cfg = harness.load_config(str(path))
+        cfg = harness.config_from_dict(harness.read_config(str(path)))
         assert cfg.experiment == "fig6"
         assert cfg.seed == 11
         assert cfg.trials == 2
@@ -260,6 +275,24 @@ class TestCli:
         path.write_text(yaml.safe_dump(content))
         assert cli.main([command, "--config", str(path)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command, extra, flags, name", [
+        ("theorem1", {"mc_draws": 0}, [], "mc_draws"),
+        ("fig4", {}, ["--trials", "0"], "trials"),
+    ])
+    def test_zero_count_fails(self, tmp_path, capsys, command, extra, flags, name):
+        config = self.write_config(tmp_path, command, **extra)
+        assert cli.main([command, "--config", config, *flags]) == 1
+        assert capsys.readouterr().err == f"error: {name} must be an integer >= 1\n"
+
+    def test_module_entry_point_imports_cleanly(self):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "fddrecon.cli", "--help"],
+            capture_output=True, text=True, env=env, check=False)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: fddrecon")
 
     def test_trials_override(self, tmp_path):
         config = self.write_config(tmp_path, "fig4")

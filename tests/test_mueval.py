@@ -224,22 +224,3 @@ class TestErrorModel:
         rng = np.random.default_rng(14)
         np.testing.assert_array_equal(mueval.draw_channel_error(h, 0.0, rng), 0.0)
 
-
-class TestTaylorPinv:
-    def test_exact_at_zero_perturbation(self):
-        h = random_channel(4, 16, seed=15)
-        np.testing.assert_array_equal(
-            mueval.taylor_pinv(h, np.zeros_like(h)), mueval.zf_precoder(h).pinv)
-
-    def test_row_space_error_is_second_order(self):
-        # The raw pseudo-inverse difference carries a first-order null-space
-        # component; projecting through H isolates the row-space part, where
-        # the expansion is accurate to second order.
-        h = random_channel(4, 16, seed=16)
-        e = random_channel(4, 16, seed=17)
-        errs = []
-        for t in (1e-2, 5e-3, 2.5e-3):
-            exact = np.linalg.pinv(h + t * e)
-            errs.append(np.linalg.norm(h @ (exact - mueval.taylor_pinv(h, t * e))))
-        assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
-        assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.2)

@@ -18,13 +18,6 @@ def small_cfg(**kw):
     return SystemConfig(**base)
 
 
-def unitary_pilots(m, seed=0):
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-    q, _ = np.linalg.qr(z)
-    return q
-
-
 class TestReconstruct:
     def test_true_parameters_reproduce_downlink(self):
         cfg = small_cfg()
@@ -114,34 +107,23 @@ class TestLsBaseline:
         cfg = small_cfg(P=3.0)
         sc = generate_scenario(1, 3, cfg, seed=47)
         h = uplink_channel(sc.users[0], cfg)
-        for X in (np.eye(cfg.M), unitary_pilots(cfg.M, seed=1)):
-            y = math.sqrt(cfg.P) * (X @ h.reshape(cfg.M, cfg.N)).ravel()
-            np.testing.assert_allclose(recon.ls_baseline(y, X, cfg), h, atol=1e-10)
+        y = math.sqrt(cfg.P) * h
+        np.testing.assert_allclose(recon.ls_baseline(y, cfg), h, atol=1e-10)
 
     def test_error_scales_inversely_with_power(self):
         cfg1 = small_cfg(P=1.0)
         cfg2 = small_cfg(P=100.0)
         sc = generate_scenario(1, 3, cfg1, seed=48)
         h = uplink_channel(sc.users[0], cfg1)
-        X = unitary_pilots(cfg1.M, seed=2)
         rng = np.random.default_rng(49)
         z = (rng.standard_normal(cfg1.M * cfg1.N)
              + 1j * rng.standard_normal(cfg1.M * cfg1.N)) / math.sqrt(2)
-        clean = (X @ h.reshape(cfg1.M, cfg1.N)).ravel()
         nmse = {}
         for cfg in (cfg1, cfg2):
-            y = math.sqrt(cfg.P) * clean + z
-            est = recon.ls_baseline(y, X, cfg)
+            y = math.sqrt(cfg.P) * h + z
+            est = recon.ls_baseline(y, cfg)
             nmse[cfg.P] = recon.channel_nmse(est, h)
         assert nmse[1.0] / nmse[100.0] == pytest.approx(100.0, rel=1e-9)
-
-    def test_pilot_matrix_validation(self):
-        cfg = small_cfg()
-        with pytest.raises(ValueError):
-            recon.ls_baseline(np.zeros(cfg.M * cfg.N), np.ones((2, 3)), cfg)
-        for singular in (np.zeros((cfg.M, cfg.M)), np.ones((cfg.M, cfg.M))):
-            with pytest.raises(np.linalg.LinAlgError):
-                recon.ls_baseline(np.zeros(cfg.M * cfg.N), singular, cfg)
 
 
 class TestCovariance:
@@ -205,11 +187,10 @@ class TestLmmseBaseline:
         cfg = small_cfg(M_v=2, M_h=2, N=3, P=2.0)
         spatial = recon.steering_covariance(cfg, n_draws=300, seed=5)
         cov = recon.SpaceFrequencyCovariance(spatial=spatial, scale=0.7)
-        X = unitary_pilots(cfg.M, seed=6)
         rng = np.random.default_rng(50)
         y = rng.standard_normal(cfg.M * cfg.N) + 1j * rng.standard_normal(cfg.M * cfg.N)
-        got = recon.lmmse_baseline(y, cov, X, cfg)
-        h_ls = recon.ls_baseline(y, X, cfg)
+        got = recon.lmmse_baseline(y, cov, cfg)
+        h_ls = recon.ls_baseline(y, cfg)
         r_full = cov.full_matrix(cfg.N)
         dense = r_full @ np.linalg.solve(
             r_full + np.eye(cfg.M * cfg.N) / cfg.P, h_ls)
@@ -217,27 +198,18 @@ class TestLmmseBaseline:
 
     def test_limiting_behavior(self):
         cfg = small_cfg()
-        X = unitary_pilots(cfg.M, seed=7)
         rng = np.random.default_rng(51)
         y = rng.standard_normal(cfg.M * cfg.N) + 1j * rng.standard_normal(cfg.M * cfg.N)
         huge = recon.SpaceFrequencyCovariance(spatial=np.eye(cfg.M), scale=1e12)
         np.testing.assert_allclose(
-            recon.lmmse_baseline(y, huge, X, cfg),
-            recon.ls_baseline(y, X, cfg), rtol=1e-9)
+            recon.lmmse_baseline(y, huge, cfg),
+            recon.ls_baseline(y, cfg), rtol=1e-9)
         null = recon.SpaceFrequencyCovariance(spatial=np.eye(cfg.M), scale=0.0)
-        np.testing.assert_array_equal(recon.lmmse_baseline(y, null, X, cfg), 0.0)
-
-    def test_requires_unitary_pilots(self):
-        cfg = small_cfg()
-        cov = recon.SpaceFrequencyCovariance(spatial=np.eye(cfg.M), scale=1.0)
-        with pytest.raises(ValueError):
-            recon.lmmse_baseline(np.zeros(cfg.M * cfg.N), cov,
-                                 2.0 * np.eye(cfg.M), cfg)
+        np.testing.assert_array_equal(recon.lmmse_baseline(y, null, cfg), 0.0)
 
     def test_beats_ls_at_low_snr(self):
         cfg = small_cfg(P=1.0)
         cov = recon.channel_covariance(cfg, n_draws=4000, seed=8)
-        X = unitary_pilots(cfg.M, seed=9)
         rng = np.random.default_rng(52)
         ls_total, lm_total = 0.0, 0.0
         for seed in range(10):
@@ -245,36 +217,8 @@ class TestLmmseBaseline:
             h = uplink_channel(sc.users[0], cfg)
             z = (rng.standard_normal(cfg.M * cfg.N)
                  + 1j * rng.standard_normal(cfg.M * cfg.N)) / math.sqrt(2)
-            y = math.sqrt(cfg.P) * (X @ h.reshape(cfg.M, cfg.N)).ravel() + z
-            ls_total += recon.channel_nmse(recon.ls_baseline(y, X, cfg), h)
-            lm_total += recon.channel_nmse(recon.lmmse_baseline(y, cov, X, cfg), h)
+            y = math.sqrt(cfg.P) * h + z
+            ls_total += recon.channel_nmse(recon.ls_baseline(y, cfg), h)
+            lm_total += recon.channel_nmse(recon.lmmse_baseline(y, cov, cfg), h)
         assert lm_total < ls_total
 
-
-class TestCostReport:
-    def test_default_config_costs(self):
-        cfg = SystemConfig()
-
-        class PlanStub:
-            T_p = 30
-
-        extractions = [[object()] * 6 for _ in range(10)]  # 10 users, 6 paths
-        report = recon.cost_report(PlanStub(), extractions, cfg)
-        assert report.recon_training_symbols == 30
-        assert report.recon_feedback_complex == 60
-        assert report.full_training_symbols == 128
-        assert report.full_feedback_complex == 128 * 256 * 10
-
-    def test_accepts_extraction_results(self):
-        cfg = small_cfg()
-        from fddrecon.enomp import ExtractionResult
-
-        class PlanStub:
-            T_p = 4
-
-        res = ExtractionResult(paths=(1, 2, 3), residual=np.zeros(1),
-                               iterations=3, stop_reason="below_threshold",
-                               residual_norms=(1.0,))
-        report = recon.cost_report(PlanStub(), [res, res], cfg)
-        assert report.recon_feedback_complex == 6
-        assert report.full_feedback_complex == cfg.M * cfg.N * 2

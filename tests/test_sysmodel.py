@@ -158,7 +158,11 @@ class TestChannels:
         cfg = small_cfg()
         rng = np.random.default_rng(2)
         paths = random_paths(rng, 2, cfg)
-        scaled = sysmodel.scale_gains(paths, 2.0 - 1.0j)
+        scaled = tuple(
+            PathComponent(g_ul=(2.0 - 1.0j) * p.g_ul, g_dl=p.g_dl,
+                          theta=p.theta, phi=p.phi, tau=p.tau)
+            for p in paths
+        )
         np.testing.assert_allclose(
             sysmodel.uplink_channel(scaled, cfg),
             (2.0 - 1.0j) * sysmodel.uplink_channel(paths, cfg),
