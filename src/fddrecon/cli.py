@@ -70,6 +70,7 @@ def _run_extract(args) -> int:
         cfg = sysmodel.SystemConfig(**(raw.get("system") or {}))
         if args.seed is None:
             seed = raw.get("seed", 0)
+    harness.check_integer("seed", seed, 0)
     cfg = dataclasses.replace(cfg, P=10.0 ** (args.snr_db / 10.0))
     scenario = sysmodel.generate_scenario(1, args.paths, cfg, seed=seed, att_range_db=(0.0, 0.0))
     paths = scenario.users[0]

@@ -26,12 +26,11 @@ class AngleGrid:
     """Uniform angle grid with one point per antenna, and its steering matrix.
 
     ``steering[:, j]`` is the array response of grid point ``j + 1`` (grid
-    points are 1-based, vertical index major).  ``conj(steering[:, j]) /
-    sqrt(M)`` is the unit-power beam aimed at that point.
+    points are 1-based, vertical index major; see :func:`grid_point`).
+    ``conj(steering[:, j]) / sqrt(M)`` is the unit-power beam aimed at that
+    point.
     """
 
-    thetas: np.ndarray
-    phis: np.ndarray
     steering: np.ndarray
 
     @property
@@ -56,13 +55,11 @@ def grid_point(index: int, cfg: SystemConfig) -> tuple[float, float]:
 
 def build_angle_grid(cfg: SystemConfig) -> AngleGrid:
     """Tabulate all M = M_v * M_h grid points and their steering vectors."""
-    thetas = math.pi / cfg.M_v * (np.arange(1, cfg.M_v + 1) - cfg.M_v / 2 - 1)
-    phis = math.pi / cfg.M_h * (np.arange(1, cfg.M_h + 1) - cfg.M_h / 2 - 1)
     cols = np.empty((cfg.M, cfg.M), dtype=np.complex128)
     for j in range(cfg.M):
         th, ph = grid_point(j + 1, cfg)
         cols[:, j] = steering_vector(th, ph, cfg)
-    return AngleGrid(thetas=thetas, phis=phis, steering=cols)
+    return AngleGrid(steering=cols)
 
 
 def projected_power(
@@ -235,19 +232,14 @@ def schedule_beams(
     all_cols = np.arange(len(order))
     feasible = all(st.subset_nmse(all_cols, cfg) < cfg.delta for st in states)
 
-    removed: set[int] = set()
-    if feasible:
-        for s in range(len(order)):
-            trial = np.array(
-                [j for j in range(len(order)) if j not in removed and j != s],
-                dtype=np.intp,
-            )
-            if all(st.subset_nmse(trial, cfg) < cfg.delta for st in states):
-                removed.add(s)
-            else:
-                break
+    # points go in scan order until the first indispensable one, so the kept
+    # points are the scan order from index `first` on
+    first = 0
+    while feasible and first < len(order) and all(
+            st.subset_nmse(np.arange(first + 1, len(order)), cfg) < cfg.delta for st in states):
+        first += 1
 
-    kept = [order[s] for s in range(len(order)) if s not in removed]
+    kept = order[first:]
     beams = grid.steering[:, [j - 1 for j in kept]].conj() / math.sqrt(cfg.M)
     return TrainingPlan(
         grid_indices=tuple(kept),

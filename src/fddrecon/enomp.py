@@ -20,11 +20,10 @@ from .sysmodel import TWO_PI, SystemConfig, delay_vector, steering_factors
 
 # Constants of the extraction schedule. The cap is 4x the largest plausible
 # path count; every detection is followed by _REFINE_ROUNDS cyclic sweeps
-# over all paths found so far, each visit taking up to _NEWTON_STEPS
-# safeguarded Newton steps. Sounding noise has unit variance per entry.
+# over all paths found so far, each visit taking one safeguarded Newton
+# step. Sounding noise has unit variance per entry.
 _MAX_PATHS = 32
 _REFINE_ROUNDS = 3
-_NEWTON_STEPS = 1
 _NOISE_VARIANCE = 1.0
 
 
@@ -161,67 +160,38 @@ def objective_S(y_r: np.ndarray, gain: complex, theta: float, phi: float,
     return float(2.0 * (gain * corr).real - abs(gain) ** 2 * mn)
 
 
-def _phase_coeffs(theta: float, phi: float, cfg: SystemConfig):
-    """First and second partials of the per-entry atom phase
-    psi(m, h, n) = kappa*(m sin(theta) + h cos(theta) sin(phi)) + omega*n*tau
-    as coefficients of the index monomials m, h, n."""
+def _correlation_derivatives(cube: np.ndarray, cfg: SystemConfig):
+    """The correlation c = y^H a of an atom and its gradient and Hessian in
+    the spatial frequencies u = sin(theta), w = cos(theta) sin(phi) and the
+    delay tau, read from the atom's moment cube (`_kernels.moment_cube`).
+
+    The atom phase kappa*(m u + h w) + omega*n*tau is linear in (u, w, tau),
+    so each derivative is a moment times i*kappa or i*omega per order. A cube
+    with centred index weights gives c with its phase referenced at the
+    centres: |c| is unchanged.
+
+    Returns (c, dc, d2c): complex, ndarray (3,), ndarray (3, 3).
+    """
     kappa = TWO_PI * cfg.d_over_lambda
     omega = TWO_PI * cfg.delta_f
-    st, ct = math.sin(theta), math.cos(theta)
-    sp, cp = math.sin(phi), math.cos(phi)
-    first = {
-        "t_m": kappa * ct, "t_h": -kappa * st * sp,
-        "p_h": kappa * ct * cp,
-        "d_n": omega,
-    }
-    second = {
-        "tt_m": -kappa * st, "tt_h": -kappa * ct * sp,
-        "tp_h": -kappa * st * cp,
-        "pp_h": -kappa * ct * sp,
-    }
-    return first, second
-
-
-def _grad_hess_from_cube(cube: np.ndarray, gain: complex, theta: float,
-                         phi: float, cfg: SystemConfig):
-    """Gradient and Hessian of the surrogate from the weighted moment cube.
-
-    ||c||^2 = M*N for every parameter choice, so the c^H(dc/dx) correction
-    terms of the exact derivative expressions cancel identically and only
-    the data-dependent terms remain.
-    """
-    f, s = _phase_coeffs(theta, phi, cfg)
-    w_t = f["t_m"] * cube[1, 0, 0] + f["t_h"] * cube[0, 1, 0]
-    w_p = f["p_h"] * cube[0, 1, 0]
-    w_d = f["d_n"] * cube[0, 0, 1]
-    grad = -2.0 * np.imag(gain * np.array([w_t, w_p, w_d]))
-
-    c_tt = s["tt_m"] * cube[1, 0, 0] + s["tt_h"] * cube[0, 1, 0]
-    c_tp = s["tp_h"] * cube[0, 1, 0]
-    c_pp = s["pp_h"] * cube[0, 1, 0]
-    q_tt = (f["t_m"] ** 2 * cube[2, 0, 0]
-            + 2.0 * f["t_m"] * f["t_h"] * cube[1, 1, 0]
-            + f["t_h"] ** 2 * cube[0, 2, 0])
-    q_tp = f["t_m"] * f["p_h"] * cube[1, 1, 0] + f["t_h"] * f["p_h"] * cube[0, 2, 0]
-    q_td = f["d_n"] * (f["t_m"] * cube[1, 0, 1] + f["t_h"] * cube[0, 1, 1])
-    q_pp = f["p_h"] ** 2 * cube[0, 2, 0]
-    q_pd = f["p_h"] * f["d_n"] * cube[0, 1, 1]
-    q_dd = f["d_n"] ** 2 * cube[0, 0, 2]
-
-    hess = np.empty((3, 3))
-    hess[0, 0] = 2.0 * (gain * (1j * c_tt - q_tt)).real
-    hess[0, 1] = hess[1, 0] = 2.0 * (gain * (1j * c_tp - q_tp)).real
-    hess[0, 2] = hess[2, 0] = -2.0 * (gain * q_td).real
-    hess[1, 1] = 2.0 * (gain * (1j * c_pp - q_pp)).real
-    hess[1, 2] = hess[2, 1] = -2.0 * (gain * q_pd).real
-    hess[2, 2] = -2.0 * (gain * q_dd).real
-    return grad, hess
+    scale = np.array([kappa, kappa, omega])
+    dc = 1j * scale * np.array([cube[1, 0, 0], cube[0, 1, 0], cube[0, 0, 1]])
+    d2c = -np.outer(scale, scale) * np.array([
+        [cube[2, 0, 0], cube[1, 1, 0], cube[1, 0, 1]],
+        [cube[1, 1, 0], cube[0, 2, 0], cube[0, 1, 1]],
+        [cube[1, 0, 1], cube[0, 1, 1], cube[0, 0, 2]],
+    ])
+    return cube[0, 0, 0], dc, d2c
 
 
 def objective_derivatives(y_r: np.ndarray, gain: complex, theta: float,
                           phi: float, tau: float, cfg: SystemConfig):
     """Value, gradient, and 3x3 Hessian of the surrogate with respect to
     (theta, phi, tau), with the gain held fixed.
+
+    ||c||^2 = M*N for every parameter choice, so only 2 Re{gain c} varies;
+    its derivatives are those of c in (u, w, tau) carried to the angles by
+    the chain rule.
 
     Returns
     -------
@@ -230,10 +200,17 @@ def objective_derivatives(y_r: np.ndarray, gain: complex, theta: float,
     y3 = np.ascontiguousarray(np.asarray(y_r).reshape(cfg.M_v, cfg.M_h, cfg.N))
     a_v, a_h = steering_factors(theta, phi, cfg)
     p_n = delay_vector(tau, cfg)
-    cube = _kernels.moment_cube(y3, a_v, a_h, p_n)
-    mn = cfg.M * cfg.N
-    s_val = float(2.0 * (gain * cube[0, 0, 0]).real - abs(gain) ** 2 * mn)
-    grad, hess = _grad_hess_from_cube(cube, gain, theta, phi, cfg)
+    c, dc, d2c = _correlation_derivatives(_kernels.moment_cube(y3, a_v, a_h, p_n), cfg)
+    st, ct = math.sin(theta), math.cos(theta)
+    sp, cp = math.sin(phi), math.cos(phi)
+    # d(u, w, tau) / d(theta, phi, tau)
+    jac = np.array([[ct, 0.0, 0.0], [-st * sp, ct * cp, 0.0], [0.0, 0.0, 1.0]])
+    # u and w are curved in the angles: dc times their Hessians
+    curv = dc[0] * np.diag([-st, 0.0, 0.0]) + dc[1] * np.array(
+        [[-ct * sp, -st * cp, 0.0], [-st * cp, -ct * sp, 0.0], [0.0, 0.0, 0.0]])
+    s_val = float(2.0 * (gain * c).real - abs(gain) ** 2 * (cfg.M * cfg.N))
+    grad = 2.0 * (gain * (dc @ jac)).real
+    hess = 2.0 * (gain * (jac.T @ d2c @ jac + curv)).real
     if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
         raise FloatingPointError("non-finite derivatives")
     return s_val, grad, hess
@@ -242,8 +219,8 @@ def objective_derivatives(y_r: np.ndarray, gain: complex, theta: float,
 _THETA_MAX = np.nextafter(math.pi / 2, 0.0)
 
 
-def newton_refine(y_r: np.ndarray, gain: complex, theta: float, phi: float,
-                  tau: float, cfg: SystemConfig):
+def newton_refine(y_r: np.ndarray, theta: float, phi: float, tau: float,
+                  cfg: SystemConfig):
     """One safeguarded Newton step on the single-atom surrogate.
 
     The step is computed on the log of the matched-gain surrogate (the
@@ -268,19 +245,10 @@ def newton_refine(y_r: np.ndarray, gain: complex, theta: float, phi: float,
         (cfg.M_v - 1) / 2.0, (cfg.M_h - 1) / 2.0, (cfg.N - 1) / 2.0)
     if not np.all(np.isfinite(cube)):
         raise FloatingPointError("non-finite derivatives")
-    old_power = abs(cube[0, 0, 0]) ** 2
+    c0, dc, d2c = _correlation_derivatives(cube, cfg)
+    old_power = abs(c0) ** 2
     if old_power <= 0.0:
         return theta, phi, tau, False
-    kappa = TWO_PI * cfg.d_over_lambda
-    omega = TWO_PI * cfg.delta_f
-    scale = np.array([kappa, kappa, omega])
-    c0 = cube[0, 0, 0]
-    dc = 1j * scale * np.array([cube[1, 0, 0], cube[0, 1, 0], cube[0, 0, 1]])
-    d2c = -np.outer(scale, scale) * np.array([
-        [cube[2, 0, 0], cube[1, 1, 0], cube[1, 0, 1]],
-        [cube[1, 1, 0], cube[0, 2, 0], cube[0, 1, 1]],
-        [cube[1, 0, 1], cube[0, 1, 1], cube[0, 0, 2]],
-    ])
     # log|c|^2: gradient 2 Re{conj(c) dc}/|c|^2, Hessian from the quotient rule
     grad_f = 2.0 * (np.conj(c0) * dc).real
     hess_f = 2.0 * ((np.conj(c0) * d2c).real + np.outer(dc, np.conj(dc)).real)
@@ -374,30 +342,28 @@ def fit_gains(y: np.ndarray, a_v, a_h, p_n):
 
 
 class _Track:
-    """Mutable per-path state while extraction runs; `factors` are the atom's
-    (a_v, a_h, p_n) and `atom` their Kronecker product."""
+    """Mutable per-path state while extraction runs; `_refine_track` sets the
+    gain, the atom's `factors` (a_v, a_h, p_n) and `atom`, their Kronecker
+    product."""
 
     __slots__ = ("gain", "theta", "phi", "tau", "factors", "atom")
 
-    def __init__(self, gain, theta, phi, tau):
-        self.gain = gain
+    def __init__(self, theta, phi, tau):
         self.theta = theta
         self.phi = phi
         self.tau = tau
 
 
 def _refine_track(track: _Track, y_local: np.ndarray, cfg: SystemConfig) -> None:
-    """Refine one path against observation-plus-own-atom, then refit its gain."""
-    th, ph, ta, g = track.theta, track.phi, track.tau, track.gain
-    for _ in range(_NEWTON_STEPS):
-        th, ph, ta, accepted = newton_refine(y_local, g, th, ph, ta, cfg)
-        g = coarse_gain(y_local, th, ph, ta, cfg)
-        if not accepted:
-            break
-    track.theta, track.phi, track.tau = th, ph, ta
-    track.gain = g
+    """One Newton step against observation-plus-own-atom, then the single-atom
+    gain and the atom at the resulting point."""
+    th, ph, ta, _ = newton_refine(y_local, track.theta, track.phi, track.tau, cfg)
     a_v, a_h = steering_factors(th, ph, cfg)
-    track.factors = (a_v, a_h, delay_vector(ta, cfg))
+    p_n = delay_vector(ta, cfg)
+    y3 = y_local.reshape(cfg.M_v, cfg.M_h, cfg.N)
+    track.theta, track.phi, track.tau = th, ph, ta
+    track.gain = np.conj(_atom_correlation(y3, a_v, a_h, p_n)) / (cfg.M * cfg.N)
+    track.factors = (a_v, a_h, p_n)
     track.atom = _kernels.kron3(*track.factors)
 
 
@@ -431,8 +397,7 @@ def extract(y_ul: np.ndarray, cfg: SystemConfig, codebook: Codebook = None) -> E
             break
         iterations += 1
         theta, phi, tau, _ = omp_detect(residual, cb)
-        gain = coarse_gain(residual, theta, phi, tau, cfg)
-        new = _Track(gain, theta, phi, tau)
+        new = _Track(theta, phi, tau)
         _refine_track(new, residual, cfg)
         tracks.append(new)
         residual = residual - new.gain * new.atom

@@ -51,10 +51,9 @@ class ExperimentConfig:
             object.__setattr__(self, "trials", _DEFAULT_TRIALS[self.experiment])
         if self.attenuation_db is None:
             object.__setattr__(self, "attenuation_db", _DEFAULT_ATTENUATION[self.experiment])
+        check_integer("seed", self.seed, 0)
         for name in ("trials", "users", "paths_per_user", "covariance_draws", "mc_draws"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1")
+            check_integer(name, getattr(self, name), 1)
         for name in ("snr_db", "deltas"):
             if not getattr(self, name):
                 raise ValueError("sweep lists must be nonempty")
@@ -68,9 +67,24 @@ class ExperimentConfig:
         object.__setattr__(self, "attenuation_db", tuple(float(a) for a in self.attenuation_db))
 
 
+def check_integer(name: str, value, minimum: int) -> None:
+    """Reject a config value that is not an integer >= ``minimum``."""
+    if not isinstance(value, int) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}")
+
+
+# SystemConfig fields that every subcommand sets itself, so a configured
+# value would be silently ignored
+_SET_BY_SUBCOMMAND = {
+    "P": "fig4 sets it from snr_db, fig6 and theorem1 at 10 dB, extract from --snr-db",
+    "delta": "fig6 sets it from deltas",
+}
+
+
 def check_config_keys(raw) -> None:
-    """Reject a parsed YAML config whose root is not a mapping or that has
-    unknown top-level or ``system`` keys.  Every CLI subcommand applies it."""
+    """Reject a parsed YAML config whose root is not a mapping, that has
+    unknown top-level or ``system`` keys, or that sets a ``system`` key the
+    subcommands override.  Every CLI subcommand applies it."""
     if not isinstance(raw, dict):
         raise ValueError("config root must be a mapping")
     known = {f.name for f in dataclasses.fields(ExperimentConfig)}
@@ -84,6 +98,10 @@ def check_config_keys(raw) -> None:
     sys_unknown = set(system) - sys_known
     if sys_unknown:
         raise ValueError(f"unknown system config keys: {sorted(sys_unknown)}")
+    fixed = sorted(set(system) & set(_SET_BY_SUBCOMMAND))
+    if fixed:
+        raise ValueError("; ".join(
+            f"system.{key} is not configurable: {_SET_BY_SUBCOMMAND[key]}" for key in fixed))
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:

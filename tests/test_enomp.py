@@ -7,9 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fddrecon import enomp
-from fddrecon.sysmodel import (PathComponent, SystemConfig, sounding_observation,
-                               uplink_channel)
+from fddrecon import _kernels, enomp
+from fddrecon.sysmodel import (PathComponent, SystemConfig, delay_vector,
+                               sounding_observation, steering_factors, uplink_channel)
 
 
 def small_cfg(**kw):
@@ -214,7 +214,7 @@ class TestNewtonRefine:
         ta0 = ta + 0.25 * cell[2]
         g0 = enomp.coarse_gain(y, th0, ph0, ta0, cfg)
         s_before = enomp.objective_S(y, g0, th0, ph0, ta0, cfg)
-        th1, ph1, ta1, accepted = enomp.newton_refine(y, g0, th0, ph0, ta0, cfg)
+        th1, ph1, ta1, accepted = enomp.newton_refine(y, th0, ph0, ta0, cfg)
         assert accepted
         g1 = enomp.coarse_gain(y, th1, ph1, ta1, cfg)
         s_after = enomp.objective_S(y, g1, th1, ph1, ta1, cfg)
@@ -223,16 +223,38 @@ class TestNewtonRefine:
         assert abs(ph1 - ph) < abs(ph0 - ph)
         assert abs(ta1 - ta) < abs(ta0 - ta)
 
-    def test_rejected_when_curvature_is_wrong(self):
+    def test_rejected_when_log_hessian_not_negative_definite(self):
+        # unit-variance noise: the log-power Hessian is indefinite here, and
+        # the undamped step would raise the power, so only the curvature
+        # check refuses it
         cfg = small_cfg()
-        g = 0.7 + 0.2j
+        mn = cfg.M * cfg.N
         th, ph, ta = 0.3, -0.4, 5.0e-6
-        y = g * enomp.synth_atom(th, ph, ta, cfg)
-        # flipping the gain sign flips the surrogate, so the Hessian at the
-        # matched point becomes positive definite and the step must be refused
-        th1, ph1, ta1, accepted = enomp.newton_refine(y, -g, th, ph, ta, cfg)
-        assert not accepted
-        assert (th1, ph1, ta1) == (th, ph, ta)
+        rng = np.random.default_rng(3)
+        y = (rng.standard_normal(mn) + 1j * rng.standard_normal(mn)) / math.sqrt(2)
+        assert np.max(np.linalg.eigvalsh(log_power_hessian(y, th, ph, ta, cfg))) >= 0.0
+        assert enomp.newton_refine(y, th, ph, ta, cfg) == (th, ph, ta, False)
+
+    def test_rejected_when_no_step_raises_the_power(self):
+        # at the exact matched point the Hessian is negative definite but the
+        # power is already at its maximum, so no damped step strictly raises it
+        cfg = small_cfg()
+        th, ph, ta = 0.3, -0.4, 5.0e-6
+        y = (0.7 + 0.2j) * enomp.synth_atom(th, ph, ta, cfg)
+        assert np.max(np.linalg.eigvalsh(log_power_hessian(y, th, ph, ta, cfg))) < 0.0
+        assert enomp.newton_refine(y, th, ph, ta, cfg) == (th, ph, ta, False)
+
+
+def log_power_hessian(y, theta, phi, tau, cfg):
+    """Hessian of log|c|^2 in (u, w, tau) at one atom, by the quotient rule."""
+    a_v, a_h = steering_factors(theta, phi, cfg)
+    p_n = delay_vector(tau, cfg)
+    centres = ((cfg.M_v - 1) / 2.0, (cfg.M_h - 1) / 2.0, (cfg.N - 1) / 2.0)
+    cube = _kernels.moment_cube(y.reshape(cfg.M_v, cfg.M_h, cfg.N), a_v, a_h, p_n, *centres)
+    c, dc, d2c = enomp._correlation_derivatives(cube, cfg)
+    grad = 2.0 * (np.conj(c) * dc).real / abs(c) ** 2
+    return (2.0 * ((np.conj(c) * d2c).real + np.outer(dc, np.conj(dc)).real) / abs(c) ** 2
+            - np.outer(grad, grad))
 
 
 class TestExtract:
@@ -341,7 +363,8 @@ class TestExtract:
 
         monkeypatch.setattr(enomp, "omp_detect", redetect)
         lstsq = counted_lstsq(monkeypatch)
-        monkeypatch.setattr(enomp, "_NEWTON_STEPS", 0)
+        monkeypatch.setattr(enomp, "newton_refine",
+                            lambda y, theta, phi, tau, cfg: (theta, phi, tau, False))
         res = enomp.extract(y, cfg, cb)
         assert lstsq.calls == 1
         assert res.stop_reason == "degenerate"

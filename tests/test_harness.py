@@ -71,6 +71,11 @@ class TestConfig:
         {"experiment": "fig6", "deltas": [1e-2, 1e-2]},
         {"experiment": "fig6", "deltas": [float("inf")]},
         {"experiment": "fig4", "attenuation_db": []},
+        {"experiment": "fig6", "system": {"P": 0.001}},
+        {"experiment": "fig6", "system": {"delta": 0.5}},
+        {"experiment": "fig4", "seed": 1.5},
+        {"experiment": "fig4", "seed": "x"},
+        {"experiment": "fig4", "seed": -1},
     ])
     def test_rejects_bad_input(self, raw):
         with pytest.raises(ValueError):
@@ -266,6 +271,10 @@ class TestCli:
         ([1, 2], "config root must be a mapping"),
         ({"system": {"M_q": 3}}, "unknown system config keys: ['M_q']"),
         ({"system": [1]}, "config key 'system' must be a mapping"),
+        ({"system": {"delta": 0.5, "P": 2.0}},
+         "system.P is not configurable: fig4 sets it from snr_db, fig6 and theorem1 "
+         "at 10 dB, extract from --snr-db; system.delta is not configurable: "
+         "fig6 sets it from deltas"),
     ])
     def test_config_contract_every_subcommand(self, tmp_path, capsys, command,
                                               content, message):
@@ -284,6 +293,12 @@ class TestCli:
         config = self.write_config(tmp_path, command, **extra)
         assert cli.main([command, "--config", config, *flags]) == 1
         assert capsys.readouterr().err == f"error: {name} must be an integer >= 1\n"
+
+    @pytest.mark.parametrize("command", ["fig4", "extract"])
+    def test_negative_seed_fails(self, tmp_path, capsys, command):
+        config = self.write_config(tmp_path, "fig4")
+        assert cli.main([command, "--config", config, "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: seed must be an integer >= 0\n"
 
     def test_module_entry_point_imports_cleanly(self):
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(

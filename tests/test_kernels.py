@@ -1,10 +1,17 @@
 """Numeric kernels versus direct numpy oracles."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fddrecon import _kernels
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def random_inputs(rng, shape=(3, 4, 5)):
@@ -91,3 +98,15 @@ def test_plain_correlation_entry():
     atom = np.kron(np.kron(a_v, a_h), p_n)
     # W[0,0,0] ignores the centers entirely
     assert abs(cube[0, 0, 0] - np.vdot(y3.ravel(), atom)) < 1e-12
+
+
+def test_kernel_benchmark_script_runs():
+    # the script imports enomp and _kernels names directly; an API change
+    # there must fail here rather than in a benchmark run
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "bench_kernels.py"), "--repeats", "1"],
+        capture_output=True, text=True, env=env, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert "end-to-end extraction" in proc.stdout
