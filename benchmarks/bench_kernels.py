@@ -1,7 +1,9 @@
 """Timings of the hot numeric kernels at full system scale.
 
 Runs the two hot kernels (atom synthesis and the weighted-moment
-contraction), the joint gain fit of eight atoms both ways (lstsq on the
+contraction), one scalar call each of the steering and delay builders
+(extraction makes thousands of them), the batched build of the 128-beam
+angle grid, the joint gain fit of eight atoms both ways (lstsq on the
 materialized basis as extraction once did, and `enomp.fit_gains` on the
 factored Gram), each followed by its residual, plus one end-to-end path
 extraction, and prints a table.
@@ -16,7 +18,7 @@ import time
 
 import numpy as np
 
-from fddrecon import _kernels, enomp, sysmodel
+from fddrecon import _kernels, dltrain, enomp, sysmodel
 from fddrecon.sysmodel import SystemConfig
 
 
@@ -65,18 +67,21 @@ def main():
     cases = [
         ("kron3", "numpy", _kernels.kron3, (a_v, a_h, p_n)),
         ("moment_cube", "numpy", _kernels.moment_cube, (y3, a_v, a_h, p_n) + centers),
+        ("steering_factors", "scalar", sysmodel.steering_factors, (0.3, -0.7, cfg)),
+        ("delay_vector", "scalar", sysmodel.delay_vector, (0.4 * cfg.tau_max, cfg)),
+        ("angle_grid", "batched", dltrain.build_angle_grid, (cfg,)),
         ("gain_fit_L8", "lstsq", lstsq_fit, ()),
         ("gain_fit_L8", "gram", gram_fit, ()),
     ]
 
     print(f"system {cfg.M_v}x{cfg.M_h} antennas x {cfg.N} subcarriers, "
           f"best of {args.repeats} runs\n")
-    print(f"{'kernel':<14}{'impl':<8}{'best':>12}")
+    print(f"{'kernel':<18}{'impl':<9}{'best':>12}")
     results = {}
     for name, impl, fn, fn_args in cases:
         best = _time(fn, fn_args, args.repeats)
         results[(name, impl)] = best
-        print(f"{name:<14}{impl:<8}{best * 1e6:>10.1f} us")
+        print(f"{name:<18}{impl:<9}{best * 1e6:>10.1f} us")
     ratio = results[("gain_fit_L8", "lstsq")] / results[("gain_fit_L8", "gram")]
     print(f"gain_fit_L8: the factored Gram fit is {ratio:.1f}x the lstsq speed")
 

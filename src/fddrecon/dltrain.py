@@ -18,48 +18,38 @@ from typing import Sequence
 
 import numpy as np
 
-from .sysmodel import SystemConfig, complex_noise, steering_vector
+from .sysmodel import (SystemConfig, carrier_phase, complex_noise, delay_vector,
+                       path_parameters, steering_vector)
 
 
-@dataclass(frozen=True)
-class AngleGrid:
-    """Uniform angle grid with one point per antenna, and its steering matrix.
-
-    ``steering[:, j]`` is the array response of grid point ``j + 1`` (grid
-    points are 1-based, vertical index major; see :func:`grid_point`).
-    ``conj(steering[:, j]) / sqrt(M)`` is the unit-power beam aimed at that
-    point.
-    """
-
-    steering: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.steering.shape[1]
-
-
-def grid_point(index: int, cfg: SystemConfig) -> tuple[float, float]:
-    """Return the (theta, phi) pair of 1-based grid point ``index``.
+def grid_point(index, cfg: SystemConfig):
+    """Return the (theta, phi) pair of 1-based grid point ``index``, an int
+    or an integer array (then two arrays of its shape).
 
     The flat index runs vertical-major: index = (i_v - 1) * M_h + i_h with
     i_v in 1..M_v and i_h in 1..M_h.
     """
-    if not 1 <= index <= cfg.M:
-        raise ValueError(f"grid index {index} outside 1..{cfg.M}")
-    i_v = math.ceil(index / cfg.M_h)
+    index = np.asarray(index)
+    if not np.all((1 <= index) & (index <= cfg.M)):
+        raise ValueError(f"grid index outside 1..{cfg.M}")
+    i_v = (index - 1) // cfg.M_h + 1
     i_h = index - cfg.M_h * (i_v - 1)
     theta = math.pi / cfg.M_v * (i_v - cfg.M_v / 2 - 1)
     phi = math.pi / cfg.M_h * (i_h - cfg.M_h / 2 - 1)
     return theta, phi
 
 
-def build_angle_grid(cfg: SystemConfig) -> AngleGrid:
-    """Tabulate all M = M_v * M_h grid points and their steering vectors."""
-    cols = np.empty((cfg.M, cfg.M), dtype=np.complex128)
-    for j in range(cfg.M):
-        th, ph = grid_point(j + 1, cfg)
-        cols[:, j] = steering_vector(th, ph, cfg)
-    return AngleGrid(steering=cols)
+def build_angle_grid(cfg: SystemConfig) -> np.ndarray:
+    """Steering matrix of the uniform angle grid, one point per antenna.
+
+    Column ``j`` is the array response of grid point ``j + 1`` (see
+    :func:`grid_point`), and ``conj(grid[:, j]) / sqrt(M)`` is the
+    unit-power beam aimed at that point. The (M, M) matrix is C-contiguous:
+    the BLAS summation order of ``optimal_grid_point`` depends on the
+    layout, and it decides between the equal endfire columns.
+    """
+    thetas, phis = grid_point(np.arange(1, cfg.M + 1), cfg)
+    return np.ascontiguousarray(steering_vector(thetas, phis, cfg).T)
 
 
 def projected_power(
@@ -75,11 +65,12 @@ def projected_power(
     return float(np.abs(np.dot(a, b.conj())) ** 2) / cfg.M
 
 
-def optimal_grid_point(theta: float, phi: float, grid: AngleGrid, cfg: SystemConfig) -> int:
-    """1-based index of the grid point capturing the most power from
-    (theta, phi).  Ties resolve to the lowest index.
+def optimal_grid_point(theta: float, phi: float, grid: np.ndarray, cfg: SystemConfig) -> int:
+    """1-based index of the grid point (column of ``grid``, from
+    :func:`build_angle_grid`) capturing the most power from (theta, phi).
+    Ties resolve to the lowest index.
     """
-    corr = grid.steering.conj().T @ steering_vector(theta, phi, cfg)
+    corr = grid.conj().T @ steering_vector(theta, phi, cfg)
     return int(np.argmax(np.abs(corr) ** 2)) + 1
 
 
@@ -114,13 +105,11 @@ class TrainingPlan:
 
 def _path_factors(paths, beams: np.ndarray, pilots: np.ndarray, cfg: SystemConfig):
     """The three factors of a coefficient matrix: beam gains a^T b_t
-    (L, T), pilot-subcarrier delay phases (N_p, L), and carrier-shift phases
+    (L, T), pilot-subcarrier delay phases (L, N_p), and carrier-shift phases
     (L,)."""
-    a = np.stack([steering_vector(p.theta, p.phi, cfg) for p in paths])
-    taus = np.array([p.tau for p in paths])
-    pil = np.exp(2j * np.pi * cfg.delta_f * np.outer(pilots, taus))
-    shift = np.exp(2j * np.pi * cfg.carrier_shift * taus)
-    return a @ beams, pil, shift
+    thetas, phis, taus = path_parameters(paths)
+    beam_gain = steering_vector(thetas, phis, cfg) @ beams
+    return beam_gain, delay_vector(taus, cfg)[:, pilots], carrier_phase(taus, cfg)
 
 
 def coefficient_matrix(paths, plan: TrainingPlan, cfg: SystemConfig) -> np.ndarray:
@@ -138,7 +127,7 @@ def coefficient_matrix(paths, plan: TrainingPlan, cfg: SystemConfig) -> np.ndarr
     if plan.beams.shape[1] == 0:
         raise ValueError("coefficient matrix needs at least one beam")
     theta_gain, pil, shift = _path_factors(paths, plan.beams, plan.pilot_subcarriers, cfg)
-    mat = theta_gain.T[:, None, :] * pil[None, :, :] * shift[None, None, :]
+    mat = theta_gain.T[:, None, :] * pil.T[None, :, :] * shift[None, None, :]
     return mat.reshape(-1, len(paths))
 
 
@@ -183,15 +172,15 @@ class _UserState:
 
     __slots__ = ("theta_gain", "pilot_gram", "shift_outer", "gnorm2", "n_paths")
 
-    def __init__(self, paths, order, grid: AngleGrid, cfg: SystemConfig):
+    def __init__(self, paths, order, grid: np.ndarray, cfg: SystemConfig):
         self.n_paths = len(paths)
         self.gnorm2 = float(sum(abs(p.gain) ** 2 for p in paths))
         if self.n_paths == 0:
             return
-        beams_all = grid.steering[:, [j - 1 for j in order]].conj() / math.sqrt(cfg.M)
+        beams_all = grid[:, [j - 1 for j in order]].conj() / math.sqrt(cfg.M)
         # theta_gain is (L, S) over the full scan order
         self.theta_gain, pil, shift = _path_factors(paths, beams_all, pilot_subcarriers(cfg), cfg)
-        self.pilot_gram = pil.conj().T @ pil  # (L, L)
+        self.pilot_gram = pil.conj() @ pil.T  # (L, L)
         self.shift_outer = np.outer(shift.conj(), shift)
 
     def subset_nmse(self, cols: np.ndarray, cfg: SystemConfig) -> float:
@@ -209,7 +198,7 @@ def _n_pilots(cfg: SystemConfig) -> int:
 
 def schedule_beams(
     users_paths: Sequence[Sequence],
-    grid: AngleGrid,
+    grid: np.ndarray,
     cfg: SystemConfig,
 ) -> TrainingPlan:
     """Pick the beam directions to train, trimming redundant ones.
@@ -240,7 +229,7 @@ def schedule_beams(
         first += 1
 
     kept = order[first:]
-    beams = grid.steering[:, [j - 1 for j in kept]].conj() / math.sqrt(cfg.M)
+    beams = grid[:, [j - 1 for j in kept]].conj() / math.sqrt(cfg.M)
     return TrainingPlan(
         grid_indices=tuple(kept),
         beams=beams,

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .sysmodel import TWO_PI, SystemConfig, delay_vector, steering_factors
+from .sysmodel import (TWO_PI, SystemConfig, delay_vector, path_parameters,
+                       steering_factors)
 
 # Constants of the extraction schedule. The cap is 4x the largest plausible
 # path count; every detection is followed by _REFINE_ROUNDS cyclic sweeps
@@ -78,13 +79,8 @@ def build_codebook(cfg: SystemConfig) -> Codebook:
     thetas = -math.pi / 2 + np.arange(g_t) * math.pi / g_t
     phis = -math.pi / 2 + np.arange(g_p) * math.pi / g_p
     taus = np.arange(g_d) / (g_d * cfg.delta_f)
-    kappa = TWO_PI * cfg.d_over_lambda
-    m_v = np.arange(cfg.M_v)
-    m_h = np.arange(cfg.M_h)
-    E_v = np.exp(-1j * kappa * np.sin(thetas)[:, None] * m_v[None, :])
-    freq_h = np.cos(thetas)[:, None] * np.sin(phis)[None, :]
-    E_h = np.exp(-1j * kappa * freq_h[:, :, None] * m_h[None, None, :])
-    return Codebook(thetas=thetas, phis=phis, taus=taus, E_v=E_v, E_h=E_h,
+    a_v, a_h = steering_factors(thetas[:, None], phis[None, :], cfg)
+    return Codebook(thetas=thetas, phis=phis, taus=taus, E_v=a_v[:, 0].conj(), E_h=a_h.conj(),
                     M_v=cfg.M_v, M_h=cfg.M_h, N=cfg.N)
 
 
@@ -289,18 +285,12 @@ def newton_refine(y_r: np.ndarray, theta: float, phi: float, tau: float,
 _GRAM_RCOND = 1e-8
 
 
-def _stack_factors(factors) -> tuple:
-    """Per-atom (a_v, a_h, p_n) triples -> factor matrices of shapes
-    (M_v, L), (M_h, L), (N, L)."""
-    return tuple(np.stack(f, axis=1) for f in zip(*factors))
-
-
 def path_factors(paths, cfg: SystemConfig) -> tuple:
     """Factor matrices (A_v, A_h, P) of the atoms of `paths`: the atom of
     paths[l] is A_v[:, l] (x) A_h[:, l] (x) P[:, l]."""
-    return _stack_factors(
-        (*steering_factors(p.theta, p.phi, cfg), delay_vector(p.tau, cfg))
-        for p in paths)
+    thetas, phis, taus = path_parameters(paths)
+    a_v, a_h = steering_factors(thetas, phis, cfg)
+    return a_v.T, a_h.T, delay_vector(taus, cfg).T
 
 
 def _atom_gram(a_v, a_h, p_n) -> np.ndarray:
@@ -408,7 +398,8 @@ def extract(y_ul: np.ndarray, cfg: SystemConfig, codebook: Codebook = None) -> E
                 _refine_track(track, y_local, cfg)
                 residual = y_local - track.gain * track.atom
 
-        factors = _stack_factors(t.factors for t in tracks)
+        # stack the tracks' factors to (M_v, L), (M_h, L), (N, L) rather than rebuild them
+        factors = tuple(np.stack(f, axis=1) for f in zip(*(t.factors for t in tracks)))
         gains, rank = fit_gains(y, *factors)
         degenerate = rank < len(tracks)
         if degenerate:

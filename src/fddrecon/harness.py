@@ -19,7 +19,7 @@ import numpy as np
 import yaml
 
 from . import dltrain, enomp, mueval, recon, sysmodel
-from .sysmodel import SystemConfig
+from .sysmodel import SystemConfig, check_integer
 
 EXPERIMENTS = ("fig4", "fig6", "theorem1")
 
@@ -65,12 +65,6 @@ class ExperimentConfig:
         if len(self.attenuation_db) != 2:
             raise ValueError("attenuation_db must be a [lo, hi] pair")
         object.__setattr__(self, "attenuation_db", tuple(float(a) for a in self.attenuation_db))
-
-
-def check_integer(name: str, value, minimum: int) -> None:
-    """Reject a config value that is not an integer >= ``minimum``."""
-    if not isinstance(value, int) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}")
 
 
 # SystemConfig fields that every subcommand sets itself, so a configured
@@ -230,8 +224,8 @@ def _oracle_gains(est_paths, truth_dl: np.ndarray, cfg: SystemConfig) -> np.ndar
     The fit runs on the plain atoms; `reconstruct` multiplies each gain by
     its path's carrier-shift phase, so that phase is divided out here."""
     g, _ = enomp.fit_gains(truth_dl, *enomp.path_factors(est_paths, cfg))
-    taus = np.array([p.tau for p in est_paths])
-    return g / np.exp(2j * np.pi * cfg.carrier_shift * taus)
+    _, _, taus = sysmodel.path_parameters(est_paths)
+    return g / sysmodel.carrier_phase(taus, cfg)
 
 
 def _zf_rates(h_true_rows, h_hat_rows, t_pilot: int, cfg: SystemConfig) -> float:
@@ -277,7 +271,22 @@ def run_fig6(config: ExperimentConfig) -> list:
             users_est.append(_unscale_gains(result.paths, cfg.P))
         truths_dl = [sysmodel.downlink_channel(p, cfg) for p in scenario.users]
         h_true_rows = _stack_channels(truths_dl, cfg)
-        lmmse_rate = None
+        # Oracle gains, perfect-CSI SINRs and the LMMSE rate do not depend on
+        # delta. A failure here fails the trial at every delta, as it would
+        # if each delta recomputed them.
+        try:
+            g_star = [_oracle_gains(users_est[k], truths_dl[k], cfg) for k in range(config.users)]
+            sinr_perfect = mueval.sinr(h_true_rows, mueval.zf_precoder(h_true_rows), cfg.P)
+            lmmse_dl = []
+            for k in range(config.users):
+                rng = _trial_rng(config.seed, 3, trial * config.users + k)
+                y_full = math.sqrt(cfg.P) * truths_dl[k] + sysmodel.complex_noise(rng, cfg.M * cfg.N)
+                lmmse_dl.append(recon.lmmse_baseline(y_full, cov, cfg))
+            lmmse_rate = _zf_rates(h_true_rows, _stack_channels(lmmse_dl, cfg), cfg.M, cfg)
+        except (np.linalg.LinAlgError, FloatingPointError, ValueError):
+            for d in config.deltas:
+                failures[d] += 1
+            continue
         for d in config.deltas:
             cfg_d = dataclasses.replace(cfg, delta=d)
             try:
@@ -289,27 +298,18 @@ def run_fig6(config: ExperimentConfig) -> list:
                     rng = _trial_rng(config.seed, 2, trial * config.users + k)
                     y_dl = dltrain.simulate_downlink_training(scenario.users[k], plan, cfg_d, rng)
                     g_hat = dltrain.estimate_downlink_gains(y_dl, coef, cfg_d)
-                    g_star = _oracle_gains(users_est[k], truths_dl[k], cfg_d)
                     gain_err.append(
-                        float(np.sum(np.abs(g_hat - g_star) ** 2) / np.sum(np.abs(g_star) ** 2))
+                        float(np.sum(np.abs(g_hat - g_star[k]) ** 2) / np.sum(np.abs(g_star[k]) ** 2))
                     )
                     recon_dl.append(recon.reconstruct(users_est[k], g_hat, cfg_d))
                 h_hat_rows = _stack_channels(recon_dl, cfg)
-                if lmmse_rate is None:
-                    lmmse_dl = []
-                    for k in range(config.users):
-                        rng = _trial_rng(config.seed, 3, trial * config.users + k)
-                        y_full = math.sqrt(cfg.P) * truths_dl[k] + sysmodel.complex_noise(rng, cfg.M * cfg.N)
-                        lmmse_dl.append(recon.lmmse_baseline(y_full, cov, cfg))
-                    h_lmmse_rows = _stack_channels(lmmse_dl, cfg)
-                    lmmse_rate = _zf_rates(h_true_rows, h_lmmse_rows, cfg.M, cfg)
                 samples[d]["t_pilot"].append(float(plan.T_p))
                 samples[d]["gain_nmse"].append(float(np.mean(gain_err)))
                 samples[d]["channel_nmse"].append(
                     float(np.mean([recon.channel_nmse(recon_dl[k], truths_dl[k]) for k in range(config.users)]))
                 )
                 samples[d]["rate_recon"].append(_zf_rates(h_true_rows, h_hat_rows, plan.T_p, cfg))
-                samples[d]["rate_perfect"].append(_zf_rates(h_true_rows, h_true_rows, plan.T_p, cfg))
+                samples[d]["rate_perfect"].append(mueval.sum_rate(sinr_perfect, plan.T_p, cfg.T_c))
                 samples[d]["rate_lmmse"].append(lmmse_rate)
             except (np.linalg.LinAlgError, FloatingPointError, ValueError):
                 failures[d] += 1

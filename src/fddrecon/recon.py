@@ -17,7 +17,7 @@ import numpy as np
 
 # recon calls no kernel itself; the benchmark's tracer still wraps recon.kron3
 from ._kernels import kron3  # noqa: F401
-from .sysmodel import TWO_PI, SystemConfig, mean_linear_attenuation, path_sum
+from .sysmodel import SystemConfig, mean_linear_attenuation, path_sum, steering_vector
 
 
 def uplink_channel_estimate(detected_paths, cfg: SystemConfig) -> np.ndarray:
@@ -104,17 +104,12 @@ def steering_covariance(cfg: SystemConfig, n_draws: int = 10_000, seed=0) -> np.
     """Monte Carlo estimate of E[a a^H] over uniform downtilt and azimuth."""
     rng = np.random.default_rng(seed)
     acc = np.zeros((cfg.M, cfg.M), dtype=np.complex128)
-    kappa = TWO_PI * cfg.d_over_lambda
     block = 512
     for start in range(0, n_draws, block):
         count = min(block, n_draws - start)
         thetas = rng.uniform(-np.pi / 2, np.pi / 2, count)
         phis = rng.uniform(-np.pi / 2, np.pi / 2, count)
-        # Row i is steering_factors(thetas[i], phis[i]) combined as np.kron,
-        # with the same scalar operations, so the result matches bit for bit.
-        a_v = np.exp(1j * kappa * np.sin(thetas)[:, None] * np.arange(cfg.M_v))
-        a_h = np.exp(1j * kappa * np.cos(thetas)[:, None] * np.sin(phis)[:, None] * np.arange(cfg.M_h))
-        a = (a_v[:, :, None] * a_h[:, None, :]).reshape(count, cfg.M)
+        a = steering_vector(thetas, phis, cfg)
         acc += a.T @ a.conj()
     sym = acc / n_draws
     return (sym + sym.conj().T) / 2.0

@@ -8,6 +8,8 @@ the per-path complex gains differ between uplink and downlink carriers.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -16,6 +18,13 @@ import numpy as np
 from . import _kernels
 
 TWO_PI = 2.0 * math.pi
+
+
+def check_integer(name: str, value, minimum: int) -> None:
+    """Reject a config value that is not an integer >= ``minimum``; a bool
+    is not an integer here."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}")
 
 
 @dataclass(frozen=True)
@@ -39,26 +48,19 @@ class SystemConfig:
     pilot_spacing: int = 4       # downlink pilot comb spacing in subcarriers
 
     def __post_init__(self):
-        if self.M_v < 1 or self.M_h < 1 or self.N < 1:
-            raise ValueError("array and subcarrier counts must be >= 1")
-        if self.delta_f <= 0:
-            raise ValueError("delta_f must be positive")
-        if self.d_over_lambda <= 0:
-            raise ValueError("d_over_lambda must be positive")
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int":
+                check_integer(f.name, value, 1)
+            elif isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+                raise ValueError(f"{f.name} must be a finite real number")
+        for name in ("delta_f", "d_over_lambda", "P"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if not 0 < self.P_fa < 1:
             raise ValueError("P_fa must lie in (0, 1)")
-        for name in ("beta_theta", "beta_phi", "beta_tau"):
-            b = getattr(self, name)
-            if not isinstance(b, int) or b < 1:
-                raise ValueError(f"{name} must be an integer >= 1")
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
-        if self.P <= 0:
-            raise ValueError("P must be positive")
-        if self.T_c < 1:
-            raise ValueError("T_c must be >= 1")
-        if self.pilot_spacing < 1:
-            raise ValueError("pilot_spacing must be >= 1")
 
     @property
     def M(self) -> int:
@@ -87,9 +89,9 @@ class PathComponent:
     tau: float     # delay [s], [0, 1/delta_f)
 
     def __post_init__(self):
-        _check_angles(self.theta, self.phi)
-        if self.tau < 0:
-            raise ValueError("tau must be non-negative")
+        _check_range("theta", self.theta, -math.pi / 2, math.pi / 2)
+        _check_range("phi", self.phi, -math.pi / 2, math.pi / 2)
+        _check_range("tau", self.tau, 0.0, math.inf)
 
 
 @dataclass(frozen=True)
@@ -104,54 +106,78 @@ class Scenario:
         return len(self.users)
 
 
-def _check_angles(theta: float, phi: float) -> None:
-    if not -math.pi / 2 <= theta < math.pi / 2:
-        raise ValueError("theta out of [-pi/2, pi/2)")
-    if not -math.pi / 2 <= phi < math.pi / 2:
-        raise ValueError("phi out of [-pi/2, pi/2)")
+def _check_range(name: str, x, lo: float, hi: float) -> None:
+    """Raise unless every entry of ``x`` lies in [lo, hi); NaN fails."""
+    ok = (lo <= x) & (x < hi)
+    # a Python float gives a plain bool, which needs no numpy reduction
+    if ok is not True and not np.all(ok):
+        raise ValueError(f"{name} out of [{lo!r}, {hi!r})")
 
 
-def steering_factors(theta: float, phi: float, cfg: SystemConfig):
+@functools.lru_cache(maxsize=None)
+def _indices(n: int) -> np.ndarray:
+    """Read-only 0, 1, ..., n - 1, shared by every response of length n."""
+    out = np.arange(n)
+    out.flags.writeable = False
+    return out
+
+
+def steering_factors(theta, phi, cfg: SystemConfig):
     """Vertical and horizontal steering vectors whose Kronecker product is
     the full UPA response.
 
     Entry m of the vertical factor is exp(j 2 pi m (d/lambda) sin(theta));
     entry m of the horizontal factor is
     exp(j 2 pi m (d/lambda) cos(theta) sin(phi)). Both start at 1.
+
+    ``theta`` and ``phi`` may be floats or arrays: the vertical factor has
+    the shape of ``theta`` plus a trailing M_v axis, the horizontal factor
+    the broadcast shape of ``theta`` and ``phi`` plus a trailing M_h axis.
+    Every entry equals the one a scalar call gives, bit for bit.
     """
-    _check_angles(theta, phi)
+    _check_range("theta", theta, -math.pi / 2, math.pi / 2)
+    _check_range("phi", phi, -math.pi / 2, math.pi / 2)
     kappa = TWO_PI * cfg.d_over_lambda
-    a_v = np.exp(1j * kappa * math.sin(theta) * np.arange(cfg.M_v))
-    a_h = np.exp(1j * kappa * math.cos(theta) * math.sin(phi) * np.arange(cfg.M_h))
+    a_v = np.exp(np.multiply.outer(1j * kappa * np.sin(theta), _indices(cfg.M_v)))
+    a_h = np.exp(np.multiply.outer(1j * kappa * np.cos(theta) * np.sin(phi), _indices(cfg.M_h)))
     return a_v, a_h
 
 
-def steering_vector(theta: float, phi: float, cfg: SystemConfig) -> np.ndarray:
+def steering_vector(theta, phi, cfg: SystemConfig) -> np.ndarray:
     """Full UPA steering vector of length M = M_v * M_h (vertical-major).
 
-    Parameters
-    ----------
-    theta, phi : float
-        Downtilt and azimuth in radians, both in [-pi/2, pi/2).
-    cfg : SystemConfig
-
-    Returns
-    -------
-    ndarray, complex, shape (M,)
-        Unit-modulus entries, first entry exactly 1.
+    ``theta`` and ``phi`` (radians, in [-pi/2, pi/2)) may be floats or
+    arrays; the result has their broadcast shape plus a trailing M axis.
+    Entries have unit modulus, and the first is exactly 1.
     """
     a_v, a_h = steering_factors(theta, phi, cfg)
-    return np.kron(a_v, a_h)
+    a = a_v[..., :, None] * a_h[..., None, :]
+    return a.reshape(a.shape[:-2] + (cfg.M,))
 
 
-def delay_vector(tau: float, cfg: SystemConfig) -> np.ndarray:
+def delay_vector(tau, cfg: SystemConfig) -> np.ndarray:
     """Frequency response of a pure delay across the N subcarriers.
 
-    Entry n is exp(j 2 pi n delta_f tau), so the first entry is 1.
+    Entry n is exp(j 2 pi n delta_f tau), so the first entry is 1. An array
+    ``tau`` gives one response per entry along a trailing N axis.
     """
-    if tau < 0 or tau >= cfg.tau_max:
-        raise ValueError("tau out of [0, 1/delta_f)")
-    return np.exp(1j * TWO_PI * cfg.delta_f * tau * np.arange(cfg.N))
+    _check_range("tau", tau, 0.0, cfg.tau_max)
+    return np.exp(np.multiply.outer(1j * TWO_PI * cfg.delta_f * tau, _indices(cfg.N)))
+
+
+def carrier_phase(tau, cfg: SystemConfig):
+    """Carrier-shift phase exp(j 2 pi (f_dl - f_ul) tau) of a path with delay
+    ``tau`` (float or array), which moves uplink geometry to the downlink
+    carrier."""
+    _check_range("tau", tau, 0.0, cfg.tau_max)
+    return np.exp(1j * TWO_PI * cfg.carrier_shift * tau)
+
+
+def path_parameters(paths) -> tuple:
+    """Arrays (thetas, phis, taus) of the geometry of ``paths``, any sequence
+    of objects carrying theta/phi/tau attributes."""
+    return tuple(np.array([getattr(p, name) for p in paths], dtype=np.float64)
+                 for name in ("theta", "phi", "tau"))
 
 
 def path_sum(paths, gains, cfg: SystemConfig, carrier_shift: bool = False) -> np.ndarray:
@@ -159,14 +185,12 @@ def path_sum(paths, gains, cfg: SystemConfig, carrier_shift: bool = False) -> np
 
     h = sum_l g_l * a_v(theta_l, phi_l) (x) a_h(theta_l, phi_l) (x) p(tau_l),
     length M * N; entry (m, n) sits at index m * N + n. With
-    ``carrier_shift`` each gain is first rotated by
-    exp(j 2 pi (f_dl - f_ul) tau_l), which moves uplink geometry to the
-    downlink carrier.
+    ``carrier_shift`` each gain is first rotated by :func:`carrier_phase`.
     """
     h = np.zeros(cfg.M * cfg.N, dtype=np.complex128)
     for p, g in zip(paths, gains):
         if carrier_shift:
-            g = g * np.exp(1j * TWO_PI * cfg.carrier_shift * p.tau)
+            g = g * carrier_phase(p.tau, cfg)
         a_v, a_h = steering_factors(p.theta, p.phi, cfg)
         h += g * _kernels.kron3(a_v, a_h, delay_vector(p.tau, cfg))
     return h

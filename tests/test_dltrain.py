@@ -27,7 +27,7 @@ def random_detected_paths(rng, count, cfg, gain_scale=1.0):
 
 def manual_plan(indices, grid, cfg):
     """TrainingPlan for an explicit list of 1-based grid points."""
-    beams = grid.steering[:, [j - 1 for j in indices]].conj() / math.sqrt(cfg.M)
+    beams = grid[:, [j - 1 for j in indices]].conj() / math.sqrt(cfg.M)
     return dltrain.TrainingPlan(
         grid_indices=tuple(indices), beams=beams,
         pilot_subcarriers=dltrain.pilot_subcarriers(cfg),
@@ -54,14 +54,27 @@ class TestGrid:
         with pytest.raises(ValueError):
             dltrain.grid_point(cfg.M + 1, cfg)
 
-    def test_steering_table_matches_points(self):
-        cfg = small_cfg()
+    @pytest.mark.parametrize("cfg", [small_cfg(), SystemConfig()])
+    def test_steering_table_matches_points_exactly(self, cfg):
         grid = dltrain.build_angle_grid(cfg)
-        assert grid.size == cfg.M
-        for j in (1, 7, cfg.M):
+        assert grid.shape == (cfg.M, cfg.M)
+        # optimal_grid_point's BLAS summation order, which settles the equal
+        # endfire columns, depends on this layout
+        assert grid.flags.c_contiguous
+        for j in range(1, cfg.M + 1):
             th, ph = dltrain.grid_point(j, cfg)
-            np.testing.assert_allclose(
-                grid.steering[:, j - 1], steering_vector(th, ph, cfg), atol=1e-14)
+            np.testing.assert_array_equal(grid[:, j - 1], steering_vector(float(th), float(ph), cfg))
+
+    def test_grid_point_vectorized_matches_scalar(self):
+        cfg = small_cfg()
+        index = np.arange(1, cfg.M + 1).reshape(4, -1)
+        thetas, phis = dltrain.grid_point(index, cfg)
+        assert thetas.shape == phis.shape == index.shape
+        for j in index.ravel():
+            th, ph = dltrain.grid_point(int(j), cfg)
+            assert (thetas.flat[j - 1], phis.flat[j - 1]) == (th, ph)
+        with pytest.raises(ValueError):
+            dltrain.grid_point(np.array([1, 2, cfg.M + 1]), cfg)
 
 
 class TestProjectedPower:

@@ -44,6 +44,15 @@ class TestCodebook:
                            beta_theta=1, beta_phi=1, beta_tau=1)
         assert enomp.build_codebook(cfg).size == 8
 
+    @pytest.mark.parametrize("cfg", [small_cfg(), SystemConfig()])
+    def test_transforms_equal_scalar_steering_exactly(self, cfg):
+        cb = enomp.build_codebook(cfg)
+        for i, th in enumerate(cb.thetas):
+            for j, ph in enumerate(cb.phis):
+                a_v, a_h = steering_factors(float(th), float(ph), cfg)
+                np.testing.assert_array_equal(cb.E_v[i], a_v.conj())
+                np.testing.assert_array_equal(cb.E_h[i, j], a_h.conj())
+
     def test_atom_unit_modulus(self):
         cfg = small_cfg()
         atom = enomp.synth_atom(0.3, -0.7, 2e-6, cfg)
@@ -476,6 +485,19 @@ class TestFitGains:
         want, _, want_rank, _ = lstsq(basis, y, rcond=None)
         assert got_rank == want_rank == rank
         np.testing.assert_array_equal(gains, want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(atom_sets())
+    def test_path_factors_equal_scalar_builds_exactly(self, case):
+        cfg, paths, _ = case
+        a_v, a_h, p_n = enomp.path_factors(paths, cfg)
+        assert (a_v.shape, a_h.shape, p_n.shape) == (
+            (cfg.M_v, len(paths)), (cfg.M_h, len(paths)), (cfg.N, len(paths)))
+        for l, p in enumerate(paths):
+            want_v, want_h = steering_factors(p.theta, p.phi, cfg)
+            np.testing.assert_array_equal(a_v[:, l], want_v)
+            np.testing.assert_array_equal(a_h[:, l], want_h)
+            np.testing.assert_array_equal(p_n[:, l], delay_vector(p.tau, cfg))
 
     @settings(max_examples=60, deadline=None)
     @given(atom_sets(max_atoms=1))

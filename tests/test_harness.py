@@ -76,6 +76,10 @@ class TestConfig:
         {"experiment": "fig4", "seed": 1.5},
         {"experiment": "fig4", "seed": "x"},
         {"experiment": "fig4", "seed": -1},
+        {"experiment": "theorem1", "system": {"M_v": "x"}},
+        {"experiment": "theorem1", "system": {"T_c": 2.5}},
+        {"experiment": "fig6", "users": True},
+        {"experiment": "fig4", "system": {"delta_f": float("nan")}},
     ])
     def test_rejects_bad_input(self, raw):
         with pytest.raises(ValueError):

@@ -94,6 +94,19 @@ class TestSystemConfig:
         with pytest.raises(ValueError):
             SystemConfig(beta_theta=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("M_v", "x"), ("M_h", 2.0), ("N", True), ("T_c", 2.5), ("pilot_spacing", 1.5),
+        ("beta_tau", True), ("delta_f", float("nan")), ("f_ul", float("inf")),
+        ("f_dl", "2.3e9"), ("d_over_lambda", True), ("P_fa", float("nan")),
+    ])
+    def test_rejects_wrong_types_and_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SystemConfig(**{field: value})
+
+    def test_integer_valued_floats_accepted(self):
+        cfg = SystemConfig(f_ul=2_000_000_000, d_over_lambda=1)
+        assert cfg.carrier_shift == pytest.approx(3.0e8)
+
     def test_path_component_range_checks(self):
         with pytest.raises(ValueError):
             PathComponent(g_ul=1.0, g_dl=1.0, theta=2.0, phi=0.0, tau=0.0)
@@ -129,6 +142,77 @@ class TestSteeringAndDelay:
             sysmodel.delay_vector(cfg.tau_max, cfg)
         with pytest.raises(ValueError):
             sysmodel.delay_vector(-1e-9, cfg)
+
+
+angles = st.floats(-np.pi / 2, np.pi / 2, exclude_max=True)
+delays = st.floats(0.0, 1.0, exclude_max=True)  # fraction of tau_max
+
+
+class TestBroadcasting:
+    """Array calls of the response builders equal per-element scalar calls
+    bit for bit, so a table built from them matches the scalar model."""
+
+    cfg = small_cfg(M_v=3, M_h=4, N=8)
+
+    def check_factors(self, thetas, phis):
+        a_v, a_h = sysmodel.steering_factors(thetas, phis, self.cfg)
+        a = sysmodel.steering_vector(thetas, phis, self.cfg)
+        shape = np.broadcast(thetas, phis).shape
+        assert a_v.shape == np.shape(thetas) + (self.cfg.M_v,)
+        assert a_h.shape == shape + (self.cfg.M_h,)
+        assert a.shape == shape + (self.cfg.M,)
+        for idx in np.ndindex(shape):
+            th = float(np.broadcast_to(thetas, shape)[idx])
+            ph = float(np.broadcast_to(phis, shape)[idx])
+            want_v, want_h = sysmodel.steering_factors(th, ph, self.cfg)
+            np.testing.assert_array_equal(np.broadcast_to(a_v, shape + a_v.shape[-1:])[idx], want_v)
+            np.testing.assert_array_equal(a_h[idx], want_h)
+            np.testing.assert_array_equal(a[idx], sysmodel.steering_vector(th, ph, self.cfg))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(angles, angles), min_size=1, max_size=6))
+    def test_steering_1d_matches_scalar(self, pairs):
+        thetas, phis = (np.array(v) for v in zip(*pairs))
+        self.check_factors(thetas, phis)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(angles, min_size=1, max_size=4), st.lists(angles, min_size=1, max_size=5))
+    def test_steering_outer_grid_matches_scalar(self, thetas, phis):
+        self.check_factors(np.array(thetas)[:, None], np.array(phis)[None, :])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(delays, min_size=1, max_size=6))
+    def test_delay_and_carrier_phase_match_scalar(self, fractions):
+        taus = np.array(fractions) * self.cfg.tau_max
+        taus = taus[taus < self.cfg.tau_max]
+        p = sysmodel.delay_vector(taus, self.cfg)
+        shift = sysmodel.carrier_phase(taus, self.cfg)
+        assert p.shape == (len(taus), self.cfg.N)
+        for i, tau in enumerate(taus):
+            np.testing.assert_array_equal(p[i], sysmodel.delay_vector(float(tau), self.cfg))
+            assert shift[i] == sysmodel.carrier_phase(float(tau), self.cfg)
+
+    @pytest.mark.parametrize("bad", [np.pi / 2, -np.pi / 2 - 1e-12, np.nan])
+    def test_one_bad_angle_anywhere_raises(self, bad):
+        good = np.linspace(-1.0, 1.0, 6)
+        for pos in (0, 3, 5):
+            values = good.copy()
+            values[pos] = bad
+            with pytest.raises(ValueError, match="theta"):
+                sysmodel.steering_factors(values.reshape(2, 3), 0.1, self.cfg)
+            with pytest.raises(ValueError, match="phi"):
+                sysmodel.steering_vector(0.1, values, self.cfg)
+
+    @pytest.mark.parametrize("bad", [1.0, -1e-3, np.nan])
+    def test_one_bad_delay_anywhere_raises(self, bad):
+        fractions = np.linspace(0.0, 0.9, 6)
+        for pos in (0, 3, 5):
+            values = fractions.copy()
+            values[pos] = bad
+            with pytest.raises(ValueError, match="tau"):
+                sysmodel.delay_vector(values * self.cfg.tau_max, self.cfg)
+            with pytest.raises(ValueError, match="tau"):
+                sysmodel.carrier_phase(values * self.cfg.tau_max, self.cfg)
 
 
 class TestChannels:
