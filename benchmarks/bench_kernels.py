@@ -5,8 +5,12 @@ contraction), one scalar call each of the steering and delay builders
 (extraction makes thousands of them), the batched build of the 128-beam
 angle grid, the joint gain fit of eight atoms both ways (lstsq on the
 materialized basis as extraction once did, and `enomp.fit_gains` on the
-factored Gram), each followed by its residual, plus one end-to-end path
-extraction, and prints a table.
+factored Gram), each followed by its residual, codebook detection both ways
+(`enomp.omp_detect`, one downtilt row at a time, and the whole match cube),
+one refinement visit both ways (on the fixed observation with the other
+paths' cross terms, as extraction does, and on a residual rewritten around
+the visit, as it once did), plus one end-to-end path extraction with its
+minor page faults, and prints a table.
 
 Usage:
     python3 benchmarks/bench_kernels.py [--repeats N]
@@ -14,6 +18,7 @@ Usage:
 
 import argparse
 import math
+import resource
 import time
 
 import numpy as np
@@ -64,6 +69,33 @@ def main():
         gains, _ = enomp.fit_gains(y, *factors)
         return y - enomp.atom_sum(gains, *factors)
 
+    # detection and one visit on a sounding of six paths, visiting the
+    # first of the paths extraction finds there
+    scenario = sysmodel.generate_scenario(1, 6, cfg, seed=1)
+    sounding = sysmodel.sounding_observation(scenario.users[0], cfg,
+                                             np.random.default_rng(2))
+    book = enomp.build_codebook(cfg)
+    found = enomp.extract(sounding, cfg, book).paths
+    gains = np.array([p.gain for p in found])
+    visit_factors = enomp.path_factors(found, cfg)
+    others = gains.copy()
+    others[0] = 0.0
+    visited = (found[0].theta, found[0].phi, found[0].tau)
+    residual = sounding - enomp.atom_sum(gains, *visit_factors)
+
+    def whole_cube_detect():
+        z = np.fft.fft(sounding.reshape(cfg.M_v, cfg.M_h, cfg.N), axis=2)
+        g1 = (book.E_v @ z.reshape(cfg.M_v, -1)).reshape(len(book.thetas), cfg.M_h, -1)
+        return np.argmax(np.abs(np.matmul(book.E_h, g1)) ** 2 / (cfg.M * cfg.N))
+
+    def cross_visit():
+        return enomp.newton_refine(sounding, *visited, cfg, (others, *visit_factors))
+
+    def residual_visit():
+        y_local = residual + gains[0] * enomp.synth_atom(*visited, cfg)
+        th, ph, ta, _, corr = enomp.newton_refine(y_local, *visited, cfg)
+        return y_local - np.conj(corr) / (cfg.M * cfg.N) * enomp.synth_atom(th, ph, ta, cfg)
+
     cases = [
         ("kron3", "numpy", _kernels.kron3, (a_v, a_h, p_n)),
         ("moment_cube", "numpy", _kernels.moment_cube, (y3, a_v, a_h, p_n) + centers),
@@ -72,6 +104,10 @@ def main():
         ("angle_grid", "batched", dltrain.build_angle_grid, (cfg,)),
         ("gain_fit_L8", "lstsq", lstsq_fit, ()),
         ("gain_fit_L8", "gram", gram_fit, ()),
+        ("omp_detect", "rows", enomp.omp_detect, (sounding, book)),
+        ("omp_detect", "cube", whole_cube_detect, ()),
+        (f"refine_L{len(found)}", "cross", cross_visit, ()),
+        (f"refine_L{len(found)}", "residual", residual_visit, ()),
     ]
 
     print(f"system {cfg.M_v}x{cfg.M_h} antennas x {cfg.N} subcarriers, "
@@ -85,15 +121,14 @@ def main():
     ratio = results[("gain_fit_L8", "lstsq")] / results[("gain_fit_L8", "gram")]
     print(f"gain_fit_L8: the factored Gram fit is {ratio:.1f}x the lstsq speed")
 
-    scenario = sysmodel.generate_scenario(1, 6, cfg, seed=1)
-    y = sysmodel.sounding_observation(scenario.users[0], cfg,
-                                      np.random.default_rng(2))
-    book = enomp.build_codebook(cfg)
-    enomp.extract(y, cfg, book)  # warm up
+    enomp.extract(sounding, cfg, book)  # warm up
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     t0 = time.perf_counter()
-    result = enomp.extract(y, cfg, book)
+    result = enomp.extract(sounding, cfg, book)
     dt = time.perf_counter() - t0
-    print(f"\nend-to-end extraction ({len(result.paths)} paths): {dt * 1e3:.0f} ms")
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    print(f"\nend-to-end extraction ({len(result.paths)} paths): {dt * 1e3:.0f} ms, "
+          f"{faults} minor page faults")
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@
 Two inner loops dominate the path-extraction runtime once the FFTs are done:
 synthesizing rank-1 Kronecker atoms and contracting the observation against
 an atom with polynomial index weights (the moments behind the Newton
-gradient/Hessian).
+gradient/Hessian). `index_weighted` gives those weights for one factor.
 """
 
 import numpy as np
@@ -27,14 +27,17 @@ def moment_cube(y3, a_v, a_h, p_n, c_v=0.0, c_h=0.0, c_n=0.0):
     optional centers shift the polynomial index weights only, not the atom.
     """
     M_v, M_h, N = y3.shape
-    n = np.arange(N) - c_n
-    pw = np.stack([p_n, p_n * n, p_n * n * n], axis=1)           # (N, 3)
+    pw = index_weighted(p_n, c_n)                                 # (N, 3)
     # contract y3 against conj(pw) and conjugate the small result: the same
     # numbers as conj(y3) @ pw without copying the whole cube
     v = (y3.reshape(M_v * M_h, N) @ pw.conj()).conj().reshape(M_v, M_h, 3)
-    h = np.arange(M_h) - c_h
-    hw = np.stack([a_h, a_h * h, a_h * h * h], axis=1)           # (M_h, 3)
-    t = np.einsum("vhc,hb->vbc", v, hw)
-    m = np.arange(M_v) - c_v
-    vw = np.stack([a_v, a_v * m, a_v * m * m], axis=1)           # (M_v, 3)
-    return np.einsum("vbc,va->abc", t, vw)
+    t = np.einsum("vhc,hb->vbc", v, index_weighted(a_h, c_h))
+    return np.einsum("vbc,va->abc", t, index_weighted(a_v, c_v))
+
+
+def index_weighted(x, c=0.0):
+    """Columns x, x * i, x * i^2 for the centred index i = 0, 1, ... minus c:
+    shape (len(x), 3)."""
+    i = np.arange(len(x)) - c
+    xi = x * i
+    return np.array([x, xi, xi * i]).T

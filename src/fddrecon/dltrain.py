@@ -44,9 +44,9 @@ def build_angle_grid(cfg: SystemConfig) -> np.ndarray:
 
     Column ``j`` is the array response of grid point ``j + 1`` (see
     :func:`grid_point`), and ``conj(grid[:, j]) / sqrt(M)`` is the
-    unit-power beam aimed at that point. The (M, M) matrix is C-contiguous:
-    the BLAS summation order of ``optimal_grid_point`` depends on the
-    layout, and it decides between the equal endfire columns.
+    unit-power beam aimed at that point. The (M, M) matrix is C-contiguous.
+    At theta = -pi/2 (the first M_h columns) cos(theta) = 0, so that endfire
+    row holds one beam M_h times; :func:`optimal_grid_point` picks its first.
     """
     thetas, phis = grid_point(np.arange(1, cfg.M + 1), cfg)
     return np.ascontiguousarray(steering_vector(thetas, phis, cfg).T)
@@ -65,13 +65,21 @@ def projected_power(
     return float(np.abs(np.dot(a, b.conj())) ** 2) / cfg.M
 
 
+# Relative power margin within which grid points count as tied.
+_GRID_TIE_RTOL = 1e-9
+
+
 def optimal_grid_point(theta: float, phi: float, grid: np.ndarray, cfg: SystemConfig) -> int:
     """1-based index of the grid point (column of ``grid``, from
     :func:`build_angle_grid`) capturing the most power from (theta, phi).
-    Ties resolve to the lowest index.
+
+    Rule: the lowest index whose power is within a relative 1e-9 of the
+    maximum. The equal beams of the endfire row differ only by rounding, so
+    they all tie and the row's first column represents them, whatever the
+    summation order (grid layout, BLAS) or an ulp-level move of the path.
     """
-    corr = grid.conj().T @ steering_vector(theta, phi, cfg)
-    return int(np.argmax(np.abs(corr) ** 2)) + 1
+    power = np.abs(grid.conj().T @ steering_vector(theta, phi, cfg)) ** 2
+    return int(np.argmax(power >= (1.0 - _GRID_TIE_RTOL) * np.max(power))) + 1
 
 
 def pilot_subcarriers(cfg: SystemConfig) -> np.ndarray:

@@ -6,6 +6,10 @@ on the continuous parameters, cyclic re-refinement of all paths found so
 far, and a joint least-squares gain update (`fit_gains`, on the L x L
 Gram of the separable atoms). Detection stops when the largest projected
 power of the residual drops below a constant false-alarm threshold.
+
+A refinement visit reads the fixed observation: the other paths' atoms are
+taken off through their separable dot products with the visited atom, so the
+residual is formed only once per detection, after the gain fit.
 """
 
 from __future__ import annotations
@@ -121,6 +125,9 @@ def omp_detect(y_r: np.ndarray, codebook: Codebook):
     Returns (theta, phi, tau, projected power) where the projected power is
     |c^H y|^2 / ||c||^2; ties resolve to the lowest (theta, phi, tau) grid
     index. Identical by construction to an exhaustive codeword scan.
+
+    The azimuth stage runs one downtilt row at a time, a (G_phi, G_tau)
+    block with a running maximum, so the whole match cube is never held.
     """
     cb = codebook
     mn = cb.M_v * cb.M_h * cb.N
@@ -128,12 +135,16 @@ def omp_detect(y_r: np.ndarray, codebook: Codebook):
     # delay axis: conj(p(tau_k))_n = exp(-2j pi n k / G_tau), a padded FFT
     z = np.fft.fft(y3, n=len(cb.taus), axis=2)
     g1 = (cb.E_v @ z.reshape(cb.M_v, -1)).reshape(len(cb.thetas), cb.M_h, -1)
-    g = np.matmul(cb.E_h, g1)
-    power = np.abs(g) ** 2 / mn
-    flat = int(np.argmax(power))
-    i_t, i_p, i_d = np.unravel_index(flat, power.shape)
-    return (float(cb.thetas[i_t]), float(cb.phis[i_p]), float(cb.taus[i_d]),
-            float(power[i_t, i_p, i_d]))
+    best, best_at = -1.0, None
+    for i_t in range(len(cb.thetas)):
+        power = np.abs(cb.E_h[i_t] @ g1[i_t]) ** 2 / mn
+        flat = int(np.argmax(power))
+        # strictly greater: a later row that only ties keeps the lower index
+        if best_at is None or power.flat[flat] > best:
+            best, best_at = float(power.flat[flat]), (i_t, flat)
+    i_t, flat = best_at
+    i_p, i_d = divmod(flat, len(cb.taus))
+    return float(cb.thetas[i_t]), float(cb.phis[i_p]), float(cb.taus[i_d]), best
 
 
 def coarse_gain(y_r: np.ndarray, theta: float, phi: float, tau: float,
@@ -215,8 +226,35 @@ def objective_derivatives(y_r: np.ndarray, gain: complex, theta: float,
 _THETA_MAX = np.nextafter(math.pi / 2, 0.0)
 
 
+def _wrap(x: float, period: float) -> float:
+    """x folded into [0, period). Python's float modulo returns `period`
+    itself for a tiny negative x (`-1e-30 % p == p`); that case folds to 0."""
+    r = x % period
+    return r if r < period else 0.0
+
+
+def _atom_sum_correlation(others, a_v, a_h, p_n) -> complex:
+    """(A g)^H a for the atom sum A g = sum_l g_l o_v[:, l] (x) o_h[:, l] (x)
+    o_p[:, l], `others` = (g, o_v, o_h, o_p), and the atom a_v (x) a_h (x)
+    p_n: conj(g . (a_v^H o_v)(a_h^H o_h)(p_n^H o_p)), O(L (M_v + M_h + N))."""
+    gains, o_v, o_h, o_p = others
+    return complex(np.conj(((a_v.conj() @ o_v) * (a_h.conj() @ o_h) * (p_n.conj() @ o_p))
+                           @ gains))
+
+
+def _atom_sum_cube(others, a_v, a_h, p_n, centres) -> np.ndarray:
+    """`_kernels.moment_cube` of the atom sum A g (see `_atom_sum_correlation`)
+    against the atom a_v (x) a_h (x) p_n: sum_l conj(g_l) V_l (x) H_l (x) P_l,
+    where V_l = o_v[:, l]^H (a_v times the centred index weights) and
+    likewise H_l and P_l, each of shape (3,)."""
+    gains, o_v, o_h, o_p = others
+    v, h, p = (_kernels.index_weighted(a, c).conj().T @ o
+               for a, c, o in zip((a_v, a_h, p_n), centres, (o_v, o_h, o_p)))
+    return np.einsum("l,al,bl,cl->abc", gains, v, h, p).conj()
+
+
 def newton_refine(y_r: np.ndarray, theta: float, phi: float, tau: float,
-                  cfg: SystemConfig):
+                  cfg: SystemConfig, others=None):
     """One safeguarded Newton step on the single-atom surrogate.
 
     The step is computed on the log of the matched-gain surrogate (the
@@ -231,20 +269,27 @@ def newton_refine(y_r: np.ndarray, theta: float, phi: float, tau: float,
     step strictly increases the matched-gain objective (equivalently the
     projected power); otherwise the parameters come back unchanged.
 
-    Returns (theta', phi', tau', accepted).
+    `others` = (g, o_v, o_h, o_p), when given, is an atom sum A g (factor
+    matrices as from `path_factors`) to take off the observation first: the
+    step is taken on y - A g, whose moment cube and correlations are those of
+    y minus the separable ones of A g, so y - A g is never formed.
+
+    Returns (theta', phi', tau', accepted, corr), with corr = y^H a (of
+    y - A g under `others`) for the atom a at the returned parameters.
     """
     y3 = np.ascontiguousarray(np.asarray(y_r).reshape(cfg.M_v, cfg.M_h, cfg.N))
     a_v, a_h = steering_factors(theta, phi, cfg)
     p_n = delay_vector(tau, cfg)
-    cube = _kernels.moment_cube(
-        y3, a_v, a_h, p_n,
-        (cfg.M_v - 1) / 2.0, (cfg.M_h - 1) / 2.0, (cfg.N - 1) / 2.0)
+    centres = ((cfg.M_v - 1) / 2.0, (cfg.M_h - 1) / 2.0, (cfg.N - 1) / 2.0)
+    cube = _kernels.moment_cube(y3, a_v, a_h, p_n, *centres)
+    if others is not None:
+        cube = cube - _atom_sum_cube(others, a_v, a_h, p_n, centres)
     if not np.all(np.isfinite(cube)):
         raise FloatingPointError("non-finite derivatives")
     c0, dc, d2c = _correlation_derivatives(cube, cfg)
     old_power = abs(c0) ** 2
     if old_power <= 0.0:
-        return theta, phi, tau, False
+        return theta, phi, tau, False, c0
     # log|c|^2: gradient 2 Re{conj(c) dc}/|c|^2, Hessian from the quotient rule
     grad_f = 2.0 * (np.conj(c0) * dc).real
     hess_f = 2.0 * ((np.conj(c0) * d2c).real + np.outer(dc, np.conj(dc)).real)
@@ -253,7 +298,7 @@ def newton_refine(y_r: np.ndarray, theta: float, phi: float, tau: float,
     if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
         raise FloatingPointError("non-finite derivatives")
     if np.max(np.linalg.eigvalsh(hess)) >= 0.0:
-        return theta, phi, tau, False
+        return theta, phi, tau, False, c0
     step = np.linalg.solve(hess, grad)
     u = math.sin(theta)
     w = math.cos(theta) * math.sin(phi)
@@ -262,19 +307,21 @@ def newton_refine(y_r: np.ndarray, theta: float, phi: float, tau: float,
     for damp in (1.0, 0.5, 0.25, 0.125):
         # the atom is periodic with period 2 in both spatial frequencies, so
         # wrap rather than clamp; the main lobe can straddle +-1 at endfire
-        u_new = (u - damp * step[0] + 1.0) % 2.0 - 1.0
-        w_new = (w - damp * step[1] + 1.0) % 2.0 - 1.0
+        u_new = _wrap(u - damp * step[0] + 1.0, 2.0) - 1.0
+        w_new = _wrap(w - damp * step[1] + 1.0, 2.0) - 1.0
         theta_new = float(min(max(math.asin(u_new), -math.pi / 2), _THETA_MAX))
         cos_t = math.cos(theta_new)
         s_phi = min(max(w_new / cos_t, -1.0), 1.0) if cos_t > 1e-12 else 0.0
         phi_new = float(min(max(math.asin(s_phi), -math.pi / 2), _THETA_MAX))
-        tau_new = float((tau - damp * step[2]) % cfg.tau_max)
+        tau_new = _wrap(float(tau - damp * step[2]), cfg.tau_max)
         a_v2, a_h2 = steering_factors(theta_new, phi_new, cfg)
         p_n2 = delay_vector(tau_new, cfg)
-        new_power = abs(_atom_correlation(y3, a_v2, a_h2, p_n2)) ** 2
-        if new_power > old_power:
-            return theta_new, phi_new, tau_new, True
-    return theta, phi, tau, False
+        corr = _atom_correlation(y3, a_v2, a_h2, p_n2)
+        if others is not None:
+            corr -= _atom_sum_correlation(others, a_v2, a_h2, p_n2)
+        if abs(corr) ** 2 > old_power:
+            return theta_new, phi_new, tau_new, True, corr
+    return theta, phi, tau, False, c0
 
 
 # The Gram route is taken only while lam_min(G) > _GRAM_RCOND * lam_max(G),
@@ -331,30 +378,20 @@ def fit_gains(y: np.ndarray, a_v, a_h, p_n):
     return gains, int(rank)
 
 
-class _Track:
-    """Mutable per-path state while extraction runs; `_refine_track` sets the
-    gain, the atom's `factors` (a_v, a_h, p_n) and `atom`, their Kronecker
-    product."""
-
-    __slots__ = ("gain", "theta", "phi", "tau", "factors", "atom")
-
-    def __init__(self, theta, phi, tau):
-        self.theta = theta
-        self.phi = phi
-        self.tau = tau
-
-
-def _refine_track(track: _Track, y_local: np.ndarray, cfg: SystemConfig) -> None:
-    """One Newton step against observation-plus-own-atom, then the single-atom
-    gain and the atom at the resulting point."""
-    th, ph, ta, _ = newton_refine(y_local, track.theta, track.phi, track.tau, cfg)
-    a_v, a_h = steering_factors(th, ph, cfg)
-    p_n = delay_vector(ta, cfg)
-    y3 = y_local.reshape(cfg.M_v, cfg.M_h, cfg.N)
-    track.theta, track.phi, track.tau = th, ph, ta
-    track.gain = np.conj(_atom_correlation(y3, a_v, a_h, p_n)) / (cfg.M * cfg.N)
-    track.factors = (a_v, a_h, p_n)
-    track.atom = _kernels.kron3(*track.factors)
+def _refine_track(k: int, y3: np.ndarray, params: list, gains: np.ndarray,
+                  factors: tuple, cfg: SystemConfig) -> None:
+    """One Newton step for track k against the observation minus the other
+    tracks' atoms, then the track's single-atom gain (from the step's own
+    correlation) and its factor columns at the resulting point. `params`,
+    `gains` and the factor matrices hold every track; k's entries are
+    overwritten in place."""
+    others = gains.copy()
+    others[k] = 0.0
+    th, ph, ta, _, corr = newton_refine(y3, *params[k], cfg, (others, *factors))
+    params[k] = (th, ph, ta)
+    gains[k] = np.conj(corr) / (cfg.M * cfg.N)
+    factors[0][:, k], factors[1][:, k] = steering_factors(th, ph, cfg)
+    factors[2][:, k] = delay_vector(ta, cfg)
 
 
 def extract(y_ul: np.ndarray, cfg: SystemConfig, codebook: Codebook = None) -> ExtractionResult:
@@ -372,11 +409,18 @@ def extract(y_ul: np.ndarray, cfg: SystemConfig, codebook: Codebook = None) -> E
     if y.size != cfg.M * cfg.N:
         raise ValueError("observation length does not match M*N")
     y = y.ravel()
+    y3 = y.reshape(cfg.M_v, cfg.M_h, cfg.N)
     cb = codebook if codebook is not None else build_codebook(cfg)
     threshold = detection_threshold(cfg.M * cfg.N, cfg.P_fa)
 
+    # per track: (theta, phi, tau), the gain, and the factor columns of its
+    # atom in (M_v, cap), (M_h, cap), (N, cap) matrices; a column stays
+    # zero, with gain zero, until its track is detected
+    params = []
+    gains = np.zeros(_MAX_PATHS, dtype=complex)
+    factors = tuple(np.zeros((m, _MAX_PATHS), dtype=complex, order="F")
+                    for m in (cfg.M_v, cfg.M_h, cfg.N))
     residual = y.copy()
-    tracks = []
     norms = []
     iterations = 0
     stop_reason = "cap"
@@ -386,38 +430,30 @@ def extract(y_ul: np.ndarray, cfg: SystemConfig, codebook: Codebook = None) -> E
             stop_reason = "below_threshold"
             break
         iterations += 1
-        theta, phi, tau, _ = omp_detect(residual, cb)
-        new = _Track(theta, phi, tau)
-        _refine_track(new, residual, cfg)
-        tracks.append(new)
-        residual = residual - new.gain * new.atom
+        params.append(omp_detect(residual, cb)[:3])
+        count = len(params)
+        view = tuple(f[:, :count] for f in factors)
+        # the new track first, then _REFINE_ROUNDS cyclic rounds over all
+        for k in [count - 1] + list(range(count)) * _REFINE_ROUNDS:
+            _refine_track(k, y3, params, gains[:count], view, cfg)
 
-        for _ in range(_REFINE_ROUNDS):
-            for track in tracks:
-                y_local = residual + track.gain * track.atom
-                _refine_track(track, y_local, cfg)
-                residual = y_local - track.gain * track.atom
-
-        # stack the tracks' factors to (M_v, L), (M_h, L), (N, L) rather than rebuild them
-        factors = tuple(np.stack(f, axis=1) for f in zip(*(t.factors for t in tracks)))
-        gains, rank = fit_gains(y, *factors)
-        degenerate = rank < len(tracks)
+        fitted, rank = fit_gains(y, *view)
+        degenerate = rank < count
         if degenerate:
             # drop the newest atom and refit the rest; a single unit-modulus
             # atom always has rank 1, so at least one track remains
-            tracks.pop()
-            factors = tuple(f[:, :-1] for f in factors)
-            gains, _ = fit_gains(y, *factors)
-        for t, g in zip(tracks, gains):
-            t.gain = complex(g)
-        residual = y - atom_sum(gains, *factors)
+            params.pop()
+            view = tuple(f[:, :-1] for f in view)
+            fitted, _ = fit_gains(y, *view)
+        gains[:len(fitted)] = fitted
+        residual = y - atom_sum(fitted, *view)
         norms.append(float(np.linalg.norm(residual)))
         if degenerate:
             stop_reason = "degenerate"
             break
 
-    paths = tuple(DetectedPath(gain=t.gain, theta=t.theta, phi=t.phi, tau=t.tau)
-                  for t in tracks)
+    paths = tuple(DetectedPath(gain=complex(g), theta=th, phi=ph, tau=ta)
+                  for g, (th, ph, ta) in zip(gains, params))
     return ExtractionResult(paths=paths, residual=residual,
                             iterations=iterations, stop_reason=stop_reason,
                             residual_norms=tuple(norms))

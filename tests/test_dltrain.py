@@ -58,8 +58,6 @@ class TestGrid:
     def test_steering_table_matches_points_exactly(self, cfg):
         grid = dltrain.build_angle_grid(cfg)
         assert grid.shape == (cfg.M, cfg.M)
-        # optimal_grid_point's BLAS summation order, which settles the equal
-        # endfire columns, depends on this layout
         assert grid.flags.c_contiguous
         for j in range(1, cfg.M + 1):
             th, ph = dltrain.grid_point(j, cfg)
@@ -142,6 +140,47 @@ class TestOptimalGridPoint:
         p_b = dltrain.projected_power(th_mid, ph, th_b, ph, cfg)
         assert p_a == pytest.approx(p_b, rel=1e-9)
         assert dltrain.optimal_grid_point(th_mid, ph, grid, cfg) in (idx_a, idx_b)
+
+
+class TestEndfireBeams:
+    """At theta = -pi/2 all M_h columns of the grid are one beam, equal up to
+    rounding; its first column stands for all of them."""
+
+    PHIS = (-1.0, -0.5, 0.5, 1.0)
+
+    @staticmethod
+    def _users(cfg, nudge):
+        # per user one path close to endfire, whose best beams are the tied
+        # copies of the endfire row, and three elsewhere
+        rng = np.random.default_rng(35)
+        return [random_detected_paths(rng, 3, cfg) + (DetectedPath(
+            gain=complex(1.0, 0.5 * u), theta=-math.pi / 2 + 0.05 + nudge, phi=phi,
+            tau=float(rng.uniform(0.0, 0.9) * cfg.tau_max)),)
+            for u, phi in enumerate(TestEndfireBeams.PHIS)]
+
+    def test_tied_beams_resolve_to_the_first_column(self):
+        cfg = SystemConfig()
+        grid = dltrain.build_angle_grid(cfg)
+        layouts = (grid, np.asfortranarray(grid))
+        for theta in (-math.pi / 2, -math.pi / 2 + 0.05, -math.pi / 2 + 0.1):
+            for phi in np.linspace(-1.5, 1.5, 7):
+                got = {dltrain.optimal_grid_point(theta + nudge, phi, layout, cfg)
+                       for nudge in (0.0, 1e-9, 2e-9) for layout in layouts}
+                assert len(got) == 1
+                assert got.pop() in {1} | set(range(cfg.M_h + 1, cfg.M + 1))
+        for phi in self.PHIS:
+            assert dltrain.optimal_grid_point(-math.pi / 2 + 0.05, phi, grid, cfg) == 1
+
+    @pytest.mark.parametrize("delta", [1e-3, 1e-2, 1e-1])
+    def test_nudge_and_grid_layout_leave_the_schedule_unchanged(self, delta):
+        cfg = SystemConfig(P=10.0, delta=delta)
+        grid = dltrain.build_angle_grid(cfg)
+        plan = dltrain.schedule_beams(self._users(cfg, 0.0), grid, cfg)
+        for users, layout in ((self._users(cfg, 1e-9), grid),
+                              (self._users(cfg, 0.0), np.asfortranarray(grid))):
+            other = dltrain.schedule_beams(users, layout, cfg)
+            assert (other.grid_indices, other.weights, other.feasible) == (
+                plan.grid_indices, plan.weights, plan.feasible)
 
 
 class TestCoefficientMatrix:

@@ -1,5 +1,6 @@
 """Path extraction: detection grids, derivatives, refinement, stopping."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fddrecon import _kernels, enomp
-from fddrecon.sysmodel import (PathComponent, SystemConfig, delay_vector,
+from fddrecon.sysmodel import (PathComponent, SystemConfig, delay_vector, generate_scenario,
                                sounding_observation, steering_factors, uplink_channel)
 
 
@@ -223,8 +224,9 @@ class TestNewtonRefine:
         ta0 = ta + 0.25 * cell[2]
         g0 = enomp.coarse_gain(y, th0, ph0, ta0, cfg)
         s_before = enomp.objective_S(y, g0, th0, ph0, ta0, cfg)
-        th1, ph1, ta1, accepted = enomp.newton_refine(y, th0, ph0, ta0, cfg)
+        th1, ph1, ta1, accepted, corr = enomp.newton_refine(y, th0, ph0, ta0, cfg)
         assert accepted
+        assert corr == pytest.approx(correlation(y, th1, ph1, ta1, cfg), rel=1e-12)
         g1 = enomp.coarse_gain(y, th1, ph1, ta1, cfg)
         s_after = enomp.objective_S(y, g1, th1, ph1, ta1, cfg)
         assert s_after > s_before
@@ -242,7 +244,9 @@ class TestNewtonRefine:
         rng = np.random.default_rng(3)
         y = (rng.standard_normal(mn) + 1j * rng.standard_normal(mn)) / math.sqrt(2)
         assert np.max(np.linalg.eigvalsh(log_power_hessian(y, th, ph, ta, cfg))) >= 0.0
-        assert enomp.newton_refine(y, th, ph, ta, cfg) == (th, ph, ta, False)
+        result = enomp.newton_refine(y, th, ph, ta, cfg)
+        assert result[:4] == (th, ph, ta, False)
+        assert result[4] == pytest.approx(correlation(y, th, ph, ta, cfg), rel=1e-12)
 
     def test_rejected_when_no_step_raises_the_power(self):
         # at the exact matched point the Hessian is negative definite but the
@@ -251,7 +255,14 @@ class TestNewtonRefine:
         th, ph, ta = 0.3, -0.4, 5.0e-6
         y = (0.7 + 0.2j) * enomp.synth_atom(th, ph, ta, cfg)
         assert np.max(np.linalg.eigvalsh(log_power_hessian(y, th, ph, ta, cfg))) < 0.0
-        assert enomp.newton_refine(y, th, ph, ta, cfg) == (th, ph, ta, False)
+        result = enomp.newton_refine(y, th, ph, ta, cfg)
+        assert result[:4] == (th, ph, ta, False)
+        assert result[4] == pytest.approx(correlation(y, th, ph, ta, cfg), rel=1e-12)
+
+
+def correlation(y, theta, phi, tau, cfg):
+    """y^H a of the atom at (theta, phi, tau), on the materialized atom."""
+    return complex(np.vdot(y, enomp.synth_atom(theta, phi, tau, cfg)))
 
 
 def log_power_hessian(y, theta, phi, tau, cfg):
@@ -372,8 +383,13 @@ class TestExtract:
 
         monkeypatch.setattr(enomp, "omp_detect", redetect)
         lstsq = counted_lstsq(monkeypatch)
-        monkeypatch.setattr(enomp, "newton_refine",
-                            lambda y, theta, phi, tau, cfg: (theta, phi, tau, False))
+
+        def stay(y, theta, phi, tau, cfg, others):
+            # no step; the correlation of y minus the other atoms, materialized
+            y_local = np.ravel(y) - enomp.atom_sum(*others)
+            return theta, phi, tau, False, correlation(y_local, theta, phi, tau, cfg)
+
+        monkeypatch.setattr(enomp, "newton_refine", stay)
         res = enomp.extract(y, cfg, cb)
         assert lstsq.calls == 1
         assert res.stop_reason == "degenerate"
@@ -508,3 +524,173 @@ class TestFitGains:
         old = (y3.conj().reshape(-1, cfg.N) @ p_n).reshape(cfg.M_v, cfg.M_h)
         want = complex((old @ a_h) @ a_v)
         np.testing.assert_allclose(enomp._atom_correlation(y3, a_v, a_h, p_n), want, rtol=1e-13)
+
+
+# angles anywhere in [-pi/2, pi/2), with the endfire edges drawn often
+ANGLES = st.one_of(st.floats(-math.pi / 2, 1.5707963267948963),
+                   st.floats(-math.pi / 2, -math.pi / 2 + 1e-3),
+                   st.floats(math.pi / 2 - 1e-3, 1.5707963267948963))
+
+
+@st.composite
+def track_sets(draw):
+    """A small system, 1-6 tracks (geometry and gains), the visited track k,
+    a trial point, and an observation."""
+    cfg = SystemConfig(M_v=draw(st.integers(1, 4)), M_h=draw(st.integers(1, 5)),
+                       N=draw(st.integers(2, 16)))
+    count = draw(st.integers(1, 6))
+    params = [(draw(ANGLES), draw(ANGLES), draw(st.floats(0.0, 0.999)) * cfg.tau_max)
+              for _ in range(count + 1)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gains = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    mn = cfg.M * cfg.N
+    y = rng.standard_normal(mn) + 1j * rng.standard_normal(mn)
+    return cfg, params[:count], gains, draw(st.integers(0, count - 1)), params[count], y
+
+
+class TestCrossTerms:
+    """A visit reads y and subtracts the other tracks' separable terms; that
+    must equal the old route through the materialized y - sum_{l != k} g_l a_l."""
+
+    @staticmethod
+    def _setup(case):
+        cfg, params, gains, k, trial, y = case
+        factors = enomp.path_factors([enomp.DetectedPath(0j, *p) for p in params], cfg)
+        others = gains.copy()
+        others[k] = 0.0
+        y_local = y - sum(g * enomp.synth_atom(*p, cfg)
+                          for i, (g, p) in enumerate(zip(gains, params)) if i != k)
+        shape = (cfg.M_v, cfg.M_h, cfg.N)
+        return cfg, (others, *factors), y.reshape(shape), np.reshape(y_local, shape)
+
+    @settings(max_examples=80, deadline=None)
+    @given(track_sets())
+    def test_cube_equals_moment_cube_of_materialized_observation(self, case):
+        cfg, others, y3, local3 = self._setup(case)
+        _, params, _, k, _, _ = case
+        a_v, a_h = steering_factors(*params[k][:2], cfg)
+        p_n = delay_vector(params[k][2], cfg)
+        centres = ((cfg.M_v - 1) / 2.0, (cfg.M_h - 1) / 2.0, (cfg.N - 1) / 2.0)
+        got = (_kernels.moment_cube(y3, a_v, a_h, p_n, *centres)
+               - enomp._atom_sum_cube(others, a_v, a_h, p_n, centres))
+        want = _kernels.moment_cube(local3, a_v, a_h, p_n, *centres)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.max(np.abs(want)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(track_sets())
+    def test_trial_correlation_equals_materialized_correlation(self, case):
+        cfg, others, y3, local3 = self._setup(case)
+        theta, phi, tau = case[4]
+        a_v, a_h = steering_factors(theta, phi, cfg)
+        p_n = delay_vector(tau, cfg)
+        got = (enomp._atom_correlation(y3, a_v, a_h, p_n)
+               - enomp._atom_sum_correlation(others, a_v, a_h, p_n))
+        want = enomp._atom_correlation(local3, a_v, a_h, p_n)
+        scale = np.linalg.norm(local3) * math.sqrt(cfg.M * cfg.N)
+        assert abs(got - want) <= 1e-10 * max(abs(want), 1e-3 * scale)
+
+
+def residual_loop_extract(y, cfg, cb):
+    """The per-visit residual form of `enomp.extract`: every visit adds its
+    own atom back to the residual, refines against that, and takes it off
+    again with the new gain."""
+    mn = cfg.M * cfg.N
+    residual, tracks, iterations, stop = y.copy(), [], 0, "cap"
+    threshold = enomp.detection_threshold(mn, cfg.P_fa)
+
+    def refine(track, y_local):
+        th, ph, ta = enomp.newton_refine(y_local, *track[1:], cfg)[:3]
+        atom = enomp.synth_atom(th, ph, ta, cfg)
+        return [np.vdot(atom, y_local) / mn, th, ph, ta], atom
+
+    for _ in range(enomp._MAX_PATHS):
+        if enomp.stopping_statistic(residual, cfg) < threshold:
+            stop = "below_threshold"
+            break
+        iterations += 1
+        new, atom = refine([0j, *enomp.omp_detect(residual, cb)[:3]], residual)
+        tracks.append(new)
+        residual = residual - new[0] * atom
+        for _ in range(enomp._REFINE_ROUNDS):
+            for i, track in enumerate(tracks):
+                y_local = residual + track[0] * enomp.synth_atom(*track[1:], cfg)
+                tracks[i], atom = refine(track, y_local)
+                residual = y_local - tracks[i][0] * atom
+        paths = [enomp.DetectedPath(0j, *t[1:]) for t in tracks]
+        gains, rank = enomp.fit_gains(y, *enomp.path_factors(paths, cfg))
+        if rank < len(tracks):
+            tracks.pop()
+            gains, _ = enomp.fit_gains(y, *enomp.path_factors(paths[:-1], cfg))
+            stop = "degenerate"
+        for t, g in zip(tracks, gains):
+            t[0] = complex(g)
+        if stop == "degenerate":
+            break
+        residual = y - sum(t[0] * enomp.synth_atom(*t[1:], cfg) for t in tracks)
+    return tracks, iterations, stop
+
+
+class TestExtractMatchesResidualLoop:
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_default_size(self, seed):
+        cfg = SystemConfig()
+        cb = enomp.build_codebook(cfg)
+        scenario = generate_scenario(1, 6, cfg, seed=seed, att_range_db=(0.0, 0.0))
+        y = sounding_observation(scenario.users[0], cfg, seed + 1)
+        tracks, iterations, stop = residual_loop_extract(y, cfg, cb)
+        res = enomp.extract(y, cfg, cb)
+        assert (len(res.paths), res.iterations, res.stop_reason) == (len(tracks), iterations, stop)
+        assert len(tracks) >= 4
+        for got, want in zip(res.paths, tracks):
+            np.testing.assert_allclose([got.theta, got.phi, got.tau * cfg.N * cfg.delta_f],
+                                       [want[1], want[2], want[3] * cfg.N * cfg.delta_f],
+                                       rtol=0, atol=1e-6)
+            assert abs(got.gain - want[0]) <= 1e-6 * abs(want[0])
+
+
+def whole_cube_detect(y, cb):
+    """Best codebook entry from the whole (G_theta, G_phi, G_tau) match cube."""
+    mn = cb.M_v * cb.M_h * cb.N
+    z = np.fft.fft(y.reshape(cb.M_v, cb.M_h, cb.N), n=len(cb.taus), axis=2)
+    g1 = (cb.E_v @ z.reshape(cb.M_v, -1)).reshape(len(cb.thetas), cb.M_h, -1)
+    power = np.abs(np.matmul(cb.E_h, g1)) ** 2 / mn
+    i_t, i_p, i_d = np.unravel_index(int(np.argmax(power)), power.shape)
+    return cb.thetas[i_t], cb.phis[i_p], cb.taus[i_d], power[i_t, i_p, i_d]
+
+
+class TestRowBlockedDetection:
+    def test_equals_whole_cube_argmax_at_default_size(self):
+        cfg = SystemConfig()
+        cb = enomp.build_codebook(cfg)
+        rng = np.random.default_rng(40)
+        scenario = generate_scenario(1, 6, cfg, seed=41)
+        for trial in range(4):
+            y = (sounding_observation(scenario.users[0], cfg, rng) if trial % 2
+                 else rng.standard_normal(cfg.M * cfg.N) + 1j * rng.standard_normal(cfg.M * cfg.N))
+            assert enomp.omp_detect(y, cb) == whole_cube_detect(y, cb)
+
+    @pytest.mark.parametrize("source, copy", [(2, 6), (6, 2)])
+    def test_exact_tie_across_rows_goes_to_lower_row(self, source, copy):
+        # downtilt row `copy` is made an exact duplicate of row `source`, so
+        # both rows hold bitwise equal matches for an atom on row `source`
+        cfg = small_cfg()
+        cb = enomp.build_codebook(cfg)
+        e_v, e_h = cb.E_v.copy(), cb.E_h.copy()
+        e_v[copy], e_h[copy] = e_v[source], e_h[source]
+        tied = dataclasses.replace(cb, E_v=e_v, E_h=e_h)
+        y = (0.6 - 0.8j) * enomp.synth_atom(cb.thetas[source], cb.phis[5], cb.taus[17], cfg)
+        theta, phi, tau, _ = enomp.omp_detect(y, tied)
+        assert (theta, phi, tau) == (cb.thetas[min(source, copy)], cb.phis[5], cb.taus[17])
+        assert enomp.omp_detect(y, tied) == whole_cube_detect(y, tied)
+
+
+def test_delay_wrap_stays_below_the_period():
+    cfg = SystemConfig()
+    # a float modulo of a tiny negative number gives the period itself
+    assert (-1e-30) % cfg.tau_max == cfg.tau_max
+    assert enomp._wrap(-1e-30, cfg.tau_max) == 0.0
+    delay_vector(enomp._wrap(-1e-30, cfg.tau_max), cfg)
+    assert enomp._wrap(-0.25 * cfg.tau_max, cfg.tau_max) == pytest.approx(0.75 * cfg.tau_max)
+    # the spatial frequencies wrap with period 2 through the same helper
+    assert (-1e-17) % 2.0 == 2.0
+    assert enomp._wrap(-1e-17, 2.0) == 0.0
