@@ -1,16 +1,18 @@
 """Timings of the hot numeric kernels at full system scale.
 
-Runs the two hot kernels (atom synthesis and the weighted-moment
+Runs the two numeric kernels (single-atom synthesis and the weighted-moment
 contraction), one scalar call each of the steering and delay builders
 (extraction makes thousands of them), the batched build of the 128-beam
-angle grid, the joint gain fit of eight atoms both ways (lstsq on the
-materialized basis as extraction once did, and `enomp.fit_gains` on the
-factored Gram), each followed by its residual, codebook detection both ways
-(`enomp.omp_detect`, one downtilt row at a time, and the whole match cube),
-one refinement visit both ways (on the fixed observation with the other
-paths' cross terms, as extraction does, and on a residual rewritten around
-the visit, as it once did), plus one end-to-end path extraction with its
-minor page faults, and prints a table.
+angle grid, the downlink channel of six paths both ways
+(`sysmodel.downlink_channel`, one matmul over the factor matrices, and a
+per-path `kron3` loop as the channel builders once ran), the joint gain fit
+of eight atoms both ways (lstsq on the materialized basis as extraction once
+did, and `enomp.fit_gains` on the factored Gram), each followed by its
+residual, codebook detection both ways (`enomp.omp_detect`, one downtilt row
+at a time, and the whole match cube), one refinement visit both ways (on the
+fixed observation with the other paths' cross terms, as extraction does, and
+on a residual rewritten around the visit, as it once did), plus one
+end-to-end path extraction with its minor page faults, and prints a table.
 
 Usage:
     python3 benchmarks/bench_kernels.py [--repeats N]
@@ -56,7 +58,7 @@ def main():
                                 float(rng.uniform(-1.4, 1.4)),
                                 float(rng.uniform(0.0, 0.99) * cfg.tau_max))
              for _ in range(8)]
-    factors = enomp.path_factors(paths, cfg)
+    factors = sysmodel.path_factors(paths, cfg)
     atoms = [_kernels.kron3(*(f[:, i] for f in factors)) for i in range(len(paths))]
     y = y3.ravel()
 
@@ -67,21 +69,30 @@ def main():
 
     def gram_fit():
         gains, _ = enomp.fit_gains(y, *factors)
-        return y - enomp.atom_sum(gains, *factors)
+        return y - sysmodel.atom_sum(gains, *factors)
 
     # detection and one visit on a sounding of six paths, visiting the
     # first of the paths extraction finds there
     scenario = sysmodel.generate_scenario(1, 6, cfg, seed=1)
-    sounding = sysmodel.sounding_observation(scenario.users[0], cfg,
+    channel_paths = scenario.users[0]
+    sounding = sysmodel.sounding_observation(channel_paths, cfg,
                                              np.random.default_rng(2))
     book = enomp.build_codebook(cfg)
     found = enomp.extract(sounding, cfg, book).paths
     gains = np.array([p.gain for p in found])
-    visit_factors = enomp.path_factors(found, cfg)
+    visit_factors = sysmodel.path_factors(found, cfg)
     others = gains.copy()
     others[0] = 0.0
     visited = (found[0].theta, found[0].phi, found[0].tau)
-    residual = sounding - enomp.atom_sum(gains, *visit_factors)
+    residual = sounding - sysmodel.atom_sum(gains, *visit_factors)
+
+    def kron3_loop_channel():
+        h = np.zeros(cfg.M * cfg.N, dtype=complex)
+        for p in channel_paths:
+            a_v, a_h = sysmodel.steering_factors(p.theta, p.phi, cfg)
+            g = p.g_dl * sysmodel.carrier_phase(p.tau, cfg)
+            h += g * _kernels.kron3(a_v, a_h, sysmodel.delay_vector(p.tau, cfg))
+        return h
 
     def whole_cube_detect():
         z = np.fft.fft(sounding.reshape(cfg.M_v, cfg.M_h, cfg.N), axis=2)
@@ -93,7 +104,7 @@ def main():
 
     def residual_visit():
         y_local = residual + gains[0] * enomp.synth_atom(*visited, cfg)
-        th, ph, ta, _, corr = enomp.newton_refine(y_local, *visited, cfg)
+        th, ph, ta, _, corr, _ = enomp.newton_refine(y_local, *visited, cfg)
         return y_local - np.conj(corr) / (cfg.M * cfg.N) * enomp.synth_atom(th, ph, ta, cfg)
 
     cases = [
@@ -102,6 +113,9 @@ def main():
         ("steering_factors", "scalar", sysmodel.steering_factors, (0.3, -0.7, cfg)),
         ("delay_vector", "scalar", sysmodel.delay_vector, (0.4 * cfg.tau_max, cfg)),
         ("angle_grid", "batched", dltrain.build_angle_grid, (cfg,)),
+        (f"channel_L{len(channel_paths)}", "atom_sum", sysmodel.downlink_channel,
+         (channel_paths, cfg)),
+        (f"channel_L{len(channel_paths)}", "kron3", kron3_loop_channel, ()),
         ("gain_fit_L8", "lstsq", lstsq_fit, ()),
         ("gain_fit_L8", "gram", gram_fit, ()),
         ("omp_detect", "rows", enomp.omp_detect, (sounding, book)),
@@ -120,6 +134,9 @@ def main():
         print(f"{name:<18}{impl:<9}{best * 1e6:>10.1f} us")
     ratio = results[("gain_fit_L8", "lstsq")] / results[("gain_fit_L8", "gram")]
     print(f"gain_fit_L8: the factored Gram fit is {ratio:.1f}x the lstsq speed")
+    channel = f"channel_L{len(channel_paths)}"
+    ratio = results[(channel, "kron3")] / results[(channel, "atom_sum")]
+    print(f"{channel}: the factored channel is {ratio:.1f}x the per-path kron3 speed")
 
     enomp.extract(sounding, cfg, book)  # warm up
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt

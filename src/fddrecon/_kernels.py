@@ -1,9 +1,12 @@
-"""Hot numeric kernels of path extraction, in numpy.
+"""Numeric kernels of path extraction, in numpy.
 
-Two inner loops dominate the path-extraction runtime once the FFTs are done:
-synthesizing rank-1 Kronecker atoms and contracting the observation against
-an atom with polynomial index weights (the moments behind the Newton
-gradient/Hessian). `index_weighted` gives those weights for one factor.
+`moment_cube` is the hot inner loop once the FFTs are done: it contracts the
+observation against an atom with polynomial index weights (the moments
+behind the Newton gradient/Hessian), and `index_weighted` gives those weights
+for one factor. `kron3` materializes one rank-1 Kronecker atom; channels and
+residuals are synthesized from factor matrices by `sysmodel.atom_sum`
+instead, so it serves only as the reference atom (`enomp.synth_atom`) and as
+the basis of `enomp.fit_gains`'s lstsq fallback.
 """
 
 import numpy as np

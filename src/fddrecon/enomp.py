@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .sysmodel import (TWO_PI, SystemConfig, delay_vector, path_parameters,
-                       steering_factors)
+from .sysmodel import TWO_PI, SystemConfig, atom_sum, delay_vector, steering_factors
 
 # Constants of the extraction schedule. The cap is 4x the largest plausible
 # path count; every detection is followed by _REFINE_ROUNDS cyclic sweeps
@@ -270,12 +269,14 @@ def newton_refine(y_r: np.ndarray, theta: float, phi: float, tau: float,
     projected power); otherwise the parameters come back unchanged.
 
     `others` = (g, o_v, o_h, o_p), when given, is an atom sum A g (factor
-    matrices as from `path_factors`) to take off the observation first: the
-    step is taken on y - A g, whose moment cube and correlations are those of
-    y minus the separable ones of A g, so y - A g is never formed.
+    matrices as from `sysmodel.path_factors`) to take off the observation
+    first: the step is taken on y - A g, whose moment cube and correlations
+    are those of y minus the separable ones of A g, so y - A g is never
+    formed.
 
-    Returns (theta', phi', tau', accepted, corr), with corr = y^H a (of
-    y - A g under `others`) for the atom a at the returned parameters.
+    Returns (theta', phi', tau', accepted, corr, factors) for the atom
+    a = a_v (x) a_h (x) p_n at the returned parameters: corr = y^H a (of
+    y - A g under `others`) and factors = (a_v, a_h, p_n).
     """
     y3 = np.ascontiguousarray(np.asarray(y_r).reshape(cfg.M_v, cfg.M_h, cfg.N))
     a_v, a_h = steering_factors(theta, phi, cfg)
@@ -289,7 +290,7 @@ def newton_refine(y_r: np.ndarray, theta: float, phi: float, tau: float,
     c0, dc, d2c = _correlation_derivatives(cube, cfg)
     old_power = abs(c0) ** 2
     if old_power <= 0.0:
-        return theta, phi, tau, False, c0
+        return theta, phi, tau, False, c0, (a_v, a_h, p_n)
     # log|c|^2: gradient 2 Re{conj(c) dc}/|c|^2, Hessian from the quotient rule
     grad_f = 2.0 * (np.conj(c0) * dc).real
     hess_f = 2.0 * ((np.conj(c0) * d2c).real + np.outer(dc, np.conj(dc)).real)
@@ -298,7 +299,7 @@ def newton_refine(y_r: np.ndarray, theta: float, phi: float, tau: float,
     if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
         raise FloatingPointError("non-finite derivatives")
     if np.max(np.linalg.eigvalsh(hess)) >= 0.0:
-        return theta, phi, tau, False, c0
+        return theta, phi, tau, False, c0, (a_v, a_h, p_n)
     step = np.linalg.solve(hess, grad)
     u = math.sin(theta)
     w = math.cos(theta) * math.sin(phi)
@@ -320,8 +321,8 @@ def newton_refine(y_r: np.ndarray, theta: float, phi: float, tau: float,
         if others is not None:
             corr -= _atom_sum_correlation(others, a_v2, a_h2, p_n2)
         if abs(corr) ** 2 > old_power:
-            return theta_new, phi_new, tau_new, True, corr
-    return theta, phi, tau, False, c0
+            return theta_new, phi_new, tau_new, True, corr, (a_v2, a_h2, p_n2)
+    return theta, phi, tau, False, c0, (a_v, a_h, p_n)
 
 
 # The Gram route is taken only while lam_min(G) > _GRAM_RCOND * lam_max(G),
@@ -332,30 +333,16 @@ def newton_refine(y_r: np.ndarray, theta: float, phi: float, tau: float,
 _GRAM_RCOND = 1e-8
 
 
-def path_factors(paths, cfg: SystemConfig) -> tuple:
-    """Factor matrices (A_v, A_h, P) of the atoms of `paths`: the atom of
-    paths[l] is A_v[:, l] (x) A_h[:, l] (x) P[:, l]."""
-    thetas, phis, taus = path_parameters(paths)
-    a_v, a_h = steering_factors(thetas, phis, cfg)
-    return a_v.T, a_h.T, delay_vector(taus, cfg).T
-
-
 def _atom_gram(a_v, a_h, p_n) -> np.ndarray:
     """A^H A of the atoms a_v[:, l] (x) a_h[:, l] (x) p_n[:, l]: the Hadamard
     product of the three factor Grams."""
     return (a_v.conj().T @ a_v) * (a_h.conj().T @ a_h) * (p_n.conj().T @ p_n)
 
 
-def atom_sum(gains, a_v, a_h, p_n) -> np.ndarray:
-    """A g = sum_l gains[l] a_v[:, l] (x) a_h[:, l] (x) p_n[:, l], flattened to
-    length M_v*M_h*N, without forming any atom."""
-    vh = (a_v * gains)[:, None, :] * a_h[None, :, :]
-    return (vh.reshape(a_v.shape[0] * a_h.shape[0], len(gains)) @ p_n.T).ravel()
-
-
 def fit_gains(y: np.ndarray, a_v, a_h, p_n):
     """Joint least-squares gains of the atoms a_v[:, l] (x) a_h[:, l] (x)
-    p_n[:, l] (factor matrices as from `path_factors`) for the observation y.
+    p_n[:, l] (factor matrices as from `sysmodel.path_factors`) for the
+    observation y.
 
     While the Gram G = A^H A is well conditioned (see _GRAM_RCOND), the gains
     solve G g = A^H y through the eigendecomposition of the L x L G, and
@@ -381,17 +368,16 @@ def fit_gains(y: np.ndarray, a_v, a_h, p_n):
 def _refine_track(k: int, y3: np.ndarray, params: list, gains: np.ndarray,
                   factors: tuple, cfg: SystemConfig) -> None:
     """One Newton step for track k against the observation minus the other
-    tracks' atoms, then the track's single-atom gain (from the step's own
-    correlation) and its factor columns at the resulting point. `params`,
-    `gains` and the factor matrices hold every track; k's entries are
-    overwritten in place."""
+    tracks' atoms, then the track's single-atom gain and factor columns, both
+    as the step built them at the resulting point. `params`, `gains` and the
+    factor matrices hold every track; k's entries are overwritten in place."""
     others = gains.copy()
     others[k] = 0.0
-    th, ph, ta, _, corr = newton_refine(y3, *params[k], cfg, (others, *factors))
+    th, ph, ta, _, corr, atom = newton_refine(y3, *params[k], cfg, (others, *factors))
     params[k] = (th, ph, ta)
     gains[k] = np.conj(corr) / (cfg.M * cfg.N)
-    factors[0][:, k], factors[1][:, k] = steering_factors(th, ph, cfg)
-    factors[2][:, k] = delay_vector(ta, cfg)
+    for f, column in zip(factors, atom):
+        f[:, k] = column
 
 
 def extract(y_ul: np.ndarray, cfg: SystemConfig, codebook: Codebook = None) -> ExtractionResult:

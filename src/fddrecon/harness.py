@@ -223,7 +223,7 @@ def _oracle_gains(est_paths, truth_dl: np.ndarray, cfg: SystemConfig) -> np.ndar
 
     The fit runs on the plain atoms; `reconstruct` multiplies each gain by
     its path's carrier-shift phase, so that phase is divided out here."""
-    g, _ = enomp.fit_gains(truth_dl, *enomp.path_factors(est_paths, cfg))
+    g, _ = enomp.fit_gains(truth_dl, *sysmodel.path_factors(est_paths, cfg))
     _, _, taus = sysmodel.path_parameters(est_paths)
     return g / sysmodel.carrier_phase(taus, cfg)
 

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
-
 TWO_PI = 2.0 * math.pi
 
 
@@ -180,6 +178,21 @@ def path_parameters(paths) -> tuple:
                  for name in ("theta", "phi", "tau"))
 
 
+def path_factors(paths, cfg: SystemConfig) -> tuple:
+    """Factor matrices (A_v, A_h, P) of the atoms of `paths`: the atom of
+    paths[l] is A_v[:, l] (x) A_h[:, l] (x) P[:, l]."""
+    thetas, phis, taus = path_parameters(paths)
+    a_v, a_h = steering_factors(thetas, phis, cfg)
+    return a_v.T, a_h.T, delay_vector(taus, cfg).T
+
+
+def atom_sum(gains, a_v, a_h, p_n) -> np.ndarray:
+    """A g = sum_l gains[l] a_v[:, l] (x) a_h[:, l] (x) p_n[:, l], flattened to
+    length M_v*M_h*N, without forming any atom."""
+    vh = (a_v * gains)[:, None, :] * a_h[None, :, :]
+    return (vh.reshape(a_v.shape[0] * a_h.shape[0], len(gains)) @ p_n.T).ravel()
+
+
 def path_sum(paths, gains, cfg: SystemConfig, carrier_shift: bool = False) -> np.ndarray:
     """Stacked space-frequency channel of weighted paths, antenna-major.
 
@@ -187,13 +200,9 @@ def path_sum(paths, gains, cfg: SystemConfig, carrier_shift: bool = False) -> np
     length M * N; entry (m, n) sits at index m * N + n. With
     ``carrier_shift`` each gain is first rotated by :func:`carrier_phase`.
     """
-    h = np.zeros(cfg.M * cfg.N, dtype=np.complex128)
-    for p, g in zip(paths, gains):
-        if carrier_shift:
-            g = g * carrier_phase(p.tau, cfg)
-        a_v, a_h = steering_factors(p.theta, p.phi, cfg)
-        h += g * _kernels.kron3(a_v, a_h, delay_vector(p.tau, cfg))
-    return h
+    if carrier_shift:
+        gains = gains * carrier_phase(path_parameters(paths)[2], cfg)
+    return atom_sum(gains, *path_factors(paths, cfg))
 
 
 def uplink_channel(paths, cfg: SystemConfig) -> np.ndarray:

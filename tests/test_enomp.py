@@ -9,8 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fddrecon import _kernels, enomp
-from fddrecon.sysmodel import (PathComponent, SystemConfig, delay_vector, generate_scenario,
-                               sounding_observation, steering_factors, uplink_channel)
+from fddrecon.sysmodel import (PathComponent, SystemConfig, atom_sum, delay_vector,
+                               generate_scenario, path_factors, sounding_observation,
+                               steering_factors, uplink_channel)
 
 
 def small_cfg(**kw):
@@ -224,9 +225,10 @@ class TestNewtonRefine:
         ta0 = ta + 0.25 * cell[2]
         g0 = enomp.coarse_gain(y, th0, ph0, ta0, cfg)
         s_before = enomp.objective_S(y, g0, th0, ph0, ta0, cfg)
-        th1, ph1, ta1, accepted, corr = enomp.newton_refine(y, th0, ph0, ta0, cfg)
+        th1, ph1, ta1, accepted, corr, factors = enomp.newton_refine(y, th0, ph0, ta0, cfg)
         assert accepted
         assert corr == pytest.approx(correlation(y, th1, ph1, ta1, cfg), rel=1e-12)
+        assert_factors_at(factors, th1, ph1, ta1, cfg)
         g1 = enomp.coarse_gain(y, th1, ph1, ta1, cfg)
         s_after = enomp.objective_S(y, g1, th1, ph1, ta1, cfg)
         assert s_after > s_before
@@ -247,6 +249,7 @@ class TestNewtonRefine:
         result = enomp.newton_refine(y, th, ph, ta, cfg)
         assert result[:4] == (th, ph, ta, False)
         assert result[4] == pytest.approx(correlation(y, th, ph, ta, cfg), rel=1e-12)
+        assert_factors_at(result[5], th, ph, ta, cfg)
 
     def test_rejected_when_no_step_raises_the_power(self):
         # at the exact matched point the Hessian is negative definite but the
@@ -258,6 +261,16 @@ class TestNewtonRefine:
         result = enomp.newton_refine(y, th, ph, ta, cfg)
         assert result[:4] == (th, ph, ta, False)
         assert result[4] == pytest.approx(correlation(y, th, ph, ta, cfg), rel=1e-12)
+        assert_factors_at(result[5], th, ph, ta, cfg)
+
+
+def assert_factors_at(factors, theta, phi, tau, cfg):
+    """The factors `newton_refine` returns are the scalar builds at its point."""
+    a_v, a_h, p_n = factors
+    want_v, want_h = steering_factors(theta, phi, cfg)
+    np.testing.assert_array_equal(a_v, want_v)
+    np.testing.assert_array_equal(a_h, want_h)
+    np.testing.assert_array_equal(p_n, delay_vector(tau, cfg))
 
 
 def correlation(y, theta, phi, tau, cfg):
@@ -386,8 +399,10 @@ class TestExtract:
 
         def stay(y, theta, phi, tau, cfg, others):
             # no step; the correlation of y minus the other atoms, materialized
-            y_local = np.ravel(y) - enomp.atom_sum(*others)
-            return theta, phi, tau, False, correlation(y_local, theta, phi, tau, cfg)
+            y_local = np.ravel(y) - atom_sum(*others)
+            a_v, a_h = steering_factors(theta, phi, cfg)
+            return (theta, phi, tau, False, correlation(y_local, theta, phi, tau, cfg),
+                    (a_v, a_h, delay_vector(tau, cfg)))
 
         monkeypatch.setattr(enomp, "newton_refine", stay)
         res = enomp.extract(y, cfg, cb)
@@ -466,7 +481,7 @@ class TestFitGains:
     def test_hadamard_gram_equals_basis_gram(self, case):
         cfg, paths, _ = case
         basis = materialized_basis(paths, cfg)
-        gram = enomp._atom_gram(*enomp.path_factors(paths, cfg))
+        gram = enomp._atom_gram(*path_factors(paths, cfg))
         # off-diagonal entries can be near zero: atol relative to the diagonal MN
         np.testing.assert_allclose(gram, basis.conj().T @ basis,
                                    rtol=1e-12, atol=1e-12 * cfg.M * cfg.N)
@@ -477,12 +492,12 @@ class TestFitGains:
         cfg, paths, y = case
         basis = materialized_basis(paths, cfg)
         assume(len(paths) <= cfg.M * cfg.N and np.linalg.cond(basis) < 1e2)
-        factors = enomp.path_factors(paths, cfg)
+        factors = path_factors(paths, cfg)
         gains, rank = enomp.fit_gains(y, *factors)
         want, _, want_rank, _ = np.linalg.lstsq(basis, y, rcond=None)
         assert rank == want_rank == len(paths)
         np.testing.assert_allclose(gains, want, rtol=1e-9)
-        np.testing.assert_allclose(y - enomp.atom_sum(gains, *factors),
+        np.testing.assert_allclose(y - atom_sum(gains, *factors),
                                    y - basis @ gains, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("sep, rank", [(1e-10, 2), (1e-13, 1)])
@@ -496,7 +511,7 @@ class TestFitGains:
         basis = materialized_basis(paths, cfg)
         y = basis @ np.array([1.0 + 0.5j, -0.3j])
         lstsq = counted_lstsq(monkeypatch)
-        gains, got_rank = enomp.fit_gains(y, *enomp.path_factors(paths, cfg))
+        gains, got_rank = enomp.fit_gains(y, *path_factors(paths, cfg))
         assert lstsq.calls == 1
         want, _, want_rank, _ = lstsq(basis, y, rcond=None)
         assert got_rank == want_rank == rank
@@ -506,7 +521,7 @@ class TestFitGains:
     @given(atom_sets())
     def test_path_factors_equal_scalar_builds_exactly(self, case):
         cfg, paths, _ = case
-        a_v, a_h, p_n = enomp.path_factors(paths, cfg)
+        a_v, a_h, p_n = path_factors(paths, cfg)
         assert (a_v.shape, a_h.shape, p_n.shape) == (
             (cfg.M_v, len(paths)), (cfg.M_h, len(paths)), (cfg.N, len(paths)))
         for l, p in enumerate(paths):
@@ -520,7 +535,7 @@ class TestFitGains:
     def test_atom_correlation_matches_conjugated_observation_form(self, case):
         cfg, paths, y = case
         y3 = y.reshape(cfg.M_v, cfg.M_h, cfg.N)
-        a_v, a_h, p_n = (f[:, 0] for f in enomp.path_factors(paths, cfg))
+        a_v, a_h, p_n = (f[:, 0] for f in path_factors(paths, cfg))
         old = (y3.conj().reshape(-1, cfg.N) @ p_n).reshape(cfg.M_v, cfg.M_h)
         want = complex((old @ a_h) @ a_v)
         np.testing.assert_allclose(enomp._atom_correlation(y3, a_v, a_h, p_n), want, rtol=1e-13)
@@ -555,7 +570,7 @@ class TestCrossTerms:
     @staticmethod
     def _setup(case):
         cfg, params, gains, k, trial, y = case
-        factors = enomp.path_factors([enomp.DetectedPath(0j, *p) for p in params], cfg)
+        factors = path_factors([enomp.DetectedPath(0j, *p) for p in params], cfg)
         others = gains.copy()
         others[k] = 0.0
         y_local = y - sum(g * enomp.synth_atom(*p, cfg)
@@ -617,10 +632,10 @@ def residual_loop_extract(y, cfg, cb):
                 tracks[i], atom = refine(track, y_local)
                 residual = y_local - tracks[i][0] * atom
         paths = [enomp.DetectedPath(0j, *t[1:]) for t in tracks]
-        gains, rank = enomp.fit_gains(y, *enomp.path_factors(paths, cfg))
+        gains, rank = enomp.fit_gains(y, *path_factors(paths, cfg))
         if rank < len(tracks):
             tracks.pop()
-            gains, _ = enomp.fit_gains(y, *enomp.path_factors(paths[:-1], cfg))
+            gains, _ = enomp.fit_gains(y, *path_factors(paths[:-1], cfg))
             stop = "degenerate"
         for t, g in zip(tracks, gains):
             t[0] = complex(g)
