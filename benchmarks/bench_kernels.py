@@ -7,9 +7,12 @@ angle grid, the downlink channel of six paths both ways
 (`sysmodel.downlink_channel`, one matmul over the factor matrices, and a
 per-path `kron3` loop as the channel builders once ran), the joint gain fit
 of eight atoms both ways (lstsq on the materialized basis as extraction once
-did, and `enomp.fit_gains` on the factored Gram), each followed by its
-residual, codebook detection both ways (`enomp.omp_detect`, one downtilt row
-at a time, and the whole match cube), one refinement visit both ways (on the
+did, and `sysmodel.fit_gains` on the factored Gram), each followed by its
+residual, the pilot gain least squares of the found paths under a
+fig6-sized training plan both ways (lstsq on `dltrain.coefficient_matrix`,
+as the fig6 pipeline once did, and `sysmodel.fit_gains` on
+`dltrain.pilot_factors`), codebook detection both ways (`enomp.omp_detect`,
+one downtilt row at a time, and the whole match cube), one refinement visit both ways (on the
 fixed observation with the other paths' cross terms, as extraction does, and
 on a residual rewritten around the visit, as it once did), plus one
 end-to-end path extraction with its minor page faults, and prints a table.
@@ -68,7 +71,7 @@ def main():
         return y - basis @ gains
 
     def gram_fit():
-        gains, _ = enomp.fit_gains(y, *factors)
+        gains, _ = sysmodel.fit_gains(y, *factors)
         return y - sysmodel.atom_sum(gains, *factors)
 
     # detection and one visit on a sounding of six paths, visiting the
@@ -85,6 +88,25 @@ def main():
     others[0] = 0.0
     visited = (found[0].theta, found[0].phi, found[0].tau)
     residual = sounding - sysmodel.atom_sum(gains, *visit_factors)
+
+    # pilots of the channel's paths under every 4th grid point plus the points
+    # the found paths mark (35 beams, a fig6-sized plan), fitted on the found
+    # paths
+    grid = dltrain.build_angle_grid(cfg)
+    indices = sorted({dltrain.optimal_grid_point(p.theta, p.phi, grid, cfg) for p in found}
+                     | set(range(1, cfg.M + 1, 4)))
+    plan = dltrain.TrainingPlan(
+        grid_indices=tuple(indices), beams=grid[:, [j - 1 for j in indices]].conj()
+        / math.sqrt(cfg.M), weights=(1,) * len(indices), feasible=True)
+    pilots = dltrain.simulate_downlink_training(channel_paths, plan, cfg,
+                                                np.random.default_rng(3))
+
+    def pilot_lstsq():
+        coef = dltrain.coefficient_matrix(found, plan, cfg)
+        return np.linalg.lstsq(coef, pilots, rcond=None)[0]
+
+    def pilot_gram():
+        return sysmodel.fit_gains(pilots, *dltrain.pilot_factors(found, plan.beams, cfg))[0]
 
     def kron3_loop_channel():
         h = np.zeros(cfg.M * cfg.N, dtype=complex)
@@ -118,6 +140,8 @@ def main():
         (f"channel_L{len(channel_paths)}", "kron3", kron3_loop_channel, ()),
         ("gain_fit_L8", "lstsq", lstsq_fit, ()),
         ("gain_fit_L8", "gram", gram_fit, ()),
+        (f"pilot_ls_L{len(found)}", "lstsq", pilot_lstsq, ()),
+        (f"pilot_ls_L{len(found)}", "gram", pilot_gram, ()),
         ("omp_detect", "rows", enomp.omp_detect, (sounding, book)),
         ("omp_detect", "cube", whole_cube_detect, ()),
         (f"refine_L{len(found)}", "cross", cross_visit, ()),
@@ -134,6 +158,10 @@ def main():
         print(f"{name:<18}{impl:<9}{best * 1e6:>10.1f} us")
     ratio = results[("gain_fit_L8", "lstsq")] / results[("gain_fit_L8", "gram")]
     print(f"gain_fit_L8: the factored Gram fit is {ratio:.1f}x the lstsq speed")
+    pilot = f"pilot_ls_L{len(found)}"
+    ratio = results[(pilot, "lstsq")] / results[(pilot, "gram")]
+    print(f"{pilot} (T_p = {plan.T_p}): fit_gains on the pilot factors is {ratio:.1f}x "
+          "the lstsq speed")
     channel = f"channel_L{len(channel_paths)}"
     ratio = results[(channel, "kron3")] / results[(channel, "atom_sum")]
     print(f"{channel}: the factored channel is {ratio:.1f}x the per-path kron3 speed")

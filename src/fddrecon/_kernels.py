@@ -3,10 +3,10 @@
 `moment_cube` is the hot inner loop once the FFTs are done: it contracts the
 observation against an atom with polynomial index weights (the moments
 behind the Newton gradient/Hessian), and `index_weighted` gives those weights
-for one factor. `kron3` materializes one rank-1 Kronecker atom; channels and
-residuals are synthesized from factor matrices by `sysmodel.atom_sum`
-instead, so it serves only as the reference atom (`enomp.synth_atom`) and as
-the basis of `enomp.fit_gains`'s lstsq fallback.
+for one factor. `kron3` materializes one rank-1 Kronecker atom; channels,
+residuals and lstsq bases are built from factor matrices by `sysmodel`'s
+`atom_sum` and `atom_basis` instead, so it serves only as the reference atom
+(`enomp.synth_atom`), which `atom_basis` columns equal bit for bit.
 """
 
 import numpy as np

@@ -18,8 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .sysmodel import (SystemConfig, carrier_phase, complex_noise, delay_vector,
-                       path_parameters, steering_vector)
+from .sysmodel import (SystemConfig, atom_basis, atom_gram, atom_sum, carrier_phase,
+                       complex_noise, delay_vector, fit_gains, path_parameters,
+                       steering_vector)
 
 
 def grid_point(index, cfg: SystemConfig):
@@ -52,19 +53,6 @@ def build_angle_grid(cfg: SystemConfig) -> np.ndarray:
     return np.ascontiguousarray(steering_vector(thetas, phis, cfg).T)
 
 
-def projected_power(
-    theta: float, phi: float, theta_bar: float, phi_bar: float, cfg: SystemConfig
-) -> float:
-    """Normalized power a path at (theta, phi) leaks into a beam aimed at
-    (theta_bar, phi_bar): |a(theta, phi)^T a*(theta_bar, phi_bar)|^2 / M.
-
-    Equals M when the angles coincide and decays with beam-space distance.
-    """
-    a = steering_vector(theta, phi, cfg)
-    b = steering_vector(theta_bar, phi_bar, cfg)
-    return float(np.abs(np.dot(a, b.conj())) ** 2) / cfg.M
-
-
 # Relative power margin within which grid points count as tied.
 _GRID_TIE_RTOL = 1e-9
 
@@ -89,12 +77,12 @@ def pilot_subcarriers(cfg: SystemConfig) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TrainingPlan:
-    """Output of the beam scheduler.
+    """Output of the beam scheduler. Every pilot symbol occupies the
+    subcarriers :func:`pilot_subcarriers` gives.
 
     grid_indices: kept grid points (1-based), in scan order (ascending
         weight, index as tie-break).
     beams: (M, T_p) matrix of unit-power beams, one column per kept point.
-    pilot_subcarriers: subcarrier indices each pilot symbol occupies.
     weights: number of distinct users that marked each kept point.
     feasible: False when even the full marked set fails some user's
         accuracy prediction; the plan then keeps every marked point.
@@ -102,7 +90,6 @@ class TrainingPlan:
 
     grid_indices: tuple
     beams: np.ndarray
-    pilot_subcarriers: np.ndarray
     weights: tuple
     feasible: bool
 
@@ -111,13 +98,24 @@ class TrainingPlan:
         return len(self.grid_indices)
 
 
-def _path_factors(paths, beams: np.ndarray, pilots: np.ndarray, cfg: SystemConfig):
-    """The three factors of a coefficient matrix: beam gains a^T b_t
-    (L, T), pilot-subcarrier delay phases (L, N_p), and carrier-shift phases
-    (L,)."""
+def pilot_factors(paths, beams: np.ndarray, cfg: SystemConfig) -> tuple:
+    """Factor matrices of one user's pilot model: beam gains a^T b_t (T, L),
+    carrier-shift phases (1, L) and pilot-subcarrier delay phases (N_p, L),
+    for the paths (objects carrying theta/phi/tau) and the (M, T) beams.
+
+    The pilots are then the atom sum of `sysmodel` over these factors,
+    pilot-symbol major: `atom_sum(g, *factors)` is the noiseless burst for
+    gains g, `atom_basis(*factors)` is :func:`coefficient_matrix`, and
+    `fit_gains` and `atom_gram` read them likewise.
+    """
+    if len(paths) == 0:
+        raise ValueError("pilot model needs at least one path")
+    if beams.shape[1] == 0:
+        raise ValueError("pilot model needs at least one beam")
     thetas, phis, taus = path_parameters(paths)
-    beam_gain = steering_vector(thetas, phis, cfg) @ beams
-    return beam_gain, delay_vector(taus, cfg)[:, pilots], carrier_phase(taus, cfg)
+    beam_gain = (steering_vector(thetas, phis, cfg) @ beams).T
+    pil = delay_vector(taus, cfg)[:, pilot_subcarriers(cfg)].T
+    return beam_gain, carrier_phase(taus, cfg)[None, :], pil
 
 
 def coefficient_matrix(paths, plan: TrainingPlan, cfg: SystemConfig) -> np.ndarray:
@@ -126,17 +124,12 @@ def coefficient_matrix(paths, plan: TrainingPlan, cfg: SystemConfig) -> np.ndarr
     ``paths`` is any sequence of objects carrying theta/phi/tau attributes.
     Rows are pilot-symbol major and columns follow ``paths``: entry
     (t*N_p + i, l), symbol t on pilot subcarrier i, is
-    exp(j 2 pi (f_dl - f_ul) tau_l) * a^T(theta_l, phi_l) b_t
-    * exp(j 2 pi n_i delta_f tau_l): the carrier shift, the beam gain, and
-    the pilot-subcarrier delay phase of path l under symbol t.
+    a^T(theta_l, phi_l) b_t * exp(j 2 pi (f_dl - f_ul) tau_l)
+    * exp(j 2 pi n_i delta_f tau_l): the beam gain, the carrier shift, and
+    the pilot-subcarrier delay phase of path l under symbol t. The pipeline
+    never forms it; it is the reference for :func:`pilot_factors`.
     """
-    if len(paths) == 0:
-        raise ValueError("coefficient matrix needs at least one path")
-    if plan.beams.shape[1] == 0:
-        raise ValueError("coefficient matrix needs at least one beam")
-    theta_gain, pil, shift = _path_factors(paths, plan.beams, plan.pilot_subcarriers, cfg)
-    mat = theta_gain.T[:, None, :] * pil.T[None, :, :] * shift[None, None, :]
-    return mat.reshape(-1, len(paths))
+    return atom_basis(*pilot_factors(paths, plan.beams, cfg))
 
 
 def _gram_nmse(gram: np.ndarray, n_rows: int, gnorm2: float, cfg: SystemConfig) -> float:
@@ -173,35 +166,26 @@ def predict_nmse(coef: np.ndarray, g_ul: np.ndarray, cfg: SystemConfig) -> float
 class _UserState:
     """Per-user precomputation for the scheduler's repeated feasibility probes.
 
-    The Gram matrix of the coefficient matrix factors over beams, pilot
-    subcarriers, and carrier shift, so probing a beam subset costs one small
-    (L x L) eigendecomposition instead of rebuilding the full matrix.
+    The pilot factors are built once over the whole scan-order beam matrix;
+    probing a beam subset keeps some rows of the beam gains and costs one
+    small (L x L) `atom_gram` and eigendecomposition.
     """
 
-    __slots__ = ("theta_gain", "pilot_gram", "shift_outer", "gnorm2", "n_paths")
+    __slots__ = ("factors", "gnorm2", "n_paths")
 
-    def __init__(self, paths, order, grid: np.ndarray, cfg: SystemConfig):
+    def __init__(self, paths, beams: np.ndarray, cfg: SystemConfig):
         self.n_paths = len(paths)
         self.gnorm2 = float(sum(abs(p.gain) ** 2 for p in paths))
-        if self.n_paths == 0:
-            return
-        beams_all = grid[:, [j - 1 for j in order]].conj() / math.sqrt(cfg.M)
-        # theta_gain is (L, S) over the full scan order
-        self.theta_gain, pil, shift = _path_factors(paths, beams_all, pilot_subcarriers(cfg), cfg)
-        self.pilot_gram = pil.conj() @ pil.T  # (L, L)
-        self.shift_outer = np.outer(shift.conj(), shift)
+        if self.n_paths:
+            self.factors = pilot_factors(paths, beams, cfg)
 
     def subset_nmse(self, cols: np.ndarray, cfg: SystemConfig) -> float:
         """Predicted NMSE when only the scan-order columns ``cols`` are kept."""
         if self.n_paths == 0:
             return 0.0
-        tg = self.theta_gain[:, cols]
-        gram = (tg.conj() @ tg.T) * self.pilot_gram * self.shift_outer
-        return _gram_nmse(gram, len(cols) * _n_pilots(cfg), self.gnorm2, cfg)
-
-
-def _n_pilots(cfg: SystemConfig) -> int:
-    return len(pilot_subcarriers(cfg))
+        beam_gain, shift, pil = self.factors
+        return _gram_nmse(atom_gram(beam_gain[cols], shift, pil), len(cols) * len(pil),
+                          self.gnorm2, cfg)
 
 
 def schedule_beams(
@@ -224,7 +208,8 @@ def schedule_beams(
         for j in mine:
             marks[j] = marks.get(j, 0) + 1
     order = sorted(marks, key=lambda j: (marks[j], j))
-    states = [_UserState(paths, order, grid, cfg) for paths in users_paths]
+    beams = grid[:, [j - 1 for j in order]].conj() / math.sqrt(cfg.M)
+    states = [_UserState(paths, beams, cfg) for paths in users_paths]
 
     all_cols = np.arange(len(order))
     feasible = all(st.subset_nmse(all_cols, cfg) < cfg.delta for st in states)
@@ -236,13 +221,10 @@ def schedule_beams(
             st.subset_nmse(np.arange(first + 1, len(order)), cfg) < cfg.delta for st in states):
         first += 1
 
-    kept = order[first:]
-    beams = grid[:, [j - 1 for j in kept]].conj() / math.sqrt(cfg.M)
     return TrainingPlan(
-        grid_indices=tuple(kept),
-        beams=beams,
-        pilot_subcarriers=pilot_subcarriers(cfg),
-        weights=tuple(marks[j] for j in kept),
+        grid_indices=tuple(order[first:]),
+        beams=beams[:, first:],
+        weights=tuple(marks[j] for j in order[first:]),
         feasible=feasible,
     )
 
@@ -253,32 +235,34 @@ def simulate_downlink_training(
     cfg: SystemConfig,
     noise_seed=None,
 ) -> np.ndarray:
-    """Received pilot samples of one user over the whole training burst.
+    """Received pilot samples of one user over the whole training burst:
+    sqrt(P) times the atom sum of the downlink gains over
+    :func:`pilot_factors`, plus unit-variance noise when ``noise_seed`` is
+    given.
 
     Returns a (T_p * N_p,) vector, pilot-symbol major, matching the row
     order of :func:`coefficient_matrix`.
     """
-    coef = coefficient_matrix(true_paths, plan, cfg)
     g_dl = np.array([p.g_dl for p in true_paths])
-    y = math.sqrt(cfg.P) * coef @ g_dl
+    y = math.sqrt(cfg.P) * atom_sum(g_dl, *pilot_factors(true_paths, plan.beams, cfg))
     if noise_seed is not None:
         y = y + complex_noise(np.random.default_rng(noise_seed), len(y))
     return y
 
 
 def estimate_downlink_gains(
-    y: np.ndarray, coef: np.ndarray, cfg: SystemConfig
+    y: np.ndarray, paths, plan: TrainingPlan, cfg: SystemConfig
 ) -> np.ndarray:
-    """Least squares downlink gains from the pilot observations:
-    (1 / sqrt(P)) (A^H A)^{-1} A^H y.
+    """Least squares downlink gains of ``paths`` from the pilot observations
+    under ``plan``: (1 / sqrt(P)) (A^H A)^{-1} A^H y, by `fit_gains` on
+    :func:`pilot_factors`.
 
     Raises when the coefficient matrix is rank deficient; the scheduler is
     responsible for never producing such a plan.
     """
-    n_paths = coef.shape[1]
-    g, _, rank, _ = np.linalg.lstsq(coef, np.asarray(y), rcond=None)
-    if rank < n_paths:
+    g, rank = fit_gains(np.asarray(y), *pilot_factors(paths, plan.beams, cfg))
+    if rank < len(paths):
         raise np.linalg.LinAlgError(
-            f"coefficient matrix rank {rank} < {n_paths} paths; gains unidentifiable"
+            f"coefficient matrix rank {rank} < {len(paths)} paths; gains unidentifiable"
         )
     return g / math.sqrt(cfg.P)

@@ -3,8 +3,8 @@
 Pipeline per detected path: coarse detection on an oversampled
 angle-angle-delay codebook via matched filtering, a safeguarded Newton step
 on the continuous parameters, cyclic re-refinement of all paths found so
-far, and a joint least-squares gain update (`fit_gains`, on the L x L
-Gram of the separable atoms). Detection stops when the largest projected
+far, and a joint least-squares gain update (`sysmodel.fit_gains`, on the
+L x L Gram of the separable atoms). Detection stops when the largest projected
 power of the residual drops below a constant false-alarm threshold.
 
 A refinement visit reads the fixed observation: the other paths' atoms are
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, sysmodel
 from .sysmodel import TWO_PI, SystemConfig, atom_sum, delay_vector, steering_factors
 
 # Constants of the extraction schedule. The cap is 4x the largest plausible
@@ -50,10 +50,6 @@ class Codebook:
     M_v: int
     M_h: int
     N: int
-
-    @property
-    def size(self) -> int:
-        return len(self.thetas) * len(self.phis) * len(self.taus)
 
 
 @dataclass(frozen=True)
@@ -325,46 +321,6 @@ def newton_refine(y_r: np.ndarray, theta: float, phi: float, tau: float,
     return theta, phi, tau, False, c0, (a_v, a_h, p_n)
 
 
-# The Gram route is taken only while lam_min(G) > _GRAM_RCOND * lam_max(G),
-# i.e. cond(A) < 1e4: forming G = A^H A squares the condition number, so at
-# most 8 of the 16 digits are lost. Worse-conditioned atom sets go to lstsq
-# on the materialized basis, whose rank rule (cond(A) up to about
-# 1 / (MN eps)) is the one extraction's "degenerate" stop has always used.
-_GRAM_RCOND = 1e-8
-
-
-def _atom_gram(a_v, a_h, p_n) -> np.ndarray:
-    """A^H A of the atoms a_v[:, l] (x) a_h[:, l] (x) p_n[:, l]: the Hadamard
-    product of the three factor Grams."""
-    return (a_v.conj().T @ a_v) * (a_h.conj().T @ a_h) * (p_n.conj().T @ p_n)
-
-
-def fit_gains(y: np.ndarray, a_v, a_h, p_n):
-    """Joint least-squares gains of the atoms a_v[:, l] (x) a_h[:, l] (x)
-    p_n[:, l] (factor matrices as from `sysmodel.path_factors`) for the
-    observation y.
-
-    While the Gram G = A^H A is well conditioned (see _GRAM_RCOND), the gains
-    solve G g = A^H y through the eigendecomposition of the L x L G, and
-    A^H y comes from staged contractions, so no atom is formed. Otherwise the
-    M_v*M_h*N x L basis is materialized and np.linalg.lstsq returns the
-    minimum-norm gains and the rank.
-
-    Returns (gains, rank).
-    """
-    count = a_v.shape[1]
-    lam, vecs = np.linalg.eigh(_atom_gram(a_v, a_h, p_n))
-    if lam[0] > _GRAM_RCOND * lam[-1]:
-        m_v, m_h = a_v.shape[0], a_h.shape[0]
-        z = (y.reshape(m_v * m_h, -1) @ p_n.conj()).reshape(m_v, m_h, count)
-        rhs = np.einsum("vhl,hl,vl->l", z, a_h.conj(), a_v.conj())
-        return vecs @ ((vecs.conj().T @ rhs) / lam), count
-    basis = np.stack([_kernels.kron3(a_v[:, i], a_h[:, i], p_n[:, i])
-                      for i in range(count)], axis=1)
-    gains, _, rank, _ = np.linalg.lstsq(basis, y, rcond=None)
-    return gains, int(rank)
-
-
 def _refine_track(k: int, y3: np.ndarray, params: list, gains: np.ndarray,
                   factors: tuple, cfg: SystemConfig) -> None:
     """One Newton step for track k against the observation minus the other
@@ -423,14 +379,14 @@ def extract(y_ul: np.ndarray, cfg: SystemConfig, codebook: Codebook = None) -> E
         for k in [count - 1] + list(range(count)) * _REFINE_ROUNDS:
             _refine_track(k, y3, params, gains[:count], view, cfg)
 
-        fitted, rank = fit_gains(y, *view)
+        fitted, rank = sysmodel.fit_gains(y, *view)
         degenerate = rank < count
         if degenerate:
             # drop the newest atom and refit the rest; a single unit-modulus
             # atom always has rank 1, so at least one track remains
             params.pop()
             view = tuple(f[:, :-1] for f in view)
-            fitted, _ = fit_gains(y, *view)
+            fitted, _ = sysmodel.fit_gains(y, *view)
         gains[:len(fitted)] = fitted
         residual = y - atom_sum(fitted, *view)
         norms.append(float(np.linalg.norm(residual)))

@@ -223,7 +223,7 @@ def _oracle_gains(est_paths, truth_dl: np.ndarray, cfg: SystemConfig) -> np.ndar
 
     The fit runs on the plain atoms; `reconstruct` multiplies each gain by
     its path's carrier-shift phase, so that phase is divided out here."""
-    g, _ = enomp.fit_gains(truth_dl, *sysmodel.path_factors(est_paths, cfg))
+    g, _ = sysmodel.fit_gains(truth_dl, *sysmodel.path_factors(est_paths, cfg))
     _, _, taus = sysmodel.path_parameters(est_paths)
     return g / sysmodel.carrier_phase(taus, cfg)
 
@@ -294,10 +294,9 @@ def run_fig6(config: ExperimentConfig) -> list:
                 gain_err = []
                 recon_dl = []
                 for k in range(config.users):
-                    coef = dltrain.coefficient_matrix(users_est[k], plan, cfg_d)
                     rng = _trial_rng(config.seed, 2, trial * config.users + k)
                     y_dl = dltrain.simulate_downlink_training(scenario.users[k], plan, cfg_d, rng)
-                    g_hat = dltrain.estimate_downlink_gains(y_dl, coef, cfg_d)
+                    g_hat = dltrain.estimate_downlink_gains(y_dl, users_est[k], plan, cfg_d)
                     gain_err.append(
                         float(np.sum(np.abs(g_hat - g_star[k]) ** 2) / np.sum(np.abs(g_star[k]) ** 2))
                     )

@@ -135,12 +135,6 @@ def _channel_error(h_true: np.ndarray, delta: float, z: np.ndarray) -> np.ndarra
     return std * noise / math.sqrt(2.0)
 
 
-def draw_channel_error(h_true: np.ndarray, delta: float, rng: np.random.Generator) -> np.ndarray:
-    """One channel-error draw: independent CN(0, delta |H_{k,i}|^2) entries."""
-    H = np.asarray(h_true)
-    return _channel_error(H, delta, rng.standard_normal((2,) + H.shape))
-
-
 def monte_carlo_sinr(
     h_true: np.ndarray,
     delta: float,
@@ -158,7 +152,7 @@ def monte_carlo_sinr(
     H = np.asarray(h_true)
     acc = np.zeros(H.shape[0])
     for start in range(0, n_draws, _MC_CHUNK):
-        # A (c, 2, K, M) block is the same stream as c draw_channel_error calls.
+        # A (c, 2, K, M) block is the same stream as c draws of (2, K, M).
         z = rng.standard_normal((min(_MC_CHUNK, n_draws - start), 2) + H.shape)
         h_hat = H + _channel_error(H, delta, z)
         for row in sinr(H, zf_precoder(h_hat), p_tx):

@@ -95,10 +95,6 @@ class SpaceFrequencyCovariance:
             raise ValueError("spatial covariance is not positive semidefinite")
         return np.clip(w, 0.0, None), v
 
-    def full_matrix(self, n_subcarriers: int) -> np.ndarray:
-        """Dense space-frequency covariance; only sensible for small sizes."""
-        return self.scale * np.kron(self.spatial, np.eye(n_subcarriers))
-
 
 def steering_covariance(cfg: SystemConfig, n_draws: int = 10_000, seed=0) -> np.ndarray:
     """Monte Carlo estimate of E[a a^H] over uniform downtilt and azimuth."""

@@ -193,6 +193,51 @@ def atom_sum(gains, a_v, a_h, p_n) -> np.ndarray:
     return (vh.reshape(a_v.shape[0] * a_h.shape[0], len(gains)) @ p_n.T).ravel()
 
 
+def atom_basis(a_v, a_h, p_n) -> np.ndarray:
+    """The (M_v*M_h*N, L) matrix A whose column l is the atom a_v[:, l] (x)
+    a_h[:, l] (x) p_n[:, l], each entry multiplied in `_kernels.kron3`'s
+    order, so every column equals `kron3` of the factor columns bit for bit."""
+    vh = a_v[:, None, :] * a_h[None, :, :]
+    return (vh.reshape(-1, 1, a_v.shape[1]) * p_n[None, :, :]).reshape(-1, a_v.shape[1])
+
+
+def atom_gram(a_v, a_h, p_n) -> np.ndarray:
+    """A^H A of the atoms a_v[:, l] (x) a_h[:, l] (x) p_n[:, l]: the Hadamard
+    product of the three factor Grams."""
+    return (a_v.conj().T @ a_v) * (a_h.conj().T @ a_h) * (p_n.conj().T @ p_n)
+
+
+# The Gram route is taken only while lam_min(G) > _GRAM_RCOND * lam_max(G),
+# i.e. cond(A) < 1e4: forming G = A^H A squares the condition number, so at
+# most 8 of the 16 digits are lost. Worse-conditioned atom sets go to lstsq
+# on the materialized basis, whose rank rule (cond(A) up to about
+# 1 / (rows eps)) is the one extraction's "degenerate" stop has always used.
+_GRAM_RCOND = 1e-8
+
+
+def fit_gains(y: np.ndarray, a_v, a_h, p_n):
+    """Joint least-squares gains of the atoms a_v[:, l] (x) a_h[:, l] (x)
+    p_n[:, l] for the observation y, laid out like `atom_sum`'s output.
+
+    While the Gram G = A^H A is well conditioned (see _GRAM_RCOND), the gains
+    solve G g = A^H y through the eigendecomposition of the L x L G, and
+    A^H y comes from staged contractions, so no atom is formed. Otherwise
+    `atom_basis` is materialized and np.linalg.lstsq returns the
+    minimum-norm gains and the rank.
+
+    Returns (gains, rank).
+    """
+    count = a_v.shape[1]
+    lam, vecs = np.linalg.eigh(atom_gram(a_v, a_h, p_n))
+    if lam[0] > _GRAM_RCOND * lam[-1]:
+        m_v, m_h = a_v.shape[0], a_h.shape[0]
+        z = (y.reshape(m_v * m_h, -1) @ p_n.conj()).reshape(m_v, m_h, count)
+        rhs = np.einsum("vhl,hl,vl->l", z, a_h.conj(), a_v.conj())
+        return vecs @ ((vecs.conj().T @ rhs) / lam), count
+    gains, _, rank, _ = np.linalg.lstsq(atom_basis(a_v, a_h, p_n), y, rcond=None)
+    return gains, int(rank)
+
+
 def path_sum(paths, gains, cfg: SystemConfig, carrier_shift: bool = False) -> np.ndarray:
     """Stacked space-frequency channel of weighted paths, antenna-major.
 

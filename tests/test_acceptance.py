@@ -141,7 +141,7 @@ def test_training_error_predictor_matches_monte_carlo():
     n_draws = 10_000
     for _ in range(n_draws):
         y_dl = dltrain.simulate_downlink_training(adapters, plan, cfg, rng)
-        g_mc = dltrain.estimate_downlink_gains(y_dl, coef, cfg)
+        g_mc = dltrain.estimate_downlink_gains(y_dl, est, plan, cfg)
         total += float(np.sum(np.abs(g_mc - g_hat) ** 2)) / denom
     measured = total / n_draws
     assert abs(measured - predicted) <= 0.05 * predicted

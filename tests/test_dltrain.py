@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from fddrecon import dltrain
+from fddrecon import _kernels, dltrain
 from fddrecon.enomp import DetectedPath
 from fddrecon.sysmodel import SystemConfig, steering_vector
 
@@ -30,8 +32,18 @@ def manual_plan(indices, grid, cfg):
     beams = grid[:, [j - 1 for j in indices]].conj() / math.sqrt(cfg.M)
     return dltrain.TrainingPlan(
         grid_indices=tuple(indices), beams=beams,
-        pilot_subcarriers=dltrain.pilot_subcarriers(cfg),
         weights=tuple(1 for _ in indices), feasible=True)
+
+
+def projected_power(theta, phi, theta_bar, phi_bar, cfg):
+    """Normalized power a path at (theta, phi) leaks into a beam aimed at
+    (theta_bar, phi_bar): |a(theta, phi)^T a*(theta_bar, phi_bar)|^2 / M.
+
+    Equals M when the angles coincide and decays with beam-space distance.
+    """
+    a = steering_vector(theta, phi, cfg)
+    b = steering_vector(theta_bar, phi_bar, cfg)
+    return float(np.abs(np.dot(a, b.conj())) ** 2) / cfg.M
 
 
 class TestGrid:
@@ -79,14 +91,14 @@ class TestProjectedPower:
     def test_on_grid_equals_m(self):
         cfg = small_cfg()
         th, ph = dltrain.grid_point(11, cfg)
-        assert dltrain.projected_power(th, ph, th, ph, cfg) == pytest.approx(cfg.M)
+        assert projected_power(th, ph, th, ph, cfg) == pytest.approx(cfg.M)
 
     def test_dirichlet_zero(self):
         # at theta = 0 the azimuth response is a DFT vector in sin(phi);
         # offsetting sin(phi) by 2/M_h lands exactly on a Dirichlet null
         cfg = small_cfg()
         phi_hat = math.asin(2.0 / cfg.M_h)
-        assert dltrain.projected_power(0.0, phi_hat, 0.0, 0.0, cfg) < 1e-10
+        assert projected_power(0.0, phi_hat, 0.0, 0.0, cfg) < 1e-10
 
     def test_matches_direct_formula(self):
         cfg = small_cfg()
@@ -96,7 +108,7 @@ class TestProjectedPower:
             a = steering_vector(th, ph, cfg)
             b = steering_vector(tb, pb, cfg)
             direct = abs(np.sum(a * np.conj(b))) ** 2 / cfg.M
-            got = dltrain.projected_power(th, ph, tb, pb, cfg)
+            got = projected_power(th, ph, tb, pb, cfg)
             assert got == pytest.approx(direct, rel=1e-12)
             assert got >= 0.0
 
@@ -116,7 +128,7 @@ class TestOptimalGridPoint:
         for _ in range(10):
             th = float(rng.uniform(-1.5, 1.5))
             ph = float(rng.uniform(-1.5, 1.5))
-            powers = np.array([dltrain.projected_power(
+            powers = np.array([projected_power(
                 th, ph, *dltrain.grid_point(j, cfg), cfg) for j in range(1, cfg.M + 1)])
             j_star = dltrain.optimal_grid_point(th, ph, grid, cfg)
             # ties can flip on rounding noise; the chosen point must capture
@@ -136,8 +148,8 @@ class TestOptimalGridPoint:
         th_mid = math.asin((math.sin(th_a) + math.sin(th_b)) / 2.0)
         idx_a = (i_v_a - 1) * cfg.M_h + i_h
         idx_b = (i_v_b - 1) * cfg.M_h + i_h
-        p_a = dltrain.projected_power(th_mid, ph, th_a, ph, cfg)
-        p_b = dltrain.projected_power(th_mid, ph, th_b, ph, cfg)
+        p_a = projected_power(th_mid, ph, th_a, ph, cfg)
+        p_b = projected_power(th_mid, ph, th_b, ph, cfg)
         assert p_a == pytest.approx(p_b, rel=1e-9)
         assert dltrain.optimal_grid_point(th_mid, ph, grid, cfg) in (idx_a, idx_b)
 
@@ -199,7 +211,7 @@ class TestCoefficientMatrix:
         path = DetectedPath(gain=1.5 - 0.5j, theta=th, phi=ph, tau=2.0e-6)
         plan = manual_plan([j], grid, cfg)
         coef = dltrain.coefficient_matrix([path], plan, cfg)
-        n_p = len(plan.pilot_subcarriers)
+        n_p = len(dltrain.pilot_subcarriers(cfg))
         assert coef.shape == (n_p, 1)
         np.testing.assert_allclose(np.abs(coef), math.sqrt(cfg.M), rtol=1e-12)
         predicted = dltrain.predict_nmse(coef, np.array([path.gain]), cfg)
@@ -238,7 +250,7 @@ class TestCoefficientMatrix:
         indices = [2, 17, 30]
         plan = manual_plan(indices, grid, cfg)
         coef = dltrain.coefficient_matrix(paths, plan, cfg)
-        pilots = plan.pilot_subcarriers
+        pilots = dltrain.pilot_subcarriers(cfg)
         for t in range(len(indices)):
             for i, n in enumerate(pilots):
                 for l, p in enumerate(paths):
@@ -315,7 +327,7 @@ class TestPredictor:
         for _ in range(draws):
             y = dltrain.simulate_downlink_training(
                 [_as_true_path(p) for p in paths], plan, cfg, noise_seed=rng)
-            g_hat = dltrain.estimate_downlink_gains(y, coef, cfg)
+            g_hat = dltrain.estimate_downlink_gains(y, paths, plan, cfg)
             total += np.sum(np.abs(g_hat - g) ** 2) / gnorm2
         assert total / draws == pytest.approx(predicted, rel=0.10)
 
@@ -333,7 +345,7 @@ class TestPredictor:
         for _ in range(draws):
             y = dltrain.simulate_downlink_training(
                 [_as_true_path(p) for p in paths], plan, cfg, noise_seed=rng)
-            err = dltrain.estimate_downlink_gains(y, coef, cfg) - g
+            err = dltrain.estimate_downlink_gains(y, paths, plan, cfg) - g
             comp += np.abs(vh @ err) ** 2
         comp /= draws
         expect = 1.0 / (cfg.P * sv**2)
@@ -366,7 +378,7 @@ class TestGainEstimation:
         coef = dltrain.coefficient_matrix(paths, plan, cfg)
         y = dltrain.simulate_downlink_training(
             [_as_true_path(p) for p in paths], plan, cfg)
-        g_hat = dltrain.estimate_downlink_gains(y, coef, cfg)
+        g_hat = dltrain.estimate_downlink_gains(y, paths, plan, cfg)
         g = np.array([p.gain for p in paths])
         np.testing.assert_allclose(g_hat, g, rtol=1e-10)
 
@@ -387,7 +399,110 @@ class TestGainEstimation:
         plan = manual_plan([8, 16], grid, cfg)
         coef = dltrain.coefficient_matrix([path, path], plan, cfg)
         with pytest.raises(np.linalg.LinAlgError):
-            dltrain.estimate_downlink_gains(np.zeros(coef.shape[0]), coef, cfg)
+            dltrain.estimate_downlink_gains(np.zeros(coef.shape[0]), [path, path], plan, cfg)
+
+    def test_no_paths_or_no_beams_raise_value_error(self):
+        # the harness counts a ValueError as a failed trial; an empty pilot
+        # model must not get as far as an eigendecomposition of a 0 x 0 Gram
+        cfg = small_cfg()
+        grid = dltrain.build_angle_grid(cfg)
+        rng = np.random.default_rng(36)
+        paths = [_as_true_path(p) for p in random_detected_paths(rng, 2, cfg)]
+        plan = manual_plan([3, 12], grid, cfg)
+        no_beams = manual_plan([], grid, cfg)
+        y = dltrain.simulate_downlink_training(paths, plan, cfg)
+        for case_paths, case_plan in (([], plan), (paths, no_beams)):
+            with pytest.raises(ValueError):
+                dltrain.simulate_downlink_training(case_paths, case_plan, cfg)
+            with pytest.raises(ValueError):
+                dltrain.estimate_downlink_gains(y, case_paths, case_plan, cfg)
+            with pytest.raises(ValueError):
+                dltrain.coefficient_matrix(case_paths, case_plan, cfg)
+
+
+@st.composite
+def pilot_cases(draw):
+    """A small system, one to five random paths (downlink gains included)
+    and a plan of distinct grid points."""
+    cfg = SystemConfig(M_v=draw(st.integers(1, 4)), M_h=draw(st.integers(1, 4)),
+                       N=draw(st.integers(4, 32)), pilot_spacing=draw(st.integers(1, 4)), P=10.0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    paths = [_as_true_path(p)
+             for p in random_detected_paths(rng, draw(st.integers(1, 5)), cfg)]
+    indices = draw(st.lists(st.integers(1, cfg.M), min_size=1, max_size=cfg.M, unique=True))
+    return cfg, paths, manual_plan(indices, dltrain.build_angle_grid(cfg), cfg)
+
+
+def counted_lstsq(monkeypatch):
+    """Patch np.linalg.lstsq with a wrapper that counts its calls."""
+    lstsq = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        counted.calls += 1
+        return lstsq(*args, **kwargs)
+
+    counted.calls = 0
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    return counted
+
+
+class TestFactoredPilots:
+    """Pilot synthesis and the pilot gain LS read the pilot factors; the
+    materialized coefficient matrix is their reference."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(pilot_cases())
+    def test_factors_build_the_coefficient_matrix(self, case):
+        cfg, paths, plan = case
+        factors = dltrain.pilot_factors(paths, plan.beams, cfg)
+        n_pilots = len(dltrain.pilot_subcarriers(cfg))
+        assert [f.shape for f in factors] == [
+            (plan.T_p, len(paths)), (1, len(paths)), (n_pilots, len(paths))]
+        coef = dltrain.coefficient_matrix(paths, plan, cfg)
+        for l in range(len(paths)):
+            np.testing.assert_array_equal(
+                coef[:, l], _kernels.kron3(*(f[:, l] for f in factors)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(pilot_cases())
+    def test_noiseless_pilots_equal_the_coefficient_matrix_product(self, case):
+        cfg, paths, plan = case
+        coef = dltrain.coefficient_matrix(paths, plan, cfg)
+        g = np.array([p.g_dl for p in paths])
+        want = math.sqrt(cfg.P) * coef @ g
+        got = dltrain.simulate_downlink_training(paths, plan, cfg)
+        assert got.shape == want.shape
+        bound = 1e-13 * math.sqrt(cfg.P) * np.linalg.norm(coef) * np.linalg.norm(g)
+        assert np.linalg.norm(got - want) <= bound
+
+    @settings(max_examples=80, deadline=None)
+    @given(pilot_cases(), st.integers(0, 2**32 - 1))
+    def test_gains_match_lstsq_on_the_coefficient_matrix(self, case, seed):
+        cfg, paths, plan = case
+        coef = dltrain.coefficient_matrix(paths, plan, cfg)
+        assume(len(paths) <= coef.shape[0] and np.linalg.cond(coef) < 1e2)
+        y = dltrain.simulate_downlink_training(paths, plan, cfg, noise_seed=seed)
+        want = np.linalg.lstsq(coef, y, rcond=None)[0] / math.sqrt(cfg.P)
+        got = dltrain.estimate_downlink_gains(y, paths, plan, cfg)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_near_coincident_paths_take_the_lstsq_route(self, monkeypatch):
+        # two paths 1e-7 rad apart: full rank for lstsq, but past the Gram
+        # route's cond(A) < 1e4, so fit_gains solves on the materialized
+        # basis, which is the coefficient matrix itself
+        cfg = small_cfg()
+        grid = dltrain.build_angle_grid(cfg)
+        paths = [_TruePath(1.0 + 0.5j, 0.3, -0.4, 5e-6), _TruePath(-0.3j, 0.3 + 1e-7, -0.4, 5e-6)]
+        plan = manual_plan([dltrain.optimal_grid_point(0.3, -0.4, grid, cfg), 5, 20], grid, cfg)
+        coef = dltrain.coefficient_matrix(paths, plan, cfg)
+        assert 1e4 <= np.linalg.cond(coef) < 1e10
+        y = dltrain.simulate_downlink_training(paths, plan, cfg, noise_seed=37)
+        lstsq = counted_lstsq(monkeypatch)
+        got = dltrain.estimate_downlink_gains(y, paths, plan, cfg)
+        assert lstsq.calls == 1
+        want, _, rank, _ = lstsq(coef, y, rcond=None)
+        assert rank == 2
+        np.testing.assert_array_equal(got, want / math.sqrt(cfg.P))
 
 
 class TestScheduler:
@@ -493,6 +608,23 @@ class TestScheduler:
                 marked.add(dltrain.optimal_grid_point(p.theta, p.phi, grid, cfg))
         assert set(plan.grid_indices) == marked
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 4), st.sampled_from([1e-3, 1e-2, 1e-1]),
+           st.integers(0, 2**32 - 1))
+    def test_feasible_plans_are_estimable(self, n_users, n_paths, delta, seed):
+        # a plan the scheduler marks feasible passes the estimator's rank
+        # check for every user, and noiseless pilots give back the gains
+        cfg = small_cfg(delta=delta)
+        grid = dltrain.build_angle_grid(cfg)
+        users = self._users(np.random.default_rng(seed), cfg, n_users, n_paths)
+        plan = dltrain.schedule_beams(users, grid, cfg)
+        assume(plan.feasible)
+        for paths in users:
+            y = dltrain.simulate_downlink_training([_as_true_path(p) for p in paths], plan, cfg)
+            g = np.array([p.gain for p in paths])
+            got = dltrain.estimate_downlink_gains(y, paths, plan, cfg)
+            assert np.linalg.norm(got - g) <= 1e-10 * np.linalg.norm(g)
+
     def test_internal_probe_matches_public_predictor(self):
         cfg = small_cfg(delta=1e-2)
         grid = dltrain.build_angle_grid(cfg)
@@ -500,7 +632,8 @@ class TestScheduler:
         paths = random_detected_paths(rng, 3, cfg)
         order = sorted({dltrain.optimal_grid_point(p.theta, p.phi, grid, cfg)
                         for p in paths} | {2, 14, 25, 30})
-        state = dltrain._UserState(paths, order, grid, cfg)
+        beams = grid[:, [j - 1 for j in order]].conj() / math.sqrt(cfg.M)
+        state = dltrain._UserState(paths, beams, cfg)
         g = np.array([p.gain for p in paths])
         for subset in ([0, 1, 2], [1, 3], [0, 2, 4, 5], list(range(len(order)))):
             cols = np.array(subset, dtype=np.intp)

@@ -9,15 +9,20 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fddrecon import _kernels, enomp
-from fddrecon.sysmodel import (PathComponent, SystemConfig, atom_sum, delay_vector,
-                               generate_scenario, path_factors, sounding_observation,
-                               steering_factors, uplink_channel)
+from fddrecon.sysmodel import (PathComponent, SystemConfig, atom_basis, atom_gram, atom_sum,
+                               delay_vector, fit_gains, generate_scenario, path_factors,
+                               sounding_observation, steering_factors, uplink_channel)
 
 
 def small_cfg(**kw):
     base = dict(M_v=4, M_h=4, N=32)
     base.update(kw)
     return SystemConfig(**base)
+
+
+def codebook_size(cb):
+    """Number of codewords: one per (theta, phi, tau) grid point."""
+    return len(cb.thetas) * len(cb.phis) * len(cb.taus)
 
 
 def cell_sizes(cfg):
@@ -30,7 +35,7 @@ def cell_sizes(cfg):
 class TestCodebook:
     def test_size_at_default_config(self):
         cb = enomp.build_codebook(SystemConfig())
-        assert cb.size == 16 * 32 * 256 == 131072
+        assert codebook_size(cb) == 16 * 32 * 256 == 131072
 
     def test_grid_origins_and_steps(self):
         cfg = small_cfg()
@@ -44,7 +49,7 @@ class TestCodebook:
     def test_minimal_codebook(self):
         cfg = SystemConfig(M_v=2, M_h=2, N=2,
                            beta_theta=1, beta_phi=1, beta_tau=1)
-        assert enomp.build_codebook(cfg).size == 8
+        assert codebook_size(enomp.build_codebook(cfg)) == 8
 
     @pytest.mark.parametrize("cfg", [small_cfg(), SystemConfig()])
     def test_transforms_equal_scalar_steering_exactly(self, cfg):
@@ -481,10 +486,20 @@ class TestFitGains:
     def test_hadamard_gram_equals_basis_gram(self, case):
         cfg, paths, _ = case
         basis = materialized_basis(paths, cfg)
-        gram = enomp._atom_gram(*path_factors(paths, cfg))
+        gram = atom_gram(*path_factors(paths, cfg))
         # off-diagonal entries can be near zero: atol relative to the diagonal MN
         np.testing.assert_allclose(gram, basis.conj().T @ basis,
                                    rtol=1e-12, atol=1e-12 * cfg.M * cfg.N)
+
+    @settings(max_examples=80, deadline=None)
+    @given(atom_sets())
+    def test_atom_basis_columns_equal_kron3_exactly(self, case):
+        cfg, paths, _ = case
+        factors = path_factors(paths, cfg)
+        basis = atom_basis(*factors)
+        assert basis.shape == (cfg.M * cfg.N, len(paths))
+        for l in range(len(paths)):
+            np.testing.assert_array_equal(basis[:, l], _kernels.kron3(*(f[:, l] for f in factors)))
 
     @settings(max_examples=80, deadline=None)
     @given(atom_sets())
@@ -493,7 +508,7 @@ class TestFitGains:
         basis = materialized_basis(paths, cfg)
         assume(len(paths) <= cfg.M * cfg.N and np.linalg.cond(basis) < 1e2)
         factors = path_factors(paths, cfg)
-        gains, rank = enomp.fit_gains(y, *factors)
+        gains, rank = fit_gains(y, *factors)
         want, _, want_rank, _ = np.linalg.lstsq(basis, y, rcond=None)
         assert rank == want_rank == len(paths)
         np.testing.assert_allclose(gains, want, rtol=1e-9)
@@ -511,7 +526,7 @@ class TestFitGains:
         basis = materialized_basis(paths, cfg)
         y = basis @ np.array([1.0 + 0.5j, -0.3j])
         lstsq = counted_lstsq(monkeypatch)
-        gains, got_rank = enomp.fit_gains(y, *path_factors(paths, cfg))
+        gains, got_rank = fit_gains(y, *path_factors(paths, cfg))
         assert lstsq.calls == 1
         want, _, want_rank, _ = lstsq(basis, y, rcond=None)
         assert got_rank == want_rank == rank
@@ -632,10 +647,10 @@ def residual_loop_extract(y, cfg, cb):
                 tracks[i], atom = refine(track, y_local)
                 residual = y_local - tracks[i][0] * atom
         paths = [enomp.DetectedPath(0j, *t[1:]) for t in tracks]
-        gains, rank = enomp.fit_gains(y, *path_factors(paths, cfg))
+        gains, rank = fit_gains(y, *path_factors(paths, cfg))
         if rank < len(tracks):
             tracks.pop()
-            gains, _ = enomp.fit_gains(y, *path_factors(paths[:-1], cfg))
+            gains, _ = fit_gains(y, *path_factors(paths[:-1], cfg))
             stop = "degenerate"
         for t, g in zip(tracks, gains):
             t[0] = complex(g)

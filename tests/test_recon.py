@@ -18,6 +18,11 @@ def small_cfg(**kw):
     return SystemConfig(**base)
 
 
+def full_matrix(cov, n_subcarriers):
+    """Dense space-frequency covariance scale * (spatial kron I_N)."""
+    return cov.scale * np.kron(cov.spatial, np.eye(n_subcarriers))
+
+
 class TestReconstruct:
     def test_true_parameters_reproduce_downlink(self):
         cfg = small_cfg()
@@ -143,7 +148,7 @@ class TestCovariance:
         spatial = np.array([[2.0, 0.5], [0.5, 1.0]])
         cov = recon.SpaceFrequencyCovariance(spatial=spatial, scale=0.25)
         np.testing.assert_allclose(
-            cov.full_matrix(3), 0.25 * np.kron(spatial, np.eye(3)))
+            full_matrix(cov, 3), 0.25 * np.kron(spatial, np.eye(3)))
 
     def test_steering_covariance_properties(self):
         cfg = small_cfg()
@@ -191,7 +196,7 @@ class TestLmmseBaseline:
         y = rng.standard_normal(cfg.M * cfg.N) + 1j * rng.standard_normal(cfg.M * cfg.N)
         got = recon.lmmse_baseline(y, cov, cfg)
         h_ls = recon.ls_baseline(y, cfg)
-        r_full = cov.full_matrix(cfg.N)
+        r_full = full_matrix(cov, cfg.N)
         dense = r_full @ np.linalg.solve(
             r_full + np.eye(cfg.M * cfg.N) / cfg.P, h_ls)
         np.testing.assert_allclose(got, dense, rtol=1e-9, atol=1e-12)
