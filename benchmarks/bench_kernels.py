@@ -14,8 +14,12 @@ as the fig6 pipeline once did, and `sysmodel.fit_gains` on
 `dltrain.pilot_factors`), codebook detection both ways (`enomp.omp_detect`,
 one downtilt row at a time, and the whole match cube), one refinement visit both ways (on the
 fixed observation with the other paths' cross terms, as extraction does, and
-on a residual rewritten around the visit, as it once did), plus one
-end-to-end path extraction with its minor page faults, and prints a table.
+on a residual rewritten around the visit, as it once did), ZF precoding
+plus SINR at fig6 size (256 subcarriers) and Monte Carlo chunk size (32
+error draws) both ways (`mueval`, which inverts the Gram and scales the
+K x K products, and the batched `eigh` with its eigenvector inverse and
+materialized precoder that `mueval` once ran), plus one end-to-end path
+extraction with its minor page faults, and prints a table.
 
 Usage:
     python3 benchmarks/bench_kernels.py [--repeats N]
@@ -28,7 +32,7 @@ import time
 
 import numpy as np
 
-from fddrecon import _kernels, dltrain, enomp, sysmodel
+from fddrecon import _kernels, dltrain, enomp, mueval, recon, sysmodel
 from fddrecon.sysmodel import SystemConfig
 
 
@@ -40,6 +44,25 @@ def _time(fn, args, repeats):
         fn(*args)
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def _eigh_zf_sinr(h_true, h_hat, p_tx):
+    """ZF SINRs as `mueval` once computed them: a batched `eigh` of the Gram,
+    its inverse from the eigenvectors, and a materialized precoder."""
+    h_herm = h_hat.conj().swapaxes(-1, -2)
+    lam, v = np.linalg.eigh(h_hat @ h_herm)
+    if np.any(lam[..., 0] <= lam[..., -1] * max(h_hat.shape[-2:]) * np.finfo(float).eps):
+        raise np.linalg.LinAlgError("channel estimate is rank deficient")
+    gram_inv = (v / lam[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    col_norms2 = np.diagonal(gram_inv, axis1=-2, axis2=-1).real
+    alphas = 1.0 / (math.sqrt(h_hat.shape[-2]) * np.sqrt(col_norms2))
+    powers = p_tx * np.abs(h_true @ ((h_herm @ gram_inv) * alphas[..., None, :])) ** 2
+    signal = np.diagonal(powers, axis1=-2, axis2=-1)
+    return signal / (powers.sum(axis=-1) - signal + 1.0)
+
+
+def _zf_sinr(h_true, h_hat, p_tx):
+    return mueval.sinr(h_true, mueval.zf_precoder(h_hat), p_tx)
 
 
 def main():
@@ -129,6 +152,20 @@ def main():
         th, ph, ta, _, corr, _ = enomp.newton_refine(y_local, *visited, cfg)
         return y_local - np.conj(corr) / (cfg.M * cfg.N) * enomp.synth_atom(th, ph, ta, cfg)
 
+    # ten users' downlink channels on every subcarrier, precoded on an
+    # estimate 1% off, as fig6 evaluates a rate; and a Monte Carlo chunk of
+    # 32 error draws around the first subcarrier, as theorem1 does
+    users = sysmodel.generate_scenario(10, 6, cfg, seed=4).users
+    h_rows = np.stack([recon.channel_matrix(sysmodel.downlink_channel(p, cfg), cfg)
+                       for p in users], axis=1)
+    noise_rng = np.random.default_rng(5)
+    h_rows_hat = h_rows + 0.1 * np.abs(h_rows) * sysmodel.complex_noise(
+        noise_rng, h_rows.size).reshape(h_rows.shape)
+    h_chunk = h_rows[0] + 0.1 * np.abs(h_rows[0]) * sysmodel.complex_noise(
+        noise_rng, 32 * h_rows[0].size).reshape((32,) + h_rows[0].shape)
+    zf_fig6 = "zf_sinr_{}x{}x{}".format(*h_rows.shape)
+    zf_chunk = "zf_sinr_{}x{}x{}".format(*h_chunk.shape)
+
     cases = [
         ("kron3", "numpy", _kernels.kron3, (a_v, a_h, p_n)),
         ("moment_cube", "numpy", _kernels.moment_cube, (y3, a_v, a_h, p_n) + centers),
@@ -146,16 +183,20 @@ def main():
         ("omp_detect", "cube", whole_cube_detect, ()),
         (f"refine_L{len(found)}", "cross", cross_visit, ()),
         (f"refine_L{len(found)}", "residual", residual_visit, ()),
+        (zf_fig6, "inv", _zf_sinr, (h_rows, h_rows_hat, 10.0)),
+        (zf_fig6, "eigh", _eigh_zf_sinr, (h_rows, h_rows_hat, 10.0)),
+        (zf_chunk, "inv", _zf_sinr, (h_rows[0], h_chunk, 10.0)),
+        (zf_chunk, "eigh", _eigh_zf_sinr, (h_rows[0], h_chunk, 10.0)),
     ]
 
     print(f"system {cfg.M_v}x{cfg.M_h} antennas x {cfg.N} subcarriers, "
           f"best of {args.repeats} runs\n")
-    print(f"{'kernel':<18}{'impl':<9}{'best':>12}")
+    print(f"{'kernel':<20}{'impl':<9}{'best':>12}")
     results = {}
     for name, impl, fn, fn_args in cases:
         best = _time(fn, fn_args, args.repeats)
         results[(name, impl)] = best
-        print(f"{name:<18}{impl:<9}{best * 1e6:>10.1f} us")
+        print(f"{name:<20}{impl:<9}{best * 1e6:>10.1f} us")
     ratio = results[("gain_fit_L8", "lstsq")] / results[("gain_fit_L8", "gram")]
     print(f"gain_fit_L8: the factored Gram fit is {ratio:.1f}x the lstsq speed")
     pilot = f"pilot_ls_L{len(found)}"
@@ -165,6 +206,9 @@ def main():
     channel = f"channel_L{len(channel_paths)}"
     ratio = results[(channel, "kron3")] / results[(channel, "atom_sum")]
     print(f"{channel}: the factored channel is {ratio:.1f}x the per-path kron3 speed")
+    for name in (zf_fig6, zf_chunk):
+        ratio = results[(name, "eigh")] / results[(name, "inv")]
+        print(f"{name}: ZF by the Gram inverse is {ratio:.2f}x the eigh-precoder speed")
 
     enomp.extract(sounding, cfg, book)  # warm up
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt

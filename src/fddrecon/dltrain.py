@@ -19,8 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .sysmodel import (SystemConfig, atom_basis, atom_gram, atom_sum, carrier_phase,
-                       complex_noise, delay_vector, fit_gains, path_parameters,
-                       steering_vector)
+                       complex_noise, delay_vector, fit_gains, gram_eigvals,
+                       path_parameters, steering_vector)
 
 
 def grid_point(index, cfg: SystemConfig):
@@ -135,19 +135,12 @@ def coefficient_matrix(paths, plan: TrainingPlan, cfg: SystemConfig) -> np.ndarr
 def _gram_nmse(gram: np.ndarray, n_rows: int, gnorm2: float, cfg: SystemConfig) -> float:
     """Predicted gain NMSE sum(1 / lambda_i) / (P ||g||^2) from the
     eigenvalues of the (L x L) Gram A^H A of an (n_rows x L) coefficient
-    matrix A.
-
-    Rank rule: inf when n_rows < L or lambda_min <= lambda_max * max(L,
-    n_rows) * eps.  The Gram squares the condition number, so this rejects
-    cond(A) above about 1e6 to 1e7.
+    matrix A; inf where `gram_eigvals` finds A rank deficient.
     """
     if gnorm2 == 0.0:
         raise ValueError("uplink gain vector has zero norm")
-    n_paths = gram.shape[0]
-    if n_rows < n_paths:
-        return math.inf
-    eig = np.linalg.eigvalsh(gram)
-    if eig[0] <= eig[-1] * max(n_paths, n_rows) * np.finfo(np.float64).eps:
+    eig, full_rank = gram_eigvals(gram, n_rows)
+    if not full_rank:
         return math.inf
     return float(np.sum(1.0 / eig)) / (cfg.P * gnorm2)
 

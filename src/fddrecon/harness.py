@@ -62,9 +62,13 @@ class ExperimentConfig:
             if not all(map(math.isfinite, values)) or len(set(values)) < len(values):
                 raise ValueError(f"{name} values must be finite and distinct")
             object.__setattr__(self, name, values)
-        if len(self.attenuation_db) != 2:
-            raise ValueError("attenuation_db must be a [lo, hi] pair")
+        if self.experiment == "fig6" and not all(0 < d < 1 for d in self.deltas):
+            raise ValueError("fig6 deltas must lie in (0, 1)")
+        if self.experiment == "theorem1" and min(self.deltas) < 0:
+            raise ValueError("theorem1 deltas must be >= 0")
         object.__setattr__(self, "attenuation_db", tuple(float(a) for a in self.attenuation_db))
+        if len(self.attenuation_db) != 2 or not self.attenuation_db[0] <= self.attenuation_db[1]:
+            raise ValueError("attenuation_db must be a [lo, hi] pair with lo <= hi")
 
 
 # SystemConfig fields that every subcommand sets itself, so a configured

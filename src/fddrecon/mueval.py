@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .sysmodel import gram_eigvals
+
 
 # Draws per stacked ZF call in monte_carlo_sinr. At K=10, M=128, chunks of
 # 8 to 128 draws run about equally fast; one chunk of all 1000 draws is
@@ -31,31 +33,23 @@ class PrecodingState:
 
     ``pinv`` (..., M, K) is the right pseudo-inverse of the (..., K, M)
     channel estimate and ``alphas[..., k] = 1 / (sqrt(K) ||pinv[..., :, k]||)``
-    normalizes each user's beam to power 1/K, so every precoder in the stack
-    spends unit power.
+    normalizes each user's beam to power 1/K, so the precoder
+    ``pinv * alphas[..., None, :]`` spends unit power.
     """
 
     pinv: np.ndarray
     alphas: np.ndarray
-
-    @property
-    def precoder(self) -> np.ndarray:
-        return self.pinv * self.alphas[..., None, :]
 
 
 def zf_precoder(h_hat: np.ndarray) -> PrecodingState:
     """Zero-forcing precoders from a (..., K, M) stack of channel estimates
     (rows = users); a single K x M matrix is a stack of one.
 
-    The pseudo-inverse goes through the Hermitian K x K Gram G = H H^H:
-    with G = V diag(lam) V^H, pinv = H^H V diag(1/lam) V^H, and the beam
-    norms come from diag(G^-1) since ||pinv[:, k]||^2 = [G^-1]_kk.
-
-    Rank rule: a matrix is rejected with ``np.linalg.LinAlgError`` when
-    lam_min <= lam_max * max(K, M) * eps.  The Gram squares the condition
-    number, so at M = 128 this rejects cond(H) above about 6e6; one rejected
-    matrix fails the whole stack.  K > M also raises (ValueError); dropping
-    users is the caller's policy decision.
+    pinv = H^H G^-1 with the K x K Gram G = H H^H, and the beam norms come
+    from diag(G^-1) since ||pinv[:, k]||^2 = [G^-1]_kk. A matrix that
+    `sysmodel.gram_eigvals` finds rank deficient raises
+    ``np.linalg.LinAlgError`` and fails the whole stack; K > M raises
+    ValueError (dropping users is the caller's policy decision).
     """
     H = np.asarray(h_hat)
     if H.ndim < 2:
@@ -64,23 +58,22 @@ def zf_precoder(h_hat: np.ndarray) -> PrecodingState:
     if n_users == 0 or n_users > n_ant:
         raise ValueError(f"need 1 <= K <= M, got K={n_users}, M={n_ant}")
     h_herm = H.conj().swapaxes(-1, -2)
-    lam, v = np.linalg.eigh(H @ h_herm)
-    tol = lam[..., -1] * max(n_users, n_ant) * np.finfo(np.float64).eps
-    if np.any(lam[..., 0] <= tol):
+    gram = H @ h_herm
+    if not np.all(gram_eigvals(gram, n_ant)[1]):
         raise np.linalg.LinAlgError("channel estimate is rank deficient")
-    gram_inv = (v / lam[..., None, :]) @ v.conj().swapaxes(-1, -2)
-    pinv = h_herm @ gram_inv
+    gram_inv = np.linalg.inv(gram)
     col_norms2 = np.diagonal(gram_inv, axis1=-2, axis2=-1).real
     alphas = 1.0 / (math.sqrt(n_users) * np.sqrt(col_norms2))
-    return PrecodingState(pinv=pinv, alphas=alphas)
+    return PrecodingState(pinv=h_herm @ gram_inv, alphas=alphas)
 
 
 def sinr(h_true: np.ndarray, state: PrecodingState, p_tx: float) -> np.ndarray:
     """Per-user SINR for each (..., K, M) true channel under its precoder.
 
-    Entry [..., k] is P |h_k w_k|^2 / (sum_{j != k} P |h_k w_j|^2 + noise).
+    Entry [..., k] is P |h_k w_k|^2 / (sum_{j != k} P |h_k w_j|^2 + noise),
+    w_j = alphas_j pinv_j, scaled on the (..., K, K) product h_true @ pinv.
     """
-    gains = np.asarray(h_true) @ state.precoder
+    gains = (np.asarray(h_true) @ state.pinv) * state.alphas[..., None, :]
     powers = p_tx * np.abs(gains) ** 2
     signal = np.diagonal(powers, axis1=-2, axis2=-1)
     interference = powers.sum(axis=-1) - signal

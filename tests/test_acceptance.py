@@ -175,7 +175,8 @@ def test_zero_forcing_invariants_every_subcarrier():
          for p in scenario.users], axis=1)
     worst_int, worst_pow = 0.0, 0.0
     for n in range(cfg.N):
-        w = mueval.zf_precoder(rows[n]).precoder
+        state = mueval.zf_precoder(rows[n])
+        w = state.pinv * state.alphas[None, :]
         gains = rows[n] @ w
         diag = np.abs(np.diag(gains))
         off = np.abs(gains - np.diag(np.diag(gains)))

@@ -71,6 +71,12 @@ class TestConfig:
         {"experiment": "fig6", "deltas": [1e-2, 1e-2]},
         {"experiment": "fig6", "deltas": [float("inf")]},
         {"experiment": "fig4", "attenuation_db": []},
+        {"experiment": "theorem1", "attenuation_db": [0, -10]},
+        {"experiment": "fig6", "attenuation_db": [0, float("nan")]},
+        {"experiment": "fig6", "deltas": [0.1, 2.0]},
+        {"experiment": "fig6", "deltas": [0.0]},
+        {"experiment": "fig6", "deltas": [1.0]},
+        {"experiment": "theorem1", "deltas": [-0.1]},
         {"experiment": "fig6", "system": {"P": 0.001}},
         {"experiment": "fig6", "system": {"delta": 0.5}},
         {"experiment": "fig4", "seed": 1.5},
@@ -185,6 +191,16 @@ class TestRunners:
         truth_dl = sysmodel.downlink_channel(truth, cfg)
         want, _, _, _ = np.linalg.lstsq(basis, truth_dl, rcond=None)
         np.testing.assert_allclose(harness._oracle_gains(est, truth_dl, cfg), want, rtol=1e-9)
+
+    def test_fig6_user_without_paths_fails_its_trials_only(self):
+        # at -25 dB some users' extraction finds no path: their oracle gains
+        # are empty, and pilot_factors' ValueError fails those trials
+        cfg = tiny_config("fig6", trials=12, users=3, deltas=[0.1],
+                          attenuation_db=[-25, 0], seed=20240)
+        got = by_metric(harness.run_fig6(cfg), 0.1)
+        failed = got["failed_trials"].value
+        assert 0 < failed < 12
+        assert got["rate_recon"].trials == 12 - failed
 
     def test_theorem1_smoke(self):
         cfg = tiny_config("theorem1", trials=2, users=3,

@@ -1,11 +1,14 @@
 """ZF precoding, rate accounting, and the proportional-error SINR model."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fddrecon import mueval
+from fddrecon import dltrain, mueval
+from fddrecon.sysmodel import SystemConfig
 
 
 def random_channel(n_users, n_ant, seed):
@@ -44,6 +47,11 @@ def draw_channel_error(h_true, delta, rng):
     return np.sqrt(delta) * np.abs(h_true) * (z[0] + 1j * z[1]) / np.sqrt(2.0)
 
 
+def precoder(state):
+    """The (..., M, K) ZF precoder pinv * alphas that mueval never forms."""
+    return state.pinv * state.alphas[..., None, :]
+
+
 def reference_sinr(h_true, h_hat, p_tx):
     """Per-matrix ZF SINR from np.linalg.pinv with unit-power columns."""
     n_users = h_hat.shape[0]
@@ -59,7 +67,7 @@ class TestZfPrecoder:
         h = random_channel(1, 8, seed=0)
         state = mueval.zf_precoder(h)
         expected = h.conj().T / np.linalg.norm(h)
-        np.testing.assert_allclose(state.precoder, expected, rtol=1e-12)
+        np.testing.assert_allclose(precoder(state), expected, rtol=1e-12)
         s = mueval.sinr(h, state, p_tx=4.0)
         assert s[0] == pytest.approx(4.0 * np.linalg.norm(h) ** 2, rel=1e-12)
 
@@ -71,13 +79,13 @@ class TestZfPrecoder:
 
     def test_perfect_csi_zero_interference(self):
         h = random_channel(4, 12, seed=2)
-        gains = h @ mueval.zf_precoder(h).precoder
+        gains = h @ precoder(mueval.zf_precoder(h))
         off = gains - np.diag(np.diag(gains))
         assert np.max(np.abs(off)) <= 1e-9 * np.min(np.abs(np.diag(gains)))
 
     def test_unit_total_power_split_evenly(self):
         h = random_channel(5, 20, seed=3)
-        w = mueval.zf_precoder(h).precoder
+        w = precoder(mueval.zf_precoder(h))
         col_powers = np.sum(np.abs(w) ** 2, axis=0)
         np.testing.assert_allclose(col_powers, 1.0 / 5.0, rtol=1e-12)
         assert np.sum(col_powers) == pytest.approx(1.0, abs=1e-12)
@@ -104,7 +112,7 @@ class TestStackedZf:
         assert state.pinv.shape == (n_stack, n_ant, n_users)
         np.testing.assert_allclose(state.pinv, ref, rtol=1e-10,
                                    atol=1e-10 * np.abs(ref).max())
-        col_powers = np.sum(np.abs(state.precoder) ** 2, axis=-2)
+        col_powers = np.sum(np.abs(precoder(state)) ** 2, axis=-2)
         np.testing.assert_allclose(col_powers, 1.0 / n_users, rtol=1e-12)
 
     @settings(max_examples=60, deadline=None)
@@ -142,6 +150,44 @@ class TestStackedZf:
                 mueval.zf_precoder(h)
         else:
             assert np.all(np.isfinite(mueval.zf_precoder(h).pinv))
+
+
+class TestSmallGramRule:
+    @pytest.mark.parametrize("rank_deficient", [False, True])
+    def test_predictor_is_inf_exactly_where_zf_raises(self, rank_deficient):
+        # predict_nmse on A = H^H reads the same K x K Gram H H^H as ZF
+        rng = np.random.default_rng(23)
+        h = channel_with_singular_values(np.geomspace(1.0, 1e-2, 4), 64, rng)
+        if rank_deficient:
+            h[3] = h[1]
+        nmse = dltrain.predict_nmse(h.conj().T, np.ones(4), SystemConfig())
+        if rank_deficient:
+            assert nmse == math.inf
+            with pytest.raises(np.linalg.LinAlgError):
+                mueval.zf_precoder(h)
+        else:
+            assert math.isfinite(nmse)
+            assert np.all(np.isfinite(mueval.zf_precoder(h).pinv))
+
+
+class TestSinrWithoutPrecoder:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 3), max_size=2), stack_shapes())
+    def test_matches_materialized_precoder(self, lead, shape):
+        _, n_users, n_ant, seed = shape
+        rng = np.random.default_rng(seed)
+        count = math.prod(lead)
+        h_true = well_conditioned_stack(count, n_users, n_ant, rng).reshape(
+            tuple(lead) + (n_users, n_ant))
+        h_hat = h_true + 0.1 * well_conditioned_stack(count, n_users, n_ant, rng).reshape(
+            h_true.shape)
+        state = mueval.zf_precoder(h_hat)
+        powers = 10.0 * np.abs(h_true @ precoder(state)) ** 2
+        signal = np.diagonal(powers, axis1=-2, axis2=-1)
+        want = signal / (powers.sum(axis=-1) - signal + 1.0)
+        got = mueval.sinr(h_true, state, 10.0)
+        assert got.shape == want.shape == tuple(lead) + (n_users,)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestMonteCarloSinr:

@@ -374,9 +374,50 @@ class TestScenario:
         sc = sysmodel.generate_scenario(20, 2, cfg, seed=1, att_range_db=(-10.0, 0.0))
         assert all(-10.0 <= a <= 0.0 for a in sc.attenuation_db)
 
+    def test_reversed_attenuation_range_raises(self):
+        with pytest.raises(ValueError):
+            sysmodel.generate_scenario(2, 2, small_cfg(), seed=1, att_range_db=(0.0, -10.0))
+
     def test_mean_linear_attenuation_closed_form(self):
         # numeric-integration oracle
         grid = np.linspace(-10.0, 0.0, 200001)
         oracle = np.trapezoid(10.0 ** (grid / 10.0), grid) / 10.0
         assert abs(sysmodel.mean_linear_attenuation((-10.0, 0.0)) - oracle) < 1e-8
         assert sysmodel.mean_linear_attenuation((0.0, 0.0)) == pytest.approx(1.0)
+
+
+class TestGramEigvals:
+    EPS = np.finfo(np.float64).eps
+
+    def test_boundary_is_rejected_just_above_accepted(self):
+        # diagonal Grams have exact eigenvalues; tol = 1 * max(2, 4) * eps
+        tol = 4 * self.EPS
+        lam, full = sysmodel.gram_eigvals(np.diag([tol, 1.0]), n_rows=4)
+        np.testing.assert_array_equal(lam, [tol, 1.0])
+        assert not full
+        assert sysmodel.gram_eigvals(np.diag([np.nextafter(tol, 1.0), 1.0]), n_rows=4)[1]
+
+    def test_fewer_rows_than_columns_is_rank_deficient(self):
+        assert not sysmodel.gram_eigvals(np.eye(3), n_rows=2)[1]
+        assert sysmodel.gram_eigvals(np.eye(3), n_rows=3)[1]
+
+    def test_stack_matches_per_gram_calls(self):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((2, 3, 6, 4)) + 1j * rng.standard_normal((2, 3, 6, 4))
+        a[1, 2, :, 3] = a[1, 2, :, 0]  # one rank-deficient A
+        grams = a.conj().swapaxes(-1, -2) @ a
+        lam, full = sysmodel.gram_eigvals(grams, n_rows=6)
+        assert lam.shape == (2, 3, 4) and full.shape == (2, 3)
+        np.testing.assert_array_equal(full, [[True] * 3, [True, True, False]])
+        for i in range(2):
+            for j in range(3):
+                one_lam, one_full = sysmodel.gram_eigvals(grams[i, j], n_rows=6)
+                np.testing.assert_array_equal(lam[i, j], one_lam)
+                assert full[i, j] == one_full
+
+
+def test_fit_gains_of_no_atoms_is_empty():
+    cfg = small_cfg()
+    factors = sysmodel.path_factors([], cfg)
+    gains, rank = sysmodel.fit_gains(np.ones(cfg.M * cfg.N, dtype=complex), *factors)
+    assert gains.shape == (0,) and rank == 0
