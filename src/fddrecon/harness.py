@@ -66,9 +66,15 @@ class ExperimentConfig:
             raise ValueError("fig6 deltas must lie in (0, 1)")
         if self.experiment == "theorem1" and min(self.deltas) < 0:
             raise ValueError("theorem1 deltas must be >= 0")
-        object.__setattr__(self, "attenuation_db", tuple(float(a) for a in self.attenuation_db))
-        if len(self.attenuation_db) != 2 or not self.attenuation_db[0] <= self.attenuation_db[1]:
-            raise ValueError("attenuation_db must be a [lo, hi] pair with lo <= hi")
+        att = tuple(float(a) for a in self.attenuation_db)
+        object.__setattr__(self, "attenuation_db", att)
+        if len(att) != 2 or not all(map(math.isfinite, att)) or not att[0] <= att[1]:
+            raise ValueError("attenuation_db must be a [lo, hi] pair of finite values with lo <= hi")
+        if self.experiment != "fig4" and self.users > self.system.M:
+            raise ValueError(f"users must be at most system.M = {self.system.M} for zero-forcing")
+        # the LMMSE baseline trains on M symbols and every plan on at most M
+        if self.experiment == "fig6" and self.system.T_c <= self.system.M:
+            raise ValueError(f"fig6 needs system.T_c > system.M = {self.system.M}")
 
 
 # SystemConfig fields that every subcommand sets itself, so a configured
@@ -107,9 +113,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     check_config_keys(raw)
     data = dict(raw)
     system_raw = data.pop("system", {}) or {}
-    for key in ("snr_db", "deltas", "attenuation_db"):
-        if key in data and data[key] is not None:
-            data[key] = tuple(data[key])
     return ExperimentConfig(system=SystemConfig(**system_raw), **data)
 
 
@@ -143,16 +146,6 @@ def _aggregate(experiment: str, sweep: float, metric: str, samples) -> ResultRow
     return ResultRow(experiment, float(sweep), metric, float(np.mean(arr)), int(arr.size), se)
 
 
-def _rows(experiment: str, sweep, samples, failures, trials: int) -> list:
-    """Per sweep value, in the order of ``sweep``: one aggregated row per
-    metric of ``samples[value]``, then the ``failed_trials`` row."""
-    rows = []
-    for x in sweep:
-        rows.extend(_aggregate(experiment, x, metric, vals) for metric, vals in samples[x].items())
-        rows.append(ResultRow(experiment, float(x), "failed_trials", float(failures[x]), trials, 0.0))
-    return rows
-
-
 def rows_to_csv(rows, dest) -> None:
     """Write rows with repr-formatted floats so reruns are byte-identical.
 
@@ -174,6 +167,48 @@ def _trial_rng(master_seed: int, stream: int, trial: int) -> np.random.Generator
     return np.random.default_rng([master_seed, stream, trial])
 
 
+# What fails a trial rather than the run: a numerical breakdown on one draw.
+# Anything else, a ValueError included, is a bug or a bad config and propagates.
+_TRIAL_FAILURES = (np.linalg.LinAlgError, FloatingPointError)
+
+
+def _sweep(config: ExperimentConfig, sweep, metrics, users: int, trial_fn) -> list:
+    """Seeded trials of one experiment, aggregated per sweep value.
+
+    Each trial draws one scenario of ``users`` users and calls
+    ``trial_fn(scenario, trial)``, which returns ``measure``; ``measure(x)``
+    gives one value per metric at sweep value x. A `_TRIAL_FAILURES` error in
+    ``trial_fn`` fails the trial at every sweep value, one in ``measure(x)``
+    only at x, so a sweep value keeps all of a trial's metrics or none. Rows
+    follow ``sweep``: one per metric, then the ``failed_trials`` row.
+    """
+    samples = {x: [] for x in sweep}
+    failures = dict.fromkeys(sweep, 0)
+    for trial in range(config.trials):
+        scenario = sysmodel.generate_scenario(
+            users, config.paths_per_user, config.system, seed=_trial_rng(config.seed, 0, trial),
+            att_range_db=config.attenuation_db,
+        )
+        try:
+            measure = trial_fn(scenario, trial)
+        except _TRIAL_FAILURES:
+            for x in sweep:
+                failures[x] += 1
+            continue
+        for x in sweep:
+            try:
+                samples[x].append(measure(x))
+            except _TRIAL_FAILURES:
+                failures[x] += 1
+    rows = []
+    for x in sweep:
+        rows.extend(_aggregate(config.experiment, x, metric, [s[i] for s in samples[x]])
+                    for i, metric in enumerate(metrics))
+        rows.append(ResultRow(config.experiment, float(x), "failed_trials", float(failures[x]),
+                              config.trials, 0.0))
+    return rows
+
+
 def run_fig4(config: ExperimentConfig) -> list:
     """Uplink channel-estimation NMSE vs transmit SNR: LS, LMMSE, path-based.
 
@@ -186,31 +221,22 @@ def run_fig4(config: ExperimentConfig) -> list:
     cov = recon.channel_covariance(
         cfg, config.attenuation_db, n_draws=config.covariance_draws, seed=config.seed
     )
-    samples = {snr: {"nmse_ls": [], "nmse_lmmse": [], "nmse_enomp": []} for snr in config.snr_db}
-    failures = {snr: 0 for snr in config.snr_db}
-    for trial in range(config.trials):
-        scenario = sysmodel.generate_scenario(
-            1, config.paths_per_user, cfg, seed=_trial_rng(config.seed, 0, trial),
-            att_range_db=config.attenuation_db,
-        )
+
+    def trial_fn(scenario, trial):
         paths = scenario.users[0]
         truth = sysmodel.uplink_channel(paths, cfg)
-        for snr in config.snr_db:
+
+        def measure(snr):
             cfg_snr = dataclasses.replace(cfg, P=10.0 ** (snr / 10.0))
             y = sysmodel.sounding_observation(paths, cfg_snr, _trial_rng(config.seed, 1, trial))
-            try:
-                nmse_ls = recon.channel_nmse(recon.ls_baseline(y, cfg_snr), truth)
-                nmse_lmmse = recon.channel_nmse(recon.lmmse_baseline(y, cov, cfg_snr), truth)
-                result = enomp.extract(y, cfg_snr, codebook)
-                scaled = recon.uplink_channel_estimate(result.paths, cfg_snr)
-                nmse_enomp = recon.channel_nmse(scaled / math.sqrt(cfg_snr.P), truth)
-            except (np.linalg.LinAlgError, FloatingPointError):
-                failures[snr] += 1
-                continue
-            samples[snr]["nmse_ls"].append(nmse_ls)
-            samples[snr]["nmse_lmmse"].append(nmse_lmmse)
-            samples[snr]["nmse_enomp"].append(nmse_enomp)
-    return _rows("fig4", config.snr_db, samples, failures, config.trials)
+            nmse_ls = recon.channel_nmse(recon.ls_baseline(y, cfg_snr), truth)
+            nmse_lmmse = recon.channel_nmse(recon.lmmse_baseline(y, cov, cfg_snr), truth)
+            result = enomp.extract(y, cfg_snr, codebook)
+            scaled = recon.uplink_channel_estimate(result.paths, cfg_snr)
+            return nmse_ls, nmse_lmmse, recon.channel_nmse(scaled / math.sqrt(cfg_snr.P), truth)
+        return measure
+
+    return _sweep(config, config.snr_db, ("nmse_ls", "nmse_lmmse", "nmse_enomp"), 1, trial_fn)
 
 
 def _unscale_gains(paths, p_tx: float):
@@ -260,63 +286,48 @@ def run_fig6(config: ExperimentConfig) -> list:
     cov = recon.channel_covariance(
         cfg, config.attenuation_db, n_draws=config.covariance_draws, seed=config.seed
     )
-    metrics = ("t_pilot", "gain_nmse", "channel_nmse", "rate_recon", "rate_perfect", "rate_lmmse")
-    samples = {d: {m: [] for m in metrics} for d in config.deltas}
-    failures = {d: 0 for d in config.deltas}
-    for trial in range(config.trials):
-        scenario = sysmodel.generate_scenario(
-            config.users, config.paths_per_user, cfg, seed=_trial_rng(config.seed, 0, trial),
-            att_range_db=config.attenuation_db,
-        )
+
+    def trial_fn(scenario, trial):
         users_est = []
         for k, user_paths in enumerate(scenario.users):
             y = sysmodel.sounding_observation(user_paths, cfg, _trial_rng(config.seed, 1, trial * config.users + k))
             result = enomp.extract(y, cfg, codebook)
+            if not result.paths:  # no pilot model, so no gain estimate at any delta
+                raise np.linalg.LinAlgError(f"no paths detected for user {k}")
             users_est.append(_unscale_gains(result.paths, cfg.P))
         truths_dl = [sysmodel.downlink_channel(p, cfg) for p in scenario.users]
         h_true_rows = _stack_channels(truths_dl, cfg)
-        # Oracle gains, perfect-CSI SINRs and the LMMSE rate do not depend on
-        # delta. A failure here fails the trial at every delta, as it would
-        # if each delta recomputed them.
-        try:
-            g_star = [_oracle_gains(users_est[k], truths_dl[k], cfg) for k in range(config.users)]
-            sinr_perfect = mueval.sinr(h_true_rows, mueval.zf_precoder(h_true_rows), cfg.P)
-            lmmse_dl = []
-            for k in range(config.users):
-                rng = _trial_rng(config.seed, 3, trial * config.users + k)
-                y_full = math.sqrt(cfg.P) * truths_dl[k] + sysmodel.complex_noise(rng, cfg.M * cfg.N)
-                lmmse_dl.append(recon.lmmse_baseline(y_full, cov, cfg))
-            lmmse_rate = _zf_rates(h_true_rows, _stack_channels(lmmse_dl, cfg), cfg.M, cfg)
-        except (np.linalg.LinAlgError, FloatingPointError, ValueError):
-            for d in config.deltas:
-                failures[d] += 1
-            continue
-        for d in config.deltas:
+        # Oracle gains, perfect-CSI SINRs and the LMMSE rate do not depend on delta.
+        g_star = [_oracle_gains(users_est[k], truths_dl[k], cfg) for k in range(config.users)]
+        sinr_perfect = mueval.sinr(h_true_rows, mueval.zf_precoder(h_true_rows), cfg.P)
+        lmmse_dl = []
+        for k in range(config.users):
+            rng = _trial_rng(config.seed, 3, trial * config.users + k)
+            y_full = math.sqrt(cfg.P) * truths_dl[k] + sysmodel.complex_noise(rng, cfg.M * cfg.N)
+            lmmse_dl.append(recon.lmmse_baseline(y_full, cov, cfg))
+        lmmse_rate = _zf_rates(h_true_rows, _stack_channels(lmmse_dl, cfg), cfg.M, cfg)
+
+        def measure(d):
             cfg_d = dataclasses.replace(cfg, delta=d)
-            try:
-                plan = dltrain.schedule_beams(users_est, grid, cfg_d)
-                gain_err = []
-                recon_dl = []
-                for k in range(config.users):
-                    rng = _trial_rng(config.seed, 2, trial * config.users + k)
-                    y_dl = dltrain.simulate_downlink_training(scenario.users[k], plan, cfg_d, rng)
-                    g_hat = dltrain.estimate_downlink_gains(y_dl, users_est[k], plan, cfg_d)
-                    gain_err.append(
-                        float(np.sum(np.abs(g_hat - g_star[k]) ** 2) / np.sum(np.abs(g_star[k]) ** 2))
-                    )
-                    recon_dl.append(recon.reconstruct(users_est[k], g_hat, cfg_d))
-                h_hat_rows = _stack_channels(recon_dl, cfg)
-                samples[d]["t_pilot"].append(float(plan.T_p))
-                samples[d]["gain_nmse"].append(float(np.mean(gain_err)))
-                samples[d]["channel_nmse"].append(
-                    float(np.mean([recon.channel_nmse(recon_dl[k], truths_dl[k]) for k in range(config.users)]))
+            plan = dltrain.schedule_beams(users_est, grid, cfg_d)
+            gain_err = []
+            recon_dl = []
+            for k in range(config.users):
+                rng = _trial_rng(config.seed, 2, trial * config.users + k)
+                y_dl = dltrain.simulate_downlink_training(scenario.users[k], plan, cfg_d, rng)
+                g_hat = dltrain.estimate_downlink_gains(y_dl, users_est[k], plan, cfg_d)
+                gain_err.append(
+                    float(np.sum(np.abs(g_hat - g_star[k]) ** 2) / np.sum(np.abs(g_star[k]) ** 2))
                 )
-                samples[d]["rate_recon"].append(_zf_rates(h_true_rows, h_hat_rows, plan.T_p, cfg))
-                samples[d]["rate_perfect"].append(mueval.sum_rate(sinr_perfect, plan.T_p, cfg.T_c))
-                samples[d]["rate_lmmse"].append(lmmse_rate)
-            except (np.linalg.LinAlgError, FloatingPointError, ValueError):
-                failures[d] += 1
-    return _rows("fig6", config.deltas, samples, failures, config.trials)
+                recon_dl.append(recon.reconstruct(users_est[k], g_hat, cfg_d))
+            channel_nmse = np.mean([recon.channel_nmse(recon_dl[k], truths_dl[k]) for k in range(config.users)])
+            rate_recon = _zf_rates(h_true_rows, _stack_channels(recon_dl, cfg), plan.T_p, cfg)
+            return (float(plan.T_p), float(np.mean(gain_err)), float(channel_nmse), rate_recon,
+                    mueval.sum_rate(sinr_perfect, plan.T_p, cfg.T_c), lmmse_rate)
+        return measure
+
+    metrics = ("t_pilot", "gain_nmse", "channel_nmse", "rate_recon", "rate_perfect", "rate_lmmse")
+    return _sweep(config, config.deltas, metrics, config.users, trial_fn)
 
 
 def run_theorem1(config: ExperimentConfig) -> list:
@@ -326,31 +337,20 @@ def run_theorem1(config: ExperimentConfig) -> list:
     delta draws reconstruction errors around it and compares mean SINRs.
     """
     cfg = dataclasses.replace(config.system, P=10.0)
-    metrics = ("sinr_analytic_mean", "sinr_mc_mean", "rel_error_max")
-    samples = {d: {m: [] for m in metrics} for d in config.deltas}
-    failures = {d: 0 for d in config.deltas}
-    for trial in range(config.trials):
-        scenario = sysmodel.generate_scenario(
-            config.users, config.paths_per_user, cfg, seed=_trial_rng(config.seed, 0, trial),
-            att_range_db=config.attenuation_db,
-        )
+
+    def trial_fn(scenario, trial):
         h_rows = np.stack(
             [recon.channel_matrix(sysmodel.downlink_channel(p, cfg), cfg)[0] for p in scenario.users]
         )
-        for d in config.deltas:
-            try:
-                analytic = mueval.analytic_sinr(h_rows, d, cfg.P)
-                mc = mueval.monte_carlo_sinr(
-                    h_rows, d, cfg.P, n_draws=config.mc_draws,
-                    seed=[config.seed, 4, trial],
-                )
-                rel = np.abs(analytic - mc) / mc
-                samples[d]["sinr_analytic_mean"].append(float(np.mean(analytic)))
-                samples[d]["sinr_mc_mean"].append(float(np.mean(mc)))
-                samples[d]["rel_error_max"].append(float(np.max(rel)))
-            except np.linalg.LinAlgError:
-                failures[d] += 1
-    return _rows("theorem1", config.deltas, samples, failures, config.trials)
+
+        def measure(d):
+            analytic = mueval.analytic_sinr(h_rows, d, cfg.P)
+            mc = mueval.monte_carlo_sinr(h_rows, d, cfg.P, n_draws=config.mc_draws, seed=[config.seed, 4, trial])
+            return float(np.mean(analytic)), float(np.mean(mc)), float(np.max(np.abs(analytic - mc) / mc))
+        return measure
+
+    metrics = ("sinr_analytic_mean", "sinr_mc_mean", "rel_error_max")
+    return _sweep(config, config.deltas, metrics, config.users, trial_fn)
 
 
 _RUNNERS = {"fig4": run_fig4, "fig6": run_fig6, "theorem1": run_theorem1}

@@ -402,8 +402,9 @@ class TestGainEstimation:
             dltrain.estimate_downlink_gains(np.zeros(coef.shape[0]), [path, path], plan, cfg)
 
     def test_no_paths_or_no_beams_raise_value_error(self):
-        # the harness counts a ValueError as a failed trial; an empty pilot
-        # model must not get as far as an eigendecomposition of a 0 x 0 Gram
+        # an empty pilot model is a caller error (the harness fails a trial
+        # whose user has no paths before it gets here), and it must not get
+        # as far as an eigendecomposition of a 0 x 0 Gram
         cfg = small_cfg()
         grid = dltrain.build_angle_grid(cfg)
         rng = np.random.default_rng(36)

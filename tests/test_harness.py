@@ -11,11 +11,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fddrecon import cli, enomp, harness, recon, sysmodel
+from fddrecon import cli, dltrain, enomp, harness, mueval, recon, sysmodel
 from fddrecon.harness import ResultRow
 
 TINY_SYSTEM = {"M_v": 2, "M_h": 4, "N": 16}
 SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "pipebench" / "workloads"
 
 
 def tiny_config(experiment, **kw):
@@ -27,6 +28,19 @@ def tiny_config(experiment, **kw):
 
 def by_metric(rows, sweep):
     return {r.metric: r for r in rows if r.sweep == sweep}
+
+
+def count_trials(monkeypatch):
+    """Count scenario draws; the returned cell holds the current trial index."""
+    trial = [-1]
+    draw = sysmodel.generate_scenario
+
+    def counted(*args, **kwargs):
+        trial[0] += 1
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(sysmodel, "generate_scenario", counted)
+    return trial
 
 
 class TestConfig:
@@ -73,6 +87,8 @@ class TestConfig:
         {"experiment": "fig4", "attenuation_db": []},
         {"experiment": "theorem1", "attenuation_db": [0, -10]},
         {"experiment": "fig6", "attenuation_db": [0, float("nan")]},
+        {"experiment": "theorem1", "attenuation_db": [float("-inf"), 0]},
+        {"experiment": "fig6", "attenuation_db": [-10, float("inf")]},
         {"experiment": "fig6", "deltas": [0.1, 2.0]},
         {"experiment": "fig6", "deltas": [0.0]},
         {"experiment": "fig6", "deltas": [1.0]},
@@ -91,16 +107,37 @@ class TestConfig:
         with pytest.raises(ValueError):
             harness.config_from_dict(raw)
 
+    @pytest.mark.parametrize("experiment", ["fig6", "theorem1"])
+    def test_users_at_most_antennas(self, experiment):
+        # zero-forcing needs K <= M; 2 x 4 antennas serve at most 8 users
+        assert tiny_config(experiment, users=8).users == 8
+        with pytest.raises(ValueError, match=r"users must be at most system.M = 8"):
+            tiny_config(experiment, users=9)
+        assert tiny_config("fig4", users=9).users == 9  # fig4 has one user
+
+    def test_fig6_coherence_longer_than_antennas(self):
+        # the LMMSE baseline spends M = 8 of the T_c symbols on training
+        assert tiny_config("fig6", users=2, system={**TINY_SYSTEM, "T_c": 9}).system.T_c == 9
+        with pytest.raises(ValueError, match=r"fig6 needs system.T_c > system.M = 8"):
+            tiny_config("fig6", users=2, system={**TINY_SYSTEM, "T_c": 8})
+        assert tiny_config("theorem1", users=2, system={**TINY_SYSTEM, "T_c": 8}).system.T_c == 8
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS.glob("*.yaml")), ids=lambda p: p.stem)
+    def test_pinned_workloads_are_valid_configs(self, workload):
+        cfg = harness.config_from_dict(harness.read_config(str(workload)))
+        assert cfg.experiment in harness.EXPERIMENTS
+
     def test_yaml_file_config(self, tmp_path):
         path = tmp_path / "exp.yaml"
         path.write_text(
-            "experiment: fig6\nseed: 11\ntrials: 2\n"
+            "experiment: fig6\nseed: 11\ntrials: 2\nusers: 2\n"
             "system:\n  M_v: 2\n  M_h: 4\n  N: 16\n"
             "deltas: [1.0e-2]\n")
         cfg = harness.config_from_dict(harness.read_config(str(path)))
         assert cfg.experiment == "fig6"
         assert cfg.seed == 11
         assert cfg.trials == 2
+        assert cfg.users == 2
         assert cfg.system.M_h == 4
         assert cfg.deltas == (1e-2,)
 
@@ -193,14 +230,77 @@ class TestRunners:
         np.testing.assert_allclose(harness._oracle_gains(est, truth_dl, cfg), want, rtol=1e-9)
 
     def test_fig6_user_without_paths_fails_its_trials_only(self):
-        # at -25 dB some users' extraction finds no path: their oracle gains
-        # are empty, and pilot_factors' ValueError fails those trials
+        # at -25 dB some users' extraction finds no path: the harness fails
+        # that trial at every delta, as it has no pilot model to fit
         cfg = tiny_config("fig6", trials=12, users=3, deltas=[0.1],
                           attenuation_db=[-25, 0], seed=20240)
         got = by_metric(harness.run_fig6(cfg), 0.1)
         failed = got["failed_trials"].value
         assert 0 < failed < 12
         assert got["rate_recon"].trials == 12 - failed
+
+    def test_fig6_value_error_propagates(self, monkeypatch):
+        # a ValueError is a bug or a bad config, never a failed trial
+        calls = []
+        estimate = dltrain.estimate_downlink_gains
+
+        def planted(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise ValueError("planted")
+            return estimate(*args, **kwargs)
+
+        monkeypatch.setattr(dltrain, "estimate_downlink_gains", planted)
+        with pytest.raises(ValueError, match="planted"):
+            harness.run_fig6(tiny_config("fig6", trials=2, users=2, deltas=[0.1]))
+
+    def test_fig6_sweep_point_keeps_all_metrics_or_none(self, monkeypatch):
+        # the reconstructed-CSI rate of trial 1 at delta 0.1 fails after its
+        # t_pilot, gain_nmse and channel_nmse are known; they go with it
+        trial = count_trials(monkeypatch)
+        seen = []
+        zf_rates = harness._zf_rates
+
+        def planted(*args):
+            seen.append(trial[0])
+            # per trial the LMMSE rate comes first, then one call per delta
+            if trial[0] == 1 and seen.count(1) == 2:
+                raise np.linalg.LinAlgError("planted")
+            return zf_rates(*args)
+
+        monkeypatch.setattr(harness, "_zf_rates", planted)
+        cfg = tiny_config("fig6", trials=3, users=2, deltas=[0.1, 0.01])
+        rows = harness.run_fig6(cfg)
+        for d, failed in ((0.1, 1), (0.01, 0)):
+            got = by_metric(rows, d)
+            assert got.pop("failed_trials").value == failed
+            assert {r.trials for r in got.values()} == {cfg.trials - failed}
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sets(st.tuples(st.integers(0, 2), st.sampled_from([0.0, 1e-2, 1e-1]))))
+    def test_theorem1_planted_failures_are_counted(self, planted):
+        cfg = tiny_config("theorem1", trials=3, users=2, deltas=[0.0, 1e-2, 1e-1], mc_draws=40)
+        with pytest.MonkeyPatch.context() as mp:
+            trial = count_trials(mp)
+            monte_carlo = mueval.monte_carlo_sinr
+
+            def plant(h_rows, d, *args, **kwargs):
+                if (trial[0], d) in planted:
+                    raise np.linalg.LinAlgError("planted")
+                return monte_carlo(h_rows, d, *args, **kwargs)
+
+            mp.setattr(mueval, "monte_carlo_sinr", plant)
+            if any(all((t, d) in planted for t in range(cfg.trials)) for d in cfg.deltas):
+                with pytest.raises(ValueError, match="no successful trials"):
+                    harness.run_theorem1(cfg)
+                return
+            rows = harness.run_theorem1(cfg)
+        assert trial[0] == cfg.trials - 1  # one scenario per trial
+        for d in cfg.deltas:
+            got = by_metric(rows, d)
+            failed = got.pop("failed_trials").value
+            assert failed == sum(pd == d for _, pd in planted)
+            assert {r.trials for r in got.values()} == {cfg.trials - failed}
 
     def test_theorem1_smoke(self):
         cfg = tiny_config("theorem1", trials=2, users=3,
@@ -268,6 +368,18 @@ class TestCli:
         config = self.write_config(tmp_path, "fig6", deltas=[1e-2], users=2)
         assert cli.main(["fig4", "--config", config]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra, message", [
+        ({"users": 9}, "users must be at most system.M = 8 for zero-forcing"),
+        ({"users": 2, "system": {**TINY_SYSTEM, "T_c": 8}}, "fig6 needs system.T_c > system.M = 8"),
+    ])
+    def test_fig6_config_error_before_any_trial(self, tmp_path, capsys, monkeypatch,
+                                                extra, message):
+        trial = count_trials(monkeypatch)
+        config = self.write_config(tmp_path, "fig6", deltas=[0.1], **extra)
+        assert cli.main(["fig6", "--config", config]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert trial[0] == -1
 
     def test_unknown_key_fails(self, tmp_path, capsys):
         import yaml
