@@ -101,7 +101,7 @@ def main():
     # first of the paths extraction finds there
     scenario = sysmodel.generate_scenario(1, 6, cfg, seed=1)
     channel_paths = scenario.users[0]
-    sounding = sysmodel.sounding_observation(channel_paths, cfg,
+    sounding = sysmodel.sounding_observation(channel_paths, cfg, 1.0,
                                              np.random.default_rng(2))
     book = enomp.build_codebook(cfg)
     found = enomp.extract(sounding, cfg, book).paths
@@ -121,7 +121,7 @@ def main():
     plan = dltrain.TrainingPlan(
         grid_indices=tuple(indices), beams=grid[:, [j - 1 for j in indices]].conj()
         / math.sqrt(cfg.M), weights=(1,) * len(indices), feasible=True)
-    pilots = dltrain.simulate_downlink_training(channel_paths, plan, cfg,
+    pilots = dltrain.simulate_downlink_training(channel_paths, plan, cfg, 1.0,
                                                 np.random.default_rng(3))
 
     def pilot_lstsq():

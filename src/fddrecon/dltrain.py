@@ -119,7 +119,7 @@ def pilot_factors(paths, beams: np.ndarray, cfg: SystemConfig) -> tuple:
 
 
 def coefficient_matrix(paths, plan: TrainingPlan, cfg: SystemConfig) -> np.ndarray:
-    """Pilot observation model of one user: y = sqrt(P) * A g_dl + noise.
+    """Pilot observation model of one user: y = sqrt(p_tx) * A g_dl + noise.
 
     ``paths`` is any sequence of objects carrying theta/phi/tau attributes.
     Rows are pilot-symbol major and columns follow ``paths``: entry
@@ -132,8 +132,8 @@ def coefficient_matrix(paths, plan: TrainingPlan, cfg: SystemConfig) -> np.ndarr
     return atom_basis(*pilot_factors(paths, plan.beams, cfg))
 
 
-def _gram_nmse(gram: np.ndarray, n_rows: int, gnorm2: float, cfg: SystemConfig) -> float:
-    """Predicted gain NMSE sum(1 / lambda_i) / (P ||g||^2) from the
+def _gram_nmse(gram: np.ndarray, n_rows: int, gnorm2: float, p_tx: float) -> float:
+    """Predicted gain NMSE sum(1 / lambda_i) / (p_tx ||g||^2) from the
     eigenvalues of the (L x L) Gram A^H A of an (n_rows x L) coefficient
     matrix A; inf where `gram_eigvals` finds A rank deficient.
     """
@@ -142,18 +142,18 @@ def _gram_nmse(gram: np.ndarray, n_rows: int, gnorm2: float, cfg: SystemConfig) 
     eig, full_rank = gram_eigvals(gram, n_rows)
     if not full_rank:
         return math.inf
-    return float(np.sum(1.0 / eig)) / (cfg.P * gnorm2)
+    return float(np.sum(1.0 / eig)) / (p_tx * gnorm2)
 
 
-def predict_nmse(coef: np.ndarray, g_ul: np.ndarray, cfg: SystemConfig) -> float:
+def predict_nmse(coef: np.ndarray, g_ul: np.ndarray, p_tx: float) -> float:
     """Closed-form NMSE the pilot least squares will achieve, in expectation,
-    at unit noise power: trace((A^H A)^-1) / (P ||g_ul||^2).
+    at unit noise power: trace((A^H A)^-1) / (p_tx ||g_ul||^2).
 
     Returns inf when the matrix is rank deficient (some gain direction is
     unobservable under the current beam set); see :func:`_gram_nmse`.
     """
     gnorm2 = float(np.sum(np.abs(np.asarray(g_ul)) ** 2))
-    return _gram_nmse(coef.conj().T @ coef, coef.shape[0], gnorm2, cfg)
+    return _gram_nmse(coef.conj().T @ coef, coef.shape[0], gnorm2, p_tx)
 
 
 class _UserState:
@@ -172,28 +172,30 @@ class _UserState:
         if self.n_paths:
             self.factors = pilot_factors(paths, beams, cfg)
 
-    def subset_nmse(self, cols: np.ndarray, cfg: SystemConfig) -> float:
+    def subset_nmse(self, cols: np.ndarray, p_tx: float) -> float:
         """Predicted NMSE when only the scan-order columns ``cols`` are kept."""
         if self.n_paths == 0:
             return 0.0
         beam_gain, shift, pil = self.factors
         return _gram_nmse(atom_gram(beam_gain[cols], shift, pil), len(cols) * len(pil),
-                          self.gnorm2, cfg)
+                          self.gnorm2, p_tx)
 
 
 def schedule_beams(
     users_paths: Sequence[Sequence],
     grid: np.ndarray,
     cfg: SystemConfig,
+    delta: float,
+    p_tx: float,
 ) -> TrainingPlan:
     """Pick the beam directions to train, trimming redundant ones.
 
     Each user marks the grid point nearest (in beam-space power) to each of
     its estimated paths.  Marked points are scanned in ascending order of
     weight (number of distinct users marking them, index as tie-break), and
-    a point is dropped when every user is still predicted to meet the
-    accuracy target delta without it.  The scan stops at the first
-    indispensable point.
+    a point is dropped when every user is still predicted, at transmit power
+    p_tx, to meet the accuracy target delta without it.  The scan stops at
+    the first indispensable point.
     """
     marks: dict[int, int] = {}
     for paths in users_paths:
@@ -205,13 +207,13 @@ def schedule_beams(
     states = [_UserState(paths, beams, cfg) for paths in users_paths]
 
     all_cols = np.arange(len(order))
-    feasible = all(st.subset_nmse(all_cols, cfg) < cfg.delta for st in states)
+    feasible = all(st.subset_nmse(all_cols, p_tx) < delta for st in states)
 
     # points go in scan order until the first indispensable one, so the kept
     # points are the scan order from index `first` on
     first = 0
     while feasible and first < len(order) and all(
-            st.subset_nmse(np.arange(first + 1, len(order)), cfg) < cfg.delta for st in states):
+            st.subset_nmse(np.arange(first + 1, len(order)), p_tx) < delta for st in states):
         first += 1
 
     return TrainingPlan(
@@ -226,10 +228,11 @@ def simulate_downlink_training(
     true_paths,
     plan: TrainingPlan,
     cfg: SystemConfig,
+    p_tx: float,
     noise_seed=None,
 ) -> np.ndarray:
     """Received pilot samples of one user over the whole training burst:
-    sqrt(P) times the atom sum of the downlink gains over
+    sqrt(p_tx) times the atom sum of the downlink gains over
     :func:`pilot_factors`, plus unit-variance noise when ``noise_seed`` is
     given.
 
@@ -237,17 +240,17 @@ def simulate_downlink_training(
     order of :func:`coefficient_matrix`.
     """
     g_dl = np.array([p.g_dl for p in true_paths])
-    y = math.sqrt(cfg.P) * atom_sum(g_dl, *pilot_factors(true_paths, plan.beams, cfg))
+    y = math.sqrt(p_tx) * atom_sum(g_dl, *pilot_factors(true_paths, plan.beams, cfg))
     if noise_seed is not None:
         y = y + complex_noise(np.random.default_rng(noise_seed), len(y))
     return y
 
 
 def estimate_downlink_gains(
-    y: np.ndarray, paths, plan: TrainingPlan, cfg: SystemConfig
+    y: np.ndarray, paths, plan: TrainingPlan, cfg: SystemConfig, p_tx: float
 ) -> np.ndarray:
     """Least squares downlink gains of ``paths`` from the pilot observations
-    under ``plan``: (1 / sqrt(P)) (A^H A)^{-1} A^H y, by `fit_gains` on
+    under ``plan``: (1 / sqrt(p_tx)) (A^H A)^{-1} A^H y, by `fit_gains` on
     :func:`pilot_factors`.
 
     Raises when the coefficient matrix is rank deficient; the scheduler is
@@ -258,4 +261,4 @@ def estimate_downlink_gains(
         raise np.linalg.LinAlgError(
             f"coefficient matrix rank {rank} < {len(paths)} paths; gains unidentifiable"
         )
-    return g / math.sqrt(cfg.P)
+    return g / math.sqrt(p_tx)

@@ -19,12 +19,23 @@ import numpy as np
 import yaml
 
 from . import dltrain, enomp, mueval, recon, sysmodel
-from .sysmodel import SystemConfig, check_integer
+from .sysmodel import SystemConfig, check_integer, check_real
 
 EXPERIMENTS = ("fig4", "fig6", "theorem1")
 
 _DEFAULT_TRIALS = {"fig4": 100, "fig6": 50, "theorem1": 3}
 _DEFAULT_ATTENUATION = {"fig4": (0.0, 0.0), "fig6": (-10.0, 0.0), "theorem1": (-10.0, 0.0)}
+
+# fig6 and theorem1 run both links at 10 dB
+_P_TX = 10.0
+
+
+def transmit_power(snr_db) -> float:
+    """Linear transmit power of a transmit SNR in dB. Raises ValueError
+    unless -3000 < snr_db < 3000, where the power is positive and finite."""
+    if not -3000 < snr_db < 3000:
+        raise ValueError(f"snr_db must lie in (-3000, 3000) dB, got {snr_db!r}")
+    return 10.0 ** (snr_db / 10.0)
 
 
 @dataclass(frozen=True)
@@ -54,22 +65,27 @@ class ExperimentConfig:
         check_integer("seed", self.seed, 0)
         for name in ("trials", "users", "paths_per_user", "covariance_draws", "mc_draws"):
             check_integer(name, getattr(self, name), 1)
+        for name in ("snr_db", "deltas", "attenuation_db"):
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)):
+                raise ValueError(f"{name} must be a list")
+            for i, v in enumerate(values):
+                check_real(f"{name}[{i}]", v)
+            object.__setattr__(self, name, tuple(float(v) for v in values))
         for name in ("snr_db", "deltas"):
-            if not getattr(self, name):
-                raise ValueError("sweep lists must be nonempty")
-            values = tuple(float(v) for v in getattr(self, name))
+            values = getattr(self, name)
             # rows are grouped by sweep value, so a repeat would merge two groups
-            if not all(map(math.isfinite, values)) or len(set(values)) < len(values):
-                raise ValueError(f"{name} values must be finite and distinct")
-            object.__setattr__(self, name, values)
+            if not values or len(set(values)) < len(values):
+                raise ValueError(f"{name} must be a nonempty list of distinct values")
+        for snr in self.snr_db:
+            transmit_power(snr)
         if self.experiment == "fig6" and not all(0 < d < 1 for d in self.deltas):
             raise ValueError("fig6 deltas must lie in (0, 1)")
         if self.experiment == "theorem1" and min(self.deltas) < 0:
             raise ValueError("theorem1 deltas must be >= 0")
-        att = tuple(float(a) for a in self.attenuation_db)
-        object.__setattr__(self, "attenuation_db", att)
-        if len(att) != 2 or not all(map(math.isfinite, att)) or not att[0] <= att[1]:
-            raise ValueError("attenuation_db must be a [lo, hi] pair of finite values with lo <= hi")
+        att = self.attenuation_db
+        if len(att) != 2 or not att[0] <= att[1]:
+            raise ValueError("attenuation_db must be a [lo, hi] pair with lo <= hi")
         if self.experiment != "fig4" and self.users > self.system.M:
             raise ValueError(f"users must be at most system.M = {self.system.M} for zero-forcing")
         # the LMMSE baseline trains on M symbols and every plan on at most M
@@ -77,18 +93,9 @@ class ExperimentConfig:
             raise ValueError(f"fig6 needs system.T_c > system.M = {self.system.M}")
 
 
-# SystemConfig fields that every subcommand sets itself, so a configured
-# value would be silently ignored
-_SET_BY_SUBCOMMAND = {
-    "P": "fig4 sets it from snr_db, fig6 and theorem1 at 10 dB, extract from --snr-db",
-    "delta": "fig6 sets it from deltas",
-}
-
-
 def check_config_keys(raw) -> None:
-    """Reject a parsed YAML config whose root is not a mapping, that has
-    unknown top-level or ``system`` keys, or that sets a ``system`` key the
-    subcommands override.  Every CLI subcommand applies it."""
+    """Reject a parsed YAML config whose root is not a mapping or that has
+    unknown top-level or ``system`` keys.  Every CLI subcommand applies it."""
     if not isinstance(raw, dict):
         raise ValueError("config root must be a mapping")
     known = {f.name for f in dataclasses.fields(ExperimentConfig)}
@@ -102,10 +109,6 @@ def check_config_keys(raw) -> None:
     sys_unknown = set(system) - sys_known
     if sys_unknown:
         raise ValueError(f"unknown system config keys: {sorted(sys_unknown)}")
-    fixed = sorted(set(system) & set(_SET_BY_SUBCOMMAND))
-    if fixed:
-        raise ValueError("; ".join(
-            f"system.{key} is not configurable: {_SET_BY_SUBCOMMAND[key]}" for key in fixed))
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -227,13 +230,13 @@ def run_fig4(config: ExperimentConfig) -> list:
         truth = sysmodel.uplink_channel(paths, cfg)
 
         def measure(snr):
-            cfg_snr = dataclasses.replace(cfg, P=10.0 ** (snr / 10.0))
-            y = sysmodel.sounding_observation(paths, cfg_snr, _trial_rng(config.seed, 1, trial))
-            nmse_ls = recon.channel_nmse(recon.ls_baseline(y, cfg_snr), truth)
-            nmse_lmmse = recon.channel_nmse(recon.lmmse_baseline(y, cov, cfg_snr), truth)
-            result = enomp.extract(y, cfg_snr, codebook)
-            scaled = recon.uplink_channel_estimate(result.paths, cfg_snr)
-            return nmse_ls, nmse_lmmse, recon.channel_nmse(scaled / math.sqrt(cfg_snr.P), truth)
+            p_tx = transmit_power(snr)
+            y = sysmodel.sounding_observation(paths, cfg, p_tx, _trial_rng(config.seed, 1, trial))
+            nmse_ls = recon.channel_nmse(recon.ls_baseline(y, p_tx), truth)
+            nmse_lmmse = recon.channel_nmse(recon.lmmse_baseline(y, cov, cfg, p_tx), truth)
+            result = enomp.extract(y, cfg, codebook)
+            scaled = recon.uplink_channel_estimate(result.paths, cfg)
+            return nmse_ls, nmse_lmmse, recon.channel_nmse(scaled / math.sqrt(p_tx), truth)
         return measure
 
     return _sweep(config, config.snr_db, ("nmse_ls", "nmse_lmmse", "nmse_enomp"), 1, trial_fn)
@@ -263,7 +266,7 @@ def _zf_rates(h_true_rows, h_hat_rows, t_pilot: int, cfg: SystemConfig) -> float
 
     Both arguments are (N, K, M) stacks of per-subcarrier channel matrices.
     """
-    sinr_all = mueval.sinr(h_true_rows, mueval.zf_precoder(h_hat_rows), cfg.P)
+    sinr_all = mueval.sinr(h_true_rows, mueval.zf_precoder(h_hat_rows), _P_TX)
     return mueval.sum_rate(sinr_all, t_pilot, cfg.T_c)
 
 
@@ -280,7 +283,7 @@ def run_fig6(config: ExperimentConfig) -> list:
     and compare sum-rates of the reconstructed, LMMSE-estimated (full
     128-symbol training), and perfect-CSI (same T_p) transceivers.
     """
-    cfg = dataclasses.replace(config.system, P=10.0)  # 10 dB both links
+    cfg = config.system
     codebook = enomp.build_codebook(cfg)
     grid = dltrain.build_angle_grid(cfg)
     cov = recon.channel_covariance(
@@ -290,36 +293,36 @@ def run_fig6(config: ExperimentConfig) -> list:
     def trial_fn(scenario, trial):
         users_est = []
         for k, user_paths in enumerate(scenario.users):
-            y = sysmodel.sounding_observation(user_paths, cfg, _trial_rng(config.seed, 1, trial * config.users + k))
+            y = sysmodel.sounding_observation(user_paths, cfg, _P_TX,
+                                              _trial_rng(config.seed, 1, trial * config.users + k))
             result = enomp.extract(y, cfg, codebook)
             if not result.paths:  # no pilot model, so no gain estimate at any delta
                 raise np.linalg.LinAlgError(f"no paths detected for user {k}")
-            users_est.append(_unscale_gains(result.paths, cfg.P))
+            users_est.append(_unscale_gains(result.paths, _P_TX))
         truths_dl = [sysmodel.downlink_channel(p, cfg) for p in scenario.users]
         h_true_rows = _stack_channels(truths_dl, cfg)
         # Oracle gains, perfect-CSI SINRs and the LMMSE rate do not depend on delta.
         g_star = [_oracle_gains(users_est[k], truths_dl[k], cfg) for k in range(config.users)]
-        sinr_perfect = mueval.sinr(h_true_rows, mueval.zf_precoder(h_true_rows), cfg.P)
+        sinr_perfect = mueval.sinr(h_true_rows, mueval.zf_precoder(h_true_rows), _P_TX)
         lmmse_dl = []
         for k in range(config.users):
             rng = _trial_rng(config.seed, 3, trial * config.users + k)
-            y_full = math.sqrt(cfg.P) * truths_dl[k] + sysmodel.complex_noise(rng, cfg.M * cfg.N)
-            lmmse_dl.append(recon.lmmse_baseline(y_full, cov, cfg))
+            y_full = math.sqrt(_P_TX) * truths_dl[k] + sysmodel.complex_noise(rng, cfg.M * cfg.N)
+            lmmse_dl.append(recon.lmmse_baseline(y_full, cov, cfg, _P_TX))
         lmmse_rate = _zf_rates(h_true_rows, _stack_channels(lmmse_dl, cfg), cfg.M, cfg)
 
         def measure(d):
-            cfg_d = dataclasses.replace(cfg, delta=d)
-            plan = dltrain.schedule_beams(users_est, grid, cfg_d)
+            plan = dltrain.schedule_beams(users_est, grid, cfg, d, _P_TX)
             gain_err = []
             recon_dl = []
             for k in range(config.users):
                 rng = _trial_rng(config.seed, 2, trial * config.users + k)
-                y_dl = dltrain.simulate_downlink_training(scenario.users[k], plan, cfg_d, rng)
-                g_hat = dltrain.estimate_downlink_gains(y_dl, users_est[k], plan, cfg_d)
+                y_dl = dltrain.simulate_downlink_training(scenario.users[k], plan, cfg, _P_TX, rng)
+                g_hat = dltrain.estimate_downlink_gains(y_dl, users_est[k], plan, cfg, _P_TX)
                 gain_err.append(
                     float(np.sum(np.abs(g_hat - g_star[k]) ** 2) / np.sum(np.abs(g_star[k]) ** 2))
                 )
-                recon_dl.append(recon.reconstruct(users_est[k], g_hat, cfg_d))
+                recon_dl.append(recon.reconstruct(users_est[k], g_hat, cfg))
             channel_nmse = np.mean([recon.channel_nmse(recon_dl[k], truths_dl[k]) for k in range(config.users)])
             rate_recon = _zf_rates(h_true_rows, _stack_channels(recon_dl, cfg), plan.T_p, cfg)
             return (float(plan.T_p), float(np.mean(gain_err)), float(channel_nmse), rate_recon,
@@ -336,7 +339,7 @@ def run_theorem1(config: ExperimentConfig) -> list:
     Each trial draws one multiuser downlink channel (first subcarrier); each
     delta draws reconstruction errors around it and compares mean SINRs.
     """
-    cfg = dataclasses.replace(config.system, P=10.0)
+    cfg = config.system
 
     def trial_fn(scenario, trial):
         h_rows = np.stack(
@@ -344,8 +347,8 @@ def run_theorem1(config: ExperimentConfig) -> list:
         )
 
         def measure(d):
-            analytic = mueval.analytic_sinr(h_rows, d, cfg.P)
-            mc = mueval.monte_carlo_sinr(h_rows, d, cfg.P, n_draws=config.mc_draws, seed=[config.seed, 4, trial])
+            analytic = mueval.analytic_sinr(h_rows, d, _P_TX)
+            mc = mueval.monte_carlo_sinr(h_rows, d, _P_TX, n_draws=config.mc_draws, seed=[config.seed, 4, trial])
             return float(np.mean(analytic)), float(np.mean(mc)), float(np.max(np.abs(analytic - mc) / mc))
         return measure
 

@@ -56,14 +56,14 @@ def channel_nmse(estimate: np.ndarray, truth: np.ndarray) -> float:
     return float(np.sum(np.abs(np.asarray(estimate) - truth) ** 2)) / denom
 
 
-def ls_baseline(y: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+def ls_baseline(y: np.ndarray, p_tx: float) -> np.ndarray:
     """Least squares channel estimate under full identity training.
 
-    The observation is y = sqrt(P) h + z with one pilot symbol per antenna,
-    so the estimate is y / sqrt(P) and the noise passes through unattenuated:
-    the classical full-pilot LS benchmark.
+    The observation is y = sqrt(p_tx) h + z with one pilot symbol per
+    antenna, so the estimate is y / sqrt(p_tx) and the noise passes through
+    unattenuated: the classical full-pilot LS benchmark.
     """
-    return np.asarray(y).ravel() / math.sqrt(cfg.P)
+    return np.asarray(y).ravel() / math.sqrt(p_tx)
 
 
 @dataclass(frozen=True)
@@ -124,14 +124,15 @@ def channel_covariance(
     )
 
 
-def lmmse_baseline(y: np.ndarray, cov: SpaceFrequencyCovariance, cfg: SystemConfig) -> np.ndarray:
-    """LMMSE channel estimate: R (R + I/P)^{-1} applied to the LS estimate.
+def lmmse_baseline(y: np.ndarray, cov: SpaceFrequencyCovariance, cfg: SystemConfig,
+                   p_tx: float) -> np.ndarray:
+    """LMMSE channel estimate: R (R + I/p_tx)^{-1} applied to the LS estimate.
 
     The Kronecker covariance makes the filter act on the antenna axis only;
     subcarriers decouple.
     """
-    h_ls = ls_baseline(y, cfg).reshape(cfg.M, cfg.N)
+    h_ls = ls_baseline(y, p_tx).reshape(cfg.M, cfg.N)
     w, v = cov.eigensystem
     lam = cov.scale * w
-    shrink = lam / (lam + 1.0 / cfg.P)
+    shrink = lam / (lam + 1.0 / p_tx)
     return (v @ (shrink[:, None] * (v.conj().T @ h_ls))).ravel()

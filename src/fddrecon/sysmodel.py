@@ -25,6 +25,13 @@ def check_integer(name: str, value, minimum: int) -> None:
         raise ValueError(f"{name} must be an integer >= {minimum}")
 
 
+def check_real(name: str, value) -> None:
+    """Reject a config value that is not a finite real number; a bool or a
+    string is not one here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite real number")
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Array, OFDM grid, and algorithm constants shared across the pipeline."""
@@ -37,12 +44,10 @@ class SystemConfig:
     f_dl: float = 2.3e9          # downlink carrier [Hz]
     d_over_lambda: float = 0.5   # element spacing in wavelengths
     T_c: int = 200               # coherence budget in OFDM symbols
-    P: float = 1.0               # transmit power (linear; unit-variance noise)
     P_fa: float = 1e-2           # false-alarm rate for the detection stop rule
     beta_theta: int = 2          # downtilt codebook oversampling
     beta_phi: int = 2            # azimuth codebook oversampling
     beta_tau: int = 1            # delay codebook oversampling
-    delta: float = 1e-2          # downlink gain-NMSE budget for scheduling
     pilot_spacing: int = 4       # downlink pilot comb spacing in subcarriers
 
     def __post_init__(self):
@@ -50,15 +55,13 @@ class SystemConfig:
             value = getattr(self, f.name)
             if f.type == "int":
                 check_integer(f.name, value, 1)
-            elif isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise ValueError(f"{f.name} must be a finite real number")
-        for name in ("delta_f", "d_over_lambda", "P"):
+            else:
+                check_real(f.name, value)
+        for name in ("delta_f", "d_over_lambda"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if not 0 < self.P_fa < 1:
             raise ValueError("P_fa must lie in (0, 1)")
-        if not 0 < self.delta < 1:
-            raise ValueError("delta must lie in (0, 1)")
 
     @property
     def M(self) -> int:
@@ -285,15 +288,16 @@ def complex_noise(rng: np.random.Generator, size: int) -> np.ndarray:
     return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / math.sqrt(2.0)
 
 
-def sounding_observation(paths, cfg: SystemConfig, noise_seed) -> np.ndarray:
-    """Uplink sounding snapshot: sqrt(P) times the channel plus unit-variance
-    complex noise, so cfg.P is the transmit SNR against 0 dB attenuation.
+def sounding_observation(paths, cfg: SystemConfig, p_tx: float, noise_seed) -> np.ndarray:
+    """Uplink sounding snapshot: sqrt(p_tx) times the channel plus
+    unit-variance complex noise, so p_tx is the linear transmit SNR against
+    0 dB attenuation.
 
     `noise_seed` may be an int or a numpy Generator; identical seeds give
     identical observations.
     """
     rng = np.random.default_rng(noise_seed)
-    return math.sqrt(cfg.P) * uplink_channel(paths, cfg) + complex_noise(rng, cfg.M * cfg.N)
+    return math.sqrt(p_tx) * uplink_channel(paths, cfg) + complex_noise(rng, cfg.M * cfg.N)
 
 
 def mean_linear_attenuation(att_range_db=(-10.0, 0.0)) -> float:

@@ -119,20 +119,20 @@ class _TruePath:
 
 
 def test_training_error_predictor_matches_monte_carlo():
-    cfg = SystemConfig(P=10.0, delta=1e-2)
+    cfg = SystemConfig()
     scenario = sysmodel.generate_scenario(1, 6, cfg, seed=101,
                                           att_range_db=(-10.0, 0.0))
-    y = sysmodel.sounding_observation(scenario.users[0], cfg,
+    y = sysmodel.sounding_observation(scenario.users[0], cfg, 10.0,
                                       np.random.default_rng(102))
     result = enomp.extract(y, cfg)
     est = tuple(
-        enomp.DetectedPath(gain=p.gain / math.sqrt(cfg.P), theta=p.theta,
+        enomp.DetectedPath(gain=p.gain / math.sqrt(10.0), theta=p.theta,
                            phi=p.phi, tau=p.tau)
         for p in result.paths)
-    plan = dltrain.schedule_beams([est], dltrain.build_angle_grid(cfg), cfg)
+    plan = dltrain.schedule_beams([est], dltrain.build_angle_grid(cfg), cfg, 1e-2, 10.0)
     coef = dltrain.coefficient_matrix(est, plan, cfg)
     g_hat = np.array([p.gain for p in est])
-    predicted = dltrain.predict_nmse(coef, g_hat, cfg)
+    predicted = dltrain.predict_nmse(coef, g_hat, 10.0)
     # downlink gains fixed to the uplink estimates; only pilot noise varies
     adapters = [_TruePath(p.theta, p.phi, p.tau, p.gain) for p in est]
     rng = np.random.default_rng(103)
@@ -140,8 +140,8 @@ def test_training_error_predictor_matches_monte_carlo():
     total = 0.0
     n_draws = 10_000
     for _ in range(n_draws):
-        y_dl = dltrain.simulate_downlink_training(adapters, plan, cfg, rng)
-        g_mc = dltrain.estimate_downlink_gains(y_dl, est, plan, cfg)
+        y_dl = dltrain.simulate_downlink_training(adapters, plan, cfg, 10.0, rng)
+        g_mc = dltrain.estimate_downlink_gains(y_dl, est, plan, cfg, 10.0)
         total += float(np.sum(np.abs(g_mc - g_hat) ** 2)) / denom
     measured = total / n_draws
     assert abs(measured - predicted) <= 0.05 * predicted
@@ -167,7 +167,7 @@ def test_scheduler_training_length_and_achieved_error(fig6_rows):
 
 
 def test_zero_forcing_invariants_every_subcarrier():
-    cfg = SystemConfig(P=10.0)
+    cfg = SystemConfig()
     scenario = sysmodel.generate_scenario(10, 6, cfg, seed=104,
                                           att_range_db=(-10.0, 0.0))
     rows = np.stack(
@@ -203,7 +203,7 @@ def test_reconstruction_rate_close_to_perfect_and_beats_lmmse(fig6_rows):
 
 
 def test_expected_sinr_model_matches_monte_carlo():
-    cfg = SystemConfig(P=10.0)
+    cfg = SystemConfig()
     scenario = sysmodel.generate_scenario(10, 6, cfg, seed=104,
                                           att_range_db=(-10.0, 0.0))
     h_rows = np.stack(
@@ -211,8 +211,8 @@ def test_expected_sinr_model_matches_monte_carlo():
          for p in scenario.users])
     rels = {}
     for d in (0.0, 1e-3, 1e-2):
-        analytic = mueval.analytic_sinr(h_rows, d, cfg.P)
-        mc = mueval.monte_carlo_sinr(h_rows, d, cfg.P, n_draws=10_000, seed=105)
+        analytic = mueval.analytic_sinr(h_rows, d, 10.0)
+        mc = mueval.monte_carlo_sinr(h_rows, d, 10.0, n_draws=10_000, seed=105)
         rels[d] = float(np.max(np.abs(analytic - mc) / mc))
     assert rels[0.0] <= 1e-11  # identical precoder every draw
     assert rels[1e-3] <= 0.10

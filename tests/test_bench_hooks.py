@@ -1,10 +1,15 @@
 """The benchmark's tracer (pipebench/tracer.py) wraps fddrecon functions by
 module attribute and calls their hooks with the wrapped functions' positional
 arguments. Renaming or re-signing one of them, or adding an extraction stop
-reason it does not count, must fail here rather than in a benchmark run."""
+reason it does not count, must fail here rather than in a benchmark run.
+The same holds for the kernel bench (benchmarks/bench_kernels.py), which
+calls fddrecon functions directly."""
 
 import importlib.util
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 import yaml
@@ -12,7 +17,8 @@ import yaml
 import fddrecon
 import fddrecon.cli  # noqa: F401  the tracer wraps cli.main
 
-TRACER_PATH = pathlib.Path(__file__).resolve().parents[1] / "pipebench" / "tracer.py"
+REPO = pathlib.Path(__file__).resolve().parents[1]
+TRACER_PATH = REPO / "pipebench" / "tracer.py"
 TINY_SYSTEM = {"M_v": 2, "M_h": 4, "N": 16}
 TOY_RUNS = {
     "fig4": {"system": TINY_SYSTEM, "trials": 2, "snr_db": [0.0, 10.0],
@@ -86,3 +92,12 @@ def test_traced_kron3_calls_are_costed(tracer_module):
     assert summary["functions"]["kernels.kron3"]["calls"] > 0
     assert summary["functions"]["recon.kron3"]["calls"] > 0
     assert summary["counters"]["kernels.kron3.flops_computed"] > 0
+
+
+def test_kernel_bench_runs():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "benchmarks" / "bench_kernels.py"), "--repeats", "1"],
+        capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 0, proc.stderr

@@ -12,8 +12,11 @@ from fddrecon.enomp import DetectedPath
 from fddrecon.sysmodel import SystemConfig, steering_vector
 
 
+P_TX = 10.0  # transmit power of every test but test_scalar_value
+
+
 def small_cfg(**kw):
-    base = dict(M_v=4, M_h=8, N=64, P=10.0)
+    base = dict(M_v=4, M_h=8, N=64)
     base.update(kw)
     return SystemConfig(**base)
 
@@ -185,12 +188,12 @@ class TestEndfireBeams:
 
     @pytest.mark.parametrize("delta", [1e-3, 1e-2, 1e-1])
     def test_nudge_and_grid_layout_leave_the_schedule_unchanged(self, delta):
-        cfg = SystemConfig(P=10.0, delta=delta)
+        cfg = SystemConfig()
         grid = dltrain.build_angle_grid(cfg)
-        plan = dltrain.schedule_beams(self._users(cfg, 0.0), grid, cfg)
+        plan = dltrain.schedule_beams(self._users(cfg, 0.0), grid, cfg, delta, P_TX)
         for users, layout in ((self._users(cfg, 1e-9), grid),
                               (self._users(cfg, 0.0), np.asfortranarray(grid))):
-            other = dltrain.schedule_beams(users, layout, cfg)
+            other = dltrain.schedule_beams(users, layout, cfg, delta, P_TX)
             assert (other.grid_indices, other.weights, other.feasible) == (
                 plan.grid_indices, plan.weights, plan.feasible)
 
@@ -214,8 +217,8 @@ class TestCoefficientMatrix:
         n_p = len(dltrain.pilot_subcarriers(cfg))
         assert coef.shape == (n_p, 1)
         np.testing.assert_allclose(np.abs(coef), math.sqrt(cfg.M), rtol=1e-12)
-        predicted = dltrain.predict_nmse(coef, np.array([path.gain]), cfg)
-        expect = 1.0 / (cfg.P * abs(path.gain) ** 2 * n_p * cfg.M)
+        predicted = dltrain.predict_nmse(coef, np.array([path.gain]), P_TX)
+        expect = 1.0 / (P_TX * abs(path.gain) ** 2 * n_p * cfg.M)
         assert predicted == pytest.approx(expect, rel=1e-12)
 
     def test_orthogonal_beam_zero_column(self):
@@ -276,7 +279,7 @@ class TestPredictor:
         path = DetectedPath(gain=1.0, theta=0.3, phi=-0.2, tau=2e-6)
         plan = manual_plan([5, 6], grid, cfg)
         coef = dltrain.coefficient_matrix([path, path], plan, cfg)  # duplicate
-        assert dltrain.predict_nmse(coef, np.array([1.0, 1.0]), cfg) == math.inf
+        assert dltrain.predict_nmse(coef, np.array([1.0, 1.0]), P_TX) == math.inf
 
     @pytest.mark.parametrize("cond, finite", [(1e5, True), (1e8, False)])
     def test_rank_rule_on_condition_number(self, cond, finite):
@@ -289,7 +292,7 @@ class TestPredictor:
                             + 1j * rng.standard_normal((n_paths, n_paths)))
         s = np.geomspace(1.0, 1.0 / cond, n_paths)
         coef = (u * s) @ v.conj().T
-        nmse = dltrain.predict_nmse(coef, np.ones(n_paths), small_cfg())
+        nmse = dltrain.predict_nmse(coef, np.ones(n_paths), P_TX)
         if finite:
             assert nmse == pytest.approx(np.sum(1.0 / s**2) / (10.0 * n_paths), rel=1e-4)
         else:
@@ -297,20 +300,19 @@ class TestPredictor:
 
     def test_fewer_rows_than_paths_is_inf(self):
         coef = np.array([[1.0 + 0j, 2.0 + 0j]])
-        assert dltrain.predict_nmse(coef, np.array([1.0, 1.0]), small_cfg()) == math.inf
+        assert dltrain.predict_nmse(coef, np.array([1.0, 1.0]), P_TX) == math.inf
 
     def test_zero_gain_rejected(self):
-        cfg = small_cfg()
         coef = np.array([[2.0 + 0j]])
         with pytest.raises(ValueError):
-            dltrain.predict_nmse(coef, np.array([0.0]), cfg)
+            dltrain.predict_nmse(coef, np.array([0.0]), P_TX)
 
     def test_scalar_value(self):
-        cfg = small_cfg(P=1.0)
+        p_tx = 1.0
         coef = np.array([[2.0 + 0j]])
         # predicted NMSE = (1/4) / (1 * 1) = 0.25
-        assert dltrain.predict_nmse(coef, np.array([1.0 + 0j]), cfg) == 0.25
-        assert dltrain.predict_nmse(coef, np.array([math.sqrt(2.0)]), cfg) == pytest.approx(0.125)
+        assert dltrain.predict_nmse(coef, np.array([1.0 + 0j]), p_tx) == 0.25
+        assert dltrain.predict_nmse(coef, np.array([math.sqrt(2.0)]), p_tx) == pytest.approx(0.125)
 
     def test_monte_carlo_agreement(self):
         cfg = small_cfg()
@@ -320,14 +322,14 @@ class TestPredictor:
         plan = manual_plan([3, 11, 20, 28], grid, cfg)
         coef = dltrain.coefficient_matrix(paths, plan, cfg)
         g = np.array([p.gain for p in paths])
-        predicted = dltrain.predict_nmse(coef, g, cfg)
+        predicted = dltrain.predict_nmse(coef, g, P_TX)
         draws = 2000
         total = 0.0
         gnorm2 = np.sum(np.abs(g) ** 2)
         for _ in range(draws):
             y = dltrain.simulate_downlink_training(
-                [_as_true_path(p) for p in paths], plan, cfg, noise_seed=rng)
-            g_hat = dltrain.estimate_downlink_gains(y, paths, plan, cfg)
+                [_as_true_path(p) for p in paths], plan, cfg, P_TX, noise_seed=rng)
+            g_hat = dltrain.estimate_downlink_gains(y, paths, plan, cfg, P_TX)
             total += np.sum(np.abs(g_hat - g) ** 2) / gnorm2
         assert total / draws == pytest.approx(predicted, rel=0.10)
 
@@ -344,11 +346,11 @@ class TestPredictor:
         comp = np.zeros(len(g))
         for _ in range(draws):
             y = dltrain.simulate_downlink_training(
-                [_as_true_path(p) for p in paths], plan, cfg, noise_seed=rng)
-            err = dltrain.estimate_downlink_gains(y, paths, plan, cfg) - g
+                [_as_true_path(p) for p in paths], plan, cfg, P_TX, noise_seed=rng)
+            err = dltrain.estimate_downlink_gains(y, paths, plan, cfg, P_TX) - g
             comp += np.abs(vh @ err) ** 2
         comp /= draws
-        expect = 1.0 / (cfg.P * sv**2)
+        expect = 1.0 / (P_TX * sv**2)
         np.testing.assert_allclose(comp, expect, rtol=0.15)
 
 
@@ -377,8 +379,8 @@ class TestGainEstimation:
         plan = manual_plan([1, 9, 22, 31], grid, cfg)
         coef = dltrain.coefficient_matrix(paths, plan, cfg)
         y = dltrain.simulate_downlink_training(
-            [_as_true_path(p) for p in paths], plan, cfg)
-        g_hat = dltrain.estimate_downlink_gains(y, paths, plan, cfg)
+            [_as_true_path(p) for p in paths], plan, cfg, P_TX)
+        g_hat = dltrain.estimate_downlink_gains(y, paths, plan, cfg, P_TX)
         g = np.array([p.gain for p in paths])
         np.testing.assert_allclose(g_hat, g, rtol=1e-10)
 
@@ -388,8 +390,8 @@ class TestGainEstimation:
         rng = np.random.default_rng(26)
         paths = [_as_true_path(p) for p in random_detected_paths(rng, 2, cfg)]
         plan = manual_plan([7, 15], grid, cfg)
-        y1 = dltrain.simulate_downlink_training(paths, plan, cfg, noise_seed=99)
-        y2 = dltrain.simulate_downlink_training(paths, plan, cfg, noise_seed=99)
+        y1 = dltrain.simulate_downlink_training(paths, plan, cfg, P_TX, noise_seed=99)
+        y2 = dltrain.simulate_downlink_training(paths, plan, cfg, P_TX, noise_seed=99)
         np.testing.assert_array_equal(y1, y2)
 
     def test_rank_deficiency_raises(self):
@@ -399,7 +401,7 @@ class TestGainEstimation:
         plan = manual_plan([8, 16], grid, cfg)
         coef = dltrain.coefficient_matrix([path, path], plan, cfg)
         with pytest.raises(np.linalg.LinAlgError):
-            dltrain.estimate_downlink_gains(np.zeros(coef.shape[0]), [path, path], plan, cfg)
+            dltrain.estimate_downlink_gains(np.zeros(coef.shape[0]), [path, path], plan, cfg, P_TX)
 
     def test_no_paths_or_no_beams_raise_value_error(self):
         # an empty pilot model is a caller error (the harness fails a trial
@@ -411,12 +413,12 @@ class TestGainEstimation:
         paths = [_as_true_path(p) for p in random_detected_paths(rng, 2, cfg)]
         plan = manual_plan([3, 12], grid, cfg)
         no_beams = manual_plan([], grid, cfg)
-        y = dltrain.simulate_downlink_training(paths, plan, cfg)
+        y = dltrain.simulate_downlink_training(paths, plan, cfg, P_TX)
         for case_paths, case_plan in (([], plan), (paths, no_beams)):
             with pytest.raises(ValueError):
-                dltrain.simulate_downlink_training(case_paths, case_plan, cfg)
+                dltrain.simulate_downlink_training(case_paths, case_plan, cfg, P_TX)
             with pytest.raises(ValueError):
-                dltrain.estimate_downlink_gains(y, case_paths, case_plan, cfg)
+                dltrain.estimate_downlink_gains(y, case_paths, case_plan, cfg, P_TX)
             with pytest.raises(ValueError):
                 dltrain.coefficient_matrix(case_paths, case_plan, cfg)
 
@@ -426,7 +428,7 @@ def pilot_cases(draw):
     """A small system, one to five random paths (downlink gains included)
     and a plan of distinct grid points."""
     cfg = SystemConfig(M_v=draw(st.integers(1, 4)), M_h=draw(st.integers(1, 4)),
-                       N=draw(st.integers(4, 32)), pilot_spacing=draw(st.integers(1, 4)), P=10.0)
+                       N=draw(st.integers(4, 32)), pilot_spacing=draw(st.integers(1, 4)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     paths = [_as_true_path(p)
              for p in random_detected_paths(rng, draw(st.integers(1, 5)), cfg)]
@@ -470,10 +472,10 @@ class TestFactoredPilots:
         cfg, paths, plan = case
         coef = dltrain.coefficient_matrix(paths, plan, cfg)
         g = np.array([p.g_dl for p in paths])
-        want = math.sqrt(cfg.P) * coef @ g
-        got = dltrain.simulate_downlink_training(paths, plan, cfg)
+        want = math.sqrt(P_TX) * coef @ g
+        got = dltrain.simulate_downlink_training(paths, plan, cfg, P_TX)
         assert got.shape == want.shape
-        bound = 1e-13 * math.sqrt(cfg.P) * np.linalg.norm(coef) * np.linalg.norm(g)
+        bound = 1e-13 * math.sqrt(P_TX) * np.linalg.norm(coef) * np.linalg.norm(g)
         assert np.linalg.norm(got - want) <= bound
 
     @settings(max_examples=80, deadline=None)
@@ -482,9 +484,9 @@ class TestFactoredPilots:
         cfg, paths, plan = case
         coef = dltrain.coefficient_matrix(paths, plan, cfg)
         assume(len(paths) <= coef.shape[0] and np.linalg.cond(coef) < 1e2)
-        y = dltrain.simulate_downlink_training(paths, plan, cfg, noise_seed=seed)
-        want = np.linalg.lstsq(coef, y, rcond=None)[0] / math.sqrt(cfg.P)
-        got = dltrain.estimate_downlink_gains(y, paths, plan, cfg)
+        y = dltrain.simulate_downlink_training(paths, plan, cfg, P_TX, noise_seed=seed)
+        want = np.linalg.lstsq(coef, y, rcond=None)[0] / math.sqrt(P_TX)
+        got = dltrain.estimate_downlink_gains(y, paths, plan, cfg, P_TX)
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
     def test_near_coincident_paths_take_the_lstsq_route(self, monkeypatch):
@@ -497,13 +499,13 @@ class TestFactoredPilots:
         plan = manual_plan([dltrain.optimal_grid_point(0.3, -0.4, grid, cfg), 5, 20], grid, cfg)
         coef = dltrain.coefficient_matrix(paths, plan, cfg)
         assert 1e4 <= np.linalg.cond(coef) < 1e10
-        y = dltrain.simulate_downlink_training(paths, plan, cfg, noise_seed=37)
+        y = dltrain.simulate_downlink_training(paths, plan, cfg, P_TX, noise_seed=37)
         lstsq = counted_lstsq(monkeypatch)
-        got = dltrain.estimate_downlink_gains(y, paths, plan, cfg)
+        got = dltrain.estimate_downlink_gains(y, paths, plan, cfg, P_TX)
         assert lstsq.calls == 1
         want, _, rank, _ = lstsq(coef, y, rcond=None)
         assert rank == 2
-        np.testing.assert_array_equal(got, want / math.sqrt(cfg.P))
+        np.testing.assert_array_equal(got, want / math.sqrt(P_TX))
 
 
 class TestScheduler:
@@ -511,18 +513,18 @@ class TestScheduler:
         return [random_detected_paths(rng, n_paths, cfg) for _ in range(n_users)]
 
     def test_single_user_single_point(self):
-        cfg = small_cfg(delta=0.5)
+        cfg, delta = small_cfg(), 0.5
         grid = dltrain.build_angle_grid(cfg)
         th, ph = dltrain.grid_point(12, cfg)
         user = (DetectedPath(gain=2.0 + 0j, theta=th, phi=ph, tau=1e-6),)
-        plan = dltrain.schedule_beams([user], grid, cfg)
+        plan = dltrain.schedule_beams([user], grid, cfg, delta, P_TX)
         assert plan.feasible
         assert plan.T_p == 1
         assert plan.grid_indices == (12,)
         assert plan.weights == (1,)
 
     def test_weights_count_distinct_users(self):
-        cfg = small_cfg(delta=1e-9)  # infeasible so every mark is kept
+        cfg, delta = small_cfg(), 1e-9  # infeasible so every mark is kept
         grid = dltrain.build_angle_grid(cfg)
         # stay off the theta = -pi/2 row, where every azimuth column ties
         th_a, ph_a = dltrain.grid_point(11, cfg)
@@ -531,7 +533,7 @@ class TestScheduler:
         shared2 = DetectedPath(gain=1.0, theta=th_a, phi=ph_a, tau=4e-6)
         other = DetectedPath(gain=1.0, theta=th_b, phi=ph_b, tau=2e-6)
         plan = dltrain.schedule_beams(
-            [(shared, shared2), (shared, other)], grid, cfg)
+            [(shared, shared2), (shared, other)], grid, cfg, delta, P_TX)
         assert not plan.feasible
         weight = dict(zip(plan.grid_indices, plan.weights))
         # two paths of user 1 on point 11 still count that user once
@@ -544,21 +546,21 @@ class TestScheduler:
         cfg = small_cfg()
         grid = dltrain.build_angle_grid(cfg)
         rng = np.random.default_rng(27)
-        plan = dltrain.schedule_beams(self._users(rng, cfg), grid, cfg)
+        plan = dltrain.schedule_beams(self._users(rng, cfg), grid, cfg, 1e-2, P_TX)
         np.testing.assert_allclose(
             np.linalg.norm(plan.beams, axis=0), 1.0, rtol=1e-12)
 
     def test_all_users_meet_target(self):
-        cfg = small_cfg(delta=1e-2)
+        cfg, delta = small_cfg(), 1e-2
         grid = dltrain.build_angle_grid(cfg)
         rng = np.random.default_rng(28)
         users = self._users(rng, cfg, n_users=4, n_paths=3)
-        plan = dltrain.schedule_beams(users, grid, cfg)
+        plan = dltrain.schedule_beams(users, grid, cfg, delta, P_TX)
         assert plan.feasible
         for paths in users:
             coef = dltrain.coefficient_matrix(paths, plan, cfg)
             g = np.array([p.gain for p in paths])
-            assert dltrain.predict_nmse(coef, g, cfg) < cfg.delta
+            assert dltrain.predict_nmse(coef, g, P_TX) < delta
 
     def test_monotone_in_delta(self):
         grid = None
@@ -566,22 +568,22 @@ class TestScheduler:
         users_base = None
         t_ps = []
         for delta in (1e-1, 1e-2, 1e-3):
-            cfg = small_cfg(delta=delta)
+            cfg = small_cfg()
             if grid is None:
                 grid = dltrain.build_angle_grid(cfg)
                 users_base = self._users(
                     np.random.default_rng(30), cfg, n_users=4, n_paths=3)
-            plan = dltrain.schedule_beams(users_base, grid, cfg)
+            plan = dltrain.schedule_beams(users_base, grid, cfg, delta, P_TX)
             assert plan.feasible
             t_ps.append(plan.T_p)
         assert t_ps[0] <= t_ps[1] <= t_ps[2]
 
     def test_first_retained_point_indispensable(self):
-        cfg = small_cfg(delta=1e-2)
+        cfg, delta = small_cfg(), 1e-2
         grid = dltrain.build_angle_grid(cfg)
         rng = np.random.default_rng(31)
         users = self._users(rng, cfg, n_users=4, n_paths=3)
-        plan = dltrain.schedule_beams(users, grid, cfg)
+        plan = dltrain.schedule_beams(users, grid, cfg, delta, P_TX)
         assert plan.feasible
         if plan.T_p < cfg.M:
             reduced = manual_plan(plan.grid_indices[1:], grid, cfg)
@@ -592,16 +594,16 @@ class TestScheduler:
                     break
                 coef = dltrain.coefficient_matrix(paths, reduced, cfg)
                 g = np.array([p.gain for p in paths])
-                if not dltrain.predict_nmse(coef, g, cfg) < cfg.delta:
+                if not dltrain.predict_nmse(coef, g, P_TX) < delta:
                     ok = False
                     break
             assert not ok
 
     def test_infeasible_keeps_everything(self):
-        cfg = small_cfg(delta=1e-12)
+        cfg, delta = small_cfg(), 1e-12
         grid = dltrain.build_angle_grid(cfg)
         users = self._users(np.random.default_rng(33), cfg)
-        plan = dltrain.schedule_beams(users, grid, cfg)
+        plan = dltrain.schedule_beams(users, grid, cfg, delta, P_TX)
         assert not plan.feasible
         marked = set()
         for paths in users:
@@ -615,19 +617,19 @@ class TestScheduler:
     def test_feasible_plans_are_estimable(self, n_users, n_paths, delta, seed):
         # a plan the scheduler marks feasible passes the estimator's rank
         # check for every user, and noiseless pilots give back the gains
-        cfg = small_cfg(delta=delta)
+        cfg = small_cfg()
         grid = dltrain.build_angle_grid(cfg)
         users = self._users(np.random.default_rng(seed), cfg, n_users, n_paths)
-        plan = dltrain.schedule_beams(users, grid, cfg)
+        plan = dltrain.schedule_beams(users, grid, cfg, delta, P_TX)
         assume(plan.feasible)
         for paths in users:
-            y = dltrain.simulate_downlink_training([_as_true_path(p) for p in paths], plan, cfg)
+            y = dltrain.simulate_downlink_training([_as_true_path(p) for p in paths], plan, cfg, P_TX)
             g = np.array([p.gain for p in paths])
-            got = dltrain.estimate_downlink_gains(y, paths, plan, cfg)
+            got = dltrain.estimate_downlink_gains(y, paths, plan, cfg, P_TX)
             assert np.linalg.norm(got - g) <= 1e-10 * np.linalg.norm(g)
 
     def test_internal_probe_matches_public_predictor(self):
-        cfg = small_cfg(delta=1e-2)
+        cfg = small_cfg()
         grid = dltrain.build_angle_grid(cfg)
         rng = np.random.default_rng(34)
         paths = random_detected_paths(rng, 3, cfg)
@@ -640,6 +642,6 @@ class TestScheduler:
             cols = np.array(subset, dtype=np.intp)
             plan = manual_plan([order[s] for s in subset], grid, cfg)
             coef = dltrain.coefficient_matrix(paths, plan, cfg)
-            direct = dltrain.predict_nmse(coef, g, cfg)
-            fast = state.subset_nmse(cols, cfg)
+            direct = dltrain.predict_nmse(coef, g, P_TX)
+            fast = state.subset_nmse(cols, P_TX)
             assert fast == pytest.approx(direct, rel=1e-9)

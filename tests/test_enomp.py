@@ -373,7 +373,7 @@ class TestExtract:
             phi=float(rng.uniform(-1.4, 1.4)),
             tau=float(rng.uniform(0.0, 0.9) * cfg.tau_max),
         ) for _ in range(4))
-        y = sounding_observation(paths, cfg, 13)
+        y = sounding_observation(paths, cfg, 1.0, 13)
         res = enomp.extract(y, cfg)
         rebuilt = sum(p.gain * enomp.synth_atom(p.theta, p.phi, p.tau, cfg)
                       for p in res.paths)
@@ -436,7 +436,7 @@ class TestExtract:
         cfg = small_cfg()
         empty = 0
         for seed in range(20):
-            y = sounding_observation((), cfg, seed)
+            y = sounding_observation((), cfg, 1.0, seed)
             res = enomp.extract(y, cfg)
             empty += not res.paths
         assert empty >= 18  # false-alarm rate is one percent per snapshot
@@ -666,7 +666,7 @@ class TestExtractMatchesResidualLoop:
         cfg = SystemConfig()
         cb = enomp.build_codebook(cfg)
         scenario = generate_scenario(1, 6, cfg, seed=seed, att_range_db=(0.0, 0.0))
-        y = sounding_observation(scenario.users[0], cfg, seed + 1)
+        y = sounding_observation(scenario.users[0], cfg, 1.0, seed + 1)
         tracks, iterations, stop = residual_loop_extract(y, cfg, cb)
         res = enomp.extract(y, cfg, cb)
         assert (len(res.paths), res.iterations, res.stop_reason) == (len(tracks), iterations, stop)
@@ -695,7 +695,7 @@ class TestRowBlockedDetection:
         rng = np.random.default_rng(40)
         scenario = generate_scenario(1, 6, cfg, seed=41)
         for trial in range(4):
-            y = (sounding_observation(scenario.users[0], cfg, rng) if trial % 2
+            y = (sounding_observation(scenario.users[0], cfg, 1.0, rng) if trial % 2
                  else rng.standard_normal(cfg.M * cfg.N) + 1j * rng.standard_normal(cfg.M * cfg.N))
             assert enomp.omp_detect(y, cb) == whole_cube_detect(y, cb)
 

@@ -102,10 +102,25 @@ class TestConfig:
         {"experiment": "theorem1", "system": {"T_c": 2.5}},
         {"experiment": "fig6", "users": True},
         {"experiment": "fig4", "system": {"delta_f": float("nan")}},
+        {"experiment": "fig4", "snr_db": "57"},
+        {"experiment": "fig4", "snr_db": ["5", "10"]},
+        {"experiment": "fig4", "snr_db": [True, 5]},
+        {"experiment": "fig4", "attenuation_db": [False, True]},
+        {"experiment": "fig4", "snr_db": 5},
+        {"experiment": "fig4", "snr_db": [0, -4000]},
+        {"experiment": "fig6", "snr_db": [4000]},
     ])
     def test_rejects_bad_input(self, raw):
         with pytest.raises(ValueError):
             harness.config_from_dict(raw)
+
+    def test_transmit_power_range(self):
+        assert harness.transmit_power(10.0) == 10.0
+        for snr_db in (-2999.0, 2999.0):
+            assert 0.0 < harness.transmit_power(snr_db) < math.inf
+        for snr_db in (-3000.0, 3000.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=r"snr_db must lie in \(-3000, 3000\) dB"):
+                harness.transmit_power(snr_db)
 
     @pytest.mark.parametrize("experiment", ["fig6", "theorem1"])
     def test_users_at_most_antennas(self, experiment):
@@ -381,6 +396,23 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert trial[0] == -1
 
+    @pytest.mark.parametrize("snr_db", [-4000.0, 4000.0])
+    def test_fig4_snr_range_error_before_any_trial(self, tmp_path, capsys, monkeypatch, snr_db):
+        trial = count_trials(monkeypatch)
+        config = self.write_config(tmp_path, "fig4", snr_db=[0.0, snr_db])
+        assert cli.main(["fig4", "--config", config]) == 1
+        assert capsys.readouterr().err == (
+            f"error: snr_db must lie in (-3000, 3000) dB, got {snr_db!r}\n")
+        assert trial[0] == -1
+
+    @pytest.mark.parametrize("snr_db", ["-4000", "4000", "nan", "inf"])
+    def test_extract_snr_range_error(self, capsys, monkeypatch, snr_db):
+        trial = count_trials(monkeypatch)
+        assert cli.main(["extract", "--paths", "2", f"--snr-db={snr_db}"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: snr_db must lie in (-3000, 3000) dB, got {float(snr_db)!r}\n")
+        assert trial[0] == -1
+
     def test_unknown_key_fails(self, tmp_path, capsys):
         import yaml
 
@@ -403,10 +435,7 @@ class TestCli:
         ([1, 2], "config root must be a mapping"),
         ({"system": {"M_q": 3}}, "unknown system config keys: ['M_q']"),
         ({"system": [1]}, "config key 'system' must be a mapping"),
-        ({"system": {"delta": 0.5, "P": 2.0}},
-         "system.P is not configurable: fig4 sets it from snr_db, fig6 and theorem1 "
-         "at 10 dB, extract from --snr-db; system.delta is not configurable: "
-         "fig6 sets it from deltas"),
+        ({"system": {"delta": 0.5, "P": 2.0}}, "unknown system config keys: ['P', 'delta']"),
     ])
     def test_config_contract_every_subcommand(self, tmp_path, capsys, command,
                                               content, message):

@@ -109,25 +109,24 @@ class TestChannelNmse:
 
 class TestLsBaseline:
     def test_noiseless_exact(self):
-        cfg = small_cfg(P=3.0)
+        cfg, p_tx = small_cfg(), 3.0
         sc = generate_scenario(1, 3, cfg, seed=47)
         h = uplink_channel(sc.users[0], cfg)
-        y = math.sqrt(cfg.P) * h
-        np.testing.assert_allclose(recon.ls_baseline(y, cfg), h, atol=1e-10)
+        y = math.sqrt(p_tx) * h
+        np.testing.assert_allclose(recon.ls_baseline(y, p_tx), h, atol=1e-10)
 
     def test_error_scales_inversely_with_power(self):
-        cfg1 = small_cfg(P=1.0)
-        cfg2 = small_cfg(P=100.0)
-        sc = generate_scenario(1, 3, cfg1, seed=48)
-        h = uplink_channel(sc.users[0], cfg1)
+        cfg = small_cfg()
+        sc = generate_scenario(1, 3, cfg, seed=48)
+        h = uplink_channel(sc.users[0], cfg)
         rng = np.random.default_rng(49)
-        z = (rng.standard_normal(cfg1.M * cfg1.N)
-             + 1j * rng.standard_normal(cfg1.M * cfg1.N)) / math.sqrt(2)
+        z = (rng.standard_normal(cfg.M * cfg.N)
+             + 1j * rng.standard_normal(cfg.M * cfg.N)) / math.sqrt(2)
         nmse = {}
-        for cfg in (cfg1, cfg2):
-            y = math.sqrt(cfg.P) * h + z
-            est = recon.ls_baseline(y, cfg)
-            nmse[cfg.P] = recon.channel_nmse(est, h)
+        for p_tx in (1.0, 100.0):
+            y = math.sqrt(p_tx) * h + z
+            est = recon.ls_baseline(y, p_tx)
+            nmse[p_tx] = recon.channel_nmse(est, h)
         assert nmse[1.0] / nmse[100.0] == pytest.approx(100.0, rel=1e-9)
 
 
@@ -189,16 +188,16 @@ class TestCovariance:
 
 class TestLmmseBaseline:
     def test_matches_dense_filter(self):
-        cfg = small_cfg(M_v=2, M_h=2, N=3, P=2.0)
+        cfg, p_tx = small_cfg(M_v=2, M_h=2, N=3), 2.0
         spatial = recon.steering_covariance(cfg, n_draws=300, seed=5)
         cov = recon.SpaceFrequencyCovariance(spatial=spatial, scale=0.7)
         rng = np.random.default_rng(50)
         y = rng.standard_normal(cfg.M * cfg.N) + 1j * rng.standard_normal(cfg.M * cfg.N)
-        got = recon.lmmse_baseline(y, cov, cfg)
-        h_ls = recon.ls_baseline(y, cfg)
+        got = recon.lmmse_baseline(y, cov, cfg, p_tx)
+        h_ls = recon.ls_baseline(y, p_tx)
         r_full = full_matrix(cov, cfg.N)
         dense = r_full @ np.linalg.solve(
-            r_full + np.eye(cfg.M * cfg.N) / cfg.P, h_ls)
+            r_full + np.eye(cfg.M * cfg.N) / p_tx, h_ls)
         np.testing.assert_allclose(got, dense, rtol=1e-9, atol=1e-12)
 
     def test_limiting_behavior(self):
@@ -207,13 +206,13 @@ class TestLmmseBaseline:
         y = rng.standard_normal(cfg.M * cfg.N) + 1j * rng.standard_normal(cfg.M * cfg.N)
         huge = recon.SpaceFrequencyCovariance(spatial=np.eye(cfg.M), scale=1e12)
         np.testing.assert_allclose(
-            recon.lmmse_baseline(y, huge, cfg),
-            recon.ls_baseline(y, cfg), rtol=1e-9)
+            recon.lmmse_baseline(y, huge, cfg, 1.0),
+            recon.ls_baseline(y, 1.0), rtol=1e-9)
         null = recon.SpaceFrequencyCovariance(spatial=np.eye(cfg.M), scale=0.0)
-        np.testing.assert_array_equal(recon.lmmse_baseline(y, null, cfg), 0.0)
+        np.testing.assert_array_equal(recon.lmmse_baseline(y, null, cfg, 1.0), 0.0)
 
     def test_beats_ls_at_low_snr(self):
-        cfg = small_cfg(P=1.0)
+        cfg, p_tx = small_cfg(), 1.0
         cov = recon.channel_covariance(cfg, n_draws=4000, seed=8)
         rng = np.random.default_rng(52)
         ls_total, lm_total = 0.0, 0.0
@@ -222,8 +221,8 @@ class TestLmmseBaseline:
             h = uplink_channel(sc.users[0], cfg)
             z = (rng.standard_normal(cfg.M * cfg.N)
                  + 1j * rng.standard_normal(cfg.M * cfg.N)) / math.sqrt(2)
-            y = math.sqrt(cfg.P) * h + z
-            ls_total += recon.channel_nmse(recon.ls_baseline(y, cfg), h)
-            lm_total += recon.channel_nmse(recon.lmmse_baseline(y, cov, cfg), h)
+            y = math.sqrt(p_tx) * h + z
+            ls_total += recon.channel_nmse(recon.ls_baseline(y, p_tx), h)
+            lm_total += recon.channel_nmse(recon.lmmse_baseline(y, cov, cfg, p_tx), h)
         assert lm_total < ls_total
 

@@ -1,5 +1,6 @@
 """Channel synthesis checks against brute-force oracles and closed forms."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -102,6 +103,10 @@ class TestSystemConfig:
     def test_rejects_wrong_types_and_non_finite(self, field, value):
         with pytest.raises(ValueError, match=field):
             SystemConfig(**{field: value})
+
+    def test_operating_point_is_not_a_field(self):
+        # transmit power and accuracy target are call arguments, set per experiment
+        assert not {f.name for f in dataclasses.fields(SystemConfig)} & {"P", "delta"}
 
     def test_integer_valued_floats_accepted(self):
         cfg = SystemConfig(f_ul=2_000_000_000, d_over_lambda=1)
@@ -320,13 +325,13 @@ class TestSounding:
         cfg = small_cfg()
         rng = np.random.default_rng(5)
         paths = random_paths(rng, 2, cfg)
-        y1 = sysmodel.sounding_observation(paths, cfg, 42)
-        y2 = sysmodel.sounding_observation(paths, cfg, 42)
+        y1 = sysmodel.sounding_observation(paths, cfg, 1.0, 42)
+        y2 = sysmodel.sounding_observation(paths, cfg, 1.0, 42)
         np.testing.assert_array_equal(y1, y2)
 
     def test_no_paths_gives_unit_variance_noise(self):
         cfg = SystemConfig(M_v=8, M_h=16, N=100)  # 12800 entries
-        chunks = [sysmodel.sounding_observation((), cfg, seed) for seed in range(8)]
+        chunks = [sysmodel.sounding_observation((), cfg, 1.0, seed) for seed in range(8)]
         z = np.concatenate(chunks)  # > 1e5 entries
         assert abs(np.mean(np.abs(z) ** 2) - 1.0) < 0.05
 
@@ -334,15 +339,15 @@ class TestSounding:
         cfg = small_cfg(M_v=8, M_h=8, N=64)
         mn = cfg.M * cfg.N
         p = PathComponent(g_ul=1.0, g_dl=1.0, theta=0.0, phi=0.0, tau=0.0)
-        y = sysmodel.sounding_observation((p,), cfg, 7)
-        z = y - math.sqrt(cfg.P) * sysmodel.uplink_channel((p,), cfg)
+        y = sysmodel.sounding_observation((p,), cfg, 1.0, 7)
+        z = y - sysmodel.uplink_channel((p,), cfg)
         # |z|^2 has unit mean and unit variance per entry
         assert abs(np.sum(np.abs(z) ** 2) / mn - 1.0) < 3.0 / math.sqrt(mn)
 
     def test_transmit_power_scaling(self):
-        cfg = small_cfg(P=4.0)
+        cfg = small_cfg()
         p = PathComponent(g_ul=1.0, g_dl=1.0, theta=0.0, phi=0.0, tau=0.0)
-        y = sysmodel.sounding_observation((p,), cfg, 11)
+        y = sysmodel.sounding_observation((p,), cfg, 4.0, 11)
         z = y - 2.0 * sysmodel.uplink_channel((p,), cfg)
         assert np.mean(np.abs(z) ** 2) < 2.0  # residual is the unit noise, not the signal
 
