@@ -46,12 +46,9 @@ def _run_experiment(args) -> int:
         raise ValueError(
             f"config file is for experiment {raw['experiment']!r} but {args.command!r} was requested"
         )
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    if args.trials is not None:
-        raw["trials"] = args.trials
-    if args.out is not None:
-        raw["out"] = args.out
+    for name in ("seed", "trials", "out"):
+        if getattr(args, name) is not None:
+            raw[name] = getattr(args, name)
     config = harness.config_from_dict(raw)
     rows = harness.run_experiment(config)
     if config.out:
@@ -62,14 +59,11 @@ def _run_experiment(args) -> int:
 
 
 def _run_extract(args) -> int:
-    cfg = sysmodel.SystemConfig()
-    seed = 0 if args.seed is None else args.seed
-    if args.config:
-        raw = harness.read_config(args.config)
-        cfg = sysmodel.SystemConfig(**(raw.get("system") or {}))
-        if args.seed is None:
-            seed = raw.get("seed", 0)
-    sysmodel.check_integer("seed", seed, 0)
+    raw = harness.read_config(args.config) if args.config else {}
+    seed_flag = {} if args.seed is None else {"seed": args.seed}
+    # the file's own experiment (fig4 when it names none) sets the value contract
+    config = harness.config_from_dict({"experiment": "fig4", "seed": 0, **raw, **seed_flag})
+    cfg, seed = config.system, config.seed
     p_tx = harness.transmit_power(args.snr_db)
     scenario = sysmodel.generate_scenario(1, args.paths, cfg, seed=seed, att_range_db=(0.0, 0.0))
     paths = scenario.users[0]

@@ -21,8 +21,6 @@ import yaml
 from . import dltrain, enomp, mueval, recon, sysmodel
 from .sysmodel import SystemConfig, check_integer, check_real
 
-EXPERIMENTS = ("fig4", "fig6", "theorem1")
-
 _DEFAULT_TRIALS = {"fig4": 100, "fig6": 50, "theorem1": 3}
 _DEFAULT_ATTENUATION = {"fig4": (0.0, 0.0), "fig6": (-10.0, 0.0), "theorem1": (-10.0, 0.0)}
 
@@ -57,7 +55,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
-            raise ValueError(f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENTS}")
+            raise ValueError(f"unknown experiment {self.experiment!r}; expected one of {tuple(EXPERIMENTS)}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ValueError("out must be a string")
         if self.trials is None:
             object.__setattr__(self, "trials", _DEFAULT_TRIALS[self.experiment])
         if self.attenuation_db is None:
@@ -93,39 +93,31 @@ class ExperimentConfig:
             raise ValueError(f"fig6 needs system.T_c > system.M = {self.system.M}")
 
 
-def check_config_keys(raw) -> None:
-    """Reject a parsed YAML config whose root is not a mapping or that has
-    unknown top-level or ``system`` keys.  Every CLI subcommand applies it."""
+def config_from_dict(raw) -> ExperimentConfig:
+    """Build an ExperimentConfig from a parsed YAML mapping: the one config
+    check, applied by every CLI subcommand.  Raises ValueError unless the root
+    and ``system`` are mappings, every key is known, and every value passes."""
     if not isinstance(raw, dict):
         raise ValueError("config root must be a mapping")
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    unknown = set(raw) - known
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    system = raw.get("system") or {}
+    data = dict(raw)
+    system = data.pop("system", None) or {}
     if not isinstance(system, dict):
         raise ValueError("config key 'system' must be a mapping")
-    sys_known = {f.name for f in dataclasses.fields(SystemConfig)}
-    sys_unknown = set(system) - sys_known
-    if sys_unknown:
-        raise ValueError(f"unknown system config keys: {sorted(sys_unknown)}")
-
-
-def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Build an ExperimentConfig from parsed YAML, rejecting unknown keys."""
-    check_config_keys(raw)
-    data = dict(raw)
-    system_raw = data.pop("system", {}) or {}
-    return ExperimentConfig(system=SystemConfig(**system_raw), **data)
+    for where, keys, cls in (("", data, ExperimentConfig), ("system ", system, SystemConfig)):
+        unknown = set(keys) - {f.name for f in dataclasses.fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown {where}config keys: {sorted(unknown)}")
+    return ExperimentConfig(system=SystemConfig(**system), **data)
 
 
 def read_config(path: str) -> dict:
-    """Parsed YAML config file with the key checks applied; an empty file
-    is an empty mapping."""
+    """Parsed YAML config file, for ``config_from_dict`` to check; an empty
+    file is an empty mapping, any other non-mapping root an error."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = yaml.safe_load(fh)
     raw = {} if raw is None else raw
-    check_config_keys(raw)
+    if not isinstance(raw, dict):
+        raise ValueError("config root must be a mapping")
     return raw
 
 
@@ -356,11 +348,11 @@ def run_theorem1(config: ExperimentConfig) -> list:
     return _sweep(config, config.deltas, metrics, config.users, trial_fn)
 
 
-_RUNNERS = {"fig4": run_fig4, "fig6": run_fig6, "theorem1": run_theorem1}
+EXPERIMENTS = {"fig4": run_fig4, "fig6": run_fig6, "theorem1": run_theorem1}
 
 
 def run_experiment(config: ExperimentConfig) -> list:
-    rows = _RUNNERS[config.experiment](config)
+    rows = EXPERIMENTS[config.experiment](config)
     if config.out:
         rows_to_csv(rows, config.out)
     return rows

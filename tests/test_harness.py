@@ -109,6 +109,9 @@ class TestConfig:
         {"experiment": "fig4", "snr_db": 5},
         {"experiment": "fig4", "snr_db": [0, -4000]},
         {"experiment": "fig6", "snr_db": [4000]},
+        {"experiment": "theorem1", "out": 5},
+        {"experiment": "theorem1", "out": True},
+        {"experiment": "theorem1", "out": ["a"]},
     ])
     def test_rejects_bad_input(self, raw):
         with pytest.raises(ValueError):
@@ -141,6 +144,15 @@ class TestConfig:
     def test_pinned_workloads_are_valid_configs(self, workload):
         cfg = harness.config_from_dict(harness.read_config(str(workload)))
         assert cfg.experiment in harness.EXPERIMENTS
+
+    def test_readme_yaml_blocks_are_valid_configs(self):
+        import yaml
+
+        readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = readme.split("```yaml\n")[1:]
+        assert blocks
+        for block in blocks:
+            harness.config_from_dict(yaml.safe_load(block.split("```")[0]))
 
     def test_yaml_file_config(self, tmp_path):
         path = tmp_path / "exp.yaml"
@@ -396,6 +408,13 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert trial[0] == -1
 
+    def test_out_type_error_before_any_trial(self, tmp_path, capsys, monkeypatch):
+        trial = count_trials(monkeypatch)
+        config = self.write_config(tmp_path, "theorem1", users=2, deltas=[0.1], mc_draws=10, out=5)
+        assert cli.main(["theorem1", "--config", config]) == 1
+        assert capsys.readouterr().err == "error: out must be a string\n"
+        assert trial[0] == -1
+
     @pytest.mark.parametrize("snr_db", [-4000.0, 4000.0])
     def test_fig4_snr_range_error_before_any_trial(self, tmp_path, capsys, monkeypatch, snr_db):
         trial = count_trials(monkeypatch)
@@ -445,6 +464,33 @@ class TestCli:
         path.write_text(yaml.safe_dump(content))
         assert cli.main([command, "--config", str(path)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("content, message", [
+        ({"trials": 0}, "trials must be an integer >= 1"),
+        ({"snr_db": "57"}, "snr_db must be a list"),
+        ({"experiment": "fig6", "system": {"T_c": 10}}, "fig6 needs system.T_c > system.M = 128"),
+    ])
+    def test_extract_applies_the_value_contract(self, tmp_path, capsys, monkeypatch,
+                                                content, message):
+        import yaml
+
+        trial = count_trials(monkeypatch)
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(content))
+        assert cli.main(["extract", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert trial[0] == -1
+
+    def test_extract_default_seed_is_zero(self, capsysbinary):
+        assert cli.main(["extract", "--paths", "2"]) == 0
+        default = capsysbinary.readouterr().out
+        assert cli.main(["extract", "--paths", "2", "--seed", "0"]) == 0
+        assert capsysbinary.readouterr().out == default
+
+    def test_extract_accepts_a_fig6_config(self, tmp_path, capsys):
+        config = self.write_config(tmp_path, "fig6", deltas=[1e-2], users=2)
+        assert cli.main(["extract", "--config", config, "--paths", "2"]) == 0
+        assert "true paths: 2" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command, extra, flags, name", [
         ("theorem1", {"mc_draws": 0}, [], "mc_draws"),
