@@ -18,9 +18,12 @@ import numpy as np
 from .sysmodel import gram_eigvals
 
 
-# Draws per stacked ZF call in monte_carlo_sinr. At K=10, M=128, chunks of
-# 8 to 128 draws run about equally fast; one chunk of all 1000 draws is
-# slower again, its 20 MB of normals no longer staying in cache.
+# Draws per chunk in monte_carlo_sinr: one shared draw of normals, then one
+# stacked ZF call per delta. At K=10, M=128 and three deltas, 1000 draws take
+# about equally long (median 0.29 s, 1 BLAS thread) with chunks of 8 to 128;
+# chunks of 4 are about 15% slower, and one chunk of all 1000 draws is slower
+# again, its buffers (20 MB of normals, two 20 MB complex stacks) no longer
+# staying in cache.
 _MC_CHUNK = 32
 
 # Receiver noise power per user; transmit powers are SNRs against it.
@@ -93,17 +96,18 @@ def sum_rate(sinr_values: np.ndarray, t_pilot: int, t_coherence: int) -> float:
     return prelog * float(np.mean(np.sum(np.log2(1.0 + arr), axis=1)))
 
 
-def analytic_sinr(h_true: np.ndarray, delta: float, p_tx: float) -> np.ndarray:
+def analytic_sinr(h_true: np.ndarray, deltas, p_tx: float) -> np.ndarray:
     """Closed-form expected SINR when the channel estimate carries an error
-    of relative power delta in every entry.
+    of relative power delta in every entry, one (K,) row per delta.
 
     With hat H = H + E, E entries independent CN(0, delta |H_{k,i}|^2), a
     first-order expansion of the pseudo-inverse gives an expected signal
     power S_k and pairwise interference powers I_{k,j}; the SINR estimate is
     S_k / (sum_{j != k} I_{k,j} + noise).  All three reduce to the exact
-    zero-interference ZF values at delta = 0.
+    zero-interference ZF values at delta = 0.  The precoder of the true
+    channel is built once and serves every delta.
     """
-    if delta < 0:
+    if min(deltas) < 0:
         raise ValueError("delta must be nonnegative")
     H = np.asarray(h_true)
     n_users = H.shape[0]
@@ -112,42 +116,63 @@ def analytic_sinr(h_true: np.ndarray, delta: float, p_tx: float) -> np.ndarray:
     pabs2 = np.abs(pinv) ** 2
     cross = habs2 @ pabs2  # cross[a, b] = sum_m |H_{a,m}|^2 |pinv_{m,b}|^2
     col_norms2 = pabs2.sum(axis=0)
-    denom = n_users * (col_norms2 + delta * (col_norms2 @ cross))
-    signal = p_tx * (1.0 + delta * np.diag(cross)) / denom
-    pair = p_tx * delta * cross / denom[None, :]
-    interference = pair.sum(axis=1) - np.diag(pair)
-    return signal / (interference + _NOISE_POWER)
-
-
-def _channel_error(h_true: np.ndarray, delta: float, z: np.ndarray) -> np.ndarray:
-    """Errors CN(0, delta |H_{k,i}|^2) from standard normals z of shape
-    (..., 2, K, M): z[..., 0, :, :] is the real part, z[..., 1, :, :] the
-    imaginary part."""
-    std = np.sqrt(delta) * np.abs(h_true)
-    noise = z[..., 0, :, :] + 1j * z[..., 1, :, :]
-    return std * noise / math.sqrt(2.0)
+    rows = []
+    for delta in deltas:
+        denom = n_users * (col_norms2 + delta * (col_norms2 @ cross))
+        signal = p_tx * (1.0 + delta * np.diag(cross)) / denom
+        pair = p_tx * delta * cross / denom[None, :]
+        interference = pair.sum(axis=1) - np.diag(pair)
+        rows.append(signal / (interference + _NOISE_POWER))
+    return np.stack(rows)
 
 
 def monte_carlo_sinr(
     h_true: np.ndarray,
-    delta: float,
+    deltas,
     p_tx: float,
     n_draws: int = 10_000,
     seed=0,
-) -> np.ndarray:
-    """Average SINR over channel-error draws with the true channel fixed.
+) -> tuple:
+    """Average SINR over channel-error draws with the true channel fixed,
+    one (K,) row per error power in ``deltas``.
 
-    Each draw perturbs the estimate, rebuilds the ZF precoder, and evaluates
-    the true-channel SINR; this is the reference the closed form in
-    :func:`analytic_sinr` approximates.
+    Draw i perturbs the estimate by sqrt(delta) |H| * (z_i[0] + 1j z_i[1]) /
+    sqrt(2) from standard normals z_i, rebuilds the ZF precoder, and takes the
+    true-channel SINR: the reference that :func:`analytic_sinr` approximates.
+    Every delta shares the one stream of z_i, so each row equals, bit for
+    bit, a call with that delta alone. Returns the (D, K) means and the (D,)
+    full-rank mask: a delta with a rank-deficient draw (``zf_precoder``
+    raises ``np.linalg.LinAlgError``) gets False and a NaN row, and the other
+    rows do not change.
     """
     rng = np.random.default_rng(seed)
     H = np.asarray(h_true)
-    acc = np.zeros(H.shape[0])
+    stds = [np.sqrt(delta) * np.abs(H) for delta in deltas]
+    ok = np.ones(len(stds), dtype=bool)
+    acc = np.zeros((len(stds), H.shape[0]))
+    # chunk buffers made once per call, so no chunk allocates them
+    chunk = min(_MC_CHUNK, n_draws)
+    z_buf = np.empty((chunk, 2) + H.shape)
+    noise_buf, h_hat_buf = np.empty((2, chunk) + H.shape, dtype=np.complex128)
     for start in range(0, n_draws, _MC_CHUNK):
+        c = min(_MC_CHUNK, n_draws - start)
+        z, noise, h_hat = z_buf[:c], noise_buf[:c], h_hat_buf[:c]
         # A (c, 2, K, M) block is the same stream as c draws of (2, K, M).
-        z = rng.standard_normal((min(_MC_CHUNK, n_draws - start), 2) + H.shape)
-        h_hat = H + _channel_error(H, delta, z)
-        for row in sinr(H, zf_precoder(h_hat), p_tx):
-            acc += row  # draw by draw, so the sum is the same for any chunk size
-    return acc / n_draws
+        rng.standard_normal(out=z)
+        np.add(z[:, 0], np.multiply(1j, z[:, 1], out=noise), out=noise)
+        for i, std in enumerate(stds):
+            if not ok[i]:
+                continue
+            # H + std * noise / sqrt(2), evaluated in that order
+            np.divide(np.multiply(std, noise, out=h_hat), math.sqrt(2.0), out=h_hat)
+            np.add(H, h_hat, out=h_hat)
+            try:
+                state = zf_precoder(h_hat)
+            except np.linalg.LinAlgError:
+                ok[i] = False
+                continue
+            for row in sinr(H, state, p_tx):
+                acc[i] += row  # draw by draw, so the sum is the same for any chunk size
+    means = acc / n_draws
+    means[~ok] = np.nan
+    return means, ok

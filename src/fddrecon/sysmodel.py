@@ -62,6 +62,15 @@ class SystemConfig:
                 raise ValueError(f"{name} must be positive")
         if not 0 < self.P_fa < 1:
             raise ValueError("P_fa must lie in (0, 1)")
+        # finite fields can still give an infinite carrier shift, phase slope
+        # kappa or omega, Newton scale kappa^2 or omega^2, or delay range
+        kappa = TWO_PI * self.d_over_lambda
+        omega = TWO_PI * self.delta_f
+        derived = (float(self.f_dl) - float(self.f_ul), kappa, kappa * kappa, omega, omega * omega,
+                   self.tau_max)
+        if not all(math.isfinite(v) for v in derived):
+            raise ValueError("f_dl - f_ul, 2 pi d_over_lambda, 2 pi delta_f, their squares "
+                             "and 1 / delta_f must be finite")
 
     @property
     def M(self) -> int:

@@ -112,6 +112,10 @@ class TestConfig:
         {"experiment": "theorem1", "out": 5},
         {"experiment": "theorem1", "out": True},
         {"experiment": "theorem1", "out": ["a"]},
+        {"experiment": "fig4", "system": {"d_over_lambda": 1e300}},
+        {"experiment": "fig6", "system": {"f_dl": 1.0e308, "f_ul": -1.0e308}},
+        {"experiment": "fig4", "system": {"delta_f": 1e160}},
+        {"experiment": "fig4", "system": {"delta_f": 1e-320}},
     ])
     def test_rejects_bad_input(self, raw):
         with pytest.raises(ValueError):
@@ -311,10 +315,10 @@ class TestRunners:
             trial = count_trials(mp)
             monte_carlo = mueval.monte_carlo_sinr
 
-            def plant(h_rows, d, *args, **kwargs):
-                if (trial[0], d) in planted:
-                    raise np.linalg.LinAlgError("planted")
-                return monte_carlo(h_rows, d, *args, **kwargs)
+            def plant(h_rows, deltas, *args, **kwargs):
+                means, ok = monte_carlo(h_rows, deltas, *args, **kwargs)
+                # a rank-deficient draw at (trial, d) clears d's mask entry
+                return means, ok & [(trial[0], d) not in planted for d in deltas]
 
             mp.setattr(mueval, "monte_carlo_sinr", plant)
             if any(all((t, d) in planted for t in range(cfg.trials)) for d in cfg.deltas):

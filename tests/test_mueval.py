@@ -189,13 +189,45 @@ class TestSinrWithoutPrecoder:
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
+def per_delta_reference(h_true, delta, p_tx, n_draws, seed):
+    """Monte Carlo mean SINR for one delta with its own error stream, chunk
+    by chunk as monte_carlo_sinr draws it: the reference that the shared
+    stream must reproduce bit for bit. None if a draw is rank deficient."""
+    rng = np.random.default_rng(seed)
+    acc = np.zeros(h_true.shape[0])
+    for start in range(0, n_draws, mueval._MC_CHUNK):
+        z = rng.standard_normal((min(mueval._MC_CHUNK, n_draws - start), 2) + h_true.shape)
+        std = np.sqrt(delta) * np.abs(h_true)
+        h_hat = h_true + std * (z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0)
+        try:
+            state = mueval.zf_precoder(h_hat)
+        except np.linalg.LinAlgError:
+            return None
+        for row in mueval.sinr(h_true, state, p_tx):
+            acc += row
+    return acc / n_draws
+
+
+@st.composite
+def mc_cases(draw):
+    """(h, deltas, n_draws, seed, plant): K <= M, deltas with 0.0 among the
+    candidates, draw counts around _MC_CHUNK = 32, and optionally a
+    (delta index, draw index) whose error draw gets a zero user row."""
+    n_users = draw(st.integers(1, 4))
+    h = random_channel(n_users, draw(st.integers(n_users, 8)), seed=draw(st.integers(0, 2**32 - 1)))
+    deltas = draw(st.lists(st.sampled_from([0.0, 1e-3, 1e-2, 0.1, 0.5]), min_size=1, max_size=4))
+    n_draws = draw(st.sampled_from([1, 31, 32, 33, 75]))
+    plant = draw(st.none() | st.tuples(st.integers(0, len(deltas) - 1), st.integers(0, n_draws - 1)))
+    return h, deltas, n_draws, draw(st.integers(0, 2**32 - 1)), plant
+
+
 class TestMonteCarloSinr:
     def test_chunk_size_does_not_change_result(self, monkeypatch):
         h = random_channel(4, 16, seed=19)
         results = []
         for chunk in (1, 7, 32):
             monkeypatch.setattr(mueval, "_MC_CHUNK", chunk)
-            results.append(mueval.monte_carlo_sinr(h, 1e-2, 10.0, n_draws=75, seed=20))
+            results.append(mueval.monte_carlo_sinr(h, [1e-2], 10.0, n_draws=75, seed=20)[0])
         np.testing.assert_array_equal(results[0], results[1])
         np.testing.assert_array_equal(results[0], results[2])
 
@@ -205,8 +237,45 @@ class TestMonteCarloSinr:
         acc = np.zeros(4)
         for _ in range(75):
             acc += reference_sinr(h, h + draw_channel_error(h, 1e-2, rng), 10.0)
-        got = mueval.monte_carlo_sinr(h, 1e-2, 10.0, n_draws=75, seed=22)
-        np.testing.assert_allclose(got, acc / 75, rtol=1e-12)
+        got, ok = mueval.monte_carlo_sinr(h, [1e-2], 10.0, n_draws=75, seed=22)
+        assert ok.all()
+        np.testing.assert_allclose(got[0], acc / 75, rtol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(mc_cases())
+    def test_shared_stream_equals_per_delta_calls(self, case):
+        """Every delta's row equals its own-stream reference bit for bit; a
+        planted rank-deficient draw clears only its delta's mask entry."""
+        h, deltas, n_draws, seed, plant = case
+        want = [per_delta_reference(h, d, 10.0, n_draws, seed) for d in deltas]
+        calls = []
+        zf = mueval.zf_precoder
+
+        def planted_zf(h_hat):
+            # calls run chunk by chunk, one per delta, none skipped before the plant
+            chunk, at = divmod(plant[1], mueval._MC_CHUNK)
+            if len(calls) == chunk * len(deltas) + plant[0]:
+                h_hat = h_hat.copy()
+                h_hat[at, -1] = 0.0
+            calls.append(None)
+            return zf(h_hat)
+
+        with pytest.MonkeyPatch.context() as mp:
+            if plant is not None:
+                mp.setattr(mueval, "zf_precoder", planted_zf)
+            means, ok = mueval.monte_carlo_sinr(h, deltas, 10.0, n_draws=n_draws, seed=seed)
+        assert means.shape == (len(deltas), h.shape[0]) and ok.shape == (len(deltas),)
+        for i, d in enumerate(deltas):
+            if want[i] is None or plant is not None and i == plant[0]:
+                assert not ok[i] and np.isnan(means[i]).all()
+                continue
+            assert ok[i]
+            np.testing.assert_array_equal(means[i], want[i])
+            np.testing.assert_array_equal(means[i], mueval.monte_carlo_sinr(
+                h, [d], 10.0, n_draws=n_draws, seed=seed)[0][0])
+        np.testing.assert_array_equal(
+            mueval.analytic_sinr(h, deltas, 10.0),
+            [mueval.analytic_sinr(h, [d], 10.0)[0] for d in deltas])
 
 
 class TestSumRate:
@@ -238,26 +307,26 @@ class TestAnalyticSinr:
         h = random_channel(4, 16, seed=7)
         state = mueval.zf_precoder(h)
         expected = 10.0 / (4 * np.sum(np.abs(state.pinv) ** 2, axis=0))
-        got = mueval.analytic_sinr(h, 0.0, 10.0)
+        got = mueval.analytic_sinr(h, [0.0], 10.0)[0]
         np.testing.assert_allclose(got, expected, rtol=1e-12)
         np.testing.assert_allclose(got, mueval.sinr(h, state, 10.0), rtol=1e-9)
 
     def test_nonincreasing_in_error_power(self):
         for seed in range(10):
             h = random_channel(4, 16, seed=100 + seed)
-            vals = [mueval.analytic_sinr(h, d, 10.0)
-                    for d in (0.0, 1e-3, 1e-2, 1e-1)]
+            vals = mueval.analytic_sinr(h, [0.0, 1e-3, 1e-2, 1e-1], 10.0)
             for lo_d, hi_d in zip(vals, vals[1:]):
                 assert np.all(hi_d <= lo_d + 1e-12)
 
     def test_rejects_negative_delta(self):
         with pytest.raises(ValueError):
-            mueval.analytic_sinr(random_channel(2, 4, seed=8), -1e-3, 1.0)
+            mueval.analytic_sinr(random_channel(2, 4, seed=8), [-1e-3], 1.0)
 
     def test_matches_monte_carlo(self):
         h = random_channel(4, 16, seed=9)
-        analytic = mueval.analytic_sinr(h, 1e-2, 10.0)
-        mc = mueval.monte_carlo_sinr(h, 1e-2, 10.0, n_draws=2000, seed=10)
+        analytic = mueval.analytic_sinr(h, [1e-2], 10.0)
+        mc, ok = mueval.monte_carlo_sinr(h, [1e-2], 10.0, n_draws=2000, seed=10)
+        assert ok.all()
         np.testing.assert_allclose(analytic, mc, rtol=0.10)
 
 
