@@ -11,10 +11,12 @@ did, and `sysmodel.fit_gains` on the factored Gram), each followed by its
 residual, the pilot gain least squares of the found paths under a
 fig6-sized training plan both ways (lstsq on `dltrain.coefficient_matrix`,
 as the fig6 pipeline once did, and `sysmodel.fit_gains` on
-`dltrain.pilot_factors`), codebook detection both ways (`enomp.omp_detect`,
-one downtilt row at a time, and the whole match cube), one refinement visit both ways (on the
-fixed observation with the other paths' cross terms, as extraction does, and
-on a residual rewritten around the visit, as it once did), ZF precoding
+`dltrain.pilot_factors`), the stopping statistic (`enomp.stopping_statistic`),
+codebook detection both ways (`enomp.omp_detect`, one downtilt row at a
+time, and the whole match cube), one refinement visit both ways (on the
+fixed observation with the other paths' cross terms, starting from the
+visited path's stored factors, as extraction does, and on a residual
+rewritten around the visit, as it once did), ZF precoding
 plus SINR at fig6 size (256 subcarriers) and Monte Carlo chunk size (32
 error draws) both ways (`mueval`, which inverts the Gram and scales the
 K x K products, and the batched `eigh` with its eigenvector inverse and
@@ -110,6 +112,7 @@ def main():
     others = gains.copy()
     others[0] = 0.0
     visited = (found[0].theta, found[0].phi, found[0].tau)
+    stored = tuple(f[:, 0] for f in visit_factors)
     residual = sounding - sysmodel.atom_sum(gains, *visit_factors)
 
     # pilots of the channel's paths under every 4th grid point plus the points
@@ -145,7 +148,7 @@ def main():
         return np.argmax(np.abs(np.matmul(book.E_h, g1)) ** 2 / (cfg.M * cfg.N))
 
     def cross_visit():
-        return enomp.newton_refine(sounding, *visited, cfg, (others, *visit_factors))
+        return enomp.newton_refine(sounding, *visited, cfg, (others, *visit_factors), stored)
 
     def residual_visit():
         y_local = residual + gains[0] * enomp.synth_atom(*visited, cfg)
@@ -179,6 +182,7 @@ def main():
         ("gain_fit_L8", "gram", gram_fit, ()),
         (f"pilot_ls_L{len(found)}", "lstsq", pilot_lstsq, ()),
         (f"pilot_ls_L{len(found)}", "gram", pilot_gram, ()),
+        ("stopping_statistic", "fftn", enomp.stopping_statistic, (sounding, cfg)),
         ("omp_detect", "rows", enomp.omp_detect, (sounding, book)),
         ("omp_detect", "cube", whole_cube_detect, ()),
         (f"refine_L{len(found)}", "cross", cross_visit, ()),

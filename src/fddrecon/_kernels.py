@@ -9,6 +9,8 @@ residuals and lstsq bases are built from factor matrices by `sysmodel`'s
 (`enomp.synth_atom`), which `atom_basis` columns equal bit for bit.
 """
 
+import functools
+
 import numpy as np
 
 # the only implementation; benchmark result files record it
@@ -30,17 +32,33 @@ def moment_cube(y3, a_v, a_h, p_n, c_v=0.0, c_h=0.0, c_n=0.0):
     optional centers shift the polynomial index weights only, not the atom.
     """
     M_v, M_h, N = y3.shape
-    pw = index_weighted(p_n, c_n)                                 # (N, 3)
-    # contract y3 against conj(pw) and conjugate the small result: the same
-    # numbers as conj(y3) @ pw without copying the whole cube
-    v = (y3.reshape(M_v * M_h, N) @ pw.conj()).conj().reshape(M_v, M_h, 3)
-    t = np.einsum("vhc,hb->vbc", v, index_weighted(a_h, c_h))
-    return np.einsum("vbc,va->abc", t, index_weighted(a_v, c_v))
+    y2 = y3.reshape(M_v * M_h, N)
+    pw = index_weighted(p_n, c_n).T.conj()                        # (3, N)
+    # contract y3 against the conjugated weights and conjugate the small
+    # result: the same numbers as conj(y3) @ index_weighted(p_n, c_n) without
+    # copying the whole cube. Three matrix-vector products over y, as one
+    # (M, N) @ (N, 3) product ran 1.4x slower on OpenBLAS.
+    v = np.empty((3, M_v * M_h), dtype=complex)
+    for c in range(3):
+        np.matmul(y2, pw[c], out=v[c])
+    # v[c, m, h] -> t[c, m, b] -> W[a, (c, b)]
+    t = v.conj().reshape(3 * M_v, M_h) @ index_weighted(a_h, c_h)
+    t = t.reshape(3, M_v, 3).transpose(1, 0, 2).reshape(M_v, 9)
+    return (index_weighted(a_v, c_v).T @ t).reshape(3, 3, 3).transpose(0, 2, 1)
+
+
+@functools.lru_cache(maxsize=64)
+def _centred_indices(n: int, c: float) -> np.ndarray:
+    """Read-only 0, 1, ..., n - 1 minus c, shared by every call of that size
+    and centre (extraction uses three)."""
+    out = np.arange(n) - c
+    out.flags.writeable = False
+    return out
 
 
 def index_weighted(x, c=0.0):
     """Columns x, x * i, x * i^2 for the centred index i = 0, 1, ... minus c:
     shape (len(x), 3)."""
-    i = np.arange(len(x)) - c
+    i = _centred_indices(len(x), float(c))
     xi = x * i
     return np.array([x, xi, xi * i]).T

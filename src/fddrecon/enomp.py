@@ -110,8 +110,10 @@ def stopping_statistic(y_r: np.ndarray, cfg: SystemConfig) -> float:
     """Largest projected power of the residual onto the critically sampled
     unit-norm 3-D DFT atoms."""
     y3 = np.asarray(y_r).reshape(cfg.M_v, cfg.M_h, cfg.N)
-    spectrum = np.fft.fftn(y3)
-    return float(np.max(np.abs(spectrum) ** 2) / (cfg.M * cfg.N))
+    # the peak magnitude squared: rounding is monotone, so this is the
+    # largest entry of |spectrum|^2 without squaring the whole spectrum
+    peak = float(np.max(np.abs(np.fft.fftn(y3))))
+    return peak * peak / (cfg.M * cfg.N)
 
 
 def omp_detect(y_r: np.ndarray, codebook: Codebook):
@@ -123,6 +125,10 @@ def omp_detect(y_r: np.ndarray, codebook: Codebook):
 
     The azimuth stage runs one downtilt row at a time, a (G_phi, G_tau)
     block with a running maximum, so the whole match cube is never held.
+    A row is ranked by magnitude and only its winner is squared and scaled:
+    rounding is monotone, so the winner is the one the squared row gives
+    wherever distinct magnitudes keep distinct powers, as they do whenever
+    M*N is a power of two and no power underflows.
     """
     cb = codebook
     mn = cb.M_v * cb.M_h * cb.N
@@ -132,11 +138,13 @@ def omp_detect(y_r: np.ndarray, codebook: Codebook):
     g1 = (cb.E_v @ z.reshape(cb.M_v, -1)).reshape(len(cb.thetas), cb.M_h, -1)
     best, best_at = -1.0, None
     for i_t in range(len(cb.thetas)):
-        power = np.abs(cb.E_h[i_t] @ g1[i_t]) ** 2 / mn
-        flat = int(np.argmax(power))
+        magnitude = np.abs(cb.E_h[i_t] @ g1[i_t])
+        flat = int(np.argmax(magnitude))
+        peak = float(magnitude.flat[flat])
+        power = peak * peak / mn
         # strictly greater: a later row that only ties keeps the lower index
-        if best_at is None or power.flat[flat] > best:
-            best, best_at = float(power.flat[flat]), (i_t, flat)
+        if best_at is None or power > best:
+            best, best_at = power, (i_t, flat)
     i_t, flat = best_at
     i_p, i_d = divmod(flat, len(cb.taus))
     return float(cb.thetas[i_t]), float(cb.phis[i_p]), float(cb.taus[i_d]), best
@@ -162,7 +170,7 @@ def objective_S(y_r: np.ndarray, gain: complex, theta: float, phi: float,
     return float(2.0 * (gain * corr).real - abs(gain) ** 2 * mn)
 
 
-def _correlation_derivatives(cube: np.ndarray, cfg: SystemConfig):
+def _derivative_scalars(cube: np.ndarray, cfg: SystemConfig):
     """The correlation c = y^H a of an atom and its gradient and Hessian in
     the spatial frequencies u = sin(theta), w = cos(theta) sin(phi) and the
     delay tau, read from the atom's moment cube (`_kernels.moment_cube`).
@@ -172,18 +180,27 @@ def _correlation_derivatives(cube: np.ndarray, cfg: SystemConfig):
     with centred index weights gives c with its phase referenced at the
     centres: |c| is unchanged.
 
-    Returns (c, dc, d2c): complex, ndarray (3,), ndarray (3, 3).
+    Returns (c, dc, d2c) as Python scalars: complex, a 3-tuple and a
+    symmetric 3x3 nested tuple.
     """
     kappa = TWO_PI * cfg.d_over_lambda
     omega = TWO_PI * cfg.delta_f
-    scale = np.array([kappa, kappa, omega])
-    dc = 1j * scale * np.array([cube[1, 0, 0], cube[0, 1, 0], cube[0, 0, 1]])
-    d2c = -np.outer(scale, scale) * np.array([
-        [cube[2, 0, 0], cube[1, 1, 0], cube[1, 0, 1]],
-        [cube[1, 1, 0], cube[0, 2, 0], cube[0, 1, 1]],
-        [cube[1, 0, 1], cube[0, 1, 1], cube[0, 0, 2]],
-    ])
-    return cube[0, 0, 0], dc, d2c
+    scale = (kappa, kappa, omega)
+    w = cube.ravel().tolist()  # w[9 a + 3 b + c] = cube[a, b, c]
+    dc = tuple(1j * s * m for s, m in zip(scale, (w[9], w[3], w[1])))
+    d2c = tuple(tuple(-(s * t) * m for t, m in zip(scale, row)) for s, row in zip(scale, (
+        (w[18], w[12], w[10]),
+        (w[12], w[6], w[4]),
+        (w[10], w[4], w[2]),
+    )))
+    return w[0], dc, d2c
+
+
+def _correlation_derivatives(cube: np.ndarray, cfg: SystemConfig):
+    """`_derivative_scalars` with the derivatives as arrays: (c, dc, d2c) is
+    complex, ndarray (3,), ndarray (3, 3)."""
+    c, dc, d2c = _derivative_scalars(cube, cfg)
+    return c, np.array(dc), np.array(d2c)
 
 
 def objective_derivatives(y_r: np.ndarray, gain: complex, theta: float,
@@ -241,15 +258,51 @@ def _atom_sum_cube(others, a_v, a_h, p_n, centres) -> np.ndarray:
     """`_kernels.moment_cube` of the atom sum A g (see `_atom_sum_correlation`)
     against the atom a_v (x) a_h (x) p_n: sum_l conj(g_l) V_l (x) H_l (x) P_l,
     where V_l = o_v[:, l]^H (a_v times the centred index weights) and
-    likewise H_l and P_l, each of shape (3,)."""
+    likewise H_l and P_l, each of shape (3,). The gains ride on V, and the
+    sum over l is one (9, L) @ (L, 3) product."""
     gains, o_v, o_h, o_p = others
     v, h, p = (_kernels.index_weighted(a, c).conj().T @ o
                for a, c, o in zip((a_v, a_h, p_n), centres, (o_v, o_h, o_p)))
-    return np.einsum("l,al,bl,cl->abc", gains, v, h, p).conj()
+    vh = ((v * gains)[:, None, :] * h).reshape(9, -1)
+    return (vh @ p.T).reshape(3, 3, 3).conj()
+
+
+# the (row, column) pairs of the upper triangle of a symmetric 3x3 matrix
+_UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+
+
+def _log_power_step(c, dc, d2c, power):
+    """Newton step H^-1 g of log|c|^2 in (u, w, tau) from the correlation,
+    its derivatives (`_derivative_scalars`) and power = |c|^2 > 0, or
+    None unless the Hessian H is negative definite. Python scalars
+    throughout: negative definiteness from the leading minors, the step from
+    the cofactors."""
+    cc = c.conjugate()
+    # log|c|^2: gradient 2 Re{conj(c) dc}/|c|^2, Hessian from the quotient rule
+    g = [2.0 * (cc * d).real / power for d in dc]
+    h11, h12, h13, h22, h23, h33 = (
+        2.0 * ((cc * d2c[i][j]).real + (dc[i] * dc[j].conjugate()).real) / power - g[i] * g[j]
+        for i, j in _UPPER)
+    if not all(map(math.isfinite, (*g, h11, h12, h13, h22, h23, h33))):
+        raise FloatingPointError("non-finite derivatives")
+    m2 = h11 * h22 - h12 * h12
+    if not (h11 < 0.0 and m2 > 0.0):
+        return None
+    c11 = h22 * h33 - h23 * h23
+    c12 = h13 * h23 - h12 * h33
+    c13 = h12 * h23 - h13 * h22
+    det = h11 * c11 + h12 * c12 + h13 * c13
+    if not det < 0.0:
+        return None
+    c22 = h11 * h33 - h13 * h13
+    c23 = h12 * h13 - h11 * h23
+    return ((c11 * g[0] + c12 * g[1] + c13 * g[2]) / det,
+            (c12 * g[0] + c22 * g[1] + c23 * g[2]) / det,
+            (c13 * g[0] + c23 * g[1] + m2 * g[2]) / det)
 
 
 def newton_refine(y_r: np.ndarray, theta: float, phi: float, tau: float,
-                  cfg: SystemConfig, others=None):
+                  cfg: SystemConfig, others=None, factors=None):
     """One safeguarded Newton step on the single-atom surrogate.
 
     The step is computed on the log of the matched-gain surrogate (the
@@ -270,33 +323,32 @@ def newton_refine(y_r: np.ndarray, theta: float, phi: float, tau: float,
     are those of y minus the separable ones of A g, so y - A g is never
     formed.
 
+    `factors` = (a_v, a_h, p_n), when given, are the factors of the atom at
+    (theta, phi, tau) as an earlier call returned them; they are built
+    otherwise.
+
     Returns (theta', phi', tau', accepted, corr, factors) for the atom
     a = a_v (x) a_h (x) p_n at the returned parameters: corr = y^H a (of
     y - A g under `others`) and factors = (a_v, a_h, p_n).
     """
     y3 = np.ascontiguousarray(np.asarray(y_r).reshape(cfg.M_v, cfg.M_h, cfg.N))
-    a_v, a_h = steering_factors(theta, phi, cfg)
-    p_n = delay_vector(tau, cfg)
+    if factors is None:
+        factors = (*steering_factors(theta, phi, cfg), delay_vector(tau, cfg))
+    a_v, a_h, p_n = factors
     centres = ((cfg.M_v - 1) / 2.0, (cfg.M_h - 1) / 2.0, (cfg.N - 1) / 2.0)
     cube = _kernels.moment_cube(y3, a_v, a_h, p_n, *centres)
     if others is not None:
         cube = cube - _atom_sum_cube(others, a_v, a_h, p_n, centres)
     if not np.all(np.isfinite(cube)):
         raise FloatingPointError("non-finite derivatives")
-    c0, dc, d2c = _correlation_derivatives(cube, cfg)
-    old_power = abs(c0) ** 2
-    if old_power <= 0.0:
-        return theta, phi, tau, False, c0, (a_v, a_h, p_n)
-    # log|c|^2: gradient 2 Re{conj(c) dc}/|c|^2, Hessian from the quotient rule
-    grad_f = 2.0 * (np.conj(c0) * dc).real
-    hess_f = 2.0 * ((np.conj(c0) * d2c).real + np.outer(dc, np.conj(dc)).real)
-    grad = grad_f / old_power
-    hess = hess_f / old_power - np.outer(grad, grad)
-    if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
-        raise FloatingPointError("non-finite derivatives")
-    if np.max(np.linalg.eigvalsh(hess)) >= 0.0:
-        return theta, phi, tau, False, c0, (a_v, a_h, p_n)
-    step = np.linalg.solve(hess, grad)
+    c0, dc, d2c = _derivative_scalars(cube, cfg)
+    try:
+        old_power = abs(c0) ** 2
+    except OverflowError:  # a Python float power raises on overflow
+        raise FloatingPointError("non-finite correlation power") from None
+    step = _log_power_step(c0, dc, d2c, old_power) if old_power > 0.0 else None
+    if step is None:
+        return theta, phi, tau, False, c0, factors
     u = math.sin(theta)
     w = math.cos(theta) * math.sin(phi)
     # Backtrack if needed; interference from other paths can still dent the
@@ -318,18 +370,22 @@ def newton_refine(y_r: np.ndarray, theta: float, phi: float, tau: float,
             corr -= _atom_sum_correlation(others, a_v2, a_h2, p_n2)
         if abs(corr) ** 2 > old_power:
             return theta_new, phi_new, tau_new, True, corr, (a_v2, a_h2, p_n2)
-    return theta, phi, tau, False, c0, (a_v, a_h, p_n)
+    return theta, phi, tau, False, c0, factors
 
 
 def _refine_track(k: int, y3: np.ndarray, params: list, gains: np.ndarray,
-                  factors: tuple, cfg: SystemConfig) -> None:
+                  factors: tuple, cfg: SystemConfig, stored: bool = True) -> None:
     """One Newton step for track k against the observation minus the other
     tracks' atoms, then the track's single-atom gain and factor columns, both
     as the step built them at the resulting point. `params`, `gains` and the
-    factor matrices hold every track; k's entries are overwritten in place."""
+    factor matrices hold every track; k's entries are overwritten in place.
+    The step starts from k's stored factor columns, the builds of an earlier
+    step at k's parameters, unless `stored` is False (a new track's first
+    step, whose columns are still zero)."""
     others = gains.copy()
     others[k] = 0.0
-    th, ph, ta, _, corr, atom = newton_refine(y3, *params[k], cfg, (others, *factors))
+    atom = tuple(f[:, k] for f in factors) if stored else None
+    th, ph, ta, _, corr, atom = newton_refine(y3, *params[k], cfg, (others, *factors), atom)
     params[k] = (th, ph, ta)
     gains[k] = np.conj(corr) / (cfg.M * cfg.N)
     for f, column in zip(factors, atom):
@@ -376,7 +432,8 @@ def extract(y_ul: np.ndarray, cfg: SystemConfig, codebook: Codebook = None) -> E
         count = len(params)
         view = tuple(f[:, :count] for f in factors)
         # the new track first, then _REFINE_ROUNDS cyclic rounds over all
-        for k in [count - 1] + list(range(count)) * _REFINE_ROUNDS:
+        _refine_track(count - 1, y3, params, gains[:count], view, cfg, stored=False)
+        for k in list(range(count)) * _REFINE_ROUNDS:
             _refine_track(k, y3, params, gains[:count], view, cfg)
 
         fitted, rank = sysmodel.fit_gains(y, *view)

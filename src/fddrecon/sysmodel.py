@@ -26,9 +26,14 @@ def check_integer(name: str, value, minimum: int) -> None:
 
 
 def check_real(name: str, value) -> None:
-    """Reject a config value that is not a finite real number; a bool or a
-    string is not one here."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    """Reject a config value that is not a finite real number; a bool, a
+    string or an int too large for a float is not one here."""
+    try:
+        ok = (not isinstance(value, bool) and isinstance(value, (int, float))
+              and math.isfinite(float(value)))
+    except OverflowError:
+        ok = False
+    if not ok:
         raise ValueError(f"{name} must be a finite real number")
 
 

@@ -2,14 +2,11 @@
 module attribute and calls their hooks with the wrapped functions' positional
 arguments. Renaming or re-signing one of them, or adding an extraction stop
 reason it does not count, must fail here rather than in a benchmark run.
-The same holds for the kernel bench (benchmarks/bench_kernels.py), which
-calls fddrecon functions directly."""
+The kernel bench (benchmarks/bench_kernels.py) is run by
+tests/test_kernels.py::test_kernel_benchmark_script_runs."""
 
 import importlib.util
-import os
 import pathlib
-import subprocess
-import sys
 
 import pytest
 import yaml
@@ -92,12 +89,3 @@ def test_traced_kron3_calls_are_costed(tracer_module):
     assert summary["functions"]["kernels.kron3"]["calls"] > 0
     assert summary["functions"]["recon.kron3"]["calls"] > 0
     assert summary["counters"]["kernels.kron3.flops_computed"] > 0
-
-
-def test_kernel_bench_runs():
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, str(REPO / "benchmarks" / "bench_kernels.py"), "--repeats", "1"],
-        capture_output=True, text=True, env=env, check=False)
-    assert proc.returncode == 0, proc.stderr

@@ -127,6 +127,17 @@ class TestDetection:
         stat = enomp.stopping_statistic(r, cfg)
         assert stat == pytest.approx(np.linalg.norm(r) ** 2, rel=1e-12)
 
+    @pytest.mark.parametrize("seed", [9, 10, 11])
+    def test_stopping_statistic_equals_squared_spectrum_maximum(self, seed):
+        # the peak magnitude is squared alone; rounding is monotone, so this
+        # is bit for bit the largest entry of the squared spectrum
+        cfg = small_cfg()
+        rng = np.random.default_rng(seed)
+        y = rng.standard_normal(cfg.M * cfg.N) + 1j * rng.standard_normal(cfg.M * cfg.N)
+        spectrum = np.fft.fftn(y.reshape(cfg.M_v, cfg.M_h, cfg.N))
+        want = float(np.max(np.abs(spectrum) ** 2) / (cfg.M * cfg.N))
+        assert enomp.stopping_statistic(y, cfg) == want
+
     def test_false_alarm_rate_on_pure_noise(self):
         cfg = small_cfg()  # MN = 512
         mn = cfg.M * cfg.N
@@ -269,6 +280,15 @@ class TestNewtonRefine:
         assert_factors_at(result[5], th, ph, ta, cfg)
 
 
+    def test_overflowing_power_is_a_floating_point_error(self):
+        # |c|^2 past the float range fails the visit with the typed error a
+        # trial failure needs, not with OverflowError
+        cfg = small_cfg()
+        y = 1e152 * enomp.synth_atom(0.3, -0.4, 5.0e-6, cfg)
+        with pytest.raises(FloatingPointError):
+            enomp.newton_refine(y, 0.3, -0.4, 5.0e-6, cfg)
+
+
 def assert_factors_at(factors, theta, phi, tau, cfg):
     """The factors `newton_refine` returns are the scalar builds at its point."""
     a_v, a_h, p_n = factors
@@ -402,7 +422,7 @@ class TestExtract:
         monkeypatch.setattr(enomp, "omp_detect", redetect)
         lstsq = counted_lstsq(monkeypatch)
 
-        def stay(y, theta, phi, tau, cfg, others):
+        def stay(y, theta, phi, tau, cfg, others, factors=None):
             # no step; the correlation of y minus the other atoms, materialized
             y_local = np.ravel(y) - atom_sum(*others)
             a_v, a_h = steering_factors(theta, phi, cfg)
@@ -421,6 +441,26 @@ class TestExtract:
         want = lstsq(atom[:, None], y, rcond=None)[0][0]
         assert path.gain == pytest.approx(want, rel=1e-12)
         np.testing.assert_allclose(res.residual, y - want * atom, rtol=0, atol=1e-10)
+
+    def test_visits_start_from_stored_factors(self, monkeypatch):
+        # every visit but a track's first reads the factors an earlier visit
+        # stored, and they are the scalar builds at the track's parameters
+        cfg = small_cfg()
+        y = (1.2 * enomp.synth_atom(0.3, 0.2, 2e-6, cfg)
+             + (0.4 - 0.9j) * enomp.synth_atom(-0.8, -0.5, 8e-6, cfg))
+        refine, built = enomp.newton_refine, []
+
+        def checked(y, theta, phi, tau, cfg, others, factors=None):
+            if factors is None:
+                built.append((theta, phi, tau))
+            else:
+                assert_factors_at(factors, theta, phi, tau, cfg)
+            return refine(y, theta, phi, tau, cfg, others, factors)
+
+        monkeypatch.setattr(enomp, "newton_refine", checked)
+        res = enomp.extract(y, cfg)
+        assert len(res.paths) >= 2
+        assert len(built) == res.iterations
 
     def test_iteration_cap(self, monkeypatch):
         cfg = small_cfg()
@@ -620,6 +660,117 @@ class TestCrossTerms:
         assert abs(got - want) <= 1e-10 * max(abs(want), 1e-3 * scale)
 
 
+def reference_visit(y, theta, phi, tau, cfg, others):
+    """One refinement visit in its first numpy form: the factors built at the
+    start, the other tracks' cube by einsum, and `eigvalsh` plus `solve` on
+    the 3x3 log-power Hessian. Returns (cube, hess, accepted, theta', phi',
+    tau')."""
+    y3 = y.reshape(cfg.M_v, cfg.M_h, cfg.N)
+    a_v, a_h = steering_factors(theta, phi, cfg)
+    p_n = delay_vector(tau, cfg)
+    centres = ((cfg.M_v - 1) / 2.0, (cfg.M_h - 1) / 2.0, (cfg.N - 1) / 2.0)
+    gains, o_v, o_h, o_p = others
+    v, h, p = (_kernels.index_weighted(a, c).conj().T @ o
+               for a, c, o in zip((a_v, a_h, p_n), centres, (o_v, o_h, o_p)))
+    cube = (_kernels.moment_cube(y3, a_v, a_h, p_n, *centres)
+            - np.einsum("l,al,bl,cl->abc", gains, v, h, p).conj())
+    scale = np.array([2 * math.pi * cfg.d_over_lambda] * 2 + [2 * math.pi * cfg.delta_f])
+    c0 = cube[0, 0, 0]
+    dc = 1j * scale * np.array([cube[1, 0, 0], cube[0, 1, 0], cube[0, 0, 1]])
+    d2c = -np.outer(scale, scale) * np.array([
+        [cube[2, 0, 0], cube[1, 1, 0], cube[1, 0, 1]],
+        [cube[1, 1, 0], cube[0, 2, 0], cube[0, 1, 1]],
+        [cube[1, 0, 1], cube[0, 1, 1], cube[0, 0, 2]],
+    ])
+    old_power = abs(c0) ** 2
+    grad = 2.0 * (np.conj(c0) * dc).real / old_power
+    hess = (2.0 * ((np.conj(c0) * d2c).real + np.outer(dc, np.conj(dc)).real) / old_power
+            - np.outer(grad, grad))
+    if np.max(np.linalg.eigvalsh(hess)) >= 0.0:
+        return cube, hess, False, theta, phi, tau
+    step = np.linalg.solve(hess, grad)
+    u, w = math.sin(theta), math.cos(theta) * math.sin(phi)
+    for damp in (1.0, 0.5, 0.25, 0.125):
+        u_new = enomp._wrap(u - damp * step[0] + 1.0, 2.0) - 1.0
+        w_new = enomp._wrap(w - damp * step[1] + 1.0, 2.0) - 1.0
+        theta_new = float(min(max(math.asin(u_new), -math.pi / 2), enomp._THETA_MAX))
+        cos_t = math.cos(theta_new)
+        s_phi = min(max(w_new / cos_t, -1.0), 1.0) if cos_t > 1e-12 else 0.0
+        phi_new = float(min(max(math.asin(s_phi), -math.pi / 2), enomp._THETA_MAX))
+        tau_new = enomp._wrap(float(tau - damp * step[2]), cfg.tau_max)
+        a_v2, a_h2 = steering_factors(theta_new, phi_new, cfg)
+        p_n2 = delay_vector(tau_new, cfg)
+        corr = (enomp._atom_correlation(y3, a_v2, a_h2, p_n2)
+                - enomp._atom_sum_correlation(others, a_v2, a_h2, p_n2))
+        if abs(corr) ** 2 > old_power:
+            return cube, hess, True, theta_new, phi_new, tau_new
+    return cube, hess, False, theta, phi, tau
+
+
+@st.composite
+def visit_cases(draw):
+    """A small system, a noisy observation of 1-5 paths, the visited track
+    up to a grid cell off the first path, and the others at their paths. A
+    1 Hz subcarrier spacing is drawn too: there the delay curvature is of the
+    angles' order, where at 75 kHz it is about 1e11 times theirs."""
+    cfg = SystemConfig(M_v=draw(st.integers(2, 4)), M_h=draw(st.integers(2, 5)),
+                       N=draw(st.integers(4, 16)), delta_f=draw(st.sampled_from([1.0, 75e3])))
+    count = draw(st.integers(1, 5))
+    noise = draw(st.sampled_from([0.0, 0.1, 1.0, 10.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    paths = [enomp.DetectedPath(0j, float(rng.uniform(-1.3, 1.3)), float(rng.uniform(-1.3, 1.3)),
+                                float(rng.uniform(0.05, 0.95)) * cfg.tau_max)
+             for _ in range(count)]
+    gains = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    factors = path_factors(paths, cfg)
+    mn = cfg.M * cfg.N
+    y = atom_sum(gains, *factors) + noise * (rng.standard_normal(mn)
+                                             + 1j * rng.standard_normal(mn))
+    off = rng.uniform(-1.0, 1.0, 3) * np.array(cell_sizes(cfg))
+    visited = (float(np.clip(paths[0].theta + off[0], -1.5, 1.5)),
+               float(np.clip(paths[0].phi + off[1], -1.5, 1.5)),
+               float(np.clip(paths[0].tau + off[2], 0.0, 0.99 * cfg.tau_max)))
+    others = gains.copy()
+    others[0] = 0.0
+    return cfg, y, visited, (others, *factors)
+
+
+class TestVisitMatchesReference:
+    """The visit's scalar 3x3 algebra, its one-product cross-term cube and its
+    stored starting factors against `reference_visit`."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(visit_cases())
+    def test_cube_agrees(self, case):
+        cfg, y, visited, others = case
+        a_v, a_h = steering_factors(*visited[:2], cfg)
+        p_n = delay_vector(visited[2], cfg)
+        centres = ((cfg.M_v - 1) / 2.0, (cfg.M_h - 1) / 2.0, (cfg.N - 1) / 2.0)
+        y_cube = _kernels.moment_cube(y.reshape(cfg.M_v, cfg.M_h, cfg.N), a_v, a_h, p_n,
+                                      *centres)
+        got = y_cube - enomp._atom_sum_cube(others, a_v, a_h, p_n, centres)
+        want = reference_visit(y, *visited, cfg, others)[0]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(y_cube)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(visit_cases())
+    def test_step_agrees(self, case):
+        cfg, y, visited, others = case
+        _, hess, accepted, *params = reference_visit(y, *visited, cfg, others)
+        stored = (*steering_factors(*visited[:2], cfg), delay_vector(visited[2], cfg))
+        got = enomp.newton_refine(y, *visited, cfg, others, stored)
+        assert_factors_at(got[5], *got[:3], cfg)
+        lam = np.linalg.eigvalsh(hess)
+        if got[3] != accepted:
+            # the reference's sign test is only as good as eigvalsh: a flip
+            # is allowed only where its top eigenvalue is that close to 0
+            assert abs(lam[-1]) <= 1e-9 * np.max(np.abs(lam))
+            return
+        cells = cfg.N * cfg.delta_f
+        np.testing.assert_allclose([got[0], got[1], got[2] * cells],
+                                   [params[0], params[1], params[2] * cells], rtol=0, atol=1e-9)
+
+
 def residual_loop_extract(y, cfg, cb):
     """The per-visit residual form of `enomp.extract`: every visit adds its
     own atom back to the residual, refines against that, and takes it off
@@ -711,6 +862,21 @@ class TestRowBlockedDetection:
         y = (0.6 - 0.8j) * enomp.synth_atom(cb.thetas[source], cb.phis[5], cb.taus[17], cfg)
         theta, phi, tau, _ = enomp.omp_detect(y, tied)
         assert (theta, phi, tau) == (cb.thetas[min(source, copy)], cb.phis[5], cb.taus[17])
+        assert enomp.omp_detect(y, tied) == whole_cube_detect(y, tied)
+
+    @pytest.mark.parametrize("source, copy", [(1, 6), (6, 1)])
+    def test_exact_tie_inside_a_row_goes_to_lower_index(self, source, copy):
+        # azimuth column `copy` is made an exact duplicate of column `source`
+        # in every downtilt row, so one row holds two bitwise equal matches
+        # for an atom at azimuth `source`
+        cfg = small_cfg()
+        cb = enomp.build_codebook(cfg)
+        e_h = cb.E_h.copy()
+        e_h[:, copy] = e_h[:, source]
+        tied = dataclasses.replace(cb, E_h=e_h)
+        y = (0.6 - 0.8j) * enomp.synth_atom(cb.thetas[4], cb.phis[source], cb.taus[17], cfg)
+        theta, phi, tau, _ = enomp.omp_detect(y, tied)
+        assert (theta, phi, tau) == (cb.thetas[4], cb.phis[min(source, copy)], cb.taus[17])
         assert enomp.omp_detect(y, tied) == whole_cube_detect(y, tied)
 
 

@@ -116,9 +116,19 @@ class TestConfig:
         {"experiment": "fig6", "system": {"f_dl": 1.0e308, "f_ul": -1.0e308}},
         {"experiment": "fig4", "system": {"delta_f": 1e160}},
         {"experiment": "fig4", "system": {"delta_f": 1e-320}},
+        {"experiment": "fig4", "system": {"f_dl": 10**400}},
+        {"experiment": "fig4", "snr_db": [10**400]},
     ])
     def test_rejects_bad_input(self, raw):
         with pytest.raises(ValueError):
+            harness.config_from_dict(raw)
+
+    @pytest.mark.parametrize("raw, key", [
+        ({"experiment": "fig4", "system": {"f_dl": 10**400}}, "f_dl"),
+        ({"experiment": "fig4", "snr_db": [0, 10**400]}, r"snr_db\[1\]"),
+    ])
+    def test_int_too_large_for_a_float_names_the_key(self, raw, key):
+        with pytest.raises(ValueError, match=key + " must be a finite real number"):
             harness.config_from_dict(raw)
 
     def test_transmit_power_range(self):
