@@ -20,7 +20,10 @@ rewritten around the visit, as it once did), ZF precoding
 plus SINR at fig6 size (256 subcarriers) and Monte Carlo chunk size (32
 error draws) both ways (`mueval`, which inverts the Gram and scales the
 K x K products, and the batched `eigh` with its eigenvector inverse and
-materialized precoder that `mueval` once ran), plus one end-to-end path
+materialized precoder that `mueval` once ran), one Monte Carlo chunk of 32
+draws at three deltas both ways (`mueval.monte_carlo_sinr` on the shared
+K x K products, and per-delta ZF with the pseudo-inverse materialized, as it
+once ran; both include the chunk's normal draws), plus one end-to-end path
 extraction with its minor page faults, and prints a table.
 
 Usage:
@@ -65,6 +68,25 @@ def _eigh_zf_sinr(h_true, h_hat, p_tx):
 
 def _zf_sinr(h_true, h_hat, p_tx):
     return mueval.sinr(h_true, mueval.zf_precoder(h_hat), p_tx)
+
+
+def _materialized_mc_chunk(h_true, deltas, p_tx, n_draws, seed):
+    """`mueval.monte_carlo_sinr` as it once ran: per delta, the (n_draws, K, M)
+    stack of estimates, its ZF precoder and h_true @ pinv with the
+    pseudo-inverse materialized."""
+    z = np.random.default_rng(seed).standard_normal((n_draws, 2) + h_true.shape)
+    noise = z[:, 0] + 1j * z[:, 1]
+    rows = []
+    for delta in deltas:
+        state = mueval.zf_precoder(h_true + np.sqrt(delta) * np.abs(h_true) * noise / math.sqrt(2.0))
+        powers = p_tx * np.abs((h_true @ state.pinv) * state.alphas[..., None, :]) ** 2
+        signal = np.diagonal(powers, axis1=-2, axis2=-1)
+        rows.append(np.mean(signal / (powers.sum(axis=-1) - signal + 1.0), axis=0))
+    return np.stack(rows)
+
+
+def _shared_mc_chunk(h_true, deltas, p_tx, n_draws, seed):
+    return mueval.monte_carlo_sinr(h_true, deltas, p_tx, n_draws=n_draws, seed=seed)[0]
 
 
 def main():
@@ -168,6 +190,9 @@ def main():
         noise_rng, 32 * h_rows[0].size).reshape((32,) + h_rows[0].shape)
     zf_fig6 = "zf_sinr_{}x{}x{}".format(*h_rows.shape)
     zf_chunk = "zf_sinr_{}x{}x{}".format(*h_chunk.shape)
+    mc_deltas = [1e-3, 1e-2, 1e-1]
+    mc_chunk = "mc_{}x{}x{}_D{}".format(*h_chunk.shape, len(mc_deltas))
+    mc_args = (h_rows[0], mc_deltas, 10.0, h_chunk.shape[0], 6)
 
     cases = [
         ("kron3", "numpy", _kernels.kron3, (a_v, a_h, p_n)),
@@ -191,6 +216,8 @@ def main():
         (zf_fig6, "eigh", _eigh_zf_sinr, (h_rows, h_rows_hat, 10.0)),
         (zf_chunk, "inv", _zf_sinr, (h_rows[0], h_chunk, 10.0)),
         (zf_chunk, "eigh", _eigh_zf_sinr, (h_rows[0], h_chunk, 10.0)),
+        (mc_chunk, "kxk", _shared_mc_chunk, mc_args),
+        (mc_chunk, "pinv", _materialized_mc_chunk, mc_args),
     ]
 
     print(f"system {cfg.M_v}x{cfg.M_h} antennas x {cfg.N} subcarriers, "
@@ -213,6 +240,9 @@ def main():
     for name in (zf_fig6, zf_chunk):
         ratio = results[(name, "eigh")] / results[(name, "inv")]
         print(f"{name}: ZF by the Gram inverse is {ratio:.2f}x the eigh-precoder speed")
+    ratio = results[(mc_chunk, "pinv")] / results[(mc_chunk, "kxk")]
+    print(f"{mc_chunk}: Monte Carlo on the shared K x K products is {ratio:.2f}x the "
+          "per-delta materialized ZF speed")
 
     enomp.extract(sounding, cfg, book)  # warm up
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt

@@ -262,11 +262,6 @@ def _zf_rates(h_true_rows, h_hat_rows, t_pilot: int, cfg: SystemConfig) -> float
     return mueval.sum_rate(sinr_all, t_pilot, cfg.T_c)
 
 
-def _stack_channels(vectors, cfg: SystemConfig) -> np.ndarray:
-    """Per-user stacked channels -> (N, K, M) per-subcarrier matrices."""
-    return np.stack([recon.channel_matrix(v, cfg) for v in vectors], axis=1)
-
-
 def run_fig6(config: ExperimentConfig) -> list:
     """Transceiver evaluation vs the accuracy target delta.
 
@@ -291,22 +286,28 @@ def run_fig6(config: ExperimentConfig) -> list:
             if not result.paths:  # no pilot model, so no gain estimate at any delta
                 raise np.linalg.LinAlgError(f"no paths detected for user {k}")
             users_est.append(_unscale_gains(result.paths, _P_TX))
+        # (N, K, M) per-subcarrier matrices, each user's channel written
+        # straight into its row
+        stack_shape = (cfg.N, config.users, cfg.M)
         truths_dl = [sysmodel.downlink_channel(p, cfg) for p in scenario.users]
-        h_true_rows = _stack_channels(truths_dl, cfg)
+        h_true_rows = np.empty(stack_shape, dtype=np.complex128)
+        for k, truth in enumerate(truths_dl):
+            h_true_rows[:, k] = recon.channel_matrix(truth, cfg)
         # Oracle gains, perfect-CSI SINRs and the LMMSE rate do not depend on delta.
         g_star = [_oracle_gains(users_est[k], truths_dl[k], cfg) for k in range(config.users)]
         sinr_perfect = mueval.sinr(h_true_rows, mueval.zf_precoder(h_true_rows), _P_TX)
-        lmmse_dl = []
+        # the LMMSE estimates, then each delta's reconstructions
+        h_hat_rows = np.empty(stack_shape, dtype=np.complex128)
         for k in range(config.users):
             rng = _trial_rng(config.seed, 3, trial * config.users + k)
             y_full = math.sqrt(_P_TX) * truths_dl[k] + sysmodel.complex_noise(rng, cfg.M * cfg.N)
-            lmmse_dl.append(recon.lmmse_baseline(y_full, cov, cfg, _P_TX))
-        lmmse_rate = _zf_rates(h_true_rows, _stack_channels(lmmse_dl, cfg), cfg.M, cfg)
+            h_hat_rows[:, k] = recon.channel_matrix(recon.lmmse_baseline(y_full, cov, cfg, _P_TX), cfg)
+        lmmse_rate = _zf_rates(h_true_rows, h_hat_rows, cfg.M, cfg)
 
         def measure(d):
             plan = dltrain.schedule_beams(users_est, grid, cfg, d, _P_TX)
             gain_err = []
-            recon_dl = []
+            nmse = []
             for k in range(config.users):
                 rng = _trial_rng(config.seed, 2, trial * config.users + k)
                 y_dl = dltrain.simulate_downlink_training(scenario.users[k], plan, cfg, _P_TX, rng)
@@ -314,9 +315,11 @@ def run_fig6(config: ExperimentConfig) -> list:
                 gain_err.append(
                     float(np.sum(np.abs(g_hat - g_star[k]) ** 2) / np.sum(np.abs(g_star[k]) ** 2))
                 )
-                recon_dl.append(recon.reconstruct(users_est[k], g_hat, cfg))
-            channel_nmse = np.mean([recon.channel_nmse(recon_dl[k], truths_dl[k]) for k in range(config.users)])
-            rate_recon = _zf_rates(h_true_rows, _stack_channels(recon_dl, cfg), plan.T_p, cfg)
+                recon_k = recon.reconstruct(users_est[k], g_hat, cfg)
+                nmse.append(recon.channel_nmse(recon_k, truths_dl[k]))
+                h_hat_rows[:, k] = recon.channel_matrix(recon_k, cfg)
+            channel_nmse = np.mean(nmse)
+            rate_recon = _zf_rates(h_true_rows, h_hat_rows, plan.T_p, cfg)
             return (float(plan.T_p), float(np.mean(gain_err)), float(channel_nmse), rate_recon,
                     mueval.sum_rate(sinr_perfect, plan.T_p, cfg.T_c), lmmse_rate)
         return measure

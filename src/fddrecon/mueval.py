@@ -18,12 +18,11 @@ import numpy as np
 from .sysmodel import gram_eigvals
 
 
-# Draws per chunk in monte_carlo_sinr: one shared draw of normals, then one
-# stacked ZF call per delta. At K=10, M=128 and three deltas, 1000 draws take
-# about equally long (median 0.29 s, 1 BLAS thread) with chunks of 8 to 128;
-# chunks of 4 are about 15% slower, and one chunk of all 1000 draws is slower
-# again, its buffers (20 MB of normals, two 20 MB complex stacks) no longer
-# staying in cache.
+# Draws per chunk in monte_carlo_sinr: one shared draw of normals and three
+# shared K x K products per chunk, then one small Gram inverse per delta. At
+# K=10, M=128 and three deltas, 1000 draws take a median 109-113 ms (1 BLAS
+# thread) with chunks of 32; chunks of 16 and 64 are 0-5% slower, 128 about
+# 6%, 8 about 10% and 4 about 27%.
 _MC_CHUNK = 32
 
 # Receiver noise power per user; transmit powers are SNRs against it.
@@ -34,14 +33,44 @@ _NOISE_POWER = 1.0
 class PrecodingState:
     """ZF precoder pieces for a stack of subcarriers (or a single one).
 
-    ``pinv`` (..., M, K) is the right pseudo-inverse of the (..., K, M)
-    channel estimate and ``alphas[..., k] = 1 / (sqrt(K) ||pinv[..., :, k]||)``
+    ``h_herm`` (..., M, K) is the conjugate transpose of the (..., K, M)
+    channel estimate, ``gram_inv`` (..., K, K) the inverse of its Gram
+    H H^H, and ``alphas[..., k] = 1 / (sqrt(K) ||pinv[..., :, k]||)``
     normalizes each user's beam to power 1/K, so the precoder
     ``pinv * alphas[..., None, :]`` spends unit power.
     """
 
-    pinv: np.ndarray
+    h_herm: np.ndarray
+    gram_inv: np.ndarray
     alphas: np.ndarray
+
+    @property
+    def pinv(self) -> np.ndarray:
+        """The (..., M, K) right pseudo-inverse H^H G^-1, formed on demand."""
+        return self.h_herm @ self.gram_inv
+
+
+def _gram_inverse(gram: np.ndarray, n_ant: int) -> tuple:
+    """(G^-1, alphas) of a (..., K, K) stack of Grams G = H H^H of channels
+    with ``n_ant`` antennas: ||pinv[:, k]||^2 = [G^-1]_kk gives the beam
+    scales. A Gram that `sysmodel.gram_eigvals` finds rank deficient raises
+    ``np.linalg.LinAlgError`` and fails the whole stack."""
+    if not np.all(gram_eigvals(gram, n_ant)[1]):
+        raise np.linalg.LinAlgError("channel estimate is rank deficient")
+    gram_inv = np.linalg.inv(gram)
+    col_norms2 = np.diagonal(gram_inv, axis1=-2, axis2=-1).real
+    return gram_inv, 1.0 / (math.sqrt(gram.shape[-1]) * np.sqrt(col_norms2))
+
+
+def _sinr_from_cross(cross: np.ndarray, gram_inv: np.ndarray, alphas: np.ndarray,
+                     p_tx: float) -> np.ndarray:
+    """Per-user ZF SINRs from the (..., K, K) cross product H_true H_hat^H:
+    h_true @ pinv = cross @ G^-1, scaled by the beam scales."""
+    gains = (cross @ gram_inv) * alphas[..., None, :]
+    powers = p_tx * np.abs(gains) ** 2
+    signal = np.diagonal(powers, axis1=-2, axis2=-1)
+    interference = powers.sum(axis=-1) - signal
+    return signal / (interference + _NOISE_POWER)
 
 
 def zf_precoder(h_hat: np.ndarray) -> PrecodingState:
@@ -49,7 +78,7 @@ def zf_precoder(h_hat: np.ndarray) -> PrecodingState:
     (rows = users); a single K x M matrix is a stack of one.
 
     pinv = H^H G^-1 with the K x K Gram G = H H^H, and the beam norms come
-    from diag(G^-1) since ||pinv[:, k]||^2 = [G^-1]_kk. A matrix that
+    from diag(G^-1); no (..., M, K) pseudo-inverse is formed. A matrix that
     `sysmodel.gram_eigvals` finds rank deficient raises
     ``np.linalg.LinAlgError`` and fails the whole stack; K > M raises
     ValueError (dropping users is the caller's policy decision).
@@ -61,26 +90,19 @@ def zf_precoder(h_hat: np.ndarray) -> PrecodingState:
     if n_users == 0 or n_users > n_ant:
         raise ValueError(f"need 1 <= K <= M, got K={n_users}, M={n_ant}")
     h_herm = H.conj().swapaxes(-1, -2)
-    gram = H @ h_herm
-    if not np.all(gram_eigvals(gram, n_ant)[1]):
-        raise np.linalg.LinAlgError("channel estimate is rank deficient")
-    gram_inv = np.linalg.inv(gram)
-    col_norms2 = np.diagonal(gram_inv, axis1=-2, axis2=-1).real
-    alphas = 1.0 / (math.sqrt(n_users) * np.sqrt(col_norms2))
-    return PrecodingState(pinv=h_herm @ gram_inv, alphas=alphas)
+    gram_inv, alphas = _gram_inverse(H @ h_herm, n_ant)
+    return PrecodingState(h_herm=h_herm, gram_inv=gram_inv, alphas=alphas)
 
 
 def sinr(h_true: np.ndarray, state: PrecodingState, p_tx: float) -> np.ndarray:
     """Per-user SINR for each (..., K, M) true channel under its precoder.
 
     Entry [..., k] is P |h_k w_k|^2 / (sum_{j != k} P |h_k w_j|^2 + noise),
-    w_j = alphas_j pinv_j, scaled on the (..., K, K) product h_true @ pinv.
+    w_j = alphas_j pinv_j, from the (..., K, K) products
+    (h_true @ h_herm) @ G^-1.
     """
-    gains = (np.asarray(h_true) @ state.pinv) * state.alphas[..., None, :]
-    powers = p_tx * np.abs(gains) ** 2
-    signal = np.diagonal(powers, axis1=-2, axis2=-1)
-    interference = powers.sum(axis=-1) - signal
-    return signal / (interference + _NOISE_POWER)
+    cross = np.asarray(h_true) @ state.h_herm
+    return _sinr_from_cross(cross, state.gram_inv, state.alphas, p_tx)
 
 
 def sum_rate(sinr_values: np.ndarray, t_pilot: int, t_coherence: int) -> float:
@@ -136,42 +158,52 @@ def monte_carlo_sinr(
     """Average SINR over channel-error draws with the true channel fixed,
     one (K,) row per error power in ``deltas``.
 
-    Draw i perturbs the estimate by sqrt(delta) |H| * (z_i[0] + 1j z_i[1]) /
-    sqrt(2) from standard normals z_i, rebuilds the ZF precoder, and takes the
-    true-channel SINR: the reference that :func:`analytic_sinr` approximates.
-    Every delta shares the one stream of z_i, so each row equals, bit for
-    bit, a call with that delta alone. Returns the (D, K) means and the (D,)
-    full-rank mask: a delta with a rank-deficient draw (``zf_precoder``
-    raises ``np.linalg.LinAlgError``) gets False and a NaN row, and the other
-    rows do not change.
+    Draw i perturbs the estimate by r E_i, r = sqrt(delta / 2) and
+    E_i = |H| * (z_i[0] + 1j z_i[1]) from standard normals z_i, and takes
+    the true-channel SINR under the estimate's ZF precoder: the reference
+    that :func:`analytic_sinr` approximates. Every delta shares the one
+    stream of z_i, and per chunk of draws the K x K products E H^H,
+    H E^H = (E H^H)^H and E E^H, so a delta needs only
+    Gram = H H^H + r (H E^H + E H^H) + r^2 E E^H and
+    cross = H H^H + r H E^H; no estimate or pseudo-inverse is formed. Each
+    row equals, bit for bit, a call with that delta alone. Returns the (D, K)
+    means and the (D,) full-rank mask: a delta with a rank-deficient draw
+    (`sysmodel.gram_eigvals` rejects its Gram) gets False and a NaN row, and
+    the other rows do not change.
     """
     rng = np.random.default_rng(seed)
     H = np.asarray(h_true)
-    stds = [np.sqrt(delta) * np.abs(H) for delta in deltas]
-    ok = np.ones(len(stds), dtype=bool)
-    acc = np.zeros((len(stds), H.shape[0]))
+    n_ant = H.shape[-1]
+    h_abs = np.abs(H)
+    h_herm = H.conj().T
+    hh = H @ h_herm
+    radii = [math.sqrt(delta / 2.0) for delta in deltas]
+    ok = np.ones(len(radii), dtype=bool)
+    acc = np.zeros((len(radii), H.shape[0]))
     # chunk buffers made once per call, so no chunk allocates them
     chunk = min(_MC_CHUNK, n_draws)
     z_buf = np.empty((chunk, 2) + H.shape)
-    noise_buf, h_hat_buf = np.empty((2, chunk) + H.shape, dtype=np.complex128)
+    e_buf = np.empty((chunk,) + H.shape, dtype=np.complex128)
     for start in range(0, n_draws, _MC_CHUNK):
         c = min(_MC_CHUNK, n_draws - start)
-        z, noise, h_hat = z_buf[:c], noise_buf[:c], h_hat_buf[:c]
+        z, e = z_buf[:c], e_buf[:c]
         # A (c, 2, K, M) block is the same stream as c draws of (2, K, M).
         rng.standard_normal(out=z)
-        np.add(z[:, 0], np.multiply(1j, z[:, 1], out=noise), out=noise)
-        for i, std in enumerate(stds):
+        np.add(z[:, 0], np.multiply(1j, z[:, 1], out=e), out=e)
+        np.multiply(h_abs, e, out=e)
+        eh = e @ h_herm
+        he = eh.conj().swapaxes(-1, -2)
+        mixed = he + eh
+        ee = e @ e.conj().swapaxes(-1, -2)
+        for i, r in enumerate(radii):
             if not ok[i]:
                 continue
-            # H + std * noise / sqrt(2), evaluated in that order
-            np.divide(np.multiply(std, noise, out=h_hat), math.sqrt(2.0), out=h_hat)
-            np.add(H, h_hat, out=h_hat)
             try:
-                state = zf_precoder(h_hat)
+                gram_inv, alphas = _gram_inverse(hh + r * mixed + r * r * ee, n_ant)
             except np.linalg.LinAlgError:
                 ok[i] = False
                 continue
-            for row in sinr(H, state, p_tx):
+            for row in _sinr_from_cross(hh + r * he, gram_inv, alphas, p_tx):
                 acc[i] += row  # draw by draw, so the sum is the same for any chunk size
     means = acc / n_draws
     means[~ok] = np.nan

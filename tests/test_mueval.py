@@ -191,21 +191,44 @@ class TestSinrWithoutPrecoder:
 
 def per_delta_reference(h_true, delta, p_tx, n_draws, seed):
     """Monte Carlo mean SINR for one delta with its own error stream, chunk
-    by chunk as monte_carlo_sinr draws it: the reference that the shared
-    stream must reproduce bit for bit. None if a draw is rank deficient."""
+    by chunk and on the K x K products as monte_carlo_sinr forms them: the
+    reference that the shared stream must reproduce bit for bit. None if a
+    draw is rank deficient."""
     rng = np.random.default_rng(seed)
+    h_herm = h_true.conj().T
+    hh = h_true @ h_herm
+    r = math.sqrt(delta / 2.0)
     acc = np.zeros(h_true.shape[0])
     for start in range(0, n_draws, mueval._MC_CHUNK):
         z = rng.standard_normal((min(mueval._MC_CHUNK, n_draws - start), 2) + h_true.shape)
-        std = np.sqrt(delta) * np.abs(h_true)
-        h_hat = h_true + std * (z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0)
+        e = np.abs(h_true) * (z[:, 0] + 1j * z[:, 1])
+        eh = e @ h_herm
+        he = eh.conj().swapaxes(-1, -2)
+        gram = hh + r * (he + eh) + r * r * (e @ e.conj().swapaxes(-1, -2))
         try:
-            state = mueval.zf_precoder(h_hat)
+            gram_inv, alphas = mueval._gram_inverse(gram, h_true.shape[1])
         except np.linalg.LinAlgError:
             return None
-        for row in mueval.sinr(h_true, state, p_tx):
+        for row in mueval._sinr_from_cross(hh + r * he, gram_inv, alphas, p_tx):
             acc += row
     return acc / n_draws
+
+
+def materialized_reference(h_true, deltas, p_tx, n_draws, seed):
+    """(D, K) Monte Carlo means the long way: per delta and per draw, the
+    estimate H + sqrt(delta) |H| (z_0 + j z_1) / sqrt(2), its ZF precoder
+    pinv * alphas materialized, and the SINRs of h_true under it."""
+    z = np.random.default_rng(seed).standard_normal((n_draws, 2) + h_true.shape)
+    rows = []
+    for delta in deltas:
+        acc = np.zeros(h_true.shape[0])
+        for z_i in z:
+            h_hat = h_true + np.sqrt(delta) * np.abs(h_true) * (z_i[0] + 1j * z_i[1]) / math.sqrt(2.0)
+            powers = p_tx * np.abs(h_true @ precoder(mueval.zf_precoder(h_hat))) ** 2
+            signal = np.diag(powers)
+            acc += signal / (powers.sum(axis=1) - signal + 1.0)
+        rows.append(acc / n_draws)
+    return np.array(rows)
 
 
 @st.composite
@@ -245,24 +268,26 @@ class TestMonteCarloSinr:
     @given(mc_cases())
     def test_shared_stream_equals_per_delta_calls(self, case):
         """Every delta's row equals its own-stream reference bit for bit; a
-        planted rank-deficient draw clears only its delta's mask entry."""
+        Gram of a planted rank-deficient draw clears only its delta's mask
+        entry."""
         h, deltas, n_draws, seed, plant = case
         want = [per_delta_reference(h, d, 10.0, n_draws, seed) for d in deltas]
         calls = []
-        zf = mueval.zf_precoder
+        gram_inverse = mueval._gram_inverse
 
-        def planted_zf(h_hat):
+        def planted_gram_inverse(gram, n_ant):
             # calls run chunk by chunk, one per delta, none skipped before the plant
             chunk, at = divmod(plant[1], mueval._MC_CHUNK)
             if len(calls) == chunk * len(deltas) + plant[0]:
-                h_hat = h_hat.copy()
-                h_hat[at, -1] = 0.0
+                gram = gram.copy()
+                gram[at, -1, :] = 0.0  # the Gram of an estimate whose last user row is zero
+                gram[at, :, -1] = 0.0
             calls.append(None)
-            return zf(h_hat)
+            return gram_inverse(gram, n_ant)
 
         with pytest.MonkeyPatch.context() as mp:
             if plant is not None:
-                mp.setattr(mueval, "zf_precoder", planted_zf)
+                mp.setattr(mueval, "_gram_inverse", planted_gram_inverse)
             means, ok = mueval.monte_carlo_sinr(h, deltas, 10.0, n_draws=n_draws, seed=seed)
         assert means.shape == (len(deltas), h.shape[0]) and ok.shape == (len(deltas),)
         for i, d in enumerate(deltas):
@@ -276,6 +301,19 @@ class TestMonteCarloSinr:
         np.testing.assert_array_equal(
             mueval.analytic_sinr(h, deltas, 10.0),
             [mueval.analytic_sinr(h, [d], 10.0)[0] for d in deltas])
+
+    @settings(max_examples=30, deadline=None)
+    @given(mc_cases())
+    def test_matches_materialized_zf_per_draw(self, case):
+        """The shared K x K products give each delta's row within 1e-12
+        relative of a per-draw ZF with the precoder materialized."""
+        h, deltas, n_draws, seed, _ = case
+        deltas = [0.0, 0.5] + [d for d in deltas if d not in (0.0, 0.5)]
+        means, ok = mueval.monte_carlo_sinr(h, deltas, 10.0, n_draws=n_draws, seed=seed)
+        want = materialized_reference(h, deltas, 10.0, n_draws, seed)
+        assert ok.all()
+        for got_row, want_row in zip(means, want):
+            assert np.linalg.norm(got_row - want_row) <= 1e-12 * np.linalg.norm(want_row)
 
 
 class TestSumRate:
