@@ -128,7 +128,7 @@ def main():
     sounding = sysmodel.sounding_observation(channel_paths, cfg, 1.0,
                                              np.random.default_rng(2))
     book = enomp.build_codebook(cfg)
-    found = enomp.extract(sounding, cfg, book).paths
+    found = enomp.extract(sounding, cfg, 1.0, book).paths
     gains = np.array([p.gain for p in found])
     visit_factors = sysmodel.path_factors(found, cfg)
     others = gains.copy()
@@ -244,10 +244,10 @@ def main():
     print(f"{mc_chunk}: Monte Carlo on the shared K x K products is {ratio:.2f}x the "
           "per-delta materialized ZF speed")
 
-    enomp.extract(sounding, cfg, book)  # warm up
+    enomp.extract(sounding, cfg, 1.0, book)  # warm up
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     t0 = time.perf_counter()
-    result = enomp.extract(sounding, cfg, book)
+    result = enomp.extract(sounding, cfg, 1.0, book)
     dt = time.perf_counter() - t0
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     print(f"\nend-to-end extraction ({len(result.paths)} paths): {dt * 1e3:.0f} ms, "

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 import numpy as np
@@ -65,15 +64,16 @@ def _run_extract(args) -> int:
     config = harness.config_from_dict({"experiment": "fig4", "seed": 0, **raw, **seed_flag})
     cfg, seed = config.system, config.seed
     p_tx = harness.transmit_power(args.snr_db)
+    sysmodel.check_integer("paths", args.paths, 1)
     scenario = sysmodel.generate_scenario(1, args.paths, cfg, seed=seed, att_range_db=(0.0, 0.0))
     paths = scenario.users[0]
     y = sysmodel.sounding_observation(paths, cfg, p_tx, np.random.default_rng([seed, 1]))
-    result = enomp.extract(y, cfg)
+    result = enomp.extract(y, cfg, p_tx)
     print(f"true paths: {len(paths)}   detected: {len(result.paths)}   "
           f"iterations: {result.iterations}   stop: {result.stop_reason}")
     print(f"{'':>4}{'|gain|':>10}  {'downtilt':>9}  {'azimuth':>9}  {'delay_ns':>10}")
     for i, p in enumerate(sorted(paths, key=lambda q: -abs(q.g_ul))):
-        print(f"T{i:<3}{abs(p.g_ul) * math.sqrt(p_tx):>10.4f}  {p.theta:>9.5f}  {p.phi:>9.5f}  {p.tau * 1e9:>10.2f}")
+        print(f"T{i:<3}{abs(p.g_ul):>10.4f}  {p.theta:>9.5f}  {p.phi:>9.5f}  {p.tau * 1e9:>10.2f}")
     for i, p in enumerate(sorted(result.paths, key=lambda q: -abs(q.gain))):
         print(f"E{i:<3}{abs(p.gain):>10.4f}  {p.theta:>9.5f}  {p.phi:>9.5f}  {p.tau * 1e9:>10.2f}")
     rel = np.linalg.norm(result.residual) / np.linalg.norm(y)

@@ -62,8 +62,8 @@ class DetectedPath:
 
 @dataclass(frozen=True)
 class ExtractionResult:
-    paths: tuple            # tuple of DetectedPath
-    residual: np.ndarray    # observation minus all reconstructed atoms
+    paths: tuple            # tuple of DetectedPath, gains on the channel scale
+    residual: np.ndarray    # observation minus all reconstructed atoms, in observation units
     iterations: int
     stop_reason: str        # "below_threshold" | "cap" | "degenerate"
     residual_norms: tuple   # ||residual|| after each completed iteration
@@ -152,7 +152,8 @@ def omp_detect(y_r: np.ndarray, codebook: Codebook):
 
 def coarse_gain(y_r: np.ndarray, theta: float, phi: float, tau: float,
                 cfg: SystemConfig) -> complex:
-    """Least-squares gain of a single atom: c^H y / ||c||^2."""
+    """Least-squares gain of a single atom: c^H y / ||c||^2. The pipeline never
+    calls it; the bench tracer wraps it, and `test_bench_hooks` checks that."""
     y3 = np.asarray(y_r).reshape(cfg.M_v, cfg.M_h, cfg.N)
     a_v, a_h = steering_factors(theta, phi, cfg)
     p_n = delay_vector(tau, cfg)
@@ -196,13 +197,6 @@ def _derivative_scalars(cube: np.ndarray, cfg: SystemConfig):
     return w[0], dc, d2c
 
 
-def _correlation_derivatives(cube: np.ndarray, cfg: SystemConfig):
-    """`_derivative_scalars` with the derivatives as arrays: (c, dc, d2c) is
-    complex, ndarray (3,), ndarray (3, 3)."""
-    c, dc, d2c = _derivative_scalars(cube, cfg)
-    return c, np.array(dc), np.array(d2c)
-
-
 def objective_derivatives(y_r: np.ndarray, gain: complex, theta: float,
                           phi: float, tau: float, cfg: SystemConfig):
     """Value, gradient, and 3x3 Hessian of the surrogate with respect to
@@ -219,7 +213,8 @@ def objective_derivatives(y_r: np.ndarray, gain: complex, theta: float,
     y3 = np.ascontiguousarray(np.asarray(y_r).reshape(cfg.M_v, cfg.M_h, cfg.N))
     a_v, a_h = steering_factors(theta, phi, cfg)
     p_n = delay_vector(tau, cfg)
-    c, dc, d2c = _correlation_derivatives(_kernels.moment_cube(y3, a_v, a_h, p_n), cfg)
+    c, dc, d2c = _derivative_scalars(_kernels.moment_cube(y3, a_v, a_h, p_n), cfg)
+    dc, d2c = np.array(dc), np.array(d2c)
     st, ct = math.sin(theta), math.cos(theta)
     sp, cp = math.sin(phi), math.cos(phi)
     # d(u, w, tau) / d(theta, phi, tau)
@@ -374,17 +369,16 @@ def newton_refine(y_r: np.ndarray, theta: float, phi: float, tau: float,
 
 
 def _refine_track(k: int, y3: np.ndarray, params: list, gains: np.ndarray,
-                  factors: tuple, cfg: SystemConfig, stored: bool = True) -> None:
+                  factors: tuple, cfg: SystemConfig) -> None:
     """One Newton step for track k against the observation minus the other
     tracks' atoms, then the track's single-atom gain and factor columns, both
     as the step built them at the resulting point. `params`, `gains` and the
     factor matrices hold every track; k's entries are overwritten in place.
-    The step starts from k's stored factor columns, the builds of an earlier
-    step at k's parameters, unless `stored` is False (a new track's first
-    step, whose columns are still zero)."""
+    The step starts from k's stored factor columns, the builds at k's
+    parameters of its detection or of an earlier step."""
     others = gains.copy()
     others[k] = 0.0
-    atom = tuple(f[:, k] for f in factors) if stored else None
+    atom = tuple(f[:, k] for f in factors)
     th, ph, ta, _, corr, atom = newton_refine(y3, *params[k], cfg, (others, *factors), atom)
     params[k] = (th, ph, ta)
     gains[k] = np.conj(corr) / (cfg.M * cfg.N)
@@ -392,14 +386,18 @@ def _refine_track(k: int, y3: np.ndarray, params: list, gains: np.ndarray,
         f[:, k] = column
 
 
-def extract(y_ul: np.ndarray, cfg: SystemConfig, codebook: Codebook = None) -> ExtractionResult:
+def extract(y_ul: np.ndarray, cfg: SystemConfig, p_tx: float,
+            codebook: Codebook = None) -> ExtractionResult:
     """Detect, refine, and fit all significant paths in one snapshot.
 
     Parameters
     ----------
     y_ul : ndarray, shape (M*N,)
-        Uplink sounding observation.
+        Uplink sounding observation (`sysmodel.sounding_observation`).
     cfg : SystemConfig
+    p_tx : float
+        Sounding power: the fitted gains are divided by sqrt(p_tx), so every
+        `DetectedPath.gain` is a channel gain; `residual` stays unscaled.
     codebook : Codebook, optional
         Prebuilt detection grids; built on demand otherwise.
     """
@@ -412,8 +410,8 @@ def extract(y_ul: np.ndarray, cfg: SystemConfig, codebook: Codebook = None) -> E
     threshold = detection_threshold(cfg.M * cfg.N, cfg.P_fa)
 
     # per track: (theta, phi, tau), the gain, and the factor columns of its
-    # atom in (M_v, cap), (M_h, cap), (N, cap) matrices; a column stays
-    # zero, with gain zero, until its track is detected
+    # atom in (M_v, cap), (M_h, cap), (N, cap) matrices; a track's columns
+    # are written at its detection, and its gain at its first visit
     params = []
     gains = np.zeros(_MAX_PATHS, dtype=complex)
     factors = tuple(np.zeros((m, _MAX_PATHS), dtype=complex, order="F")
@@ -428,12 +426,14 @@ def extract(y_ul: np.ndarray, cfg: SystemConfig, codebook: Codebook = None) -> E
             stop_reason = "below_threshold"
             break
         iterations += 1
-        params.append(omp_detect(residual, cb)[:3])
+        theta, phi, tau = omp_detect(residual, cb)[:3]
+        params.append((theta, phi, tau))
         count = len(params)
         view = tuple(f[:, :count] for f in factors)
+        for f, column in zip(view, (*steering_factors(theta, phi, cfg), delay_vector(tau, cfg))):
+            f[:, count - 1] = column
         # the new track first, then _REFINE_ROUNDS cyclic rounds over all
-        _refine_track(count - 1, y3, params, gains[:count], view, cfg, stored=False)
-        for k in list(range(count)) * _REFINE_ROUNDS:
+        for k in [count - 1] + list(range(count)) * _REFINE_ROUNDS:
             _refine_track(k, y3, params, gains[:count], view, cfg)
 
         fitted, rank = sysmodel.fit_gains(y, *view)
@@ -451,7 +451,7 @@ def extract(y_ul: np.ndarray, cfg: SystemConfig, codebook: Codebook = None) -> E
             stop_reason = "degenerate"
             break
 
-    paths = tuple(DetectedPath(gain=complex(g), theta=th, phi=ph, tau=ta)
+    paths = tuple(DetectedPath(gain=complex(g) / math.sqrt(p_tx), theta=th, phi=ph, tau=ta)
                   for g, (th, ph, ta) in zip(gains, params))
     return ExtractionResult(paths=paths, residual=residual,
                             iterations=iterations, stop_reason=stop_reason,

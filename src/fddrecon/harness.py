@@ -226,20 +226,11 @@ def run_fig4(config: ExperimentConfig) -> list:
             y = sysmodel.sounding_observation(paths, cfg, p_tx, _trial_rng(config.seed, 1, trial))
             nmse_ls = recon.channel_nmse(recon.ls_baseline(y, p_tx), truth)
             nmse_lmmse = recon.channel_nmse(recon.lmmse_baseline(y, cov, cfg, p_tx), truth)
-            result = enomp.extract(y, cfg, codebook)
-            scaled = recon.uplink_channel_estimate(result.paths, cfg)
-            return nmse_ls, nmse_lmmse, recon.channel_nmse(scaled / math.sqrt(p_tx), truth)
+            estimate = recon.uplink_channel_estimate(enomp.extract(y, cfg, p_tx, codebook).paths, cfg)
+            return nmse_ls, nmse_lmmse, recon.channel_nmse(estimate, truth)
         return measure
 
     return _sweep(config, config.snr_db, ("nmse_ls", "nmse_lmmse", "nmse_enomp"), 1, trial_fn)
-
-
-def _unscale_gains(paths, p_tx: float):
-    scale = math.sqrt(p_tx)
-    return tuple(
-        enomp.DetectedPath(gain=p.gain / scale, theta=p.theta, phi=p.phi, tau=p.tau)
-        for p in paths
-    )
 
 
 def _oracle_gains(est_paths, truth_dl: np.ndarray, cfg: SystemConfig) -> np.ndarray:
@@ -282,10 +273,10 @@ def run_fig6(config: ExperimentConfig) -> list:
         for k, user_paths in enumerate(scenario.users):
             y = sysmodel.sounding_observation(user_paths, cfg, _P_TX,
                                               _trial_rng(config.seed, 1, trial * config.users + k))
-            result = enomp.extract(y, cfg, codebook)
-            if not result.paths:  # no pilot model, so no gain estimate at any delta
+            paths = enomp.extract(y, cfg, _P_TX, codebook).paths
+            if not paths:  # no pilot model, so no gain estimate at any delta
                 raise np.linalg.LinAlgError(f"no paths detected for user {k}")
-            users_est.append(_unscale_gains(result.paths, _P_TX))
+            users_est.append(paths)
         # (N, K, M) per-subcarrier matrices, each user's channel written
         # straight into its row
         stack_shape = (cfg.N, config.users, cfg.M)

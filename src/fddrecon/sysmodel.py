@@ -116,10 +116,6 @@ class Scenario:
     users: tuple  # tuple of tuples of PathComponent
     attenuation_db: tuple  # per-user attenuation in dB (<= 0)
 
-    @property
-    def K(self) -> int:
-        return len(self.users)
-
 
 def _check_range(name: str, x, lo: float, hi: float) -> None:
     """Raise unless every entry of ``x`` lies in [lo, hi); NaN fails."""

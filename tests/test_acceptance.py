@@ -7,8 +7,6 @@ end-to-end rate ordering, the expected-SINR model, and byte-level
 reproducibility of experiment outputs.
 """
 
-import math
-
 import numpy as np
 import pytest
 
@@ -90,7 +88,7 @@ def test_noiseless_on_grid_paths_recovered_exactly():
     y = np.zeros(cfg.M * cfg.N, dtype=complex)
     for (it, ip, iu), g in zip(triples, gains):
         y += g * enomp.synth_atom(book.thetas[it], book.phis[ip], book.taus[iu], cfg)
-    result = enomp.extract(y, cfg, book)
+    result = enomp.extract(y, cfg, 1.0, book)
     assert len(result.paths) == 3
     cells = (book.thetas[1] - book.thetas[0],
              book.phis[1] - book.phis[0],
@@ -124,11 +122,7 @@ def test_training_error_predictor_matches_monte_carlo():
                                           att_range_db=(-10.0, 0.0))
     y = sysmodel.sounding_observation(scenario.users[0], cfg, 10.0,
                                       np.random.default_rng(102))
-    result = enomp.extract(y, cfg)
-    est = tuple(
-        enomp.DetectedPath(gain=p.gain / math.sqrt(10.0), theta=p.theta,
-                           phi=p.phi, tau=p.tau)
-        for p in result.paths)
+    est = enomp.extract(y, cfg, 10.0).paths
     plan = dltrain.schedule_beams([est], dltrain.build_angle_grid(cfg), cfg, 1e-2, 10.0)
     coef = dltrain.coefficient_matrix(est, plan, cfg)
     g_hat = np.array([p.gain for p in est])

@@ -309,7 +309,8 @@ def log_power_hessian(y, theta, phi, tau, cfg):
     p_n = delay_vector(tau, cfg)
     centres = ((cfg.M_v - 1) / 2.0, (cfg.M_h - 1) / 2.0, (cfg.N - 1) / 2.0)
     cube = _kernels.moment_cube(y.reshape(cfg.M_v, cfg.M_h, cfg.N), a_v, a_h, p_n, *centres)
-    c, dc, d2c = enomp._correlation_derivatives(cube, cfg)
+    c, dc, d2c = enomp._derivative_scalars(cube, cfg)
+    dc, d2c = np.array(dc), np.array(d2c)
     grad = 2.0 * (np.conj(c) * dc).real / abs(c) ** 2
     return (2.0 * ((np.conj(c) * d2c).real + np.outer(dc, np.conj(dc)).real) / abs(c) ** 2
             - np.outer(grad, grad))
@@ -337,14 +338,16 @@ class TestExtract:
                 paths.append(cand)
         return tuple(paths)
 
-    def test_noiseless_off_grid_round_trip(self):
+    @pytest.mark.parametrize("p_tx", [1.0, 10.0])
+    def test_noiseless_off_grid_round_trip(self, p_tx):
+        # the gains come back on the channel scale at any sounding power
         cfg = SystemConfig(M_v=4, M_h=8, N=64)
         cell = cell_sizes(cfg)
         for seed in range(4):
             rng = np.random.default_rng(100 + seed)
             paths = self._separated_paths(rng, 3, cfg)
-            y = uplink_channel(paths, cfg)
-            res = enomp.extract(y, cfg)
+            y = math.sqrt(p_tx) * uplink_channel(paths, cfg)
+            res = enomp.extract(y, cfg, p_tx)
             assert res.stop_reason == "below_threshold"
             assert len(res.paths) == 3
             got = sorted(res.paths, key=lambda p: p.tau)
@@ -366,7 +369,7 @@ class TestExtract:
             ta = float(rng.uniform(0.0, 0.95) * cfg.tau_max)
             g = self._detectable_gain(rng)
             y = g * enomp.synth_atom(th, ph, ta, cfg)
-            res = enomp.extract(y, cfg, codebook=cb)
+            res = enomp.extract(y, cfg, 1.0, codebook=cb)
             assert len(res.paths) == 1
             p = res.paths[0]
             assert abs(p.theta - th) < 1e-4 * cell[0]
@@ -379,7 +382,7 @@ class TestExtract:
         cell = cell_sizes(cfg)
         th, ph, ta = -0.2391, 1.5054, 3.7e-6
         y = (1.1 - 0.4j) * enomp.synth_atom(th, ph, ta, cfg)
-        res = enomp.extract(y, cfg)
+        res = enomp.extract(y, cfg, 1.0)
         assert len(res.paths) == 1
         assert abs(res.paths[0].phi - ph) < 1e-4 * cell[1]
 
@@ -394,7 +397,7 @@ class TestExtract:
             tau=float(rng.uniform(0.0, 0.9) * cfg.tau_max),
         ) for _ in range(4))
         y = sounding_observation(paths, cfg, 1.0, 13)
-        res = enomp.extract(y, cfg)
+        res = enomp.extract(y, cfg, 1.0)
         rebuilt = sum(p.gain * enomp.synth_atom(p.theta, p.phi, p.tau, cfg)
                       for p in res.paths)
         np.testing.assert_allclose(res.residual, y - rebuilt, atol=1e-10)
@@ -430,7 +433,7 @@ class TestExtract:
                     (a_v, a_h, delay_vector(tau, cfg)))
 
         monkeypatch.setattr(enomp, "newton_refine", stay)
-        res = enomp.extract(y, cfg, cb)
+        res = enomp.extract(y, cfg, 1.0, cb)
         assert lstsq.calls == 1
         assert res.stop_reason == "degenerate"
         assert res.iterations == len(res.residual_norms) == 2
@@ -443,8 +446,9 @@ class TestExtract:
         np.testing.assert_allclose(res.residual, y - want * atom, rtol=0, atol=1e-10)
 
     def test_visits_start_from_stored_factors(self, monkeypatch):
-        # every visit but a track's first reads the factors an earlier visit
-        # stored, and they are the scalar builds at the track's parameters
+        # every visit, a track's first included, reads the factors stored at
+        # detection or by an earlier visit, and they are the scalar builds at
+        # the track's parameters
         cfg = small_cfg()
         y = (1.2 * enomp.synth_atom(0.3, 0.2, 2e-6, cfg)
              + (0.4 - 0.9j) * enomp.synth_atom(-0.8, -0.5, 8e-6, cfg))
@@ -458,16 +462,16 @@ class TestExtract:
             return refine(y, theta, phi, tau, cfg, others, factors)
 
         monkeypatch.setattr(enomp, "newton_refine", checked)
-        res = enomp.extract(y, cfg)
+        res = enomp.extract(y, cfg, 1.0)
         assert len(res.paths) >= 2
-        assert len(built) == res.iterations
+        assert built == []
 
     def test_iteration_cap(self, monkeypatch):
         cfg = small_cfg()
         y = (enomp.synth_atom(0.3, 0.2, 2e-6, cfg)
              + enomp.synth_atom(-0.8, -0.5, 8e-6, cfg))
         monkeypatch.setattr(enomp, "_MAX_PATHS", 1)
-        res = enomp.extract(y, cfg)
+        res = enomp.extract(y, cfg, 1.0)
         assert res.stop_reason == "cap"
         assert res.iterations == 1
         assert len(res.paths) == 1
@@ -477,14 +481,14 @@ class TestExtract:
         empty = 0
         for seed in range(20):
             y = sounding_observation((), cfg, 1.0, seed)
-            res = enomp.extract(y, cfg)
+            res = enomp.extract(y, cfg, 1.0)
             empty += not res.paths
         assert empty >= 18  # false-alarm rate is one percent per snapshot
 
     def test_rejects_wrong_length(self):
         cfg = small_cfg()
         with pytest.raises(ValueError):
-            enomp.extract(np.zeros(7), cfg)
+            enomp.extract(np.zeros(7), cfg, 1.0)
 
 
 @st.composite
@@ -819,7 +823,7 @@ class TestExtractMatchesResidualLoop:
         scenario = generate_scenario(1, 6, cfg, seed=seed, att_range_db=(0.0, 0.0))
         y = sounding_observation(scenario.users[0], cfg, 1.0, seed + 1)
         tracks, iterations, stop = residual_loop_extract(y, cfg, cb)
-        res = enomp.extract(y, cfg, cb)
+        res = enomp.extract(y, cfg, 1.0, cb)
         assert (len(res.paths), res.iterations, res.stop_reason) == (len(tracks), iterations, stop)
         assert len(tracks) >= 4
         for got, want in zip(res.paths, tracks):

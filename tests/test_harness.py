@@ -446,6 +446,13 @@ class TestCli:
             f"error: snr_db must lie in (-3000, 3000) dB, got {float(snr_db)!r}\n")
         assert trial[0] == -1
 
+    @pytest.mark.parametrize("paths", ["0", "-2"])
+    def test_extract_paths_range_error(self, capsys, monkeypatch, paths):
+        trial = count_trials(monkeypatch)
+        assert cli.main(["extract", "--paths", paths]) == 1
+        assert capsys.readouterr().err == "error: paths must be an integer >= 1\n"
+        assert trial[0] == -1
+
     def test_unknown_key_fails(self, tmp_path, capsys):
         import yaml
 

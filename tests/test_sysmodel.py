@@ -357,7 +357,7 @@ class TestScenario:
         cfg = SystemConfig()
         s1 = sysmodel.generate_scenario(10, 6, cfg, seed=9)
         s2 = sysmodel.generate_scenario(10, 6, cfg, seed=9)
-        assert s1.K == 10
+        assert len(s1.users) == 10
         assert sum(len(u) for u in s1.users) == 60
         assert s1 == s2
         s3 = sysmodel.generate_scenario(10, 6, cfg, seed=10)
