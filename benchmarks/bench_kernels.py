@@ -20,10 +20,14 @@ rewritten around the visit, as it once did), ZF precoding
 plus SINR at fig6 size (256 subcarriers) and Monte Carlo chunk size (32
 error draws) both ways (`mueval`, which inverts the Gram and scales the
 K x K products, and the batched `eigh` with its eigenvector inverse and
-materialized precoder that `mueval` once ran), one Monte Carlo chunk of 32
-draws at three deltas both ways (`mueval.monte_carlo_sinr` on the shared
-K x K products, and per-delta ZF with the pseudo-inverse materialized, as it
-once ran; both include the chunk's normal draws), plus one end-to-end path
+materialized precoder that `mueval` once ran), the Gram inverse with its
+rank check on the same two stacks' K x K Grams both ways (`mueval`'s, which
+runs `eigvalsh` only where the inverse cannot certify full rank, and
+`eigvalsh` on every Gram before the inverse, as it once ran), one Monte
+Carlo chunk of 32 draws at three deltas both ways
+(`mueval.monte_carlo_sinr` on the shared K x K products, and per-delta ZF
+with the pseudo-inverse materialized, as it once ran; both include the
+chunk's normal draws), plus one end-to-end path
 extraction with its minor page faults, and prints a table.
 
 Usage:
@@ -64,6 +68,16 @@ def _eigh_zf_sinr(h_true, h_hat, p_tx):
     powers = p_tx * np.abs(h_true @ ((h_herm @ gram_inv) * alphas[..., None, :])) ** 2
     signal = np.diagonal(powers, axis1=-2, axis2=-1)
     return signal / (powers.sum(axis=-1) - signal + 1.0)
+
+
+def _eigvalsh_first_gram_inverse(gram, n_ant):
+    """`mueval._gram_inverse` as it once ran: the rank rule's `eigvalsh` on
+    every Gram, then the inverse."""
+    if not np.all(sysmodel.gram_eigvals(gram, n_ant)[1]):
+        raise np.linalg.LinAlgError("channel estimate is rank deficient")
+    gram_inv = np.linalg.inv(gram)
+    col_norms2 = np.diagonal(gram_inv, axis1=-2, axis2=-1).real
+    return gram_inv, 1.0 / (math.sqrt(gram.shape[-1]) * np.sqrt(col_norms2))
 
 
 def _zf_sinr(h_true, h_hat, p_tx):
@@ -190,6 +204,9 @@ def main():
         noise_rng, 32 * h_rows[0].size).reshape((32,) + h_rows[0].shape)
     zf_fig6 = "zf_sinr_{}x{}x{}".format(*h_rows.shape)
     zf_chunk = "zf_sinr_{}x{}x{}".format(*h_chunk.shape)
+    gram_fig6 = h_rows_hat @ h_rows_hat.conj().swapaxes(-1, -2)
+    gram_chunk = h_chunk @ h_chunk.conj().swapaxes(-1, -2)
+    gram_names = ["gram_inverse_{}x{}x{}".format(*g.shape) for g in (gram_fig6, gram_chunk)]
     mc_deltas = [1e-3, 1e-2, 1e-1]
     mc_chunk = "mc_{}x{}x{}_D{}".format(*h_chunk.shape, len(mc_deltas))
     mc_args = (h_rows[0], mc_deltas, 10.0, h_chunk.shape[0], 6)
@@ -216,18 +233,22 @@ def main():
         (zf_fig6, "eigh", _eigh_zf_sinr, (h_rows, h_rows_hat, 10.0)),
         (zf_chunk, "inv", _zf_sinr, (h_rows[0], h_chunk, 10.0)),
         (zf_chunk, "eigh", _eigh_zf_sinr, (h_rows[0], h_chunk, 10.0)),
+        (gram_names[0], "certified", mueval._gram_inverse, (gram_fig6, cfg.M)),
+        (gram_names[0], "eigvalsh-first", _eigvalsh_first_gram_inverse, (gram_fig6, cfg.M)),
+        (gram_names[1], "certified", mueval._gram_inverse, (gram_chunk, cfg.M)),
+        (gram_names[1], "eigvalsh-first", _eigvalsh_first_gram_inverse, (gram_chunk, cfg.M)),
         (mc_chunk, "kxk", _shared_mc_chunk, mc_args),
         (mc_chunk, "pinv", _materialized_mc_chunk, mc_args),
     ]
 
     print(f"system {cfg.M_v}x{cfg.M_h} antennas x {cfg.N} subcarriers, "
           f"best of {args.repeats} runs\n")
-    print(f"{'kernel':<20}{'impl':<9}{'best':>12}")
+    print(f"{'kernel':<24}{'impl':<16}{'best':>12}")
     results = {}
     for name, impl, fn, fn_args in cases:
         best = _time(fn, fn_args, args.repeats)
         results[(name, impl)] = best
-        print(f"{name:<20}{impl:<9}{best * 1e6:>10.1f} us")
+        print(f"{name:<24}{impl:<16}{best * 1e6:>10.1f} us")
     ratio = results[("gain_fit_L8", "lstsq")] / results[("gain_fit_L8", "gram")]
     print(f"gain_fit_L8: the factored Gram fit is {ratio:.1f}x the lstsq speed")
     pilot = f"pilot_ls_L{len(found)}"
@@ -240,6 +261,9 @@ def main():
     for name in (zf_fig6, zf_chunk):
         ratio = results[(name, "eigh")] / results[(name, "inv")]
         print(f"{name}: ZF by the Gram inverse is {ratio:.2f}x the eigh-precoder speed")
+    for name in gram_names:
+        ratio = results[(name, "eigvalsh-first")] / results[(name, "certified")]
+        print(f"{name}: the certified inverse is {ratio:.2f}x the eigvalsh-first speed")
     ratio = results[(mc_chunk, "pinv")] / results[(mc_chunk, "kxk")]
     print(f"{mc_chunk}: Monte Carlo on the shared K x K products is {ratio:.2f}x the "
           "per-delta materialized ZF speed")

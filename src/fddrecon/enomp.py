@@ -398,9 +398,11 @@ def extract(y_ul: np.ndarray, cfg: SystemConfig, p_tx: float,
     p_tx : float
         Sounding power: the fitted gains are divided by sqrt(p_tx), so every
         `DetectedPath.gain` is a channel gain; `residual` stays unscaled.
+        ValueError unless it is a finite real number > 0.
     codebook : Codebook, optional
         Prebuilt detection grids; built on demand otherwise.
     """
+    sysmodel.check_power(p_tx)
     y = np.asarray(y_ul, dtype=np.complex128)
     if y.size != cfg.M * cfg.N:
         raise ValueError("observation length does not match M*N")

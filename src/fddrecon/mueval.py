@@ -15,14 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sysmodel import gram_eigvals
+from .sysmodel import certify_full_rank, gram_eigvals
 
 
 # Draws per chunk in monte_carlo_sinr: one shared draw of normals and three
 # shared K x K products per chunk, then one small Gram inverse per delta. At
-# K=10, M=128 and three deltas, 1000 draws take a median 109-113 ms (1 BLAS
-# thread) with chunks of 32; chunks of 16 and 64 are 0-5% slower, 128 about
-# 6%, 8 about 10% and 4 about 27%.
+# K=10, M=128 and three deltas, 1000 draws take a median 139 ms (2-vCPU Xeon,
+# 1 BLAS thread, a slow spell of the host) with chunks of 32; chunks of 16, 64
+# and 128 are 3-4% slower and 8 about 12%.
 _MC_CHUNK = 32
 
 # Receiver noise power per user; transmit powers are SNRs against it.
@@ -50,14 +50,27 @@ class PrecodingState:
         return self.h_herm @ self.gram_inv
 
 
+def _require_full_rank(gram: np.ndarray, n_ant: int) -> None:
+    if not np.all(gram_eigvals(gram, n_ant)[1]):
+        raise np.linalg.LinAlgError("channel estimate is rank deficient")
+
+
 def _gram_inverse(gram: np.ndarray, n_ant: int) -> tuple:
     """(G^-1, alphas) of a (..., K, K) stack of Grams G = H H^H of channels
     with ``n_ant`` antennas: ||pinv[:, k]||^2 = [G^-1]_kk gives the beam
     scales. A Gram that `sysmodel.gram_eigvals` finds rank deficient raises
-    ``np.linalg.LinAlgError`` and fails the whole stack."""
-    if not np.all(gram_eigvals(gram, n_ant)[1]):
-        raise np.linalg.LinAlgError("channel estimate is rank deficient")
-    gram_inv = np.linalg.inv(gram)
+    ``np.linalg.LinAlgError`` and fails the whole stack. That rule runs only
+    on the Grams whose inverse `sysmodel.certify_full_rank` cannot vouch for
+    (on every Gram when the inverse fails), so it decides as if it ran
+    first, and only those Grams pay for its `eigvalsh`."""
+    try:
+        gram_inv = np.linalg.inv(gram)
+    except np.linalg.LinAlgError:
+        _require_full_rank(gram, n_ant)
+        raise
+    undecided = ~certify_full_rank(gram, gram_inv, n_ant)
+    if undecided.any():
+        _require_full_rank(gram[undecided], n_ant)
     col_norms2 = np.diagonal(gram_inv, axis1=-2, axis2=-1).real
     return gram_inv, 1.0 / (math.sqrt(gram.shape[-1]) * np.sqrt(col_norms2))
 
@@ -203,8 +216,10 @@ def monte_carlo_sinr(
             except np.linalg.LinAlgError:
                 ok[i] = False
                 continue
-            for row in _sinr_from_cross(hh + r * he, gram_inv, alphas, p_tx):
-                acc[i] += row  # draw by draw, so the sum is the same for any chunk size
+            rows = _sinr_from_cross(hh + r * he, gram_inv, alphas, p_tx)
+            rows[0] += acc[i]
+            # draw by draw, left to right, so the sum is the same for any chunk size
+            acc[i] = np.add.accumulate(rows, out=rows)[-1]
     means = acc / n_draws
     means[~ok] = np.nan
     return means, ok

@@ -37,6 +37,13 @@ def check_real(name: str, value) -> None:
         raise ValueError(f"{name} must be a finite real number")
 
 
+def check_power(p_tx) -> None:
+    """Reject a transmit power that is not a finite real number > 0."""
+    check_real("p_tx", p_tx)
+    if p_tx <= 0:
+        raise ValueError("p_tx must be > 0")
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Array, OFDM grid, and algorithm constants shared across the pipeline."""
@@ -233,6 +240,44 @@ def gram_eigvals(gram: np.ndarray, n_rows: int):
     return lam, (lam[..., 0] > tol) & (n_rows >= n)
 
 
+# certify_full_rank passes a Gram G when ||X||_F tr(G) c m eps < 1, with X the
+# computed inverse, m = max(n, n_rows) and c = _CERTIFY_MARGIN. Write t = tr(G)
+# and u = eps. G is a computed Gram: within about m u t of a PSD matrix, and
+# its lower triangle, the Hermitian matrix Gl that eigvalsh reads, within about
+# 2 m u t of G. Higham (Accuracy and Stability of Numerical Algorithms, 2002,
+# sec. 14.3) bounds the residual of an LU-based inverse by
+# ||X G - I|| <= p1 u ||X|| ||G||, p1 a small multiple of n^2 times the
+# pivoting growth; with ||G|| <= t that is below p1 / (c m) <= 1/4 when
+# p1 <= 250 m, so sigma_min(G) >= 0.75 / ||X||_F > 0.75 c m u t. Then
+# sigma_min(Gl) > (0.75 c - 2) m u t, far more than the 3 m u t by which Gl can
+# fall below a PSD matrix, so Gl is positive definite and lam_max(Gl) <= t
+# (Gl has G's real diagonal). eigvalsh's
+# backward error moves each eigenvalue by at most p2 u t, p2 a small multiple
+# of n, so the computed lam_min > (0.75 c - 2) m u t - p2 u t exceeds the
+# mask's lam_max m u <= (1 + p2 u) m u t whenever p2 < 700 m. c = 1e3 leaves
+# p1 up to 250 m and p2 up to 700 m, far above their sizes for the n <= 16
+# users here, and at m = 128 still passes every Gram of cond(G) below
+# 3.5e10 / n^1.5 (1e9 at n = 10); it passes none above 3.5e10.
+_CERTIFY_MARGIN = 1e3
+
+
+def certify_full_rank(gram: np.ndarray, gram_inv: np.ndarray, n_rows: int) -> np.ndarray:
+    """Per-Gram mask, from the computed inverse of a stack of Grams as in
+    `gram_eigvals`, that is True only where `gram_eigvals`' mask is True:
+    n_rows >= n, G finite and 0 < ||G^-1||_F tr(G) c max(n, n_rows) eps < 1
+    (see _CERTIFY_MARGIN). False decides nothing: the Gram may still be full
+    rank, and only `gram_eigvals` can tell.
+    """
+    n = gram.shape[-1]
+    flat = gram_inv.reshape(gram_inv.shape[:-2] + (n * n,))
+    # overflow or NaN in these sums leaves the bound non-finite, so it fails
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(gram.sum(axis=(-2, -1)))  # a finite sum has finite terms
+        bound = (np.sqrt(np.vecdot(flat, flat).real) * np.trace(gram, axis1=-2, axis2=-1).real
+                 * (_CERTIFY_MARGIN * max(n, n_rows) * np.finfo(np.float64).eps))
+    return finite & (bound > 0) & (bound < 1) & (n_rows >= n)
+
+
 # The Gram route is taken only while lam_min(G) > _GRAM_RCOND * lam_max(G),
 # i.e. cond(A) < 1e4: forming G = A^H A squares the condition number, so at
 # most 8 of the 16 digits are lost. Worse-conditioned atom sets go to lstsq
@@ -304,8 +349,9 @@ def sounding_observation(paths, cfg: SystemConfig, p_tx: float, noise_seed) -> n
     0 dB attenuation.
 
     `noise_seed` may be an int or a numpy Generator; identical seeds give
-    identical observations.
+    identical observations. ValueError unless p_tx is a finite real > 0.
     """
+    check_power(p_tx)
     rng = np.random.default_rng(noise_seed)
     return math.sqrt(p_tx) * uplink_channel(paths, cfg) + complex_noise(rng, cfg.M * cfg.N)
 

@@ -490,6 +490,16 @@ class TestExtract:
         with pytest.raises(ValueError):
             enomp.extract(np.zeros(7), cfg, 1.0)
 
+    @pytest.mark.parametrize("p_tx", [0.0, -1.0, math.nan, math.inf, True])
+    def test_rejects_power_that_is_not_finite_positive(self, p_tx):
+        # an observation with a path as well as one without: the gain scaling
+        # would fail on the first and be skipped on the second
+        cfg = small_cfg()
+        atom = uplink_channel((PathComponent(1.0, 0.0, 0.2, -0.3, 0.0),), cfg)
+        for y in (atom, np.zeros(cfg.M * cfg.N)):
+            with pytest.raises(ValueError, match="p_tx"):
+                enomp.extract(y, cfg, p_tx)
+
 
 @st.composite
 def atom_sets(draw, max_atoms=5):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fddrecon import dltrain, mueval
+from fddrecon import dltrain, mueval, sysmodel
 
 
 def random_channel(n_users, n_ant, seed):
@@ -167,6 +167,100 @@ class TestSmallGramRule:
         else:
             assert math.isfinite(nmse)
             assert np.all(np.isfinite(mueval.zf_precoder(h).pinv))
+
+
+def eigvalsh_first_gram_inverse(gram, n_ant):
+    """(G^-1, alphas) with the rank rule run on every Gram before the inverse:
+    the reference that the certificate may only shortcut."""
+    if not np.all(sysmodel.gram_eigvals(gram, n_ant)[1]):
+        raise np.linalg.LinAlgError("channel estimate is rank deficient")
+    gram_inv = np.linalg.inv(gram)
+    col_norms2 = np.diagonal(gram_inv, axis1=-2, axis2=-1).real
+    return gram_inv, 1.0 / (math.sqrt(gram.shape[-1]) * np.sqrt(col_norms2))
+
+
+@st.composite
+def gram_stacks(draw):
+    """(grams, n_rows): a stack of 1-4 Grams of K x M channels, K <= M <= 16,
+    each with planted eigenvalues 10^e, e in [-20, 0], times a common scale,
+    either as U diag(lam) U^H or as H H^H of a channel with singular values
+    sqrt(lam); some members get a zero user row and column, or a NaN or inf
+    entry (mirrored). n_rows is M, or sometimes K - 1."""
+    n_users = draw(st.integers(1, 8))
+    n_ant = draw(st.integers(n_users, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1.0, 1.0, 1e-150, 1e150]))
+    grams = []
+    for _ in range(draw(st.integers(1, 4))):
+        lam = scale * 10.0 ** np.array(draw(st.lists(
+            st.floats(-20.0, 0.0), min_size=n_users, max_size=n_users)))
+        if draw(st.booleans()):
+            h = channel_with_singular_values(np.sqrt(lam), n_ant, rng)
+            gram = h @ h.conj().T
+        else:
+            u, _ = np.linalg.qr(rng.standard_normal((n_users, n_users))
+                                + 1j * rng.standard_normal((n_users, n_users)))
+            gram = (u * lam) @ u.conj().T
+        plant = draw(st.sampled_from(["none", "none", "none", "zero", "nan", "inf"]))
+        i, j = draw(st.integers(0, n_users - 1)), draw(st.integers(0, n_users - 1))
+        if plant == "zero":
+            gram[i, :] = 0.0
+            gram[:, i] = 0.0
+        elif plant != "none":
+            gram[i, j] = gram[j, i] = math.nan if plant == "nan" else math.inf
+        grams.append(gram)
+    rows = draw(st.sampled_from([n_ant, n_ant, n_users - 1])) if n_users > 1 else n_ant
+    return np.stack(grams), rows
+
+
+class TestGramInverseCertificate:
+    @settings(max_examples=300, deadline=None)
+    @given(gram_stacks())
+    def test_same_outcome_as_the_rank_rule_first(self, case):
+        """_gram_inverse raises exactly where the eigvalsh-first reference
+        raises and otherwise returns its bits; a certified Gram is one that
+        `gram_eigvals` passes."""
+        grams, n_rows = case
+        try:
+            want = eigvalsh_first_gram_inverse(grams, n_rows)
+        except np.linalg.LinAlgError:
+            want = None
+        try:
+            got = mueval._gram_inverse(grams, n_rows)
+        except np.linalg.LinAlgError:
+            got = None
+        assert (got is None) == (want is None)
+        if want is not None:
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+        try:
+            gram_inv = np.linalg.inv(grams)
+        except np.linalg.LinAlgError:
+            return
+        certified = sysmodel.certify_full_rank(grams, gram_inv, n_rows)
+        if certified.any():
+            assert sysmodel.gram_eigvals(grams[certified], n_rows)[1].all()
+
+    def test_rank_rule_runs_only_where_the_certificate_cannot_decide(self, monkeypatch):
+        calls = []
+
+        def counting_gram_eigvals(gram, n_rows):
+            calls.append(gram.shape)
+            return sysmodel.gram_eigvals(gram, n_rows)
+
+        monkeypatch.setattr(mueval, "gram_eigvals", counting_gram_eigvals)
+        h = random_channel(10, 128, seed=31)
+        assert mueval.monte_carlo_sinr(h, [1e-3, 1e-2, 1e-1], 10.0, n_draws=64, seed=32)[1].all()
+        assert calls == []
+        # cond(H) = 1e6: a Gram of cond 1e12 is past the certificate's reach
+        # (about 1e10) but inside the rule's (about 3.5e13 at 128 rows)
+        rng = np.random.default_rng(33)
+        mueval.zf_precoder(channel_with_singular_values([1.0, 1e-6], 128, rng))
+        assert calls == [(1, 2, 2)]
+        # cond(H) = 1e8 is past the rule too
+        with pytest.raises(np.linalg.LinAlgError, match="rank deficient"):
+            mueval.zf_precoder(channel_with_singular_values([1.0, 1e-8], 128, rng))
+        assert len(calls) == 2
 
 
 class TestSinrWithoutPrecoder:

@@ -351,6 +351,13 @@ class TestSounding:
         z = y - 2.0 * sysmodel.uplink_channel((p,), cfg)
         assert np.mean(np.abs(z) ** 2) < 2.0  # residual is the unit noise, not the signal
 
+    @pytest.mark.parametrize("p_tx", [0.0, -1.0, math.nan, math.inf, True])
+    def test_rejects_power_that_is_not_finite_positive(self, p_tx):
+        cfg = small_cfg()
+        p = PathComponent(g_ul=1.0, g_dl=1.0, theta=0.0, phi=0.0, tau=0.0)
+        with pytest.raises(ValueError, match="p_tx"):
+            sysmodel.sounding_observation((p,), cfg, p_tx, 11)
+
 
 class TestScenario:
     def test_counts_and_reproducibility(self):
