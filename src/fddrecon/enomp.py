@@ -386,6 +386,13 @@ def _refine_track(k: int, y3: np.ndarray, params: list, gains: np.ndarray,
         f[:, k] = column
 
 
+def _scale_by_power_of_two(x: np.ndarray, shift: int) -> None:
+    """Multiply the contiguous complex128 array x by 2^shift in place,
+    exactly unless an entry leaves the normal range."""
+    parts = x.view(np.float64)
+    np.ldexp(parts, shift, out=parts)
+
+
 def extract(y_ul: np.ndarray, cfg: SystemConfig, p_tx: float,
             codebook: Codebook = None) -> ExtractionResult:
     """Detect, refine, and fit all significant paths in one snapshot.
@@ -403,13 +410,20 @@ def extract(y_ul: np.ndarray, cfg: SystemConfig, p_tx: float,
         Prebuilt detection grids; built on demand otherwise.
     """
     sysmodel.check_power(p_tx)
-    y = np.asarray(y_ul, dtype=np.complex128)
+    y = np.array(y_ul, dtype=np.complex128)  # a copy, scaled in place below
     if y.size != cfg.M * cfg.N:
         raise ValueError("observation length does not match M*N")
+    # Extraction is exactly invariant under y -> 2^shift y with the threshold
+    # times 4^shift, so a y with an entry of 1 or more runs scaled down until
+    # its largest entry is in [1/2, 1), where no projected power overflows. A
+    # smaller y runs unscaled: none of its powers can overflow, and scaling
+    # it up could overflow the threshold.
+    shift = min(0, -math.frexp(float(np.max(np.abs(y), initial=0.0)))[1])
     y = y.ravel()
+    _scale_by_power_of_two(y, shift)
     y3 = y.reshape(cfg.M_v, cfg.M_h, cfg.N)
     cb = codebook if codebook is not None else build_codebook(cfg)
-    threshold = detection_threshold(cfg.M * cfg.N, cfg.P_fa)
+    threshold = math.ldexp(detection_threshold(cfg.M * cfg.N, cfg.P_fa), 2 * shift)
 
     # per track: (theta, phi, tau), the gain, and the factor columns of its
     # atom in (M_v, cap), (M_h, cap), (N, cap) matrices; a track's columns
@@ -418,7 +432,7 @@ def extract(y_ul: np.ndarray, cfg: SystemConfig, p_tx: float,
     gains = np.zeros(_MAX_PATHS, dtype=complex)
     factors = tuple(np.zeros((m, _MAX_PATHS), dtype=complex, order="F")
                     for m in (cfg.M_v, cfg.M_h, cfg.N))
-    residual = y.copy()
+    residual = y
     norms = []
     iterations = 0
     stop_reason = "cap"
@@ -453,8 +467,10 @@ def extract(y_ul: np.ndarray, cfg: SystemConfig, p_tx: float,
             stop_reason = "degenerate"
             break
 
+    for scaled in (gains, residual):
+        _scale_by_power_of_two(scaled, -shift)
     paths = tuple(DetectedPath(gain=complex(g) / math.sqrt(p_tx), theta=th, phi=ph, tau=ta)
                   for g, (th, ph, ta) in zip(gains, params))
     return ExtractionResult(paths=paths, residual=residual,
                             iterations=iterations, stop_reason=stop_reason,
-                            residual_norms=tuple(norms))
+                            residual_norms=tuple(np.ldexp(norms, -shift).tolist()))

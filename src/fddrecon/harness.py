@@ -49,7 +49,6 @@ class ExperimentConfig:
     users: int = 10
     paths_per_user: int = 6
     attenuation_db: tuple | None = None  # None means the per-experiment default
-    covariance_draws: int = 10_000
     mc_draws: int = 10_000
     out: str | None = None
 
@@ -63,7 +62,7 @@ class ExperimentConfig:
         if self.attenuation_db is None:
             object.__setattr__(self, "attenuation_db", _DEFAULT_ATTENUATION[self.experiment])
         check_integer("seed", self.seed, 0)
-        for name in ("trials", "users", "paths_per_user", "covariance_draws", "mc_draws"):
+        for name in ("trials", "users", "paths_per_user", "mc_draws"):
             check_integer(name, getattr(self, name), 1)
         for name in ("snr_db", "deltas", "attenuation_db"):
             values = getattr(self, name)
@@ -100,6 +99,8 @@ def config_from_dict(raw) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ValueError("config root must be a mapping")
     data = dict(raw)
+    if "covariance_draws" in data:  # retired with the LMMSE Monte Carlo: checked, then ignored
+        check_integer("covariance_draws", data.pop("covariance_draws"), 1)
     system = data.pop("system", None) or {}
     if not isinstance(system, dict):
         raise ValueError("config key 'system' must be a mapping")
@@ -213,9 +214,7 @@ def run_fig4(config: ExperimentConfig) -> list:
     """
     cfg = config.system
     codebook = enomp.build_codebook(cfg)
-    cov = recon.channel_covariance(
-        cfg, config.attenuation_db, n_draws=config.covariance_draws, seed=config.seed
-    )
+    cov = recon.channel_covariance(cfg, config.attenuation_db)
 
     def trial_fn(scenario, trial):
         paths = scenario.users[0]
@@ -264,9 +263,7 @@ def run_fig6(config: ExperimentConfig) -> list:
     cfg = config.system
     codebook = enomp.build_codebook(cfg)
     grid = dltrain.build_angle_grid(cfg)
-    cov = recon.channel_covariance(
-        cfg, config.attenuation_db, n_draws=config.covariance_draws, seed=config.seed
-    )
+    cov = recon.channel_covariance(cfg, config.attenuation_db)
 
     def trial_fn(scenario, trial):
         users_est = []

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sysmodel import certify_full_rank, gram_eigvals
+from .sysmodel import certify_full_rank, check_power, gram_eigvals
 
 
 # Draws per chunk in monte_carlo_sinr: one shared draw of normals and three
@@ -112,8 +112,9 @@ def sinr(h_true: np.ndarray, state: PrecodingState, p_tx: float) -> np.ndarray:
 
     Entry [..., k] is P |h_k w_k|^2 / (sum_{j != k} P |h_k w_j|^2 + noise),
     w_j = alphas_j pinv_j, from the (..., K, K) products
-    (h_true @ h_herm) @ G^-1.
+    (h_true @ h_herm) @ G^-1. ValueError unless p_tx is a finite real > 0.
     """
+    check_power(p_tx)
     cross = np.asarray(h_true) @ state.h_herm
     return _sinr_from_cross(cross, state.gram_inv, state.alphas, p_tx)
 
@@ -140,8 +141,10 @@ def analytic_sinr(h_true: np.ndarray, deltas, p_tx: float) -> np.ndarray:
     power S_k and pairwise interference powers I_{k,j}; the SINR estimate is
     S_k / (sum_{j != k} I_{k,j} + noise).  All three reduce to the exact
     zero-interference ZF values at delta = 0.  The precoder of the true
-    channel is built once and serves every delta.
+    channel is built once and serves every delta. ValueError unless p_tx is
+    a finite real > 0 and every delta >= 0.
     """
+    check_power(p_tx)
     if min(deltas) < 0:
         raise ValueError("delta must be nonnegative")
     H = np.asarray(h_true)
@@ -182,8 +185,10 @@ def monte_carlo_sinr(
     row equals, bit for bit, a call with that delta alone. Returns the (D, K)
     means and the (D,) full-rank mask: a delta with a rank-deficient draw
     (`sysmodel.gram_eigvals` rejects its Gram) gets False and a NaN row, and
-    the other rows do not change.
+    the other rows do not change. ValueError unless p_tx is a finite
+    real > 0.
     """
+    check_power(p_tx)
     rng = np.random.default_rng(seed)
     H = np.asarray(h_true)
     n_ant = H.shape[-1]

@@ -221,10 +221,9 @@ def test_csv_reruns_are_byte_identical(tmp_path):
     tiny = {"M_v": 2, "M_h": 4, "N": 16}
     raws = {
         "fig4": {"experiment": "fig4", "system": tiny, "trials": 2,
-                 "snr_db": [0.0], "paths_per_user": 2, "covariance_draws": 300},
+                 "snr_db": [0.0], "paths_per_user": 2},
         "fig6": {"experiment": "fig6", "system": tiny, "trials": 2,
-                 "deltas": [1e-2], "users": 2, "paths_per_user": 2,
-                 "covariance_draws": 300},
+                 "deltas": [1e-2], "users": 2, "paths_per_user": 2},
         "theorem1": {"experiment": "theorem1", "system": tiny, "trials": 1,
                      "users": 3, "paths_per_user": 2, "deltas": [1e-2],
                      "mc_draws": 200},

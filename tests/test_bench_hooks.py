@@ -19,9 +19,9 @@ TRACER_PATH = REPO / "pipebench" / "tracer.py"
 TINY_SYSTEM = {"M_v": 2, "M_h": 4, "N": 16}
 TOY_RUNS = {
     "fig4": {"system": TINY_SYSTEM, "trials": 2, "snr_db": [0.0, 10.0],
-             "paths_per_user": 2, "covariance_draws": 300},
+             "paths_per_user": 2},
     "fig6": {"system": TINY_SYSTEM, "trials": 2, "deltas": [1e-2, 1e-1],
-             "users": 2, "paths_per_user": 2, "covariance_draws": 300},
+             "users": 2, "paths_per_user": 2},
 }
 
 

@@ -490,6 +490,25 @@ class TestExtract:
         with pytest.raises(ValueError):
             enomp.extract(np.zeros(7), cfg, 1.0)
 
+    @pytest.mark.parametrize("k", [-40, -7, 9, 500])
+    def test_power_of_two_scaling_is_exact(self, k, monkeypatch):
+        # 2^k y against 4^k the threshold, sounded at 4^k p_tx, gives the same
+        # paths and channel gains bit for bit, and the residual and its norms
+        # 2^k times as large. At k = 500 the projected powers would overflow
+        # without the scaling that extract applies itself.
+        cfg = small_cfg()
+        paths = generate_scenario(1, 3, cfg, seed=61).users[0]
+        y = sounding_observation(paths, cfg, 10.0, 62)
+        base = enomp.extract(y, cfg, 10.0)
+        threshold = enomp.detection_threshold
+        monkeypatch.setattr(enomp, "detection_threshold",
+                            lambda mn, p_fa: threshold(mn, p_fa) * 4.0 ** k)
+        scaled = enomp.extract(y * 2.0 ** k, cfg, 10.0 * 4.0 ** k)
+        assert len(base.paths) == 3 and scaled.paths == base.paths
+        assert (scaled.iterations, scaled.stop_reason) == (base.iterations, base.stop_reason)
+        np.testing.assert_array_equal(scaled.residual, base.residual * 2.0 ** k)
+        assert scaled.residual_norms == tuple(r * 2.0 ** k for r in base.residual_norms)
+
     @pytest.mark.parametrize("p_tx", [0.0, -1.0, math.nan, math.inf, True])
     def test_rejects_power_that_is_not_finite_positive(self, p_tx):
         # an observation with a path as well as one without: the gain scaling

@@ -21,7 +21,7 @@ WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "pipebench" / "workloa
 
 def tiny_config(experiment, **kw):
     base = {"experiment": experiment, "system": dict(TINY_SYSTEM), "seed": 7,
-            "paths_per_user": 2, "covariance_draws": 300}
+            "paths_per_user": 2}
     base.update(kw)
     return harness.config_from_dict(base)
 
@@ -122,6 +122,13 @@ class TestConfig:
     def test_rejects_bad_input(self, raw):
         with pytest.raises(ValueError):
             harness.config_from_dict(raw)
+
+    def test_retired_covariance_draws_is_checked_then_ignored(self):
+        # the LMMSE covariance is a quadrature; old configs keep loading
+        raw = {"experiment": "fig6", "system": dict(TINY_SYSTEM), "users": 2}
+        cfg = harness.config_from_dict({**raw, "covariance_draws": 300})
+        assert cfg == harness.config_from_dict(raw)
+        assert not hasattr(cfg, "covariance_draws")
 
     @pytest.mark.parametrize("raw, key", [
         ({"experiment": "fig4", "system": {"f_dl": 10**400}}, "f_dl"),
@@ -382,7 +389,7 @@ class TestCli:
 
         raw = {"experiment": experiment, "system": dict(TINY_SYSTEM),
                "seed": 7, "trials": 2, "paths_per_user": 2,
-               "covariance_draws": 300, "snr_db": [0.0]}
+               "snr_db": [0.0]}
         raw.update(extra)
         path = tmp_path / f"{experiment}.yaml"
         path.write_text(yaml.safe_dump(raw))
@@ -404,6 +411,16 @@ class TestCli:
         lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0] == "experiment,sweep,metric,value,trials,std_error"
         assert any(line.split(",")[2] == "nmse_enomp" for line in lines[1:])
+
+    def test_fig4_near_the_snr_cap_runs(self, tmp_path, capsys):
+        # at 2990 dB on the default array, the projected powers of the raw
+        # sounding overflow; extraction works on a power-of-two scaled copy
+        config = self.write_config(tmp_path, "fig4", system={}, trials=1, snr_db=[2990.0])
+        assert cli.main(["fig4", "--config", config]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
+        assert [r[2] for r in rows] == ["nmse_ls", "nmse_lmmse", "nmse_enomp", "failed_trials"]
+        assert all(math.isfinite(float(r[3])) for r in rows)
+        assert rows[-1][3] == "0.0"
 
     def test_experiment_mismatch_fails(self, tmp_path, capsys):
         config = self.write_config(tmp_path, "fig6", deltas=[1e-2], users=2)

@@ -462,6 +462,17 @@ class TestAnalyticSinr:
         np.testing.assert_allclose(analytic, mc, rtol=0.10)
 
 
+@pytest.mark.parametrize("p_tx", [0.0, -1.0, math.nan, math.inf, True])
+def test_sinr_entry_points_reject_power_that_is_not_finite_positive(p_tx):
+    h = random_channel(2, 4, seed=13)
+    calls = (lambda: mueval.sinr(h, mueval.zf_precoder(h), p_tx),
+             lambda: mueval.analytic_sinr(h, [0.01], p_tx),
+             lambda: mueval.monte_carlo_sinr(h, [0.01], p_tx, n_draws=4))
+    for call in calls:
+        with pytest.raises(ValueError, match="p_tx"):
+            call()
+
+
 class TestErrorModel:
     def test_draw_statistics(self):
         h = random_channel(2, 6, seed=11)

@@ -8,8 +8,7 @@ import pytest
 from fddrecon import recon
 from fddrecon.enomp import DetectedPath
 from fddrecon.sysmodel import (SystemConfig, downlink_channel, generate_scenario,
-                               mean_linear_attenuation, steering_factors,
-                               uplink_channel)
+                               mean_linear_attenuation, steering_vector, uplink_channel)
 
 
 def small_cfg(**kw):
@@ -88,7 +87,6 @@ class TestChannelMatrix:
         sc = generate_scenario(1, 3, cfg, seed=46)
         paths = sc.users[0]
         mat = recon.channel_matrix(downlink_channel(paths, cfg), cfg)
-        from fddrecon.sysmodel import steering_vector
         for n in (0, 3, cfg.N - 1):
             row = np.zeros(cfg.M, dtype=complex)
             for p in paths:
@@ -129,6 +127,16 @@ class TestLsBaseline:
             nmse[p_tx] = recon.channel_nmse(est, h)
         assert nmse[1.0] / nmse[100.0] == pytest.approx(100.0, rel=1e-9)
 
+    @pytest.mark.parametrize("p_tx", [0.0, -1.0, math.nan, math.inf, True])
+    def test_rejects_power_that_is_not_finite_positive(self, p_tx):
+        cfg = small_cfg()
+        y = np.ones(cfg.M * cfg.N, dtype=complex)
+        cov = recon.SpaceFrequencyCovariance(spatial=np.eye(cfg.M), scale=1.0)
+        with pytest.raises(ValueError, match="p_tx"):
+            recon.ls_baseline(y, p_tx)
+        with pytest.raises(ValueError, match="p_tx"):
+            recon.lmmse_baseline(y, cov, cfg, p_tx)
+
 
 class TestCovariance:
     def test_validation(self):
@@ -150,46 +158,70 @@ class TestCovariance:
             full_matrix(cov, 3), 0.25 * np.kron(spatial, np.eye(3)))
 
     def test_steering_covariance_properties(self):
-        cfg = small_cfg()
-        r = recon.steering_covariance(cfg, n_draws=2000, seed=3)
-        np.testing.assert_allclose(r, r.conj().T, atol=1e-14)
-        np.testing.assert_allclose(np.diag(r).real, 1.0, atol=1e-12)
-        assert np.min(np.linalg.eigvalsh(r)) > -1e-10
-        r2 = recon.steering_covariance(cfg, n_draws=2000, seed=3)
-        np.testing.assert_array_equal(r, r2)
+        for m_v, m_h, d in ((2, 4, 0.5), (8, 16, 0.5), (4, 32, 0.7), (1, 8, 0.5)):
+            r = recon.steering_covariance(SystemConfig(M_v=m_v, M_h=m_h, d_over_lambda=d))
+            assert r.dtype == np.float64 and r.shape == (m_v * m_h, m_v * m_h)
+            np.testing.assert_array_equal(r, r.T)
+            np.testing.assert_allclose(np.diag(r), 1.0, rtol=0, atol=1e-14)
+            assert np.min(np.linalg.eigvalsh(r)) > -1e-12
 
-    def test_steering_covariance_matches_per_draw_loop(self):
-        # Reference: one steering_factors + np.kron per draw, in the same
-        # 512-draw blocks; 1300 draws leave a partial tail block.
-        cfg = SystemConfig()
-        n_draws, seed = 1300, 11
-        rng = np.random.default_rng(seed)
-        acc = np.zeros((cfg.M, cfg.M), dtype=np.complex128)
-        for start in range(0, n_draws, 512):
-            count = min(512, n_draws - start)
-            thetas = rng.uniform(-np.pi / 2, np.pi / 2, count)
-            phis = rng.uniform(-np.pi / 2, np.pi / 2, count)
-            a = np.array([np.kron(*steering_factors(t, p, cfg))
-                          for t, p in zip(thetas, phis)])
-            acc += a.T @ a.conj()
-        ref = acc / n_draws
-        ref = (ref + ref.conj().T) / 2.0
-        np.testing.assert_array_equal(
-            recon.steering_covariance(cfg, n_draws=n_draws, seed=seed), ref)
+    def test_steering_covariance_closed_form_lags(self):
+        # Delta h = 0: the mean of exp(j kappa dm sin(theta)) is J0(kappa dm);
+        # Delta m = 0: the mean of J0(kappa dh cos(theta)) is J0(kappa dh / 2)^2.
+        # J0(x) is the mean of cos(x sin t) over a period, which a periodic
+        # trapezoid rule on 512 points gives to rounding for x < 150.
+        def j0(x):
+            t = 2.0 * np.pi * np.arange(512) / 512
+            return np.mean(np.cos(np.multiply.outer(x, np.sin(t))), axis=-1)
+
+        cfg = SystemConfig(M_v=8, M_h=16, d_over_lambda=0.7)
+        kappa = 2.0 * np.pi * cfg.d_over_lambda
+        lag = recon.steering_covariance(cfg).reshape(cfg.M_v, cfg.M_h, cfg.M_v, cfg.M_h)[:, :, 0, 0]
+        np.testing.assert_allclose(lag[:, 0], j0(kappa * np.arange(cfg.M_v)), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(lag[0], j0(kappa * np.arange(cfg.M_h) / 2.0) ** 2,
+                                   rtol=0, atol=1e-13)
+
+    def test_steering_covariance_matches_full_double_mean(self):
+        # every entry of the mean of a a^H at the same nodes, with no lag
+        # symmetry assumed, checks the layout (vertical-major) of the table
+        cfg = SystemConfig(M_v=3, M_h=4, d_over_lambda=0.6)
+        x, w = np.polynomial.legendre.leggauss(64)
+        a = steering_vector(np.pi / 2 * x[:, None], np.pi / 2 * x, cfg)
+        full = np.einsum("i,j,ijm,ijn->mn", w / 2, w / 2, a, a.conj())
+        np.testing.assert_allclose(recon.steering_covariance(cfg), full, rtol=0, atol=1e-13)
+
+    def test_steering_covariance_agrees_with_monte_carlo(self):
+        cfg = small_cfg()
+        rng = np.random.default_rng(3)
+        n = 200_000
+        a = steering_vector(rng.uniform(-np.pi / 2, np.pi / 2, n),
+                            rng.uniform(-np.pi / 2, np.pi / 2, n), cfg)
+        mc = a.T @ a.conj() / n
+        # each entry is a mean of unit-modulus draws: standard error <= 1/sqrt(n)
+        np.testing.assert_allclose(recon.steering_covariance(cfg), mc, rtol=0,
+                                   atol=6.0 / math.sqrt(n))
+
+    # a single-row array needs the most nodes beyond its aperture
+    @pytest.mark.parametrize("shape", [(8, 16, 0.5), (4, 32, 0.7), (1, 8, 0.5)])
+    def test_steering_covariance_converged(self, shape, monkeypatch):
+        m_v, m_h, d = shape
+        cfg = SystemConfig(M_v=m_v, M_h=m_h, d_over_lambda=d)
+        r = recon.steering_covariance(cfg)
+        leggauss = np.polynomial.legendre.leggauss
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: leggauss(2 * n))
+        np.testing.assert_allclose(recon.steering_covariance(cfg), r, rtol=0, atol=1e-12)
 
     def test_channel_covariance_scale(self):
         cfg = small_cfg()
-        cov = recon.channel_covariance(cfg, att_range_db=(-10.0, 0.0),
-                                       n_draws=500, seed=4)
+        cov = recon.channel_covariance(cfg, att_range_db=(-10.0, 0.0))
         assert cov.scale == pytest.approx(mean_linear_attenuation((-10.0, 0.0)))
-        assert recon.channel_covariance(cfg, att_range_db=(0.0, 0.0),
-                                        n_draws=10, seed=4).scale == pytest.approx(1.0)
+        assert recon.channel_covariance(cfg, att_range_db=(0.0, 0.0)).scale == pytest.approx(1.0)
 
 
 class TestLmmseBaseline:
     def test_matches_dense_filter(self):
         cfg, p_tx = small_cfg(M_v=2, M_h=2, N=3), 2.0
-        spatial = recon.steering_covariance(cfg, n_draws=300, seed=5)
+        spatial = recon.steering_covariance(cfg)
         cov = recon.SpaceFrequencyCovariance(spatial=spatial, scale=0.7)
         rng = np.random.default_rng(50)
         y = rng.standard_normal(cfg.M * cfg.N) + 1j * rng.standard_normal(cfg.M * cfg.N)
@@ -213,7 +245,7 @@ class TestLmmseBaseline:
 
     def test_beats_ls_at_low_snr(self):
         cfg, p_tx = small_cfg(), 1.0
-        cov = recon.channel_covariance(cfg, n_draws=4000, seed=8)
+        cov = recon.channel_covariance(cfg)
         rng = np.random.default_rng(52)
         ls_total, lm_total = 0.0, 0.0
         for seed in range(10):
