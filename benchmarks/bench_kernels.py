@@ -20,7 +20,9 @@ rewritten around the visit, as it once did), ZF precoding
 plus SINR at fig6 size (256 subcarriers) and Monte Carlo chunk size (32
 error draws) both ways (`mueval`, which inverts the Gram and scales the
 K x K products, and the batched `eigh` with its eigenvector inverse and
-materialized precoder that `mueval` once ran), the Gram inverse with its
+materialized precoder that `mueval` once ran), the fig6-size ZF plus SINR
+also in slices of subcarriers (`mueval.zf_sinr`, which fig6 calls, and the
+same loop at other slice sizes), the Gram inverse with its
 rank check on the same two stacks' K x K Grams both ways (`mueval`'s, which
 runs `eigvalsh` only where the inverse cannot certify full rank, and
 `eigvalsh` on every Gram before the inverse, as it once ran), one Monte
@@ -82,6 +84,12 @@ def _eigvalsh_first_gram_inverse(gram, n_ant):
 
 def _zf_sinr(h_true, h_hat, p_tx):
     return mueval.sinr(h_true, mueval.zf_precoder(h_hat), p_tx)
+
+
+def _sliced_zf_sinr(h_true, h_hat, p_tx, size):
+    """`mueval.zf_sinr`'s loop with slices of ``size`` subcarriers."""
+    return np.concatenate([_zf_sinr(h_true[i:i + size], h_hat[i:i + size], p_tx)
+                           for i in range(0, len(h_hat), size)])
 
 
 def _materialized_mc_chunk(h_true, deltas, p_tx, n_draws, seed):
@@ -231,6 +239,9 @@ def main():
         (f"refine_L{len(found)}", "residual", residual_visit, ()),
         (zf_fig6, "inv", _zf_sinr, (h_rows, h_rows_hat, 10.0)),
         (zf_fig6, "eigh", _eigh_zf_sinr, (h_rows, h_rows_hat, 10.0)),
+        (zf_fig6, f"slices{mueval._ZF_CHUNK}", mueval.zf_sinr, (h_rows, h_rows_hat, 10.0)),
+        *((zf_fig6, f"slices{size}", _sliced_zf_sinr, (h_rows, h_rows_hat, 10.0, size))
+          for size in (8, 16, 64, 128) if size != mueval._ZF_CHUNK),
         (zf_chunk, "inv", _zf_sinr, (h_rows[0], h_chunk, 10.0)),
         (zf_chunk, "eigh", _eigh_zf_sinr, (h_rows[0], h_chunk, 10.0)),
         (gram_names[0], "certified", mueval._gram_inverse, (gram_fig6, cfg.M)),
@@ -261,6 +272,10 @@ def main():
     for name in (zf_fig6, zf_chunk):
         ratio = results[(name, "eigh")] / results[(name, "inv")]
         print(f"{name}: ZF by the Gram inverse is {ratio:.2f}x the eigh-precoder speed")
+    for impl, best in results.items():
+        if impl[0] == zf_fig6 and impl[1].startswith("slices"):
+            ratio = results[(zf_fig6, "inv")] / best
+            print(f"{zf_fig6}: {impl[1]} is {ratio:.2f}x the whole-stack speed")
     for name in gram_names:
         ratio = results[(name, "eigvalsh-first")] / results[(name, "certified")]
         print(f"{name}: the certified inverse is {ratio:.2f}x the eigvalsh-first speed")

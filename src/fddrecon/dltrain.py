@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .sysmodel import (SystemConfig, atom_basis, atom_gram, atom_sum, carrier_phase,
-                       complex_noise, delay_vector, fit_gains, gram_eigvals,
+                       check_power, complex_noise, delay_vector, fit_gains, gram_eigvals,
                        path_parameters, steering_vector)
 
 
@@ -151,7 +151,9 @@ def predict_nmse(coef: np.ndarray, g_ul: np.ndarray, p_tx: float) -> float:
 
     Returns inf when the matrix is rank deficient (some gain direction is
     unobservable under the current beam set); see :func:`_gram_nmse`.
+    ValueError unless p_tx is a finite real > 0.
     """
+    check_power(p_tx)
     gnorm2 = float(np.sum(np.abs(np.asarray(g_ul)) ** 2))
     return _gram_nmse(coef.conj().T @ coef, coef.shape[0], gnorm2, p_tx)
 
@@ -195,8 +197,10 @@ def schedule_beams(
     weight (number of distinct users marking them, index as tie-break), and
     a point is dropped when every user is still predicted, at transmit power
     p_tx, to meet the accuracy target delta without it.  The scan stops at
-    the first indispensable point.
+    the first indispensable point. ValueError unless p_tx is a finite
+    real > 0.
     """
+    check_power(p_tx)
     marks: dict[int, int] = {}
     for paths in users_paths:
         mine = {optimal_grid_point(p.theta, p.phi, grid, cfg) for p in paths}
@@ -237,8 +241,10 @@ def simulate_downlink_training(
     given.
 
     Returns a (T_p * N_p,) vector, pilot-symbol major, matching the row
-    order of :func:`coefficient_matrix`.
+    order of :func:`coefficient_matrix`. ValueError unless p_tx is a finite
+    real > 0.
     """
+    check_power(p_tx)
     g_dl = np.array([p.g_dl for p in true_paths])
     y = math.sqrt(p_tx) * atom_sum(g_dl, *pilot_factors(true_paths, plan.beams, cfg))
     if noise_seed is not None:
@@ -254,8 +260,10 @@ def estimate_downlink_gains(
     :func:`pilot_factors`.
 
     Raises when the coefficient matrix is rank deficient; the scheduler is
-    responsible for never producing such a plan.
+    responsible for never producing such a plan. ValueError unless p_tx is a
+    finite real > 0.
     """
+    check_power(p_tx)
     g, rank = fit_gains(np.asarray(y), *pilot_factors(paths, plan.beams, cfg))
     if rank < len(paths):
         raise np.linalg.LinAlgError(

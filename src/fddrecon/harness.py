@@ -168,6 +168,22 @@ def _trial_rng(master_seed: int, stream: int, trial: int) -> np.random.Generator
 _TRIAL_FAILURES = (np.linalg.LinAlgError, FloatingPointError)
 
 
+def _trial_samples(trial_fn, scenario, trial: int, sweep) -> list:
+    """One trial's metric tuple per sweep value, None where it failed. The
+    trial's ``measure``, and all it holds, dies when this returns."""
+    try:
+        measure = trial_fn(scenario, trial)
+    except _TRIAL_FAILURES:
+        return [None] * len(sweep)
+    out = []
+    for x in sweep:
+        try:
+            out.append(measure(x))
+        except _TRIAL_FAILURES:
+            out.append(None)
+    return out
+
+
 def _sweep(config: ExperimentConfig, sweep, metrics, users: int, trial_fn) -> list:
     """Seeded trials of one experiment, aggregated per sweep value.
 
@@ -175,8 +191,10 @@ def _sweep(config: ExperimentConfig, sweep, metrics, users: int, trial_fn) -> li
     ``trial_fn(scenario, trial)``, which returns ``measure``; ``measure(x)``
     gives one value per metric at sweep value x. A `_TRIAL_FAILURES` error in
     ``trial_fn`` fails the trial at every sweep value, one in ``measure(x)``
-    only at x, so a sweep value keeps all of a trial's metrics or none. Rows
-    follow ``sweep``: one per metric, then the ``failed_trials`` row.
+    only at x, so a sweep value keeps all of a trial's metrics or none. A
+    trial's ``measure`` is gone before the next scenario is drawn, so one
+    trial's arrays are alive at a time. Rows follow ``sweep``: one per
+    metric, then the ``failed_trials`` row.
     """
     samples = {x: [] for x in sweep}
     failures = dict.fromkeys(sweep, 0)
@@ -185,17 +203,11 @@ def _sweep(config: ExperimentConfig, sweep, metrics, users: int, trial_fn) -> li
             users, config.paths_per_user, config.system, seed=_trial_rng(config.seed, 0, trial),
             att_range_db=config.attenuation_db,
         )
-        try:
-            measure = trial_fn(scenario, trial)
-        except _TRIAL_FAILURES:
-            for x in sweep:
+        for x, sample in zip(sweep, _trial_samples(trial_fn, scenario, trial, sweep)):
+            if sample is None:
                 failures[x] += 1
-            continue
-        for x in sweep:
-            try:
-                samples[x].append(measure(x))
-            except _TRIAL_FAILURES:
-                failures[x] += 1
+            else:
+                samples[x].append(sample)
     rows = []
     for x in sweep:
         rows.extend(_aggregate(config.experiment, x, metric, [s[i] for s in samples[x]])
@@ -248,8 +260,7 @@ def _zf_rates(h_true_rows, h_hat_rows, t_pilot: int, cfg: SystemConfig) -> float
 
     Both arguments are (N, K, M) stacks of per-subcarrier channel matrices.
     """
-    sinr_all = mueval.sinr(h_true_rows, mueval.zf_precoder(h_hat_rows), _P_TX)
-    return mueval.sum_rate(sinr_all, t_pilot, cfg.T_c)
+    return mueval.sum_rate(mueval.zf_sinr(h_true_rows, h_hat_rows, _P_TX), t_pilot, cfg.T_c)
 
 
 def run_fig6(config: ExperimentConfig) -> list:
@@ -275,20 +286,24 @@ def run_fig6(config: ExperimentConfig) -> list:
                 raise np.linalg.LinAlgError(f"no paths detected for user {k}")
             users_est.append(paths)
         # (N, K, M) per-subcarrier matrices, each user's channel written
-        # straight into its row
+        # straight into its row; the stack is the one copy of the true
+        # channels, and truth(k) reads user k's stacked vector back from it
         stack_shape = (cfg.N, config.users, cfg.M)
-        truths_dl = [sysmodel.downlink_channel(p, cfg) for p in scenario.users]
         h_true_rows = np.empty(stack_shape, dtype=np.complex128)
-        for k, truth in enumerate(truths_dl):
-            h_true_rows[:, k] = recon.channel_matrix(truth, cfg)
+        for k, user_paths in enumerate(scenario.users):
+            h_true_rows[:, k] = recon.channel_matrix(sysmodel.downlink_channel(user_paths, cfg), cfg)
+
+        def truth(k):
+            return h_true_rows[:, k].T.ravel()
+
         # Oracle gains, perfect-CSI SINRs and the LMMSE rate do not depend on delta.
-        g_star = [_oracle_gains(users_est[k], truths_dl[k], cfg) for k in range(config.users)]
-        sinr_perfect = mueval.sinr(h_true_rows, mueval.zf_precoder(h_true_rows), _P_TX)
+        g_star = [_oracle_gains(users_est[k], truth(k), cfg) for k in range(config.users)]
+        sinr_perfect = mueval.zf_sinr(h_true_rows, h_true_rows, _P_TX)
         # the LMMSE estimates, then each delta's reconstructions
         h_hat_rows = np.empty(stack_shape, dtype=np.complex128)
         for k in range(config.users):
             rng = _trial_rng(config.seed, 3, trial * config.users + k)
-            y_full = math.sqrt(_P_TX) * truths_dl[k] + sysmodel.complex_noise(rng, cfg.M * cfg.N)
+            y_full = math.sqrt(_P_TX) * truth(k) + sysmodel.complex_noise(rng, cfg.M * cfg.N)
             h_hat_rows[:, k] = recon.channel_matrix(recon.lmmse_baseline(y_full, cov, cfg, _P_TX), cfg)
         lmmse_rate = _zf_rates(h_true_rows, h_hat_rows, cfg.M, cfg)
 
@@ -304,7 +319,7 @@ def run_fig6(config: ExperimentConfig) -> list:
                     float(np.sum(np.abs(g_hat - g_star[k]) ** 2) / np.sum(np.abs(g_star[k]) ** 2))
                 )
                 recon_k = recon.reconstruct(users_est[k], g_hat, cfg)
-                nmse.append(recon.channel_nmse(recon_k, truths_dl[k]))
+                nmse.append(recon.channel_nmse(recon_k, truth(k)))
                 h_hat_rows[:, k] = recon.channel_matrix(recon_k, cfg)
             channel_nmse = np.mean(nmse)
             rate_recon = _zf_rates(h_true_rows, h_hat_rows, plan.T_p, cfg)
@@ -326,8 +341,10 @@ def run_theorem1(config: ExperimentConfig) -> list:
     cfg = config.system
 
     def trial_fn(scenario, trial):
+        # a copy of row 0, so no user's full M*N channel outlives its row
         h_rows = np.stack(
-            [recon.channel_matrix(sysmodel.downlink_channel(p, cfg), cfg)[0] for p in scenario.users]
+            [recon.channel_matrix(sysmodel.downlink_channel(p, cfg), cfg)[0].copy()
+             for p in scenario.users]
         )
         analytic = mueval.analytic_sinr(h_rows, config.deltas, _P_TX)
         mc, ok = mueval.monte_carlo_sinr(h_rows, config.deltas, _P_TX, n_draws=config.mc_draws,

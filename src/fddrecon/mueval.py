@@ -25,6 +25,12 @@ from .sysmodel import certify_full_rank, check_power, gram_eigvals
 # and 128 are 3-4% slower and 8 about 12%.
 _MC_CHUNK = 32
 
+# Subcarriers per slice in zf_sinr, so the conjugate copy and the K x K
+# products stay slice-sized. At fig6 size (256, 10, 128) slices of 16 to 128
+# time within 5% of the whole stack (6.4-6.8 ms) and slices of 8 about 13%
+# slower (2-vCPU Xeon, 1 BLAS thread; benchmarks/bench_kernels.py).
+_ZF_CHUNK = 32
+
 # Receiver noise power per user; transmit powers are SNRs against it.
 _NOISE_POWER = 1.0
 
@@ -117,6 +123,25 @@ def sinr(h_true: np.ndarray, state: PrecodingState, p_tx: float) -> np.ndarray:
     check_power(p_tx)
     cross = np.asarray(h_true) @ state.h_herm
     return _sinr_from_cross(cross, state.gram_inv, state.alphas, p_tx)
+
+
+def zf_sinr(h_true: np.ndarray, h_hat: np.ndarray, p_tx: float) -> np.ndarray:
+    """(N, K) SINRs of the (N, K, M) true channels under the ZF precoders of
+    the (N, K, M) estimates: ``sinr(h_true, zf_precoder(h_hat), p_tx)`` run
+    on slices of subcarriers. Every op is per subcarrier, so the result is
+    the whole-stack one bit for bit, and a rank-deficient estimate raises
+    ``np.linalg.LinAlgError`` as it does there. ValueError unless both are
+    (N, K, M) stacks of one shape and p_tx is a finite real > 0.
+    """
+    check_power(p_tx)
+    h_true, h_hat = np.asarray(h_true), np.asarray(h_hat)
+    if h_hat.ndim != 3 or h_true.shape != h_hat.shape:
+        raise ValueError("h_true and h_hat must be (N, K, M) stacks of one shape")
+    out = np.empty(h_hat.shape[:-1])
+    for start in range(0, len(h_hat), _ZF_CHUNK):
+        part = slice(start, start + _ZF_CHUNK)
+        out[part] = sinr(h_true[part], zf_precoder(h_hat[part]), p_tx)
+    return out
 
 
 def sum_rate(sinr_values: np.ndarray, t_pilot: int, t_coherence: int) -> float:

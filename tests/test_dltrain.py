@@ -423,6 +423,24 @@ class TestGainEstimation:
                 dltrain.coefficient_matrix(case_paths, case_plan, cfg)
 
 
+@pytest.mark.parametrize("p_tx", [0.0, -1.0, math.nan, math.inf, True])
+def test_power_entry_points_reject_power_that_is_not_finite_positive(p_tx):
+    cfg = small_cfg()
+    grid = dltrain.build_angle_grid(cfg)
+    paths = random_detected_paths(np.random.default_rng(38), 2, cfg)
+    true_paths = [_as_true_path(p) for p in paths]
+    plan = manual_plan([3, 12], grid, cfg)
+    coef = dltrain.coefficient_matrix(paths, plan, cfg)
+    y = dltrain.simulate_downlink_training(true_paths, plan, cfg, P_TX)
+    calls = (lambda: dltrain.schedule_beams([paths], grid, cfg, 0.1, p_tx),
+             lambda: dltrain.predict_nmse(coef, [p.gain for p in paths], p_tx),
+             lambda: dltrain.simulate_downlink_training(true_paths, plan, cfg, p_tx),
+             lambda: dltrain.estimate_downlink_gains(y, paths, plan, cfg, p_tx))
+    for call in calls:
+        with pytest.raises(ValueError, match="p_tx"):
+            call()
+
+
 @st.composite
 def pilot_cases(draw):
     """A small system, one to five random paths (downlink gains included)

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -203,6 +204,39 @@ class TestAggregation:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             harness._aggregate("fig4", 0.0, "m", [])
+
+
+class _Held:
+    """Stands for a trial's arrays: what its ``measure`` closes over."""
+
+
+class TestSweep:
+    def test_previous_trial_is_dead_when_the_next_begins(self):
+        # trial 0 succeeds, trial 1's measure fails at one sweep value,
+        # trial 2's trial_fn fails, trial 3 succeeds
+        cfg = tiny_config("theorem1", trials=4, users=2, deltas=[0.1, 0.2])
+        refs = []
+        alive = []
+
+        def trial_fn(scenario, trial):
+            alive.append([ref() is not None for ref in refs])
+            held = _Held()
+            refs.append(weakref.ref(held))
+            if trial == 2:
+                raise np.linalg.LinAlgError("planted in trial_fn")
+
+            def measure(x):
+                if trial == 1 and x == 0.2:
+                    raise np.linalg.LinAlgError("planted in measure")
+                return (float(trial), float(isinstance(held, _Held)))
+            return measure
+
+        rows = harness._sweep(cfg, cfg.deltas, ("trial", "held"), cfg.users, trial_fn)
+        assert alive == [[], [False], [False, False], [False, False, False]]
+        assert all(ref() is None for ref in refs)
+        failed = {x: by_metric(rows, x)["failed_trials"].value for x in cfg.deltas}
+        assert failed == {0.1: 1.0, 0.2: 2.0}
+        assert by_metric(rows, 0.1)["trial"].value == pytest.approx((0 + 1 + 3) / 3)
 
 
 class TestCsv:

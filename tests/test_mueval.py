@@ -137,6 +137,33 @@ class TestStackedZf:
         with pytest.raises(np.linalg.LinAlgError):
             mueval.zf_precoder(h)
 
+    @settings(max_examples=40, deadline=None)
+    @given(stack_shapes(), st.data())
+    def test_sliced_zf_sinr_is_the_whole_stack_call(self, shape, data):
+        # more than one slice, the last one short
+        n_sub = data.draw(st.integers(mueval._ZF_CHUNK + 1, 3 * mueval._ZF_CHUNK).filter(
+            lambda n: n % mueval._ZF_CHUNK))
+        _, n_users, n_ant, seed = shape
+        rng = np.random.default_rng(seed)
+        h_true = well_conditioned_stack(n_sub, n_users, n_ant, rng)
+        h_hat = h_true + 0.1 * well_conditioned_stack(n_sub, n_users, n_ant, rng)
+        got = mueval.zf_sinr(h_true, h_hat, 10.0)
+        assert got.shape == (n_sub, n_users)
+        np.testing.assert_array_equal(got, mueval.sinr(h_true, mueval.zf_precoder(h_hat), 10.0))
+        # one user silent on one subcarrier, in any slice
+        h_hat[data.draw(st.integers(0, n_sub - 1)), data.draw(st.integers(0, n_users - 1))] = 0
+        for call in (lambda: mueval.zf_sinr(h_true, h_hat, 10.0),
+                     lambda: mueval.sinr(h_true, mueval.zf_precoder(h_hat), 10.0)):
+            with pytest.raises(np.linalg.LinAlgError):
+                call()
+
+    @pytest.mark.parametrize("shapes", [((2, 3, 4), (2, 3, 4, 1)), ((3, 4), (3, 4)),
+                                        ((2, 3, 4), (3, 3, 4))])
+    def test_zf_sinr_needs_two_stacks_of_one_shape(self, shapes):
+        h_true, h_hat = (np.ones(s, dtype=complex) for s in shapes)
+        with pytest.raises(ValueError):
+            mueval.zf_sinr(h_true, h_hat, 10.0)
+
     @pytest.mark.parametrize("cond, rejected", [(1e5, False), (1e8, True)])
     def test_rank_rule_on_condition_number(self, cond, rejected):
         # Rejected when lam_min(G) <= lam_max(G) max(K, M) eps, i.e. about
@@ -467,7 +494,8 @@ def test_sinr_entry_points_reject_power_that_is_not_finite_positive(p_tx):
     h = random_channel(2, 4, seed=13)
     calls = (lambda: mueval.sinr(h, mueval.zf_precoder(h), p_tx),
              lambda: mueval.analytic_sinr(h, [0.01], p_tx),
-             lambda: mueval.monte_carlo_sinr(h, [0.01], p_tx, n_draws=4))
+             lambda: mueval.monte_carlo_sinr(h, [0.01], p_tx, n_draws=4),
+             lambda: mueval.zf_sinr(h[None], h[None], p_tx))
     for call in calls:
         with pytest.raises(ValueError, match="p_tx"):
             call()
