@@ -80,8 +80,8 @@ class ExperimentConfig:
             transmit_power(snr)
         if self.experiment == "fig6" and not all(0 < d < 1 for d in self.deltas):
             raise ValueError("fig6 deltas must lie in (0, 1)")
-        if self.experiment == "theorem1" and min(self.deltas) < 0:
-            raise ValueError("theorem1 deltas must be >= 0")
+        if self.experiment == "theorem1" and not all(0 <= d <= 1 for d in self.deltas):
+            raise ValueError("theorem1 deltas must lie in [0, 1]")
         att = self.attenuation_db
         if len(att) != 2 or not att[0] <= att[1]:
             raise ValueError("attenuation_db must be a [lo, hi] pair with lo <= hi")
@@ -101,7 +101,8 @@ def config_from_dict(raw) -> ExperimentConfig:
     data = dict(raw)
     if "covariance_draws" in data:  # retired with the LMMSE Monte Carlo: checked, then ignored
         check_integer("covariance_draws", data.pop("covariance_draws"), 1)
-    system = data.pop("system", None) or {}
+    system = data.pop("system", None)
+    system = {} if system is None else system
     if not isinstance(system, dict):
         raise ValueError("config key 'system' must be a mapping")
     for where, keys, cls in (("", data, ExperimentConfig), ("system ", system, SystemConfig)):
@@ -138,7 +139,13 @@ def _aggregate(experiment: str, sweep: float, metric: str, samples) -> ResultRow
     arr = np.asarray(samples, dtype=np.float64)
     if arr.size == 0:
         raise ValueError(f"no successful trials for metric {metric!r} at sweep {sweep}")
-    se = float(np.std(arr, ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
+    se = 0.0
+    if arr.size > 1:
+        # np.std squares the deviations, which overflows past ~1e154 and
+        # underflows below ~1e-154; it runs on samples scaled by a power of
+        # two into [-1, 1], which is exact, and the result is scaled back
+        shift = -math.frexp(float(np.max(np.abs(arr))))[1]
+        se = float(np.ldexp(np.std(np.ldexp(arr, shift), ddof=1) / math.sqrt(arr.size), -shift))
     return ResultRow(experiment, float(sweep), metric, float(np.mean(arr)), int(arr.size), se)
 
 
@@ -315,9 +322,7 @@ def run_fig6(config: ExperimentConfig) -> list:
                 rng = _trial_rng(config.seed, 2, trial * config.users + k)
                 y_dl = dltrain.simulate_downlink_training(scenario.users[k], plan, cfg, _P_TX, rng)
                 g_hat = dltrain.estimate_downlink_gains(y_dl, users_est[k], plan, cfg, _P_TX)
-                gain_err.append(
-                    float(np.sum(np.abs(g_hat - g_star[k]) ** 2) / np.sum(np.abs(g_star[k]) ** 2))
-                )
+                gain_err.append(recon.channel_nmse(g_hat, g_star[k]))
                 recon_k = recon.reconstruct(users_est[k], g_hat, cfg)
                 nmse.append(recon.channel_nmse(recon_k, truth(k)))
                 h_hat_rows[:, k] = recon.channel_matrix(recon_k, cfg)

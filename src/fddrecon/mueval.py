@@ -27,8 +27,9 @@ _MC_CHUNK = 32
 
 # Subcarriers per slice in zf_sinr, so the conjugate copy and the K x K
 # products stay slice-sized. At fig6 size (256, 10, 128) slices of 16 to 128
-# time within 5% of the whole stack (6.4-6.8 ms) and slices of 8 about 13%
-# slower (2-vCPU Xeon, 1 BLAS thread; benchmarks/bench_kernels.py).
+# timed within 5% of the whole stack (6.3-6.8 ms against 6.4-6.7 ms) and
+# slices of 8 about 13% slower (2-vCPU Xeon, 1 BLAS thread; measured when
+# zf_sinr was added, see CHANGES.md), so 32 is kept for its size.
 _ZF_CHUNK = 32
 
 # Receiver noise power per user; transmit powers are SNRs against it.

@@ -71,6 +71,10 @@ class TestConfig:
         {"experiment": "fig5"},
         {"experiment": "fig4", "bogus": 1},
         {"experiment": "fig4", "system": {"M": 1}},
+        {"experiment": "fig4", "system": []},
+        {"experiment": "fig4", "system": 0},
+        {"experiment": "fig4", "system": ""},
+        {"experiment": "fig4", "system": False},
         ["experiment", "fig4"],
         {"experiment": "fig4", "trials": -1},
         {"experiment": "fig4", "trials": 0},
@@ -94,6 +98,8 @@ class TestConfig:
         {"experiment": "fig6", "deltas": [0.0]},
         {"experiment": "fig6", "deltas": [1.0]},
         {"experiment": "theorem1", "deltas": [-0.1]},
+        {"experiment": "theorem1", "deltas": [1.5]},
+        {"experiment": "theorem1", "deltas": [1e308]},
         {"experiment": "fig6", "system": {"P": 0.001}},
         {"experiment": "fig6", "system": {"delta": 0.5}},
         {"experiment": "fig4", "seed": 1.5},
@@ -197,6 +203,12 @@ class TestAggregation:
         assert row.value == pytest.approx(2.0)
         assert row.trials == 3
         assert row.std_error == pytest.approx(1.0 / math.sqrt(3.0))
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-300])
+    def test_extreme_samples_keep_a_finite_nonzero_se(self, scale):
+        # the squared deviations leave the float range at either end
+        row = harness._aggregate("fig4", 0.0, "nmse_ls", [scale, 3 * scale])
+        assert row.std_error == pytest.approx(scale, rel=1e-12, abs=0.0)
 
     def test_single_sample_zero_se(self):
         assert harness._aggregate("fig4", 0.0, "m", [4.0]).std_error == 0.0
@@ -455,6 +467,13 @@ class TestCli:
         assert [r[2] for r in rows] == ["nmse_ls", "nmse_lmmse", "nmse_enomp", "failed_trials"]
         assert all(math.isfinite(float(r[3])) for r in rows)
         assert rows[-1][3] == "0.0"
+
+    def test_fig4_near_the_snr_floor_keeps_finite_std_errors(self, tmp_path, capsys):
+        # at -2999 dB nmse_ls is about 1e300, so its squared deviations overflow
+        config = self.write_config(tmp_path, "fig4", trials=2, snr_db=[-2999.0])
+        assert cli.main(["fig4", "--config", config]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
+        assert all(math.isfinite(float(r[3])) and math.isfinite(float(r[5])) for r in rows)
 
     def test_experiment_mismatch_fails(self, tmp_path, capsys):
         config = self.write_config(tmp_path, "fig6", deltas=[1e-2], users=2)
