@@ -5,7 +5,8 @@ weighted-moment contraction, one scalar call each of the steering and delay
 builders (extraction makes thousands), the 128-beam angle grid, the downlink
 channel of six paths, the joint gain fit of eight atoms with its residual,
 the pilot gain least squares under a fig6-sized plan, the stopping
-statistic, codebook detection, one refinement visit from stored factors, ZF
+statistic, an iteration's delay transform with its stop test, codebook
+detection on that transform, one refinement visit from stored factors, ZF
 precoding plus SINR at fig6 size (`mueval.zf_sinr`), the Gram inverse of a
 32-Gram slice, and one Monte Carlo chunk of 32 error draws at three deltas;
 then one end-to-end path extraction with its minor page faults.
@@ -74,6 +75,15 @@ def main():
                                              np.random.default_rng(2))
     book = enomp.build_codebook(cfg)
     found = enomp.extract(sounding, cfg, 1.0, book).paths
+    # an extraction iteration's delay transform, shared by its stop test and
+    # its detection, at the extraction threshold
+    transform = enomp.delay_transform(sounding, cfg)
+    threshold = enomp.detection_threshold(cfg.M * cfg.N, cfg.P_fa)
+
+    def stop_test():
+        return enomp._below_threshold(sounding, enomp.delay_transform(sounding, cfg),
+                                      threshold, cfg)
+
     visit_factors = sysmodel.path_factors(found, cfg)
     others = np.array([p.gain for p in found])
     others[0] = 0.0
@@ -121,7 +131,8 @@ def main():
         ("gain_fit_L8", gram_fit, ()),
         (f"pilot_ls_L{len(found)}", pilot_fit, ()),
         ("stopping_statistic", enomp.stopping_statistic, (sounding, cfg)),
-        ("omp_detect", enomp.omp_detect, (sounding, book)),
+        ("stop_test", stop_test, ()),
+        ("omp_detect", enomp.omp_detect, (sounding, book, transform)),
         (f"refine_L{len(found)}", cross_visit, ()),
         ("zf_sinr_{}x{}x{}".format(*h_rows.shape), mueval.zf_sinr, (h_rows, h_rows_hat, 10.0)),
         ("gram_inverse_{}x{}x{}".format(*gram_chunk.shape), mueval._gram_inverse,

@@ -22,7 +22,7 @@ def kron3(a_v, a_h, p_n):
     return (np.outer(a_v, a_h).reshape(-1, 1) * p_n).ravel()
 
 
-def moment_cube(y3, a_v, a_h, p_n, c_v=0.0, c_h=0.0, c_n=0.0):
+def moment_cube(y3, a_v, a_h, p_n, c_v=0.0, c_h=0.0, c_n=0.0, weights=None):
     """Weighted inner products of an atom against conj(y).
 
     Returns a (3, 3, 3) complex cube W with
@@ -30,21 +30,26 @@ def moment_cube(y3, a_v, a_h, p_n, c_v=0.0, c_h=0.0, c_n=0.0):
                    * (m - c_v)^a (h - c_h)^b (n - c_n)^c
     so W[0,0,0] is the plain correlation y^H (a_v (x) a_h (x) p_n). The
     optional centers shift the polynomial index weights only, not the atom.
+    `weights`, when given, is the tuple of `index_weighted(x, c)` for the
+    three factors at those centers, built once by a caller that needs them
+    elsewhere too; they are built here otherwise.
     """
     M_v, M_h, N = y3.shape
     y2 = y3.reshape(M_v * M_h, N)
-    pw = index_weighted(p_n, c_n).T.conj()                        # (3, N)
+    w_v, w_h, w_n = weights if weights is not None else map(
+        index_weighted, (a_v, a_h, p_n), (c_v, c_h, c_n))
+    pw = w_n.T.conj()                                             # (3, N)
     # contract y3 against the conjugated weights and conjugate the small
-    # result: the same numbers as conj(y3) @ index_weighted(p_n, c_n) without
-    # copying the whole cube. Three matrix-vector products over y, as one
-    # (M, N) @ (N, 3) product ran 1.4x slower on OpenBLAS.
+    # result: the same numbers as conj(y3) @ w_n without copying the whole
+    # cube. Three matrix-vector products over y, as one (M, N) @ (N, 3)
+    # product ran 1.4x slower on OpenBLAS.
     v = np.empty((3, M_v * M_h), dtype=complex)
     for c in range(3):
         np.matmul(y2, pw[c], out=v[c])
     # v[c, m, h] -> t[c, m, b] -> W[a, (c, b)]
-    t = v.conj().reshape(3 * M_v, M_h) @ index_weighted(a_h, c_h)
+    t = v.conj().reshape(3 * M_v, M_h) @ w_h
     t = t.reshape(3, M_v, 3).transpose(1, 0, 2).reshape(M_v, 9)
-    return (index_weighted(a_v, c_v).T @ t).reshape(3, 3, 3).transpose(0, 2, 1)
+    return (w_v.T @ t).reshape(3, 3, 3).transpose(0, 2, 1)
 
 
 @functools.lru_cache(maxsize=64)

@@ -106,17 +106,100 @@ def detection_threshold(mn: int, p_fa: float) -> float:
     return _NOISE_VARIANCE * (math.log(mn) - math.log(-math.log1p(-p_fa)))
 
 
-def stopping_statistic(y_r: np.ndarray, cfg: SystemConfig) -> float:
+def delay_transform(y_r: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    """The (M_v, M_h, N) delay FFT of y, `np.fft.fft` along the subcarrier
+    axis: the first stage of both the stopping statistic and detection, so
+    an extraction iteration computes it once and passes it to both."""
+    return np.fft.fft(np.asarray(y_r).reshape(cfg.M_v, cfg.M_h, cfg.N), axis=2)
+
+
+def stopping_statistic(y_r: np.ndarray, cfg: SystemConfig, transform=None) -> float:
     """Largest projected power of the residual onto the critically sampled
-    unit-norm 3-D DFT atoms."""
-    y3 = np.asarray(y_r).reshape(cfg.M_v, cfg.M_h, cfg.N)
+    unit-norm 3-D DFT atoms.
+
+    `transform`, when given, is `delay_transform(y_r, cfg)`, and y_r is not
+    read. The spectrum is the two angle FFTs of the delay transform, the
+    stages `np.fft.fftn` runs in the same order, so it is fftn's bit for
+    bit."""
+    z = delay_transform(y_r, cfg) if transform is None else transform
     # the peak magnitude squared: rounding is monotone, so this is the
     # largest entry of |spectrum|^2 without squaring the whole spectrum
-    peak = float(np.max(np.abs(np.fft.fftn(y3))))
+    peak = float(np.max(np.abs(np.fft.fft(np.fft.fft(z, axis=1), axis=0))))
     return peak * peak / (cfg.M * cfg.N)
 
 
-def omp_detect(y_r: np.ndarray, codebook: Codebook):
+def _bin_energy(z: np.ndarray) -> np.ndarray:
+    """E_d = sum over (m, h) of |z[m, h, d]|^2 for each delay bin d of an
+    (M_v, M_h, G) transform, from its float view: the antenna sum of squares
+    runs down the contiguous rows, then each bin's two parts are added. One
+    einsum, as `parts * parts` made a 512 KB temporary whose page faults
+    cost more than the sum."""
+    g = z.shape[2]
+    parts = np.ascontiguousarray(z).view(np.float64).reshape(-1, 2 * g)
+    return np.einsum("ij,ij->j", parts, parts).reshape(g, 2).sum(axis=1)
+
+
+def _below_threshold(y_r: np.ndarray, transform: np.ndarray, threshold: float,
+                     cfg: SystemConfig) -> bool:
+    """`stopping_statistic(y_r, cfg) < threshold`, from the delay transform.
+
+    The statistic is at least the peak of any one delay bin's 2-D angle
+    FFT, whose entries are the full spectrum's bit for bit; rounding is
+    monotone, so a bin whose peak reaches the threshold decides "not below".
+    The bin tried is the one of largest energy (`_bin_energy`). Otherwise,
+    as on the last, noise-only iteration of an extraction, and whenever an
+    energy is not finite, the full statistic decides."""
+    energy = _bin_energy(transform)
+    d = int(np.argmax(energy))  # NaN first: argmax returns a NaN bin if any
+    if math.isfinite(energy[d]):
+        angles = np.fft.fft(np.fft.fft(transform[:, :, d], axis=1), axis=0)
+        peak = float(np.max(np.abs(angles)))
+        if peak * peak / (cfg.M * cfg.N) >= threshold:
+            return False
+    return stopping_statistic(y_r, cfg, transform) < threshold
+
+
+# Pruned detection (`_rows_to_scan`) compares magnitudes with a slack of
+# _PRUNE_SLACK times the largest bin bound. Each match and bound is exact to
+# a few hundred ulps of that bound, so the slack covers every rounding with
+# a margin of 1e4 or more. Below _PRUNE_FLOOR the largest bin energy falls
+# back to the full scan: squares of entries under about 1e-154 lose bits to
+# underflow, which the relative slack would not cover. Past 1/8 of the bins
+# pruning saves little, and the full scan runs.
+_PRUNE_SLACK = 1e-9
+_PRUNE_FLOOR = 2.0 ** -600
+_PRUNE_SHARE = 8
+
+
+def _rows_to_scan(z: np.ndarray, g1: np.ndarray, cb: Codebook):
+    """The downtilt rows of `omp_detect`'s scan that can hold its winner, in
+    ascending order; every row where pruning cannot decide.
+
+    Every codeword's angle factors have unit modulus, so by Cauchy-Schwarz
+    its match on delay bin d is at most B_d = sqrt(M E_d) (`_bin_energy`).
+    The strongest bin's best match m lower-bounds the winner's, so only
+    bins with B_d >= m can hold it. The rows are ranked on those bins, and
+    a row whose best there falls short of the best row's cannot win or tie.
+    Both tests keep a slack (`_PRUNE_SLACK`) for rounding. The ranked values
+    come from other products than the scan's, which can differ in the last
+    bits, so they only select rows; the scan computes every value it
+    returns."""
+    rows = range(len(cb.thetas))
+    energy = _bin_energy(z)
+    d = int(np.argmax(energy))  # NaN first: a NaN bin fails the range test
+    if not _PRUNE_FLOOR <= energy[d] < math.inf:
+        return rows
+    bounds = np.sqrt((cb.M_v * cb.M_h) * energy)
+    slack = _PRUNE_SLACK * bounds[d]
+    strongest = np.max(np.abs(np.matmul(cb.E_h, g1[:, :, d, None])))
+    bins = np.flatnonzero(bounds >= strongest - slack)
+    if len(bins) * _PRUNE_SHARE > len(cb.taus):
+        return rows
+    ranked = np.max(np.abs(np.matmul(cb.E_h, g1[:, :, bins])), axis=(1, 2))
+    return np.flatnonzero(ranked >= np.max(ranked) - slack).tolist()
+
+
+def omp_detect(y_r: np.ndarray, codebook: Codebook, transform=None):
     """Best codebook entry for the residual.
 
     Returns (theta, phi, tau, projected power) where the projected power is
@@ -128,16 +211,23 @@ def omp_detect(y_r: np.ndarray, codebook: Codebook):
     A row is ranked by magnitude and only its winner is squared and scaled:
     rounding is monotone, so the winner is the one the squared row gives
     wherever distinct magnitudes keep distinct powers, as they do whenever
-    M*N is a power of two and no power underflows.
+    M*N is a power of two and no power underflows. Only the rows that
+    `_rows_to_scan` keeps are scanned; the others cannot hold the winner.
+
+    `transform`, when given, is `delay_transform(y_r, cfg)`; it serves when
+    the delay grid is critically sampled (G_tau = N), and a finer grid makes
+    its own zero-padded transform of y_r.
     """
     cb = codebook
     mn = cb.M_v * cb.M_h * cb.N
-    y3 = np.asarray(y_r).reshape(cb.M_v, cb.M_h, cb.N)
+    g_tau = len(cb.taus)
     # delay axis: conj(p(tau_k))_n = exp(-2j pi n k / G_tau), a padded FFT
-    z = np.fft.fft(y3, n=len(cb.taus), axis=2)
+    z = transform
+    if z is None or z.shape[2] != g_tau:
+        z = np.fft.fft(np.asarray(y_r).reshape(cb.M_v, cb.M_h, cb.N), n=g_tau, axis=2)
     g1 = (cb.E_v @ z.reshape(cb.M_v, -1)).reshape(len(cb.thetas), cb.M_h, -1)
     best, best_at = -1.0, None
-    for i_t in range(len(cb.thetas)):
+    for i_t in _rows_to_scan(z, g1, cb):
         magnitude = np.abs(cb.E_h[i_t] @ g1[i_t])
         flat = int(np.argmax(magnitude))
         peak = float(magnitude.flat[flat])
@@ -249,15 +339,18 @@ def _atom_sum_correlation(others, a_v, a_h, p_n) -> complex:
                            @ gains))
 
 
-def _atom_sum_cube(others, a_v, a_h, p_n, centres) -> np.ndarray:
+def _atom_sum_cube(others, a_v, a_h, p_n, centres, weights=None) -> np.ndarray:
     """`_kernels.moment_cube` of the atom sum A g (see `_atom_sum_correlation`)
     against the atom a_v (x) a_h (x) p_n: sum_l conj(g_l) V_l (x) H_l (x) P_l,
     where V_l = o_v[:, l]^H (a_v times the centred index weights) and
     likewise H_l and P_l, each of shape (3,). The gains ride on V, and the
-    sum over l is one (9, L) @ (L, 3) product."""
+    sum over l is one (9, L) @ (L, 3) product. `weights` are the factors'
+    `_kernels.index_weighted` columns at `centres` when the caller holds
+    them, as in `_kernels.moment_cube`."""
     gains, o_v, o_h, o_p = others
-    v, h, p = (_kernels.index_weighted(a, c).conj().T @ o
-               for a, c, o in zip((a_v, a_h, p_n), centres, (o_v, o_h, o_p)))
+    if weights is None:
+        weights = map(_kernels.index_weighted, (a_v, a_h, p_n), centres)
+    v, h, p = (w.conj().T @ o for w, o in zip(weights, (o_v, o_h, o_p)))
     vh = ((v * gains)[:, None, :] * h).reshape(9, -1)
     return (vh @ p.T).reshape(3, 3, 3).conj()
 
@@ -331,9 +424,12 @@ def newton_refine(y_r: np.ndarray, theta: float, phi: float, tau: float,
         factors = (*steering_factors(theta, phi, cfg), delay_vector(tau, cfg))
     a_v, a_h, p_n = factors
     centres = ((cfg.M_v - 1) / 2.0, (cfg.M_h - 1) / 2.0, (cfg.N - 1) / 2.0)
-    cube = _kernels.moment_cube(y3, a_v, a_h, p_n, *centres)
+    # the index weights of the three factors, built once for both cubes
+    # (positional: the bench tracer's cost hook takes no keywords)
+    weights = tuple(map(_kernels.index_weighted, factors, centres))
+    cube = _kernels.moment_cube(y3, a_v, a_h, p_n, *centres, weights)
     if others is not None:
-        cube = cube - _atom_sum_cube(others, a_v, a_h, p_n, centres)
+        cube = cube - _atom_sum_cube(others, a_v, a_h, p_n, centres, weights)
     if not np.all(np.isfinite(cube)):
         raise FloatingPointError("non-finite derivatives")
     c0, dc, d2c = _derivative_scalars(cube, cfg)
@@ -438,11 +534,13 @@ def extract(y_ul: np.ndarray, cfg: SystemConfig, p_tx: float,
     stop_reason = "cap"
 
     for _ in range(_MAX_PATHS):
-        if stopping_statistic(residual, cfg) < threshold:
+        z = delay_transform(residual, cfg)  # shared by the stop test and detection
+        if _below_threshold(residual, z, threshold, cfg):
             stop_reason = "below_threshold"
             break
         iterations += 1
-        theta, phi, tau = omp_detect(residual, cb)[:3]
+        theta, phi, tau = omp_detect(residual, cb, z)[:3]
+        del z  # not held through refinement: fig6's peak resident set
         params.append((theta, phi, tau))
         count = len(params)
         view = tuple(f[:, :count] for f in factors)

@@ -236,12 +236,12 @@ def run_fig4(config: ExperimentConfig) -> list:
     cov = recon.channel_covariance(cfg, config.attenuation_db)
 
     def trial_fn(scenario, trial):
-        paths = scenario.users[0]
-        truth = sysmodel.uplink_channel(paths, cfg)
+        truth = sysmodel.uplink_channel(scenario.users[0], cfg)
+        noise = sysmodel.complex_noise(_trial_rng(config.seed, 1, trial), cfg.M * cfg.N)
 
         def measure(snr):
             p_tx = transmit_power(snr)
-            y = sysmodel.sounding_observation(paths, cfg, p_tx, _trial_rng(config.seed, 1, trial))
+            y = sysmodel.observation(truth, p_tx, noise)
             nmse_ls = recon.channel_nmse(recon.ls_baseline(y, p_tx), truth)
             nmse_lmmse = recon.channel_nmse(recon.lmmse_baseline(y, cov, cfg, p_tx), truth)
             estimate = recon.uplink_channel_estimate(enomp.extract(y, cfg, p_tx, codebook).paths, cfg)
@@ -309,8 +309,9 @@ def run_fig6(config: ExperimentConfig) -> list:
         # the LMMSE estimates, then each delta's reconstructions
         h_hat_rows = np.empty(stack_shape, dtype=np.complex128)
         for k in range(config.users):
-            rng = _trial_rng(config.seed, 3, trial * config.users + k)
-            y_full = math.sqrt(_P_TX) * truth(k) + sysmodel.complex_noise(rng, cfg.M * cfg.N)
+            noise = sysmodel.complex_noise(_trial_rng(config.seed, 3, trial * config.users + k),
+                                           cfg.M * cfg.N)
+            y_full = sysmodel.observation(truth(k), _P_TX, noise)
             h_hat_rows[:, k] = recon.channel_matrix(recon.lmmse_baseline(y_full, cov, cfg, _P_TX), cfg)
         lmmse_rate = _zf_rates(h_true_rows, h_hat_rows, cfg.M, cfg)
 

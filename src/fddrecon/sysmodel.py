@@ -343,6 +343,14 @@ def complex_noise(rng: np.random.Generator, size: int) -> np.ndarray:
     return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / math.sqrt(2.0)
 
 
+def observation(channel: np.ndarray, p_tx: float, noise: np.ndarray) -> np.ndarray:
+    """sqrt(p_tx) times the channel plus the noise: every noisy observation
+    of a channel, so a caller that sounds one channel at several powers
+    draws its noise once. ValueError unless p_tx is a finite real > 0."""
+    check_power(p_tx)
+    return math.sqrt(p_tx) * channel + noise
+
+
 def sounding_observation(paths, cfg: SystemConfig, p_tx: float, noise_seed) -> np.ndarray:
     """Uplink sounding snapshot: sqrt(p_tx) times the channel plus
     unit-variance complex noise, so p_tx is the linear transmit SNR against
@@ -351,9 +359,8 @@ def sounding_observation(paths, cfg: SystemConfig, p_tx: float, noise_seed) -> n
     `noise_seed` may be an int or a numpy Generator; identical seeds give
     identical observations. ValueError unless p_tx is a finite real > 0.
     """
-    check_power(p_tx)
-    rng = np.random.default_rng(noise_seed)
-    return math.sqrt(p_tx) * uplink_channel(paths, cfg) + complex_noise(rng, cfg.M * cfg.N)
+    noise = complex_noise(np.random.default_rng(noise_seed), cfg.M * cfg.N)
+    return observation(uplink_channel(paths, cfg), p_tx, noise)
 
 
 def mean_linear_attenuation(att_range_db=(-10.0, 0.0)) -> float:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 
 from fddrecon import _kernels, enomp
 from fddrecon.sysmodel import (PathComponent, SystemConfig, atom_basis, atom_gram, atom_sum,
-                               delay_vector, fit_gains, generate_scenario, path_factors,
-                               sounding_observation, steering_factors, uplink_channel)
+                               complex_noise, delay_vector, fit_gains, generate_scenario,
+                               path_factors, sounding_observation, steering_factors,
+                               uplink_channel)
 
 
 def small_cfg(**kw):
@@ -415,9 +417,9 @@ class TestExtract:
              + (0.8 + 0.1j) * enomp.synth_atom(cb.thetas[11], cb.phis[20], cb.taus[90], cfg))
         detect, found = enomp.omp_detect, []
 
-        def redetect(residual, codebook):
+        def redetect(residual, codebook, transform=None):
             if not found:
-                found.append(detect(residual, codebook))
+                found.append(detect(residual, codebook, transform))
                 return found[0]
             theta, phi, tau, power = found[0]
             return theta + 1e-13, phi, tau, power
@@ -923,3 +925,140 @@ def test_delay_wrap_stays_below_the_period():
     # the spatial frequencies wrap with period 2 through the same helper
     assert (-1e-17) % 2.0 == 2.0
     assert enomp._wrap(-1e-17, 2.0) == 0.0
+
+
+@st.composite
+def detection_cases(draw):
+    """A codebook and an observation for detection: sounding residuals (the
+    observation minus some of its paths), pure noise, atoms on exactly
+    duplicated downtilt rows or azimuth columns (ties), atoms on the endfire
+    row theta = -pi/2, at a critically sampled and a 2x oversampled delay
+    grid and at full size."""
+    cfg = draw(st.sampled_from([SystemConfig(M_v=4, M_h=4, N=64),
+                                SystemConfig(M_v=4, M_h=4, N=32, beta_tau=2),
+                                SystemConfig()]))
+    cb = enomp.build_codebook(cfg)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["residual", "noise", "row_tie", "column_tie", "endfire"]))
+    noise = draw(st.sampled_from([0.0, 0.1, 1.0])) * complex_noise(rng, cfg.M * cfg.N)
+    gain = complex(np.exp(2j * np.pi * rng.random()))
+    if kind == "residual":
+        paths = generate_scenario(1, 4, cfg, seed=rng, att_range_db=(0.0, 0.0)).users[0]
+        p_tx = 10.0 ** (draw(st.sampled_from([0.0, 10.0, 20.0])) / 10.0)
+        taken = draw(st.integers(0, len(paths)))
+        y = (sounding_observation(paths, cfg, p_tx, rng)
+             - math.sqrt(p_tx) * uplink_channel(paths[:taken], cfg))
+    elif kind == "noise":
+        y = complex_noise(rng, cfg.M * cfg.N)
+    elif kind == "endfire":
+        y = gain * enomp.synth_atom(-math.pi / 2, float(rng.uniform(-1.5, 1.5)),
+                                    float(rng.uniform(0.0, 0.99) * cfg.tau_max), cfg) + noise
+    else:
+        axis = 0 if kind == "row_tie" else 1
+        size = len(cb.thetas) if axis == 0 else len(cb.phis)
+        source, copy = draw(st.lists(st.integers(0, size - 1), min_size=2, max_size=2,
+                                     unique=True))
+        e_v, e_h = cb.E_v.copy(), cb.E_h.copy()
+        if axis == 0:
+            e_v[copy], e_h[copy] = e_v[source], e_h[source]
+            at = (source, int(rng.integers(len(cb.phis))))
+        else:
+            e_h[:, copy] = e_h[:, source]
+            at = (int(rng.integers(len(cb.thetas))), source)
+        y = gain * enomp.synth_atom(cb.thetas[at[0]], cb.phis[at[1]],
+                                    cb.taus[int(rng.integers(len(cb.taus)))], cfg) + noise
+        cb = dataclasses.replace(cb, E_v=e_v, E_h=e_h)
+    return cfg, cb, y
+
+
+@st.composite
+def stop_cases(draw):
+    """A small system and a residual: noise, a critically sampled DFT atom
+    (all its energy in one delay bin), off-grid atoms with noise, or zeros."""
+    cfg = SystemConfig(M_v=draw(st.integers(1, 8)), M_h=draw(st.integers(1, 16)),
+                       N=draw(st.integers(2, 64)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mn = cfg.M * cfg.N
+    kind = draw(st.sampled_from(["noise", "dft_atom", "atoms", "zeros"]))
+    if kind == "noise":
+        y = complex_noise(rng, mn)
+    elif kind == "dft_atom":
+        k = [int(rng.integers(n)) for n in (cfg.M_v, cfg.M_h, cfg.N)]
+        grids = np.meshgrid(*(np.arange(n) * k_i / n for n, k_i in zip(
+            (cfg.M_v, cfg.M_h, cfg.N), k)), indexing="ij")
+        y = (rng.standard_normal() * np.exp(2j * np.pi * sum(grids))).ravel()
+    elif kind == "atoms":
+        paths = generate_scenario(1, 3, cfg, seed=rng).users[0]
+        y = sounding_observation(paths, cfg, 10.0 ** rng.uniform(0.0, 3.0), rng)
+    else:
+        y = np.zeros(mn, dtype=complex)
+    return cfg, y
+
+
+class TestSharedTransform:
+    """Detection and the stop test read one delay transform per iteration
+    and skip the delay bins a Cauchy-Schwarz bound rules out; both must
+    give what the whole computation gives, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(detection_cases())
+    def test_detection_equals_the_full_scan(self, case):
+        cfg, cb, y = case
+        z = enomp.delay_transform(y, cfg)
+        got = enomp.omp_detect(y, cb, z)
+        assert got == enomp.omp_detect(y, cb) == whole_cube_detect(y, cb)
+
+    @settings(max_examples=60, deadline=None)
+    @given(stop_cases())
+    def test_stop_decision_equals_the_statistic_test(self, case):
+        cfg, y = case
+        z = enomp.delay_transform(y, cfg)
+        stat = enomp.stopping_statistic(y, cfg)
+        for t in (np.nextafter(stat, -np.inf), stat, np.nextafter(stat, np.inf)):
+            assert enomp._below_threshold(y, z, float(t), cfg) == (stat < t)
+
+    @settings(max_examples=60, deadline=None)
+    @given(stop_cases(), st.integers(0, 2**16))
+    def test_statistic_from_the_shared_transform_equals_fftn(self, case, bin_seed):
+        cfg, y = case
+        y3 = y.reshape(cfg.M_v, cfg.M_h, cfg.N)
+        z = enomp.delay_transform(y, cfg)
+        spectrum = np.fft.fftn(y3)
+        peak = float(np.max(np.abs(spectrum)))
+        assert enomp.stopping_statistic(y, cfg, z) == peak * peak / (cfg.M * cfg.N)
+        # one bin's two angle FFTs are fftn's entries there, as the stop test needs
+        d = bin_seed % cfg.N
+        np.testing.assert_array_equal(np.fft.fft(np.fft.fft(z[:, :, d], axis=1), axis=0),
+                                      spectrum[:, :, d])
+
+    def test_detection_scans_few_rows_of_a_sounding(self):
+        # the bound leaves a handful of the 256 bins, and they leave one row
+        cfg = SystemConfig()
+        cb = enomp.build_codebook(cfg)
+        paths = generate_scenario(1, 6, cfg, seed=41, att_range_db=(0.0, 0.0)).users[0]
+        y = sounding_observation(paths, cfg, 10.0, 42)
+        z = enomp.delay_transform(y, cfg)
+        g1 = (cb.E_v @ z.reshape(cfg.M_v, -1)).reshape(len(cb.thetas), cfg.M_h, -1)
+        rows = enomp._rows_to_scan(z, g1, cb)
+        assert 1 <= len(rows) < len(cb.thetas)
+        assert enomp.omp_detect(y, cb, z) == whole_cube_detect(y, cb)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("index", [0, 37])
+    @pytest.mark.parametrize("warnings_as_errors", [False, True])
+    def test_non_finite_entry_fails_the_trial(self, bad, index, warnings_as_errors):
+        # a non-finite residual takes the full computations, so it fails as
+        # a trial failure, FloatingPointError, when numpy's warnings are off;
+        # with them as errors, an inf raises numpy's invalid-value warning
+        # first, from the delay FFT or the downtilt product
+        cfg = SystemConfig(M_v=2, M_h=4, N=16)
+        paths = generate_scenario(1, 2, cfg, seed=3).users[0]
+        y = sounding_observation(paths, cfg, 10.0, 4)
+        y[index] = bad
+        expect = ((RuntimeWarning, "invalid value encountered")
+                  if warnings_as_errors and math.isinf(bad)
+                  else (FloatingPointError, "non-finite derivatives"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error" if warnings_as_errors else "ignore", RuntimeWarning)
+            with pytest.raises(expect[0], match=expect[1]):
+                enomp.extract(y, cfg, 10.0)

@@ -419,6 +419,17 @@ class TestRunners:
         vals_b = [r.value for r in rows_b if r.metric == "nmse_ls"]
         assert vals_a != vals_b
 
+    def test_fig4_draws_each_trials_noise_once(self, monkeypatch):
+        # a trial's SNRs sound one channel under one noise draw; the
+        # scenario's own draws of a few path gains are not soundings
+        sizes = []
+        noise = sysmodel.complex_noise
+        monkeypatch.setattr(sysmodel, "complex_noise",
+                            lambda rng, size: sizes.append(size) or noise(rng, size))
+        config = tiny_config("fig4", trials=2, snr_db=[0.0, 5.0, 10.0])
+        harness.run_fig4(config)
+        assert sizes.count(config.system.M * config.system.N) == 2
+
     def test_run_experiment_writes_csv(self, tmp_path):
         out = tmp_path / "fig4.csv"
         cfg = tiny_config("fig4", trials=2, snr_db=[0.0], out=str(out))

@@ -102,6 +102,17 @@ def test_moment_cube_default_centers_zero():
     )
 
 
+def test_moment_cube_from_prebuilt_weights_is_bit_equal():
+    # a Newton visit builds the index weights once for this cube and its
+    # cross-term cube; passed in, they give the cube the kernel builds
+    rng = np.random.default_rng(4)
+    y3, a_v, a_h, p_n = random_inputs(rng)
+    centers = (1.0, 1.5, 2.0)
+    weights = tuple(map(_kernels.index_weighted, (a_v, a_h, p_n), centers))
+    np.testing.assert_array_equal(_kernels.moment_cube(y3, a_v, a_h, p_n, *centers, weights),
+                                  _kernels.moment_cube(y3, a_v, a_h, p_n, *centers))
+
+
 def test_plain_correlation_entry():
     rng = np.random.default_rng(3)
     y3, a_v, a_h, p_n = random_inputs(rng)
@@ -122,7 +133,7 @@ def run_kernel_benchmark(*args):
 # one row per kernel a pinned workload calls; dropping one loses its timing
 BENCHMARK_ROWS = [
     "moment_cube", "steering_factors", "delay_vector", "angle_grid", "channel_L6",
-    "gain_fit_L8", "pilot_ls_L5", "stopping_statistic", "omp_detect", "refine_L5",
+    "gain_fit_L8", "pilot_ls_L5", "stopping_statistic", "stop_test", "omp_detect", "refine_L5",
     "zf_sinr_256x10x128", "gram_inverse_32x10x10", "mc_32x10x128_D3",
 ]
 
