@@ -5,11 +5,13 @@ weighted-moment contraction, one scalar call each of the steering and delay
 builders (extraction makes thousands), the 128-beam angle grid, the downlink
 channel of six paths, the joint gain fit of eight atoms with its residual,
 the pilot gain least squares under a fig6-sized plan, the stopping
-statistic, an iteration's delay transform with its stop test, codebook
-detection on that transform, one refinement visit from stored factors, ZF
-precoding plus SINR at fig6 size (`mueval.zf_sinr`), the Gram inverse of a
-32-Gram slice, and one Monte Carlo chunk of 32 error draws at three deltas;
-then one end-to-end path extraction with its minor page faults.
+statistic, an iteration's delay transform with its bin energies and stop
+test, codebook detection on that transform and those energies, one
+refinement visit from stored factors and the delay row an earlier visit
+kept, the LMMSE baseline filter of one sounding, ZF precoding plus SINR at
+fig6 size (`mueval.zf_sinr`), the Gram inverse of a 32-Gram slice, and one
+Monte Carlo chunk of 32 error draws at three deltas; then one end-to-end
+path extraction with its minor page faults.
 
 Compare an implementation change by running this script at both commits on
 one machine, alternating between them.
@@ -75,23 +77,30 @@ def main():
                                              np.random.default_rng(2))
     book = enomp.build_codebook(cfg)
     found = enomp.extract(sounding, cfg, 1.0, book).paths
-    # an extraction iteration's delay transform, shared by its stop test and
-    # its detection, at the extraction threshold
+    # an extraction iteration's delay transform and bin energies, shared by
+    # its stop test and its detection, at the extraction threshold
     transform = enomp.delay_transform(sounding, cfg)
+    energy = enomp._bin_energy(transform)
     threshold = enomp.detection_threshold(cfg.M * cfg.N, cfg.P_fa)
 
     def stop_test():
-        return enomp._below_threshold(sounding, enomp.delay_transform(sounding, cfg),
-                                      threshold, cfg)
+        z = enomp.delay_transform(sounding, cfg)
+        return enomp._below_threshold(sounding, z, threshold, cfg, enomp._bin_energy(z))
 
     visit_factors = sysmodel.path_factors(found, cfg)
     others = np.array([p.gain for p in found])
     others[0] = 0.0
     visited = (found[0].theta, found[0].phi, found[0].tau)
     stored = tuple(f[:, 0] for f in visit_factors)
+    kept_row = enomp._delay_row(sounding.reshape(cfg.M_v, cfg.M_h, cfg.N), stored[2])
 
     def cross_visit():
-        return enomp.newton_refine(sounding, *visited, cfg, (others, *visit_factors), stored)
+        # as extract calls it: the track's memo holds the row its last,
+        # accepted visit kept (a fresh list, as the visit overwrites it)
+        return enomp.newton_refine(sounding, *visited, cfg, (others, *visit_factors), stored,
+                                   [kept_row])
+
+    covariance = recon.channel_covariance(cfg)
 
     # pilots of the channel's paths under every 4th grid point plus the points
     # the found paths mark (35 beams, a fig6-sized plan), fitted on the found
@@ -132,8 +141,9 @@ def main():
         (f"pilot_ls_L{len(found)}", pilot_fit, ()),
         ("stopping_statistic", enomp.stopping_statistic, (sounding, cfg)),
         ("stop_test", stop_test, ()),
-        ("omp_detect", enomp.omp_detect, (sounding, book, transform)),
+        ("omp_detect", enomp.omp_detect, (sounding, book, transform, energy)),
         (f"refine_L{len(found)}", cross_visit, ()),
+        (f"lmmse_{cfg.M}x{cfg.N}", recon.lmmse_baseline, (sounding, covariance, cfg, 1.0)),
         ("zf_sinr_{}x{}x{}".format(*h_rows.shape), mueval.zf_sinr, (h_rows, h_rows_hat, 10.0)),
         ("gram_inverse_{}x{}x{}".format(*gram_chunk.shape), mueval._gram_inverse,
          (gram_chunk, cfg.M)),

@@ -22,7 +22,7 @@ def kron3(a_v, a_h, p_n):
     return (np.outer(a_v, a_h).reshape(-1, 1) * p_n).ravel()
 
 
-def moment_cube(y3, a_v, a_h, p_n, c_v=0.0, c_h=0.0, c_n=0.0, weights=None):
+def moment_cube(y3, a_v, a_h, p_n, c_v=0.0, c_h=0.0, c_n=0.0, weights=None, row=None):
     """Weighted inner products of an atom against conj(y).
 
     Returns a (3, 3, 3) complex cube W with
@@ -32,7 +32,10 @@ def moment_cube(y3, a_v, a_h, p_n, c_v=0.0, c_h=0.0, c_n=0.0, weights=None):
     optional centers shift the polynomial index weights only, not the atom.
     `weights`, when given, is the tuple of `index_weighted(x, c)` for the
     three factors at those centers, built once by a caller that needs them
-    elsewhere too; they are built here otherwise.
+    elsewhere too; they are built here otherwise. `row`, when given, is the
+    first delay sum y2 @ conj(p_n) over the (M_v*M_h, N) view y2 of y3, as
+    a caller kept it from an earlier product bit for bit equal to this
+    one's; the cube then forms the other two only.
     """
     M_v, M_h, N = y3.shape
     y2 = y3.reshape(M_v * M_h, N)
@@ -44,7 +47,9 @@ def moment_cube(y3, a_v, a_h, p_n, c_v=0.0, c_h=0.0, c_n=0.0, weights=None):
     # cube. Three matrix-vector products over y, as one (M, N) @ (N, 3)
     # product ran 1.4x slower on OpenBLAS.
     v = np.empty((3, M_v * M_h), dtype=complex)
-    for c in range(3):
+    if row is not None:
+        v[0] = row
+    for c in range(0 if row is None else 1, 3):
         np.matmul(y2, pw[c], out=v[c])
     # v[c, m, h] -> t[c, m, b] -> W[a, (c, b)]
     t = v.conj().reshape(3 * M_v, M_h) @ w_h

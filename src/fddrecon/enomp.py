@@ -90,12 +90,23 @@ def synth_atom(theta: float, phi: float, tau: float, cfg: SystemConfig) -> np.nd
     return _kernels.kron3(a_v, a_h, p_n)
 
 
+def _delay_row(y3: np.ndarray, p_n) -> np.ndarray:
+    """The delay sum y2 @ conj(p_n) over the (M_v*M_h, N) view y2 of y3:
+    the first stage of `_atom_correlation`, and bit for bit the first delay
+    sum `_kernels.moment_cube` forms for the same p_n."""
+    return y3.reshape(-1, y3.shape[2]) @ p_n.conj()
+
+
+def _row_correlation(row: np.ndarray, a_v, a_h) -> complex:
+    """y^H c for the separable atom from its delay row (`_delay_row`): the
+    two angle stages against the conjugated factors (c^H y), conjugated at
+    the end so that y itself is never copied."""
+    return complex(((row.reshape(len(a_v), len(a_h)) @ a_h.conj()) @ a_v.conj()).conjugate())
+
+
 def _atom_correlation(y3: np.ndarray, a_v, a_h, p_n) -> complex:
-    """y^H c for the separable atom, via staged contractions of y against
-    the conjugated factors (c^H y), conjugated at the end so that y itself
-    is never copied."""
-    z = (y3.reshape(-1, y3.shape[2]) @ p_n.conj()).reshape(y3.shape[0], y3.shape[1])
-    return complex(((z @ a_h.conj()) @ a_v.conj()).conjugate())
+    """y^H c for the separable atom, via staged contractions of y."""
+    return _row_correlation(_delay_row(y3, p_n), a_v, a_h)
 
 
 def detection_threshold(mn: int, p_fa: float) -> float:
@@ -140,16 +151,18 @@ def _bin_energy(z: np.ndarray) -> np.ndarray:
 
 
 def _below_threshold(y_r: np.ndarray, transform: np.ndarray, threshold: float,
-                     cfg: SystemConfig) -> bool:
+                     cfg: SystemConfig, energy=None) -> bool:
     """`stopping_statistic(y_r, cfg) < threshold`, from the delay transform.
 
     The statistic is at least the peak of any one delay bin's 2-D angle
     FFT, whose entries are the full spectrum's bit for bit; rounding is
     monotone, so a bin whose peak reaches the threshold decides "not below".
-    The bin tried is the one of largest energy (`_bin_energy`). Otherwise,
-    as on the last, noise-only iteration of an extraction, and whenever an
-    energy is not finite, the full statistic decides."""
-    energy = _bin_energy(transform)
+    The bin tried is the one of largest energy (`_bin_energy(transform)`,
+    passed as `energy` by a caller that holds it). Otherwise, as on the
+    last, noise-only iteration of an extraction, and whenever an energy is
+    not finite, the full statistic decides."""
+    if energy is None:
+        energy = _bin_energy(transform)
     d = int(np.argmax(energy))  # NaN first: argmax returns a NaN bin if any
     if math.isfinite(energy[d]):
         angles = np.fft.fft(np.fft.fft(transform[:, :, d], axis=1), axis=0)
@@ -171,35 +184,53 @@ _PRUNE_FLOOR = 2.0 ** -600
 _PRUNE_SHARE = 8
 
 
-def _rows_to_scan(z: np.ndarray, g1: np.ndarray, cb: Codebook):
+def _rows_to_scan(z: np.ndarray, cb: Codebook, energy: np.ndarray):
     """The downtilt rows of `omp_detect`'s scan that can hold its winner, in
-    ascending order; every row where pruning cannot decide.
+    ascending order; every row where pruning cannot decide. `energy` is
+    `_bin_energy(z)`.
 
     Every codeword's angle factors have unit modulus, so by Cauchy-Schwarz
     its match on delay bin d is at most B_d = sqrt(M E_d) (`_bin_energy`).
     The strongest bin's best match m lower-bounds the winner's, so only
     bins with B_d >= m can hold it. The rows are ranked on those bins, and
     a row whose best there falls short of the best row's cannot win or tie.
-    Both tests keep a slack (`_PRUNE_SLACK`) for rounding. The ranked values
-    come from other products than the scan's, which can differ in the last
-    bits, so they only select rows; the scan computes every value it
-    returns."""
+    Both tests keep a slack (`_PRUNE_SLACK`) for rounding. The downtilt
+    stage runs on the strongest bin and on the surviving bins only; those
+    values come from other products than the scan's, which can differ in
+    the last bits, so they only select rows, and the scan computes every
+    value it returns."""
     rows = range(len(cb.thetas))
-    energy = _bin_energy(z)
     d = int(np.argmax(energy))  # NaN first: a NaN bin fails the range test
     if not _PRUNE_FLOOR <= energy[d] < math.inf:
         return rows
     bounds = np.sqrt((cb.M_v * cb.M_h) * energy)
     slack = _PRUNE_SLACK * bounds[d]
-    strongest = np.max(np.abs(np.matmul(cb.E_h, g1[:, :, d, None])))
+    strongest = np.max(np.abs(np.matmul(cb.E_h, (cb.E_v @ z[:, :, d])[:, :, None])))
     bins = np.flatnonzero(bounds >= strongest - slack)
     if len(bins) * _PRUNE_SHARE > len(cb.taus):
         return rows
-    ranked = np.max(np.abs(np.matmul(cb.E_h, g1[:, :, bins])), axis=(1, 2))
+    g1 = (cb.E_v @ z[:, :, bins].reshape(cb.M_v, -1)).reshape(len(cb.thetas), cb.M_h, -1)
+    ranked = np.max(np.abs(np.matmul(cb.E_h, g1)), axis=(1, 2))
     return np.flatnonzero(ranked >= np.max(ranked) - slack).tolist()
 
 
-def omp_detect(y_r: np.ndarray, codebook: Codebook, transform=None):
+def _downtilt_stage(z: np.ndarray, cb: Codebook, rows) -> np.ndarray:
+    """The downtilt stage E_v @ z of detection on the ascending `rows`: a
+    (G, M_h, G_tau) stack whose first len(rows) entries are those rows of
+    the full product (G_theta, M_h, G_tau) bit for bit.
+
+    Where `rows` is every row, this is the full product. Otherwise it is
+    one product of at least two rows of E_v, a single row taking a
+    neighbour along: a block of two or more rows goes to BLAS gemm, whose
+    rows equal the full product's, where a single row would go to gemv,
+    which rounds differently."""
+    e_v = cb.E_v
+    if len(rows) < len(e_v):
+        e_v = e_v[rows if len(rows) > 1 else [rows[0], rows[0] - 1 if rows[0] else 1]]
+    return (e_v @ z.reshape(cb.M_v, -1)).reshape(len(e_v), cb.M_h, -1)
+
+
+def omp_detect(y_r: np.ndarray, codebook: Codebook, transform=None, energy=None):
     """Best codebook entry for the residual.
 
     Returns (theta, phi, tau, projected power) where the projected power is
@@ -212,11 +243,14 @@ def omp_detect(y_r: np.ndarray, codebook: Codebook, transform=None):
     rounding is monotone, so the winner is the one the squared row gives
     wherever distinct magnitudes keep distinct powers, as they do whenever
     M*N is a power of two and no power underflows. Only the rows that
-    `_rows_to_scan` keeps are scanned; the others cannot hold the winner.
+    `_rows_to_scan` keeps are scanned; the others cannot hold the winner,
+    and the downtilt stage is formed on the kept rows only
+    (`_downtilt_stage`).
 
     `transform`, when given, is `delay_transform(y_r, cfg)`; it serves when
     the delay grid is critically sampled (G_tau = N), and a finer grid makes
-    its own zero-padded transform of y_r.
+    its own zero-padded transform of y_r. `energy`, when given, is
+    `_bin_energy(transform)`.
     """
     cb = codebook
     mn = cb.M_v * cb.M_h * cb.N
@@ -225,10 +259,13 @@ def omp_detect(y_r: np.ndarray, codebook: Codebook, transform=None):
     z = transform
     if z is None or z.shape[2] != g_tau:
         z = np.fft.fft(np.asarray(y_r).reshape(cb.M_v, cb.M_h, cb.N), n=g_tau, axis=2)
-    g1 = (cb.E_v @ z.reshape(cb.M_v, -1)).reshape(len(cb.thetas), cb.M_h, -1)
+        energy = None
+    if energy is None:
+        energy = _bin_energy(z)
+    rows = _rows_to_scan(z, cb, energy)
     best, best_at = -1.0, None
-    for i_t in _rows_to_scan(z, g1, cb):
-        magnitude = np.abs(cb.E_h[i_t] @ g1[i_t])
+    for i_t, g_row in zip(rows, _downtilt_stage(z, cb, rows)):
+        magnitude = np.abs(cb.E_h[i_t] @ g_row)
         flat = int(np.argmax(magnitude))
         peak = float(magnitude.flat[flat])
         power = peak * peak / mn
@@ -390,7 +427,7 @@ def _log_power_step(c, dc, d2c, power):
 
 
 def newton_refine(y_r: np.ndarray, theta: float, phi: float, tau: float,
-                  cfg: SystemConfig, others=None, factors=None):
+                  cfg: SystemConfig, others=None, factors=None, memo=None):
     """One safeguarded Newton step on the single-atom surrogate.
 
     The step is computed on the log of the matched-gain surrogate (the
@@ -415,6 +452,16 @@ def newton_refine(y_r: np.ndarray, theta: float, phi: float, tau: float,
     (theta, phi, tau) as an earlier call returned them; they are built
     otherwise.
 
+    `memo`, when given, is a one-entry list that passes work on to the next
+    visit on the same y from the factors this one returns, as a track's
+    visits in `extract` run. The visit starts from what it holds and leaves
+    its own there:
+    - None: nothing kept; the visit forms its whole moment cube of y.
+    - A delay row, left by an accepted step: `_delay_row` of y at the new
+      p_n, the first of the next cube's three delay sums.
+    - A (3, 3, 3) moment cube of y, left by a rejected visit: neither y nor
+      the factors changed, so the next visit reuses it whole.
+
     Returns (theta', phi', tau', accepted, corr, factors) for the atom
     a = a_v (x) a_h (x) p_n at the returned parameters: corr = y^H a (of
     y - A g under `others`) and factors = (a_v, a_h, p_n).
@@ -427,11 +474,17 @@ def newton_refine(y_r: np.ndarray, theta: float, phi: float, tau: float,
     # the index weights of the three factors, built once for both cubes
     # (positional: the bench tracer's cost hook takes no keywords)
     weights = tuple(map(_kernels.index_weighted, factors, centres))
-    cube = _kernels.moment_cube(y3, a_v, a_h, p_n, *centres, weights)
+    if memo is None:
+        memo = [None]
+    y_cube = memo[0]
+    if y_cube is None or y_cube.ndim == 1:
+        y_cube = _kernels.moment_cube(y3, a_v, a_h, p_n, *centres, weights, y_cube)
+    cube = y_cube
     if others is not None:
         cube = cube - _atom_sum_cube(others, a_v, a_h, p_n, centres, weights)
     if not np.all(np.isfinite(cube)):
         raise FloatingPointError("non-finite derivatives")
+    memo[0] = y_cube  # kept by a rejected visit
     c0, dc, d2c = _derivative_scalars(cube, cfg)
     try:
         old_power = abs(c0) ** 2
@@ -456,26 +509,30 @@ def newton_refine(y_r: np.ndarray, theta: float, phi: float, tau: float,
         tau_new = _wrap(float(tau - damp * step[2]), cfg.tau_max)
         a_v2, a_h2 = steering_factors(theta_new, phi_new, cfg)
         p_n2 = delay_vector(tau_new, cfg)
-        corr = _atom_correlation(y3, a_v2, a_h2, p_n2)
+        row = _delay_row(y3, p_n2)
+        corr = _row_correlation(row, a_v2, a_h2)
         if others is not None:
             corr -= _atom_sum_correlation(others, a_v2, a_h2, p_n2)
         if abs(corr) ** 2 > old_power:
+            memo[0] = row
             return theta_new, phi_new, tau_new, True, corr, (a_v2, a_h2, p_n2)
     return theta, phi, tau, False, c0, factors
 
 
 def _refine_track(k: int, y3: np.ndarray, params: list, gains: np.ndarray,
-                  factors: tuple, cfg: SystemConfig) -> None:
+                  factors: tuple, memos: list, cfg: SystemConfig) -> None:
     """One Newton step for track k against the observation minus the other
     tracks' atoms, then the track's single-atom gain and factor columns, both
     as the step built them at the resulting point. `params`, `gains` and the
     factor matrices hold every track; k's entries are overwritten in place.
     The step starts from k's stored factor columns, the builds at k's
-    parameters of its detection or of an earlier step."""
+    parameters of its detection or of an earlier step, and from k's memo
+    (`newton_refine`), which the step overwrites."""
     others = gains.copy()
     others[k] = 0.0
     atom = tuple(f[:, k] for f in factors)
-    th, ph, ta, _, corr, atom = newton_refine(y3, *params[k], cfg, (others, *factors), atom)
+    th, ph, ta, _, corr, atom = newton_refine(y3, *params[k], cfg, (others, *factors), atom,
+                                              memos[k])
     params[k] = (th, ph, ta)
     gains[k] = np.conj(corr) / (cfg.M * cfg.N)
     for f, column in zip(factors, atom):
@@ -521,10 +578,12 @@ def extract(y_ul: np.ndarray, cfg: SystemConfig, p_tx: float,
     cb = codebook if codebook is not None else build_codebook(cfg)
     threshold = math.ldexp(detection_threshold(cfg.M * cfg.N, cfg.P_fa), 2 * shift)
 
-    # per track: (theta, phi, tau), the gain, and the factor columns of its
-    # atom in (M_v, cap), (M_h, cap), (N, cap) matrices; a track's columns
-    # are written at its detection, and its gain at its first visit
+    # per track: (theta, phi, tau), the gain, the factor columns of its
+    # atom in (M_v, cap), (M_h, cap), (N, cap) matrices, and the memo its
+    # visits pass on (`newton_refine`); a track's columns are written at its
+    # detection, and its gain at its first visit
     params = []
+    memos = []
     gains = np.zeros(_MAX_PATHS, dtype=complex)
     factors = tuple(np.zeros((m, _MAX_PATHS), dtype=complex, order="F")
                     for m in (cfg.M_v, cfg.M_h, cfg.N))
@@ -534,21 +593,25 @@ def extract(y_ul: np.ndarray, cfg: SystemConfig, p_tx: float,
     stop_reason = "cap"
 
     for _ in range(_MAX_PATHS):
-        z = delay_transform(residual, cfg)  # shared by the stop test and detection
-        if _below_threshold(residual, z, threshold, cfg):
+        # the delay transform and its bin energies, shared by the stop test
+        # and detection
+        z = delay_transform(residual, cfg)
+        energy = _bin_energy(z)
+        if _below_threshold(residual, z, threshold, cfg, energy):
             stop_reason = "below_threshold"
             break
         iterations += 1
-        theta, phi, tau = omp_detect(residual, cb, z)[:3]
+        theta, phi, tau = omp_detect(residual, cb, z, energy)[:3]
         del z  # not held through refinement: fig6's peak resident set
         params.append((theta, phi, tau))
+        memos.append([None])
         count = len(params)
         view = tuple(f[:, :count] for f in factors)
         for f, column in zip(view, (*steering_factors(theta, phi, cfg), delay_vector(tau, cfg))):
             f[:, count - 1] = column
         # the new track first, then _REFINE_ROUNDS cyclic rounds over all
         for k in [count - 1] + list(range(count)) * _REFINE_ROUNDS:
-            _refine_track(k, y3, params, gains[:count], view, cfg)
+            _refine_track(k, y3, params, gains[:count], view, memos, cfg)
 
         fitted, rank = sysmodel.fit_gains(y, *view)
         degenerate = rank < count
@@ -556,6 +619,7 @@ def extract(y_ul: np.ndarray, cfg: SystemConfig, p_tx: float,
             # drop the newest atom and refit the rest; a single unit-modulus
             # atom always has rank 1, so at least one track remains
             params.pop()
+            memos.pop()
             view = tuple(f[:, :-1] for f in view)
             fitted, _ = sysmodel.fit_gains(y, *view)
         gains[:len(fitted)] = fitted

@@ -417,9 +417,9 @@ class TestExtract:
              + (0.8 + 0.1j) * enomp.synth_atom(cb.thetas[11], cb.phis[20], cb.taus[90], cfg))
         detect, found = enomp.omp_detect, []
 
-        def redetect(residual, codebook, transform=None):
+        def redetect(residual, codebook, transform=None, energy=None):
             if not found:
-                found.append(detect(residual, codebook, transform))
+                found.append(detect(residual, codebook, transform, energy))
                 return found[0]
             theta, phi, tau, power = found[0]
             return theta + 1e-13, phi, tau, power
@@ -427,7 +427,7 @@ class TestExtract:
         monkeypatch.setattr(enomp, "omp_detect", redetect)
         lstsq = counted_lstsq(monkeypatch)
 
-        def stay(y, theta, phi, tau, cfg, others, factors=None):
+        def stay(y, theta, phi, tau, cfg, others, factors=None, memo=None):
             # no step; the correlation of y minus the other atoms, materialized
             y_local = np.ravel(y) - atom_sum(*others)
             a_v, a_h = steering_factors(theta, phi, cfg)
@@ -456,12 +456,12 @@ class TestExtract:
              + (0.4 - 0.9j) * enomp.synth_atom(-0.8, -0.5, 8e-6, cfg))
         refine, built = enomp.newton_refine, []
 
-        def checked(y, theta, phi, tau, cfg, others, factors=None):
+        def checked(y, theta, phi, tau, cfg, others, factors=None, memo=None):
             if factors is None:
                 built.append((theta, phi, tau))
             else:
                 assert_factors_at(factors, theta, phi, tau, cfg)
-            return refine(y, theta, phi, tau, cfg, others, factors)
+            return refine(y, theta, phi, tau, cfg, others, factors, memo)
 
         monkeypatch.setattr(enomp, "newton_refine", checked)
         res = enomp.extract(y, cfg, 1.0)
@@ -743,13 +743,18 @@ def reference_visit(y, theta, phi, tau, cfg, others):
 
 
 @st.composite
-def visit_cases(draw):
+def visit_cases(draw, sizes=None):
     """A small system, a noisy observation of 1-5 paths, the visited track
     up to a grid cell off the first path, and the others at their paths. A
     1 Hz subcarrier spacing is drawn too: there the delay curvature is of the
-    angles' order, where at 75 kHz it is about 1e11 times theirs."""
-    cfg = SystemConfig(M_v=draw(st.integers(2, 4)), M_h=draw(st.integers(2, 5)),
-                       N=draw(st.integers(4, 16)), delta_f=draw(st.sampled_from([1.0, 75e3])))
+    angles' order, where at 75 kHz it is about 1e11 times theirs. `sizes`,
+    when given, lists the (M_v, M_h, N) to draw the system from."""
+    if sizes is None:
+        shape = (draw(st.integers(2, 4)), draw(st.integers(2, 5)), draw(st.integers(4, 16)))
+    else:
+        shape = draw(st.sampled_from(sizes))
+    cfg = SystemConfig(M_v=shape[0], M_h=shape[1], N=shape[2],
+                       delta_f=draw(st.sampled_from([1.0, 75e3])))
     count = draw(st.integers(1, 5))
     noise = draw(st.sampled_from([0.0, 0.1, 1.0, 10.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -804,6 +809,111 @@ class TestVisitMatchesReference:
         cells = cfg.N * cfg.delta_f
         np.testing.assert_allclose([got[0], got[1], got[2] * cells],
                                    [params[0], params[1], params[2] * cells], rtol=0, atol=1e-9)
+
+
+def assert_same_visit(got, want):
+    """Two `newton_refine` results equal bit for bit."""
+    assert got[:5] == want[:5]
+    for g, w in zip(got[5], want[5]):
+        np.testing.assert_array_equal(g, w)
+
+
+def centres_of(cfg):
+    return ((cfg.M_v - 1) / 2.0, (cfg.M_h - 1) / 2.0, (cfg.N - 1) / 2.0)
+
+
+class TestKeptWork:
+    """A visit hands the track's next visit what it computed there: an
+    accepted step's delay row, or a rejected visit's moment cube of y.
+    Started from either, the next visit returns the fresh visit's results
+    bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(visit_cases(sizes=[(8, 16, 256), (2, 4, 16), (1, 8, 32)]))
+    def test_visit_from_kept_work_equals_fresh_visit(self, case):
+        cfg, y, visited, others = case
+        y3 = y.reshape(cfg.M_v, cfg.M_h, cfg.N)
+        memo = [None]
+        first = enomp.newton_refine(y, *visited, cfg, others, None, memo)
+        factors = first[5]
+        row = enomp._delay_row(y3, factors[2])
+        cube = _kernels.moment_cube(y3, *factors, *centres_of(cfg))
+        # what the visit keeps is what the next visit would compute
+        np.testing.assert_array_equal(memo[0], row if first[3] else cube)
+        # the track's next visit: the same y and factors, the others refitted
+        refit = (others[0] * (0.9 + 0.2j), *others[1:])
+        fresh = enomp.newton_refine(y, *first[:3], cfg, refit, factors)
+        for kept in (memo[0], row, cube):
+            assert_same_visit(enomp.newton_refine(y, *first[:3], cfg, refit, factors, [kept]),
+                              fresh)
+
+    def test_extraction_visits_equal_fresh_visits(self, monkeypatch):
+        # every visit of an extraction equals the same visit from nothing
+        # kept, accepted and rejected ones among them; after its first
+        # visit, a track's cube forms at most 2 of its 3 delay sums
+        cfg = SystemConfig()
+        paths = generate_scenario(1, 6, cfg, seed=41, att_range_db=(0.0, 0.0)).users[0]
+        y = sounding_observation(paths, cfg, 1.0, 42)
+        refine, cube_of = enomp.newton_refine, _kernels.moment_cube
+        sums, accepted, counting = [], [], [True]
+
+        def counted_cube(*args):
+            if counting[0]:
+                sums[-1] += 3 if len(args) < 9 or args[8] is None else 2
+            return cube_of(*args)
+
+        def checked(*args):
+            sums.append(0)
+            got = refine(*args)
+            counting[0] = False
+            assert_same_visit(got, refine(*args[:7]))
+            counting[0] = True
+            accepted.append(got[3])
+            return got
+
+        monkeypatch.setattr(_kernels, "moment_cube", counted_cube)
+        monkeypatch.setattr(enomp, "newton_refine", checked)
+        res = enomp.extract(y, cfg, 1.0)
+        assert len(res.paths) >= 4
+        assert True in accepted and False in accepted
+        later = len(sums) - res.iterations  # every visit but each track's first
+        assert sum(s <= 2 for s in sums) >= 0.8 * later
+
+
+class TestKeptRowDetection:
+    """Detection forms the downtilt stage on the rows it scans only; those
+    rows are the full product's bit for bit."""
+
+    ROW_SETS = [[0], [15], [7], [0, 1], [2, 9], [0, 15], [3, 4, 5], [1, 6, 11, 14]]
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_kept_rows_equal_the_full_product(self, seed):
+        cfg = SystemConfig()
+        cb = enomp.build_codebook(cfg)
+        z = enomp.delay_transform(complex_noise(np.random.default_rng(seed), cfg.M * cfg.N), cfg)
+        full = (cb.E_v @ z.reshape(cfg.M_v, -1)).reshape(len(cb.thetas), cfg.M_h, -1)
+        for rows in self.ROW_SETS:
+            np.testing.assert_array_equal(enomp._downtilt_stage(z, cb, rows)[:len(rows)],
+                                          full[rows])
+
+    @pytest.mark.parametrize("rows", ROW_SETS)
+    def test_detection_on_kept_rows_equals_the_full_scan(self, rows, monkeypatch):
+        # an atom on the last kept row, the scan pinned to the set
+        cfg = SystemConfig()
+        cb = enomp.build_codebook(cfg)
+        y = ((0.6 - 0.8j) * enomp.synth_atom(cb.thetas[rows[-1]], cb.phis[7], cb.taus[33], cfg)
+             + 0.1 * complex_noise(np.random.default_rng(len(rows)), cfg.M * cfg.N))
+        monkeypatch.setattr(enomp, "_rows_to_scan", lambda z, codebook, energy: rows)
+        assert enomp.omp_detect(y, cb) == whole_cube_detect(y, cb)
+
+    def test_single_row_codebook_takes_the_full_product(self):
+        cfg = SystemConfig(M_v=1, M_h=8, N=32, beta_theta=1)
+        cb = enomp.build_codebook(cfg)
+        assert len(cb.thetas) == 1
+        paths = generate_scenario(1, 3, cfg, seed=5).users[0]
+        y = sounding_observation(paths, cfg, 10.0, 6)
+        assert enomp.omp_detect(y, cb, enomp.delay_transform(y, cfg)) == whole_cube_detect(y, cb)
 
 
 def residual_loop_extract(y, cfg, cb):
@@ -1038,8 +1148,7 @@ class TestSharedTransform:
         paths = generate_scenario(1, 6, cfg, seed=41, att_range_db=(0.0, 0.0)).users[0]
         y = sounding_observation(paths, cfg, 10.0, 42)
         z = enomp.delay_transform(y, cfg)
-        g1 = (cb.E_v @ z.reshape(cfg.M_v, -1)).reshape(len(cb.thetas), cfg.M_h, -1)
-        rows = enomp._rows_to_scan(z, g1, cb)
+        rows = enomp._rows_to_scan(z, cb, enomp._bin_energy(z))
         assert 1 <= len(rows) < len(cb.thetas)
         assert enomp.omp_detect(y, cb, z) == whole_cube_detect(y, cb)
 

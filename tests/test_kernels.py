@@ -113,6 +113,30 @@ def test_moment_cube_from_prebuilt_weights_is_bit_equal():
                                   _kernels.moment_cube(y3, a_v, a_h, p_n, *centers))
 
 
+def test_moment_cube_from_a_kept_row_is_bit_equal():
+    # a Newton visit keeps an accepted step's delay row y2 @ conj(p_n);
+    # passed in, it stands for the cube's first delay sum
+    rng = np.random.default_rng(5)
+    for shape in ((3, 4, 5), (8, 16, 256), (1, 8, 32)):
+        y3, a_v, a_h, p_n = random_inputs(rng, shape)
+        centers = tuple((n - 1) / 2 for n in shape)
+        row = y3.reshape(-1, shape[2]) @ p_n.conj()
+        np.testing.assert_array_equal(
+            _kernels.moment_cube(y3, a_v, a_h, p_n, *centers, None, row),
+            _kernels.moment_cube(y3, a_v, a_h, p_n, *centers))
+
+
+def test_moment_cube_reads_the_kept_row():
+    # a row kept for another delay factor gives another cube: the kernel
+    # uses the row it is given rather than recomputing it
+    rng = np.random.default_rng(6)
+    y3, a_v, a_h, p_n = random_inputs(rng)
+    other = np.exp(1j * rng.uniform(-np.pi, np.pi, len(p_n)))
+    row = y3.reshape(-1, len(p_n)) @ other.conj()
+    kept = _kernels.moment_cube(y3, a_v, a_h, p_n, 1.0, 1.5, 2.0, None, row)
+    assert not np.array_equal(kept, _kernels.moment_cube(y3, a_v, a_h, p_n, 1.0, 1.5, 2.0))
+
+
 def test_plain_correlation_entry():
     rng = np.random.default_rng(3)
     y3, a_v, a_h, p_n = random_inputs(rng)
@@ -134,7 +158,7 @@ def run_kernel_benchmark(*args):
 BENCHMARK_ROWS = [
     "moment_cube", "steering_factors", "delay_vector", "angle_grid", "channel_L6",
     "gain_fit_L8", "pilot_ls_L5", "stopping_statistic", "stop_test", "omp_detect", "refine_L5",
-    "zf_sinr_256x10x128", "gram_inverse_32x10x10", "mc_32x10x128_D3",
+    "lmmse_128x256", "zf_sinr_256x10x128", "gram_inverse_32x10x10", "mc_32x10x128_D3",
 ]
 
 

@@ -2,8 +2,12 @@
 
 import math
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fddrecon import recon
 from fddrecon.enomp import DetectedPath
@@ -151,6 +155,13 @@ class TestCovariance:
         with pytest.raises(ValueError):
             recon.SpaceFrequencyCovariance(spatial=indef, scale=1.0)
 
+    def test_rejects_complex_spatial(self):
+        # the LMMSE filter runs on real eigenvectors; a complex Hermitian
+        # factor, even one with zero imaginary parts, is refused
+        for spatial in (np.eye(2, dtype=complex), np.array([[1.0, 0.5j], [-0.5j, 1.0]])):
+            with pytest.raises(ValueError, match="real"):
+                recon.SpaceFrequencyCovariance(spatial=spatial, scale=1.0)
+
     def test_full_matrix_structure(self):
         spatial = np.array([[2.0, 0.5], [0.5, 1.0]])
         cov = recon.SpaceFrequencyCovariance(spatial=spatial, scale=0.25)
@@ -218,7 +229,30 @@ class TestCovariance:
         assert recon.channel_covariance(cfg, att_range_db=(0.0, 0.0)).scale == pytest.approx(1.0)
 
 
+@functools.lru_cache(maxsize=None)
+def covariance_of(shape):
+    cfg = SystemConfig(M_v=shape[0], M_h=shape[1], N=shape[2])
+    return cfg, recon.channel_covariance(cfg)
+
+
 class TestLmmseBaseline:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([(2, 2, 3), (2, 4, 16), (1, 8, 32), (8, 16, 256)]),
+           st.integers(0, 2**32 - 1), st.floats(-10.0, 30.0))
+    def test_equals_the_complex_filter_bit_for_bit(self, shape, seed, snr_db):
+        # the real eigenvectors on the float view give the complex products'
+        # numbers: v (shrink * v^H h_ls)
+        cfg, cov = covariance_of(shape)
+        p_tx = 10.0 ** (snr_db / 10.0)
+        rng = np.random.default_rng(seed)
+        y = rng.standard_normal(cfg.M * cfg.N) + 1j * rng.standard_normal(cfg.M * cfg.N)
+        h_ls = recon.ls_baseline(y, p_tx).reshape(cfg.M, cfg.N)
+        w, v = cov.eigensystem
+        lam = cov.scale * w
+        shrink = lam / (lam + 1.0 / p_tx)
+        want = (v @ (shrink[:, None] * (v.conj().T @ h_ls))).ravel()
+        np.testing.assert_array_equal(recon.lmmse_baseline(y, cov, cfg, p_tx), want)
+
     def test_matches_dense_filter(self):
         cfg, p_tx = small_cfg(M_v=2, M_h=2, N=3), 2.0
         spatial = recon.steering_covariance(cfg)
@@ -231,6 +265,23 @@ class TestLmmseBaseline:
         dense = r_full @ np.linalg.solve(
             r_full + np.eye(cfg.M * cfg.N) / p_tx, h_ls)
         np.testing.assert_allclose(got, dense, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex64])
+    def test_other_dtypes_filter_as_complex128(self, dtype):
+        # the filter runs on the float view of a complex128 estimate, so a
+        # real or single-precision observation is widened first and gives
+        # the complex filter's numbers
+        cfg, cov = covariance_of((2, 4, 16))
+        rng = np.random.default_rng(53)
+        y = rng.standard_normal(cfg.M * cfg.N) + 1j * rng.standard_normal(cfg.M * cfg.N)
+        y = y.astype(dtype) if dtype is np.complex64 else y.real.copy()
+        h_ls = recon.ls_baseline(y, 2.0).reshape(cfg.M, cfg.N)
+        w, v = cov.eigensystem
+        shrink = cov.scale * w / (cov.scale * w + 0.5)
+        want = (v @ (shrink[:, None] * (v.conj().T @ h_ls))).ravel()
+        got = recon.lmmse_baseline(y, cov, cfg, 2.0)
+        assert got.dtype == np.complex128
+        np.testing.assert_array_equal(got, want)
 
     def test_limiting_behavior(self):
         cfg = small_cfg()
