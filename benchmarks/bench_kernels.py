@@ -5,10 +5,10 @@ weighted-moment contraction, one scalar call each of the steering and delay
 builders (extraction makes thousands), the 128-beam angle grid, the downlink
 channel of six paths, the joint gain fit of eight atoms with its residual,
 the pilot gain least squares under a fig6-sized plan, the stopping
-statistic, an iteration's delay transform with its bin energies and stop
-test, codebook detection on that transform and those energies, one
-refinement visit from stored factors and the delay row an earlier visit
-kept, the LMMSE baseline filter of one sounding, ZF precoding plus SINR at
+statistic from a delay transform, an iteration's delay transform with its
+bin energies and stop test, codebook detection on that transform and those
+energies, one refinement visit from stored factors and the delay row an
+earlier visit kept, the LMMSE baseline filter of one sounding, ZF precoding plus SINR at
 fig6 size (`mueval.zf_sinr`), the Gram inverse of a 32-Gram slice, and one
 Monte Carlo chunk of 32 error draws at three deltas; then one end-to-end
 path extraction with its minor page faults.
@@ -85,7 +85,7 @@ def main():
 
     def stop_test():
         z = enomp.delay_transform(sounding, cfg)
-        return enomp._below_threshold(sounding, z, threshold, cfg, enomp._bin_energy(z))
+        return enomp._below_threshold(z, enomp._bin_energy(z), threshold, cfg)
 
     visit_factors = sysmodel.path_factors(found, cfg)
     others = np.array([p.gain for p in found])
@@ -100,7 +100,7 @@ def main():
         return enomp.newton_refine(sounding, *visited, cfg, (others, *visit_factors), stored,
                                    [kept_row])
 
-    covariance = recon.channel_covariance(cfg)
+    covariance = recon.channel_covariance(cfg, (-10.0, 0.0))
 
     # pilots of the channel's paths under every 4th grid point plus the points
     # the found paths mark (35 beams, a fig6-sized plan), fitted on the found
@@ -139,7 +139,7 @@ def main():
         (f"channel_L{len(channel_paths)}", sysmodel.downlink_channel, (channel_paths, cfg)),
         ("gain_fit_L8", gram_fit, ()),
         (f"pilot_ls_L{len(found)}", pilot_fit, ()),
-        ("stopping_statistic", enomp.stopping_statistic, (sounding, cfg)),
+        ("stopping_statistic", enomp.stopping_statistic, (transform, cfg)),
         ("stop_test", stop_test, ()),
         ("omp_detect", enomp.omp_detect, (sounding, book, transform, energy)),
         (f"refine_L{len(found)}", cross_visit, ()),

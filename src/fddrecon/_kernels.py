@@ -22,14 +22,14 @@ def kron3(a_v, a_h, p_n):
     return (np.outer(a_v, a_h).reshape(-1, 1) * p_n).ravel()
 
 
-def moment_cube(y3, a_v, a_h, p_n, c_v=0.0, c_h=0.0, c_n=0.0, weights=None, row=None):
+def moment_cube(y3, a_v, a_h, p_n, c_v, c_h, c_n, weights=None, row=None):
     """Weighted inner products of an atom against conj(y).
 
     Returns a (3, 3, 3) complex cube W with
       W[a, b, c] = sum_{m,h,n} conj(y3[m,h,n]) a_v[m] a_h[h] p_n[n]
                    * (m - c_v)^a (h - c_h)^b (n - c_n)^c
     so W[0,0,0] is the plain correlation y^H (a_v (x) a_h (x) p_n). The
-    optional centers shift the polynomial index weights only, not the atom.
+    centers shift the polynomial index weights only, not the atom.
     `weights`, when given, is the tuple of `index_weighted(x, c)` for the
     three factors at those centers, built once by a caller that needs them
     elsewhere too; they are built here otherwise. `row`, when given, is the
@@ -66,7 +66,7 @@ def _centred_indices(n: int, c: float) -> np.ndarray:
     return out
 
 
-def index_weighted(x, c=0.0):
+def index_weighted(x, c):
     """Columns x, x * i, x * i^2 for the centred index i = 0, 1, ... minus c:
     shape (len(x), 3)."""
     i = _centred_indices(len(x), float(c))

@@ -124,15 +124,12 @@ def delay_transform(y_r: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     return np.fft.fft(np.asarray(y_r).reshape(cfg.M_v, cfg.M_h, cfg.N), axis=2)
 
 
-def stopping_statistic(y_r: np.ndarray, cfg: SystemConfig, transform=None) -> float:
+def stopping_statistic(z: np.ndarray, cfg: SystemConfig) -> float:
     """Largest projected power of the residual onto the critically sampled
-    unit-norm 3-D DFT atoms.
-
-    `transform`, when given, is `delay_transform(y_r, cfg)`, and y_r is not
-    read. The spectrum is the two angle FFTs of the delay transform, the
+    unit-norm 3-D DFT atoms, from its delay transform z
+    (`delay_transform`). The spectrum is the two angle FFTs of z, the
     stages `np.fft.fftn` runs in the same order, so it is fftn's bit for
     bit."""
-    z = delay_transform(y_r, cfg) if transform is None else transform
     # the peak magnitude squared: rounding is monotone, so this is the
     # largest entry of |spectrum|^2 without squaring the whole spectrum
     peak = float(np.max(np.abs(np.fft.fft(np.fft.fft(z, axis=1), axis=0))))
@@ -150,26 +147,24 @@ def _bin_energy(z: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", parts, parts).reshape(g, 2).sum(axis=1)
 
 
-def _below_threshold(y_r: np.ndarray, transform: np.ndarray, threshold: float,
-                     cfg: SystemConfig, energy=None) -> bool:
-    """`stopping_statistic(y_r, cfg) < threshold`, from the delay transform.
+def _below_threshold(transform: np.ndarray, energy: np.ndarray, threshold: float,
+                     cfg: SystemConfig) -> bool:
+    """`stopping_statistic(transform, cfg) < threshold`, where `energy` is
+    `_bin_energy(transform)`.
 
     The statistic is at least the peak of any one delay bin's 2-D angle
     FFT, whose entries are the full spectrum's bit for bit; rounding is
     monotone, so a bin whose peak reaches the threshold decides "not below".
-    The bin tried is the one of largest energy (`_bin_energy(transform)`,
-    passed as `energy` by a caller that holds it). Otherwise, as on the
-    last, noise-only iteration of an extraction, and whenever an energy is
-    not finite, the full statistic decides."""
-    if energy is None:
-        energy = _bin_energy(transform)
+    The bin tried is the one of largest energy. Otherwise, as on the last,
+    noise-only iteration of an extraction, and whenever an energy is not
+    finite, the full statistic decides."""
     d = int(np.argmax(energy))  # NaN first: argmax returns a NaN bin if any
     if math.isfinite(energy[d]):
         angles = np.fft.fft(np.fft.fft(transform[:, :, d], axis=1), axis=0)
         peak = float(np.max(np.abs(angles)))
         if peak * peak / (cfg.M * cfg.N) >= threshold:
             return False
-    return stopping_statistic(y_r, cfg, transform) < threshold
+    return stopping_statistic(transform, cfg) < threshold
 
 
 # Pruned detection (`_rows_to_scan`) compares magnitudes with a slack of
@@ -230,7 +225,8 @@ def _downtilt_stage(z: np.ndarray, cb: Codebook, rows) -> np.ndarray:
     return (e_v @ z.reshape(cb.M_v, -1)).reshape(len(e_v), cb.M_h, -1)
 
 
-def omp_detect(y_r: np.ndarray, codebook: Codebook, transform=None, energy=None):
+def omp_detect(y_r: np.ndarray, codebook: Codebook, transform: np.ndarray,
+               energy: np.ndarray):
     """Best codebook entry for the residual.
 
     Returns (theta, phi, tau, projected power) where the projected power is
@@ -247,20 +243,17 @@ def omp_detect(y_r: np.ndarray, codebook: Codebook, transform=None, energy=None)
     and the downtilt stage is formed on the kept rows only
     (`_downtilt_stage`).
 
-    `transform`, when given, is `delay_transform(y_r, cfg)`; it serves when
-    the delay grid is critically sampled (G_tau = N), and a finer grid makes
-    its own zero-padded transform of y_r. `energy`, when given, is
-    `_bin_energy(transform)`.
+    `transform` is `delay_transform(y_r, cfg)` and `energy` its
+    `_bin_energy`; they serve when the delay grid is critically sampled
+    (G_tau = N), and a finer grid makes its own zero-padded transform of y_r.
     """
     cb = codebook
     mn = cb.M_v * cb.M_h * cb.N
     g_tau = len(cb.taus)
     # delay axis: conj(p(tau_k))_n = exp(-2j pi n k / G_tau), a padded FFT
     z = transform
-    if z is None or z.shape[2] != g_tau:
+    if g_tau != cb.N:
         z = np.fft.fft(np.asarray(y_r).reshape(cb.M_v, cb.M_h, cb.N), n=g_tau, axis=2)
-        energy = None
-    if energy is None:
         energy = _bin_energy(z)
     rows = _rows_to_scan(z, cb, energy)
     best, best_at = -1.0, None
@@ -340,7 +333,8 @@ def objective_derivatives(y_r: np.ndarray, gain: complex, theta: float,
     y3 = np.ascontiguousarray(np.asarray(y_r).reshape(cfg.M_v, cfg.M_h, cfg.N))
     a_v, a_h = steering_factors(theta, phi, cfg)
     p_n = delay_vector(tau, cfg)
-    c, dc, d2c = _derivative_scalars(_kernels.moment_cube(y3, a_v, a_h, p_n), cfg)
+    c, dc, d2c = _derivative_scalars(_kernels.moment_cube(y3, a_v, a_h, p_n, 0.0, 0.0, 0.0),
+                                     cfg)
     dc, d2c = np.array(dc), np.array(d2c)
     st, ct = math.sin(theta), math.cos(theta)
     sp, cp = math.sin(phi), math.cos(phi)
@@ -376,19 +370,16 @@ def _atom_sum_correlation(others, a_v, a_h, p_n) -> complex:
                            @ gains))
 
 
-def _atom_sum_cube(others, a_v, a_h, p_n, centres, weights=None) -> np.ndarray:
+def _atom_sum_cube(others, weights) -> np.ndarray:
     """`_kernels.moment_cube` of the atom sum A g (see `_atom_sum_correlation`)
-    against the atom a_v (x) a_h (x) p_n: sum_l conj(g_l) V_l (x) H_l (x) P_l,
-    where V_l = o_v[:, l]^H (a_v times the centred index weights) and
-    likewise H_l and P_l, each of shape (3,). The gains ride on V, and the
-    sum over l is one (9, L) @ (L, 3) product. `weights` are the factors'
-    `_kernels.index_weighted` columns at `centres` when the caller holds
-    them, as in `_kernels.moment_cube`."""
+    against an atom, from the atom's factors' `_kernels.index_weighted`
+    columns `weights` (w_v, w_h, w_n): sum_l conj(g_l) V_l (x) H_l (x) P_l,
+    where V_l = o_v[:, l]^H w_v and likewise H_l and P_l, each of shape
+    (3,). The gains ride on V, and the sum over l is one (9, L) @ (L, 3)
+    product, exact zeros for L = 0."""
     gains, o_v, o_h, o_p = others
-    if weights is None:
-        weights = map(_kernels.index_weighted, (a_v, a_h, p_n), centres)
     v, h, p = (w.conj().T @ o for w, o in zip(weights, (o_v, o_h, o_p)))
-    vh = ((v * gains)[:, None, :] * h).reshape(9, -1)
+    vh = ((v * gains)[:, None, :] * h).reshape(9, len(gains))
     return (vh @ p.T).reshape(3, 3, 3).conj()
 
 
@@ -427,7 +418,7 @@ def _log_power_step(c, dc, d2c, power):
 
 
 def newton_refine(y_r: np.ndarray, theta: float, phi: float, tau: float,
-                  cfg: SystemConfig, others=None, factors=None, memo=None):
+                  cfg: SystemConfig, others, factors, memo):
     """One safeguarded Newton step on the single-atom surrogate.
 
     The step is computed on the log of the matched-gain surrogate (the
@@ -442,20 +433,19 @@ def newton_refine(y_r: np.ndarray, theta: float, phi: float, tau: float,
     step strictly increases the matched-gain objective (equivalently the
     projected power); otherwise the parameters come back unchanged.
 
-    `others` = (g, o_v, o_h, o_p), when given, is an atom sum A g (factor
-    matrices as from `sysmodel.path_factors`) to take off the observation
-    first: the step is taken on y - A g, whose moment cube and correlations
-    are those of y minus the separable ones of A g, so y - A g is never
-    formed.
+    `others` = (g, o_v, o_h, o_p) is the atom sum A g of the other tracks
+    (factor matrices as from `sysmodel.path_factors`; L = 0 for none) to
+    take off the observation first: the step is taken on y - A g, whose
+    moment cube and correlations are those of y minus the separable ones of
+    A g, so y - A g is never formed.
 
-    `factors` = (a_v, a_h, p_n), when given, are the factors of the atom at
-    (theta, phi, tau) as an earlier call returned them; they are built
-    otherwise.
+    `factors` = (a_v, a_h, p_n) are the factors of the atom at (theta, phi,
+    tau): the builds at that point, as an earlier call returned them.
 
-    `memo`, when given, is a one-entry list that passes work on to the next
-    visit on the same y from the factors this one returns, as a track's
-    visits in `extract` run. The visit starts from what it holds and leaves
-    its own there:
+    `memo` is a one-entry list that passes work on to the next visit on the
+    same y from the factors this one returns, as a track's visits in
+    `extract` run; a fresh one is [None]. The visit starts from what it
+    holds and leaves its own there:
     - None: nothing kept; the visit forms its whole moment cube of y.
     - A delay row, left by an accepted step: `_delay_row` of y at the new
       p_n, the first of the next cube's three delay sums.
@@ -463,25 +453,19 @@ def newton_refine(y_r: np.ndarray, theta: float, phi: float, tau: float,
       the factors changed, so the next visit reuses it whole.
 
     Returns (theta', phi', tau', accepted, corr, factors) for the atom
-    a = a_v (x) a_h (x) p_n at the returned parameters: corr = y^H a (of
-    y - A g under `others`) and factors = (a_v, a_h, p_n).
+    a = a_v (x) a_h (x) p_n at the returned parameters: corr = (y - A g)^H a
+    and factors = (a_v, a_h, p_n).
     """
     y3 = np.ascontiguousarray(np.asarray(y_r).reshape(cfg.M_v, cfg.M_h, cfg.N))
-    if factors is None:
-        factors = (*steering_factors(theta, phi, cfg), delay_vector(tau, cfg))
     a_v, a_h, p_n = factors
     centres = ((cfg.M_v - 1) / 2.0, (cfg.M_h - 1) / 2.0, (cfg.N - 1) / 2.0)
     # the index weights of the three factors, built once for both cubes
     # (positional: the bench tracer's cost hook takes no keywords)
     weights = tuple(map(_kernels.index_weighted, factors, centres))
-    if memo is None:
-        memo = [None]
     y_cube = memo[0]
     if y_cube is None or y_cube.ndim == 1:
         y_cube = _kernels.moment_cube(y3, a_v, a_h, p_n, *centres, weights, y_cube)
-    cube = y_cube
-    if others is not None:
-        cube = cube - _atom_sum_cube(others, a_v, a_h, p_n, centres, weights)
+    cube = y_cube - _atom_sum_cube(others, weights)
     if not np.all(np.isfinite(cube)):
         raise FloatingPointError("non-finite derivatives")
     memo[0] = y_cube  # kept by a rejected visit
@@ -510,9 +494,7 @@ def newton_refine(y_r: np.ndarray, theta: float, phi: float, tau: float,
         a_v2, a_h2 = steering_factors(theta_new, phi_new, cfg)
         p_n2 = delay_vector(tau_new, cfg)
         row = _delay_row(y3, p_n2)
-        corr = _row_correlation(row, a_v2, a_h2)
-        if others is not None:
-            corr -= _atom_sum_correlation(others, a_v2, a_h2, p_n2)
+        corr = _row_correlation(row, a_v2, a_h2) - _atom_sum_correlation(others, a_v2, a_h2, p_n2)
         if abs(corr) ** 2 > old_power:
             memo[0] = row
             return theta_new, phi_new, tau_new, True, corr, (a_v2, a_h2, p_n2)
@@ -597,7 +579,7 @@ def extract(y_ul: np.ndarray, cfg: SystemConfig, p_tx: float,
         # and detection
         z = delay_transform(residual, cfg)
         energy = _bin_energy(z)
-        if _below_threshold(residual, z, threshold, cfg, energy):
+        if _below_threshold(z, energy, threshold, cfg):
             stop_reason = "below_threshold"
             break
         iterations += 1

@@ -85,6 +85,12 @@ class ExperimentConfig:
         att = self.attenuation_db
         if len(att) != 2 or not att[0] <= att[1]:
             raise ValueError("attenuation_db must be a [lo, hi] pair with lo <= hi")
+        # the one dB rule: past it 10^(att/10) leaves the float range
+        for a in att:
+            try:
+                transmit_power(a)
+            except ValueError:
+                raise ValueError(f"attenuation_db must lie in (-3000, 3000) dB, got {a!r}") from None
         if self.experiment != "fig4" and self.users > self.system.M:
             raise ValueError(f"users must be at most system.M = {self.system.M} for zero-forcing")
         # the LMMSE baseline trains on M symbols and every plan on at most M

@@ -190,13 +190,7 @@ def analytic_sinr(h_true: np.ndarray, deltas, p_tx: float) -> np.ndarray:
     return np.stack(rows)
 
 
-def monte_carlo_sinr(
-    h_true: np.ndarray,
-    deltas,
-    p_tx: float,
-    n_draws: int = 10_000,
-    seed=0,
-) -> tuple:
+def monte_carlo_sinr(h_true: np.ndarray, deltas, p_tx: float, n_draws: int, seed) -> tuple:
     """Average SINR over channel-error draws with the true channel fixed,
     one (K,) row per error power in ``deltas``.
 

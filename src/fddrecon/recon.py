@@ -124,8 +124,9 @@ def steering_covariance(cfg: SystemConfig) -> np.ndarray:
     return lag[d_v[:, None, :, None], d_h[None, :, None, :]].reshape(cfg.M, cfg.M)
 
 
-def channel_covariance(cfg: SystemConfig, att_range_db=(-10.0, 0.0)) -> SpaceFrequencyCovariance:
-    """Covariance matching the scenario generator's statistics."""
+def channel_covariance(cfg: SystemConfig, att_range_db) -> SpaceFrequencyCovariance:
+    """Covariance matching the scenario generator's statistics at the
+    attenuation range `att_range_db` (lo, hi) in dB."""
     return SpaceFrequencyCovariance(spatial=steering_covariance(cfg),
                                     scale=mean_linear_attenuation(att_range_db))
 

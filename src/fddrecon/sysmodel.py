@@ -102,7 +102,11 @@ class SystemConfig:
 
 @dataclass(frozen=True)
 class PathComponent:
-    """One propagation path: complex gains per link direction plus geometry."""
+    """One propagation path: complex gains per link direction plus geometry.
+
+    A component holds no config, so it checks only tau >= 0. The upper
+    bound tau < 1/delta_f is checked where a config meets the path: every
+    channel, factor and pilot builder raises ValueError naming tau."""
 
     g_ul: complex
     g_dl: complex
@@ -363,7 +367,7 @@ def sounding_observation(paths, cfg: SystemConfig, p_tx: float, noise_seed) -> n
     return observation(uplink_channel(paths, cfg), p_tx, noise)
 
 
-def mean_linear_attenuation(att_range_db=(-10.0, 0.0)) -> float:
+def mean_linear_attenuation(att_range_db) -> float:
     """E[10^(A/10)] for A uniform over the given dB range (closed form)."""
     lo, hi = att_range_db
     if hi < lo:

@@ -22,7 +22,13 @@ TOY_RUNS = {
              "paths_per_user": 2},
     "fig6": {"system": TINY_SYSTEM, "trials": 2, "deltas": [1e-2, 1e-1],
              "users": 2, "paths_per_user": 2},
+    "theorem1": {"system": TINY_SYSTEM, "trials": 2, "deltas": [1e-2, 1e-1],
+                 "users": 2, "paths_per_user": 2, "mc_draws": 64},
 }
+# the wrapped functions that no experiment calls: the tracer still wraps
+# them, so their metrics read 0 on every workload
+NEVER_CALLED = {"enomp.coarse_gain", "enomp.synth_atom", "kernels.kron3", "recon.kron3",
+                "dltrain.coefficient_matrix"}
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +39,29 @@ def tracer_module():
     return module
 
 
+@pytest.fixture(scope="module")
+def traced_runs(tracer_module, tmp_path_factory):
+    """Each toy run through `cli.main` under the tracer: its exit code,
+    whether every wrapped attribute was restored after, and the summary."""
+    runs = {}
+    for experiment, raw in TOY_RUNS.items():
+        tmp_path = tmp_path_factory.mktemp(experiment)
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump(raw))
+        originals = {(m, a): getattr(getattr(fddrecon, m), a)
+                     for m, a, _ in tracer_module.WRAPPED}
+        tracer = tracer_module.Tracer()
+        tracer.install(fddrecon)
+        try:
+            code = fddrecon.cli.main([experiment, "--config", str(config), "--seed", "7",
+                                      "--out", str(tmp_path / "out.csv")])
+        finally:
+            tracer.uninstall()
+        restored = all(getattr(getattr(fddrecon, m), a) is fn for (m, a), fn in originals.items())
+        runs[experiment] = code, restored, tracer.summary()
+    return runs
+
+
 def test_every_wrapped_attribute_resolves(tracer_module):
     for module_name, attr, label in tracer_module.WRAPPED:
         module = getattr(fddrecon, module_name)
@@ -40,23 +69,16 @@ def test_every_wrapped_attribute_resolves(tracer_module):
 
 
 @pytest.mark.parametrize("experiment", sorted(TOY_RUNS))
-def test_traced_toy_run_completes(tracer_module, tmp_path, experiment):
-    config = tmp_path / "config.yaml"
-    config.write_text(yaml.safe_dump(TOY_RUNS[experiment]))
-    originals = {(m, a): getattr(getattr(fddrecon, m), a) for m, a, _ in tracer_module.WRAPPED}
-    tracer = tracer_module.Tracer()
-    tracer.install(fddrecon)
-    try:
-        code = fddrecon.cli.main([experiment, "--config", str(config), "--seed", "7",
-                                  "--out", str(tmp_path / "out.csv")])
-    finally:
-        tracer.uninstall()
+def test_traced_toy_run_completes(tracer_module, traced_runs, experiment):
+    code, restored, summary = traced_runs[experiment]
     assert code == 0
-    for (module_name, attr), fn in originals.items():
-        assert getattr(getattr(fddrecon, module_name), attr) is fn
-    summary = tracer.summary()
+    assert restored
     assert summary["errors"] == dict.fromkeys(tracer_module.LAYERS, 0)
     calls = {label: f["calls"] for label, f in summary["functions"].items()}
+    if experiment == "theorem1":
+        for label in ("cli.main", "sysmodel.downlink_channel", "mueval.monte_carlo_sinr"):
+            assert calls[label] > 0, label
+        return
     for label in ("cli.main", "enomp.extract", "enomp.omp_detect", "enomp.newton_refine",
                   "kernels.moment_cube", "sysmodel.uplink_channel"):
         assert calls[label] > 0, label
@@ -70,6 +92,14 @@ def test_traced_toy_run_completes(tracer_module, tmp_path, experiment):
         # the pipeline no longer forms coefficient_matrix; these still run
         assert calls["dltrain.simulate_downlink_training"] > 0
         assert calls["dltrain.estimate_downlink_gains"] > 0
+
+
+def test_every_other_wrapped_function_is_called(tracer_module, traced_runs):
+    # a stage the pipeline stops reaching through its module attribute
+    # fails here, where the bench would only read 0 for it
+    called = {label for _, _, summary in traced_runs.values()
+              for label, f in summary["functions"].items() if f["calls"] > 0}
+    assert {label for _, _, label in tracer_module.WRAPPED} - called == NEVER_CALLED
 
 
 def test_traced_kron3_calls_are_costed(tracer_module):

@@ -34,6 +34,36 @@ def cell_sizes(cfg):
             1.0 / (cfg.beta_tau * cfg.N * cfg.delta_f))
 
 
+def detect(y, cb, cfg):
+    """`omp_detect` as `extract` calls it: on the delay transform of y and
+    its bin energies."""
+    z = enomp.delay_transform(y, cfg)
+    return enomp.omp_detect(y, cb, z, enomp._bin_energy(z))
+
+
+def statistic(y, cfg):
+    """The stopping statistic of y, from its delay transform."""
+    return enomp.stopping_statistic(enomp.delay_transform(y, cfg), cfg)
+
+
+def no_others(cfg):
+    """The empty (L = 0) atom sum: a visit against it reads y alone."""
+    return (np.zeros(0, dtype=complex),
+            *(np.zeros((m, 0), dtype=complex) for m in (cfg.M_v, cfg.M_h, cfg.N)))
+
+
+def factors_at(theta, phi, tau, cfg):
+    """The factors of the atom at (theta, phi, tau), built at that point."""
+    return (*steering_factors(theta, phi, cfg), delay_vector(tau, cfg))
+
+
+def refine_alone(y, theta, phi, tau, cfg):
+    """One `newton_refine` visit on y with no other tracks, from the factors
+    built at the point and nothing kept."""
+    return enomp.newton_refine(y, theta, phi, tau, cfg, no_others(cfg),
+                               factors_at(theta, phi, tau, cfg), [None])
+
+
 class TestCodebook:
     def test_size_at_default_config(self):
         cb = enomp.build_codebook(SystemConfig())
@@ -76,7 +106,7 @@ class TestDetection:
         g = 0.8 - 0.3j
         th, ph, ta = cb.thetas[3], cb.phis[5], cb.taus[17]
         y = g * enomp.synth_atom(th, ph, ta, cfg)
-        th_hat, ph_hat, ta_hat, power = enomp.omp_detect(y, cb)
+        th_hat, ph_hat, ta_hat, power = detect(y, cb, cfg)
         assert (th_hat, ph_hat, ta_hat) == (th, ph, ta)
         assert power == pytest.approx(abs(g) ** 2 * cfg.M * cfg.N, rel=1e-12)
         assert enomp.coarse_gain(y, th, ph, ta, cfg) == pytest.approx(g, abs=1e-12)
@@ -96,7 +126,7 @@ class TestDetection:
                         p = abs(np.vdot(c, y)) ** 2 / mn
                         if p > best[0] + 1e-15:
                             best = (p, (float(th), float(ph), float(ta)))
-            th_hat, ph_hat, ta_hat, power = enomp.omp_detect(y, cb)
+            th_hat, ph_hat, ta_hat, power = detect(y, cb, cfg)
             assert abs(power - best[0]) <= 1e-9 * best[0]
             assert (th_hat, ph_hat, ta_hat) == best[1]
 
@@ -116,7 +146,7 @@ class TestDetection:
 
     def test_stopping_statistic_examples(self):
         cfg = small_cfg()
-        assert enomp.stopping_statistic(np.zeros(cfg.M * cfg.N), cfg) == 0.0
+        assert statistic(np.zeros(cfg.M * cfg.N), cfg) == 0.0
         # a critically sampled DFT atom concentrates all energy in one bin,
         # so the statistic equals the squared norm of the input
         rng = np.random.default_rng(7)
@@ -126,7 +156,7 @@ class TestDetection:
         atom = np.exp(-2j * np.pi * (m * 2 / cfg.M_v + h * 1 / cfg.M_h + n * 5 / cfg.N))
         alpha = complex(rng.standard_normal(), rng.standard_normal())
         r = alpha * atom.ravel()
-        stat = enomp.stopping_statistic(r, cfg)
+        stat = statistic(r, cfg)
         assert stat == pytest.approx(np.linalg.norm(r) ** 2, rel=1e-12)
 
     @pytest.mark.parametrize("seed", [9, 10, 11])
@@ -138,7 +168,7 @@ class TestDetection:
         y = rng.standard_normal(cfg.M * cfg.N) + 1j * rng.standard_normal(cfg.M * cfg.N)
         spectrum = np.fft.fftn(y.reshape(cfg.M_v, cfg.M_h, cfg.N))
         want = float(np.max(np.abs(spectrum) ** 2) / (cfg.M * cfg.N))
-        assert enomp.stopping_statistic(y, cfg) == want
+        assert statistic(y, cfg) == want
 
     def test_false_alarm_rate_on_pure_noise(self):
         cfg = small_cfg()  # MN = 512
@@ -243,7 +273,7 @@ class TestNewtonRefine:
         ta0 = ta + 0.25 * cell[2]
         g0 = enomp.coarse_gain(y, th0, ph0, ta0, cfg)
         s_before = enomp.objective_S(y, g0, th0, ph0, ta0, cfg)
-        th1, ph1, ta1, accepted, corr, factors = enomp.newton_refine(y, th0, ph0, ta0, cfg)
+        th1, ph1, ta1, accepted, corr, factors = refine_alone(y, th0, ph0, ta0, cfg)
         assert accepted
         assert corr == pytest.approx(correlation(y, th1, ph1, ta1, cfg), rel=1e-12)
         assert_factors_at(factors, th1, ph1, ta1, cfg)
@@ -264,7 +294,7 @@ class TestNewtonRefine:
         rng = np.random.default_rng(3)
         y = (rng.standard_normal(mn) + 1j * rng.standard_normal(mn)) / math.sqrt(2)
         assert np.max(np.linalg.eigvalsh(log_power_hessian(y, th, ph, ta, cfg))) >= 0.0
-        result = enomp.newton_refine(y, th, ph, ta, cfg)
+        result = refine_alone(y, th, ph, ta, cfg)
         assert result[:4] == (th, ph, ta, False)
         assert result[4] == pytest.approx(correlation(y, th, ph, ta, cfg), rel=1e-12)
         assert_factors_at(result[5], th, ph, ta, cfg)
@@ -276,7 +306,7 @@ class TestNewtonRefine:
         th, ph, ta = 0.3, -0.4, 5.0e-6
         y = (0.7 + 0.2j) * enomp.synth_atom(th, ph, ta, cfg)
         assert np.max(np.linalg.eigvalsh(log_power_hessian(y, th, ph, ta, cfg))) < 0.0
-        result = enomp.newton_refine(y, th, ph, ta, cfg)
+        result = refine_alone(y, th, ph, ta, cfg)
         assert result[:4] == (th, ph, ta, False)
         assert result[4] == pytest.approx(correlation(y, th, ph, ta, cfg), rel=1e-12)
         assert_factors_at(result[5], th, ph, ta, cfg)
@@ -288,7 +318,7 @@ class TestNewtonRefine:
         cfg = small_cfg()
         y = 1e152 * enomp.synth_atom(0.3, -0.4, 5.0e-6, cfg)
         with pytest.raises(FloatingPointError):
-            enomp.newton_refine(y, 0.3, -0.4, 5.0e-6, cfg)
+            refine_alone(y, 0.3, -0.4, 5.0e-6, cfg)
 
 
 def assert_factors_at(factors, theta, phi, tau, cfg):
@@ -415,11 +445,11 @@ class TestExtract:
         cb = enomp.build_codebook(cfg)
         y = ((1.2 - 0.4j) * enomp.synth_atom(cb.thetas[5], cb.phis[9], cb.taus[40], cfg)
              + (0.8 + 0.1j) * enomp.synth_atom(cb.thetas[11], cb.phis[20], cb.taus[90], cfg))
-        detect, found = enomp.omp_detect, []
+        original, found = enomp.omp_detect, []
 
-        def redetect(residual, codebook, transform=None, energy=None):
+        def redetect(residual, codebook, transform, energy):
             if not found:
-                found.append(detect(residual, codebook, transform, energy))
+                found.append(original(residual, codebook, transform, energy))
                 return found[0]
             theta, phi, tau, power = found[0]
             return theta + 1e-13, phi, tau, power
@@ -427,7 +457,7 @@ class TestExtract:
         monkeypatch.setattr(enomp, "omp_detect", redetect)
         lstsq = counted_lstsq(monkeypatch)
 
-        def stay(y, theta, phi, tau, cfg, others, factors=None, memo=None):
+        def stay(y, theta, phi, tau, cfg, others, factors, memo):
             # no step; the correlation of y minus the other atoms, materialized
             y_local = np.ravel(y) - atom_sum(*others)
             a_v, a_h = steering_factors(theta, phi, cfg)
@@ -454,19 +484,17 @@ class TestExtract:
         cfg = small_cfg()
         y = (1.2 * enomp.synth_atom(0.3, 0.2, 2e-6, cfg)
              + (0.4 - 0.9j) * enomp.synth_atom(-0.8, -0.5, 8e-6, cfg))
-        refine, built = enomp.newton_refine, []
+        refine, visits = enomp.newton_refine, []
 
-        def checked(y, theta, phi, tau, cfg, others, factors=None, memo=None):
-            if factors is None:
-                built.append((theta, phi, tau))
-            else:
-                assert_factors_at(factors, theta, phi, tau, cfg)
+        def checked(y, theta, phi, tau, cfg, others, factors, memo):
+            assert_factors_at(factors, theta, phi, tau, cfg)
+            visits.append((theta, phi, tau))
             return refine(y, theta, phi, tau, cfg, others, factors, memo)
 
         monkeypatch.setattr(enomp, "newton_refine", checked)
         res = enomp.extract(y, cfg, 1.0)
         assert len(res.paths) >= 2
-        assert built == []
+        assert len(visits) >= (1 + enomp._REFINE_ROUNDS) * len(res.paths)
 
     def test_iteration_cap(self, monkeypatch):
         cfg = small_cfg()
@@ -676,8 +704,9 @@ class TestCrossTerms:
         a_v, a_h = steering_factors(*params[k][:2], cfg)
         p_n = delay_vector(params[k][2], cfg)
         centres = ((cfg.M_v - 1) / 2.0, (cfg.M_h - 1) / 2.0, (cfg.N - 1) / 2.0)
+        weights = tuple(map(_kernels.index_weighted, (a_v, a_h, p_n), centres))
         got = (_kernels.moment_cube(y3, a_v, a_h, p_n, *centres)
-               - enomp._atom_sum_cube(others, a_v, a_h, p_n, centres))
+               - enomp._atom_sum_cube(others, weights))
         want = _kernels.moment_cube(local3, a_v, a_h, p_n, *centres)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.max(np.abs(want)))
 
@@ -788,7 +817,8 @@ class TestVisitMatchesReference:
         centres = ((cfg.M_v - 1) / 2.0, (cfg.M_h - 1) / 2.0, (cfg.N - 1) / 2.0)
         y_cube = _kernels.moment_cube(y.reshape(cfg.M_v, cfg.M_h, cfg.N), a_v, a_h, p_n,
                                       *centres)
-        got = y_cube - enomp._atom_sum_cube(others, a_v, a_h, p_n, centres)
+        weights = tuple(map(_kernels.index_weighted, (a_v, a_h, p_n), centres))
+        got = y_cube - enomp._atom_sum_cube(others, weights)
         want = reference_visit(y, *visited, cfg, others)[0]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(y_cube)))
 
@@ -797,8 +827,7 @@ class TestVisitMatchesReference:
     def test_step_agrees(self, case):
         cfg, y, visited, others = case
         _, hess, accepted, *params = reference_visit(y, *visited, cfg, others)
-        stored = (*steering_factors(*visited[:2], cfg), delay_vector(visited[2], cfg))
-        got = enomp.newton_refine(y, *visited, cfg, others, stored)
+        got = enomp.newton_refine(y, *visited, cfg, others, factors_at(*visited, cfg), [None])
         assert_factors_at(got[5], *got[:3], cfg)
         lam = np.linalg.eigvalsh(hess)
         if got[3] != accepted:
@@ -822,6 +851,33 @@ def centres_of(cfg):
     return ((cfg.M_v - 1) / 2.0, (cfg.M_h - 1) / 2.0, (cfg.N - 1) / 2.0)
 
 
+class TestEmptyAtomSum:
+    """A visit with no other tracks takes the L = 0 atom sum off y."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(visit_cases())
+    def test_terms_are_exact_zeros(self, case):
+        cfg, _, visited, _ = case
+        factors = factors_at(*visited, cfg)
+        weights = tuple(map(_kernels.index_weighted, factors, centres_of(cfg)))
+        cube = enomp._atom_sum_cube(no_others(cfg), weights)
+        assert cube.shape == (3, 3, 3) and cube.dtype == complex
+        np.testing.assert_array_equal(cube, np.zeros((3, 3, 3)))
+        corr = enomp._atom_sum_correlation(no_others(cfg), *factors)
+        assert type(corr) is complex and corr == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(visit_cases())
+    def test_visit_equals_one_track_of_gain_zero(self, case):
+        # extract's first visit of its first track passes that one track
+        # at gain 0
+        cfg, y, visited, (_, *factors) = case
+        one = (np.zeros(1, dtype=complex), *(f[:, :1] for f in factors))
+        alone = refine_alone(y, *visited, cfg)
+        assert_same_visit(alone, enomp.newton_refine(y, *visited, cfg, one,
+                                                     factors_at(*visited, cfg), [None]))
+
+
 class TestKeptWork:
     """A visit hands the track's next visit what it computed there: an
     accepted step's delay row, or a rejected visit's moment cube of y.
@@ -834,7 +890,7 @@ class TestKeptWork:
         cfg, y, visited, others = case
         y3 = y.reshape(cfg.M_v, cfg.M_h, cfg.N)
         memo = [None]
-        first = enomp.newton_refine(y, *visited, cfg, others, None, memo)
+        first = enomp.newton_refine(y, *visited, cfg, others, factors_at(*visited, cfg), memo)
         factors = first[5]
         row = enomp._delay_row(y3, factors[2])
         cube = _kernels.moment_cube(y3, *factors, *centres_of(cfg))
@@ -842,7 +898,7 @@ class TestKeptWork:
         np.testing.assert_array_equal(memo[0], row if first[3] else cube)
         # the track's next visit: the same y and factors, the others refitted
         refit = (others[0] * (0.9 + 0.2j), *others[1:])
-        fresh = enomp.newton_refine(y, *first[:3], cfg, refit, factors)
+        fresh = enomp.newton_refine(y, *first[:3], cfg, refit, factors, [None])
         for kept in (memo[0], row, cube):
             assert_same_visit(enomp.newton_refine(y, *first[:3], cfg, refit, factors, [kept]),
                               fresh)
@@ -866,7 +922,7 @@ class TestKeptWork:
             sums.append(0)
             got = refine(*args)
             counting[0] = False
-            assert_same_visit(got, refine(*args[:7]))
+            assert_same_visit(got, refine(*args[:7], [None]))
             counting[0] = True
             accepted.append(got[3])
             return got
@@ -905,7 +961,7 @@ class TestKeptRowDetection:
         y = ((0.6 - 0.8j) * enomp.synth_atom(cb.thetas[rows[-1]], cb.phis[7], cb.taus[33], cfg)
              + 0.1 * complex_noise(np.random.default_rng(len(rows)), cfg.M * cfg.N))
         monkeypatch.setattr(enomp, "_rows_to_scan", lambda z, codebook, energy: rows)
-        assert enomp.omp_detect(y, cb) == whole_cube_detect(y, cb)
+        assert detect(y, cb, cfg) == whole_cube_detect(y, cb)
 
     def test_single_row_codebook_takes_the_full_product(self):
         cfg = SystemConfig(M_v=1, M_h=8, N=32, beta_theta=1)
@@ -913,7 +969,7 @@ class TestKeptRowDetection:
         assert len(cb.thetas) == 1
         paths = generate_scenario(1, 3, cfg, seed=5).users[0]
         y = sounding_observation(paths, cfg, 10.0, 6)
-        assert enomp.omp_detect(y, cb, enomp.delay_transform(y, cfg)) == whole_cube_detect(y, cb)
+        assert detect(y, cb, cfg) == whole_cube_detect(y, cb)
 
 
 def residual_loop_extract(y, cfg, cb):
@@ -925,16 +981,16 @@ def residual_loop_extract(y, cfg, cb):
     threshold = enomp.detection_threshold(mn, cfg.P_fa)
 
     def refine(track, y_local):
-        th, ph, ta = enomp.newton_refine(y_local, *track[1:], cfg)[:3]
+        th, ph, ta = refine_alone(y_local, *track[1:], cfg)[:3]
         atom = enomp.synth_atom(th, ph, ta, cfg)
         return [np.vdot(atom, y_local) / mn, th, ph, ta], atom
 
     for _ in range(enomp._MAX_PATHS):
-        if enomp.stopping_statistic(residual, cfg) < threshold:
+        if statistic(residual, cfg) < threshold:
             stop = "below_threshold"
             break
         iterations += 1
-        new, atom = refine([0j, *enomp.omp_detect(residual, cb)[:3]], residual)
+        new, atom = refine([0j, *detect(residual, cb, cfg)[:3]], residual)
         tracks.append(new)
         residual = residual - new[0] * atom
         for _ in range(enomp._REFINE_ROUNDS):
@@ -993,7 +1049,7 @@ class TestRowBlockedDetection:
         for trial in range(4):
             y = (sounding_observation(scenario.users[0], cfg, 1.0, rng) if trial % 2
                  else rng.standard_normal(cfg.M * cfg.N) + 1j * rng.standard_normal(cfg.M * cfg.N))
-            assert enomp.omp_detect(y, cb) == whole_cube_detect(y, cb)
+            assert detect(y, cb, cfg) == whole_cube_detect(y, cb)
 
     @pytest.mark.parametrize("source, copy", [(2, 6), (6, 2)])
     def test_exact_tie_across_rows_goes_to_lower_row(self, source, copy):
@@ -1005,9 +1061,9 @@ class TestRowBlockedDetection:
         e_v[copy], e_h[copy] = e_v[source], e_h[source]
         tied = dataclasses.replace(cb, E_v=e_v, E_h=e_h)
         y = (0.6 - 0.8j) * enomp.synth_atom(cb.thetas[source], cb.phis[5], cb.taus[17], cfg)
-        theta, phi, tau, _ = enomp.omp_detect(y, tied)
+        theta, phi, tau, _ = detect(y, tied, cfg)
         assert (theta, phi, tau) == (cb.thetas[min(source, copy)], cb.phis[5], cb.taus[17])
-        assert enomp.omp_detect(y, tied) == whole_cube_detect(y, tied)
+        assert detect(y, tied, cfg) == whole_cube_detect(y, tied)
 
     @pytest.mark.parametrize("source, copy", [(1, 6), (6, 1)])
     def test_exact_tie_inside_a_row_goes_to_lower_index(self, source, copy):
@@ -1020,9 +1076,9 @@ class TestRowBlockedDetection:
         e_h[:, copy] = e_h[:, source]
         tied = dataclasses.replace(cb, E_h=e_h)
         y = (0.6 - 0.8j) * enomp.synth_atom(cb.thetas[4], cb.phis[source], cb.taus[17], cfg)
-        theta, phi, tau, _ = enomp.omp_detect(y, tied)
+        theta, phi, tau, _ = detect(y, tied, cfg)
         assert (theta, phi, tau) == (cb.thetas[4], cb.phis[min(source, copy)], cb.taus[17])
-        assert enomp.omp_detect(y, tied) == whole_cube_detect(y, tied)
+        assert detect(y, tied, cfg) == whole_cube_detect(y, tied)
 
 
 def test_delay_wrap_stays_below_the_period():
@@ -1114,18 +1170,16 @@ class TestSharedTransform:
     @given(detection_cases())
     def test_detection_equals_the_full_scan(self, case):
         cfg, cb, y = case
-        z = enomp.delay_transform(y, cfg)
-        got = enomp.omp_detect(y, cb, z)
-        assert got == enomp.omp_detect(y, cb) == whole_cube_detect(y, cb)
+        assert detect(y, cb, cfg) == whole_cube_detect(y, cb)
 
     @settings(max_examples=60, deadline=None)
     @given(stop_cases())
     def test_stop_decision_equals_the_statistic_test(self, case):
         cfg, y = case
         z = enomp.delay_transform(y, cfg)
-        stat = enomp.stopping_statistic(y, cfg)
+        stat = enomp.stopping_statistic(z, cfg)
         for t in (np.nextafter(stat, -np.inf), stat, np.nextafter(stat, np.inf)):
-            assert enomp._below_threshold(y, z, float(t), cfg) == (stat < t)
+            assert enomp._below_threshold(z, enomp._bin_energy(z), float(t), cfg) == (stat < t)
 
     @settings(max_examples=60, deadline=None)
     @given(stop_cases(), st.integers(0, 2**16))
@@ -1135,7 +1189,7 @@ class TestSharedTransform:
         z = enomp.delay_transform(y, cfg)
         spectrum = np.fft.fftn(y3)
         peak = float(np.max(np.abs(spectrum)))
-        assert enomp.stopping_statistic(y, cfg, z) == peak * peak / (cfg.M * cfg.N)
+        assert enomp.stopping_statistic(z, cfg) == peak * peak / (cfg.M * cfg.N)
         # one bin's two angle FFTs are fftn's entries there, as the stop test needs
         d = bin_seed % cfg.N
         np.testing.assert_array_equal(np.fft.fft(np.fft.fft(z[:, :, d], axis=1), axis=0),
@@ -1148,9 +1202,10 @@ class TestSharedTransform:
         paths = generate_scenario(1, 6, cfg, seed=41, att_range_db=(0.0, 0.0)).users[0]
         y = sounding_observation(paths, cfg, 10.0, 42)
         z = enomp.delay_transform(y, cfg)
-        rows = enomp._rows_to_scan(z, cb, enomp._bin_energy(z))
+        energy = enomp._bin_energy(z)
+        rows = enomp._rows_to_scan(z, cb, energy)
         assert 1 <= len(rows) < len(cb.thetas)
-        assert enomp.omp_detect(y, cb, z) == whole_cube_detect(y, cb)
+        assert enomp.omp_detect(y, cb, z, energy) == whole_cube_detect(y, cb)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("index", [0, 37])

@@ -116,6 +116,8 @@ class TestConfig:
         {"experiment": "fig4", "snr_db": 5},
         {"experiment": "fig4", "snr_db": [0, -4000]},
         {"experiment": "fig6", "snr_db": [4000]},
+        {"experiment": "fig4", "attenuation_db": [-4000, -4000]},
+        {"experiment": "theorem1", "attenuation_db": [0, 3000]},
         {"experiment": "theorem1", "out": 5},
         {"experiment": "theorem1", "out": True},
         {"experiment": "theorem1", "out": ["a"]},

@@ -96,7 +96,7 @@ def test_moment_cube_default_centers_zero():
     rng = np.random.default_rng(2)
     y3, a_v, a_h, p_n = random_inputs(rng)
     np.testing.assert_allclose(
-        _kernels.moment_cube(y3, a_v, a_h, p_n),
+        _kernels.moment_cube(y3, a_v, a_h, p_n, 0.0, 0.0, 0.0),
         cube_oracle(y3, a_v, a_h, p_n, 0.0, 0.0, 0.0),
         rtol=1e-12, atol=1e-12,
     )

@@ -494,7 +494,7 @@ def test_sinr_entry_points_reject_power_that_is_not_finite_positive(p_tx):
     h = random_channel(2, 4, seed=13)
     calls = (lambda: mueval.sinr(h, mueval.zf_precoder(h), p_tx),
              lambda: mueval.analytic_sinr(h, [0.01], p_tx),
-             lambda: mueval.monte_carlo_sinr(h, [0.01], p_tx, n_draws=4),
+             lambda: mueval.monte_carlo_sinr(h, [0.01], p_tx, n_draws=4, seed=0),
              lambda: mueval.zf_sinr(h[None], h[None], p_tx))
     for call in calls:
         with pytest.raises(ValueError, match="p_tx"):

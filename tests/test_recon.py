@@ -232,7 +232,7 @@ class TestCovariance:
 @functools.lru_cache(maxsize=None)
 def covariance_of(shape):
     cfg = SystemConfig(M_v=shape[0], M_h=shape[1], N=shape[2])
-    return cfg, recon.channel_covariance(cfg)
+    return cfg, recon.channel_covariance(cfg, (-10.0, 0.0))
 
 
 class TestLmmseBaseline:
@@ -296,7 +296,7 @@ class TestLmmseBaseline:
 
     def test_beats_ls_at_low_snr(self):
         cfg, p_tx = small_cfg(), 1.0
-        cov = recon.channel_covariance(cfg)
+        cov = recon.channel_covariance(cfg, (-10.0, 0.0))
         rng = np.random.default_rng(52)
         ls_total, lm_total = 0.0, 0.0
         for seed in range(10):

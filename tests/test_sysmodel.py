@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fddrecon import recon, sysmodel
+from fddrecon import dltrain, recon, sysmodel
 from fddrecon.sysmodel import PathComponent, SystemConfig
 
 
@@ -117,6 +117,22 @@ class TestSystemConfig:
             PathComponent(g_ul=1.0, g_dl=1.0, theta=2.0, phi=0.0, tau=0.0)
         with pytest.raises(ValueError):
             PathComponent(g_ul=1.0, g_dl=1.0, theta=0.0, phi=0.0, tau=-1.0)
+
+    @pytest.mark.parametrize("build", [
+        sysmodel.uplink_channel,
+        sysmodel.downlink_channel,
+        sysmodel.path_factors,
+        lambda paths, cfg: recon.reconstruct(paths, [1.0], cfg),
+        lambda paths, cfg: dltrain.pilot_factors(paths, np.eye(cfg.M), cfg),
+    ], ids=["uplink_channel", "downlink_channel", "path_factors", "reconstruct",
+            "pilot_factors"])
+    def test_every_builder_rejects_the_delay_period(self, build):
+        # a component holds no config, so tau = tau_max passes it; each
+        # builder of a channel or factors from it rejects it, naming tau
+        cfg = small_cfg()
+        path = PathComponent(g_ul=1.0, g_dl=1.0, theta=0.0, phi=0.0, tau=cfg.tau_max)
+        with pytest.raises(ValueError, match="tau"):
+            build((path,), cfg)
 
 
 class TestSteeringAndDelay:
