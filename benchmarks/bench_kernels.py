@@ -91,7 +91,7 @@ def main():
     others = np.array([p.gain for p in found])
     others[0] = 0.0
     visited = (found[0].theta, found[0].phi, found[0].tau)
-    stored = tuple(f[:, 0] for f in visit_factors)
+    stored = sysmodel.atom_factors(*visited, cfg)
     kept_row = enomp._delay_row(sounding.reshape(cfg.M_v, cfg.M_h, cfg.N), stored[2])
 
     def cross_visit():

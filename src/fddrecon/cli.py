@@ -63,7 +63,7 @@ def _run_extract(args) -> int:
     # the file's own experiment (fig4 when it names none) sets the value contract
     config = harness.config_from_dict({"experiment": "fig4", "seed": 0, **raw, **seed_flag})
     cfg, seed = config.system, config.seed
-    p_tx = harness.transmit_power(args.snr_db)
+    p_tx = sysmodel.db_to_linear("snr_db", args.snr_db)
     sysmodel.check_integer("paths", args.paths, 1)
     scenario = sysmodel.generate_scenario(1, args.paths, cfg, seed=seed, att_range_db=(0.0, 0.0))
     paths = scenario.users[0]

@@ -20,7 +20,7 @@ import numpy as np
 
 from .sysmodel import (SystemConfig, atom_basis, atom_gram, atom_sum, carrier_phase,
                        check_power, complex_noise, delay_vector, fit_gains, gram_eigvals,
-                       path_parameters, steering_vector)
+                       observation, path_parameters, steering_vector)
 
 
 def grid_point(index, cfg: SystemConfig):
@@ -183,13 +183,8 @@ class _UserState:
                           self.gnorm2, p_tx)
 
 
-def schedule_beams(
-    users_paths: Sequence[Sequence],
-    grid: np.ndarray,
-    cfg: SystemConfig,
-    delta: float,
-    p_tx: float,
-) -> TrainingPlan:
+def schedule_beams(users_paths: Sequence[Sequence], grid: np.ndarray, cfg: SystemConfig,
+                   delta: float, p_tx: float) -> TrainingPlan:
     """Pick the beam directions to train, trimming redundant ones.
 
     Each user marks the grid point nearest (in beam-space power) to each of
@@ -228,33 +223,26 @@ def schedule_beams(
     )
 
 
-def simulate_downlink_training(
-    true_paths,
-    plan: TrainingPlan,
-    cfg: SystemConfig,
-    p_tx: float,
-    noise_seed=None,
-) -> np.ndarray:
-    """Received pilot samples of one user over the whole training burst:
-    sqrt(p_tx) times the atom sum of the downlink gains over
-    :func:`pilot_factors`, plus unit-variance noise when ``noise_seed`` is
-    given.
+def simulate_downlink_training(true_paths, plan: TrainingPlan, cfg: SystemConfig, p_tx: float,
+                               noise_seed=None) -> np.ndarray:
+    """Received pilot samples of one user over the whole training burst: the
+    `observation` of the atom sum of the downlink gains over
+    :func:`pilot_factors` at p_tx, with `complex_noise` drawn from
+    ``noise_seed`` when it is given and none otherwise.
 
     Returns a (T_p * N_p,) vector, pilot-symbol major, matching the row
     order of :func:`coefficient_matrix`. ValueError unless p_tx is a finite
     real > 0.
     """
-    check_power(p_tx)
     g_dl = np.array([p.g_dl for p in true_paths])
-    y = math.sqrt(p_tx) * atom_sum(g_dl, *pilot_factors(true_paths, plan.beams, cfg))
-    if noise_seed is not None:
-        y = y + complex_noise(np.random.default_rng(noise_seed), len(y))
-    return y
+    pilots = atom_sum(g_dl, *pilot_factors(true_paths, plan.beams, cfg))
+    noise = 0.0 if noise_seed is None else complex_noise(np.random.default_rng(noise_seed),
+                                                         len(pilots))
+    return observation(pilots, p_tx, noise)
 
 
-def estimate_downlink_gains(
-    y: np.ndarray, paths, plan: TrainingPlan, cfg: SystemConfig, p_tx: float
-) -> np.ndarray:
+def estimate_downlink_gains(y: np.ndarray, paths, plan: TrainingPlan, cfg: SystemConfig,
+                            p_tx: float) -> np.ndarray:
     """Least squares downlink gains of ``paths`` from the pilot observations
     under ``plan``: (1 / sqrt(p_tx)) (A^H A)^{-1} A^H y, by `fit_gains` on
     :func:`pilot_factors`.

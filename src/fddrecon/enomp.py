@@ -20,15 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels, sysmodel
-from .sysmodel import TWO_PI, SystemConfig, atom_sum, delay_vector, steering_factors
+from .sysmodel import TWO_PI, SystemConfig, atom_factors, atom_sum, steering_factors
 
 # Constants of the extraction schedule. The cap is 4x the largest plausible
 # path count; every detection is followed by _REFINE_ROUNDS cyclic sweeps
 # over all paths found so far, each visit taking one safeguarded Newton
-# step. Sounding noise has unit variance per entry.
+# step.
 _MAX_PATHS = 32
 _REFINE_ROUNDS = 3
-_NOISE_VARIANCE = 1.0
 
 
 @dataclass(frozen=True)
@@ -85,9 +84,7 @@ def build_codebook(cfg: SystemConfig) -> Codebook:
 
 def synth_atom(theta: float, phi: float, tau: float, cfg: SystemConfig) -> np.ndarray:
     """Unit-modulus codeword a(theta, phi) (x) p(tau), length M*N."""
-    a_v, a_h = steering_factors(theta, phi, cfg)
-    p_n = delay_vector(tau, cfg)
-    return _kernels.kron3(a_v, a_h, p_n)
+    return _kernels.kron3(*atom_factors(theta, phi, tau, cfg))
 
 
 def _delay_row(y3: np.ndarray, p_n) -> np.ndarray:
@@ -111,10 +108,10 @@ def _atom_correlation(y3: np.ndarray, a_v, a_h, p_n) -> complex:
 
 def detection_threshold(mn: int, p_fa: float) -> float:
     """Projected-power stop level: ln(MN) - ln(-ln(1 - P_fa)), scaled by the
-    noise variance."""
+    noise power `sysmodel.NOISE_POWER`, read at each call."""
     if not 0 < p_fa < 1:
         raise ValueError("p_fa must lie in (0, 1)")
-    return _NOISE_VARIANCE * (math.log(mn) - math.log(-math.log1p(-p_fa)))
+    return sysmodel.NOISE_POWER * (math.log(mn) - math.log(-math.log1p(-p_fa)))
 
 
 def delay_transform(y_r: np.ndarray, cfg: SystemConfig) -> np.ndarray:
@@ -124,16 +121,22 @@ def delay_transform(y_r: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     return np.fft.fft(np.asarray(y_r).reshape(cfg.M_v, cfg.M_h, cfg.N), axis=2)
 
 
-def stopping_statistic(z: np.ndarray, cfg: SystemConfig) -> float:
-    """Largest projected power of the residual onto the critically sampled
-    unit-norm 3-D DFT atoms, from its delay transform z
-    (`delay_transform`). The spectrum is the two angle FFTs of z, the
-    stages `np.fft.fftn` runs in the same order, so it is fftn's bit for
-    bit."""
+def _angle_peak_power(z: np.ndarray, cfg: SystemConfig) -> float:
+    """Peak of |spectrum|^2 / (M N) over the two angle FFTs of z, an
+    (M_v, M_h, ...) slice of a delay transform: azimuth, then downtilt, the
+    stages `np.fft.fftn` runs in that order, so each entry is fftn's bit for
+    bit, on a single delay bin as on all of them."""
     # the peak magnitude squared: rounding is monotone, so this is the
     # largest entry of |spectrum|^2 without squaring the whole spectrum
     peak = float(np.max(np.abs(np.fft.fft(np.fft.fft(z, axis=1), axis=0))))
     return peak * peak / (cfg.M * cfg.N)
+
+
+def stopping_statistic(z: np.ndarray, cfg: SystemConfig) -> float:
+    """Largest projected power of the residual onto the critically sampled
+    unit-norm 3-D DFT atoms, from its delay transform z
+    (`delay_transform`): `_angle_peak_power` of the whole transform."""
+    return _angle_peak_power(z, cfg)
 
 
 def _bin_energy(z: np.ndarray) -> np.ndarray:
@@ -152,18 +155,15 @@ def _below_threshold(transform: np.ndarray, energy: np.ndarray, threshold: float
     """`stopping_statistic(transform, cfg) < threshold`, where `energy` is
     `_bin_energy(transform)`.
 
-    The statistic is at least the peak of any one delay bin's 2-D angle
-    FFT, whose entries are the full spectrum's bit for bit; rounding is
-    monotone, so a bin whose peak reaches the threshold decides "not below".
-    The bin tried is the one of largest energy. Otherwise, as on the last,
-    noise-only iteration of an extraction, and whenever an energy is not
-    finite, the full statistic decides."""
+    The statistic is at least `_angle_peak_power` of any one delay bin,
+    whose spectrum entries are the full transform's bit for bit; rounding
+    is monotone, so a bin whose peak reaches the threshold decides "not
+    below". The bin tried is the one of largest energy. Otherwise, as on
+    the last, noise-only iteration of an extraction, and whenever an energy
+    is not finite, the full statistic decides."""
     d = int(np.argmax(energy))  # NaN first: argmax returns a NaN bin if any
-    if math.isfinite(energy[d]):
-        angles = np.fft.fft(np.fft.fft(transform[:, :, d], axis=1), axis=0)
-        peak = float(np.max(np.abs(angles)))
-        if peak * peak / (cfg.M * cfg.N) >= threshold:
-            return False
+    if math.isfinite(energy[d]) and _angle_peak_power(transform[:, :, d], cfg) >= threshold:
+        return False
     return stopping_statistic(transform, cfg) < threshold
 
 
@@ -275,18 +275,14 @@ def coarse_gain(y_r: np.ndarray, theta: float, phi: float, tau: float,
     """Least-squares gain of a single atom: c^H y / ||c||^2. The pipeline never
     calls it; the bench tracer wraps it, and `test_bench_hooks` checks that."""
     y3 = np.asarray(y_r).reshape(cfg.M_v, cfg.M_h, cfg.N)
-    a_v, a_h = steering_factors(theta, phi, cfg)
-    p_n = delay_vector(tau, cfg)
-    return np.conj(_atom_correlation(y3, a_v, a_h, p_n)) / (cfg.M * cfg.N)
+    return np.conj(_atom_correlation(y3, *atom_factors(theta, phi, tau, cfg))) / (cfg.M * cfg.N)
 
 
 def objective_S(y_r: np.ndarray, gain: complex, theta: float, phi: float,
                 tau: float, cfg: SystemConfig) -> float:
     """Single-atom surrogate 2 Re{y^H g c} - ||g c||^2."""
     y3 = np.asarray(y_r).reshape(cfg.M_v, cfg.M_h, cfg.N)
-    a_v, a_h = steering_factors(theta, phi, cfg)
-    p_n = delay_vector(tau, cfg)
-    corr = _atom_correlation(y3, a_v, a_h, p_n)
+    corr = _atom_correlation(y3, *atom_factors(theta, phi, tau, cfg))
     mn = cfg.M * cfg.N
     return float(2.0 * (gain * corr).real - abs(gain) ** 2 * mn)
 
@@ -331,10 +327,8 @@ def objective_derivatives(y_r: np.ndarray, gain: complex, theta: float,
     (S, grad, hess) : float, ndarray (3,), ndarray (3, 3)
     """
     y3 = np.ascontiguousarray(np.asarray(y_r).reshape(cfg.M_v, cfg.M_h, cfg.N))
-    a_v, a_h = steering_factors(theta, phi, cfg)
-    p_n = delay_vector(tau, cfg)
-    c, dc, d2c = _derivative_scalars(_kernels.moment_cube(y3, a_v, a_h, p_n, 0.0, 0.0, 0.0),
-                                     cfg)
+    c, dc, d2c = _derivative_scalars(
+        _kernels.moment_cube(y3, *atom_factors(theta, phi, tau, cfg), 0.0, 0.0, 0.0), cfg)
     dc, d2c = np.array(dc), np.array(d2c)
     st, ct = math.sin(theta), math.cos(theta)
     sp, cp = math.sin(phi), math.cos(phi)
@@ -439,8 +433,8 @@ def newton_refine(y_r: np.ndarray, theta: float, phi: float, tau: float,
     moment cube and correlations are those of y minus the separable ones of
     A g, so y - A g is never formed.
 
-    `factors` = (a_v, a_h, p_n) are the factors of the atom at (theta, phi,
-    tau): the builds at that point, as an earlier call returned them.
+    `factors` = (a_v, a_h, p_n) are `sysmodel.atom_factors` at (theta, phi,
+    tau), as an earlier call returned them.
 
     `memo` is a one-entry list that passes work on to the next visit on the
     same y from the factors this one returns, as a track's visits in
@@ -454,7 +448,7 @@ def newton_refine(y_r: np.ndarray, theta: float, phi: float, tau: float,
 
     Returns (theta', phi', tau', accepted, corr, factors) for the atom
     a = a_v (x) a_h (x) p_n at the returned parameters: corr = (y - A g)^H a
-    and factors = (a_v, a_h, p_n).
+    and factors = (a_v, a_h, p_n), `sysmodel.atom_factors` there.
     """
     y3 = np.ascontiguousarray(np.asarray(y_r).reshape(cfg.M_v, cfg.M_h, cfg.N))
     a_v, a_h, p_n = factors
@@ -491,13 +485,12 @@ def newton_refine(y_r: np.ndarray, theta: float, phi: float, tau: float,
         s_phi = min(max(w_new / cos_t, -1.0), 1.0) if cos_t > 1e-12 else 0.0
         phi_new = float(min(max(math.asin(s_phi), -math.pi / 2), _THETA_MAX))
         tau_new = _wrap(float(tau - damp * step[2]), cfg.tau_max)
-        a_v2, a_h2 = steering_factors(theta_new, phi_new, cfg)
-        p_n2 = delay_vector(tau_new, cfg)
+        a_v2, a_h2, p_n2 = atom = atom_factors(theta_new, phi_new, tau_new, cfg)
         row = _delay_row(y3, p_n2)
-        corr = _row_correlation(row, a_v2, a_h2) - _atom_sum_correlation(others, a_v2, a_h2, p_n2)
+        corr = _row_correlation(row, a_v2, a_h2) - _atom_sum_correlation(others, *atom)
         if abs(corr) ** 2 > old_power:
             memo[0] = row
-            return theta_new, phi_new, tau_new, True, corr, (a_v2, a_h2, p_n2)
+            return theta_new, phi_new, tau_new, True, corr, atom
     return theta, phi, tau, False, c0, factors
 
 
@@ -507,8 +500,8 @@ def _refine_track(k: int, y3: np.ndarray, params: list, gains: np.ndarray,
     tracks' atoms, then the track's single-atom gain and factor columns, both
     as the step built them at the resulting point. `params`, `gains` and the
     factor matrices hold every track; k's entries are overwritten in place.
-    The step starts from k's stored factor columns, the builds at k's
-    parameters of its detection or of an earlier step, and from k's memo
+    The step starts from k's stored factor columns, `sysmodel.atom_factors`
+    at k's parameters of its detection or of an earlier step, and from k's memo
     (`newton_refine`), which the step overwrites."""
     others = gains.copy()
     others[k] = 0.0
@@ -589,7 +582,7 @@ def extract(y_ul: np.ndarray, cfg: SystemConfig, p_tx: float,
         memos.append([None])
         count = len(params)
         view = tuple(f[:, :count] for f in factors)
-        for f, column in zip(view, (*steering_factors(theta, phi, cfg), delay_vector(tau, cfg))):
+        for f, column in zip(view, atom_factors(theta, phi, tau, cfg)):
             f[:, count - 1] = column
         # the new track first, then _REFINE_ROUNDS cyclic rounds over all
         for k in [count - 1] + list(range(count)) * _REFINE_ROUNDS:

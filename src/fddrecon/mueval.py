@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sysmodel import certify_full_rank, check_power, gram_eigvals
+from .sysmodel import NOISE_POWER, certify_full_rank, check_power, gram_eigvals
 
 
 # Draws per chunk in monte_carlo_sinr: one shared draw of normals and three
@@ -31,9 +31,6 @@ _MC_CHUNK = 32
 # slices of 8 about 13% slower (2-vCPU Xeon, 1 BLAS thread; measured when
 # zf_sinr was added, see CHANGES.md), so 32 is kept for its size.
 _ZF_CHUNK = 32
-
-# Receiver noise power per user; transmit powers are SNRs against it.
-_NOISE_POWER = 1.0
 
 
 @dataclass(frozen=True)
@@ -90,7 +87,7 @@ def _sinr_from_cross(cross: np.ndarray, gram_inv: np.ndarray, alphas: np.ndarray
     powers = p_tx * np.abs(gains) ** 2
     signal = np.diagonal(powers, axis1=-2, axis2=-1)
     interference = powers.sum(axis=-1) - signal
-    return signal / (interference + _NOISE_POWER)
+    return signal / (interference + NOISE_POWER)
 
 
 def zf_precoder(h_hat: np.ndarray) -> PrecodingState:
@@ -186,7 +183,7 @@ def analytic_sinr(h_true: np.ndarray, deltas, p_tx: float) -> np.ndarray:
         signal = p_tx * (1.0 + delta * np.diag(cross)) / denom
         pair = p_tx * delta * cross / denom[None, :]
         interference = pair.sum(axis=1) - np.diag(pair)
-        rows.append(signal / (interference + _NOISE_POWER))
+        rows.append(signal / (interference + NOISE_POWER))
     return np.stack(rows)
 
 

@@ -17,6 +17,19 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
+# Receiver noise power, the variance per entry that `complex_noise` draws:
+# every transmit power is an SNR against it.
+NOISE_POWER = 1.0
+
+
+def db_to_linear(name: str, db) -> float:
+    """10^(db/10), the linear value of a level ``name`` in dB: every transmit
+    SNR and attenuation. Raises ValueError unless -3000 < db < 3000, where
+    the value is positive and finite."""
+    if not -3000 < db < 3000:
+        raise ValueError(f"{name} must lie in (-3000, 3000) dB, got {db!r}")
+    return 10.0 ** (db / 10.0)
+
 
 def check_integer(name: str, value, minimum: int) -> None:
     """Reject a config value that is not an integer >= ``minimum``; a bool
@@ -195,6 +208,12 @@ def carrier_phase(tau, cfg: SystemConfig):
     return np.exp(1j * TWO_PI * cfg.carrier_shift * tau)
 
 
+def atom_factors(theta: float, phi: float, tau: float, cfg: SystemConfig) -> tuple:
+    """Factors (a_v, a_h, p_n) of the one atom at (theta, phi, tau): the
+    scalar twin of `path_factors`, whose atom is a_v (x) a_h (x) p_n."""
+    return (*steering_factors(theta, phi, cfg), delay_vector(tau, cfg))
+
+
 def path_parameters(paths) -> tuple:
     """Arrays (thetas, phis, taus) of the geometry of ``paths``, any sequence
     of objects carrying theta/phi/tau attributes."""
@@ -343,39 +362,49 @@ def downlink_channel(paths, cfg: SystemConfig) -> np.ndarray:
 
 
 def complex_noise(rng: np.random.Generator, size: int) -> np.ndarray:
-    """Circular complex Gaussian noise, zero mean, unit variance per entry."""
+    """Circular complex Gaussian noise, zero mean, variance `NOISE_POWER` per entry."""
     return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / math.sqrt(2.0)
 
 
 def observation(channel: np.ndarray, p_tx: float, noise: np.ndarray) -> np.ndarray:
     """sqrt(p_tx) times the channel plus the noise: every noisy observation
-    of a channel, so a caller that sounds one channel at several powers
-    draws its noise once. ValueError unless p_tx is a finite real > 0."""
+    of a channel, uplink sounding and downlink pilots alike. A caller that
+    sounds one channel at several powers draws its noise once. ValueError
+    unless p_tx is a finite real > 0."""
     check_power(p_tx)
     return math.sqrt(p_tx) * channel + noise
 
 
 def sounding_observation(paths, cfg: SystemConfig, p_tx: float, noise_seed) -> np.ndarray:
-    """Uplink sounding snapshot: sqrt(p_tx) times the channel plus
-    unit-variance complex noise, so p_tx is the linear transmit SNR against
-    0 dB attenuation.
-
-    `noise_seed` may be an int or a numpy Generator; identical seeds give
-    identical observations. ValueError unless p_tx is a finite real > 0.
-    """
+    """Uplink sounding snapshot: the `observation` of the uplink channel
+    with `complex_noise` from `noise_seed`, an int or a numpy Generator, so
+    p_tx is the linear transmit SNR against 0 dB attenuation. ValueError
+    unless p_tx is a finite real > 0."""
     noise = complex_noise(np.random.default_rng(noise_seed), cfg.M * cfg.N)
     return observation(uplink_channel(paths, cfg), p_tx, noise)
 
 
-def mean_linear_attenuation(att_range_db) -> float:
-    """E[10^(A/10)] for A uniform over the given dB range (closed form)."""
+def _attenuation_range(att_range_db) -> tuple:
+    """The (lo, hi) pair of an attenuation range in dB. ValueError unless
+    lo <= hi and both lie in (-3000, 3000) dB (`db_to_linear`)."""
     lo, hi = att_range_db
     if hi < lo:
         raise ValueError("attenuation range must satisfy lo <= hi")
+    for a in (lo, hi):
+        db_to_linear("att_range_db", a)
+    return lo, hi
+
+
+def mean_linear_attenuation(att_range_db) -> float:
+    """E[10^(A/10)] for A uniform over the given dB range: 10^(hi/10)
+    (1 - e^-x) / x with x = (hi - lo) ln(10) / 10, by expm1, so that neither
+    a narrow range cancels nor a wide one overflows."""
+    lo, hi = _attenuation_range(att_range_db)
+    top = db_to_linear("att_range_db", hi)
     if hi == lo:
-        return 10.0 ** (hi / 10.0)
-    c = math.log(10.0) / 10.0
-    return (10.0 ** (hi / 10.0) - 10.0 ** (lo / 10.0)) / (c * (hi - lo))
+        return top
+    x = math.log(10.0) / 10.0 * (hi - lo)
+    return top * -math.expm1(-x) / x
 
 
 def generate_scenario(K: int, L: int, cfg: SystemConfig, seed,
@@ -386,20 +415,19 @@ def generate_scenario(K: int, L: int, cfg: SystemConfig, seed,
     uniform over [-pi/2, pi/2), delay uniform over [0, 1/delta_f), and i.i.d.
     circular Gaussian gains on both links scaled so the mean total path power
     equals the drawn attenuation. Uplink and downlink gains are independent
-    with equal variance.
+    with equal variance. ValueError unless lo <= hi and both lie in
+    (-3000, 3000) dB.
     """
     if K < 1 or L < 1:
         raise ValueError("K and L must be >= 1")
-    lo, hi = att_range_db
-    if hi < lo:
-        raise ValueError("attenuation range must satisfy lo <= hi")
+    lo, hi = _attenuation_range(att_range_db)
     rng = np.random.default_rng(seed)
     users = []
     atts = []
     for _ in range(K):
         att_db = rng.uniform(lo, hi) if hi > lo else float(hi)
         atts.append(att_db)
-        sigma2 = 10.0 ** (att_db / 10.0) / L  # per-path gain variance
+        sigma2 = db_to_linear("att_range_db", att_db) / L  # per-path gain variance
         comps = []
         for _ in range(L):
             theta = rng.uniform(-math.pi / 2, math.pi / 2)

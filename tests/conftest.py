@@ -1,0 +1,19 @@
+"""Fixtures shared by the test modules."""
+
+import numpy as np
+import pytest
+
+
+@pytest.fixture
+def counted_lstsq(monkeypatch):
+    """np.linalg.lstsq replaced, for the test, by a wrapper that counts its
+    calls in ``.calls``; the wrapper is returned."""
+    lstsq = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        counted.calls += 1
+        return lstsq(*args, **kwargs)
+
+    counted.calls = 0
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    return counted

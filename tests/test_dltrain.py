@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fddrecon import _kernels, dltrain
 from fddrecon.enomp import DetectedPath
-from fddrecon.sysmodel import SystemConfig, steering_vector
+from fddrecon.sysmodel import SystemConfig, atom_sum, complex_noise, observation, steering_vector
 
 
 P_TX = 10.0  # transmit power of every test but test_scalar_value
@@ -454,19 +454,6 @@ def pilot_cases(draw):
     return cfg, paths, manual_plan(indices, dltrain.build_angle_grid(cfg), cfg)
 
 
-def counted_lstsq(monkeypatch):
-    """Patch np.linalg.lstsq with a wrapper that counts its calls."""
-    lstsq = np.linalg.lstsq
-
-    def counted(*args, **kwargs):
-        counted.calls += 1
-        return lstsq(*args, **kwargs)
-
-    counted.calls = 0
-    monkeypatch.setattr(np.linalg, "lstsq", counted)
-    return counted
-
-
 class TestFactoredPilots:
     """Pilot synthesis and the pilot gain LS read the pilot factors; the
     materialized coefficient matrix is their reference."""
@@ -507,7 +494,24 @@ class TestFactoredPilots:
         got = dltrain.estimate_downlink_gains(y, paths, plan, cfg, P_TX)
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
-    def test_near_coincident_paths_take_the_lstsq_route(self, monkeypatch):
+    @settings(max_examples=40, deadline=None)
+    @given(pilot_cases(), st.one_of(st.none(), st.integers(0, 2**32 - 1)), st.booleans())
+    def test_pilots_are_the_observation_of_the_pilot_atom_sum(self, case, seed, zero_gains):
+        # bit for bit, signs of zero included: the burst is the one
+        # observation sqrt(p_tx) h + noise of `sysmodel`, noiseless without a seed
+        cfg, paths, plan = case
+        if zero_gains:
+            for p in paths:
+                p.g_dl = complex(-0.0, -0.0)
+        pilots = atom_sum(np.array([p.g_dl for p in paths]),
+                          *dltrain.pilot_factors(paths, plan.beams, cfg))
+        noise = 0.0 if seed is None else complex_noise(np.random.default_rng(seed), len(pilots))
+        want = observation(pilots, P_TX, noise)
+        got = dltrain.simulate_downlink_training(paths, plan, cfg, P_TX, noise_seed=seed)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_near_coincident_paths_take_the_lstsq_route(self, counted_lstsq):
         # two paths 1e-7 rad apart: full rank for lstsq, but past the Gram
         # route's cond(A) < 1e4, so fit_gains solves on the materialized
         # basis, which is the coefficient matrix itself
@@ -518,10 +522,9 @@ class TestFactoredPilots:
         coef = dltrain.coefficient_matrix(paths, plan, cfg)
         assert 1e4 <= np.linalg.cond(coef) < 1e10
         y = dltrain.simulate_downlink_training(paths, plan, cfg, P_TX, noise_seed=37)
-        lstsq = counted_lstsq(monkeypatch)
         got = dltrain.estimate_downlink_gains(y, paths, plan, cfg, P_TX)
-        assert lstsq.calls == 1
-        want, _, rank, _ = lstsq(coef, y, rcond=None)
+        assert counted_lstsq.calls == 1
+        want, _, rank, _ = counted_lstsq(coef, y, rcond=None)
         assert rank == 2
         np.testing.assert_array_equal(got, want / math.sqrt(P_TX))
 

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fddrecon import _kernels, enomp
-from fddrecon.sysmodel import (PathComponent, SystemConfig, atom_basis, atom_gram, atom_sum,
-                               complex_noise, delay_vector, fit_gains, generate_scenario,
+from fddrecon import _kernels, enomp, sysmodel
+from fddrecon.sysmodel import (PathComponent, SystemConfig, atom_basis, atom_factors, atom_gram,
+                               atom_sum, complex_noise, delay_vector, fit_gains, generate_scenario,
                                path_factors, sounding_observation, steering_factors,
                                uplink_channel)
 
@@ -52,16 +52,11 @@ def no_others(cfg):
             *(np.zeros((m, 0), dtype=complex) for m in (cfg.M_v, cfg.M_h, cfg.N)))
 
 
-def factors_at(theta, phi, tau, cfg):
-    """The factors of the atom at (theta, phi, tau), built at that point."""
-    return (*steering_factors(theta, phi, cfg), delay_vector(tau, cfg))
-
-
 def refine_alone(y, theta, phi, tau, cfg):
     """One `newton_refine` visit on y with no other tracks, from the factors
     built at the point and nothing kept."""
     return enomp.newton_refine(y, theta, phi, tau, cfg, no_others(cfg),
-                               factors_at(theta, phi, tau, cfg), [None])
+                               atom_factors(theta, phi, tau, cfg), [None])
 
 
 class TestCodebook:
@@ -138,7 +133,7 @@ class TestDetection:
 
     def test_threshold_scales_with_noise_variance(self, monkeypatch):
         t1 = enomp.detection_threshold(1024, 1e-2)
-        monkeypatch.setattr(enomp, "_NOISE_VARIANCE", 2.5)
+        monkeypatch.setattr(sysmodel, "NOISE_POWER", 2.5)
         t2 = enomp.detection_threshold(1024, 1e-2)
         assert t2 == pytest.approx(2.5 * t1, rel=1e-12)
         with pytest.raises(ValueError):
@@ -437,7 +432,7 @@ class TestExtract:
         assert res.iterations == len(norms)
         assert np.all(np.diff(norms) <= 1e-9 * norms[:-1])
 
-    def test_coincident_redetection_stops_degenerate(self, monkeypatch):
+    def test_coincident_redetection_stops_degenerate(self, monkeypatch, counted_lstsq):
         # the second detection lands 1e-13 rad from the first, so the two
         # atoms are rank deficient for lstsq: the newest one is dropped and
         # extraction stops, keeping the first path with its lstsq gain
@@ -455,25 +450,23 @@ class TestExtract:
             return theta + 1e-13, phi, tau, power
 
         monkeypatch.setattr(enomp, "omp_detect", redetect)
-        lstsq = counted_lstsq(monkeypatch)
 
         def stay(y, theta, phi, tau, cfg, others, factors, memo):
             # no step; the correlation of y minus the other atoms, materialized
             y_local = np.ravel(y) - atom_sum(*others)
-            a_v, a_h = steering_factors(theta, phi, cfg)
             return (theta, phi, tau, False, correlation(y_local, theta, phi, tau, cfg),
-                    (a_v, a_h, delay_vector(tau, cfg)))
+                    atom_factors(theta, phi, tau, cfg))
 
         monkeypatch.setattr(enomp, "newton_refine", stay)
         res = enomp.extract(y, cfg, 1.0, cb)
-        assert lstsq.calls == 1
+        assert counted_lstsq.calls == 1
         assert res.stop_reason == "degenerate"
         assert res.iterations == len(res.residual_norms) == 2
         assert len(res.paths) == 1
         path = res.paths[0]
         assert (path.theta, path.phi, path.tau) == found[0][:3]
         atom = enomp.synth_atom(path.theta, path.phi, path.tau, cfg)
-        want = lstsq(atom[:, None], y, rcond=None)[0][0]
+        want = counted_lstsq(atom[:, None], y, rcond=None)[0][0]
         assert path.gain == pytest.approx(want, rel=1e-12)
         np.testing.assert_allclose(res.residual, y - want * atom, rtol=0, atol=1e-10)
 
@@ -566,19 +559,6 @@ def atom_sets(draw, max_atoms=5):
     return cfg, paths, y
 
 
-def counted_lstsq(monkeypatch):
-    """Patch np.linalg.lstsq with a wrapper that counts its calls."""
-    lstsq = np.linalg.lstsq
-
-    def counted(*args, **kwargs):
-        counted.calls += 1
-        return lstsq(*args, **kwargs)
-
-    counted.calls = 0
-    monkeypatch.setattr(np.linalg, "lstsq", counted)
-    return counted
-
-
 def materialized_basis(paths, cfg):
     return np.stack([enomp.synth_atom(p.theta, p.phi, p.tau, cfg) for p in paths], axis=1)
 
@@ -619,7 +599,7 @@ class TestFitGains:
                                    y - basis @ gains, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("sep, rank", [(1e-10, 2), (1e-13, 1)])
-    def test_near_coincident_atoms_take_lstsq_route(self, monkeypatch, sep, rank):
+    def test_near_coincident_atoms_take_lstsq_route(self, counted_lstsq, sep, rank):
         # cond(A) is about 3.5 / sep at this size: past the Gram route's 1e4
         # at 1e-10 rad yet inside lstsq's full-rank region, rank deficient
         # for lstsq at 1e-13 rad
@@ -628,10 +608,9 @@ class TestFitGains:
                  enomp.DetectedPath(0j, 0.3 + sep, -0.4, 5e-6)]
         basis = materialized_basis(paths, cfg)
         y = basis @ np.array([1.0 + 0.5j, -0.3j])
-        lstsq = counted_lstsq(monkeypatch)
         gains, got_rank = fit_gains(y, *path_factors(paths, cfg))
-        assert lstsq.calls == 1
-        want, _, want_rank, _ = lstsq(basis, y, rcond=None)
+        assert counted_lstsq.calls == 1
+        want, _, want_rank, _ = counted_lstsq(basis, y, rcond=None)
         assert got_rank == want_rank == rank
         np.testing.assert_array_equal(gains, want)
 
@@ -647,6 +626,10 @@ class TestFitGains:
             np.testing.assert_array_equal(a_v[:, l], want_v)
             np.testing.assert_array_equal(a_h[:, l], want_h)
             np.testing.assert_array_equal(p_n[:, l], delay_vector(p.tau, cfg))
+            # and the scalar twin `atom_factors` builds those same columns
+            for got, column in zip(atom_factors(p.theta, p.phi, p.tau, cfg),
+                                   (a_v[:, l], a_h[:, l], p_n[:, l])):
+                np.testing.assert_array_equal(got, column)
 
     @settings(max_examples=60, deadline=None)
     @given(atom_sets(max_atoms=1))
@@ -827,7 +810,7 @@ class TestVisitMatchesReference:
     def test_step_agrees(self, case):
         cfg, y, visited, others = case
         _, hess, accepted, *params = reference_visit(y, *visited, cfg, others)
-        got = enomp.newton_refine(y, *visited, cfg, others, factors_at(*visited, cfg), [None])
+        got = enomp.newton_refine(y, *visited, cfg, others, atom_factors(*visited, cfg), [None])
         assert_factors_at(got[5], *got[:3], cfg)
         lam = np.linalg.eigvalsh(hess)
         if got[3] != accepted:
@@ -858,7 +841,7 @@ class TestEmptyAtomSum:
     @given(visit_cases())
     def test_terms_are_exact_zeros(self, case):
         cfg, _, visited, _ = case
-        factors = factors_at(*visited, cfg)
+        factors = atom_factors(*visited, cfg)
         weights = tuple(map(_kernels.index_weighted, factors, centres_of(cfg)))
         cube = enomp._atom_sum_cube(no_others(cfg), weights)
         assert cube.shape == (3, 3, 3) and cube.dtype == complex
@@ -875,7 +858,7 @@ class TestEmptyAtomSum:
         one = (np.zeros(1, dtype=complex), *(f[:, :1] for f in factors))
         alone = refine_alone(y, *visited, cfg)
         assert_same_visit(alone, enomp.newton_refine(y, *visited, cfg, one,
-                                                     factors_at(*visited, cfg), [None]))
+                                                     atom_factors(*visited, cfg), [None]))
 
 
 class TestKeptWork:
@@ -890,7 +873,7 @@ class TestKeptWork:
         cfg, y, visited, others = case
         y3 = y.reshape(cfg.M_v, cfg.M_h, cfg.N)
         memo = [None]
-        first = enomp.newton_refine(y, *visited, cfg, others, factors_at(*visited, cfg), memo)
+        first = enomp.newton_refine(y, *visited, cfg, others, atom_factors(*visited, cfg), memo)
         factors = first[5]
         row = enomp._delay_row(y3, factors[2])
         cube = _kernels.moment_cube(y3, *factors, *centres_of(cfg))

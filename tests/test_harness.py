@@ -148,12 +148,13 @@ class TestConfig:
             harness.config_from_dict(raw)
 
     def test_transmit_power_range(self):
-        assert harness.transmit_power(10.0) == 10.0
+        # every transmit SNR becomes a linear power through the one dB rule
+        assert sysmodel.db_to_linear("snr_db", 10.0) == 10.0
         for snr_db in (-2999.0, 2999.0):
-            assert 0.0 < harness.transmit_power(snr_db) < math.inf
+            assert 0.0 < sysmodel.db_to_linear("snr_db", snr_db) < math.inf
         for snr_db in (-3000.0, 3000.0, math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=r"snr_db must lie in \(-3000, 3000\) dB"):
-                harness.transmit_power(snr_db)
+                sysmodel.db_to_linear("snr_db", snr_db)
 
     @pytest.mark.parametrize("experiment", ["fig6", "theorem1"])
     def test_users_at_most_antennas(self, experiment):

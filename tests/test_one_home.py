@@ -1,0 +1,103 @@
+"""Each model decision is written once in `src/fddrecon`: a scan of the
+package's syntax trees for a second copy of the dB rule, the noise power,
+the observation, the two-FFT angle spectrum, a scalar atom factor build in
+extraction, or a trial stream made outside its helper."""
+
+import ast
+import pathlib
+
+import pytest
+
+PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "fddrecon"
+
+
+def _walk(node, scope=None):
+    """(enclosing function name or None, node) for every node below `node`."""
+    for child in ast.iter_child_nodes(node):
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+        yield inner, child
+        yield from _walk(child, inner)
+
+
+def _called(node, *names) -> bool:
+    """`node` is a call of a function or method named one of `names`."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) in names
+
+
+def _is_ten(node) -> bool:
+    return isinstance(node, ast.Constant) and not isinstance(node.value, bool) and node.value == 10
+
+
+def _db_rule(module, node) -> bool:
+    # 10 ** x, np.power(10, x) or math.pow(10, x)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        return _is_ten(node.left)
+    return _called(node, "power", "pow") and bool(node.args) and _is_ten(node.args[0])
+
+
+def _noise_constant(module, node) -> bool:
+    # an upper-case name holding NOISE: a constant, not a drawn noise vector
+    targets = {ast.Assign: lambda n: n.targets, ast.AnnAssign: lambda n: [n.target]}
+    get = targets.get(type(node))
+    return get is not None and any(
+        isinstance(t, ast.Name) and t.id.isupper() and "NOISE" in t.id for t in get(node))
+
+
+def _observation(module, node) -> bool:
+    # sqrt(p_tx) * x: the scaled channel of a noisy observation
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+            and any(_called(side, "sqrt") and len(side.args) == 1
+                    and isinstance(side.args[0], ast.Name) and side.args[0].id == "p_tx"
+                    for side in (node.left, node.right)))
+
+
+def _angle_spectrum(module, node) -> bool:
+    # an FFT of an FFT, or a multi-axis FFT
+    return _called(node, "fft2", "fftn") or (
+        _called(node, "fft") and bool(node.args) and _called(node.args[0], "fft"))
+
+
+def _extraction_delay_build(module, node) -> bool:
+    return module == "enomp" and _called(node, "delay_vector")
+
+
+def _trial_stream(module, node) -> bool:
+    # a generator made, or a seed list holding the master seed written, in
+    # the harness
+    if module != "harness":
+        return False
+    return _called(node, "default_rng") or (
+        isinstance(node, (ast.List, ast.Tuple))
+        and any(isinstance(e, ast.Attribute) and e.attr == "seed" for e in node.elts))
+
+
+# (decision, predicate, the (module, function) of its one home; none for the
+# scalar delay build, whose home `sysmodel.atom_factors` is outside enomp)
+HOMES = [
+    ("db_to_linear", _db_rule, [("sysmodel", "db_to_linear")]),
+    ("noise_power", _noise_constant, [("sysmodel", None)]),
+    ("observation", _observation, [("sysmodel", "observation")]),
+    ("angle_spectrum", _angle_spectrum, [("enomp", "_angle_peak_power")]),
+    ("atom_factors", _extraction_delay_build, []),
+    ("trial_streams", _trial_stream, [("harness", "_trial_rng")]),
+]
+
+
+def _sites(predicate):
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        out.extend((path.stem, scope, node.lineno)
+                   for scope, node in _walk(tree) if predicate(path.stem, node))
+    return out
+
+
+@pytest.mark.parametrize("decision, predicate, home", HOMES, ids=[h[0] for h in HOMES])
+def test_each_decision_has_one_home(decision, predicate, home):
+    # the home itself must be found too, so a renamed home fails here
+    sites = _sites(predicate)
+    assert [(module, scope) for module, scope, _ in sites] == home, (
+        f"{decision} written at {sites}; its one home is {home}")

@@ -412,6 +412,24 @@ class TestScenario:
         oracle = np.trapezoid(10.0 ** (grid / 10.0), grid) / 10.0
         assert abs(sysmodel.mean_linear_attenuation((-10.0, 0.0)) - oracle) < 1e-8
         assert sysmodel.mean_linear_attenuation((0.0, 0.0)) == pytest.approx(1.0)
+        # narrow ranges: the mean of powers within the range, where a
+        # difference of the two end powers would cancel to 0.0 and 0.09998
+        assert sysmodel.mean_linear_attenuation((0.0, 1e-300)) == 1.0
+        assert sysmodel.mean_linear_attenuation((-10.0, -9.999999999999)) == pytest.approx(
+            0.1, rel=1e-12)
+        # a range wider than 308 dB, where e^x of the width leaves the float range
+        wide = sysmodel.mean_linear_attenuation((-2999.0, 2999.0))
+        assert wide == pytest.approx(10.0 ** 299.9 / (math.log(10.0) / 10.0 * 5998.0), rel=1e-12)
+
+    @pytest.mark.parametrize("att_range_db", [
+        (-3000.0, 0.0), (0.0, 3000.0), (-5000.0, -4000.0), (math.nan, 0.0), (0.0, math.inf)])
+    def test_attenuation_outside_db_range_raises(self, att_range_db):
+        # past (-3000, 3000) dB 10^(A/10) is zero or inf, so no gain is drawn
+        match = r"att_range_db must lie in \(-3000, 3000\) dB"
+        with pytest.raises(ValueError, match=match):
+            sysmodel.generate_scenario(2, 2, small_cfg(), seed=1, att_range_db=att_range_db)
+        with pytest.raises(ValueError, match=match):
+            sysmodel.mean_linear_attenuation(att_range_db)
 
 
 class TestGramEigvals:
