@@ -62,12 +62,13 @@ def _run_extract(args) -> int:
     seed_flag = {} if args.seed is None else {"seed": args.seed}
     # the file's own experiment (fig4 when it names none) sets the value contract
     config = harness.config_from_dict({"experiment": "fig4", "seed": 0, **raw, **seed_flag})
-    cfg, seed = config.system, config.seed
+    cfg = config.system
+    seed = config.seed
     p_tx = sysmodel.db_to_linear("snr_db", args.snr_db)
     sysmodel.check_integer("paths", args.paths, 1)
     scenario = sysmodel.generate_scenario(1, args.paths, cfg, seed=seed, att_range_db=(0.0, 0.0))
     paths = scenario.users[0]
-    y = sysmodel.sounding_observation(paths, cfg, p_tx, np.random.default_rng([seed, 1]))
+    y = sysmodel.sounding_observation(paths, cfg, p_tx, harness._trial_rng(seed, 1, 0))
     result = enomp.extract(y, cfg, p_tx)
     print(f"true paths: {len(paths)}   detected: {len(result.paths)}   "
           f"iterations: {result.iterations}   stop: {result.stop_reason}")

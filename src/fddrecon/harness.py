@@ -72,12 +72,9 @@ class ExperimentConfig:
             raise ValueError("fig6 deltas must lie in (0, 1)")
         if self.experiment == "theorem1" and not all(0 <= d <= 1 for d in self.deltas):
             raise ValueError("theorem1 deltas must lie in [0, 1]")
-        att = self.attenuation_db
-        if len(att) != 2 or not att[0] <= att[1]:
-            raise ValueError("attenuation_db must be a [lo, hi] pair with lo <= hi")
-        for name in ("snr_db", "attenuation_db"):
-            for db in getattr(self, name):
-                db_to_linear(name, db)
+        for db in self.snr_db:
+            db_to_linear("snr_db", db)
+        sysmodel._attenuation_range("attenuation_db", self.attenuation_db)
         if self.experiment != "fig4" and self.users > self.system.M:
             raise ValueError(f"users must be at most system.M = {self.system.M} for zero-forcing")
         # the LMMSE baseline trains on M symbols and every plan on at most M

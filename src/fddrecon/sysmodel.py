@@ -384,22 +384,24 @@ def sounding_observation(paths, cfg: SystemConfig, p_tx: float, noise_seed) -> n
     return observation(uplink_channel(paths, cfg), p_tx, noise)
 
 
-def _attenuation_range(att_range_db) -> tuple:
-    """The (lo, hi) pair of an attenuation range in dB. ValueError unless
-    lo <= hi and both lie in (-3000, 3000) dB (`db_to_linear`)."""
-    lo, hi = att_range_db
-    if hi < lo:
-        raise ValueError("attenuation range must satisfy lo <= hi")
-    for a in (lo, hi):
-        db_to_linear("att_range_db", a)
-    return lo, hi
+def _attenuation_range(name: str, pair) -> tuple:
+    """The (lo, hi) pair of an attenuation range in dB, called ``name`` in
+    errors: the one range rule, for the config and the model alike.
+    ValueError unless it has two entries, both lie in (-3000, 3000) dB
+    (`db_to_linear`), and lo <= hi."""
+    if len(pair) == 2:
+        for db in pair:
+            db_to_linear(name, db)
+    if len(pair) != 2 or not pair[0] <= pair[1]:
+        raise ValueError(f"{name} must be a [lo, hi] pair with lo <= hi")
+    return tuple(pair)
 
 
 def mean_linear_attenuation(att_range_db) -> float:
     """E[10^(A/10)] for A uniform over the given dB range: 10^(hi/10)
     (1 - e^-x) / x with x = (hi - lo) ln(10) / 10, by expm1, so that neither
     a narrow range cancels nor a wide one overflows."""
-    lo, hi = _attenuation_range(att_range_db)
+    lo, hi = _attenuation_range("att_range_db", att_range_db)
     top = db_to_linear("att_range_db", hi)
     if hi == lo:
         return top
@@ -415,12 +417,12 @@ def generate_scenario(K: int, L: int, cfg: SystemConfig, seed,
     uniform over [-pi/2, pi/2), delay uniform over [0, 1/delta_f), and i.i.d.
     circular Gaussian gains on both links scaled so the mean total path power
     equals the drawn attenuation. Uplink and downlink gains are independent
-    with equal variance. ValueError unless lo <= hi and both lie in
-    (-3000, 3000) dB.
+    with equal variance. ValueError unless `att_range_db` passes
+    `_attenuation_range`.
     """
     if K < 1 or L < 1:
         raise ValueError("K and L must be >= 1")
-    lo, hi = _attenuation_range(att_range_db)
+    lo, hi = _attenuation_range("att_range_db", att_range_db)
     rng = np.random.default_rng(seed)
     users = []
     atts = []

@@ -2,6 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# no per-example deadline: examples time the numerics, whose cost varies
+# with the drawn sizes and with a shared host's load
+settings.register_profile("fddrecon", deadline=None)
+settings.load_profile("fddrecon")
 
 
 @pytest.fixture

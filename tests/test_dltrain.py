@@ -1,5 +1,6 @@
 """Beam grid, accuracy predictor, and pilot scheduler tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from fddrecon import _kernels, dltrain
 from fddrecon.enomp import DetectedPath
-from fddrecon.sysmodel import SystemConfig, atom_sum, complex_noise, observation, steering_vector
+from fddrecon.sysmodel import (PathComponent, SystemConfig, atom_sum, complex_noise, observation,
+                               steering_vector)
 
 
 P_TX = 10.0  # transmit power of every test but test_scalar_value
@@ -354,20 +356,9 @@ class TestPredictor:
         np.testing.assert_allclose(comp, expect, rtol=0.15)
 
 
-class _TruePath:
-    """Adapter giving a DetectedPath the g_dl attribute the simulator reads."""
-
-    __slots__ = ("g_dl", "theta", "phi", "tau")
-
-    def __init__(self, gain, theta, phi, tau):
-        self.g_dl = gain
-        self.theta = theta
-        self.phi = phi
-        self.tau = tau
-
-
 def _as_true_path(p):
-    return _TruePath(p.gain, p.theta, p.phi, p.tau)
+    """A path with the detected one's geometry and its gain on the downlink."""
+    return PathComponent(0.0, p.gain, p.theta, p.phi, p.tau)
 
 
 class TestGainEstimation:
@@ -458,7 +449,7 @@ class TestFactoredPilots:
     """Pilot synthesis and the pilot gain LS read the pilot factors; the
     materialized coefficient matrix is their reference."""
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(pilot_cases())
     def test_factors_build_the_coefficient_matrix(self, case):
         cfg, paths, plan = case
@@ -471,7 +462,7 @@ class TestFactoredPilots:
             np.testing.assert_array_equal(
                 coef[:, l], _kernels.kron3(*(f[:, l] for f in factors)))
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(pilot_cases())
     def test_noiseless_pilots_equal_the_coefficient_matrix_product(self, case):
         cfg, paths, plan = case
@@ -483,7 +474,7 @@ class TestFactoredPilots:
         bound = 1e-13 * math.sqrt(P_TX) * np.linalg.norm(coef) * np.linalg.norm(g)
         assert np.linalg.norm(got - want) <= bound
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(pilot_cases(), st.integers(0, 2**32 - 1))
     def test_gains_match_lstsq_on_the_coefficient_matrix(self, case, seed):
         cfg, paths, plan = case
@@ -494,15 +485,14 @@ class TestFactoredPilots:
         got = dltrain.estimate_downlink_gains(y, paths, plan, cfg, P_TX)
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(pilot_cases(), st.one_of(st.none(), st.integers(0, 2**32 - 1)), st.booleans())
     def test_pilots_are_the_observation_of_the_pilot_atom_sum(self, case, seed, zero_gains):
         # bit for bit, signs of zero included: the burst is the one
         # observation sqrt(p_tx) h + noise of `sysmodel`, noiseless without a seed
         cfg, paths, plan = case
         if zero_gains:
-            for p in paths:
-                p.g_dl = complex(-0.0, -0.0)
+            paths = [dataclasses.replace(p, g_dl=complex(-0.0, -0.0)) for p in paths]
         pilots = atom_sum(np.array([p.g_dl for p in paths]),
                           *dltrain.pilot_factors(paths, plan.beams, cfg))
         noise = 0.0 if seed is None else complex_noise(np.random.default_rng(seed), len(pilots))
@@ -517,7 +507,8 @@ class TestFactoredPilots:
         # basis, which is the coefficient matrix itself
         cfg = small_cfg()
         grid = dltrain.build_angle_grid(cfg)
-        paths = [_TruePath(1.0 + 0.5j, 0.3, -0.4, 5e-6), _TruePath(-0.3j, 0.3 + 1e-7, -0.4, 5e-6)]
+        paths = [PathComponent(0.0, 1.0 + 0.5j, 0.3, -0.4, 5e-6),
+                 PathComponent(0.0, -0.3j, 0.3 + 1e-7, -0.4, 5e-6)]
         plan = manual_plan([dltrain.optimal_grid_point(0.3, -0.4, grid, cfg), 5, 20], grid, cfg)
         coef = dltrain.coefficient_matrix(paths, plan, cfg)
         assert 1e4 <= np.linalg.cond(coef) < 1e10
@@ -632,7 +623,7 @@ class TestScheduler:
                 marked.add(dltrain.optimal_grid_point(p.theta, p.phi, grid, cfg))
         assert set(plan.grid_indices) == marked
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(st.integers(1, 3), st.integers(1, 4), st.sampled_from([1e-3, 1e-2, 1e-1]),
            st.integers(0, 2**32 - 1))
     def test_feasible_plans_are_estimable(self, n_users, n_paths, delta, seed):

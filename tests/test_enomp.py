@@ -9,11 +9,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import reference
 from fddrecon import _kernels, enomp, sysmodel
 from fddrecon.sysmodel import (PathComponent, SystemConfig, atom_basis, atom_factors, atom_gram,
-                               atom_sum, complex_noise, delay_vector, fit_gains, generate_scenario,
-                               path_factors, sounding_observation, steering_factors,
-                               uplink_channel)
+                               atom_sum, complex_noise, db_to_linear, delay_vector, fit_gains,
+                               generate_scenario, path_factors, sounding_observation,
+                               steering_factors, uplink_channel)
 
 
 def small_cfg(**kw):
@@ -34,14 +35,14 @@ def cell_sizes(cfg):
             1.0 / (cfg.beta_tau * cfg.N * cfg.delta_f))
 
 
-def detect(y, cb, cfg):
+def fast_detect(y, cb, cfg):
     """`omp_detect` as `extract` calls it: on the delay transform of y and
     its bin energies."""
     z = enomp.delay_transform(y, cfg)
     return enomp.omp_detect(y, cb, z, enomp._bin_energy(z))
 
 
-def statistic(y, cfg):
+def fast_statistic(y, cfg):
     """The stopping statistic of y, from its delay transform."""
     return enomp.stopping_statistic(enomp.delay_transform(y, cfg), cfg)
 
@@ -101,7 +102,7 @@ class TestDetection:
         g = 0.8 - 0.3j
         th, ph, ta = cb.thetas[3], cb.phis[5], cb.taus[17]
         y = g * enomp.synth_atom(th, ph, ta, cfg)
-        th_hat, ph_hat, ta_hat, power = detect(y, cb, cfg)
+        th_hat, ph_hat, ta_hat, power = fast_detect(y, cb, cfg)
         assert (th_hat, ph_hat, ta_hat) == (th, ph, ta)
         assert power == pytest.approx(abs(g) ** 2 * cfg.M * cfg.N, rel=1e-12)
         assert enomp.coarse_gain(y, th, ph, ta, cfg) == pytest.approx(g, abs=1e-12)
@@ -121,9 +122,9 @@ class TestDetection:
                         p = abs(np.vdot(c, y)) ** 2 / mn
                         if p > best[0] + 1e-15:
                             best = (p, (float(th), float(ph), float(ta)))
-            th_hat, ph_hat, ta_hat, power = detect(y, cb, cfg)
+            *at, power, _ = reference.detect(y, cb)
             assert abs(power - best[0]) <= 1e-9 * best[0]
-            assert (th_hat, ph_hat, ta_hat) == best[1]
+            assert tuple(at) == best[1]
 
     def test_threshold_value(self):
         # ln(32768) - ln(-ln(0.99)) restated from the definition
@@ -141,7 +142,7 @@ class TestDetection:
 
     def test_stopping_statistic_examples(self):
         cfg = small_cfg()
-        assert statistic(np.zeros(cfg.M * cfg.N), cfg) == 0.0
+        assert fast_statistic(np.zeros(cfg.M * cfg.N), cfg) == 0.0
         # a critically sampled DFT atom concentrates all energy in one bin,
         # so the statistic equals the squared norm of the input
         rng = np.random.default_rng(7)
@@ -151,36 +152,17 @@ class TestDetection:
         atom = np.exp(-2j * np.pi * (m * 2 / cfg.M_v + h * 1 / cfg.M_h + n * 5 / cfg.N))
         alpha = complex(rng.standard_normal(), rng.standard_normal())
         r = alpha * atom.ravel()
-        stat = statistic(r, cfg)
+        stat = fast_statistic(r, cfg)
         assert stat == pytest.approx(np.linalg.norm(r) ** 2, rel=1e-12)
-
-    @pytest.mark.parametrize("seed", [9, 10, 11])
-    def test_stopping_statistic_equals_squared_spectrum_maximum(self, seed):
-        # the peak magnitude is squared alone; rounding is monotone, so this
-        # is bit for bit the largest entry of the squared spectrum
-        cfg = small_cfg()
-        rng = np.random.default_rng(seed)
-        y = rng.standard_normal(cfg.M * cfg.N) + 1j * rng.standard_normal(cfg.M * cfg.N)
-        spectrum = np.fft.fftn(y.reshape(cfg.M_v, cfg.M_h, cfg.N))
-        want = float(np.max(np.abs(spectrum) ** 2) / (cfg.M * cfg.N))
-        assert statistic(y, cfg) == want
 
     def test_false_alarm_rate_on_pure_noise(self):
         cfg = small_cfg()  # MN = 512
-        mn = cfg.M * cfg.N
-        threshold = enomp.detection_threshold(mn, cfg.P_fa)
+        threshold = enomp.detection_threshold(cfg.M * cfg.N, cfg.P_fa)
         rng = np.random.default_rng(8)
-        trials, hits = 10000, 0
-        chunk = 500
-        for _ in range(trials // chunk):
-            z = (rng.standard_normal((chunk, cfg.M_v, cfg.M_h, cfg.N))
-                 + 1j * rng.standard_normal((chunk, cfg.M_v, cfg.M_h, cfg.N))) / math.sqrt(2)
-            spectrum = np.fft.fftn(z, axes=(1, 2, 3))
-            stats = np.max(np.abs(spectrum) ** 2, axis=(1, 2, 3)) / mn
-            hits += int(np.sum(stats >= threshold))
-        rate = hits / trials
+        hits = sum(reference.statistic(complex_noise(rng, cfg.M * cfg.N), cfg) >= threshold
+                   for _ in range(10000))
         # design rate is 1e-2; binomial 3 sigma is about 3e-3
-        assert 0.002 < rate < 0.02
+        assert 0.002 < hits / 10000 < 0.02
 
 
 class TestObjective:
@@ -288,7 +270,7 @@ class TestNewtonRefine:
         th, ph, ta = 0.3, -0.4, 5.0e-6
         rng = np.random.default_rng(3)
         y = (rng.standard_normal(mn) + 1j * rng.standard_normal(mn)) / math.sqrt(2)
-        assert np.max(np.linalg.eigvalsh(log_power_hessian(y, th, ph, ta, cfg))) >= 0.0
+        assert reference.visit(y, th, ph, ta, cfg, (), np.zeros(0))[6] >= 0.0
         result = refine_alone(y, th, ph, ta, cfg)
         assert result[:4] == (th, ph, ta, False)
         assert result[4] == pytest.approx(correlation(y, th, ph, ta, cfg), rel=1e-12)
@@ -300,7 +282,7 @@ class TestNewtonRefine:
         cfg = small_cfg()
         th, ph, ta = 0.3, -0.4, 5.0e-6
         y = (0.7 + 0.2j) * enomp.synth_atom(th, ph, ta, cfg)
-        assert np.max(np.linalg.eigvalsh(log_power_hessian(y, th, ph, ta, cfg))) < 0.0
+        assert reference.visit(y, th, ph, ta, cfg, (), np.zeros(0))[6] < 0.0
         result = refine_alone(y, th, ph, ta, cfg)
         assert result[:4] == (th, ph, ta, False)
         assert result[4] == pytest.approx(correlation(y, th, ph, ta, cfg), rel=1e-12)
@@ -316,6 +298,22 @@ class TestNewtonRefine:
             refine_alone(y, 0.3, -0.4, 5.0e-6, cfg)
 
 
+def centres_of(cfg):
+    return ((cfg.M_v - 1) / 2.0, (cfg.M_h - 1) / 2.0, (cfg.N - 1) / 2.0)
+
+
+def assert_same_point(got, want, cfg, atol):
+    """Two paths within `atol`, per coordinate, in u = sin(theta), w =
+    cos(theta) sin(phi) and tau, each on its circle (at endfire the arcsine
+    makes far more of a rounding of u), u or w 0 on a one-antenna axis."""
+    def coords(p):
+        return np.array([math.sin(p.theta) * (cfg.M_v > 1),
+                         math.cos(p.theta) * math.sin(p.phi) * (cfg.M_h > 1), p.tau])
+    period = np.array([2.0, 2.0, cfg.tau_max])
+    gap = (coords(got) - coords(want) + period / 2) % period - period / 2
+    assert np.all(np.abs(gap) <= atol), gap / atol
+
+
 def assert_factors_at(factors, theta, phi, tau, cfg):
     """The factors `newton_refine` returns are the scalar builds at its point."""
     a_v, a_h, p_n = factors
@@ -328,19 +326,6 @@ def assert_factors_at(factors, theta, phi, tau, cfg):
 def correlation(y, theta, phi, tau, cfg):
     """y^H a of the atom at (theta, phi, tau), on the materialized atom."""
     return complex(np.vdot(y, enomp.synth_atom(theta, phi, tau, cfg)))
-
-
-def log_power_hessian(y, theta, phi, tau, cfg):
-    """Hessian of log|c|^2 in (u, w, tau) at one atom, by the quotient rule."""
-    a_v, a_h = steering_factors(theta, phi, cfg)
-    p_n = delay_vector(tau, cfg)
-    centres = ((cfg.M_v - 1) / 2.0, (cfg.M_h - 1) / 2.0, (cfg.N - 1) / 2.0)
-    cube = _kernels.moment_cube(y.reshape(cfg.M_v, cfg.M_h, cfg.N), a_v, a_h, p_n, *centres)
-    c, dc, d2c = enomp._derivative_scalars(cube, cfg)
-    dc, d2c = np.array(dc), np.array(d2c)
-    grad = 2.0 * (np.conj(c) * dc).real / abs(c) ** 2
-    return (2.0 * ((np.conj(c) * d2c).real + np.outer(dc, np.conj(dc)).real) / abs(c) ** 2
-            - np.outer(grad, grad))
 
 
 class TestExtract:
@@ -559,22 +544,18 @@ def atom_sets(draw, max_atoms=5):
     return cfg, paths, y
 
 
-def materialized_basis(paths, cfg):
-    return np.stack([enomp.synth_atom(p.theta, p.phi, p.tau, cfg) for p in paths], axis=1)
-
-
 class TestFitGains:
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(atom_sets())
     def test_hadamard_gram_equals_basis_gram(self, case):
         cfg, paths, _ = case
-        basis = materialized_basis(paths, cfg)
+        basis = reference.basis(paths, cfg)
         gram = atom_gram(*path_factors(paths, cfg))
         # off-diagonal entries can be near zero: atol relative to the diagonal MN
         np.testing.assert_allclose(gram, basis.conj().T @ basis,
                                    rtol=1e-12, atol=1e-12 * cfg.M * cfg.N)
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(atom_sets())
     def test_atom_basis_columns_equal_kron3_exactly(self, case):
         cfg, paths, _ = case
@@ -584,15 +565,15 @@ class TestFitGains:
         for l in range(len(paths)):
             np.testing.assert_array_equal(basis[:, l], _kernels.kron3(*(f[:, l] for f in factors)))
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(atom_sets())
     def test_gains_and_residual_match_materialized_lstsq(self, case):
         cfg, paths, y = case
-        basis = materialized_basis(paths, cfg)
+        basis = reference.basis(paths, cfg)
         assume(len(paths) <= cfg.M * cfg.N and np.linalg.cond(basis) < 1e2)
         factors = path_factors(paths, cfg)
         gains, rank = fit_gains(y, *factors)
-        want, _, want_rank, _ = np.linalg.lstsq(basis, y, rcond=None)
+        want, want_rank, _ = reference.fit(y, paths, cfg)
         assert rank == want_rank == len(paths)
         np.testing.assert_allclose(gains, want, rtol=1e-9)
         np.testing.assert_allclose(y - atom_sum(gains, *factors),
@@ -606,7 +587,7 @@ class TestFitGains:
         cfg = SystemConfig()
         paths = [enomp.DetectedPath(0j, 0.3, -0.4, 5e-6),
                  enomp.DetectedPath(0j, 0.3 + sep, -0.4, 5e-6)]
-        basis = materialized_basis(paths, cfg)
+        basis = atom_basis(*path_factors(paths, cfg))
         y = basis @ np.array([1.0 + 0.5j, -0.3j])
         gains, got_rank = fit_gains(y, *path_factors(paths, cfg))
         assert counted_lstsq.calls == 1
@@ -614,7 +595,7 @@ class TestFitGains:
         assert got_rank == want_rank == rank
         np.testing.assert_array_equal(gains, want)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(atom_sets())
     def test_path_factors_equal_scalar_builds_exactly(self, case):
         cfg, paths, _ = case
@@ -631,7 +612,7 @@ class TestFitGains:
                                    (a_v[:, l], a_h[:, l], p_n[:, l])):
                 np.testing.assert_array_equal(got, column)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(atom_sets(max_atoms=1))
     def test_atom_correlation_matches_conjugated_observation_form(self, case):
         cfg, paths, y = case
@@ -643,184 +624,83 @@ class TestFitGains:
 
 
 # angles anywhere in [-pi/2, pi/2), with the endfire edges drawn often
-ANGLES = st.one_of(st.floats(-math.pi / 2, 1.5707963267948963),
+ANGLES = st.one_of(st.floats(-math.pi / 2, enomp._THETA_MAX),
                    st.floats(-math.pi / 2, -math.pi / 2 + 1e-3),
-                   st.floats(math.pi / 2 - 1e-3, 1.5707963267948963))
-
-
-@st.composite
-def track_sets(draw):
-    """A small system, 1-6 tracks (geometry and gains), the visited track k,
-    a trial point, and an observation."""
-    cfg = SystemConfig(M_v=draw(st.integers(1, 4)), M_h=draw(st.integers(1, 5)),
-                       N=draw(st.integers(2, 16)))
-    count = draw(st.integers(1, 6))
-    params = [(draw(ANGLES), draw(ANGLES), draw(st.floats(0.0, 0.999)) * cfg.tau_max)
-              for _ in range(count + 1)]
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    gains = rng.standard_normal(count) + 1j * rng.standard_normal(count)
-    mn = cfg.M * cfg.N
-    y = rng.standard_normal(mn) + 1j * rng.standard_normal(mn)
-    return cfg, params[:count], gains, draw(st.integers(0, count - 1)), params[count], y
-
-
-class TestCrossTerms:
-    """A visit reads y and subtracts the other tracks' separable terms; that
-    must equal the old route through the materialized y - sum_{l != k} g_l a_l."""
-
-    @staticmethod
-    def _setup(case):
-        cfg, params, gains, k, trial, y = case
-        factors = path_factors([enomp.DetectedPath(0j, *p) for p in params], cfg)
-        others = gains.copy()
-        others[k] = 0.0
-        y_local = y - sum(g * enomp.synth_atom(*p, cfg)
-                          for i, (g, p) in enumerate(zip(gains, params)) if i != k)
-        shape = (cfg.M_v, cfg.M_h, cfg.N)
-        return cfg, (others, *factors), y.reshape(shape), np.reshape(y_local, shape)
-
-    @settings(max_examples=80, deadline=None)
-    @given(track_sets())
-    def test_cube_equals_moment_cube_of_materialized_observation(self, case):
-        cfg, others, y3, local3 = self._setup(case)
-        _, params, _, k, _, _ = case
-        a_v, a_h = steering_factors(*params[k][:2], cfg)
-        p_n = delay_vector(params[k][2], cfg)
-        centres = ((cfg.M_v - 1) / 2.0, (cfg.M_h - 1) / 2.0, (cfg.N - 1) / 2.0)
-        weights = tuple(map(_kernels.index_weighted, (a_v, a_h, p_n), centres))
-        got = (_kernels.moment_cube(y3, a_v, a_h, p_n, *centres)
-               - enomp._atom_sum_cube(others, weights))
-        want = _kernels.moment_cube(local3, a_v, a_h, p_n, *centres)
-        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.max(np.abs(want)))
-
-    @settings(max_examples=80, deadline=None)
-    @given(track_sets())
-    def test_trial_correlation_equals_materialized_correlation(self, case):
-        cfg, others, y3, local3 = self._setup(case)
-        theta, phi, tau = case[4]
-        a_v, a_h = steering_factors(theta, phi, cfg)
-        p_n = delay_vector(tau, cfg)
-        got = (enomp._atom_correlation(y3, a_v, a_h, p_n)
-               - enomp._atom_sum_correlation(others, a_v, a_h, p_n))
-        want = enomp._atom_correlation(local3, a_v, a_h, p_n)
-        scale = np.linalg.norm(local3) * math.sqrt(cfg.M * cfg.N)
-        assert abs(got - want) <= 1e-10 * max(abs(want), 1e-3 * scale)
-
-
-def reference_visit(y, theta, phi, tau, cfg, others):
-    """One refinement visit in its first numpy form: the factors built at the
-    start, the other tracks' cube by einsum, and `eigvalsh` plus `solve` on
-    the 3x3 log-power Hessian. Returns (cube, hess, accepted, theta', phi',
-    tau')."""
-    y3 = y.reshape(cfg.M_v, cfg.M_h, cfg.N)
-    a_v, a_h = steering_factors(theta, phi, cfg)
-    p_n = delay_vector(tau, cfg)
-    centres = ((cfg.M_v - 1) / 2.0, (cfg.M_h - 1) / 2.0, (cfg.N - 1) / 2.0)
-    gains, o_v, o_h, o_p = others
-    v, h, p = (_kernels.index_weighted(a, c).conj().T @ o
-               for a, c, o in zip((a_v, a_h, p_n), centres, (o_v, o_h, o_p)))
-    cube = (_kernels.moment_cube(y3, a_v, a_h, p_n, *centres)
-            - np.einsum("l,al,bl,cl->abc", gains, v, h, p).conj())
-    scale = np.array([2 * math.pi * cfg.d_over_lambda] * 2 + [2 * math.pi * cfg.delta_f])
-    c0 = cube[0, 0, 0]
-    dc = 1j * scale * np.array([cube[1, 0, 0], cube[0, 1, 0], cube[0, 0, 1]])
-    d2c = -np.outer(scale, scale) * np.array([
-        [cube[2, 0, 0], cube[1, 1, 0], cube[1, 0, 1]],
-        [cube[1, 1, 0], cube[0, 2, 0], cube[0, 1, 1]],
-        [cube[1, 0, 1], cube[0, 1, 1], cube[0, 0, 2]],
-    ])
-    old_power = abs(c0) ** 2
-    grad = 2.0 * (np.conj(c0) * dc).real / old_power
-    hess = (2.0 * ((np.conj(c0) * d2c).real + np.outer(dc, np.conj(dc)).real) / old_power
-            - np.outer(grad, grad))
-    if np.max(np.linalg.eigvalsh(hess)) >= 0.0:
-        return cube, hess, False, theta, phi, tau
-    step = np.linalg.solve(hess, grad)
-    u, w = math.sin(theta), math.cos(theta) * math.sin(phi)
-    for damp in (1.0, 0.5, 0.25, 0.125):
-        u_new = enomp._wrap(u - damp * step[0] + 1.0, 2.0) - 1.0
-        w_new = enomp._wrap(w - damp * step[1] + 1.0, 2.0) - 1.0
-        theta_new = float(min(max(math.asin(u_new), -math.pi / 2), enomp._THETA_MAX))
-        cos_t = math.cos(theta_new)
-        s_phi = min(max(w_new / cos_t, -1.0), 1.0) if cos_t > 1e-12 else 0.0
-        phi_new = float(min(max(math.asin(s_phi), -math.pi / 2), enomp._THETA_MAX))
-        tau_new = enomp._wrap(float(tau - damp * step[2]), cfg.tau_max)
-        a_v2, a_h2 = steering_factors(theta_new, phi_new, cfg)
-        p_n2 = delay_vector(tau_new, cfg)
-        corr = (enomp._atom_correlation(y3, a_v2, a_h2, p_n2)
-                - enomp._atom_sum_correlation(others, a_v2, a_h2, p_n2))
-        if abs(corr) ** 2 > old_power:
-            return cube, hess, True, theta_new, phi_new, tau_new
-    return cube, hess, False, theta, phi, tau
+                   st.floats(math.pi / 2 - 1e-3, enomp._THETA_MAX))
 
 
 @st.composite
 def visit_cases(draw, sizes=None):
     """A small system, a noisy observation of 1-5 paths, the visited track
-    up to a grid cell off the first path, and the others at their paths. A
-    1 Hz subcarrier spacing is drawn too: there the delay curvature is of the
-    angles' order, where at 75 kHz it is about 1e11 times theirs. `sizes`,
-    when given, lists the (M_v, M_h, N) to draw the system from."""
+    up to a grid cell off the first path, the others at their paths (the
+    first at gain 0), and a trial point. A 1 Hz subcarrier spacing is drawn
+    too: there the delay curvature is of the angles' order, where at 75 kHz
+    it is about 1e11 times theirs. `sizes`, when given, lists the
+    (M_v, M_h, N) to draw the system from."""
     if sizes is None:
-        shape = (draw(st.integers(2, 4)), draw(st.integers(2, 5)), draw(st.integers(4, 16)))
+        shape = (draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(2, 16)))
     else:
         shape = draw(st.sampled_from(sizes))
     cfg = SystemConfig(M_v=shape[0], M_h=shape[1], N=shape[2],
                        delta_f=draw(st.sampled_from([1.0, 75e3])))
     count = draw(st.integers(1, 5))
     noise = draw(st.sampled_from([0.0, 0.1, 1.0, 10.0]))
+    points = [(draw(ANGLES), draw(ANGLES), draw(st.floats(0.0, 0.999)) * cfg.tau_max)
+              for _ in range(count + 1)]
+    paths = [enomp.DetectedPath(0j, *p) for p in points[:count]]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    paths = [enomp.DetectedPath(0j, float(rng.uniform(-1.3, 1.3)), float(rng.uniform(-1.3, 1.3)),
-                                float(rng.uniform(0.05, 0.95)) * cfg.tau_max)
-             for _ in range(count)]
     gains = rng.standard_normal(count) + 1j * rng.standard_normal(count)
-    factors = path_factors(paths, cfg)
     mn = cfg.M * cfg.N
-    y = atom_sum(gains, *factors) + noise * (rng.standard_normal(mn)
-                                             + 1j * rng.standard_normal(mn))
+    y = atom_sum(gains, *path_factors(paths, cfg)) + noise * (rng.standard_normal(mn)
+                                                              + 1j * rng.standard_normal(mn))
     off = rng.uniform(-1.0, 1.0, 3) * np.array(cell_sizes(cfg))
-    visited = (float(np.clip(paths[0].theta + off[0], -1.5, 1.5)),
-               float(np.clip(paths[0].phi + off[1], -1.5, 1.5)),
-               float(np.clip(paths[0].tau + off[2], 0.0, 0.99 * cfg.tau_max)))
-    others = gains.copy()
-    others[0] = 0.0
-    return cfg, y, visited, (others, *factors)
+    visited = (float(np.clip(paths[0].theta + off[0], -math.pi / 2, enomp._THETA_MAX)),
+               float(np.clip(paths[0].phi + off[1], -math.pi / 2, enomp._THETA_MAX)),
+               float(np.clip(paths[0].tau + off[2], 0.0, 0.999 * cfg.tau_max)))
+    gains[0] = 0.0
+    return cfg, y, visited, points[count], paths, gains
 
 
 class TestVisitMatchesReference:
-    """The visit's scalar 3x3 algebra, its one-product cross-term cube and its
-    stored starting factors against `reference_visit`."""
+    """A visit's cross-term cube and correlations, its scalar 3x3 algebra
+    and its stored starting factors against `reference.visit`, which forms
+    y - sum_{l != k} g_l a_l."""
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(visit_cases())
     def test_cube_agrees(self, case):
-        cfg, y, visited, others = case
-        a_v, a_h = steering_factors(*visited[:2], cfg)
-        p_n = delay_vector(visited[2], cfg)
-        centres = ((cfg.M_v - 1) / 2.0, (cfg.M_h - 1) / 2.0, (cfg.N - 1) / 2.0)
-        y_cube = _kernels.moment_cube(y.reshape(cfg.M_v, cfg.M_h, cfg.N), a_v, a_h, p_n,
-                                      *centres)
-        weights = tuple(map(_kernels.index_weighted, (a_v, a_h, p_n), centres))
+        cfg, y, visited, trial, paths, gains = case
+        y3 = y.reshape(cfg.M_v, cfg.M_h, cfg.N)
+        others = (gains, *path_factors(paths, cfg))
+        factors = atom_factors(*visited, cfg)
+        weights = tuple(map(_kernels.index_weighted, factors, centres_of(cfg)))
+        y_cube = _kernels.moment_cube(y3, *factors, *centres_of(cfg))
         got = y_cube - enomp._atom_sum_cube(others, weights)
-        want = reference_visit(y, *visited, cfg, others)[0]
+        want = reference.visit(y, *visited, cfg, paths, gains)[5]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(y_cube)))
+        # the correlation at a trial point, as a backtracking step forms it
+        at = atom_factors(*trial, cfg)
+        got = enomp._atom_correlation(y3, *at) - enomp._atom_sum_correlation(others, *at)
+        local = y - reference.basis(paths, cfg) @ gains
+        want = np.vdot(local, reference.basis([enomp.DetectedPath(0j, *trial)], cfg)[:, 0])
+        scale = np.linalg.norm(local) * math.sqrt(cfg.M * cfg.N)
+        assert abs(got - want) <= 1e-10 * max(abs(want), 1e-3 * scale)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(visit_cases())
     def test_step_agrees(self, case):
-        cfg, y, visited, others = case
-        _, hess, accepted, *params = reference_visit(y, *visited, cfg, others)
-        got = enomp.newton_refine(y, *visited, cfg, others, atom_factors(*visited, cfg), [None])
+        cfg, y, visited, _, paths, gains = case
+        *want, accepted, _, _, top, rise = reference.visit(y, *visited, cfg, paths, gains)
+        got = enomp.newton_refine(y, *visited, cfg, (gains, *path_factors(paths, cfg)),
+                                  atom_factors(*visited, cfg), [None])
         assert_factors_at(got[5], *got[:3], cfg)
-        lam = np.linalg.eigvalsh(hess)
-        if got[3] != accepted:
-            # the reference's sign test is only as good as eigvalsh: a flip
-            # is allowed only where its top eigenvalue is that close to 0
-            assert abs(lam[-1]) <= 1e-9 * np.max(np.abs(lam))
+        if min(abs(top), rise) <= 1e-9:
+            # a sign or strict-rise test of the reference this close to a
+            # tie is decided by its rounding, so either outcome is right
             return
-        cells = cfg.N * cfg.delta_f
-        np.testing.assert_allclose([got[0], got[1], got[2] * cells],
-                                   [params[0], params[1], params[2] * cells], rtol=0, atol=1e-9)
+        assert got[3] == accepted
+        assert_same_point(*(enomp.DetectedPath(0j, *p) for p in (got[:3], want)), cfg,
+                          1e-9 * np.array([1.0, 1.0, 1.0 / (cfg.N * cfg.delta_f)]))
 
 
 def assert_same_visit(got, want):
@@ -830,17 +710,13 @@ def assert_same_visit(got, want):
         np.testing.assert_array_equal(g, w)
 
 
-def centres_of(cfg):
-    return ((cfg.M_v - 1) / 2.0, (cfg.M_h - 1) / 2.0, (cfg.N - 1) / 2.0)
-
-
 class TestEmptyAtomSum:
     """A visit with no other tracks takes the L = 0 atom sum off y."""
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(visit_cases())
     def test_terms_are_exact_zeros(self, case):
-        cfg, _, visited, _ = case
+        cfg, _, visited, *_ = case
         factors = atom_factors(*visited, cfg)
         weights = tuple(map(_kernels.index_weighted, factors, centres_of(cfg)))
         cube = enomp._atom_sum_cube(no_others(cfg), weights)
@@ -849,13 +725,13 @@ class TestEmptyAtomSum:
         corr = enomp._atom_sum_correlation(no_others(cfg), *factors)
         assert type(corr) is complex and corr == 0
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(visit_cases())
     def test_visit_equals_one_track_of_gain_zero(self, case):
         # extract's first visit of its first track passes that one track
         # at gain 0
-        cfg, y, visited, (_, *factors) = case
-        one = (np.zeros(1, dtype=complex), *(f[:, :1] for f in factors))
+        cfg, y, visited, _, paths, _ = case
+        one = (np.zeros(1, dtype=complex), *path_factors(paths[:1], cfg))
         alone = refine_alone(y, *visited, cfg)
         assert_same_visit(alone, enomp.newton_refine(y, *visited, cfg, one,
                                                      atom_factors(*visited, cfg), [None]))
@@ -867,10 +743,11 @@ class TestKeptWork:
     Started from either, the next visit returns the fresh visit's results
     bit for bit."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(visit_cases(sizes=[(8, 16, 256), (2, 4, 16), (1, 8, 32)]))
     def test_visit_from_kept_work_equals_fresh_visit(self, case):
-        cfg, y, visited, others = case
+        cfg, y, visited, _, paths, gains = case
+        others = (gains, *path_factors(paths, cfg))
         y3 = y.reshape(cfg.M_v, cfg.M_h, cfg.N)
         memo = [None]
         first = enomp.newton_refine(y, *visited, cfg, others, atom_factors(*visited, cfg), memo)
@@ -925,7 +802,7 @@ class TestKeptRowDetection:
 
     ROW_SETS = [[0], [15], [7], [0, 1], [2, 9], [0, 15], [3, 4, 5], [1, 6, 11, 14]]
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     @given(st.integers(0, 2**32 - 1))
     def test_kept_rows_equal_the_full_product(self, seed):
         cfg = SystemConfig()
@@ -944,124 +821,61 @@ class TestKeptRowDetection:
         y = ((0.6 - 0.8j) * enomp.synth_atom(cb.thetas[rows[-1]], cb.phis[7], cb.taus[33], cfg)
              + 0.1 * complex_noise(np.random.default_rng(len(rows)), cfg.M * cfg.N))
         monkeypatch.setattr(enomp, "_rows_to_scan", lambda z, codebook, energy: rows)
-        assert detect(y, cb, cfg) == whole_cube_detect(y, cb)
-
-    def test_single_row_codebook_takes_the_full_product(self):
-        cfg = SystemConfig(M_v=1, M_h=8, N=32, beta_theta=1)
-        cb = enomp.build_codebook(cfg)
-        assert len(cb.thetas) == 1
-        paths = generate_scenario(1, 3, cfg, seed=5).users[0]
-        y = sounding_observation(paths, cfg, 10.0, 6)
-        assert detect(y, cb, cfg) == whole_cube_detect(y, cb)
+        assert fast_detect(y, cb, cfg) == reference.detect(y, cb)[:4]
 
 
-def residual_loop_extract(y, cfg, cb):
-    """The per-visit residual form of `enomp.extract`: every visit adds its
-    own atom back to the residual, refines against that, and takes it off
-    again with the new gain."""
-    mn = cfg.M * cfg.N
-    residual, tracks, iterations, stop = y.copy(), [], 0, "cap"
-    threshold = enomp.detection_threshold(mn, cfg.P_fa)
-
-    def refine(track, y_local):
-        th, ph, ta = refine_alone(y_local, *track[1:], cfg)[:3]
-        atom = enomp.synth_atom(th, ph, ta, cfg)
-        return [np.vdot(atom, y_local) / mn, th, ph, ta], atom
-
-    for _ in range(enomp._MAX_PATHS):
-        if statistic(residual, cfg) < threshold:
-            stop = "below_threshold"
-            break
-        iterations += 1
-        new, atom = refine([0j, *detect(residual, cb, cfg)[:3]], residual)
-        tracks.append(new)
-        residual = residual - new[0] * atom
-        for _ in range(enomp._REFINE_ROUNDS):
-            for i, track in enumerate(tracks):
-                y_local = residual + track[0] * enomp.synth_atom(*track[1:], cfg)
-                tracks[i], atom = refine(track, y_local)
-                residual = y_local - tracks[i][0] * atom
-        paths = [enomp.DetectedPath(0j, *t[1:]) for t in tracks]
-        gains, rank = fit_gains(y, *path_factors(paths, cfg))
-        if rank < len(tracks):
-            tracks.pop()
-            gains, _ = fit_gains(y, *path_factors(paths[:-1], cfg))
-            stop = "degenerate"
-        for t, g in zip(tracks, gains):
-            t[0] = complex(g)
-        if stop == "degenerate":
-            break
-        residual = y - sum(t[0] * enomp.synth_atom(*t[1:], cfg) for t in tracks)
-    return tracks, iterations, stop
+@st.composite
+def extraction_cases(draw):
+    """A small system, a sounding of 1-4 paths at -20 to 20 dB with angles
+    near endfire often and paths sometimes 1e-7 to 1e-1 rad from the first,
+    and a scale 2^k, k in {0, 500, -500}, for the observation."""
+    cfg = SystemConfig(M_v=draw(st.integers(1, 4)), M_h=draw(st.integers(1, 4)),
+                       N=draw(st.integers(16, 64)), beta_tau=draw(st.sampled_from([1, 2])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    paths = []
+    for _ in range(draw(st.integers(1, 4))):
+        theta, phi, tau = draw(ANGLES), draw(ANGLES), draw(st.floats(0.0, 0.999)) * cfg.tau_max
+        if paths and draw(st.booleans()):
+            theta = min(paths[0].theta + 10.0 ** draw(st.floats(-7.0, -1.0)), enomp._THETA_MAX)
+            phi, tau = paths[0].phi, paths[0].tau
+        paths.append(PathComponent(complex(complex_noise(rng, 1)[0]), 0.0, theta, phi, tau))
+    p_tx = db_to_linear("snr_db", draw(st.sampled_from([-20.0, -10.0, 0.0, 10.0, 20.0])))
+    y = sounding_observation(paths, cfg, p_tx, rng)
+    return cfg, y, p_tx, draw(st.sampled_from([0, 500, -500]))
 
 
-class TestExtractMatchesResidualLoop:
-    @pytest.mark.parametrize("seed", [3, 11])
-    def test_default_size(self, seed):
-        cfg = SystemConfig()
-        cb = enomp.build_codebook(cfg)
-        scenario = generate_scenario(1, 6, cfg, seed=seed, att_range_db=(0.0, 0.0))
-        y = sounding_observation(scenario.users[0], cfg, 1.0, seed + 1)
-        tracks, iterations, stop = residual_loop_extract(y, cfg, cb)
-        res = enomp.extract(y, cfg, 1.0, cb)
-        assert (len(res.paths), res.iterations, res.stop_reason) == (len(tracks), iterations, stop)
-        assert len(tracks) >= 4
-        for got, want in zip(res.paths, tracks):
-            np.testing.assert_allclose([got.theta, got.phi, got.tau * cfg.N * cfg.delta_f],
-                                       [want[1], want[2], want[3] * cfg.N * cfg.delta_f],
-                                       rtol=0, atol=1e-6)
-            assert abs(got.gain - want[0]) <= 1e-6 * abs(want[0])
+class TestExtractMatchesReference:
+    def test_small_systems(self):
+        """`extract` on 2^k y, its threshold and p_tx scaled to match, against
+        `reference.extract` on y: the same path count, iterations and stop
+        reason, each path within 1e-6 of a grid cell in each coordinate of
+        `assert_same_point` and its gain within 1e-6 relative. A draw whose reference decisions
+        come within 1e-9 of a tie is skipped; fewer than 10% may be."""
+        drawn = []
 
+        @settings(max_examples=200)
+        @given(extraction_cases())
+        def check(case):
+            cfg, y, p_tx, k = case
+            cb = enomp.build_codebook(cfg)
+            want, iterations, stop, margin = reference.extract(y, cfg, p_tx, cb)
+            drawn.append((margin, len(want)))
+            if margin <= 1e-9:
+                return
+            threshold = enomp.detection_threshold
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(enomp, "detection_threshold",
+                           lambda mn, p_fa: threshold(mn, p_fa) * 4.0 ** k)
+                res = enomp.extract(y * 2.0 ** k, cfg, p_tx * 4.0 ** k, cb)
+            assert (res.iterations, res.stop_reason) == (iterations, stop)
+            assert len(res.paths) == len(want)
+            for got, path in zip(res.paths, want):
+                assert_same_point(got, path, cfg, 1e-6 * np.array(cell_sizes(cfg)))
+                assert abs(got.gain - path.gain) <= 1e-6 * abs(path.gain)
 
-def whole_cube_detect(y, cb):
-    """Best codebook entry from the whole (G_theta, G_phi, G_tau) match cube."""
-    mn = cb.M_v * cb.M_h * cb.N
-    z = np.fft.fft(y.reshape(cb.M_v, cb.M_h, cb.N), n=len(cb.taus), axis=2)
-    g1 = (cb.E_v @ z.reshape(cb.M_v, -1)).reshape(len(cb.thetas), cb.M_h, -1)
-    power = np.abs(np.matmul(cb.E_h, g1)) ** 2 / mn
-    i_t, i_p, i_d = np.unravel_index(int(np.argmax(power)), power.shape)
-    return cb.thetas[i_t], cb.phis[i_p], cb.taus[i_d], power[i_t, i_p, i_d]
-
-
-class TestRowBlockedDetection:
-    def test_equals_whole_cube_argmax_at_default_size(self):
-        cfg = SystemConfig()
-        cb = enomp.build_codebook(cfg)
-        rng = np.random.default_rng(40)
-        scenario = generate_scenario(1, 6, cfg, seed=41)
-        for trial in range(4):
-            y = (sounding_observation(scenario.users[0], cfg, 1.0, rng) if trial % 2
-                 else rng.standard_normal(cfg.M * cfg.N) + 1j * rng.standard_normal(cfg.M * cfg.N))
-            assert detect(y, cb, cfg) == whole_cube_detect(y, cb)
-
-    @pytest.mark.parametrize("source, copy", [(2, 6), (6, 2)])
-    def test_exact_tie_across_rows_goes_to_lower_row(self, source, copy):
-        # downtilt row `copy` is made an exact duplicate of row `source`, so
-        # both rows hold bitwise equal matches for an atom on row `source`
-        cfg = small_cfg()
-        cb = enomp.build_codebook(cfg)
-        e_v, e_h = cb.E_v.copy(), cb.E_h.copy()
-        e_v[copy], e_h[copy] = e_v[source], e_h[source]
-        tied = dataclasses.replace(cb, E_v=e_v, E_h=e_h)
-        y = (0.6 - 0.8j) * enomp.synth_atom(cb.thetas[source], cb.phis[5], cb.taus[17], cfg)
-        theta, phi, tau, _ = detect(y, tied, cfg)
-        assert (theta, phi, tau) == (cb.thetas[min(source, copy)], cb.phis[5], cb.taus[17])
-        assert detect(y, tied, cfg) == whole_cube_detect(y, tied)
-
-    @pytest.mark.parametrize("source, copy", [(1, 6), (6, 1)])
-    def test_exact_tie_inside_a_row_goes_to_lower_index(self, source, copy):
-        # azimuth column `copy` is made an exact duplicate of column `source`
-        # in every downtilt row, so one row holds two bitwise equal matches
-        # for an atom at azimuth `source`
-        cfg = small_cfg()
-        cb = enomp.build_codebook(cfg)
-        e_h = cb.E_h.copy()
-        e_h[:, copy] = e_h[:, source]
-        tied = dataclasses.replace(cb, E_h=e_h)
-        y = (0.6 - 0.8j) * enomp.synth_atom(cb.thetas[4], cb.phis[source], cb.taus[17], cfg)
-        theta, phi, tau, _ = detect(y, tied, cfg)
-        assert (theta, phi, tau) == (cb.thetas[4], cb.phis[min(source, copy)], cb.taus[17])
-        assert detect(y, tied, cfg) == whole_cube_detect(y, tied)
+        check()
+        assert sum(margin <= 1e-9 for margin, _ in drawn) < 0.1 * len(drawn)
+        assert max(count for _, count in drawn) >= 2
 
 
 def test_delay_wrap_stays_below_the_period():
@@ -1085,10 +899,12 @@ def detection_cases(draw):
     grid and at full size."""
     cfg = draw(st.sampled_from([SystemConfig(M_v=4, M_h=4, N=64),
                                 SystemConfig(M_v=4, M_h=4, N=32, beta_tau=2),
+                                SystemConfig(M_v=1, M_h=8, N=32, beta_theta=1),
                                 SystemConfig()]))
     cb = enomp.build_codebook(cfg)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["residual", "noise", "row_tie", "column_tie", "endfire"]))
+    kind = draw(st.sampled_from(["residual", "noise", "column_tie", "endfire"]
+                                + ["row_tie"] * (len(cb.thetas) > 1)))
     noise = draw(st.sampled_from([0.0, 0.1, 1.0])) * complex_noise(rng, cfg.M * cfg.N)
     gain = complex(np.exp(2j * np.pi * rng.random()))
     if kind == "residual":
@@ -1149,13 +965,13 @@ class TestSharedTransform:
     and skip the delay bins a Cauchy-Schwarz bound rules out; both must
     give what the whole computation gives, bit for bit."""
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(detection_cases())
     def test_detection_equals_the_full_scan(self, case):
         cfg, cb, y = case
-        assert detect(y, cb, cfg) == whole_cube_detect(y, cb)
+        assert fast_detect(y, cb, cfg) == reference.detect(y, cb)[:4]
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(stop_cases())
     def test_stop_decision_equals_the_statistic_test(self, case):
         cfg, y = case
@@ -1164,15 +980,14 @@ class TestSharedTransform:
         for t in (np.nextafter(stat, -np.inf), stat, np.nextafter(stat, np.inf)):
             assert enomp._below_threshold(z, enomp._bin_energy(z), float(t), cfg) == (stat < t)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(stop_cases(), st.integers(0, 2**16))
     def test_statistic_from_the_shared_transform_equals_fftn(self, case, bin_seed):
         cfg, y = case
         y3 = y.reshape(cfg.M_v, cfg.M_h, cfg.N)
         z = enomp.delay_transform(y, cfg)
         spectrum = np.fft.fftn(y3)
-        peak = float(np.max(np.abs(spectrum)))
-        assert enomp.stopping_statistic(z, cfg) == peak * peak / (cfg.M * cfg.N)
+        assert enomp.stopping_statistic(z, cfg) == reference.statistic(y, cfg)
         # one bin's two angle FFTs are fftn's entries there, as the stop test needs
         d = bin_seed % cfg.N
         np.testing.assert_array_equal(np.fft.fft(np.fft.fft(z[:, :, d], axis=1), axis=0),
@@ -1188,7 +1003,7 @@ class TestSharedTransform:
         energy = enomp._bin_energy(z)
         rows = enomp._rows_to_scan(z, cb, energy)
         assert 1 <= len(rows) < len(cb.thetas)
-        assert enomp.omp_detect(y, cb, z, energy) == whole_cube_detect(y, cb)
+        assert enomp.omp_detect(y, cb, z, energy) == reference.detect(y, cb)[:4]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("index", [0, 37])

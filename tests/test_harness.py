@@ -12,7 +12,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fddrecon import cli, dltrain, enomp, harness, mueval, recon, sysmodel
+import reference
+from fddrecon import cli, dltrain, enomp, harness, mueval, sysmodel
 from fddrecon.harness import ResultRow
 
 TINY_SYSTEM = {"M_v": 2, "M_h": 4, "N": 16}
@@ -308,7 +309,7 @@ class TestRunners:
         assert (by_metric(rows, 1e-2)["t_pilot"].value
                 >= by_metric(rows, 1e-1)["t_pilot"].value)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(st.integers(1, 4), st.integers(1, 5), st.integers(2, 16),
            st.integers(1, 4), st.integers(0, 2**32 - 1))
     def test_oracle_gains_match_lstsq_on_reconstructed_atoms(self, m_v, m_h, n, count, seed):
@@ -320,10 +321,10 @@ class TestRunners:
                                   tau=float(rng.uniform(0.0, 0.99) * cfg.tau_max))
                for _ in range(count)]
         # the reference: lstsq on atoms carrying their carrier-shift phase
-        basis = np.stack([recon.reconstruct([p], [1.0], cfg) for p in est], axis=1)
-        assume(count <= cfg.M * cfg.N and np.linalg.cond(basis) < 1e2)
+        assume(count <= cfg.M * cfg.N
+               and np.linalg.cond(reference.basis(est, cfg, downlink=True)) < 1e2)
         truth_dl = sysmodel.downlink_channel(truth, cfg)
-        want, _, _, _ = np.linalg.lstsq(basis, truth_dl, rcond=None)
+        want = reference.fit(truth_dl, est, cfg, downlink=True)[0]
         np.testing.assert_allclose(harness._oracle_gains(est, truth_dl, cfg), want, rtol=1e-9)
 
     def test_fig6_user_without_paths_fails_its_trials_only(self):
@@ -373,7 +374,7 @@ class TestRunners:
             assert got.pop("failed_trials").value == failed
             assert {r.trials for r in got.values()} == {cfg.trials - failed}
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(st.sets(st.tuples(st.integers(0, 2), st.sampled_from([0.0, 1e-2, 1e-1]))))
     def test_theorem1_planted_failures_are_counted(self, planted):
         cfg = tiny_config("theorem1", trials=3, users=2, deltas=[0.0, 1e-2, 1e-1], mc_draws=40)

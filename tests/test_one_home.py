@@ -1,14 +1,19 @@
 """Each model decision is written once in `src/fddrecon`: a scan of the
 package's syntax trees for a second copy of the dB rule, the noise power,
 the observation, the two-FFT angle spectrum, a scalar atom factor build in
-extraction, or a trial stream made outside its helper."""
+extraction, or a trial stream made outside its helper. And each slow
+reference is written once, in `tests/reference.py`, sharing no code with
+the fast paths it checks."""
 
 import ast
+import importlib
+import inspect
 import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "fddrecon"
+TESTS = pathlib.Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "fddrecon"
 
 
 def _walk(node, scope=None):
@@ -66,8 +71,8 @@ def _extraction_delay_build(module, node) -> bool:
 
 def _trial_stream(module, node) -> bool:
     # a generator made, or a seed list holding the master seed written, in
-    # the harness
-    if module != "harness":
+    # the harness or the CLI
+    if module not in ("harness", "cli"):
         return False
     return _called(node, "default_rng") or (
         isinstance(node, (ast.List, ast.Tuple))
@@ -101,3 +106,36 @@ def test_each_decision_has_one_home(decision, predicate, home):
     sites = _sites(predicate)
     assert [(module, scope) for module, scope, _ in sites] == home, (
         f"{decision} written at {sites}; its one home is {home}")
+
+
+# test helpers that `reference.py` replaced
+RETIRED = {"brute_force_uplink", "kron_reference", "materialized_basis", "cube_oracle",
+           "whole_cube_detect", "reference_visit", "residual_loop_extract", "reference_sinr",
+           "precoder", "materialized_reference"}
+# the modules of the fast paths, whose functions a reference must not call
+FAST = {"fddrecon.enomp", "fddrecon._kernels", "fddrecon.mueval", "fddrecon.dltrain"}
+
+
+def _tree(name):
+    return ast.parse((TESTS / name).read_text(encoding="utf-8"))
+
+
+def _is_fast_function(name) -> bool:
+    module, _, leaf = name.rpartition(".")
+    return module in FAST and inspect.isfunction(getattr(importlib.import_module(module), leaf))
+
+
+def test_each_reference_has_one_home():
+    tree = _tree("reference.py")
+    taken = RETIRED | {node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+                       and not node.name.startswith("_")}
+    for path in sorted(TESTS.glob("test_*.py")) + [TESTS / "conftest.py"]:
+        defined = {node.name for node in ast.walk(_tree(path.name))
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        assert not defined & taken, f"{path.name} defines {sorted(defined & taken)}"
+    # a module import brings its functions; `from fddrecon import enomp` is "fddrecon.enomp"
+    imported = [".".join(filter(None, (getattr(node, "module", None), alias.name)))
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names]
+    bad = [name for name in imported if name in FAST or _is_fast_function(name)]
+    assert not bad, f"reference.py imports {bad}, code of a fast path"

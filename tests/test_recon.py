@@ -236,7 +236,7 @@ def covariance_of(shape):
 
 
 class TestLmmseBaseline:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(st.sampled_from([(2, 2, 3), (2, 4, 16), (1, 8, 32), (8, 16, 256)]),
            st.integers(0, 2**32 - 1), st.floats(-10.0, 30.0))
     def test_equals_the_complex_filter_bit_for_bit(self, shape, seed, snr_db):

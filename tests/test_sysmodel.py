@@ -1,4 +1,4 @@
-"""Channel synthesis checks against brute-force oracles and closed forms."""
+"""Channel synthesis checks against the slow references and closed forms."""
 
 import dataclasses
 import math
@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fddrecon import dltrain, recon, sysmodel
+import reference
+from fddrecon import dltrain, harness, recon, sysmodel
 from fddrecon.sysmodel import PathComponent, SystemConfig
 
 
@@ -30,37 +31,6 @@ def random_paths(rng, count, cfg):
             tau=float(rng.uniform(0.0, cfg.tau_max * 0.999)),
         ))
     return tuple(out)
-
-
-def brute_force_uplink(paths, cfg):
-    """Entrywise triple-loop evaluation of the multipath sum."""
-    h = np.zeros(cfg.M * cfg.N, dtype=complex)
-    kappa = 2 * np.pi * cfg.d_over_lambda
-    for mv in range(cfg.M_v):
-        for mh in range(cfg.M_h):
-            for n in range(cfg.N):
-                idx = (mv * cfg.M_h + mh) * cfg.N + n
-                for p in paths:
-                    a = np.exp(1j * kappa * (mv * np.sin(p.theta)
-                                             + mh * np.cos(p.theta) * np.sin(p.phi)))
-                    d = np.exp(2j * np.pi * n * cfg.delta_f * p.tau)
-                    h[idx] += p.g_ul * a * d
-    return h
-
-
-def kron_reference(paths, cfg, downlink):
-    """The channel sum as nested np.kron of the full steering vector and the
-    delay vector, one path at a time."""
-    h = np.zeros(cfg.M * cfg.N, dtype=np.complex128)
-    for p in paths:
-        atom = np.kron(sysmodel.steering_vector(p.theta, p.phi, cfg),
-                       sysmodel.delay_vector(p.tau, cfg))
-        if downlink:
-            shift = np.exp(1j * sysmodel.TWO_PI * cfg.carrier_shift * p.tau)
-            h += p.g_dl * shift * atom
-        else:
-            h += p.g_ul * atom
-    return h
 
 
 _angles = st.floats(-math.pi / 2, math.pi / 2, exclude_max=True)
@@ -190,18 +160,18 @@ class TestBroadcasting:
             np.testing.assert_array_equal(a_h[idx], want_h)
             np.testing.assert_array_equal(a[idx], sysmodel.steering_vector(th, ph, self.cfg))
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(st.lists(st.tuples(angles, angles), min_size=1, max_size=6))
     def test_steering_1d_matches_scalar(self, pairs):
         thetas, phis = (np.array(v) for v in zip(*pairs))
         self.check_factors(thetas, phis)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(st.lists(angles, min_size=1, max_size=4), st.lists(angles, min_size=1, max_size=5))
     def test_steering_outer_grid_matches_scalar(self, thetas, phis):
         self.check_factors(np.array(thetas)[:, None], np.array(phis)[None, :])
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(st.lists(delays, min_size=1, max_size=6))
     def test_delay_and_carrier_phase_match_scalar(self, fractions):
         taus = np.array(fractions) * self.cfg.tau_max
@@ -250,15 +220,6 @@ class TestChannels:
         h = sysmodel.uplink_channel((p1, p2), cfg)
         np.testing.assert_allclose(h, 0.0, atol=1e-14)
 
-    def test_uplink_matches_brute_force(self):
-        cfg = small_cfg(M_v=3, M_h=2, N=5)
-        rng = np.random.default_rng(1)
-        paths = random_paths(rng, 3, cfg)
-        np.testing.assert_allclose(
-            sysmodel.uplink_channel(paths, cfg), brute_force_uplink(paths, cfg),
-            rtol=1e-12, atol=1e-12,
-        )
-
     def test_uplink_linear_in_gains(self):
         cfg = small_cfg()
         rng = np.random.default_rng(2)
@@ -296,27 +257,7 @@ class TestChannels:
         expect = p.g_dl * np.kron(a, np.ones(cfg.N))
         np.testing.assert_allclose(h, expect, rtol=1e-12)
 
-    def test_downlink_matches_brute_force(self):
-        cfg = small_cfg(M_v=2, M_h=3, N=4)
-        rng = np.random.default_rng(4)
-        paths = random_paths(rng, 3, cfg)
-        h = sysmodel.downlink_channel(paths, cfg)
-        expect = np.zeros_like(h)
-        kappa = 2 * np.pi * cfg.d_over_lambda
-        for mv in range(cfg.M_v):
-            for mh in range(cfg.M_h):
-                for n in range(cfg.N):
-                    idx = (mv * cfg.M_h + mh) * cfg.N + n
-                    for p in paths:
-                        a = np.exp(1j * kappa * (mv * np.sin(p.theta)
-                                                 + mh * np.cos(p.theta) * np.sin(p.phi)))
-                        d = np.exp(2j * np.pi * n * cfg.delta_f * p.tau)
-                        shift = np.exp(2j * np.pi * cfg.carrier_shift * p.tau)
-                        expect[idx] += p.g_dl * shift * a * d
-        np.testing.assert_allclose(h, expect, rtol=1e-12, atol=1e-12)
-
-
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(scenarios())
     def test_channels_match_kron_reference(self, scenario):
         # the sum is one matmul over the factor matrices, so it rounds apart
@@ -325,7 +266,7 @@ class TestChannels:
         cfg, paths = scenario
         for downlink, build, gains in ((False, sysmodel.uplink_channel, [p.g_ul for p in paths]),
                                        (True, sysmodel.downlink_channel, [p.g_dl for p in paths])):
-            err = np.max(np.abs(build(paths, cfg) - kron_reference(paths, cfg, downlink)))
+            err = np.max(np.abs(build(paths, cfg) - reference.channel(paths, cfg, downlink)))
             assert err <= 1e-13 * sum(abs(g) for g in gains), downlink
 
     def test_no_paths_give_the_zero_channel(self):
@@ -403,8 +344,17 @@ class TestScenario:
         assert all(-10.0 <= a <= 0.0 for a in sc.attenuation_db)
 
     def test_reversed_attenuation_range_raises(self):
-        with pytest.raises(ValueError):
-            sysmodel.generate_scenario(2, 2, small_cfg(), seed=1, att_range_db=(0.0, -10.0))
+        # one range rule: a reversed or unpaired range fails in every caller,
+        # each naming its own key
+        calls = [("attenuation_db", lambda pair: harness.config_from_dict(
+                     {"experiment": "fig6", "attenuation_db": pair})),
+                 ("att_range_db", lambda pair: sysmodel.generate_scenario(
+                     2, 2, small_cfg(), seed=1, att_range_db=pair)),
+                 ("att_range_db", sysmodel.mean_linear_attenuation)]
+        for key, call in calls:
+            for pair in ([0, -10], [0], [0, 1, 2]):
+                with pytest.raises(ValueError, match=rf"^{key} must be a \[lo, hi\] pair"):
+                    call(pair)
 
     def test_mean_linear_attenuation_closed_form(self):
         # numeric-integration oracle
