@@ -155,6 +155,14 @@ class TestDetection:
         stat = fast_statistic(r, cfg)
         assert stat == pytest.approx(np.linalg.norm(r) ** 2, rel=1e-12)
 
+    @pytest.mark.parametrize("seed", [9, 10, 11])
+    def test_stopping_statistic_equals_squared_spectrum_maximum(self, seed):
+        # the peak magnitude is squared alone; rounding is monotone, so this
+        # is bit for bit the largest entry of the squared spectrum
+        cfg = small_cfg()
+        y = complex_noise(np.random.default_rng(seed), cfg.M * cfg.N)
+        assert fast_statistic(y, cfg) == reference.statistic(y, cfg)
+
     def test_false_alarm_rate_on_pure_noise(self):
         cfg = small_cfg()  # MN = 512
         threshold = enomp.detection_threshold(cfg.M * cfg.N, cfg.P_fa)
@@ -661,30 +669,53 @@ def visit_cases(draw, sizes=None):
     return cfg, y, visited, points[count], paths, gains
 
 
+class TestCrossTerms:
+    """A visit takes the other tracks' terms off y by their separable forms;
+    each equals its form on the materialized sum A g of those tracks, to
+    rounding of the sum of the terms' magnitudes."""
+
+    @settings(max_examples=80)
+    @given(visit_cases())
+    def test_cube_equals_moment_cube_of_materialized_observation(self, case):
+        cfg, _, visited, _, paths, gains = case
+        factors = atom_factors(*visited, cfg)
+        weights = tuple(map(_kernels.index_weighted, factors, centres_of(cfg)))
+        got = enomp._atom_sum_cube((gains, *path_factors(paths, cfg)), weights)
+        others3 = (reference.basis(paths, cfg) @ gains).reshape(cfg.M_v, cfg.M_h, cfg.N)
+        want = reference.moment_cube(others3, *factors, *centres_of(cfg))
+        # entry (a, b, c) sums terms of magnitude |g_l| |m - c_v|^a |h - c_h|^b |n - c_n|^c
+        sums = ((np.abs(np.arange(n) - c) ** np.arange(3)[:, None]).sum(axis=1)
+                for n, c in zip((cfg.M_v, cfg.M_h, cfg.N), centres_of(cfg)))
+        bound = np.abs(gains).sum() * np.einsum("a,b,c->abc", *sums)
+        assert np.all(np.abs(got - want) <= 1e-12 * bound)
+
+    @settings(max_examples=80)
+    @given(visit_cases())
+    def test_trial_correlation_equals_materialized_correlation(self, case):
+        # the correlation at a trial point, as a backtracking step forms it
+        cfg, _, _, trial, paths, gains = case
+        got = enomp._atom_sum_correlation((gains, *path_factors(paths, cfg)),
+                                          *atom_factors(*trial, cfg))
+        want = np.vdot(reference.basis(paths, cfg) @ gains,
+                       reference.basis([enomp.DetectedPath(0j, *trial)], cfg)[:, 0])
+        assert abs(got - want) <= 1e-12 * np.abs(gains).sum() * cfg.M * cfg.N
+
+
 class TestVisitMatchesReference:
-    """A visit's cross-term cube and correlations, its scalar 3x3 algebra
-    and its stored starting factors against `reference.visit`, which forms
-    y - sum_{l != k} g_l a_l."""
+    """A visit's cube, its scalar 3x3 algebra and its stored starting
+    factors against `reference.visit`, which forms y - sum_{l != k} g_l a_l."""
 
     @settings(max_examples=150)
     @given(visit_cases())
     def test_cube_agrees(self, case):
-        cfg, y, visited, trial, paths, gains = case
-        y3 = y.reshape(cfg.M_v, cfg.M_h, cfg.N)
-        others = (gains, *path_factors(paths, cfg))
+        cfg, y, visited, _, paths, gains = case
         factors = atom_factors(*visited, cfg)
         weights = tuple(map(_kernels.index_weighted, factors, centres_of(cfg)))
-        y_cube = _kernels.moment_cube(y3, *factors, *centres_of(cfg))
-        got = y_cube - enomp._atom_sum_cube(others, weights)
+        y_cube = _kernels.moment_cube(y.reshape(cfg.M_v, cfg.M_h, cfg.N), *factors,
+                                      *centres_of(cfg))
+        got = y_cube - enomp._atom_sum_cube((gains, *path_factors(paths, cfg)), weights)
         want = reference.visit(y, *visited, cfg, paths, gains)[5]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(y_cube)))
-        # the correlation at a trial point, as a backtracking step forms it
-        at = atom_factors(*trial, cfg)
-        got = enomp._atom_correlation(y3, *at) - enomp._atom_sum_correlation(others, *at)
-        local = y - reference.basis(paths, cfg) @ gains
-        want = np.vdot(local, reference.basis([enomp.DetectedPath(0j, *trial)], cfg)[:, 0])
-        scale = np.linalg.norm(local) * math.sqrt(cfg.M * cfg.N)
-        assert abs(got - want) <= 1e-10 * max(abs(want), 1e-3 * scale)
 
     @settings(max_examples=300)
     @given(visit_cases())
@@ -823,6 +854,14 @@ class TestKeptRowDetection:
         monkeypatch.setattr(enomp, "_rows_to_scan", lambda z, codebook, energy: rows)
         assert fast_detect(y, cb, cfg) == reference.detect(y, cb)[:4]
 
+    def test_single_row_codebook_takes_the_full_product(self):
+        cfg = SystemConfig(M_v=1, M_h=8, N=32, beta_theta=1)
+        cb = enomp.build_codebook(cfg)
+        assert len(cb.thetas) == 1
+        paths = generate_scenario(1, 3, cfg, seed=5).users[0]
+        y = sounding_observation(paths, cfg, 10.0, 6)
+        assert fast_detect(y, cb, cfg) == reference.detect(y, cb)[:4]
+
 
 @st.composite
 def extraction_cases(draw):
@@ -876,6 +915,65 @@ class TestExtractMatchesReference:
         check()
         assert sum(margin <= 1e-9 for margin, _ in drawn) < 0.1 * len(drawn)
         assert max(count for _, count in drawn) >= 2
+
+
+class TestExtractMatchesResidualLoop:
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_default_size(self, seed):
+        """At the default size, as `TestExtractMatchesReference` compares them."""
+        cfg = SystemConfig()
+        cb = enomp.build_codebook(cfg)
+        scenario = generate_scenario(1, 6, cfg, seed=seed, att_range_db=(0.0, 0.0))
+        y = sounding_observation(scenario.users[0], cfg, 1.0, seed + 1)
+        want, iterations, stop, margin = reference.extract(y, cfg, 1.0, cb)
+        assert margin > 1e-9 and len(want) >= 4
+        res = enomp.extract(y, cfg, 1.0, cb)
+        assert (len(res.paths), res.iterations, res.stop_reason) == (len(want), iterations, stop)
+        for got, path in zip(res.paths, want):
+            assert_same_point(got, path, cfg, 1e-6 * np.array(cell_sizes(cfg)))
+            assert abs(got.gain - path.gain) <= 1e-6 * abs(path.gain)
+
+
+class TestRowBlockedDetection:
+    def test_equals_whole_cube_argmax_at_default_size(self):
+        cfg = SystemConfig()
+        cb = enomp.build_codebook(cfg)
+        rng = np.random.default_rng(40)
+        scenario = generate_scenario(1, 6, cfg, seed=41)
+        for trial in range(4):
+            y = (sounding_observation(scenario.users[0], cfg, 1.0, rng) if trial % 2
+                 else complex_noise(rng, cfg.M * cfg.N))
+            assert fast_detect(y, cb, cfg) == reference.detect(y, cb)[:4]
+
+    @staticmethod
+    def tied_detection(source, copy, axis):
+        """Detection of an atom on downtilt row (axis 0) or azimuth column
+        (axis 1) `source` of a codebook whose row or column `copy` is made a
+        bitwise duplicate of it, and the atom's true codeword indices."""
+        cfg = small_cfg()
+        cb = enomp.build_codebook(cfg)
+        e_v, e_h = cb.E_v.copy(), cb.E_h.copy()
+        if axis == 0:
+            e_v[copy], e_h[copy] = e_v[source], e_h[source]
+            at = (source, 5)
+        else:
+            e_h[:, copy] = e_h[:, source]
+            at = (4, source)
+        tied = dataclasses.replace(cb, E_v=e_v, E_h=e_h)
+        y = (0.6 - 0.8j) * enomp.synth_atom(cb.thetas[at[0]], cb.phis[at[1]], cb.taus[17], cfg)
+        got = fast_detect(y, tied, cfg)
+        assert got == reference.detect(y, tied)[:4]
+        return got[:3], cb, at
+
+    @pytest.mark.parametrize("source, copy", [(2, 6), (6, 2)])
+    def test_exact_tie_across_rows_goes_to_lower_row(self, source, copy):
+        got, cb, (_, col) = self.tied_detection(source, copy, 0)
+        assert got == (cb.thetas[min(source, copy)], cb.phis[col], cb.taus[17])
+
+    @pytest.mark.parametrize("source, copy", [(1, 6), (6, 1)])
+    def test_exact_tie_inside_a_row_goes_to_lower_index(self, source, copy):
+        got, cb, (row, _) = self.tied_detection(source, copy, 1)
+        assert got == (cb.thetas[row], cb.phis[min(source, copy)], cb.taus[17])
 
 
 def test_delay_wrap_stays_below_the_period():

@@ -35,7 +35,7 @@ def test_moment_cube_matches_loop_oracle():
     rng = np.random.default_rng(1)
     for trial in range(5):
         y3, a_v, a_h, p_n = random_inputs(rng)
-        c_v, c_h, c_n = rng.uniform(0.0, 3.0, 3) * (trial > 0)  # the first at zero centres
+        c_v, c_h, c_n = rng.uniform(0.0, 3.0, 3)
         oracle = reference.moment_cube(y3, a_v, a_h, p_n, c_v, c_h, c_n)
         got = _kernels.moment_cube(y3, a_v, a_h, p_n, c_v, c_h, c_n)
         np.testing.assert_allclose(got, oracle, rtol=1e-12, atol=1e-12)
@@ -76,6 +76,16 @@ def test_moment_cube_matches_conjugated_copy_form(shape, seed):
                                rtol=1e-13)
 
 
+def test_moment_cube_default_centers_zero():
+    rng = np.random.default_rng(2)
+    y3, a_v, a_h, p_n = random_inputs(rng)
+    np.testing.assert_allclose(
+        _kernels.moment_cube(y3, a_v, a_h, p_n, 0.0, 0.0, 0.0),
+        reference.moment_cube(y3, a_v, a_h, p_n, 0.0, 0.0, 0.0),
+        rtol=1e-12, atol=1e-12,
+    )
+
+
 def test_moment_cube_from_prebuilt_weights_is_bit_equal():
     # a Newton visit builds the index weights once for this cube and its
     # cross-term cube; passed in, they give the cube the kernel builds
@@ -109,6 +119,15 @@ def test_moment_cube_reads_the_kept_row():
     row = y3.reshape(-1, len(p_n)) @ other.conj()
     kept = _kernels.moment_cube(y3, a_v, a_h, p_n, 1.0, 1.5, 2.0, None, row)
     assert not np.array_equal(kept, _kernels.moment_cube(y3, a_v, a_h, p_n, 1.0, 1.5, 2.0))
+
+
+def test_plain_correlation_entry():
+    rng = np.random.default_rng(3)
+    y3, a_v, a_h, p_n = random_inputs(rng)
+    cube = _kernels.moment_cube(y3, a_v, a_h, p_n, 1.0, 2.0, 0.5)
+    atom = np.kron(np.kron(a_v, a_h), p_n)
+    # W[0,0,0] ignores the centers entirely
+    assert abs(cube[0, 0, 0] - np.vdot(y3.ravel(), atom)) < 1e-12
 
 
 def run_kernel_benchmark(*args):

@@ -102,6 +102,18 @@ class TestStackedZf:
         np.testing.assert_allclose(col_powers, 1.0 / n_users, rtol=1e-12)
 
     @settings(max_examples=60)
+    @given(stack_shapes())
+    def test_stacked_sinr_matches_per_slice_loop(self, shape):
+        n_stack, n_users, n_ant, seed = shape
+        rng = np.random.default_rng(seed)
+        h_true = well_conditioned_stack(n_stack, n_users, n_ant, rng)
+        h_hat = h_true + 0.1 * well_conditioned_stack(n_stack, n_users, n_ant, rng)
+        got = mueval.sinr(h_true, mueval.zf_precoder(h_hat), 10.0)
+        loop = np.stack([reference.zf_sinr(t, e, 10.0) for t, e in zip(h_true, h_hat)])
+        assert got.shape == (n_stack, n_users)
+        np.testing.assert_allclose(got, loop, rtol=1e-12)
+
+    @settings(max_examples=60)
     @given(stack_shapes(min_users=2), st.data())
     def test_duplicated_user_in_one_slice_raises(self, shape, data):
         n_stack, n_users, n_ant, seed = shape
@@ -328,6 +340,16 @@ class TestMonteCarloSinr:
             results.append(mueval.monte_carlo_sinr(h, [1e-2], 10.0, n_draws=75, seed=20)[0])
         np.testing.assert_array_equal(results[0], results[1])
         np.testing.assert_array_equal(results[0], results[2])
+
+    def test_matches_per_draw_reference(self):
+        h = random_channel(4, 16, seed=21)
+        rng = np.random.default_rng(22)
+        acc = np.zeros(4)
+        for _ in range(75):
+            acc += reference.zf_sinr(h, h + draw_channel_error(h, 1e-2, rng), 10.0)
+        got, ok = mueval.monte_carlo_sinr(h, [1e-2], 10.0, n_draws=75, seed=22)
+        assert ok.all()
+        np.testing.assert_allclose(got[0], acc / 75, rtol=1e-12)
 
     @settings(max_examples=40)
     @given(mc_cases())

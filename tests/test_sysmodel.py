@@ -220,6 +220,12 @@ class TestChannels:
         h = sysmodel.uplink_channel((p1, p2), cfg)
         np.testing.assert_allclose(h, 0.0, atol=1e-14)
 
+    def test_uplink_matches_brute_force(self):
+        cfg = small_cfg(M_v=3, M_h=2, N=5)
+        paths = random_paths(np.random.default_rng(1), 3, cfg)
+        np.testing.assert_allclose(sysmodel.uplink_channel(paths, cfg),
+                                   reference.channel(paths, cfg), rtol=1e-12, atol=1e-12)
+
     def test_uplink_linear_in_gains(self):
         cfg = small_cfg()
         rng = np.random.default_rng(2)
@@ -256,6 +262,13 @@ class TestChannels:
         a = sysmodel.steering_vector(p.theta, p.phi, cfg)
         expect = p.g_dl * np.kron(a, np.ones(cfg.N))
         np.testing.assert_allclose(h, expect, rtol=1e-12)
+
+    def test_downlink_matches_brute_force(self):
+        cfg = small_cfg(M_v=2, M_h=3, N=4)
+        paths = random_paths(np.random.default_rng(4), 3, cfg)
+        np.testing.assert_allclose(sysmodel.downlink_channel(paths, cfg),
+                                   reference.channel(paths, cfg, downlink=True),
+                                   rtol=1e-12, atol=1e-12)
 
     @settings(max_examples=80)
     @given(scenarios())
