@@ -9,9 +9,11 @@ statistic from a delay transform, an iteration's delay transform with its
 bin energies and stop test, codebook detection on that transform and those
 energies, one refinement visit from stored factors and the delay row an
 earlier visit kept, the LMMSE baseline filter of one sounding, ZF precoding plus SINR at
-fig6 size (`mueval.zf_sinr`), the Gram inverse of a 32-Gram slice, and one
-Monte Carlo chunk of 32 error draws at three deltas; then one end-to-end
-path extraction with its minor page faults.
+fig6 size (`mueval.zf_sinr`), the Gram inverse of a 32-Gram slice, one
+Monte Carlo chunk of 32 error draws at three deltas (a single chunk: its
+draw has no ZF to overlap) and a 1000-draw Monte Carlo call at three
+deltas, as a theorem1 trial makes it; then one end-to-end path extraction
+with its minor page faults.
 
 Compare an implementation change by running this script at both commits on
 one machine, alternating between them.
@@ -118,8 +120,9 @@ def main():
         return sysmodel.fit_gains(pilots, *dltrain.pilot_factors(found, plan.beams, cfg))[0]
 
     # ten users' downlink channels on every subcarrier, precoded on an
-    # estimate 1% off, as fig6 evaluates a rate; and a Monte Carlo chunk of
-    # 32 error draws around the first subcarrier, as theorem1 does
+    # estimate 1% off, as fig6 evaluates a rate; and Monte Carlo error draws
+    # around the first subcarrier, as theorem1 does: one chunk of 32, and the
+    # 1000 of a pinned theorem1 trial
     users = sysmodel.generate_scenario(10, 6, cfg, seed=4).users
     h_rows = np.stack([recon.channel_matrix(sysmodel.downlink_channel(p, cfg), cfg)
                        for p in users], axis=1)
@@ -149,6 +152,8 @@ def main():
          (gram_chunk, cfg.M)),
         ("mc_{}x{}x{}_D{}".format(*h_chunk.shape, len(mc_deltas)), mueval.monte_carlo_sinr,
          (h_rows[0], mc_deltas, 10.0, h_chunk.shape[0], 6)),
+        ("mc_{}x{}x{}_D{}".format(1000, *h_chunk.shape[1:], len(mc_deltas)),
+         mueval.monte_carlo_sinr, (h_rows[0], mc_deltas, 10.0, 1000, 6)),
     ]
 
     print(f"system {cfg.M_v}x{cfg.M_h} antennas x {cfg.N} subcarriers, "

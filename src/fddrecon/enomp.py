@@ -386,7 +386,9 @@ def _log_power_step(c, dc, d2c, power):
     its derivatives (`_derivative_scalars`) and power = |c|^2 > 0, or
     None unless the Hessian H is negative definite. Python scalars
     throughout: negative definiteness from the leading minors, the step from
-    the cofactors."""
+    the cofactors. On an axis of one antenna (M_v = 1 or M_h = 1) the
+    moments vanish exactly, so H is singular and the minors refuse: a
+    refused step goes to `_flat_axes_step`."""
     cc = c.conjugate()
     # log|c|^2: gradient 2 Re{conj(c) dc}/|c|^2, Hessian from the quotient rule
     g = [2.0 * (cc * d).real / power for d in dc]
@@ -397,18 +399,46 @@ def _log_power_step(c, dc, d2c, power):
         raise FloatingPointError("non-finite derivatives")
     m2 = h11 * h22 - h12 * h12
     if not (h11 < 0.0 and m2 > 0.0):
-        return None
+        return _flat_axes_step(g, (h11, h12, h13, h22, h23, h33))
     c11 = h22 * h33 - h23 * h23
     c12 = h13 * h23 - h12 * h33
     c13 = h12 * h23 - h13 * h22
     det = h11 * c11 + h12 * c12 + h13 * c13
     if not det < 0.0:
-        return None
+        return _flat_axes_step(g, (h11, h12, h13, h22, h23, h33))
     c22 = h11 * h33 - h13 * h13
     c23 = h12 * h13 - h11 * h23
     return ((c11 * g[0] + c12 * g[1] + c13 * g[2]) / det,
             (c12 * g[0] + c22 * g[1] + c23 * g[2]) / det,
             (c13 * g[0] + c23 * g[1] + m2 * g[2]) / det)
+
+
+def _flat_axes_step(g, upper):
+    """The step of a refused `_log_power_step` (gradient g, Hessian upper
+    triangle `upper` in `_UPPER` order): None unless an axis is flat, its
+    gradient entry and Hessian row exactly 0 as on an axis of one entry.
+    A flat axis gets a zero step and the others the Newton step of their
+    own sub-block, or None unless that sub-block is negative definite."""
+    h = [[0.0] * 3 for _ in range(3)]
+    for (i, j), x in zip(_UPPER, upper):
+        h[i][j] = h[j][i] = x
+    live = [i for i in range(3) if g[i] != 0.0 or any(h[i])]
+    step = [0.0, 0.0, 0.0]
+    if len(live) == 1:
+        (i,) = live
+        if not h[i][i] < 0.0:
+            return None
+        step[i] = g[i] / h[i][i]
+    elif len(live) == 2:
+        i, j = live
+        det = h[i][i] * h[j][j] - h[i][j] * h[i][j]
+        if not (h[i][i] < 0.0 and det > 0.0):
+            return None
+        step[i] = (h[j][j] * g[i] - h[i][j] * g[j]) / det
+        step[j] = (h[i][i] * g[j] - h[i][j] * g[i]) / det
+    else:
+        return None
+    return tuple(step)
 
 
 def newton_refine(y_r: np.ndarray, theta: float, phi: float, tau: float,

@@ -10,7 +10,9 @@ the accuracy/overhead trade without Monte Carlo.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,10 +21,12 @@ from .sysmodel import NOISE_POWER, certify_full_rank, check_power, gram_eigvals
 
 
 # Draws per chunk in monte_carlo_sinr: one shared draw of normals and three
-# shared K x K products per chunk, then one small Gram inverse per delta. At
-# K=10, M=128 and three deltas, 1000 draws take a median 139 ms (2-vCPU Xeon,
-# 1 BLAS thread, a slow spell of the host) with chunks of 32; chunks of 16, 64
-# and 128 are 3-4% slower and 8 about 12%.
+# shared K x K products per chunk, then one small Gram inverse per delta, while
+# the worker thread draws the chunks after it. At K=10, M=128 and three
+# deltas, 1000 draws take a median 43-46 ms with chunks of 32, 47-49 ms with
+# 16 and 42-44 ms with 64 (three rounds of 9 calls, 2-vCPU Xeon, 1 BLAS
+# thread). 64 raises theorem1's peak resident set by 3.3 MB (41.1 -> 44.4 MB
+# at seed 20240) for at most 2%, so 32 is kept. No output bit depends on it.
 _MC_CHUNK = 32
 
 # Subcarriers per slice in zf_sinr, so the conjugate copy and the K x K
@@ -187,6 +191,16 @@ def analytic_sinr(h_true: np.ndarray, deltas, p_tx: float) -> np.ndarray:
     return np.stack(rows)
 
 
+def _draw_errors(rng: np.random.Generator, z: np.ndarray, e: np.ndarray,
+                 h_abs: np.ndarray) -> None:
+    """One chunk of error draws, in place: z (c, 2, K, M) takes the stream's
+    next normals, the same stream as c draws of (2, K, M), and e (c, K, M)
+    takes E = |H| (z[:, 0] + j z[:, 1])."""
+    rng.standard_normal(out=z)
+    np.add(z[:, 0], np.multiply(1j, z[:, 1], out=e), out=e)
+    np.multiply(h_abs, e, out=e)
+
+
 def monte_carlo_sinr(h_true: np.ndarray, deltas, p_tx: float, n_draws: int, seed) -> tuple:
     """Average SINR over channel-error draws with the true channel fixed,
     one (K,) row per error power in ``deltas``.
@@ -204,6 +218,16 @@ def monte_carlo_sinr(h_true: np.ndarray, deltas, p_tx: float, n_draws: int, seed
     (`sysmodel.gram_eigvals` rejects its Gram) gets False and a NaN row, and
     the other rows do not change. ValueError unless p_tx is a finite
     real > 0.
+
+    One worker thread per call draws the errors (`_draw_errors`), up to
+    two chunks ahead of the chunk whose ZF runs on the calling thread; the
+    generator's fill and the K x K linear algebra both release the GIL. The
+    worker alone draws from the stream, in chunk order, so every bit is the
+    one-thread result. It runs in a copy of the caller's context, so the
+    caller's ``np.errstate`` holds there; what it raises is raised here, at
+    the chunk whose draw failed, and it has ended when this returns or
+    raises. A call that raises may have drawn up to two chunks more from a
+    Generator passed as ``seed``.
     """
     check_power(p_tx)
     rng = np.random.default_rng(seed)
@@ -215,33 +239,59 @@ def monte_carlo_sinr(h_true: np.ndarray, deltas, p_tx: float, n_draws: int, seed
     radii = [math.sqrt(delta / 2.0) for delta in deltas]
     ok = np.ones(len(radii), dtype=bool)
     acc = np.zeros((len(radii), H.shape[0]))
-    # chunk buffers made once per call, so no chunk allocates them
-    chunk = min(_MC_CHUNK, n_draws)
-    z_buf = np.empty((chunk, 2) + H.shape)
-    e_buf = np.empty((chunk,) + H.shape, dtype=np.complex128)
-    for start in range(0, n_draws, _MC_CHUNK):
-        c = min(_MC_CHUNK, n_draws - start)
-        z, e = z_buf[:c], e_buf[:c]
-        # A (c, 2, K, M) block is the same stream as c draws of (2, K, M).
-        rng.standard_normal(out=z)
-        np.add(z[:, 0], np.multiply(1j, z[:, 1], out=e), out=e)
-        np.multiply(h_abs, e, out=e)
-        eh = e @ h_herm
-        he = eh.conj().swapaxes(-1, -2)
-        mixed = he + eh
-        ee = e @ e.conj().swapaxes(-1, -2)
-        for i, r in enumerate(radii):
-            if not ok[i]:
-                continue
+    sizes = [min(_MC_CHUNK, n_draws - start) for start in range(0, n_draws, _MC_CHUNK)]
+    # buffers made once per call: the worker's normals and two slots of
+    # errors, chunk j in slot j % 2
+    z_buf = np.empty((min(_MC_CHUNK, n_draws), 2) + H.shape)
+    e_bufs = [np.empty(z_buf.shape[:1] + H.shape, dtype=np.complex128) for _ in range(2)]
+    # `filled` counts slots the worker has filled, `free` those this thread
+    # is done with; a slot whose draw raised holds the exception in `failed`
+    filled, free = threading.Semaphore(0), threading.Semaphore(2)
+    failed = [None, None]
+    stop = threading.Event()
+
+    def fill():
+        for j, c in enumerate(sizes):
+            free.acquire()
+            if stop.is_set():
+                return
             try:
-                gram_inv, alphas = _gram_inverse(hh + r * mixed + r * r * ee, n_ant)
-            except np.linalg.LinAlgError:
-                ok[i] = False
-                continue
-            rows = _sinr_from_cross(hh + r * he, gram_inv, alphas, p_tx)
-            rows[0] += acc[i]
-            # draw by draw, left to right, so the sum is the same for any chunk size
-            acc[i] = np.add.accumulate(rows, out=rows)[-1]
+                _draw_errors(rng, z_buf[:c], e_bufs[j % 2][:c], h_abs)
+            except BaseException as exc:  # the calling thread raises it
+                failed[j % 2] = exc
+                return
+            finally:
+                filled.release()
+
+    worker = threading.Thread(target=contextvars.copy_context().run, args=(fill,))
+    worker.start()
+    try:
+        for j, c in enumerate(sizes):
+            filled.acquire()
+            if failed[j % 2] is not None:
+                raise failed[j % 2]
+            e = e_bufs[j % 2][:c]
+            eh = e @ h_herm
+            he = eh.conj().swapaxes(-1, -2)
+            mixed = he + eh
+            ee = e @ e.conj().swapaxes(-1, -2)
+            free.release()
+            for i, r in enumerate(radii):
+                if not ok[i]:
+                    continue
+                try:
+                    gram_inv, alphas = _gram_inverse(hh + r * mixed + r * r * ee, n_ant)
+                except np.linalg.LinAlgError:
+                    ok[i] = False
+                    continue
+                rows = _sinr_from_cross(hh + r * he, gram_inv, alphas, p_tx)
+                rows[0] += acc[i]
+                # draw by draw, left to right, so the sum is the same for any chunk size
+                acc[i] = np.add.accumulate(rows, out=rows)[-1]
+    finally:
+        stop.set()
+        free.release(2)
+        worker.join()
     means = acc / n_draws
     means[~ok] = np.nan
     return means, ok

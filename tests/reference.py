@@ -93,12 +93,15 @@ def visit(y, theta, phi, tau, cfg, paths, gains):
     gains[l] a(paths[l]) materialized, in u = sin(theta), w = cos(theta)
     sin(phi) and tau, from the moment cube at the index centres: taken if
     the Hessian is negative definite, halved up to three times until the
-    power strictly rises. Returns (theta', phi', tau', accepted, corr, cube,
-    top, rise): corr = r^H a at the returned point, cube the start's moment
-    cube, and the distances from a tie of the definiteness test, top = the
-    largest over the largest magnitude eigenvalue of the Hessian scaled to
-    a unit diagonal, and of the strict-rise tests, the least |power ratio -
-    1| (+inf for an exact or untried test: near the peak rounding decides a
+    power strictly rises. A flat axis, its gradient entry and Hessian row
+    exactly 0 as on an axis of one entry, takes no step; the others take
+    the step of their own Hessian block, if that is negative definite.
+    Returns (theta', phi', tau', accepted, corr, cube, top, rise): corr =
+    r^H a at the returned point, cube the start's moment cube, and the
+    distances from a tie of the definiteness test, top = the largest over
+    the largest magnitude eigenvalue of the block scaled to a unit
+    diagonal, and of the strict-rise tests, the least |power ratio - 1|
+    (+inf for an exact or untried test: near the peak rounding decides a
     step of about sqrt(eps) lobe widths)."""
     r = y - basis(paths, cfg) @ gains
     centres = ((cfg.M_v - 1) / 2.0, (cfg.M_h - 1) / 2.0, (cfg.N - 1) / 2.0)
@@ -113,13 +116,16 @@ def visit(y, theta, phi, tau, cfg, paths, gains):
         grad = 2.0 * (np.conj(c0) * dc).real / power
         hess = (2.0 * ((np.conj(c0) * d2c).real + np.outer(dc, np.conj(dc)).real) / power
                 - np.outer(grad, grad))
-        diag = np.abs(np.diag(hess))
-        if diag.all():  # else an axis of one entry: its moments vanish exactly
-            lam = np.linalg.eigvalsh(hess / np.sqrt(np.outer(diag, diag)))
+        live = (grad != 0.0) | hess.any(axis=1)
+        block = hess[np.ix_(live, live)]
+        diag = np.abs(np.diag(block))
+        if live.any() and diag.all():  # else a live axis of zero curvature: refused
+            lam = np.linalg.eigvalsh(block / np.sqrt(np.outer(diag, diag)))
             top = lam[-1] / np.max(np.abs(lam))
     if top >= 0.0:
         return theta, phi, tau, False, c0, cube, top, rise
-    step = np.linalg.solve(hess, grad)
+    step = np.zeros(3)
+    step[live] = np.linalg.solve(block, grad[live])
     u, w = math.sin(theta), math.cos(theta) * math.sin(phi)
     largest = np.nextafter(math.pi / 2, 0.0)
     # u and w fold into [-1, 1) and tau into [0, 1 / delta_f); "% p % p" as

@@ -406,6 +406,21 @@ class TestExtract:
         assert len(res.paths) == 1
         assert abs(res.paths[0].phi - ph) < 1e-4 * cell[1]
 
+    @pytest.mark.parametrize("shape", [(1, 2), (2, 1), (1, 4), (4, 1)])
+    def test_one_antenna_axis_still_refines(self, shape):
+        # that axis's moments vanish, so only the other two axes' Newton
+        # block can step; refusing every step left the paths on codebook
+        # points and filled the cap. On M_v = 1 a path near w = 0 can be
+        # detected at theta = -pi/2, where cos(theta) = 0 pins w, so a few
+        # extra paths are found there.
+        cfg = SystemConfig(M_v=shape[0], M_h=shape[1], N=56)
+        for seed in range(4):
+            paths = generate_scenario(1, 4, cfg, seed=seed, att_range_db=(0, 0)).users[0]
+            res = enomp.extract(sounding_observation(paths, cfg, 100.0, seed + 100), cfg, 100.0)
+            assert res.stop_reason != "cap"
+            if cfg.M_h == 1:
+                assert len(res.paths) == 4
+
     def test_residual_consistency_and_monotone_norms(self):
         cfg = small_cfg()
         rng = np.random.default_rng(12)

@@ -143,6 +143,7 @@ BENCHMARK_ROWS = [
     "moment_cube", "steering_factors", "delay_vector", "angle_grid", "channel_L6",
     "gain_fit_L8", "pilot_ls_L5", "stopping_statistic", "stop_test", "omp_detect", "refine_L5",
     "lmmse_128x256", "zf_sinr_256x10x128", "gram_inverse_32x10x10", "mc_32x10x128_D3",
+    "mc_1000x10x128_D3",
 ]
 
 

@@ -1,6 +1,9 @@
 """ZF precoding, rate accounting, and the proportional-error SINR model."""
 
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -402,6 +405,129 @@ class TestMonteCarloSinr:
         assert ok.all()
         for got_row, want_row, c in zip(means, want, cond):
             assert np.linalg.norm(got_row - want_row) <= 1e-12 * c * c * np.linalg.norm(want_row)
+
+
+class _Planted(Exception):
+    pass
+
+
+def _raise_on_call(fn, n):
+    """fn, wrapped to raise _Planted at its call n (from 0) instead."""
+    calls = []
+
+    def wrapped(*args):
+        calls.append(None)
+        if len(calls) == n + 1:
+            raise _Planted(f"call {n}")
+        return fn(*args)
+    return wrapped
+
+
+def _bounded_call(fn, *args, timeout=10.0):
+    """The exception fn(*args) raises (None if it returns), from a thread of
+    its own: a call that has not returned within `timeout` s fails the test
+    instead of hanging it."""
+    raised = []
+
+    def target():
+        try:
+            fn(*args)
+            raised.append(None)
+        except Exception as exc:
+            raised.append(exc)
+
+    caller = threading.Thread(target=target, daemon=True)
+    caller.start()
+    caller.join(timeout)
+    assert not caller.is_alive(), f"the call had not returned after {timeout} s"
+    return raised[0]
+
+
+class TestMonteCarloWorker:
+    """The errors are drawn on a worker thread while the calling thread runs
+    the ZF of the chunk before: no thread outlives a call, and what the
+    worker raises reaches the caller as it would on one thread."""
+
+    deltas = [1e-3, 1e-2, 1e-1]
+
+    def test_no_thread_outlives_a_call(self, monkeypatch):
+        h = random_channel(4, 16, seed=23)
+        before = threading.active_count()
+        mueval.monte_carlo_sinr(h, self.deltas, 10.0, n_draws=75, seed=24)
+        assert threading.active_count() == before
+        # a raise at chunk 2 of 10 finds the worker in a slow fill of chunk 4,
+        # the last one the freed slots allow: it must be woken and joined
+        draw_errors, fills = mueval._draw_errors, []
+
+        def slow_fifth_fill(*args):
+            fills.append(None)
+            if len(fills) == 5:
+                time.sleep(0.05)
+            draw_errors(*args)
+
+        monkeypatch.setattr(mueval, "_draw_errors", slow_fifth_fill)
+        monkeypatch.setattr(mueval, "_sinr_from_cross",
+                            _raise_on_call(mueval._sinr_from_cross, 2 * len(self.deltas)))
+        raised = _bounded_call(mueval.monte_carlo_sinr, h, self.deltas, 10.0, 320, 24)
+        assert isinstance(raised, _Planted)
+        assert threading.active_count() == before
+
+    def test_worker_exception_reaches_the_caller_at_its_chunk(self, monkeypatch):
+        hooked, inverses = [], []
+        gram_inverse = mueval._gram_inverse
+
+        def counted_gram_inverse(gram, n_ant):
+            inverses.append(None)
+            return gram_inverse(gram, n_ant)
+
+        monkeypatch.setattr(threading, "excepthook", hooked.append)
+        monkeypatch.setattr(mueval, "_gram_inverse", counted_gram_inverse)
+        monkeypatch.setattr(mueval, "_draw_errors", _raise_on_call(mueval._draw_errors, 2))
+        before = threading.active_count()
+        raised = _bounded_call(mueval.monte_carlo_sinr, random_channel(4, 16, seed=25),
+                               self.deltas, 10.0, 100, 26)
+        assert isinstance(raised, _Planted) and str(raised) == "call 2"
+        assert threading.active_count() == before
+        assert hooked == []
+        # chunks 0 and 1 ran their ZF for every delta, as on one thread
+        assert len(inverses) == 2 * len(self.deltas)
+
+    def test_bits_hold_under_contention(self):
+        # four callers at once, eight threads on the host's cores, switching
+        # every microsecond: a slot read before it is filled, or refilled
+        # before it is read, changes the bits
+        h = random_channel(4, 16, seed=29)
+        want = mueval.monte_carlo_sinr(h, self.deltas, 10.0, n_draws=320, seed=30)[0]
+        got = [None] * 4
+
+        def call(k):
+            got[k] = mueval.monte_carlo_sinr(h, self.deltas, 10.0, n_draws=320, seed=30)[0]
+
+        callers = [threading.Thread(target=call, args=(k,), daemon=True) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        for means in got:
+            np.testing.assert_array_equal(means, want)
+
+    def test_caller_errstate_holds_in_the_worker(self, monkeypatch):
+        draw_errors = mueval._draw_errors
+
+        def overflowing(rng, z, e, h_abs):
+            draw_errors(rng, z, e, h_abs)
+            np.multiply(e, 1e308, out=e)  # overflows on any |E| above about 1.8
+
+        monkeypatch.setattr(mueval, "_draw_errors", overflowing)
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            mueval.monte_carlo_sinr(random_channel(4, 16, seed=27), self.deltas, 10.0,
+                                    n_draws=75, seed=28)
 
 
 class TestSumRate:
