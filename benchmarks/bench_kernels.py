@@ -10,8 +10,8 @@ bin energies and stop test, codebook detection on that transform and those
 energies, one refinement visit from stored factors and the delay row an
 earlier visit kept, the LMMSE baseline filter of one sounding, ZF precoding plus SINR at
 fig6 size (`mueval.zf_sinr`), the Gram inverse of a 32-Gram slice, one
-Monte Carlo chunk of 32 error draws at three deltas (a single chunk: its
-draw has no ZF to overlap) and a 1000-draw Monte Carlo call at three
+Monte Carlo chunk of 32 error draws at three deltas (a single chunk, drawn
+on the calling thread: it starts no worker) and a 1000-draw Monte Carlo call at three
 deltas, as a theorem1 trial makes it; then one end-to-end path extraction
 with its minor page faults.
 

@@ -63,9 +63,13 @@ class DetectedPath:
 class ExtractionResult:
     paths: tuple            # tuple of DetectedPath, gains on the channel scale
     residual: np.ndarray    # observation minus all reconstructed atoms, in observation units
-    iterations: int
     stop_reason: str        # "below_threshold" | "cap" | "degenerate"
     residual_norms: tuple   # ||residual|| after each completed iteration
+
+    @property
+    def iterations(self) -> int:
+        """Completed iterations: each leaves one residual norm."""
+        return len(self.residual_norms)
 
 
 def build_codebook(cfg: SystemConfig) -> Codebook:
@@ -507,8 +511,9 @@ def newton_refine(y_r: np.ndarray, theta: float, phi: float, tau: float,
     # surface even though the single-atom log surrogate is concave here.
     for damp in (1.0, 0.5, 0.25, 0.125):
         # the atom is periodic with period 2 in both spatial frequencies, so
-        # wrap rather than clamp; the main lobe can straddle +-1 at endfire
-        u_new = _wrap(u - damp * step[0] + 1.0, 2.0) - 1.0
+        # wrap rather than clamp; the main lobe can straddle +-1 at endfire.
+        # One vertical antenna (a_v = [1]) sees no u: u = 0 reaches every w
+        u_new = _wrap(u - damp * step[0] + 1.0, 2.0) - 1.0 if cfg.M_v > 1 else 0.0
         w_new = _wrap(w - damp * step[1] + 1.0, 2.0) - 1.0
         theta_new = float(min(max(math.asin(u_new), -math.pi / 2), _THETA_MAX))
         cos_t = math.cos(theta_new)
@@ -594,7 +599,6 @@ def extract(y_ul: np.ndarray, cfg: SystemConfig, p_tx: float,
                     for m in (cfg.M_v, cfg.M_h, cfg.N))
     residual = y
     norms = []
-    iterations = 0
     stop_reason = "cap"
 
     for _ in range(_MAX_PATHS):
@@ -605,7 +609,6 @@ def extract(y_ul: np.ndarray, cfg: SystemConfig, p_tx: float,
         if _below_threshold(z, energy, threshold, cfg):
             stop_reason = "below_threshold"
             break
-        iterations += 1
         theta, phi, tau = omp_detect(residual, cb, z, energy)[:3]
         del z  # not held through refinement: fig6's peak resident set
         params.append((theta, phi, tau))
@@ -638,6 +641,5 @@ def extract(y_ul: np.ndarray, cfg: SystemConfig, p_tx: float,
         _scale_by_power_of_two(scaled, -shift)
     paths = tuple(DetectedPath(gain=complex(g) / math.sqrt(p_tx), theta=th, phi=ph, tau=ta)
                   for g, (th, ph, ta) in zip(gains, params))
-    return ExtractionResult(paths=paths, residual=residual,
-                            iterations=iterations, stop_reason=stop_reason,
+    return ExtractionResult(paths=paths, residual=residual, stop_reason=stop_reason,
                             residual_norms=tuple(np.ldexp(norms, -shift).tolist()))

@@ -12,21 +12,21 @@ from __future__ import annotations
 
 import contextvars
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .sysmodel import NOISE_POWER, certify_full_rank, check_power, gram_eigvals
+from .sysmodel import NOISE_POWER, certify_full_rank, check_integer, check_power, gram_eigvals
 
 
 # Draws per chunk in monte_carlo_sinr: one shared draw of normals and three
 # shared K x K products per chunk, then one small Gram inverse per delta, while
-# the worker thread draws the chunks after it. At K=10, M=128 and three
-# deltas, 1000 draws take a median 43-46 ms with chunks of 32, 47-49 ms with
-# 16 and 42-44 ms with 64 (three rounds of 9 calls, 2-vCPU Xeon, 1 BLAS
-# thread). 64 raises theorem1's peak resident set by 3.3 MB (41.1 -> 44.4 MB
-# at seed 20240) for at most 2%, so 32 is kept. No output bit depends on it.
+# the executor's worker draws the chunks after it (a call of one chunk starts
+# no worker). At K=10, M=128 and three deltas, 1000 draws take a median
+# 43-46 ms with chunks of 32, 47-49 ms with 16 and 42-44 ms with 64 (three
+# rounds of 9 calls, 2-vCPU Xeon, 1 BLAS thread). 64 raises theorem1's peak
+# resident set by 3.3 MB (41.1 -> 44.4 MB at seed 20240) for at most 2%, so
+# 32 is kept. No output bit depends on it.
 _MC_CHUNK = 32
 
 # Subcarriers per slice in zf_sinr, so the conjugate copy and the K x K
@@ -217,19 +217,24 @@ def monte_carlo_sinr(h_true: np.ndarray, deltas, p_tx: float, n_draws: int, seed
     means and the (D,) full-rank mask: a delta with a rank-deficient draw
     (`sysmodel.gram_eigvals` rejects its Gram) gets False and a NaN row, and
     the other rows do not change. ValueError unless p_tx is a finite
-    real > 0.
+    real > 0 and n_draws an integer >= 1.
 
-    One worker thread per call draws the errors (`_draw_errors`), up to
+    The calling thread draws the first chunk's errors (`_draw_errors`); a
+    one-worker `ThreadPoolExecutor` per call draws each later one, up to
     two chunks ahead of the chunk whose ZF runs on the calling thread; the
     generator's fill and the K x K linear algebra both release the GIL. The
-    worker alone draws from the stream, in chunk order, so every bit is the
-    one-thread result. It runs in a copy of the caller's context, so the
-    caller's ``np.errstate`` holds there; what it raises is raised here, at
-    the chunk whose draw failed, and it has ended when this returns or
-    raises. A call that raises may have drawn up to two chunks more from a
-    Generator passed as ``seed``.
+    draws run one at a time in chunk order, so every bit is the one-thread
+    result, and a call of one chunk starts no thread. Each runs in a copy
+    of the caller's context, so the caller's ``np.errstate`` holds there;
+    what one raises is raised here, at the chunk whose draw failed, and the
+    worker has ended when this returns or raises. A call that raises may
+    have drawn up to two chunks more from a Generator passed as ``seed``.
     """
     check_power(p_tx)
+    check_integer("n_draws", n_draws, 1)
+    # imported here: concurrent.futures imports logging, which fig4 and fig6 never need
+    from concurrent.futures import ThreadPoolExecutor
+
     rng = np.random.default_rng(seed)
     H = np.asarray(h_true)
     n_ant = H.shape[-1]
@@ -240,42 +245,34 @@ def monte_carlo_sinr(h_true: np.ndarray, deltas, p_tx: float, n_draws: int, seed
     ok = np.ones(len(radii), dtype=bool)
     acc = np.zeros((len(radii), H.shape[0]))
     sizes = [min(_MC_CHUNK, n_draws - start) for start in range(0, n_draws, _MC_CHUNK)]
-    # buffers made once per call: the worker's normals and two slots of
-    # errors, chunk j in slot j % 2
-    z_buf = np.empty((min(_MC_CHUNK, n_draws), 2) + H.shape)
+    # buffers made once per call: the normals and two slots of errors, chunk
+    # j in slot j % 2
+    z_buf = np.empty((sizes[0], 2) + H.shape)
     e_bufs = [np.empty(z_buf.shape[:1] + H.shape, dtype=np.complex128) for _ in range(2)]
-    # `filled` counts slots the worker has filled, `free` those this thread
-    # is done with; a slot whose draw raised holds the exception in `failed`
-    filled, free = threading.Semaphore(0), threading.Semaphore(2)
-    failed = [None, None]
-    stop = threading.Event()
 
-    def fill():
-        for j, c in enumerate(sizes):
-            free.acquire()
-            if stop.is_set():
-                return
-            try:
-                _draw_errors(rng, z_buf[:c], e_bufs[j % 2][:c], h_abs)
-            except BaseException as exc:  # the calling thread raises it
-                failed[j % 2] = exc
-                return
-            finally:
-                filled.release()
+    def draw(j):
+        e = e_bufs[j % 2][:sizes[j]]
+        _draw_errors(rng, z_buf[:len(e)], e, h_abs)
+        return e
 
-    worker = threading.Thread(target=contextvars.copy_context().run, args=(fill,))
-    worker.start()
+    pool = ThreadPoolExecutor(max_workers=1)
+    ahead = [None, None]  # the future of chunk j's draw, in slot j % 2
+
+    def read_ahead(j):
+        if j < len(sizes):
+            ahead[j % 2] = pool.submit(contextvars.copy_context().run, draw, j)
+
     try:
-        for j, c in enumerate(sizes):
-            filled.acquire()
-            if failed[j % 2] is not None:
-                raise failed[j % 2]
-            e = e_bufs[j % 2][:c]
+        e = draw(0)
+        read_ahead(1)
+        for j in range(len(sizes)):
+            if j:
+                e = ahead[j % 2].result()
             eh = e @ h_herm
             he = eh.conj().swapaxes(-1, -2)
             mixed = he + eh
             ee = e @ e.conj().swapaxes(-1, -2)
-            free.release()
+            read_ahead(j + 2)
             for i, r in enumerate(radii):
                 if not ok[i]:
                     continue
@@ -289,9 +286,7 @@ def monte_carlo_sinr(h_true: np.ndarray, deltas, p_tx: float, n_draws: int, seed
                 # draw by draw, left to right, so the sum is the same for any chunk size
                 acc[i] = np.add.accumulate(rows, out=rows)[-1]
     finally:
-        stop.set()
-        free.release(2)
-        worker.join()
+        pool.shutdown(cancel_futures=True)
     means = acc / n_draws
     means[~ok] = np.nan
     return means, ok

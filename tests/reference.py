@@ -95,7 +95,9 @@ def visit(y, theta, phi, tau, cfg, paths, gains):
     the Hessian is negative definite, halved up to three times until the
     power strictly rises. A flat axis, its gradient entry and Hessian row
     exactly 0 as on an axis of one entry, takes no step; the others take
-    the step of their own Hessian block, if that is negative definite.
+    the step of their own Hessian block, if that is negative definite. On
+    one vertical antenna (M_v = 1, a_v = [1]) a step lands at u = 0, where
+    the atom is the same and every w is reachable.
     Returns (theta', phi', tau', accepted, corr, cube, top, rise): corr =
     r^H a at the returned point, cube the start's moment cube, and the
     distances from a tie of the definiteness test, top = the largest over
@@ -131,7 +133,7 @@ def visit(y, theta, phi, tau, cfg, paths, gains):
     # u and w fold into [-1, 1) and tau into [0, 1 / delta_f); "% p % p" as
     # x % p is p itself for a tiny negative x
     for damp in (1.0, 0.5, 0.25, 0.125):
-        u_new = (u - damp * step[0] + 1.0) % 2.0 % 2.0 - 1.0
+        u_new = (u - damp * step[0] + 1.0) % 2.0 % 2.0 - 1.0 if cfg.M_v > 1 else 0.0
         w_new = (w - damp * step[1] + 1.0) % 2.0 % 2.0 - 1.0
         theta_new = float(min(max(math.asin(u_new), -math.pi / 2), largest))
         cos_t = math.cos(theta_new)

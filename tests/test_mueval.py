@@ -444,11 +444,40 @@ def _bounded_call(fn, *args, timeout=10.0):
 
 
 class TestMonteCarloWorker:
-    """The errors are drawn on a worker thread while the calling thread runs
-    the ZF of the chunk before: no thread outlives a call, and what the
-    worker raises reaches the caller as it would on one thread."""
+    """The errors after the first chunk are drawn on a worker thread while
+    the calling thread runs the ZF of the chunk before: no thread outlives a
+    call, a call of one chunk starts none, and what the worker raises
+    reaches the caller as it would on one thread."""
 
     deltas = [1e-3, 1e-2, 1e-1]
+
+    @pytest.mark.parametrize("n_draws, starts", [(1, 0), (32, 0), (33, 1)])
+    def test_only_a_second_chunk_starts_the_worker(self, monkeypatch, n_draws, starts):
+        started, start = [], threading.Thread.start
+
+        def counted_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted_start)
+        mueval.monte_carlo_sinr(random_channel(4, 16, seed=31), self.deltas, 10.0, n_draws, 32)
+        assert len(started) == starts
+
+    def test_draws_run_one_at_a_time(self, monkeypatch):
+        # a second worker would draw chunk j + 2 beside chunk j + 1, out of
+        # chunk order and into the one buffer of normals
+        draw_errors, running, overlaps = mueval._draw_errors, [], []
+
+        def slow_draw(*args):
+            running.append(None)
+            overlaps.append(len(running))
+            time.sleep(0.01)
+            draw_errors(*args)
+            running.pop()
+
+        monkeypatch.setattr(mueval, "_draw_errors", slow_draw)
+        mueval.monte_carlo_sinr(random_channel(4, 16, seed=33), self.deltas, 10.0, 160, 34)
+        assert overlaps == [1] * 5
 
     def test_no_thread_outlives_a_call(self, monkeypatch):
         h = random_channel(4, 16, seed=23)
@@ -518,11 +547,13 @@ class TestMonteCarloWorker:
             np.testing.assert_array_equal(means, want)
 
     def test_caller_errstate_holds_in_the_worker(self, monkeypatch):
-        draw_errors = mueval._draw_errors
+        draw_errors, draws = mueval._draw_errors, []
 
         def overflowing(rng, z, e, h_abs):
             draw_errors(rng, z, e, h_abs)
-            np.multiply(e, 1e308, out=e)  # overflows on any |E| above about 1.8
+            draws.append(None)
+            if len(draws) > 1:  # the first chunk is drawn on the calling thread
+                np.multiply(e, 1e308, out=e)  # overflows on any |E| above about 1.8
 
         monkeypatch.setattr(mueval, "_draw_errors", overflowing)
         with np.errstate(all="raise"), pytest.raises(FloatingPointError, match="overflow"):
@@ -592,6 +623,12 @@ def test_sinr_entry_points_reject_power_that_is_not_finite_positive(p_tx):
     for call in calls:
         with pytest.raises(ValueError, match="p_tx"):
             call()
+
+
+@pytest.mark.parametrize("n_draws", [0, -1, True, 2.0])
+def test_monte_carlo_rejects_draw_count_below_one(n_draws):
+    with pytest.raises(ValueError, match="n_draws"):
+        mueval.monte_carlo_sinr(random_channel(2, 4, seed=13), [0.01], 1.0, n_draws, 0)
 
 
 class TestErrorModel:
