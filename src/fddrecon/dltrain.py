@@ -19,8 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .sysmodel import (SystemConfig, atom_basis, atom_gram, atom_sum, carrier_phase,
-                       check_power, complex_noise, delay_vector, fit_gains, gram_eigvals,
-                       observation, path_parameters, steering_vector)
+                       check_power, check_real, complex_noise, delay_vector, fit_gains,
+                       gram_eigvals, observation, path_parameters, steering_vector)
 
 
 def grid_point(index, cfg: SystemConfig):
@@ -192,10 +192,13 @@ def schedule_beams(users_paths: Sequence[Sequence], grid: np.ndarray, cfg: Syste
     weight (number of distinct users marking them, index as tie-break), and
     a point is dropped when every user is still predicted, at transmit power
     p_tx, to meet the accuracy target delta without it.  The scan stops at
-    the first indispensable point. ValueError unless p_tx is a finite
-    real > 0.
+    the first indispensable point. ValueError unless p_tx and delta are
+    finite reals > 0.
     """
     check_power(p_tx)
+    check_real("delta", delta)
+    if delta <= 0:
+        raise ValueError("delta must be > 0")
     marks: dict[int, int] = {}
     for paths in users_paths:
         mine = {optimal_grid_point(p.theta, p.phi, grid, cfg) for p in paths}

@@ -98,7 +98,7 @@ def config_from_dict(raw) -> ExperimentConfig:
     for where, keys, cls in (("", data, ExperimentConfig), ("system ", system, SystemConfig)):
         unknown = set(keys) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
-            raise ValueError(f"unknown {where}config keys: {sorted(unknown)}")
+            raise ValueError(f"unknown {where}config keys: {sorted(unknown, key=repr)}")
     return ExperimentConfig(system=SystemConfig(**system), **data)
 
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sysmodel import NOISE_POWER, certify_full_rank, check_integer, check_power, gram_eigvals
+from .sysmodel import (NOISE_POWER, certify_full_rank, check_integer, check_power, check_real,
+                       gram_eigvals)
 
 
 # Draws per chunk in monte_carlo_sinr: one shared draw of normals and three
@@ -159,6 +160,14 @@ def sum_rate(sinr_values: np.ndarray, t_pilot: int, t_coherence: int) -> float:
     return prelog * float(np.mean(np.sum(np.log2(1.0 + arr), axis=1)))
 
 
+def _check_deltas(deltas) -> None:
+    """Reject an error power that is not a finite real number >= 0."""
+    for i, delta in enumerate(deltas):
+        check_real(f"deltas[{i}]", delta)
+        if delta < 0:
+            raise ValueError(f"deltas[{i}] must be >= 0")
+
+
 def analytic_sinr(h_true: np.ndarray, deltas, p_tx: float) -> np.ndarray:
     """Closed-form expected SINR when the channel estimate carries an error
     of relative power delta in every entry, one (K,) row per delta.
@@ -169,11 +178,10 @@ def analytic_sinr(h_true: np.ndarray, deltas, p_tx: float) -> np.ndarray:
     S_k / (sum_{j != k} I_{k,j} + noise).  All three reduce to the exact
     zero-interference ZF values at delta = 0.  The precoder of the true
     channel is built once and serves every delta. ValueError unless p_tx is
-    a finite real > 0 and every delta >= 0.
+    a finite real > 0 and every delta a finite real >= 0.
     """
     check_power(p_tx)
-    if min(deltas) < 0:
-        raise ValueError("delta must be nonnegative")
+    _check_deltas(deltas)
     H = np.asarray(h_true)
     n_users = H.shape[0]
     pinv = zf_precoder(H).pinv
@@ -217,7 +225,7 @@ def monte_carlo_sinr(h_true: np.ndarray, deltas, p_tx: float, n_draws: int, seed
     means and the (D,) full-rank mask: a delta with a rank-deficient draw
     (`sysmodel.gram_eigvals` rejects its Gram) gets False and a NaN row, and
     the other rows do not change. ValueError unless p_tx is a finite
-    real > 0 and n_draws an integer >= 1.
+    real > 0, every delta a finite real >= 0 and n_draws an integer >= 1.
 
     The calling thread draws the first chunk's errors (`_draw_errors`); a
     one-worker `ThreadPoolExecutor` per call draws each later one, up to
@@ -231,6 +239,7 @@ def monte_carlo_sinr(h_true: np.ndarray, deltas, p_tx: float, n_draws: int, seed
     have drawn up to two chunks more from a Generator passed as ``seed``.
     """
     check_power(p_tx)
+    _check_deltas(deltas)
     check_integer("n_draws", n_draws, 1)
     # imported here: concurrent.futures imports logging, which fig4 and fig6 never need
     from concurrent.futures import ThreadPoolExecutor

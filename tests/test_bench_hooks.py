@@ -1,9 +1,7 @@
 """The benchmark's tracer (pipebench/tracer.py) wraps fddrecon functions by
 module attribute and calls their hooks with the wrapped functions' positional
 arguments. Renaming or re-signing one of them, or adding an extraction stop
-reason it does not count, must fail here rather than in a benchmark run.
-The kernel bench (benchmarks/bench_kernels.py) is run by
-tests/test_kernels.py::test_kernel_benchmark_script_runs."""
+reason it does not count, must fail here rather than in a benchmark run."""
 
 import importlib.util
 import pathlib

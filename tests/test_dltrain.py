@@ -432,6 +432,16 @@ def test_power_entry_points_reject_power_that_is_not_finite_positive(p_tx):
             call()
 
 
+@pytest.mark.parametrize("delta", [0.0, -1.0, math.nan, math.inf, True])
+def test_scheduler_rejects_target_that_is_not_finite_positive(delta):
+    # no plan meets such a target: an error, not a plan marked infeasible
+    cfg = small_cfg()
+    grid = dltrain.build_angle_grid(cfg)
+    users = [random_detected_paths(np.random.default_rng(1), 2, cfg) for _ in range(2)]
+    with pytest.raises(ValueError, match="delta"):
+        dltrain.schedule_beams(users, grid, cfg, delta, P_TX)
+
+
 @st.composite
 def pilot_cases(draw):
     """A small system, one to five random paths (downlink gains included)

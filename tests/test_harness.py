@@ -128,6 +128,10 @@ class TestConfig:
         {"experiment": "fig4", "system": {"delta_f": 1e-320}},
         {"experiment": "fig4", "system": {"f_dl": 10**400}},
         {"experiment": "fig4", "snr_db": [10**400]},
+        # unknown keys of mixed types, as YAML parses `1:` and `~:`
+        {"experiment": "fig4", 1: 2, "foo": 3},
+        {"experiment": "fig4", "system": {1: 2, "x": 3}},
+        {"experiment": "fig4", None: 1, "foo": 3},
     ])
     def test_rejects_bad_input(self, raw):
         with pytest.raises(ValueError):

@@ -1,18 +1,11 @@
 """Numeric kernels versus the slow references and bit-for-bit twins."""
 
-import os
-import pathlib
-import subprocess
-import sys
-
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
 from fddrecon import _kernels
-
-ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def random_inputs(rng, shape=(3, 4, 5)):
@@ -129,36 +122,3 @@ def test_plain_correlation_entry():
     # W[0,0,0] ignores the centers entirely
     assert abs(cube[0, 0, 0] - np.vdot(y3.ravel(), atom)) < 1e-12
 
-
-def run_kernel_benchmark(*args):
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    return subprocess.run(
-        [sys.executable, str(ROOT / "benchmarks" / "bench_kernels.py"), *args],
-        capture_output=True, text=True, env=env, timeout=120, check=False)
-
-
-# one row per kernel a pinned workload calls; dropping one loses its timing
-BENCHMARK_ROWS = [
-    "moment_cube", "steering_factors", "delay_vector", "angle_grid", "channel_L6",
-    "gain_fit_L8", "pilot_ls_L5", "stopping_statistic", "stop_test", "omp_detect", "refine_L5",
-    "lmmse_128x256", "zf_sinr_256x10x128", "gram_inverse_32x10x10", "mc_32x10x128_D3",
-    "mc_1000x10x128_D3",
-]
-
-
-def test_kernel_benchmark_script_runs():
-    # the script imports enomp and _kernels names directly; an API change
-    # there must fail here rather than in a benchmark run
-    proc = run_kernel_benchmark("--repeats", "1")
-    assert proc.returncode == 0, proc.stderr
-    table = proc.stdout.split("\n\n")[1].splitlines()
-    assert table[0].split() == ["kernel", "best"]
-    assert [line.split()[0] for line in table[1:]] == BENCHMARK_ROWS
-    assert "end-to-end extraction" in proc.stdout
-
-
-def test_kernel_benchmark_rejects_nonpositive_repeats():
-    proc = run_kernel_benchmark("--repeats", "0")
-    assert proc.returncode == 2
-    assert "--repeats must be at least 1" in proc.stderr

@@ -625,6 +625,15 @@ def test_sinr_entry_points_reject_power_that_is_not_finite_positive(p_tx):
             call()
 
 
+@pytest.mark.parametrize("delta", [-0.1, math.nan, math.inf])
+@pytest.mark.parametrize("model", ["analytic_sinr", "monte_carlo_sinr"])
+def test_sinr_models_reject_error_power_that_is_not_finite_nonnegative(model, delta):
+    h = random_channel(3, 8, seed=13)
+    draws = {"analytic_sinr": (), "monte_carlo_sinr": (4, 0)}[model]
+    with pytest.raises(ValueError, match=r"deltas\[1\]"):
+        getattr(mueval, model)(h, [0.01, delta], 10.0, *draws)
+
+
 @pytest.mark.parametrize("n_draws", [0, -1, True, 2.0])
 def test_monte_carlo_rejects_draw_count_below_one(n_draws):
     with pytest.raises(ValueError, match="n_draws"):

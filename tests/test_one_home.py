@@ -1,9 +1,10 @@
 """Each model decision is written once in `src/fddrecon`: a scan of the
 package's syntax trees for a second copy of the dB rule, the noise power,
 the observation, the two-FFT angle spectrum, a scalar atom factor build in
-extraction, or a trial stream made outside its helper. And each slow
-reference is written once, in `tests/reference.py`, sharing no code with
-the fast paths it checks."""
+extraction, or a trial stream made outside its helper. Each top-level
+function and class is used in the package or listed with its outside
+caller. And each slow reference is written once, in `tests/reference.py`,
+sharing no code with the fast paths it checks."""
 
 import ast
 import importlib
@@ -106,6 +107,37 @@ def test_each_decision_has_one_home(decision, predicate, home):
     sites = _sites(predicate)
     assert [(module, scope) for module, scope, _ in sites] == home, (
         f"{decision} written at {sites}; its one home is {home}")
+
+
+# top-level names no `src/` code uses: tests/test_acceptance.py calls these,
+ACCEPTANCE_API = {"enomp.objective_S", "enomp.objective_derivatives", "enomp.synth_atom",
+                  "dltrain.coefficient_matrix", "dltrain.predict_nmse"}
+# and pipebench/tracer.py wraps this one
+TRACED_ONLY = {"enomp.coarse_gain"}
+
+
+def _unused_top_level_names():
+    """`module.name` of each top-level function and class of the package
+    that no code in the package names, as a name or an attribute, outside
+    its own definition; a docstring is a string and names nothing."""
+    defined, refs = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = None
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                owner = top.name
+                defined.add((path.stem, owner))
+            refs.extend(((path.stem, owner), getattr(node, "id", None) or node.attr)
+                        for node in ast.walk(top) if isinstance(node, (ast.Name, ast.Attribute)))
+    return {f"{module}.{name}" for module, name in defined
+            if not any(ref == name and where != (module, name) for where, ref in refs)}
+
+
+def test_every_top_level_name_is_used():
+    unused = _unused_top_level_names()
+    kept = ACCEPTANCE_API | TRACED_ONLY
+    assert not unused - kept, f"no code in src/ uses {sorted(unused - kept)}"
+    assert not kept - unused, f"{sorted(kept - unused)} no longer need listing here"
 
 
 # test helpers that `reference.py` replaced
