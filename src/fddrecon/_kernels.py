@@ -1,9 +1,9 @@
 """Numeric kernels of path extraction, in numpy.
 
 `moment_cube` is the hot inner loop once the FFTs are done: it contracts the
-observation against an atom with polynomial index weights (the moments
-behind the Newton gradient/Hessian), and `index_weighted` gives those weights
-for one factor. `kron3` materializes one rank-1 Kronecker atom; channels,
+observation against an atom's polynomial index weights (the moments behind the
+Newton gradient/Hessian), `index_weighted` of each factor, whose first column
+is the factor itself. `kron3` materializes one rank-1 Kronecker atom; channels,
 residuals and lstsq bases are built from factor matrices by `sysmodel`'s
 `atom_sum` and `atom_basis` instead, so it serves only as the reference atom
 (`enomp.synth_atom`), which `atom_basis` columns equal bit for bit.
@@ -22,25 +22,22 @@ def kron3(a_v, a_h, p_n):
     return (np.outer(a_v, a_h).reshape(-1, 1) * p_n).ravel()
 
 
-def moment_cube(y3, a_v, a_h, p_n, c_v, c_h, c_n, weights=None, row=None):
+def moment_cube(y3, w_v, w_h, w_n, row=None):
     """Weighted inner products of an atom against conj(y).
 
-    Returns a (3, 3, 3) complex cube W with
+    w_v, w_h and w_n are `index_weighted(x, c)` of the atom's factors a_v,
+    a_h and p_n at the centres c_v, c_h and c_n. Returns a (3, 3, 3) complex
+    cube W with
       W[a, b, c] = sum_{m,h,n} conj(y3[m,h,n]) a_v[m] a_h[h] p_n[n]
                    * (m - c_v)^a (h - c_h)^b (n - c_n)^c
     so W[0,0,0] is the plain correlation y^H (a_v (x) a_h (x) p_n). The
-    centers shift the polynomial index weights only, not the atom.
-    `weights`, when given, is the tuple of `index_weighted(x, c)` for the
-    three factors at those centers, built once by a caller that needs them
-    elsewhere too; they are built here otherwise. `row`, when given, is the
-    first delay sum y2 @ conj(p_n) over the (M_v*M_h, N) view y2 of y3, as
-    a caller kept it from an earlier product bit for bit equal to this
-    one's; the cube then forms the other two only.
+    centres shift the polynomial index weights only, not the atom. `row`,
+    when given, is the first delay sum y2 @ conj(p_n) over the
+    (M_v*M_h, N) view y2 of y3, as a caller kept it from an earlier product
+    bit for bit equal to this one's; the cube then forms the other two only.
     """
     M_v, M_h, N = y3.shape
     y2 = y3.reshape(M_v * M_h, N)
-    w_v, w_h, w_n = weights if weights is not None else map(
-        index_weighted, (a_v, a_h, p_n), (c_v, c_h, c_n))
     pw = w_n.T.conj()                                             # (3, N)
     # contract y3 against the conjugated weights and conjugate the small
     # result: the same numbers as conj(y3) @ w_n without copying the whole

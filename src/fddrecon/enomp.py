@@ -331,8 +331,8 @@ def objective_derivatives(y_r: np.ndarray, gain: complex, theta: float,
     (S, grad, hess) : float, ndarray (3,), ndarray (3, 3)
     """
     y3 = np.ascontiguousarray(np.asarray(y_r).reshape(cfg.M_v, cfg.M_h, cfg.N))
-    c, dc, d2c = _derivative_scalars(
-        _kernels.moment_cube(y3, *atom_factors(theta, phi, tau, cfg), 0.0, 0.0, 0.0), cfg)
+    weights = map(_kernels.index_weighted, atom_factors(theta, phi, tau, cfg), (0.0, 0.0, 0.0))
+    c, dc, d2c = _derivative_scalars(_kernels.moment_cube(y3, *weights), cfg)
     dc, d2c = np.array(dc), np.array(d2c)
     st, ct = math.sin(theta), math.cos(theta)
     sp, cp = math.sin(phi), math.cos(phi)
@@ -390,9 +390,9 @@ def _log_power_step(c, dc, d2c, power):
     its derivatives (`_derivative_scalars`) and power = |c|^2 > 0, or
     None unless the Hessian H is negative definite. Python scalars
     throughout: negative definiteness from the leading minors, the step from
-    the cofactors. On an axis of one antenna (M_v = 1 or M_h = 1) the
-    moments vanish exactly, so H is singular and the minors refuse: a
-    refused step goes to `_flat_axes_step`."""
+    the cofactors. An axis of one entry (M_v, M_h or N = 1) is flat, its
+    gradient entry and Hessian row exactly 0: given curvature -1, it takes
+    a zero step and the others the step of their own block. All flat: None."""
     cc = c.conjugate()
     # log|c|^2: gradient 2 Re{conj(c) dc}/|c|^2, Hessian from the quotient rule
     g = [2.0 * (cc * d).real / power for d in dc]
@@ -401,48 +401,26 @@ def _log_power_step(c, dc, d2c, power):
         for i, j in _UPPER)
     if not all(map(math.isfinite, (*g, h11, h12, h13, h22, h23, h33))):
         raise FloatingPointError("non-finite derivatives")
+    if not (h11 and h22 and h33):  # a flat axis has a zero diagonal entry
+        rows = ((h11, h12, h13), (h12, h22, h23), (h13, h23, h33))
+        flat = [not (gi or any(row)) for gi, row in zip(g, rows)]
+        if all(flat):
+            return None
+        h11, h22, h33 = (-1.0 if f else x for f, x in zip(flat, (h11, h22, h33)))
     m2 = h11 * h22 - h12 * h12
     if not (h11 < 0.0 and m2 > 0.0):
-        return _flat_axes_step(g, (h11, h12, h13, h22, h23, h33))
+        return None
     c11 = h22 * h33 - h23 * h23
     c12 = h13 * h23 - h12 * h33
     c13 = h12 * h23 - h13 * h22
     det = h11 * c11 + h12 * c12 + h13 * c13
     if not det < 0.0:
-        return _flat_axes_step(g, (h11, h12, h13, h22, h23, h33))
+        return None
     c22 = h11 * h33 - h13 * h13
     c23 = h12 * h13 - h11 * h23
     return ((c11 * g[0] + c12 * g[1] + c13 * g[2]) / det,
             (c12 * g[0] + c22 * g[1] + c23 * g[2]) / det,
             (c13 * g[0] + c23 * g[1] + m2 * g[2]) / det)
-
-
-def _flat_axes_step(g, upper):
-    """The step of a refused `_log_power_step` (gradient g, Hessian upper
-    triangle `upper` in `_UPPER` order): None unless an axis is flat, its
-    gradient entry and Hessian row exactly 0 as on an axis of one entry.
-    A flat axis gets a zero step and the others the Newton step of their
-    own sub-block, or None unless that sub-block is negative definite."""
-    h = [[0.0] * 3 for _ in range(3)]
-    for (i, j), x in zip(_UPPER, upper):
-        h[i][j] = h[j][i] = x
-    live = [i for i in range(3) if g[i] != 0.0 or any(h[i])]
-    step = [0.0, 0.0, 0.0]
-    if len(live) == 1:
-        (i,) = live
-        if not h[i][i] < 0.0:
-            return None
-        step[i] = g[i] / h[i][i]
-    elif len(live) == 2:
-        i, j = live
-        det = h[i][i] * h[j][j] - h[i][j] * h[i][j]
-        if not (h[i][i] < 0.0 and det > 0.0):
-            return None
-        step[i] = (h[j][j] * g[i] - h[i][j] * g[j]) / det
-        step[j] = (h[i][i] * g[j] - h[i][j] * g[i]) / det
-    else:
-        return None
-    return tuple(step)
 
 
 def newton_refine(y_r: np.ndarray, theta: float, phi: float, tau: float,
@@ -459,7 +437,8 @@ def newton_refine(y_r: np.ndarray, theta: float, phi: float, tau: float,
     definiteness well inside a grid cell and would strand the refinement.
     The step is applied only when the Hessian is negative definite and the
     step strictly increases the matched-gain objective (equivalently the
-    projected power); otherwise the parameters come back unchanged.
+    projected power); otherwise the parameters come back unchanged. An axis
+    of one antenna or subcarrier takes a zero step (`_log_power_step`).
 
     `others` = (g, o_v, o_h, o_p) is the atom sum A g of the other tracks
     (factor matrices as from `sysmodel.path_factors`; L = 0 for none) to
@@ -485,14 +464,13 @@ def newton_refine(y_r: np.ndarray, theta: float, phi: float, tau: float,
     and factors = (a_v, a_h, p_n), `sysmodel.atom_factors` there.
     """
     y3 = np.ascontiguousarray(np.asarray(y_r).reshape(cfg.M_v, cfg.M_h, cfg.N))
-    a_v, a_h, p_n = factors
     centres = ((cfg.M_v - 1) / 2.0, (cfg.M_h - 1) / 2.0, (cfg.N - 1) / 2.0)
-    # the index weights of the three factors, built once for both cubes
-    # (positional: the bench tracer's cost hook takes no keywords)
+    # the index weights of the three factors, built once for both cubes (the
+    # kept row goes positionally: the bench tracer's cost hook takes no keywords)
     weights = tuple(map(_kernels.index_weighted, factors, centres))
     y_cube = memo[0]
     if y_cube is None or y_cube.ndim == 1:
-        y_cube = _kernels.moment_cube(y3, a_v, a_h, p_n, *centres, weights, y_cube)
+        y_cube = _kernels.moment_cube(y3, *weights, y_cube)
     cube = y_cube - _atom_sum_cube(others, weights)
     if not np.all(np.isfinite(cube)):
         raise FloatingPointError("non-finite derivatives")

@@ -310,6 +310,12 @@ def centres_of(cfg):
     return ((cfg.M_v - 1) / 2.0, (cfg.M_h - 1) / 2.0, (cfg.N - 1) / 2.0)
 
 
+def weights_of(factors, cfg):
+    """`_kernels.index_weighted` of each factor at its index centre, as a
+    visit builds them for its two moment cubes."""
+    return tuple(map(_kernels.index_weighted, factors, centres_of(cfg)))
+
+
 def assert_same_point(got, want, cfg, atol):
     """Two paths within `atol`, per coordinate, in u = sin(theta), w =
     cos(theta) sin(phi) and tau, each on its circle (at endfire the arcsine
@@ -657,10 +663,11 @@ def visit_cases(draw, sizes=None):
     up to a grid cell off the first path, the others at their paths (the
     first at gain 0), and a trial point. A 1 Hz subcarrier spacing is drawn
     too: there the delay curvature is of the angles' order, where at 75 kHz
-    it is about 1e11 times theirs. `sizes`, when given, lists the
-    (M_v, M_h, N) to draw the system from."""
+    it is about 1e11 times theirs. Any axis can have one entry, which makes
+    it flat. `sizes`, when given, lists the (M_v, M_h, N) to draw the system
+    from."""
     if sizes is None:
-        shape = (draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(2, 16)))
+        shape = (draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(1, 16)))
     else:
         shape = draw(st.sampled_from(sizes))
     cfg = SystemConfig(M_v=shape[0], M_h=shape[1], N=shape[2],
@@ -693,8 +700,7 @@ class TestCrossTerms:
     def test_cube_equals_moment_cube_of_materialized_observation(self, case):
         cfg, _, visited, _, paths, gains = case
         factors = atom_factors(*visited, cfg)
-        weights = tuple(map(_kernels.index_weighted, factors, centres_of(cfg)))
-        got = enomp._atom_sum_cube((gains, *path_factors(paths, cfg)), weights)
+        got = enomp._atom_sum_cube((gains, *path_factors(paths, cfg)), weights_of(factors, cfg))
         others3 = (reference.basis(paths, cfg) @ gains).reshape(cfg.M_v, cfg.M_h, cfg.N)
         want = reference.moment_cube(others3, *factors, *centres_of(cfg))
         # entry (a, b, c) sums terms of magnitude |g_l| |m - c_v|^a |h - c_h|^b |n - c_n|^c
@@ -723,10 +729,8 @@ class TestVisitMatchesReference:
     @given(visit_cases())
     def test_cube_agrees(self, case):
         cfg, y, visited, _, paths, gains = case
-        factors = atom_factors(*visited, cfg)
-        weights = tuple(map(_kernels.index_weighted, factors, centres_of(cfg)))
-        y_cube = _kernels.moment_cube(y.reshape(cfg.M_v, cfg.M_h, cfg.N), *factors,
-                                      *centres_of(cfg))
+        weights = weights_of(atom_factors(*visited, cfg), cfg)
+        y_cube = _kernels.moment_cube(y.reshape(cfg.M_v, cfg.M_h, cfg.N), *weights)
         got = y_cube - enomp._atom_sum_cube((gains, *path_factors(paths, cfg)), weights)
         want = reference.visit(y, *visited, cfg, paths, gains)[5]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(y_cube)))
@@ -747,6 +751,25 @@ class TestVisitMatchesReference:
         assert_same_point(*(enomp.DetectedPath(0j, *p) for p in (got[:3], want)), cfg,
                           1e-9 * np.array([1.0, 1.0, 1.0 / (cfg.N * cfg.delta_f)]))
 
+    @settings(max_examples=20)
+    @given(visit_cases(sizes=[(1, 1, 1)]))
+    def test_all_flat_visit_is_refused(self, case):
+        # one antenna and one subcarrier: every axis is flat, so there is no
+        # step, and the visit returns its start, its factors and its correlation
+        cfg, y, visited, _, paths, gains = case
+        factors = atom_factors(*visited, cfg)
+        others = (gains, *path_factors(paths, cfg))
+        weights = weights_of(factors, cfg)
+        cube = _kernels.moment_cube(y.reshape(1, 1, 1), *weights) - enomp._atom_sum_cube(
+            others, weights)
+        c0, dc, d2c = enomp._derivative_scalars(cube, cfg)
+        if abs(c0) > 0.0:
+            assert enomp._log_power_step(c0, dc, d2c, abs(c0) ** 2) is None
+        got = enomp.newton_refine(y, *visited, cfg, others, factors, [None])
+        assert got[:4] == (*visited, False)
+        assert got[5] is factors
+        assert reference.visit(y, *visited, cfg, paths, gains)[:4] == (*visited, False)
+
 
 def assert_same_visit(got, want):
     """Two `newton_refine` results equal bit for bit."""
@@ -763,8 +786,7 @@ class TestEmptyAtomSum:
     def test_terms_are_exact_zeros(self, case):
         cfg, _, visited, *_ = case
         factors = atom_factors(*visited, cfg)
-        weights = tuple(map(_kernels.index_weighted, factors, centres_of(cfg)))
-        cube = enomp._atom_sum_cube(no_others(cfg), weights)
+        cube = enomp._atom_sum_cube(no_others(cfg), weights_of(factors, cfg))
         assert cube.shape == (3, 3, 3) and cube.dtype == complex
         np.testing.assert_array_equal(cube, np.zeros((3, 3, 3)))
         corr = enomp._atom_sum_correlation(no_others(cfg), *factors)
@@ -798,7 +820,7 @@ class TestKeptWork:
         first = enomp.newton_refine(y, *visited, cfg, others, atom_factors(*visited, cfg), memo)
         factors = first[5]
         row = enomp._delay_row(y3, factors[2])
-        cube = _kernels.moment_cube(y3, *factors, *centres_of(cfg))
+        cube = _kernels.moment_cube(y3, *weights_of(factors, cfg))
         # what the visit keeps is what the next visit would compute
         np.testing.assert_array_equal(memo[0], row if first[3] else cube)
         # the track's next visit: the same y and factors, the others refitted
@@ -820,7 +842,7 @@ class TestKeptWork:
 
         def counted_cube(*args):
             if counting[0]:
-                sums[-1] += 3 if len(args) < 9 or args[8] is None else 2
+                sums[-1] += 3 if len(args) < 5 or args[4] is None else 2
             return cube_of(*args)
 
         def checked(*args):

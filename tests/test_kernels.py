@@ -17,6 +17,11 @@ def random_inputs(rng, shape=(3, 4, 5)):
     return y3, a_v, a_h, p_n
 
 
+def weighted(factors, centres):
+    """The kernel's input: `index_weighted` of each factor at its centre."""
+    return tuple(map(_kernels.index_weighted, factors, centres))
+
+
 def test_kron3_matches_nested_kron():
     rng = np.random.default_rng(0)
     y3, a_v, a_h, p_n = random_inputs(rng)
@@ -30,7 +35,7 @@ def test_moment_cube_matches_loop_oracle():
         y3, a_v, a_h, p_n = random_inputs(rng)
         c_v, c_h, c_n = rng.uniform(0.0, 3.0, 3)
         oracle = reference.moment_cube(y3, a_v, a_h, p_n, c_v, c_h, c_n)
-        got = _kernels.moment_cube(y3, a_v, a_h, p_n, c_v, c_h, c_n)
+        got = _kernels.moment_cube(y3, *weighted((a_v, a_h, p_n), (c_v, c_h, c_n)))
         np.testing.assert_allclose(got, oracle, rtol=1e-12, atol=1e-12)
 
 
@@ -64,7 +69,7 @@ def test_moment_cube_matches_conjugated_copy_form(shape, seed):
     rng = np.random.default_rng(seed)
     y3, a_v, a_h, p_n = random_inputs(rng, shape)
     centers = tuple((np.array(shape) - 1) / 2.0)
-    np.testing.assert_allclose(_kernels.moment_cube(y3, a_v, a_h, p_n, *centers),
+    np.testing.assert_allclose(_kernels.moment_cube(y3, *weighted((a_v, a_h, p_n), centers)),
                                moment_cube_conj_copy(y3, a_v, a_h, p_n, *centers),
                                rtol=1e-13)
 
@@ -73,21 +78,10 @@ def test_moment_cube_default_centers_zero():
     rng = np.random.default_rng(2)
     y3, a_v, a_h, p_n = random_inputs(rng)
     np.testing.assert_allclose(
-        _kernels.moment_cube(y3, a_v, a_h, p_n, 0.0, 0.0, 0.0),
+        _kernels.moment_cube(y3, *weighted((a_v, a_h, p_n), (0.0, 0.0, 0.0))),
         reference.moment_cube(y3, a_v, a_h, p_n, 0.0, 0.0, 0.0),
         rtol=1e-12, atol=1e-12,
     )
-
-
-def test_moment_cube_from_prebuilt_weights_is_bit_equal():
-    # a Newton visit builds the index weights once for this cube and its
-    # cross-term cube; passed in, they give the cube the kernel builds
-    rng = np.random.default_rng(4)
-    y3, a_v, a_h, p_n = random_inputs(rng)
-    centers = (1.0, 1.5, 2.0)
-    weights = tuple(map(_kernels.index_weighted, (a_v, a_h, p_n), centers))
-    np.testing.assert_array_equal(_kernels.moment_cube(y3, a_v, a_h, p_n, *centers, weights),
-                                  _kernels.moment_cube(y3, a_v, a_h, p_n, *centers))
 
 
 def test_moment_cube_from_a_kept_row_is_bit_equal():
@@ -96,11 +90,10 @@ def test_moment_cube_from_a_kept_row_is_bit_equal():
     rng = np.random.default_rng(5)
     for shape in ((3, 4, 5), (8, 16, 256), (1, 8, 32)):
         y3, a_v, a_h, p_n = random_inputs(rng, shape)
-        centers = tuple((n - 1) / 2 for n in shape)
+        weights = weighted((a_v, a_h, p_n), ((n - 1) / 2 for n in shape))
         row = y3.reshape(-1, shape[2]) @ p_n.conj()
-        np.testing.assert_array_equal(
-            _kernels.moment_cube(y3, a_v, a_h, p_n, *centers, None, row),
-            _kernels.moment_cube(y3, a_v, a_h, p_n, *centers))
+        np.testing.assert_array_equal(_kernels.moment_cube(y3, *weights, row),
+                                      _kernels.moment_cube(y3, *weights))
 
 
 def test_moment_cube_reads_the_kept_row():
@@ -110,14 +103,15 @@ def test_moment_cube_reads_the_kept_row():
     y3, a_v, a_h, p_n = random_inputs(rng)
     other = np.exp(1j * rng.uniform(-np.pi, np.pi, len(p_n)))
     row = y3.reshape(-1, len(p_n)) @ other.conj()
-    kept = _kernels.moment_cube(y3, a_v, a_h, p_n, 1.0, 1.5, 2.0, None, row)
-    assert not np.array_equal(kept, _kernels.moment_cube(y3, a_v, a_h, p_n, 1.0, 1.5, 2.0))
+    weights = weighted((a_v, a_h, p_n), (1.0, 1.5, 2.0))
+    kept = _kernels.moment_cube(y3, *weights, row)
+    assert not np.array_equal(kept, _kernels.moment_cube(y3, *weights))
 
 
 def test_plain_correlation_entry():
     rng = np.random.default_rng(3)
     y3, a_v, a_h, p_n = random_inputs(rng)
-    cube = _kernels.moment_cube(y3, a_v, a_h, p_n, 1.0, 2.0, 0.5)
+    cube = _kernels.moment_cube(y3, *weighted((a_v, a_h, p_n), (1.0, 2.0, 0.5)))
     atom = np.kron(np.kron(a_v, a_h), p_n)
     # W[0,0,0] ignores the centers entirely
     assert abs(cube[0, 0, 0] - np.vdot(y3.ravel(), atom)) < 1e-12

@@ -108,6 +108,15 @@ class TestChannelNmse:
         with pytest.raises(ValueError):
             recon.channel_nmse(truth, np.zeros(3))
 
+    @pytest.mark.parametrize("estimate, truth", [
+        (np.zeros(4), np.ones((4, 1))),  # broadcast to (4, 4): 4.0 where the NMSE is 1.0
+        (np.ones((4, 1)), np.ones(4)),
+        (np.ones(1), np.ones(4)),
+    ])
+    def test_rejects_mismatched_shapes(self, estimate, truth):
+        with pytest.raises(ValueError, match="shape"):
+            recon.channel_nmse(estimate, truth)
+
 
 class TestLsBaseline:
     def test_noiseless_exact(self):
