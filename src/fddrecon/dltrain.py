@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .sysmodel import (SystemConfig, atom_basis, atom_gram, atom_sum, carrier_phase,
-                       check_power, check_real, complex_noise, delay_vector, fit_gains,
+                       check_positive, complex_noise, delay_vector, fit_gains,
                        gram_eigvals, observation, path_parameters, steering_vector)
 
 
@@ -151,9 +151,9 @@ def predict_nmse(coef: np.ndarray, g_ul: np.ndarray, p_tx: float) -> float:
 
     Returns inf when the matrix is rank deficient (some gain direction is
     unobservable under the current beam set); see :func:`_gram_nmse`.
-    ValueError unless p_tx is a finite real > 0.
+    ValueError unless p_tx is a finite real > 0 (`check_positive`).
     """
-    check_power(p_tx)
+    p_tx = check_positive("p_tx", p_tx)
     gnorm2 = float(np.sum(np.abs(np.asarray(g_ul)) ** 2))
     return _gram_nmse(coef.conj().T @ coef, coef.shape[0], gnorm2, p_tx)
 
@@ -193,12 +193,9 @@ def schedule_beams(users_paths: Sequence[Sequence], grid: np.ndarray, cfg: Syste
     a point is dropped when every user is still predicted, at transmit power
     p_tx, to meet the accuracy target delta without it.  The scan stops at
     the first indispensable point. ValueError unless p_tx and delta are
-    finite reals > 0.
+    finite reals > 0 (`check_positive`).
     """
-    check_power(p_tx)
-    check_real("delta", delta)
-    if delta <= 0:
-        raise ValueError("delta must be > 0")
+    p_tx, delta = check_positive("p_tx", p_tx), check_positive("delta", delta)
     marks: dict[int, int] = {}
     for paths in users_paths:
         mine = {optimal_grid_point(p.theta, p.phi, grid, cfg) for p in paths}
@@ -235,7 +232,7 @@ def simulate_downlink_training(true_paths, plan: TrainingPlan, cfg: SystemConfig
 
     Returns a (T_p * N_p,) vector, pilot-symbol major, matching the row
     order of :func:`coefficient_matrix`. ValueError unless p_tx is a finite
-    real > 0.
+    real > 0 (`check_positive`).
     """
     g_dl = np.array([p.g_dl for p in true_paths])
     pilots = atom_sum(g_dl, *pilot_factors(true_paths, plan.beams, cfg))
@@ -252,9 +249,9 @@ def estimate_downlink_gains(y: np.ndarray, paths, plan: TrainingPlan, cfg: Syste
 
     Raises when the coefficient matrix is rank deficient; the scheduler is
     responsible for never producing such a plan. ValueError unless p_tx is a
-    finite real > 0.
+    finite real > 0 (`check_positive`).
     """
-    check_power(p_tx)
+    p_tx = check_positive("p_tx", p_tx)
     g, rank = fit_gains(np.asarray(y), *pilot_factors(paths, plan.beams, cfg))
     if rank < len(paths):
         raise np.linalg.LinAlgError(

@@ -112,7 +112,9 @@ def _atom_correlation(y3: np.ndarray, a_v, a_h, p_n) -> complex:
 
 def detection_threshold(mn: int, p_fa: float) -> float:
     """Projected-power stop level: ln(MN) - ln(-ln(1 - P_fa)), scaled by the
-    noise power `sysmodel.NOISE_POWER`, read at each call."""
+    noise power `sysmodel.NOISE_POWER`, read at each call. ValueError unless
+    p_fa is a real number in (0, 1)."""
+    p_fa = sysmodel.check_real("p_fa", p_fa)
     if not 0 < p_fa < 1:
         raise ValueError("p_fa must lie in (0, 1)")
     return sysmodel.NOISE_POWER * (math.log(mn) - math.log(-math.log1p(-p_fa)))
@@ -546,11 +548,11 @@ def extract(y_ul: np.ndarray, cfg: SystemConfig, p_tx: float,
     p_tx : float
         Sounding power: the fitted gains are divided by sqrt(p_tx), so every
         `DetectedPath.gain` is a channel gain; `residual` stays unscaled.
-        ValueError unless it is a finite real number > 0.
+        ValueError unless it is a finite real > 0 (`sysmodel.check_positive`).
     codebook : Codebook, optional
         Prebuilt detection grids; built on demand otherwise.
     """
-    sysmodel.check_power(p_tx)
+    p_tx = sysmodel.check_positive("p_tx", p_tx)
     y = np.array(y_ul, dtype=np.complex128)  # a copy, scaled in place below
     if y.size != cfg.M * cfg.N:
         raise ValueError("observation length does not match M*N")

@@ -45,7 +45,7 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
+        if self.experiment not in tuple(EXPERIMENTS):  # a list compares unequal, not unhashable
             raise ValueError(f"unknown experiment {self.experiment!r}; expected one of {tuple(EXPERIMENTS)}")
         if self.out is not None and not isinstance(self.out, str):
             raise ValueError("out must be a string")
@@ -53,20 +53,17 @@ class ExperimentConfig:
             object.__setattr__(self, "trials", _DEFAULT_TRIALS[self.experiment])
         if self.attenuation_db is None:
             object.__setattr__(self, "attenuation_db", _DEFAULT_ATTENUATION[self.experiment])
-        check_integer("seed", self.seed, 0)
+        object.__setattr__(self, "seed", check_integer("seed", self.seed, 0))
         for name in ("trials", "users", "paths_per_user", "mc_draws"):
-            check_integer(name, getattr(self, name), 1)
+            object.__setattr__(self, name, check_integer(name, getattr(self, name), 1))
         for name in ("snr_db", "deltas", "attenuation_db"):
             values = getattr(self, name)
             if not isinstance(values, (list, tuple)):
                 raise ValueError(f"{name} must be a list")
-            for i, v in enumerate(values):
-                check_real(f"{name}[{i}]", v)
-            object.__setattr__(self, name, tuple(float(v) for v in values))
-        for name in ("snr_db", "deltas"):
-            values = getattr(self, name)
+            values = tuple(check_real(f"{name}[{i}]", v) for i, v in enumerate(values))
+            object.__setattr__(self, name, values)
             # rows are grouped by sweep value, so a repeat would merge two groups
-            if not values or len(set(values)) < len(values):
+            if name != "attenuation_db" and (not values or len(set(values)) < len(values)):
                 raise ValueError(f"{name} must be a nonempty list of distinct values")
         if self.experiment == "fig6" and not all(0 < d < 1 for d in self.deltas):
             raise ValueError("fig6 deltas must lie in (0, 1)")
@@ -99,7 +96,7 @@ def config_from_dict(raw) -> ExperimentConfig:
         unknown = set(keys) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ValueError(f"unknown {where}config keys: {sorted(unknown, key=repr)}")
-    return ExperimentConfig(system=SystemConfig(**system), **data)
+    return ExperimentConfig(data.pop("experiment", None), SystemConfig(**system), **data)
 
 
 def read_config(path: str) -> dict:

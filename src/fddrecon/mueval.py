@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sysmodel import (NOISE_POWER, certify_full_rank, check_integer, check_power, check_real,
+from .sysmodel import (NOISE_POWER, certify_full_rank, check_integer, check_positive, check_real,
                        gram_eigvals)
 
 
@@ -121,9 +121,9 @@ def sinr(h_true: np.ndarray, state: PrecodingState, p_tx: float) -> np.ndarray:
 
     Entry [..., k] is P |h_k w_k|^2 / (sum_{j != k} P |h_k w_j|^2 + noise),
     w_j = alphas_j pinv_j, from the (..., K, K) products
-    (h_true @ h_herm) @ G^-1. ValueError unless p_tx is a finite real > 0.
+    (h_true @ h_herm) @ G^-1. ValueError unless p_tx passes `check_positive`.
     """
-    check_power(p_tx)
+    p_tx = check_positive("p_tx", p_tx)
     cross = np.asarray(h_true) @ state.h_herm
     return _sinr_from_cross(cross, state.gram_inv, state.alphas, p_tx)
 
@@ -134,9 +134,9 @@ def zf_sinr(h_true: np.ndarray, h_hat: np.ndarray, p_tx: float) -> np.ndarray:
     on slices of subcarriers. Every op is per subcarrier, so the result is
     the whole-stack one bit for bit, and a rank-deficient estimate raises
     ``np.linalg.LinAlgError`` as it does there. ValueError unless both are
-    (N, K, M) stacks of one shape and p_tx is a finite real > 0.
+    (N, K, M) stacks of one shape and p_tx passes `check_positive`.
     """
-    check_power(p_tx)
+    p_tx = check_positive("p_tx", p_tx)
     h_true, h_hat = np.asarray(h_true), np.asarray(h_hat)
     if h_hat.ndim != 3 or h_true.shape != h_hat.shape:
         raise ValueError("h_true and h_hat must be (N, K, M) stacks of one shape")
@@ -148,24 +148,26 @@ def zf_sinr(h_true: np.ndarray, h_hat: np.ndarray, p_tx: float) -> np.ndarray:
 
 
 def sum_rate(sinr_values: np.ndarray, t_pilot: int, t_coherence: int) -> float:
-    """Training-discounted Shannon sum-rate.
-
-    ``sinr_values`` is (subcarriers, users); the rate is (1 - T_p / T_c)
-    times the subcarrier-averaged sum of log2(1 + SINR).
-    """
-    if not 0 <= t_pilot < t_coherence:
-        raise ValueError(f"need 0 <= T_p < T_c, got T_p={t_pilot}, T_c={t_coherence}")
+    """Training-discounted Shannon sum-rate: (1 - T_p / T_c) times the
+    subcarrier-averaged sum of log2(1 + SINR) of the (subcarriers, users)
+    ``sinr_values``. ValueError unless T_p and T_c are integers, 0 <= T_p < T_c."""
+    t_pilot = check_integer("t_pilot", t_pilot, 0)
+    t_coherence = check_integer("t_coherence", t_coherence, t_pilot + 1)  # T_p < T_c
     arr = np.atleast_2d(np.asarray(sinr_values, dtype=np.float64))
     prelog = 1.0 - t_pilot / t_coherence
     return prelog * float(np.mean(np.sum(np.log2(1.0 + arr), axis=1)))
 
 
-def _check_deltas(deltas) -> None:
-    """Reject an error power that is not a finite real number >= 0."""
-    for i, delta in enumerate(deltas):
-        check_real(f"deltas[{i}]", delta)
+def _check_deltas(deltas) -> list:
+    """The floats of the error powers ``deltas`` of both SINR models:
+    ValueError unless there is one or more, each a finite real >= 0."""
+    values = [check_real(f"deltas[{i}]", delta) for i, delta in enumerate(deltas)]
+    for i, delta in enumerate(values):
         if delta < 0:
             raise ValueError(f"deltas[{i}] must be >= 0")
+    if not values:
+        raise ValueError("deltas must be a nonempty sequence")
+    return values
 
 
 def analytic_sinr(h_true: np.ndarray, deltas, p_tx: float) -> np.ndarray:
@@ -177,11 +179,11 @@ def analytic_sinr(h_true: np.ndarray, deltas, p_tx: float) -> np.ndarray:
     power S_k and pairwise interference powers I_{k,j}; the SINR estimate is
     S_k / (sum_{j != k} I_{k,j} + noise).  All three reduce to the exact
     zero-interference ZF values at delta = 0.  The precoder of the true
-    channel is built once and serves every delta. ValueError unless p_tx is
-    a finite real > 0 and every delta a finite real >= 0.
+    channel is built once and serves every delta. ValueError unless p_tx
+    passes `check_positive` and `_check_deltas` passes ``deltas``.
     """
-    check_power(p_tx)
-    _check_deltas(deltas)
+    p_tx = check_positive("p_tx", p_tx)
+    deltas = _check_deltas(deltas)
     H = np.asarray(h_true)
     n_users = H.shape[0]
     pinv = zf_precoder(H).pinv
@@ -224,8 +226,8 @@ def monte_carlo_sinr(h_true: np.ndarray, deltas, p_tx: float, n_draws: int, seed
     row equals, bit for bit, a call with that delta alone. Returns the (D, K)
     means and the (D,) full-rank mask: a delta with a rank-deficient draw
     (`sysmodel.gram_eigvals` rejects its Gram) gets False and a NaN row, and
-    the other rows do not change. ValueError unless p_tx is a finite
-    real > 0, every delta a finite real >= 0 and n_draws an integer >= 1.
+    the other rows do not change. ValueError unless p_tx passes
+    `check_positive`, ``deltas`` `_check_deltas` and n_draws `check_integer`.
 
     The calling thread draws the first chunk's errors (`_draw_errors`); a
     one-worker `ThreadPoolExecutor` per call draws each later one, up to
@@ -238,9 +240,9 @@ def monte_carlo_sinr(h_true: np.ndarray, deltas, p_tx: float, n_draws: int, seed
     worker has ended when this returns or raises. A call that raises may
     have drawn up to two chunks more from a Generator passed as ``seed``.
     """
-    check_power(p_tx)
-    _check_deltas(deltas)
-    check_integer("n_draws", n_draws, 1)
+    p_tx = check_positive("p_tx", p_tx)
+    deltas = _check_deltas(deltas)
+    n_draws = check_integer("n_draws", n_draws, 1)
     # imported here: concurrent.futures imports logging, which fig4 and fig6 never need
     from concurrent.futures import ThreadPoolExecutor
 

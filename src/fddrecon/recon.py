@@ -17,7 +17,7 @@ import numpy as np
 
 # recon calls no kernel itself; the benchmark's tracer still wraps recon.kron3
 from ._kernels import kron3  # noqa: F401
-from .sysmodel import (TWO_PI, SystemConfig, check_power, mean_linear_attenuation, path_sum,
+from .sysmodel import (TWO_PI, SystemConfig, check_positive, mean_linear_attenuation, path_sum,
                        steering_factors)
 
 
@@ -66,9 +66,9 @@ def ls_baseline(y: np.ndarray, p_tx: float) -> np.ndarray:
     The observation is y = sqrt(p_tx) h + z with one pilot symbol per
     antenna, so the estimate is y / sqrt(p_tx) and the noise passes through
     unattenuated: the classical full-pilot LS benchmark. ValueError unless
-    p_tx is a finite real number > 0.
+    p_tx is a finite real > 0 (`check_positive`).
     """
-    check_power(p_tx)
+    p_tx = check_positive("p_tx", p_tx)
     return np.asarray(y).ravel() / math.sqrt(p_tx)
 
 
@@ -142,7 +142,9 @@ def lmmse_baseline(y: np.ndarray, cov: SpaceFrequencyCovariance, cfg: SystemConf
     subcarriers decouple. The eigenvectors are real, so both products run
     on the float view of the (M, N) estimate, real and imaginary parts side
     by side: the same numbers as the complex products, in half the work.
+    ValueError unless p_tx is a finite real > 0 (`check_positive`).
     """
+    p_tx = check_positive("p_tx", p_tx)
     # complex128, so that its float view holds (real, imaginary) pairs
     h_ls = ls_baseline(y, p_tx).astype(np.complex128, copy=False).reshape(cfg.M, cfg.N)
     w, v = cov.eigensystem

@@ -8,9 +8,11 @@ the per-path complex gains differ between uplink and downlink carriers.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,37 +26,41 @@ NOISE_POWER = 1.0
 
 def db_to_linear(name: str, db) -> float:
     """10^(db/10), the linear value of a level ``name`` in dB: every transmit
-    SNR and attenuation. Raises ValueError unless -3000 < db < 3000, where
-    the value is positive and finite."""
-    if not -3000 < db < 3000:
+    SNR and attenuation. ValueError unless db is a real number (`check_real`'s
+    type rule) in (-3000, 3000), where the value is positive and finite."""
+    x = math.nan  # out of range too, unless db is a finite real
+    with contextlib.suppress(ValueError):
+        x = check_real(name, db)
+    if not -3000 < x < 3000:
         raise ValueError(f"{name} must lie in (-3000, 3000) dB, got {db!r}")
-    return 10.0 ** (db / 10.0)
+    return 10.0 ** (x / 10.0)
 
 
-def check_integer(name: str, value, minimum: int) -> None:
-    """Reject a config value that is not an integer >= ``minimum``; a bool
-    is not an integer here."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+def check_integer(name: str, value, minimum: int) -> int:
+    """The int value of a count called ``name``: ValueError unless it is an
+    integer >= ``minimum``. Numpy integers count; a bool is not one here."""
+    if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}")
+    return int(value)
 
 
-def check_real(name: str, value) -> None:
-    """Reject a config value that is not a finite real number; a bool, a
-    string or an int too large for a float is not one here."""
-    try:
-        ok = (not isinstance(value, bool) and isinstance(value, (int, float))
-              and math.isfinite(float(value)))
-    except OverflowError:
-        ok = False
-    if not ok:
-        raise ValueError(f"{name} must be a finite real number")
+def check_real(name: str, value) -> float:
+    """The float of a finite real number called ``name``, numpy reals too;
+    ValueError for a bool, a string, a 0-d array or an int past float range."""
+    try:  # the plain types first: the ABC test costs several times more
+        if (not isinstance(value, bool) and isinstance(value, (int, float, numbers.Real))
+                and math.isfinite(x := float(value))):
+            return x
+    except OverflowError:  # float() of a huge int
+        pass
+    raise ValueError(f"{name} must be a finite real number")
 
 
-def check_power(p_tx) -> None:
-    """Reject a transmit power that is not a finite real number > 0."""
-    check_real("p_tx", p_tx)
-    if p_tx <= 0:
-        raise ValueError("p_tx must be > 0")
+def check_positive(name: str, value) -> float:
+    """The one finite-real > 0 rule: `check_real`'s float of ``value``, if > 0."""
+    if (x := check_real(name, value)) <= 0:
+        raise ValueError(f"{name} must be > 0")
+    return x
 
 
 @dataclass(frozen=True)
@@ -79,21 +85,18 @@ class SystemConfig:
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if f.type == "int":
-                check_integer(f.name, value, 1)
+                value = check_integer(f.name, value, 1)
             else:
-                check_real(f.name, value)
-        for name in ("delta_f", "d_over_lambda"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+                positive = f.name in ("delta_f", "d_over_lambda")
+                value = (check_positive if positive else check_real)(f.name, value)
+            object.__setattr__(self, f.name, value)  # the int or float its check returns
         if not 0 < self.P_fa < 1:
             raise ValueError("P_fa must lie in (0, 1)")
-        # finite fields can still give an infinite carrier shift, phase slope
-        # kappa or omega, Newton scale kappa^2 or omega^2, or delay range
-        kappa = TWO_PI * self.d_over_lambda
-        omega = TWO_PI * self.delta_f
-        derived = (float(self.f_dl) - float(self.f_ul), kappa, kappa * kappa, omega, omega * omega,
-                   self.tau_max)
-        if not all(math.isfinite(v) for v in derived):
+        # finite fields can still overflow the carrier shift, a Newton scale (a
+        # finite kappa^2 needs a finite slope kappa) or the delay range
+        kappa, omega = TWO_PI * self.d_over_lambda, TWO_PI * self.delta_f
+        derived = (self.carrier_shift, kappa * kappa, omega * omega, self.tau_max)
+        if not all(map(math.isfinite, derived)):
             raise ValueError("f_dl - f_ul, 2 pi d_over_lambda, 2 pi delta_f, their squares "
                              "and 1 / delta_f must be finite")
 
@@ -370,8 +373,8 @@ def observation(channel: np.ndarray, p_tx: float, noise: np.ndarray) -> np.ndarr
     """sqrt(p_tx) times the channel plus the noise: every noisy observation
     of a channel, uplink sounding and downlink pilots alike. A caller that
     sounds one channel at several powers draws its noise once. ValueError
-    unless p_tx is a finite real > 0."""
-    check_power(p_tx)
+    unless p_tx is a finite real > 0 (`check_positive`)."""
+    p_tx = check_positive("p_tx", p_tx)
     return math.sqrt(p_tx) * channel + noise
 
 
@@ -379,7 +382,7 @@ def sounding_observation(paths, cfg: SystemConfig, p_tx: float, noise_seed) -> n
     """Uplink sounding snapshot: the `observation` of the uplink channel
     with `complex_noise` from `noise_seed`, an int or a numpy Generator, so
     p_tx is the linear transmit SNR against 0 dB attenuation. ValueError
-    unless p_tx is a finite real > 0."""
+    unless p_tx is a finite real > 0 (`check_positive`)."""
     noise = complex_noise(np.random.default_rng(noise_seed), cfg.M * cfg.N)
     return observation(uplink_channel(paths, cfg), p_tx, noise)
 
@@ -388,13 +391,13 @@ def _attenuation_range(name: str, pair) -> tuple:
     """The (lo, hi) pair of an attenuation range in dB, called ``name`` in
     errors: the one range rule, for the config and the model alike.
     ValueError unless it has two entries, both lie in (-3000, 3000) dB
-    (`db_to_linear`), and lo <= hi."""
+    (`db_to_linear`), and lo <= hi. The pair is returned as floats."""
     if len(pair) == 2:
         for db in pair:
             db_to_linear(name, db)
     if len(pair) != 2 or not pair[0] <= pair[1]:
         raise ValueError(f"{name} must be a [lo, hi] pair with lo <= hi")
-    return tuple(pair)
+    return float(pair[0]), float(pair[1])
 
 
 def mean_linear_attenuation(att_range_db) -> float:
@@ -418,16 +421,14 @@ def generate_scenario(K: int, L: int, cfg: SystemConfig, seed,
     circular Gaussian gains on both links scaled so the mean total path power
     equals the drawn attenuation. Uplink and downlink gains are independent
     with equal variance. ValueError unless `att_range_db` passes
-    `_attenuation_range`.
+    `_attenuation_range` and K and L are integers >= 1.
     """
-    if K < 1 or L < 1:
-        raise ValueError("K and L must be >= 1")
+    K, L = check_integer("K", K, 1), check_integer("L", L, 1)
     lo, hi = _attenuation_range("att_range_db", att_range_db)
     rng = np.random.default_rng(seed)
-    users = []
-    atts = []
+    users, atts = [], []
     for _ in range(K):
-        att_db = rng.uniform(lo, hi) if hi > lo else float(hi)
+        att_db = rng.uniform(lo, hi) if hi > lo else hi
         atts.append(att_db)
         sigma2 = db_to_linear("att_range_db", att_db) / L  # per-path gain variance
         comps = []
@@ -437,7 +438,6 @@ def generate_scenario(K: int, L: int, cfg: SystemConfig, seed,
             tau = rng.uniform(0.0, cfg.tau_max)
             g_ul = complex(complex_noise(rng, 1)[0]) * math.sqrt(sigma2)
             g_dl = complex(complex_noise(rng, 1)[0]) * math.sqrt(sigma2)
-            comps.append(PathComponent(g_ul=g_ul, g_dl=g_dl,
-                                       theta=theta, phi=phi, tau=tau))
+            comps.append(PathComponent(g_ul=g_ul, g_dl=g_dl, theta=theta, phi=phi, tau=tau))
         users.append(tuple(comps))
     return Scenario(users=tuple(users), attenuation_db=tuple(atts))

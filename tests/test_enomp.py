@@ -140,6 +140,11 @@ class TestDetection:
         with pytest.raises(ValueError):
             enomp.detection_threshold(1024, 0.0)
 
+    @pytest.mark.parametrize("p_fa", ["0.1", True, np.bool_(True), None, np.array(0.1)])
+    def test_threshold_refuses_a_rate_that_is_no_real(self, p_fa):
+        with pytest.raises(ValueError, match="p_fa"):
+            enomp.detection_threshold(16, p_fa)
+
     def test_stopping_statistic_examples(self):
         cfg = small_cfg()
         assert fast_statistic(np.zeros(cfg.M * cfg.N), cfg) == 0.0

@@ -1,5 +1,6 @@
 """Experiment configs, runners, CSV emission, and the CLI."""
 
+import dataclasses
 import math
 import os
 import pathlib
@@ -43,6 +44,42 @@ def count_trials(monkeypatch):
 
     monkeypatch.setattr(sysmodel, "generate_scenario", counted)
     return trial
+
+
+# config values the loader accepts, plain and numpy, and adversarial ones:
+# bools, strings, None, non-finite and huge numbers, numpy scalars that are
+# no numbers, and nesting
+_INT = st.integers(1, 4) | st.integers(1, 4).map(np.int64)
+_REAL = st.floats(0.0625, 0.875) | st.floats(0.0625, 0.875, width=32).map(np.float32)
+_REALS = st.lists(_REAL, min_size=1, max_size=3, unique_by=float)
+_BAD = st.recursive(
+    st.one_of(st.booleans(), st.text(max_size=3), st.none(), st.integers(-2, 2),
+              st.sampled_from([math.nan, math.inf, -math.inf, 2 ** 1024, -(2 ** 1100), 1e-320,
+                               np.bool_(True), np.float32(np.nan), np.int64(-1), np.array(1.0)])),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner,
+                                                                max_size=2), max_leaves=4)
+_ROOT = {f.name: _INT for f in dataclasses.fields(harness.ExperimentConfig) if f.name != "system"}
+_ROOT.update(experiment=st.sampled_from(list(harness.EXPERIMENTS)),
+             covariance_draws=_INT, snr_db=_REALS, deltas=_REALS, out=st.none(),
+             attenuation_db=st.lists(_REAL, min_size=2, max_size=2).map(sorted))
+_SYSTEM = {f.name: _INT if f.type == "int" else _REAL
+           for f in dataclasses.fields(sysmodel.SystemConfig)}
+
+
+@st.composite
+def configs(draw):
+    """A small config mapping over the known keys, each value drawn from the
+    accepted ones or the adversarial ones."""
+    def entries(fields):
+        keys = draw(st.lists(st.sampled_from(sorted(fields)), unique=True, max_size=4))
+        return {k: draw(fields[k] | _BAD) for k in keys}
+    raw = entries(_ROOT)
+    if draw(st.integers(0, 3)):  # mostly a named experiment, so that values are checked
+        raw["experiment"] = draw(_ROOT["experiment"])
+    system = draw(st.integers(0, 3))
+    if system:
+        raw["system"] = entries(_SYSTEM) if system > 1 else draw(_BAD)
+    return raw
 
 
 class TestConfig:
@@ -132,10 +169,32 @@ class TestConfig:
         {"experiment": "fig4", 1: 2, "foo": 3},
         {"experiment": "fig4", "system": {1: 2, "x": 3}},
         {"experiment": "fig4", None: 1, "foo": 3},
+        # found by test_loader_stores_only_plain_numbers: no experiment, or
+        # one that is no hashable name
+        {},
+        {"seed": 1},
+        {"experiment": []},
+        {"experiment": {}},
     ])
     def test_rejects_bad_input(self, raw):
         with pytest.raises(ValueError):
             harness.config_from_dict(raw)
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw=configs())
+    def test_loader_stores_only_plain_numbers(self, raw):
+        # the loader either refuses a mapping with ValueError or stores every
+        # number as a Python int or float, inside the lists too
+        try:
+            cfg = harness.config_from_dict(raw)
+        except ValueError:
+            return
+        for obj in (cfg, cfg.system):
+            for f in dataclasses.fields(obj):
+                value = getattr(obj, f.name)
+                if f.name not in ("experiment", "system", "out"):
+                    kinds = {type(v) for v in (value if isinstance(value, tuple) else (value,))}
+                    assert kinds <= {int, float}, (f.name, value)
 
     def test_retired_covariance_draws_is_checked_then_ignored(self):
         # the LMMSE covariance is a quadrature; old configs keep loading

@@ -584,6 +584,16 @@ class TestSumRate:
         with pytest.raises(ValueError):
             mueval.sum_rate(np.ones((1, 1)), -1, 200)
 
+    @pytest.mark.parametrize("t_pilot, t_coherence", [
+        (2.5, 10), (True, 10), (2, 10.0), (2, True), ("2", 10), (np.bool_(False), 10), (0, 0)])
+    def test_pilot_budget_counts_are_integers(self, t_pilot, t_coherence):
+        with pytest.raises(ValueError, match="t_pilot must|t_coherence must"):
+            mueval.sum_rate(np.ones((2, 2)), t_pilot, t_coherence)
+
+    def test_numpy_pilot_budget_gives_the_int_rate(self):
+        s = np.ones((2, 2))
+        assert mueval.sum_rate(s, np.int64(2), np.int64(10)) == mueval.sum_rate(s, 2, 10) == 1.6
+
 
 class TestAnalyticSinr:
     def test_exact_at_zero_error(self):
@@ -632,6 +642,23 @@ def test_sinr_models_reject_error_power_that_is_not_finite_nonnegative(model, de
     draws = {"analytic_sinr": (), "monte_carlo_sinr": (4, 0)}[model]
     with pytest.raises(ValueError, match=r"deltas\[1\]"):
         getattr(mueval, model)(h, [0.01, delta], 10.0, *draws)
+
+
+@pytest.mark.parametrize("model", ["analytic_sinr", "monte_carlo_sinr"])
+def test_sinr_models_reject_no_error_powers(model):
+    draws = {"analytic_sinr": (), "monte_carlo_sinr": (4, 0)}[model]
+    with pytest.raises(ValueError, match="^deltas must be a nonempty sequence$"):
+        getattr(mueval, model)(random_channel(3, 8, seed=13), [], 10.0, *draws)
+
+
+@pytest.mark.parametrize("model", ["analytic_sinr", "monte_carlo_sinr"])
+def test_sinr_models_take_numpy_error_powers(model):
+    # a delta array of any real dtype gives the rows of the same Python floats
+    h = random_channel(3, 8, seed=14)
+    draws = {"analytic_sinr": (), "monte_carlo_sinr": (40, 0)}[model]
+    want = getattr(mueval, model)(h, [0.0, 1.0], 10.0, *draws)
+    for deltas in (np.array([0, 1]), np.array([0, 1], dtype=np.float32), [np.int64(0), 1]):
+        np.testing.assert_equal(getattr(mueval, model)(h, deltas, np.float32(10.0), *draws), want)
 
 
 @pytest.mark.parametrize("n_draws", [0, -1, True, 2.0])

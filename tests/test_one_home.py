@@ -1,10 +1,11 @@
 """Each model decision is written once in `src/fddrecon`: a scan of the
 package's syntax trees for a second copy of the dB rule, the noise power,
 the observation, the two-FFT angle spectrum, a scalar atom factor build in
-extraction, or a trial stream made outside its helper. Each top-level
-function and class is used in the package or listed with its outside
-caller. And each slow reference is written once, in `tests/reference.py`,
-sharing no code with the fast paths it checks."""
+extraction, a trial stream made outside its helper, or a scalar type test
+outside the two input checks. Each top-level function and class is used in
+the package or listed with its outside caller. And each slow reference is
+written once, in `tests/reference.py`, sharing no code with the fast paths
+it checks."""
 
 import ast
 import importlib
@@ -80,6 +81,14 @@ def _trial_stream(module, node) -> bool:
         and any(isinstance(e, ast.Attribute) and e.attr == "seed" for e in node.elts))
 
 
+def _scalar_type_test(module, node) -> bool:
+    # isinstance(x, T) with T naming bool, int, float, numbers.Real or numbers.Integral
+    if not (_called(node, "isinstance") and len(node.args) == 2):
+        return False
+    names = {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node.args[1])}
+    return bool(names & {"bool", "int", "float", "Real", "Integral"})
+
+
 # (decision, predicate, the (module, function) of its one home; none for the
 # scalar delay build, whose home `sysmodel.atom_factors` is outside enomp)
 HOMES = [
@@ -89,6 +98,9 @@ HOMES = [
     ("angle_spectrum", _angle_spectrum, [("enomp", "_angle_peak_power")]),
     ("atom_factors", _extraction_delay_build, []),
     ("trial_streams", _trial_stream, [("harness", "_trial_rng")]),
+    # each check tests for a bool, then for a number
+    ("scalar_type_rule", _scalar_type_test, [("sysmodel", "check_integer")] * 2
+     + [("sysmodel", "check_real")] * 2),
 ]
 
 

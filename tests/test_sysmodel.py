@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from fddrecon import dltrain, harness, recon, sysmodel
+from fddrecon import dltrain, enomp, harness, mueval, recon, sysmodel
 from fddrecon.sysmodel import PathComponent, SystemConfig
 
 
@@ -369,6 +370,17 @@ class TestScenario:
                 with pytest.raises(ValueError, match=rf"^{key} must be a \[lo, hi\] pair"):
                     call(pair)
 
+    @pytest.mark.parametrize("K, L", [(True, 2), (2, True), (1.5, 2), ("2", 2), (2, 0),
+                                      (2, np.bool_(True))])
+    def test_counts_must_be_integers_of_at_least_one(self, K, L):
+        with pytest.raises(ValueError, match="K must|L must"):
+            sysmodel.generate_scenario(K, L, small_cfg(), seed=1)
+
+    def test_numpy_counts_and_levels_draw_the_plain_scenario(self):
+        plain = sysmodel.generate_scenario(3, 2, small_cfg(), seed=4, att_range_db=(-10.0, 0.0))
+        assert plain == sysmodel.generate_scenario(np.int64(3), np.int64(2), small_cfg(), seed=4,
+                                                   att_range_db=(np.int64(-10), np.float32(0)))
+
     def test_mean_linear_attenuation_closed_form(self):
         # numeric-integration oracle
         grid = np.linspace(-10.0, 0.0, 200001)
@@ -385,9 +397,11 @@ class TestScenario:
         assert wide == pytest.approx(10.0 ** 299.9 / (math.log(10.0) / 10.0 * 5998.0), rel=1e-12)
 
     @pytest.mark.parametrize("att_range_db", [
-        (-3000.0, 0.0), (0.0, 3000.0), (-5000.0, -4000.0), (math.nan, 0.0), (0.0, math.inf)])
+        (-3000.0, 0.0), (0.0, 3000.0), (-5000.0, -4000.0), (math.nan, 0.0), (0.0, math.inf),
+        (True, True), ("a", 0)])
     def test_attenuation_outside_db_range_raises(self, att_range_db):
-        # past (-3000, 3000) dB 10^(A/10) is zero or inf, so no gain is drawn
+        # past (-3000, 3000) dB 10^(A/10) is zero or inf, so no gain is drawn;
+        # a bool or a string is no level at all
         match = r"att_range_db must lie in \(-3000, 3000\) dB"
         with pytest.raises(ValueError, match=match):
             sysmodel.generate_scenario(2, 2, small_cfg(), seed=1, att_range_db=att_range_db)
@@ -430,3 +444,98 @@ def test_fit_gains_of_no_atoms_is_empty():
     factors = sysmodel.path_factors([], cfg)
     gains, rank = sysmodel.fit_gains(np.ones(cfg.M * cfg.N, dtype=complex), *factors)
     assert gains.shape == (0,) and rank == 0
+
+
+class TestScalarBoundary:
+    """`check_real`, `check_integer` and `check_positive` are the one scalar
+    rule: numpy reals pass and come back as Python floats and ints, so they
+    give the bits a float gives; bools and non-numbers fail."""
+
+    @pytest.mark.parametrize("value", [3, 2.5, np.float32(2.5), np.float64(2.5), np.int64(3),
+                                       np.uint8(3), 2 ** 60])
+    def test_check_real_returns_the_float(self, value):
+        x = sysmodel.check_real("v", value)
+        assert type(x) is float and x == float(value)
+
+    @pytest.mark.parametrize("value", [True, np.bool_(True), "2", np.array(2.0), np.array([2.0]),
+                                       None, 1j, math.nan, -math.inf, np.float32(np.inf),
+                                       10 ** 400])
+    def test_check_real_refuses_what_is_no_finite_real(self, value):
+        with pytest.raises(ValueError, match="^v must be a finite real number$"):
+            sysmodel.check_real("v", value)
+
+    def test_check_integer_returns_the_int(self):
+        for value in (3, np.int64(3), np.uint16(3), 10 ** 30):
+            n = sysmodel.check_integer("n", value, 1)
+            assert type(n) is int and n == value
+        for value in (True, np.bool_(True), 3.0, np.float32(3), "3", np.array(3), 0, np.int8(0)):
+            with pytest.raises(ValueError, match="^n must be an integer >= 1$"):
+                sysmodel.check_integer("n", value, 1)
+
+    def test_check_positive(self):
+        assert sysmodel.check_positive("w", np.int64(2)) == 2.0
+        for value in (0, -0.0, np.float32(-1), True, "1"):
+            with pytest.raises(ValueError, match="^w must be"):
+                sysmodel.check_positive("w", value)
+
+    def test_config_stores_plain_numbers(self):
+        cfg = SystemConfig(M_v=np.int64(2), M_h=2, N=16, delta_f=np.float32(75e3), f_ul=2 * 10 ** 9)
+        assert type(cfg.M_v) is int and type(cfg.delta_f) is float and type(cfg.f_ul) is float
+        assert type(sysmodel.TWO_PI * cfg.delta_f) is float
+        assert cfg == SystemConfig(M_v=2, M_h=2, N=16, delta_f=75e3, f_ul=2.0e9)
+
+    @staticmethod
+    def _power_calls():
+        """Each entry point that takes p_tx, as a call of p_tx alone."""
+        cfg = SystemConfig(M_v=2, M_h=4, N=8)
+        paths = (PathComponent(0.8 - 0.3j, 0.2 + 0.9j, 0.3, -0.4, 0.1 * cfg.tau_max),
+                 PathComponent(-0.5 + 0.4j, 1.1 - 0.2j, -0.5, 0.6, 0.55 * cfg.tau_max))
+        detected = tuple(enomp.DetectedPath(p.g_ul, p.theta, p.phi, p.tau) for p in paths)
+        y = sysmodel.sounding_observation(paths, cfg, 4.0, 3)
+        noise = sysmodel.complex_noise(np.random.default_rng(21), cfg.M * cfg.N)
+        cov = recon.channel_covariance(cfg, (-10.0, 0.0))
+        grid = dltrain.build_angle_grid(cfg)
+        plan = dltrain.schedule_beams([detected], grid, cfg, 0.5, 4.0)
+        pilots = dltrain.simulate_downlink_training(paths, plan, cfg, 4.0, 5)
+        coef = dltrain.coefficient_matrix(detected, plan, cfg)
+        h = np.random.default_rng(22).standard_normal((2, 4, 6)) + 0j
+        return {
+            "observation": lambda p: sysmodel.observation(y, p, noise),
+            "sounding_observation": lambda p: sysmodel.sounding_observation(paths, cfg, p, 3),
+            "ls_baseline": lambda p: recon.ls_baseline(y, p),
+            "lmmse_baseline": lambda p: recon.lmmse_baseline(y, cov, cfg, p),
+            "extract": lambda p: enomp.extract(y, cfg, p),
+            "sinr": lambda p: mueval.sinr(h[0], mueval.zf_precoder(h[0]), p),
+            "zf_sinr": lambda p: mueval.zf_sinr(h, h[::-1], p),
+            "analytic_sinr": lambda p: mueval.analytic_sinr(h[0], [0.0, 0.01], p),
+            "monte_carlo_sinr": lambda p: mueval.monte_carlo_sinr(h[0], [0.01], p, 40, 0),
+            "predict_nmse": lambda p: dltrain.predict_nmse(coef, [d.gain for d in detected], p),
+            "schedule_beams": lambda p: dltrain.schedule_beams([detected], grid, cfg, 0.5, p),
+            "simulate_downlink_training": lambda p: dltrain.simulate_downlink_training(
+                paths, plan, cfg, p, 5),
+            "estimate_downlink_gains": lambda p: dltrain.estimate_downlink_gains(
+                pilots, detected, plan, cfg, p),
+        }
+
+    def test_numpy_powers_give_the_float_bits(self):
+        for name, call in self._power_calls().items():
+            want = pickle.dumps(call(4.0))
+            for p_tx in (np.float32(4.0), np.int64(4), np.float64(4.0), 4):
+                assert pickle.dumps(call(p_tx)) == want, (name, type(p_tx))
+
+    def test_non_numbers_are_refused_as_powers(self):
+        for name, call in self._power_calls().items():
+            for p_tx in (np.bool_(True), np.array(4.0), "4", None):
+                with pytest.raises(ValueError, match="p_tx"):
+                    call(p_tx)
+
+    def test_scheduler_target_takes_numpy_reals(self):
+        cfg = small_cfg()
+        grid = dltrain.build_angle_grid(cfg)
+        paths = [enomp.DetectedPath(1.0, 0.2, -0.3, 0.0)]
+        want = dltrain.schedule_beams([paths], grid, cfg, 0.25, 4.0)
+        got = dltrain.schedule_beams([paths], grid, cfg, np.float32(0.25), np.int64(4))
+        assert pickle.dumps(got) == pickle.dumps(want)
+        for delta in (np.bool_(True), np.array(0.25), "0.25"):
+            with pytest.raises(ValueError, match="delta"):
+                dltrain.schedule_beams([paths], grid, cfg, delta, 4.0)
