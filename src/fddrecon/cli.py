@@ -66,7 +66,9 @@ def _run_extract(args) -> int:
     seed = config.seed
     p_tx = sysmodel.db_to_linear("snr_db", args.snr_db)
     sysmodel.check_integer("paths", args.paths, 1)
-    scenario = sysmodel.generate_scenario(1, args.paths, cfg, seed=seed, att_range_db=(0.0, 0.0))
+    # fig4's trial 0 streams: the scenario from stream 0, the noise from stream 1
+    scenario = sysmodel.generate_scenario(1, args.paths, cfg, seed=harness._trial_rng(seed, 0, 0),
+                                          att_range_db=(0.0, 0.0))
     paths = scenario.users[0]
     y = sysmodel.sounding_observation(paths, cfg, p_tx, harness._trial_rng(seed, 1, 0))
     result = enomp.extract(y, cfg, p_tx)

@@ -121,28 +121,28 @@ def detection_threshold(mn: int, p_fa: float) -> float:
 
 
 def delay_transform(y_r: np.ndarray, cfg: SystemConfig) -> np.ndarray:
-    """The (M_v, M_h, N) delay FFT of y, `np.fft.fft` along the subcarrier
-    axis: the first stage of both the stopping statistic and detection, so
-    an extraction iteration computes it once and passes it to both."""
-    return np.fft.fft(np.asarray(y_r).reshape(cfg.M_v, cfg.M_h, cfg.N), axis=2)
-
-
-def _angle_peak_power(z: np.ndarray, cfg: SystemConfig) -> float:
-    """Peak of |spectrum|^2 / (M N) over the two angle FFTs of z, an
-    (M_v, M_h, ...) slice of a delay transform: azimuth, then downtilt, the
-    stages `np.fft.fftn` runs in that order, so each entry is fftn's bit for
-    bit, on a single delay bin as on all of them."""
-    # the peak magnitude squared: rounding is monotone, so this is the
-    # largest entry of |spectrum|^2 without squaring the whole spectrum
-    peak = float(np.max(np.abs(np.fft.fft(np.fft.fft(z, axis=1), axis=0))))
-    return peak * peak / (cfg.M * cfg.N)
+    """The (M_v, M_h, G_tau) delay FFT of y on the codebook's delay grid,
+    G_tau = beta_tau * N: `np.fft.fft` along the subcarrier axis, zero-padded
+    past N, so conj(p(tau_k))_n = exp(-2j pi n k / G_tau). Bin beta_tau * m
+    is bin m of the N-point DFT, so `z[:, :, ::beta_tau]` is the critically
+    sampled transform of the stop test. An extraction iteration computes it
+    once and passes it to detection and the stop test."""
+    return np.fft.fft(np.asarray(y_r).reshape(cfg.M_v, cfg.M_h, cfg.N), n=cfg.beta_tau * cfg.N,
+                      axis=2)
 
 
 def stopping_statistic(z: np.ndarray, cfg: SystemConfig) -> float:
     """Largest projected power of the residual onto the critically sampled
-    unit-norm 3-D DFT atoms, from its delay transform z
-    (`delay_transform`): `_angle_peak_power` of the whole transform."""
-    return _angle_peak_power(z, cfg)
+    unit-norm 3-D DFT atoms, from its N-point delay transform z: the peak of
+    |spectrum|^2 / (M N) over the two angle FFTs of z, azimuth, then
+    downtilt, the stages `np.fft.fftn` runs in that order, so on the
+    unpadded transform (beta_tau = 1) each entry is fftn's bit for bit. z
+    may be an (M_v, M_h) slice, one delay bin: its entries are the whole
+    transform's there."""
+    # the peak magnitude squared: rounding is monotone, so this is the
+    # largest entry of |spectrum|^2 without squaring the whole spectrum
+    peak = float(np.max(np.abs(np.fft.fft(np.fft.fft(z, axis=1), axis=0))))
+    return peak * peak / (cfg.M * cfg.N)
 
 
 def _bin_energy(z: np.ndarray) -> np.ndarray:
@@ -158,17 +158,17 @@ def _bin_energy(z: np.ndarray) -> np.ndarray:
 
 def _below_threshold(transform: np.ndarray, energy: np.ndarray, threshold: float,
                      cfg: SystemConfig) -> bool:
-    """`stopping_statistic(transform, cfg) < threshold`, where `energy` is
-    `_bin_energy(transform)`.
+    """`stopping_statistic(transform, cfg) < threshold` for an N-point delay
+    transform, where `energy` holds its bin energies (`_bin_energy`).
 
-    The statistic is at least `_angle_peak_power` of any one delay bin,
+    The statistic is at least `stopping_statistic` of any one delay bin,
     whose spectrum entries are the full transform's bit for bit; rounding
     is monotone, so a bin whose peak reaches the threshold decides "not
     below". The bin tried is the one of largest energy. Otherwise, as on
     the last, noise-only iteration of an extraction, and whenever an energy
     is not finite, the full statistic decides."""
     d = int(np.argmax(energy))  # NaN first: argmax returns a NaN bin if any
-    if math.isfinite(energy[d]) and _angle_peak_power(transform[:, :, d], cfg) >= threshold:
+    if math.isfinite(energy[d]) and stopping_statistic(transform[:, :, d], cfg) >= threshold:
         return False
     return stopping_statistic(transform, cfg) < threshold
 
@@ -231,9 +231,10 @@ def _downtilt_stage(z: np.ndarray, cb: Codebook, rows) -> np.ndarray:
     return (e_v @ z.reshape(cb.M_v, -1)).reshape(len(e_v), cb.M_h, -1)
 
 
-def omp_detect(y_r: np.ndarray, codebook: Codebook, transform: np.ndarray,
-               energy: np.ndarray):
-    """Best codebook entry for the residual.
+def omp_detect(codebook: Codebook, transform: np.ndarray, energy: np.ndarray):
+    """Best codebook entry for the residual, from its delay transform on the
+    codebook's delay grid (`delay_transform`) and that transform's bin
+    energies (`_bin_energy`).
 
     Returns (theta, phi, tau, projected power) where the projected power is
     |c^H y|^2 / ||c||^2; ties resolve to the lowest (theta, phi, tau) grid
@@ -248,22 +249,12 @@ def omp_detect(y_r: np.ndarray, codebook: Codebook, transform: np.ndarray,
     `_rows_to_scan` keeps are scanned; the others cannot hold the winner,
     and the downtilt stage is formed on the kept rows only
     (`_downtilt_stage`).
-
-    `transform` is `delay_transform(y_r, cfg)` and `energy` its
-    `_bin_energy`; they serve when the delay grid is critically sampled
-    (G_tau = N), and a finer grid makes its own zero-padded transform of y_r.
     """
     cb = codebook
     mn = cb.M_v * cb.M_h * cb.N
-    g_tau = len(cb.taus)
-    # delay axis: conj(p(tau_k))_n = exp(-2j pi n k / G_tau), a padded FFT
-    z = transform
-    if g_tau != cb.N:
-        z = np.fft.fft(np.asarray(y_r).reshape(cb.M_v, cb.M_h, cb.N), n=g_tau, axis=2)
-        energy = _bin_energy(z)
-    rows = _rows_to_scan(z, cb, energy)
+    rows = _rows_to_scan(transform, cb, energy)
     best, best_at = -1.0, None
-    for i_t, g_row in zip(rows, _downtilt_stage(z, cb, rows)):
+    for i_t, g_row in zip(rows, _downtilt_stage(transform, cb, rows)):
         magnitude = np.abs(cb.E_h[i_t] @ g_row)
         flat = int(np.argmax(magnitude))
         peak = float(magnitude.flat[flat])
@@ -582,14 +573,14 @@ def extract(y_ul: np.ndarray, cfg: SystemConfig, p_tx: float,
     stop_reason = "cap"
 
     for _ in range(_MAX_PATHS):
-        # the delay transform and its bin energies, shared by the stop test
-        # and detection
+        # the delay transform and its bin energies, shared by detection and,
+        # on the critically sampled bins, the stop test
         z = delay_transform(residual, cfg)
         energy = _bin_energy(z)
-        if _below_threshold(z, energy, threshold, cfg):
+        if _below_threshold(z[:, :, ::cfg.beta_tau], energy[::cfg.beta_tau], threshold, cfg):
             stop_reason = "below_threshold"
             break
-        theta, phi, tau = omp_detect(residual, cb, z, energy)[:3]
+        theta, phi, tau = omp_detect(cb, z, energy)[:3]
         del z  # not held through refinement: fig6's peak resident set
         params.append((theta, phi, tau))
         memos.append([None])

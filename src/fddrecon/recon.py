@@ -17,8 +17,8 @@ import numpy as np
 
 # recon calls no kernel itself; the benchmark's tracer still wraps recon.kron3
 from ._kernels import kron3  # noqa: F401
-from .sysmodel import (TWO_PI, SystemConfig, check_positive, mean_linear_attenuation, path_sum,
-                       steering_factors)
+from .sysmodel import (TWO_PI, SystemConfig, check_positive, check_real, mean_linear_attenuation,
+                       path_sum, steering_factors)
 
 
 def uplink_channel_estimate(detected_paths, cfg: SystemConfig) -> np.ndarray:
@@ -94,8 +94,10 @@ class SpaceFrequencyCovariance:
             raise ValueError("spatial covariance must be Hermitian")
         if np.iscomplexobj(s):
             raise ValueError("spatial covariance must be real")
-        if not self.scale >= 0.0:
+        scale = check_real("scale", self.scale)
+        if scale < 0.0:
             raise ValueError("attenuation scale must be nonnegative")
+        object.__setattr__(self, "scale", scale)
         self.eigensystem  # force PSD validation at construction
 
     @cached_property

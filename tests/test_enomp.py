@@ -39,7 +39,7 @@ def fast_detect(y, cb, cfg):
     """`omp_detect` as `extract` calls it: on the delay transform of y and
     its bin energies."""
     z = enomp.delay_transform(y, cfg)
-    return enomp.omp_detect(y, cb, z, enomp._bin_energy(z))
+    return enomp.omp_detect(cb, z, enomp._bin_energy(z))
 
 
 def fast_statistic(y, cfg):
@@ -460,9 +460,9 @@ class TestExtract:
              + (0.8 + 0.1j) * enomp.synth_atom(cb.thetas[11], cb.phis[20], cb.taus[90], cfg))
         original, found = enomp.omp_detect, []
 
-        def redetect(residual, codebook, transform, energy):
+        def redetect(codebook, transform, energy):
             if not found:
-                found.append(original(residual, codebook, transform, energy))
+                found.append(original(codebook, transform, energy))
                 return found[0]
             theta, phi, tau, power = found[0]
             return theta + 1e-13, phi, tau, power
@@ -1076,11 +1076,12 @@ def detection_cases(draw):
 
 
 @st.composite
-def stop_cases(draw):
-    """A small system and a residual: noise, a critically sampled DFT atom
-    (all its energy in one delay bin), off-grid atoms with noise, or zeros."""
+def stop_cases(draw, beta_tau=1):
+    """A small system with delay oversampling `beta_tau` and a residual:
+    noise, a critically sampled DFT atom (all its energy in one delay bin),
+    off-grid atoms with noise, or zeros."""
     cfg = SystemConfig(M_v=draw(st.integers(1, 8)), M_h=draw(st.integers(1, 16)),
-                       N=draw(st.integers(2, 64)))
+                       N=draw(st.integers(2, 64)), beta_tau=beta_tau)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     mn = cfg.M * cfg.N
     kind = draw(st.sampled_from(["noise", "dft_atom", "atoms", "zeros"]))
@@ -1132,6 +1133,43 @@ class TestSharedTransform:
         np.testing.assert_array_equal(np.fft.fft(np.fft.fft(z[:, :, d], axis=1), axis=0),
                                       spectrum[:, :, d])
 
+    @settings(max_examples=60)
+    @given(stop_cases(beta_tau=2))
+    def test_statistic_from_the_oversampled_transform(self, case):
+        # every second bin of the 2N-point transform is the N-point DFT's bin
+        cfg, y = case
+        z = enomp.delay_transform(y, cfg)
+        assert z.shape[2] == 2 * cfg.N
+        crit, energy = z[:, :, ::2], enomp._bin_energy(z)[::2]
+        stat = enomp.stopping_statistic(crit, cfg)
+        want = reference.statistic(y, cfg)
+        assert abs(stat - want) <= 1e-12 * want
+        for t in (np.nextafter(stat, -np.inf), stat, np.nextafter(stat, np.inf)):
+            assert enomp._below_threshold(crit, energy, float(t), cfg) == (stat < t)
+
+    def test_one_delay_transform_per_iteration(self, monkeypatch):
+        # at beta_tau = 2 detection reads the iteration's padded transform:
+        # one delay FFT and one energy sum per pass of the loop
+        cfg = SystemConfig(M_v=4, M_h=4, N=32, beta_tau=2)
+        paths = generate_scenario(1, 3, cfg, seed=17, att_range_db=(0.0, 0.0)).users[0]
+        y = sounding_observation(paths, cfg, 100.0, 18)
+        fft, energy, counts = np.fft.fft, enomp._bin_energy, {"fft": 0, "energy": 0}
+
+        def counted_fft(a, *args, **kwargs):
+            counts["fft"] += np.ndim(a) == 3 and kwargs.get("axis", -1) in (2, -1)
+            return fft(a, *args, **kwargs)
+
+        def counted_energy(z):
+            counts["energy"] += 1
+            return energy(z)
+
+        monkeypatch.setattr(np.fft, "fft", counted_fft)
+        monkeypatch.setattr(enomp, "_bin_energy", counted_energy)
+        res = enomp.extract(y, cfg, 100.0)
+        assert res.stop_reason == "below_threshold" and res.iterations >= 2
+        passes = res.iterations + 1  # the last pass stops
+        assert counts == {"fft": passes, "energy": passes}
+
     def test_detection_scans_few_rows_of_a_sounding(self):
         # the bound leaves a handful of the 256 bins, and they leave one row
         cfg = SystemConfig()
@@ -1142,7 +1180,7 @@ class TestSharedTransform:
         energy = enomp._bin_energy(z)
         rows = enomp._rows_to_scan(z, cb, energy)
         assert 1 <= len(rows) < len(cb.thetas)
-        assert enomp.omp_detect(y, cb, z, energy) == reference.detect(y, cb)[:4]
+        assert enomp.omp_detect(cb, z, energy) == reference.detect(y, cb)[:4]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("index", [0, 37])

@@ -702,3 +702,22 @@ class TestCli:
         out = capsys.readouterr().out
         assert "true paths: 2" in out
         assert "relative residual" in out
+
+    def test_extract_runs_fig4_trial_zero(self, tmp_path, monkeypatch):
+        # `extract --seed S --snr-db X --paths L` extracts, bit for bit, the
+        # sounding fig4's trial 0 extracts at X dB with L paths per user
+        config = self.write_config(tmp_path, "fig4", trials=1, snr_db=[5.0], paths_per_user=3)
+        seen, extract = [], enomp.extract
+
+        def recorded(y, cfg, p_tx, codebook=None):
+            seen.append((y.copy(), p_tx))
+            return extract(y, cfg, p_tx, codebook)
+
+        monkeypatch.setattr(enomp, "extract", recorded)
+        assert cli.main(["fig4", "--config", config, "--seed", "11", "--out",
+                         str(tmp_path / "fig4.csv")]) == 0
+        assert cli.main(["extract", "--config", config, "--seed", "11", "--snr-db", "5",
+                         "--paths", "3"]) == 0
+        (fig4_y, fig4_p_tx), (extract_y, extract_p_tx) = seen
+        np.testing.assert_array_equal(extract_y, fig4_y)
+        assert extract_p_tx == fig4_p_tx

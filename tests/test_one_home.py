@@ -72,13 +72,16 @@ def _extraction_delay_build(module, node) -> bool:
 
 
 def _trial_stream(module, node) -> bool:
-    # a generator made, or a seed list holding the master seed written, in
-    # the harness or the CLI
+    # a generator made, a seed list holding the master seed written, or a
+    # `seed=` argument given anything but a trial stream, in the harness or
+    # the CLI
     if module not in ("harness", "cli"):
         return False
     return _called(node, "default_rng") or (
         isinstance(node, (ast.List, ast.Tuple))
-        and any(isinstance(e, ast.Attribute) and e.attr == "seed" for e in node.elts))
+        and any(isinstance(e, ast.Attribute) and e.attr == "seed" for e in node.elts)) or (
+        isinstance(node, ast.keyword) and node.arg == "seed"
+        and not _called(node.value, "_trial_rng"))
 
 
 def _scalar_type_test(module, node) -> bool:
@@ -95,7 +98,7 @@ HOMES = [
     ("db_to_linear", _db_rule, [("sysmodel", "db_to_linear")]),
     ("noise_power", _noise_constant, [("sysmodel", None)]),
     ("observation", _observation, [("sysmodel", "observation")]),
-    ("angle_spectrum", _angle_spectrum, [("enomp", "_angle_peak_power")]),
+    ("angle_spectrum", _angle_spectrum, [("enomp", "stopping_statistic")]),
     ("atom_factors", _extraction_delay_build, []),
     ("trial_streams", _trial_stream, [("harness", "_trial_rng")]),
     # each check tests for a bool, then for a number

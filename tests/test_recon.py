@@ -160,6 +160,12 @@ class TestCovariance:
             recon.SpaceFrequencyCovariance(spatial=herm, scale=1.0)
         with pytest.raises(ValueError):
             recon.SpaceFrequencyCovariance(spatial=np.eye(2), scale=-0.5)
+        # the scale passes the one real-number rule, and its float is kept
+        for bad in (math.inf, math.nan, True, "0.5", np.array(0.5)):
+            with pytest.raises(ValueError, match="scale"):
+                recon.SpaceFrequencyCovariance(spatial=np.eye(2), scale=bad)
+        cov = recon.SpaceFrequencyCovariance(spatial=np.eye(2), scale=np.float32(0.5))
+        assert type(cov.scale) is float and cov.scale == 0.5
         indef = np.diag([1.0, -0.3])
         with pytest.raises(ValueError):
             recon.SpaceFrequencyCovariance(spatial=indef, scale=1.0)

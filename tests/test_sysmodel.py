@@ -6,7 +6,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -273,15 +273,23 @@ class TestChannels:
 
     @settings(max_examples=80)
     @given(scenarios())
+    # a subnormal gain: the relative bound underflows to 0, the error is 5e-324
+    @example((SystemConfig(M_v=1, M_h=1, N=4), (PathComponent(
+        g_ul=0j, g_dl=2.2250738585e-313 + 0j, theta=0.4108850619643629,
+        phi=-0.6906398587083891, tau=5.463136524825959e-07),)))
     def test_channels_match_kron_reference(self, scenario):
         # the sum is one matmul over the factor matrices, so it rounds apart
         # from the per-path reference; a wrong conjugate, factor or carrier
-        # phase would be off by O(|g|), far above this bound
+        # phase would be off by O(|g|), far above this bound. Below 1e-308 a
+        # rounding is off by up to half a subnormal step, absolutely: the
+        # floor of 32 steps covers the few roundings per path of both sums
+        # (at most 9 steps in 12000 draws of five subnormal-gain paths)
         cfg, paths = scenario
+        floor = 32 * np.finfo(float).smallest_subnormal
         for downlink, build, gains in ((False, sysmodel.uplink_channel, [p.g_ul for p in paths]),
                                        (True, sysmodel.downlink_channel, [p.g_dl for p in paths])):
             err = np.max(np.abs(build(paths, cfg) - reference.channel(paths, cfg, downlink)))
-            assert err <= 1e-13 * sum(abs(g) for g in gains), downlink
+            assert err <= 1e-13 * sum(abs(g) for g in gains) + floor, downlink
 
     def test_no_paths_give_the_zero_channel(self):
         cfg = small_cfg()
