@@ -417,7 +417,7 @@ def _log_power_step(c, dc, d2c, power):
 
 
 def newton_refine(y_r: np.ndarray, theta: float, phi: float, tau: float,
-                  cfg: SystemConfig, others, factors, memo):
+                  cfg: SystemConfig, others, factors, row):
     """One safeguarded Newton step on the single-atom surrogate.
 
     The step is computed on the log of the matched-gain surrogate (the
@@ -440,34 +440,23 @@ def newton_refine(y_r: np.ndarray, theta: float, phi: float, tau: float,
     A g, so y - A g is never formed.
 
     `factors` = (a_v, a_h, p_n) are `sysmodel.atom_factors` at (theta, phi,
-    tau), as an earlier call returned them.
+    tau), as an earlier call returned them. `row` is `_delay_row` of y at
+    that p_n, the first of the moment cube's three delay sums, as an earlier
+    visit on the same y returned it, or None to form all three.
 
-    `memo` is a one-entry list that passes work on to the next visit on the
-    same y from the factors this one returns, as a track's visits in
-    `extract` run; a fresh one is [None]. The visit starts from what it
-    holds and leaves its own there:
-    - None: nothing kept; the visit forms its whole moment cube of y.
-    - A delay row, left by an accepted step: `_delay_row` of y at the new
-      p_n, the first of the next cube's three delay sums.
-    - A (3, 3, 3) moment cube of y, left by a rejected visit: neither y nor
-      the factors changed, so the next visit reuses it whole.
-
-    Returns (theta', phi', tau', accepted, corr, factors) for the atom
-    a = a_v (x) a_h (x) p_n at the returned parameters: corr = (y - A g)^H a
-    and factors = (a_v, a_h, p_n), `sysmodel.atom_factors` there.
+    Returns (theta', phi', tau', accepted, corr, factors', row') for the
+    atom a = a_v (x) a_h (x) p_n at the returned parameters: corr =
+    (y - A g)^H a, factors' = (a_v, a_h, p_n), `sysmodel.atom_factors`
+    there, and row' its delay row: the accepted step's, or `row` itself.
     """
     y3 = np.ascontiguousarray(np.asarray(y_r).reshape(cfg.M_v, cfg.M_h, cfg.N))
     centres = ((cfg.M_v - 1) / 2.0, (cfg.M_h - 1) / 2.0, (cfg.N - 1) / 2.0)
     # the index weights of the three factors, built once for both cubes (the
-    # kept row goes positionally: the bench tracer's cost hook takes no keywords)
+    # row goes positionally: the bench tracer's cost hook takes no keywords)
     weights = tuple(map(_kernels.index_weighted, factors, centres))
-    y_cube = memo[0]
-    if y_cube is None or y_cube.ndim == 1:
-        y_cube = _kernels.moment_cube(y3, *weights, y_cube)
-    cube = y_cube - _atom_sum_cube(others, weights)
+    cube = _kernels.moment_cube(y3, *weights, row) - _atom_sum_cube(others, weights)
     if not np.all(np.isfinite(cube)):
         raise FloatingPointError("non-finite derivatives")
-    memo[0] = y_cube  # kept by a rejected visit
     c0, dc, d2c = _derivative_scalars(cube, cfg)
     try:
         old_power = abs(c0) ** 2
@@ -475,7 +464,7 @@ def newton_refine(y_r: np.ndarray, theta: float, phi: float, tau: float,
         raise FloatingPointError("non-finite correlation power") from None
     step = _log_power_step(c0, dc, d2c, old_power) if old_power > 0.0 else None
     if step is None:
-        return theta, phi, tau, False, c0, factors
+        return theta, phi, tau, False, c0, factors, row
     u = math.sin(theta)
     w = math.cos(theta) * math.sin(phi)
     # Backtrack if needed; interference from other paths can still dent the
@@ -492,28 +481,27 @@ def newton_refine(y_r: np.ndarray, theta: float, phi: float, tau: float,
         phi_new = float(min(max(math.asin(s_phi), -math.pi / 2), _THETA_MAX))
         tau_new = _wrap(float(tau - damp * step[2]), cfg.tau_max)
         a_v2, a_h2, p_n2 = atom = atom_factors(theta_new, phi_new, tau_new, cfg)
-        row = _delay_row(y3, p_n2)
-        corr = _row_correlation(row, a_v2, a_h2) - _atom_sum_correlation(others, *atom)
+        row_new = _delay_row(y3, p_n2)
+        corr = _row_correlation(row_new, a_v2, a_h2) - _atom_sum_correlation(others, *atom)
         if abs(corr) ** 2 > old_power:
-            memo[0] = row
-            return theta_new, phi_new, tau_new, True, corr, atom
-    return theta, phi, tau, False, c0, factors
+            return theta_new, phi_new, tau_new, True, corr, atom, row_new
+    return theta, phi, tau, False, c0, factors, row
 
 
 def _refine_track(k: int, y3: np.ndarray, params: list, gains: np.ndarray,
-                  factors: tuple, memos: list, cfg: SystemConfig) -> None:
+                  factors: tuple, rows: list, cfg: SystemConfig) -> None:
     """One Newton step for track k against the observation minus the other
-    tracks' atoms, then the track's single-atom gain and factor columns, both
-    as the step built them at the resulting point. `params`, `gains` and the
-    factor matrices hold every track; k's entries are overwritten in place.
-    The step starts from k's stored factor columns, `sysmodel.atom_factors`
-    at k's parameters of its detection or of an earlier step, and from k's memo
-    (`newton_refine`), which the step overwrites."""
+    tracks' atoms, then the track's single-atom gain, factor columns and
+    delay row, as the step built them at the resulting point. `params`,
+    `gains`, the factor matrices and `rows` hold every track; k's entries are
+    overwritten in place. The step starts from k's stored factor columns,
+    `sysmodel.atom_factors` at k's parameters of its detection or of an
+    earlier step, and from k's stored delay row (`newton_refine`)."""
     others = gains.copy()
     others[k] = 0.0
     atom = tuple(f[:, k] for f in factors)
-    th, ph, ta, _, corr, atom = newton_refine(y3, *params[k], cfg, (others, *factors), atom,
-                                              memos[k])
+    th, ph, ta, _, corr, atom, rows[k] = newton_refine(y3, *params[k], cfg, (others, *factors),
+                                                       atom, rows[k])
     params[k] = (th, ph, ta)
     gains[k] = np.conj(corr) / (cfg.M * cfg.N)
     for f, column in zip(factors, atom):
@@ -560,11 +548,11 @@ def extract(y_ul: np.ndarray, cfg: SystemConfig, p_tx: float,
     threshold = math.ldexp(detection_threshold(cfg.M * cfg.N, cfg.P_fa), 2 * shift)
 
     # per track: (theta, phi, tau), the gain, the factor columns of its
-    # atom in (M_v, cap), (M_h, cap), (N, cap) matrices, and the memo its
-    # visits pass on (`newton_refine`); a track's columns are written at its
-    # detection, and its gain at its first visit
+    # atom in (M_v, cap), (M_h, cap), (N, cap) matrices, and the delay row its
+    # visits pass on (`newton_refine`; None before the first); a track's
+    # columns are written at its detection, and its gain at its first visit
     params = []
-    memos = []
+    rows = []
     gains = np.zeros(_MAX_PATHS, dtype=complex)
     factors = tuple(np.zeros((m, _MAX_PATHS), dtype=complex, order="F")
                     for m in (cfg.M_v, cfg.M_h, cfg.N))
@@ -583,14 +571,14 @@ def extract(y_ul: np.ndarray, cfg: SystemConfig, p_tx: float,
         theta, phi, tau = omp_detect(cb, z, energy)[:3]
         del z  # not held through refinement: fig6's peak resident set
         params.append((theta, phi, tau))
-        memos.append([None])
+        rows.append(None)
         count = len(params)
         view = tuple(f[:, :count] for f in factors)
         for f, column in zip(view, atom_factors(theta, phi, tau, cfg)):
             f[:, count - 1] = column
         # the new track first, then _REFINE_ROUNDS cyclic rounds over all
         for k in [count - 1] + list(range(count)) * _REFINE_ROUNDS:
-            _refine_track(k, y3, params, gains[:count], view, memos, cfg)
+            _refine_track(k, y3, params, gains[:count], view, rows, cfg)
 
         fitted, rank = sysmodel.fit_gains(y, *view)
         degenerate = rank < count
@@ -598,7 +586,7 @@ def extract(y_ul: np.ndarray, cfg: SystemConfig, p_tx: float,
             # drop the newest atom and refit the rest; a single unit-modulus
             # atom always has rank 1, so at least one track remains
             params.pop()
-            memos.pop()
+            rows.pop()
             view = tuple(f[:, :-1] for f in view)
             fitted, _ = sysmodel.fit_gains(y, *view)
         gains[:len(fitted)] = fitted

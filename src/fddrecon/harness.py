@@ -126,14 +126,17 @@ def _aggregate(experiment: str, sweep: float, metric: str, samples) -> ResultRow
     arr = np.asarray(samples, dtype=np.float64)
     if arr.size == 0:
         raise ValueError(f"no successful trials for metric {metric!r} at sweep {sweep}")
+    # the sum behind np.mean overflows past ~1e308 / size, and np.std squares
+    # the deviations, which overflows past ~1e154 and underflows below
+    # ~1e-154; both run on samples scaled by a power of two into [-1, 1],
+    # which is exact, and the results are scaled back
+    shift = -math.frexp(float(np.max(np.abs(arr))))[1]
+    scaled = np.ldexp(arr, shift)
+    mean = float(np.ldexp(np.mean(scaled), -shift))
     se = 0.0
     if arr.size > 1:
-        # np.std squares the deviations, which overflows past ~1e154 and
-        # underflows below ~1e-154; it runs on samples scaled by a power of
-        # two into [-1, 1], which is exact, and the result is scaled back
-        shift = -math.frexp(float(np.max(np.abs(arr))))[1]
-        se = float(np.ldexp(np.std(np.ldexp(arr, shift), ddof=1) / math.sqrt(arr.size), -shift))
-    return ResultRow(experiment, float(sweep), metric, float(np.mean(arr)), int(arr.size), se)
+        se = float(np.ldexp(np.std(scaled, ddof=1) / math.sqrt(arr.size), -shift))
+    return ResultRow(experiment, float(sweep), metric, mean, int(arr.size), se)
 
 
 def rows_to_csv(rows, dest) -> None:

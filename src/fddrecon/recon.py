@@ -50,14 +50,18 @@ def channel_matrix(h: np.ndarray, cfg: SystemConfig) -> np.ndarray:
 
 def channel_nmse(estimate: np.ndarray, truth: np.ndarray) -> float:
     """Squared-error ratio ||estimate - truth||^2 / ||truth||^2; ValueError
-    unless the two have one shape."""
+    unless the two have one shape, FloatingPointError (a failed trial)
+    unless the ratio is finite."""
     estimate, truth = np.asarray(estimate), np.asarray(truth)
     if estimate.shape != truth.shape:
         raise ValueError(f"estimate shape {estimate.shape} != truth shape {truth.shape}")
     denom = float(np.sum(np.abs(truth) ** 2))
     if denom == 0.0:
         raise ValueError("reference channel has zero norm")
-    return float(np.sum(np.abs(estimate - truth) ** 2)) / denom
+    ratio = float(np.sum(np.abs(estimate - truth) ** 2)) / denom
+    if not math.isfinite(ratio):
+        raise FloatingPointError("non-finite channel NMSE")
+    return ratio
 
 
 def ls_baseline(y: np.ndarray, p_tx: float) -> np.ndarray:

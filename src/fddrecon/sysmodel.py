@@ -93,12 +93,14 @@ class SystemConfig:
         if not 0 < self.P_fa < 1:
             raise ValueError("P_fa must lie in (0, 1)")
         # finite fields can still overflow the carrier shift, a Newton scale (a
-        # finite kappa^2 needs a finite slope kappa) or the delay range
+        # finite kappa^2 needs a finite slope kappa), the delay range or the
+        # carrier phase over it (`carrier_phase`)
         kappa, omega = TWO_PI * self.d_over_lambda, TWO_PI * self.delta_f
-        derived = (self.carrier_shift, kappa * kappa, omega * omega, self.tau_max)
+        derived = (self.carrier_shift, kappa * kappa, omega * omega, self.tau_max,
+                   TWO_PI * self.carrier_shift * self.tau_max)
         if not all(map(math.isfinite, derived)):
-            raise ValueError("f_dl - f_ul, 2 pi d_over_lambda, 2 pi delta_f, their squares "
-                             "and 1 / delta_f must be finite")
+            raise ValueError("f_dl - f_ul, 2 pi d_over_lambda, 2 pi delta_f, their squares, "
+                             "1 / delta_f and 2 pi (f_dl - f_ul) / delta_f must be finite")
 
     @property
     def M(self) -> int:

@@ -37,26 +37,32 @@ def tracer_module():
     return module
 
 
+def traced_run(tracer_module, experiment, tmp_path):
+    """One toy run through `cli.main` under a fresh tracer: its exit code
+    and the tracer's summary."""
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump(TOY_RUNS[experiment]))
+    tracer = tracer_module.Tracer()
+    tracer.install(fddrecon)
+    try:
+        code = fddrecon.cli.main([experiment, "--config", str(config), "--seed", "7",
+                                  "--out", str(tmp_path / "out.csv")])
+    finally:
+        tracer.uninstall()
+    return code, tracer.summary()
+
+
 @pytest.fixture(scope="module")
 def traced_runs(tracer_module, tmp_path_factory):
     """Each toy run through `cli.main` under the tracer: its exit code,
     whether every wrapped attribute was restored after, and the summary."""
     runs = {}
-    for experiment, raw in TOY_RUNS.items():
-        tmp_path = tmp_path_factory.mktemp(experiment)
-        config = tmp_path / "config.yaml"
-        config.write_text(yaml.safe_dump(raw))
+    for experiment in TOY_RUNS:
         originals = {(m, a): getattr(getattr(fddrecon, m), a)
                      for m, a, _ in tracer_module.WRAPPED}
-        tracer = tracer_module.Tracer()
-        tracer.install(fddrecon)
-        try:
-            code = fddrecon.cli.main([experiment, "--config", str(config), "--seed", "7",
-                                      "--out", str(tmp_path / "out.csv")])
-        finally:
-            tracer.uninstall()
+        code, summary = traced_run(tracer_module, experiment, tmp_path_factory.mktemp(experiment))
         restored = all(getattr(getattr(fddrecon, m), a) is fn for (m, a), fn in originals.items())
-        runs[experiment] = code, restored, tracer.summary()
+        runs[experiment] = code, restored, summary
     return runs
 
 
@@ -98,6 +104,24 @@ def test_every_other_wrapped_function_is_called(tracer_module, traced_runs):
     called = {label for _, _, summary in traced_runs.values()
               for label, f in summary["functions"].items() if f["calls"] > 0}
     assert {label for _, _, label in tracer_module.WRAPPED} - called == NEVER_CALLED
+
+
+def test_newton_hook_counts_the_visits_that_move(tracer_module, tmp_path, monkeypatch):
+    # the hook reads a visit's accepted flag by position: it must count
+    # exactly the visits whose returned point differs from their start
+    refine, moved = fddrecon.enomp.newton_refine, []
+
+    def recorded(y, theta, phi, tau, *rest):
+        result = refine(y, theta, phi, tau, *rest)
+        moved.append(result[:3] != (theta, phi, tau))
+        return result
+
+    monkeypatch.setattr(fddrecon.enomp, "newton_refine", recorded)
+    code, summary = traced_run(tracer_module, "fig4", tmp_path)
+    assert code == 0
+    accepted = summary["counters"]["enomp.newton.accepted"]
+    assert accepted == sum(moved)
+    assert 0 < accepted < len(moved)
 
 
 def test_traced_kron3_calls_are_costed(tracer_module):

@@ -55,9 +55,9 @@ def no_others(cfg):
 
 def refine_alone(y, theta, phi, tau, cfg):
     """One `newton_refine` visit on y with no other tracks, from the factors
-    built at the point and nothing kept."""
+    built at the point and no delay row."""
     return enomp.newton_refine(y, theta, phi, tau, cfg, no_others(cfg),
-                               atom_factors(theta, phi, tau, cfg), [None])
+                               atom_factors(theta, phi, tau, cfg), None)
 
 
 class TestCodebook:
@@ -263,7 +263,7 @@ class TestNewtonRefine:
         ta0 = ta + 0.25 * cell[2]
         g0 = enomp.coarse_gain(y, th0, ph0, ta0, cfg)
         s_before = enomp.objective_S(y, g0, th0, ph0, ta0, cfg)
-        th1, ph1, ta1, accepted, corr, factors = refine_alone(y, th0, ph0, ta0, cfg)
+        th1, ph1, ta1, accepted, corr, factors, _ = refine_alone(y, th0, ph0, ta0, cfg)
         assert accepted
         assert corr == pytest.approx(correlation(y, th1, ph1, ta1, cfg), rel=1e-12)
         assert_factors_at(factors, th1, ph1, ta1, cfg)
@@ -469,11 +469,11 @@ class TestExtract:
 
         monkeypatch.setattr(enomp, "omp_detect", redetect)
 
-        def stay(y, theta, phi, tau, cfg, others, factors, memo):
+        def stay(y, theta, phi, tau, cfg, others, factors, row):
             # no step; the correlation of y minus the other atoms, materialized
             y_local = np.ravel(y) - atom_sum(*others)
             return (theta, phi, tau, False, correlation(y_local, theta, phi, tau, cfg),
-                    atom_factors(theta, phi, tau, cfg))
+                    atom_factors(theta, phi, tau, cfg), row)
 
         monkeypatch.setattr(enomp, "newton_refine", stay)
         res = enomp.extract(y, cfg, 1.0, cb)
@@ -497,10 +497,10 @@ class TestExtract:
              + (0.4 - 0.9j) * enomp.synth_atom(-0.8, -0.5, 8e-6, cfg))
         refine, visits = enomp.newton_refine, []
 
-        def checked(y, theta, phi, tau, cfg, others, factors, memo):
+        def checked(y, theta, phi, tau, cfg, others, factors, row):
             assert_factors_at(factors, theta, phi, tau, cfg)
             visits.append((theta, phi, tau))
-            return refine(y, theta, phi, tau, cfg, others, factors, memo)
+            return refine(y, theta, phi, tau, cfg, others, factors, row)
 
         monkeypatch.setattr(enomp, "newton_refine", checked)
         res = enomp.extract(y, cfg, 1.0)
@@ -746,7 +746,7 @@ class TestVisitMatchesReference:
         cfg, y, visited, _, paths, gains = case
         *want, accepted, _, _, top, rise = reference.visit(y, *visited, cfg, paths, gains)
         got = enomp.newton_refine(y, *visited, cfg, (gains, *path_factors(paths, cfg)),
-                                  atom_factors(*visited, cfg), [None])
+                                  atom_factors(*visited, cfg), None)
         assert_factors_at(got[5], *got[:3], cfg)
         if min(abs(top), rise) <= 1e-9:
             # a sign or strict-rise test of the reference this close to a
@@ -770,17 +770,20 @@ class TestVisitMatchesReference:
         c0, dc, d2c = enomp._derivative_scalars(cube, cfg)
         if abs(c0) > 0.0:
             assert enomp._log_power_step(c0, dc, d2c, abs(c0) ** 2) is None
-        got = enomp.newton_refine(y, *visited, cfg, others, factors, [None])
+        got = enomp.newton_refine(y, *visited, cfg, others, factors, None)
         assert got[:4] == (*visited, False)
         assert got[5] is factors
         assert reference.visit(y, *visited, cfg, paths, gains)[:4] == (*visited, False)
 
 
 def assert_same_visit(got, want):
-    """Two `newton_refine` results equal bit for bit."""
+    """Two `newton_refine` results equal bit for bit; their delay rows too,
+    unless one is None (a rejecting visit returns the row it was given)."""
     assert got[:5] == want[:5]
     for g, w in zip(got[5], want[5]):
         np.testing.assert_array_equal(g, w)
+    if got[6] is not None and want[6] is not None:
+        np.testing.assert_array_equal(got[6], want[6])
 
 
 class TestEmptyAtomSum:
@@ -806,14 +809,14 @@ class TestEmptyAtomSum:
         one = (np.zeros(1, dtype=complex), *path_factors(paths[:1], cfg))
         alone = refine_alone(y, *visited, cfg)
         assert_same_visit(alone, enomp.newton_refine(y, *visited, cfg, one,
-                                                     atom_factors(*visited, cfg), [None]))
+                                                     atom_factors(*visited, cfg), None))
 
 
 class TestKeptWork:
-    """A visit hands the track's next visit what it computed there: an
-    accepted step's delay row, or a rejected visit's moment cube of y.
-    Started from either, the next visit returns the fresh visit's results
-    bit for bit."""
+    """A visit returns the delay row of y at the factors it returns: an
+    accepted step's own, or the row it was given. Started from that row,
+    the track's next visit returns the results of the same visit given
+    None, bit for bit."""
 
     @settings(max_examples=60)
     @given(visit_cases(sizes=[(8, 16, 256), (2, 4, 16), (1, 8, 32)]))
@@ -821,19 +824,20 @@ class TestKeptWork:
         cfg, y, visited, _, paths, gains = case
         others = (gains, *path_factors(paths, cfg))
         y3 = y.reshape(cfg.M_v, cfg.M_h, cfg.N)
-        memo = [None]
-        first = enomp.newton_refine(y, *visited, cfg, others, atom_factors(*visited, cfg), memo)
-        factors = first[5]
-        row = enomp._delay_row(y3, factors[2])
-        cube = _kernels.moment_cube(y3, *weights_of(factors, cfg))
-        # what the visit keeps is what the next visit would compute
-        np.testing.assert_array_equal(memo[0], row if first[3] else cube)
+        start = atom_factors(*visited, cfg)
+        given_row = enomp._delay_row(y3, start[2])
+        first = enomp.newton_refine(y, *visited, cfg, others, start, given_row)
+        assert_same_visit(first, enomp.newton_refine(y, *visited, cfg, others, start, None))
+        factors, row = first[5:]
+        if first[3]:
+            # the accepted step's row is the one the next visit would form
+            np.testing.assert_array_equal(row, enomp._delay_row(y3, factors[2]))
+        else:
+            assert row is given_row
         # the track's next visit: the same y and factors, the others refitted
         refit = (others[0] * (0.9 + 0.2j), *others[1:])
-        fresh = enomp.newton_refine(y, *first[:3], cfg, refit, factors, [None])
-        for kept in (memo[0], row, cube):
-            assert_same_visit(enomp.newton_refine(y, *first[:3], cfg, refit, factors, [kept]),
-                              fresh)
+        assert_same_visit(enomp.newton_refine(y, *first[:3], cfg, refit, factors, row),
+                          enomp.newton_refine(y, *first[:3], cfg, refit, factors, None))
 
     def test_extraction_visits_equal_fresh_visits(self, monkeypatch):
         # every visit of an extraction equals the same visit from nothing
@@ -854,7 +858,7 @@ class TestKeptWork:
             sums.append(0)
             got = refine(*args)
             counting[0] = False
-            assert_same_visit(got, refine(*args[:7], [None]))
+            assert_same_visit(got, refine(*args[:7], None))
             counting[0] = True
             accepted.append(got[3])
             return got

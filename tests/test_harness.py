@@ -163,6 +163,11 @@ class TestConfig:
         {"experiment": "fig6", "system": {"f_dl": 1.0e308, "f_ul": -1.0e308}},
         {"experiment": "fig4", "system": {"delta_f": 1e160}},
         {"experiment": "fig4", "system": {"delta_f": 1e-320}},
+        # the carrier phase 2 pi (f_dl - f_ul) tau over one delay range
+        # overflows in sysmodel.carrier_phase
+        {"experiment": "fig6", "users": 2, "system": {**TINY_SYSTEM, "delta_f": 1.0e-300}},
+        {"experiment": "theorem1", "users": 2,
+         "system": {**TINY_SYSTEM, "f_dl": 1.0e308, "f_ul": 0.0, "delta_f": 1.0}},
         {"experiment": "fig4", "system": {"f_dl": 10**400}},
         {"experiment": "fig4", "snr_db": [10**400]},
         # unknown keys of mixed types, as YAML parses `1:` and `~:`
@@ -277,6 +282,12 @@ class TestAggregation:
         row = harness._aggregate("fig4", 0.0, "nmse_ls", [scale, 3 * scale])
         assert row.std_error == pytest.approx(scale, rel=1e-12, abs=0.0)
 
+    def test_mean_of_samples_past_half_the_float_range(self):
+        # the sum of the samples overflows, their mean does not
+        row = harness._aggregate("x", 0.0, "m", [1.5e308, 1.5e308])
+        assert row.value == 1.5e308
+        assert row.std_error == 0.0
+
     def test_single_sample_zero_se(self):
         assert harness._aggregate("fig4", 0.0, "m", [4.0]).std_error == 0.0
 
@@ -389,6 +400,14 @@ class TestRunners:
         truth_dl = sysmodel.downlink_channel(truth, cfg)
         want = reference.fit(truth_dl, est, cfg, downlink=True)[0]
         np.testing.assert_allclose(harness._oracle_gains(est, truth_dl, cfg), want, rtol=1e-9)
+
+    def test_fig4_non_finite_nmse_fails_the_trial(self):
+        # at -2999 dB the LS estimate of a -300 dB channel has an NMSE past
+        # the float range: every trial fails there, so the run ends
+        cfg = tiny_config("fig4", trials=2, snr_db=[-2999.0, 0.0], attenuation_db=[-300, -300])
+        with pytest.raises(ValueError, match="no successful trials for metric 'nmse_ls' "
+                                             r"at sweep -2999\.0"):
+            harness.run_fig4(cfg)
 
     def test_fig6_user_without_paths_fails_its_trials_only(self):
         # at -25 dB some users' extraction finds no path: the harness fails

@@ -108,6 +108,12 @@ class TestChannelNmse:
         with pytest.raises(ValueError):
             recon.channel_nmse(truth, np.zeros(3))
 
+    @pytest.mark.parametrize("estimate", [np.array([1e150, 0.0]), np.array([math.nan, 0.0])])
+    def test_non_finite_ratio_is_a_floating_point_error(self, estimate):
+        # 1e300 / 1e-300 overflows: a failed trial, not an inf in the CSV
+        with pytest.raises(FloatingPointError, match="non-finite channel NMSE"):
+            recon.channel_nmse(estimate, np.array([1e-150, 0.0]))
+
     @pytest.mark.parametrize("estimate, truth", [
         (np.zeros(4), np.ones((4, 1))),  # broadcast to (4, 4): 4.0 where the NMSE is 1.0
         (np.ones((4, 1)), np.ones(4)),
