@@ -22,7 +22,7 @@ def kron3(a_v, a_h, p_n):
     return (np.outer(a_v, a_h).reshape(-1, 1) * p_n).ravel()
 
 
-def moment_cube(y3, w_v, w_h, w_n, row=None):
+def moment_cube(y3, w_v, w_h, w_n, row):
     """Weighted inner products of an atom against conj(y).
 
     w_v, w_h and w_n are `index_weighted(x, c)` of the atom's factors a_v,
@@ -31,22 +31,21 @@ def moment_cube(y3, w_v, w_h, w_n, row=None):
       W[a, b, c] = sum_{m,h,n} conj(y3[m,h,n]) a_v[m] a_h[h] p_n[n]
                    * (m - c_v)^a (h - c_h)^b (n - c_n)^c
     so W[0,0,0] is the plain correlation y^H (a_v (x) a_h (x) p_n). The
-    centres shift the polynomial index weights only, not the atom. `row`,
-    when given, is the first delay sum y2 @ conj(p_n) over the
-    (M_v*M_h, N) view y2 of y3, as a caller kept it from an earlier product
-    bit for bit equal to this one's; the cube then forms the other two only.
+    centres shift the polynomial index weights only, not the atom. `row` is
+    the first, unweighted delay sum y2 @ conj(p_n) over the (M_v*M_h, N)
+    view y2 of y3, as the caller formed it; the cube forms the two
+    index-weighted ones.
     """
     M_v, M_h, N = y3.shape
     y2 = y3.reshape(M_v * M_h, N)
     pw = w_n.T.conj()                                             # (3, N)
     # contract y3 against the conjugated weights and conjugate the small
     # result: the same numbers as conj(y3) @ w_n without copying the whole
-    # cube. Three matrix-vector products over y, as one (M, N) @ (N, 3)
+    # cube. One matrix-vector product per weight, as one (M, N) @ (N, 3)
     # product ran 1.4x slower on OpenBLAS.
     v = np.empty((3, M_v * M_h), dtype=complex)
-    if row is not None:
-        v[0] = row
-    for c in range(0 if row is None else 1, 3):
+    v[0] = row
+    for c in (1, 2):
         np.matmul(y2, pw[c], out=v[c])
     # v[c, m, h] -> t[c, m, b] -> W[a, (c, b)]
     t = v.conj().reshape(3 * M_v, M_h) @ w_h

@@ -93,8 +93,8 @@ def synth_atom(theta: float, phi: float, tau: float, cfg: SystemConfig) -> np.nd
 
 def _delay_row(y3: np.ndarray, p_n) -> np.ndarray:
     """The delay sum y2 @ conj(p_n) over the (M_v*M_h, N) view y2 of y3:
-    the first stage of `_atom_correlation`, and bit for bit the first delay
-    sum `_kernels.moment_cube` forms for the same p_n."""
+    the first stage of `_atom_correlation`, and the `row` that
+    `_kernels.moment_cube` takes for the same p_n."""
     return y3.reshape(-1, y3.shape[2]) @ p_n.conj()
 
 
@@ -324,8 +324,10 @@ def objective_derivatives(y_r: np.ndarray, gain: complex, theta: float,
     (S, grad, hess) : float, ndarray (3,), ndarray (3, 3)
     """
     y3 = np.ascontiguousarray(np.asarray(y_r).reshape(cfg.M_v, cfg.M_h, cfg.N))
-    weights = map(_kernels.index_weighted, atom_factors(theta, phi, tau, cfg), (0.0, 0.0, 0.0))
-    c, dc, d2c = _derivative_scalars(_kernels.moment_cube(y3, *weights), cfg)
+    atom = atom_factors(theta, phi, tau, cfg)
+    weights = map(_kernels.index_weighted, atom, (0.0, 0.0, 0.0))
+    cube = _kernels.moment_cube(y3, *weights, _delay_row(y3, atom[2]))
+    c, dc, d2c = _derivative_scalars(cube, cfg)
     dc, d2c = np.array(dc), np.array(d2c)
     st, ct = math.sin(theta), math.cos(theta)
     sp, cp = math.sin(phi), math.cos(phi)
@@ -441,8 +443,8 @@ def newton_refine(y_r: np.ndarray, theta: float, phi: float, tau: float,
 
     `factors` = (a_v, a_h, p_n) are `sysmodel.atom_factors` at (theta, phi,
     tau), as an earlier call returned them. `row` is `_delay_row` of y at
-    that p_n, the first of the moment cube's three delay sums, as an earlier
-    visit on the same y returned it, or None to form all three.
+    that p_n, the moment cube's unweighted delay sum, as detection or an
+    earlier visit on the same y formed it.
 
     Returns (theta', phi', tau', accepted, corr, factors', row') for the
     atom a = a_v (x) a_h (x) p_n at the returned parameters: corr =
@@ -475,10 +477,10 @@ def newton_refine(y_r: np.ndarray, theta: float, phi: float, tau: float,
         # One vertical antenna (a_v = [1]) sees no u: u = 0 reaches every w
         u_new = _wrap(u - damp * step[0] + 1.0, 2.0) - 1.0 if cfg.M_v > 1 else 0.0
         w_new = _wrap(w - damp * step[1] + 1.0, 2.0) - 1.0
-        theta_new = float(min(max(math.asin(u_new), -math.pi / 2), _THETA_MAX))
+        theta_new = float(min(math.asin(u_new), _THETA_MAX))
         cos_t = math.cos(theta_new)
         s_phi = min(max(w_new / cos_t, -1.0), 1.0) if cos_t > 1e-12 else 0.0
-        phi_new = float(min(max(math.asin(s_phi), -math.pi / 2), _THETA_MAX))
+        phi_new = float(min(math.asin(s_phi), _THETA_MAX))
         tau_new = _wrap(float(tau - damp * step[2]), cfg.tau_max)
         a_v2, a_h2, p_n2 = atom = atom_factors(theta_new, phi_new, tau_new, cfg)
         row_new = _delay_row(y3, p_n2)
@@ -548,9 +550,9 @@ def extract(y_ul: np.ndarray, cfg: SystemConfig, p_tx: float,
     threshold = math.ldexp(detection_threshold(cfg.M * cfg.N, cfg.P_fa), 2 * shift)
 
     # per track: (theta, phi, tau), the gain, the factor columns of its
-    # atom in (M_v, cap), (M_h, cap), (N, cap) matrices, and the delay row its
-    # visits pass on (`newton_refine`; None before the first); a track's
-    # columns are written at its detection, and its gain at its first visit
+    # atom in (M_v, cap), (M_h, cap), (N, cap) matrices, and its delay row
+    # (`newton_refine`); a track's columns and row are formed at its
+    # detection, and its gain at its first visit
     params = []
     rows = []
     gains = np.zeros(_MAX_PATHS, dtype=complex)
@@ -571,11 +573,12 @@ def extract(y_ul: np.ndarray, cfg: SystemConfig, p_tx: float,
         theta, phi, tau = omp_detect(cb, z, energy)[:3]
         del z  # not held through refinement: fig6's peak resident set
         params.append((theta, phi, tau))
-        rows.append(None)
         count = len(params)
         view = tuple(f[:, :count] for f in factors)
-        for f, column in zip(view, atom_factors(theta, phi, tau, cfg)):
+        atom = atom_factors(theta, phi, tau, cfg)
+        for f, column in zip(view, atom):
             f[:, count - 1] = column
+        rows.append(_delay_row(y3, atom[2]))
         # the new track first, then _REFINE_ROUNDS cyclic rounds over all
         for k in [count - 1] + list(range(count)) * _REFINE_ROUNDS:
             _refine_track(k, y3, params, gains[:count], view, rows, cfg)

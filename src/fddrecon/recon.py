@@ -116,19 +116,29 @@ class SpaceFrequencyCovariance:
 # every lag within 1e-13 of twice the nodes from 1x4 to 24x24 arrays at d/lambda
 # up to 10, where 16 leaves 1e-11 on single-row arrays (1x8 at d/lambda 0.5).
 _NODE_MARGIN = 24
+# Bytes per block of downtilt nodes in the azimuth mean: the (n, n, M_h)
+# tensor of every node pair grows with (d/lambda)^2, a block only with
+# d/lambda. 2 MiB keeps the default 8x16 array at d/lambda 0.5 (n = 77) in
+# one block. Smaller blocks there lowered glibc's dynamic mmap threshold,
+# and a fig4 run then took about 24000 more page faults and 6% more time.
+_BLOCK_BYTES = 2 ** 21
 
 
 def steering_covariance(cfg: SystemConfig) -> np.ndarray:
     """E[a a^H] over downtilt and azimuth uniform on [-pi/2, pi/2), by
     Gauss-Legendre means of `steering_factors` at the nodes: real, symmetric
     and unit-diagonal. As a[0] = 1 and both angles are symmetric, entry
-    ((m, h), (m', h')) is the real mean of a at (|m - m'|, |h - h'|).
+    ((m, h), (m', h')) is the real mean of a at (|m - m'|, |h - h'|). The
+    azimuth mean is formed on blocks of downtilt nodes (`_BLOCK_BYTES`).
     """
     span = TWO_PI * cfg.d_over_lambda * math.hypot(cfg.M_v - 1, cfg.M_h - 1)
     x, w = np.polynomial.legendre.leggauss(math.ceil(span) + _NODE_MARGIN)
     nodes, w = (math.pi / 2) * x, w / 2.0
-    a_v, a_h = steering_factors(nodes[:, None], nodes, cfg)
-    lag = ((w * a_v[:, 0].T) @ (w @ a_h)).real
+    a_v = steering_factors(nodes, 0.0, cfg)[0]
+    block = max(1, _BLOCK_BYTES // (16 * len(nodes) * cfg.M_h))
+    mean_h = np.concatenate([w @ steering_factors(nodes[i:i + block, None], nodes, cfg)[1]
+                             for i in range(0, len(nodes), block)])
+    lag = ((w * a_v.T) @ mean_h).real
     d_v, d_h = (np.abs(np.subtract.outer(np.arange(m), np.arange(m))) for m in (cfg.M_v, cfg.M_h))
     return lag[d_v[:, None, :, None], d_h[None, :, None, :]].reshape(cfg.M, cfg.M)
 

@@ -53,11 +53,17 @@ def no_others(cfg):
             *(np.zeros((m, 0), dtype=complex) for m in (cfg.M_v, cfg.M_h, cfg.N)))
 
 
+def row_of(y, factors, cfg):
+    """`enomp._delay_row` of y at the delay factor of `factors`."""
+    return enomp._delay_row(np.reshape(y, (cfg.M_v, cfg.M_h, cfg.N)), factors[2])
+
+
 def refine_alone(y, theta, phi, tau, cfg):
     """One `newton_refine` visit on y with no other tracks, from the factors
-    built at the point and no delay row."""
-    return enomp.newton_refine(y, theta, phi, tau, cfg, no_others(cfg),
-                               atom_factors(theta, phi, tau, cfg), None)
+    built at the point and their delay row."""
+    factors = atom_factors(theta, phi, tau, cfg)
+    return enomp.newton_refine(y, theta, phi, tau, cfg, no_others(cfg), factors,
+                               row_of(y, factors, cfg))
 
 
 class TestCodebook:
@@ -734,8 +740,10 @@ class TestVisitMatchesReference:
     @given(visit_cases())
     def test_cube_agrees(self, case):
         cfg, y, visited, _, paths, gains = case
-        weights = weights_of(atom_factors(*visited, cfg), cfg)
-        y_cube = _kernels.moment_cube(y.reshape(cfg.M_v, cfg.M_h, cfg.N), *weights)
+        factors = atom_factors(*visited, cfg)
+        weights = weights_of(factors, cfg)
+        y_cube = _kernels.moment_cube(y.reshape(cfg.M_v, cfg.M_h, cfg.N), *weights,
+                                      row_of(y, factors, cfg))
         got = y_cube - enomp._atom_sum_cube((gains, *path_factors(paths, cfg)), weights)
         want = reference.visit(y, *visited, cfg, paths, gains)[5]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(y_cube)))
@@ -745,8 +753,9 @@ class TestVisitMatchesReference:
     def test_step_agrees(self, case):
         cfg, y, visited, _, paths, gains = case
         *want, accepted, _, _, top, rise = reference.visit(y, *visited, cfg, paths, gains)
-        got = enomp.newton_refine(y, *visited, cfg, (gains, *path_factors(paths, cfg)),
-                                  atom_factors(*visited, cfg), None)
+        factors = atom_factors(*visited, cfg)
+        got = enomp.newton_refine(y, *visited, cfg, (gains, *path_factors(paths, cfg)), factors,
+                                  row_of(y, factors, cfg))
         assert_factors_at(got[5], *got[:3], cfg)
         if min(abs(top), rise) <= 1e-9:
             # a sign or strict-rise test of the reference this close to a
@@ -765,25 +774,23 @@ class TestVisitMatchesReference:
         factors = atom_factors(*visited, cfg)
         others = (gains, *path_factors(paths, cfg))
         weights = weights_of(factors, cfg)
-        cube = _kernels.moment_cube(y.reshape(1, 1, 1), *weights) - enomp._atom_sum_cube(
+        row = row_of(y, factors, cfg)
+        cube = _kernels.moment_cube(y.reshape(1, 1, 1), *weights, row) - enomp._atom_sum_cube(
             others, weights)
         c0, dc, d2c = enomp._derivative_scalars(cube, cfg)
         if abs(c0) > 0.0:
             assert enomp._log_power_step(c0, dc, d2c, abs(c0) ** 2) is None
-        got = enomp.newton_refine(y, *visited, cfg, others, factors, None)
+        got = enomp.newton_refine(y, *visited, cfg, others, factors, row)
         assert got[:4] == (*visited, False)
-        assert got[5] is factors
+        assert got[5] is factors and got[6] is row
         assert reference.visit(y, *visited, cfg, paths, gains)[:4] == (*visited, False)
 
 
 def assert_same_visit(got, want):
-    """Two `newton_refine` results equal bit for bit; their delay rows too,
-    unless one is None (a rejecting visit returns the row it was given)."""
+    """Two `newton_refine` results equal bit for bit, delay rows included."""
     assert got[:5] == want[:5]
-    for g, w in zip(got[5], want[5]):
+    for g, w in zip((*got[5], got[6]), (*want[5], want[6])):
         np.testing.assert_array_equal(g, w)
-    if got[6] is not None and want[6] is not None:
-        np.testing.assert_array_equal(got[6], want[6])
 
 
 class TestEmptyAtomSum:
@@ -807,69 +814,72 @@ class TestEmptyAtomSum:
         # at gain 0
         cfg, y, visited, _, paths, _ = case
         one = (np.zeros(1, dtype=complex), *path_factors(paths[:1], cfg))
-        alone = refine_alone(y, *visited, cfg)
-        assert_same_visit(alone, enomp.newton_refine(y, *visited, cfg, one,
-                                                     atom_factors(*visited, cfg), None))
+        factors = atom_factors(*visited, cfg)
+        assert_same_visit(refine_alone(y, *visited, cfg),
+                          enomp.newton_refine(y, *visited, cfg, one, factors,
+                                              row_of(y, factors, cfg)))
 
 
 class TestKeptWork:
-    """A visit returns the delay row of y at the factors it returns: an
-    accepted step's own, or the row it was given. Started from that row,
-    the track's next visit returns the results of the same visit given
-    None, bit for bit."""
+    """Every delay row of an extraction is formed once: a track's at its
+    detection, then each backtracking try's. A visit returns the delay row
+    of y at the factors it returns, the accepted try's or the one it was
+    given, and the track's next visit hands it to its moment cube."""
 
     @settings(max_examples=60)
     @given(visit_cases(sizes=[(8, 16, 256), (2, 4, 16), (1, 8, 32)]))
-    def test_visit_from_kept_work_equals_fresh_visit(self, case):
+    def test_visit_returns_the_delay_row_at_its_factors(self, case):
         cfg, y, visited, _, paths, gains = case
         others = (gains, *path_factors(paths, cfg))
-        y3 = y.reshape(cfg.M_v, cfg.M_h, cfg.N)
         start = atom_factors(*visited, cfg)
-        given_row = enomp._delay_row(y3, start[2])
+        given_row = row_of(y, start, cfg)
         first = enomp.newton_refine(y, *visited, cfg, others, start, given_row)
-        assert_same_visit(first, enomp.newton_refine(y, *visited, cfg, others, start, None))
-        factors, row = first[5:]
-        if first[3]:
-            # the accepted step's row is the one the next visit would form
-            np.testing.assert_array_equal(row, enomp._delay_row(y3, factors[2]))
-        else:
-            assert row is given_row
+        np.testing.assert_array_equal(first[6], row_of(y, first[5], cfg))
+        if not first[3]:
+            assert first[6] is given_row
         # the track's next visit: the same y and factors, the others refitted
         refit = (others[0] * (0.9 + 0.2j), *others[1:])
-        assert_same_visit(enomp.newton_refine(y, *first[:3], cfg, refit, factors, row),
-                          enomp.newton_refine(y, *first[:3], cfg, refit, factors, None))
+        second = enomp.newton_refine(y, *first[:3], cfg, refit, *first[5:])
+        np.testing.assert_array_equal(second[6], row_of(y, second[5], cfg))
 
-    def test_extraction_visits_equal_fresh_visits(self, monkeypatch):
-        # every visit of an extraction equals the same visit from nothing
-        # kept, accepted and rejected ones among them; after its first
-        # visit, a track's cube forms at most 2 of its 3 delay sums
+    def test_extraction_forms_each_delay_row_once(self, monkeypatch):
+        # one row per detection and one per backtracking try (the only
+        # `_row_correlation` calls of an extraction), and none for a cube:
+        # each is given its visit's row, bit equal to the one formed anew
         cfg = SystemConfig()
         paths = generate_scenario(1, 6, cfg, seed=41, att_range_db=(0.0, 0.0)).users[0]
         y = sounding_observation(paths, cfg, 1.0, 42)
         refine, cube_of = enomp.newton_refine, _kernels.moment_cube
-        sums, accepted, counting = [], [], [True]
+        delay_row, row_correlation = enomp._delay_row, enomp._row_correlation
+        rows, tries, visits, accepted = [0], [0], [], []
 
-        def counted_cube(*args):
-            if counting[0]:
-                sums[-1] += 3 if len(args) < 5 or args[4] is None else 2
-            return cube_of(*args)
+        def counted_row(*args):
+            rows[0] += 1
+            return delay_row(*args)
 
-        def checked(*args):
-            sums.append(0)
+        def counted_correlation(*args):
+            tries[0] += 1
+            return row_correlation(*args)
+
+        def checked_cube(y3, w_v, w_h, w_n, row):
+            np.testing.assert_array_equal(row, delay_row(y3, visits[-1][2]))
+            return cube_of(y3, w_v, w_h, w_n, row)
+
+        def recorded(*args):
+            visits.append(args[6])
             got = refine(*args)
-            counting[0] = False
-            assert_same_visit(got, refine(*args[:7], None))
-            counting[0] = True
             accepted.append(got[3])
             return got
 
-        monkeypatch.setattr(_kernels, "moment_cube", counted_cube)
-        monkeypatch.setattr(enomp, "newton_refine", checked)
+        monkeypatch.setattr(enomp, "_delay_row", counted_row)
+        monkeypatch.setattr(enomp, "_row_correlation", counted_correlation)
+        monkeypatch.setattr(_kernels, "moment_cube", checked_cube)
+        monkeypatch.setattr(enomp, "newton_refine", recorded)
         res = enomp.extract(y, cfg, 1.0)
         assert len(res.paths) >= 4
         assert True in accepted and False in accepted
-        later = len(sums) - res.iterations  # every visit but each track's first
-        assert sum(s <= 2 for s in sums) >= 0.8 * later
+        assert tries[0] >= sum(accepted)
+        assert rows[0] == res.iterations + tries[0]
 
 
 class TestKeptRowDetection:

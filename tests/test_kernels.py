@@ -18,8 +18,18 @@ def random_inputs(rng, shape=(3, 4, 5)):
 
 
 def weighted(factors, centres):
-    """The kernel's input: `index_weighted` of each factor at its centre."""
+    """The kernel's weights: `index_weighted` of each factor at its centre."""
     return tuple(map(_kernels.index_weighted, factors, centres))
+
+
+def delay_row(y3, p_n):
+    """The kernel's `row`: the unweighted delay sum y2 @ conj(p_n)."""
+    return y3.reshape(-1, len(p_n)) @ p_n.conj()
+
+
+def cube(y3, factors, centres):
+    """`moment_cube` of y3 against the atom of `factors`, given its row."""
+    return _kernels.moment_cube(y3, *weighted(factors, centres), delay_row(y3, factors[2]))
 
 
 def test_kron3_matches_nested_kron():
@@ -35,7 +45,7 @@ def test_moment_cube_matches_loop_oracle():
         y3, a_v, a_h, p_n = random_inputs(rng)
         c_v, c_h, c_n = rng.uniform(0.0, 3.0, 3)
         oracle = reference.moment_cube(y3, a_v, a_h, p_n, c_v, c_h, c_n)
-        got = _kernels.moment_cube(y3, *weighted((a_v, a_h, p_n), (c_v, c_h, c_n)))
+        got = cube(y3, (a_v, a_h, p_n), (c_v, c_h, c_n))
         np.testing.assert_allclose(got, oracle, rtol=1e-12, atol=1e-12)
 
 
@@ -69,7 +79,7 @@ def test_moment_cube_matches_conjugated_copy_form(shape, seed):
     rng = np.random.default_rng(seed)
     y3, a_v, a_h, p_n = random_inputs(rng, shape)
     centers = tuple((np.array(shape) - 1) / 2.0)
-    np.testing.assert_allclose(_kernels.moment_cube(y3, *weighted((a_v, a_h, p_n), centers)),
+    np.testing.assert_allclose(cube(y3, (a_v, a_h, p_n), centers),
                                moment_cube_conj_copy(y3, a_v, a_h, p_n, *centers),
                                rtol=1e-13)
 
@@ -78,41 +88,28 @@ def test_moment_cube_default_centers_zero():
     rng = np.random.default_rng(2)
     y3, a_v, a_h, p_n = random_inputs(rng)
     np.testing.assert_allclose(
-        _kernels.moment_cube(y3, *weighted((a_v, a_h, p_n), (0.0, 0.0, 0.0))),
+        cube(y3, (a_v, a_h, p_n), (0.0, 0.0, 0.0)),
         reference.moment_cube(y3, a_v, a_h, p_n, 0.0, 0.0, 0.0),
         rtol=1e-12, atol=1e-12,
     )
 
 
-def test_moment_cube_from_a_kept_row_is_bit_equal():
-    # a Newton visit keeps an accepted step's delay row y2 @ conj(p_n);
-    # passed in, it stands for the cube's first delay sum
-    rng = np.random.default_rng(5)
-    for shape in ((3, 4, 5), (8, 16, 256), (1, 8, 32)):
-        y3, a_v, a_h, p_n = random_inputs(rng, shape)
-        weights = weighted((a_v, a_h, p_n), ((n - 1) / 2 for n in shape))
-        row = y3.reshape(-1, shape[2]) @ p_n.conj()
-        np.testing.assert_array_equal(_kernels.moment_cube(y3, *weights, row),
-                                      _kernels.moment_cube(y3, *weights))
-
-
 def test_moment_cube_reads_the_kept_row():
-    # a row kept for another delay factor gives another cube: the kernel
-    # uses the row it is given rather than recomputing it
+    # a row kept for another delay factor gives another cube than the row
+    # of p_n: the kernel uses the row it is given rather than recomputing it
     rng = np.random.default_rng(6)
     y3, a_v, a_h, p_n = random_inputs(rng)
     other = np.exp(1j * rng.uniform(-np.pi, np.pi, len(p_n)))
-    row = y3.reshape(-1, len(p_n)) @ other.conj()
     weights = weighted((a_v, a_h, p_n), (1.0, 1.5, 2.0))
-    kept = _kernels.moment_cube(y3, *weights, row)
-    assert not np.array_equal(kept, _kernels.moment_cube(y3, *weights))
+    kept = _kernels.moment_cube(y3, *weights, delay_row(y3, other))
+    assert not np.array_equal(kept, _kernels.moment_cube(y3, *weights, delay_row(y3, p_n)))
 
 
 def test_plain_correlation_entry():
     rng = np.random.default_rng(3)
     y3, a_v, a_h, p_n = random_inputs(rng)
-    cube = _kernels.moment_cube(y3, *weighted((a_v, a_h, p_n), (1.0, 2.0, 0.5)))
+    w = cube(y3, (a_v, a_h, p_n), (1.0, 2.0, 0.5))
     atom = np.kron(np.kron(a_v, a_h), p_n)
     # W[0,0,0] ignores the centers entirely
-    assert abs(cube[0, 0, 0] - np.vdot(y3.ravel(), atom)) < 1e-12
+    assert abs(w[0, 0, 0] - np.vdot(y3.ravel(), atom)) < 1e-12
 

@@ -1,8 +1,8 @@
 """Channel assembly, NMSE accounting, and the LS/LMMSE baselines."""
 
-import math
-
 import functools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from fddrecon import recon
 from fddrecon.enomp import DetectedPath
-from fddrecon.sysmodel import (SystemConfig, downlink_channel, generate_scenario,
-                               mean_linear_attenuation, steering_vector, uplink_channel)
+from fddrecon.sysmodel import (TWO_PI, SystemConfig, downlink_channel, generate_scenario,
+                               mean_linear_attenuation, steering_factors, steering_vector,
+                               uplink_channel)
 
 
 def small_cfg(**kw):
@@ -24,6 +25,18 @@ def small_cfg(**kw):
 def full_matrix(cov, n_subcarriers):
     """Dense space-frequency covariance scale * (spatial kron I_N)."""
     return cov.scale * np.kron(cov.spatial, np.eye(n_subcarriers))
+
+
+def steering_covariance_whole(cfg):
+    """`recon.steering_covariance` with the azimuth mean taken over the
+    whole (n, n, M_h) tensor of every node pair at once."""
+    span = TWO_PI * cfg.d_over_lambda * math.hypot(cfg.M_v - 1, cfg.M_h - 1)
+    x, w = np.polynomial.legendre.leggauss(math.ceil(span) + recon._NODE_MARGIN)
+    nodes, w = (math.pi / 2) * x, w / 2.0
+    a_v, a_h = steering_factors(nodes[:, None], nodes, cfg)
+    lag = ((w * a_v[:, 0].T) @ (w @ a_h)).real
+    d_v, d_h = (np.abs(np.subtract.outer(np.arange(m), np.arange(m))) for m in (cfg.M_v, cfg.M_h))
+    return lag[d_v[:, None, :, None], d_h[None, :, None, :]].reshape(cfg.M, cfg.M)
 
 
 class TestReconstruct:
@@ -242,6 +255,30 @@ class TestCovariance:
         leggauss = np.polynomial.legendre.leggauss
         monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: leggauss(2 * n))
         np.testing.assert_allclose(recon.steering_covariance(cfg), r, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(8, 16), (1, 8), (4, 4), (16, 8), (1, 1)])
+    @pytest.mark.parametrize("d", [0.5, 1.3, 2.0])
+    @pytest.mark.parametrize("block_bytes", [recon._BLOCK_BYTES, 2 ** 16, 1])
+    def test_steering_covariance_equals_the_whole_tensor_mean(self, shape, d, block_bytes,
+                                                              monkeypatch):
+        # blocks of any size, down to one node, the last one short, give the
+        # whole tensor's bytes
+        monkeypatch.setattr(recon, "_BLOCK_BYTES", block_bytes)
+        cfg = SystemConfig(M_v=shape[0], M_h=shape[1], d_over_lambda=d)
+        assert (recon.steering_covariance(cfg).tobytes()
+                == steering_covariance_whole(cfg).tobytes())
+
+    def test_steering_covariance_memory_is_bounded(self):
+        # 441 nodes at 8x16, d/lambda 4: the whole (n, n, M_h) tensor peaks
+        # near 100 MB, blocks of 18 downtilt nodes near 4 MB
+        cfg = SystemConfig(M_v=8, M_h=16, d_over_lambda=4.0)
+        tracemalloc.start()
+        try:
+            recon.steering_covariance(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
 
     def test_channel_covariance_scale(self):
         cfg = small_cfg()
