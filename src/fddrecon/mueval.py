@@ -95,6 +95,19 @@ def _sinr_from_cross(cross: np.ndarray, gram_inv: np.ndarray, alphas: np.ndarray
     return signal / (interference + NOISE_POWER)
 
 
+def _channels(h, stack: bool = True) -> np.ndarray:
+    """The array of a (..., K, M) stack of channels, or of one (K, M)
+    matrix unless ``stack``: ValueError unless it is one, with 1 <= K <= M."""
+    H = np.asarray(h)
+    if H.ndim < 2 or (H.ndim > 2 and not stack):
+        want = "a (..., K, M) stack of matrices" if stack else "one (K, M) matrix"
+        raise ValueError(f"channel must be {want}, got shape {H.shape}")
+    n_users, n_ant = H.shape[-2:]
+    if n_users == 0 or n_users > n_ant:
+        raise ValueError(f"need 1 <= K <= M, got K={n_users}, M={n_ant}")
+    return H
+
+
 def zf_precoder(h_hat: np.ndarray) -> PrecodingState:
     """Zero-forcing precoders from a (..., K, M) stack of channel estimates
     (rows = users); a single K x M matrix is a stack of one.
@@ -103,14 +116,10 @@ def zf_precoder(h_hat: np.ndarray) -> PrecodingState:
     from diag(G^-1); no (..., M, K) pseudo-inverse is formed. A matrix that
     `sysmodel.gram_eigvals` finds rank deficient raises
     ``np.linalg.LinAlgError`` and fails the whole stack; K > M raises
-    ValueError (dropping users is the caller's policy decision).
+    ValueError (`_channels`; dropping users is the caller's policy decision).
     """
-    H = np.asarray(h_hat)
-    if H.ndim < 2:
-        raise ValueError("channel estimate must be a (..., K, M) stack of matrices")
-    n_users, n_ant = H.shape[-2:]
-    if n_users == 0 or n_users > n_ant:
-        raise ValueError(f"need 1 <= K <= M, got K={n_users}, M={n_ant}")
+    H = _channels(h_hat)
+    n_ant = H.shape[-1]
     h_herm = H.conj().swapaxes(-1, -2)
     gram_inv, alphas = _gram_inverse(H @ h_herm, n_ant)
     return PrecodingState(h_herm=h_herm, gram_inv=gram_inv, alphas=alphas)
@@ -121,10 +130,16 @@ def sinr(h_true: np.ndarray, state: PrecodingState, p_tx: float) -> np.ndarray:
 
     Entry [..., k] is P |h_k w_k|^2 / (sum_{j != k} P |h_k w_j|^2 + noise),
     w_j = alphas_j pinv_j, from the (..., K, K) products
-    (h_true @ h_herm) @ G^-1. ValueError unless p_tx passes `check_positive`.
+    (h_true @ h_herm) @ G^-1. ValueError unless p_tx passes `check_positive`
+    and the trailing (K, M) of h_true are the precoder's.
     """
     p_tx = check_positive("p_tx", p_tx)
-    cross = np.asarray(h_true) @ state.h_herm
+    h_true = np.asarray(h_true)
+    n_ant, n_users = state.h_herm.shape[-2:]
+    if h_true.shape[-2:] != (n_users, n_ant):
+        raise ValueError(f"true channel shape {h_true.shape} does not end in the precoder's"
+                         f" (K, M) = {(n_users, n_ant)}")
+    cross = h_true @ state.h_herm
     return _sinr_from_cross(cross, state.gram_inv, state.alphas, p_tx)
 
 
@@ -180,11 +195,12 @@ def analytic_sinr(h_true: np.ndarray, deltas, p_tx: float) -> np.ndarray:
     S_k / (sum_{j != k} I_{k,j} + noise).  All three reduce to the exact
     zero-interference ZF values at delta = 0.  The precoder of the true
     channel is built once and serves every delta. ValueError unless p_tx
-    passes `check_positive` and `_check_deltas` passes ``deltas``.
+    passes `check_positive`, `_check_deltas` passes ``deltas`` and h_true
+    is one (K, M) matrix with 1 <= K <= M (`_channels`).
     """
     p_tx = check_positive("p_tx", p_tx)
     deltas = _check_deltas(deltas)
-    H = np.asarray(h_true)
+    H = _channels(h_true, stack=False)
     n_users = H.shape[0]
     pinv = zf_precoder(H).pinv
     habs2 = np.abs(H) ** 2
@@ -226,8 +242,10 @@ def monte_carlo_sinr(h_true: np.ndarray, deltas, p_tx: float, n_draws: int, seed
     row equals, bit for bit, a call with that delta alone. Returns the (D, K)
     means and the (D,) full-rank mask: a delta with a rank-deficient draw
     (`sysmodel.gram_eigvals` rejects its Gram) gets False and a NaN row, and
-    the other rows do not change. ValueError unless p_tx passes
-    `check_positive`, ``deltas`` `_check_deltas` and n_draws `check_integer`.
+    the other rows do not change. ValueError, before any draw, unless p_tx
+    passes `check_positive`, ``deltas`` `_check_deltas`, n_draws
+    `check_integer` and h_true is one (K, M) matrix with 1 <= K <= M
+    (`_channels`).
 
     The calling thread draws the first chunk's errors (`_draw_errors`); a
     one-worker `ThreadPoolExecutor` per call draws each later one, up to
@@ -243,11 +261,11 @@ def monte_carlo_sinr(h_true: np.ndarray, deltas, p_tx: float, n_draws: int, seed
     p_tx = check_positive("p_tx", p_tx)
     deltas = _check_deltas(deltas)
     n_draws = check_integer("n_draws", n_draws, 1)
+    H = _channels(h_true, stack=False)
     # imported here: concurrent.futures imports logging, which fig4 and fig6 never need
     from concurrent.futures import ThreadPoolExecutor
 
     rng = np.random.default_rng(seed)
-    H = np.asarray(h_true)
     n_ant = H.shape[-1]
     h_abs = np.abs(H)
     h_herm = H.conj().T

@@ -10,15 +10,13 @@ estimators pay for the same job.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 # recon calls no kernel itself; the benchmark's tracer still wraps recon.kron3
 from ._kernels import kron3  # noqa: F401
-from .sysmodel import (TWO_PI, SystemConfig, check_positive, check_real, mean_linear_attenuation,
-                       path_sum, steering_factors)
+from .sysmodel import (TWO_PI, SystemConfig, check_positive, mean_linear_attenuation, path_sum,
+                       steering_factors)
 
 
 def uplink_channel_estimate(detected_paths, cfg: SystemConfig) -> np.ndarray:
@@ -76,42 +74,6 @@ def ls_baseline(y: np.ndarray, p_tx: float) -> np.ndarray:
     return np.asarray(y).ravel() / math.sqrt(p_tx)
 
 
-@dataclass(frozen=True)
-class SpaceFrequencyCovariance:
-    """Channel covariance in Kronecker form: scale * (spatial kron I_N).
-
-    Path delays uniform over a full delay period make distinct subcarriers
-    exactly uncorrelated, so only the spatial factor (expected steering
-    outer product times mean attenuation) needs to be tabulated. It is real
-    (`steering_covariance`), and so are its eigenvectors, which
-    `lmmse_baseline` relies on.
-    """
-
-    spatial: np.ndarray
-    scale: float
-
-    def __post_init__(self):
-        s = self.spatial
-        if s.ndim != 2 or s.shape[0] != s.shape[1]:
-            raise ValueError("spatial covariance must be square")
-        if not np.allclose(s, s.conj().T, atol=1e-12 * max(1.0, float(np.abs(s).max()))):
-            raise ValueError("spatial covariance must be Hermitian")
-        if np.iscomplexobj(s):
-            raise ValueError("spatial covariance must be real")
-        scale = check_real("scale", self.scale)
-        if scale < 0.0:
-            raise ValueError("attenuation scale must be nonnegative")
-        object.__setattr__(self, "scale", scale)
-        self.eigensystem  # force PSD validation at construction
-
-    @cached_property
-    def eigensystem(self) -> tuple:
-        w, v = np.linalg.eigh(self.spatial)
-        if len(w) and w[0] < -1e-10 * max(float(w[-1]), 1.0):
-            raise ValueError("spatial covariance is not positive semidefinite")
-        return np.clip(w, 0.0, None), v
-
-
 # Gauss-Legendre nodes per angle beyond the aperture's phase span: 24 keeps
 # every lag within 1e-13 of twice the nodes from 1x4 to 24x24 arrays at d/lambda
 # up to 10, where 16 leaves 1e-11 on single-row arrays (1x8 at d/lambda 0.5).
@@ -143,16 +105,20 @@ def steering_covariance(cfg: SystemConfig) -> np.ndarray:
     return lag[d_v[:, None, :, None], d_h[None, :, None, :]].reshape(cfg.M, cfg.M)
 
 
-def channel_covariance(cfg: SystemConfig, att_range_db) -> SpaceFrequencyCovariance:
-    """Covariance matching the scenario generator's statistics at the
-    attenuation range `att_range_db` (lo, hi) in dB."""
-    return SpaceFrequencyCovariance(spatial=steering_covariance(cfg),
-                                    scale=mean_linear_attenuation(att_range_db))
+def channel_covariance(cfg: SystemConfig, att_range_db) -> tuple:
+    """The LMMSE prior at the attenuation range `att_range_db` (lo, hi) in
+    dB as the pair (lam, v) that `lmmse_baseline` reads. The covariance is
+    scale * (spatial kron I_N): path delays uniform over a full delay period
+    make distinct subcarriers uncorrelated. v holds the real orthonormal
+    eigenvectors of the spatial factor, `steering_covariance`, and lam its
+    eigenvalues, clipped at 0, times the mean attenuation."""
+    w, v = np.linalg.eigh(steering_covariance(cfg))
+    return mean_linear_attenuation(att_range_db) * np.clip(w, 0.0, None), v
 
 
-def lmmse_baseline(y: np.ndarray, cov: SpaceFrequencyCovariance, cfg: SystemConfig,
-                   p_tx: float) -> np.ndarray:
-    """LMMSE channel estimate: R (R + I/p_tx)^{-1} applied to the LS estimate.
+def lmmse_baseline(y: np.ndarray, cov: tuple, cfg: SystemConfig, p_tx: float) -> np.ndarray:
+    """LMMSE channel estimate: R (R + I/p_tx)^{-1} applied to the LS estimate,
+    with R given by the eigenpair ``cov = (lam, v)`` of `channel_covariance`.
 
     The Kronecker covariance makes the filter act on the antenna axis only;
     subcarriers decouple. The eigenvectors are real, so both products run
@@ -163,8 +129,7 @@ def lmmse_baseline(y: np.ndarray, cov: SpaceFrequencyCovariance, cfg: SystemConf
     p_tx = check_positive("p_tx", p_tx)
     # complex128, so that its float view holds (real, imaginary) pairs
     h_ls = ls_baseline(y, p_tx).astype(np.complex128, copy=False).reshape(cfg.M, cfg.N)
-    w, v = cov.eigensystem
-    lam = cov.scale * w
+    lam, v = cov
     shrink = lam / (lam + 1.0 / p_tx)
     t = shrink[:, None] * (v.T @ h_ls.view(np.float64))
     return (v @ t).view(np.complex128).ravel()

@@ -375,8 +375,12 @@ def observation(channel: np.ndarray, p_tx: float, noise: np.ndarray) -> np.ndarr
     """sqrt(p_tx) times the channel plus the noise: every noisy observation
     of a channel, uplink sounding and downlink pilots alike. A caller that
     sounds one channel at several powers draws its noise once. ValueError
-    unless p_tx is a finite real > 0 (`check_positive`)."""
+    unless p_tx is a finite real > 0 (`check_positive`) and the noise is a
+    scalar or has the channel's shape."""
     p_tx = check_positive("p_tx", p_tx)
+    if np.shape(noise) not in ((), np.shape(channel)):
+        raise ValueError(f"noise shape {np.shape(noise)} is neither a scalar's nor the"
+                         f" channel's {np.shape(channel)}")
     return math.sqrt(p_tx) * channel + noise
 
 

@@ -154,6 +154,15 @@ class TestStackedZf:
         with pytest.raises(ValueError):
             mueval.zf_sinr(h_true, h_hat, 10.0)
 
+    @pytest.mark.parametrize("shape", [(1, 8), (2, 8), (4, 8), (8,), (2, 2, 8), (3, 4)])
+    def test_sinr_needs_the_precoders_users_and_antennas(self, shape):
+        # unchecked, a 1 x 8 or 2 x 8 true channel under a 3 x 8 precoder
+        # broadcasts to a (1,) or (2,) SINR row
+        state = mueval.zf_precoder(random_channel(3, 8, seed=6))
+        with pytest.raises(ValueError, match="precoder's"):
+            mueval.sinr(np.ones(shape, dtype=complex), state, 10.0)
+        assert mueval.sinr(np.ones((2, 3, 8), dtype=complex), state, 10.0).shape == (2, 3)
+
     @pytest.mark.parametrize("cond, rejected", [(1e5, False), (1e8, True)])
     def test_rank_rule_on_condition_number(self, cond, rejected):
         # Rejected when lam_min(G) <= lam_max(G) max(K, M) eps, i.e. about
@@ -659,6 +668,17 @@ def test_sinr_models_take_numpy_error_powers(model):
     want = getattr(mueval, model)(h, [0.0, 1.0], 10.0, *draws)
     for deltas in (np.array([0, 1]), np.array([0, 1], dtype=np.float32), [np.int64(0), 1]):
         np.testing.assert_equal(getattr(mueval, model)(h, deltas, np.float32(10.0), *draws), want)
+
+
+@pytest.mark.parametrize("shape", [(5, 4), (3, 0), (8,), (0, 4), (2, 3, 8)])
+@pytest.mark.parametrize("model", ["analytic_sinr", "monte_carlo_sinr"])
+def test_sinr_models_take_one_channel_matrix_of_at_most_m_users(model, shape):
+    # ValueError before any draw: the Generator passed as seed is not advanced
+    rng = np.random.default_rng(0)
+    draws = {"analytic_sinr": (), "monte_carlo_sinr": (4, rng)}[model]
+    with pytest.raises(ValueError, match=r"K, M\)|1 <= K <= M"):
+        getattr(mueval, model)(np.ones(shape, dtype=complex), [0.01], 10.0, *draws)
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
 @pytest.mark.parametrize("n_draws", [0, -1, True, 2.0])

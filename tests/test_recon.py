@@ -22,11 +22,6 @@ def small_cfg(**kw):
     return SystemConfig(**base)
 
 
-def full_matrix(cov, n_subcarriers):
-    """Dense space-frequency covariance scale * (spatial kron I_N)."""
-    return cov.scale * np.kron(cov.spatial, np.eye(n_subcarriers))
-
-
 def steering_covariance_whole(cfg):
     """`recon.steering_covariance` with the azimuth mean taken over the
     whole (n, n, M_h) tensor of every node pair at once."""
@@ -163,7 +158,7 @@ class TestLsBaseline:
     def test_rejects_power_that_is_not_finite_positive(self, p_tx):
         cfg = small_cfg()
         y = np.ones(cfg.M * cfg.N, dtype=complex)
-        cov = recon.SpaceFrequencyCovariance(spatial=np.eye(cfg.M), scale=1.0)
+        cov = (np.ones(cfg.M), np.eye(cfg.M))
         with pytest.raises(ValueError, match="p_tx"):
             recon.ls_baseline(y, p_tx)
         with pytest.raises(ValueError, match="p_tx"):
@@ -171,44 +166,33 @@ class TestLsBaseline:
 
 
 class TestCovariance:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            recon.SpaceFrequencyCovariance(spatial=np.ones((2, 3)), scale=1.0)
-        herm = np.array([[1.0, 0.5j], [0.5j, 1.0]])  # not Hermitian
-        with pytest.raises(ValueError):
-            recon.SpaceFrequencyCovariance(spatial=herm, scale=1.0)
-        with pytest.raises(ValueError):
-            recon.SpaceFrequencyCovariance(spatial=np.eye(2), scale=-0.5)
-        # the scale passes the one real-number rule, and its float is kept
-        for bad in (math.inf, math.nan, True, "0.5", np.array(0.5)):
-            with pytest.raises(ValueError, match="scale"):
-                recon.SpaceFrequencyCovariance(spatial=np.eye(2), scale=bad)
-        cov = recon.SpaceFrequencyCovariance(spatial=np.eye(2), scale=np.float32(0.5))
-        assert type(cov.scale) is float and cov.scale == 0.5
-        indef = np.diag([1.0, -0.3])
-        with pytest.raises(ValueError):
-            recon.SpaceFrequencyCovariance(spatial=indef, scale=1.0)
-
-    def test_rejects_complex_spatial(self):
-        # the LMMSE filter runs on real eigenvectors; a complex Hermitian
-        # factor, even one with zero imaginary parts, is refused
-        for spatial in (np.eye(2, dtype=complex), np.array([[1.0, 0.5j], [-0.5j, 1.0]])):
-            with pytest.raises(ValueError, match="real"):
-                recon.SpaceFrequencyCovariance(spatial=spatial, scale=1.0)
-
     def test_full_matrix_structure(self):
         spatial = np.array([[2.0, 0.5], [0.5, 1.0]])
-        cov = recon.SpaceFrequencyCovariance(spatial=spatial, scale=0.25)
+        # the pair (lam, v) stands for the dense (v diag(lam) v^T) kron I_N
+        w, v = np.linalg.eigh(spatial)
+        lam = 0.25 * w
         np.testing.assert_allclose(
-            full_matrix(cov, 3), 0.25 * np.kron(spatial, np.eye(3)))
+            np.kron((v * lam) @ v.T, np.eye(3)), 0.25 * np.kron(spatial, np.eye(3)))
 
-    def test_steering_covariance_properties(self):
-        for m_v, m_h, d in ((2, 4, 0.5), (8, 16, 0.5), (4, 32, 0.7), (1, 8, 0.5)):
-            r = recon.steering_covariance(SystemConfig(M_v=m_v, M_h=m_h, d_over_lambda=d))
-            assert r.dtype == np.float64 and r.shape == (m_v * m_h, m_v * m_h)
-            np.testing.assert_array_equal(r, r.T)
-            np.testing.assert_allclose(np.diag(r), 1.0, rtol=0, atol=1e-14)
-            assert np.min(np.linalg.eigvalsh(r)) > -1e-12
+    @pytest.mark.parametrize("shape", [(2, 4, 0.5), (8, 16, 0.5), (4, 32, 0.7), (1, 8, 0.5),
+                                       (8, 16, 4.0)])
+    def test_steering_covariance_properties(self, shape):
+        # the spatial factor is a real correlation matrix, and the pair the
+        # LMMSE filter reads holds its scaled eigenvalues lam >= 0 and real
+        # orthonormal eigenvectors v, which recompose the scaled factor
+        m_v, m_h, d = shape
+        cfg, att = SystemConfig(M_v=m_v, M_h=m_h, d_over_lambda=d), (-10.0, 0.0)
+        r = recon.steering_covariance(cfg)
+        assert r.dtype == np.float64 and r.shape == (cfg.M, cfg.M)
+        np.testing.assert_array_equal(r, r.T)
+        np.testing.assert_allclose(np.diag(r), 1.0, rtol=0, atol=1e-14)
+        assert np.min(np.linalg.eigvalsh(r)) > -1e-12
+        lam, v = recon.channel_covariance(cfg, att)
+        assert lam.shape == (cfg.M,) and np.all(lam >= 0.0)
+        assert v.dtype == np.float64 and v.shape == (cfg.M, cfg.M)
+        np.testing.assert_allclose(v.T @ v, np.eye(cfg.M), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(v @ np.diag(lam) @ v.T, mean_linear_attenuation(att) * r,
+                                   rtol=0, atol=1e-12)
 
     def test_steering_covariance_closed_form_lags(self):
         # Delta h = 0: the mean of exp(j kappa dm sin(theta)) is J0(kappa dm);
@@ -281,10 +265,16 @@ class TestCovariance:
         assert peak < 10e6
 
     def test_channel_covariance_scale(self):
+        # the attenuation range scales the eigenvalues and leaves the
+        # eigenvectors; at 0 dB the eigenvalues are the spatial factor's
         cfg = small_cfg()
-        cov = recon.channel_covariance(cfg, att_range_db=(-10.0, 0.0))
-        assert cov.scale == pytest.approx(mean_linear_attenuation((-10.0, 0.0)))
-        assert recon.channel_covariance(cfg, att_range_db=(0.0, 0.0)).scale == pytest.approx(1.0)
+        lam, v = recon.channel_covariance(cfg, att_range_db=(-10.0, 0.0))
+        lam0, v0 = recon.channel_covariance(cfg, att_range_db=(0.0, 0.0))
+        np.testing.assert_array_equal(v, v0)
+        np.testing.assert_allclose(lam, mean_linear_attenuation((-10.0, 0.0)) * lam0,
+                                   rtol=1e-15, atol=0)
+        np.testing.assert_allclose(lam0, np.linalg.eigvalsh(recon.steering_covariance(cfg)),
+                                   rtol=0, atol=1e-14)
 
 
 @functools.lru_cache(maxsize=None)
@@ -305,21 +295,20 @@ class TestLmmseBaseline:
         rng = np.random.default_rng(seed)
         y = rng.standard_normal(cfg.M * cfg.N) + 1j * rng.standard_normal(cfg.M * cfg.N)
         h_ls = recon.ls_baseline(y, p_tx).reshape(cfg.M, cfg.N)
-        w, v = cov.eigensystem
-        lam = cov.scale * w
+        lam, v = cov
         shrink = lam / (lam + 1.0 / p_tx)
         want = (v @ (shrink[:, None] * (v.conj().T @ h_ls))).ravel()
         np.testing.assert_array_equal(recon.lmmse_baseline(y, cov, cfg, p_tx), want)
 
     def test_matches_dense_filter(self):
-        cfg, p_tx = small_cfg(M_v=2, M_h=2, N=3), 2.0
-        spatial = recon.steering_covariance(cfg)
-        cov = recon.SpaceFrequencyCovariance(spatial=spatial, scale=0.7)
+        cfg, p_tx, att = small_cfg(M_v=2, M_h=2, N=3), 2.0, (-3.0, 0.0)
+        cov = recon.channel_covariance(cfg, att)
         rng = np.random.default_rng(50)
         y = rng.standard_normal(cfg.M * cfg.N) + 1j * rng.standard_normal(cfg.M * cfg.N)
         got = recon.lmmse_baseline(y, cov, cfg, p_tx)
         h_ls = recon.ls_baseline(y, p_tx)
-        r_full = full_matrix(cov, cfg.N)
+        r_full = mean_linear_attenuation(att) * np.kron(recon.steering_covariance(cfg),
+                                                         np.eye(cfg.N))
         dense = r_full @ np.linalg.solve(
             r_full + np.eye(cfg.M * cfg.N) / p_tx, h_ls)
         np.testing.assert_allclose(got, dense, rtol=1e-9, atol=1e-12)
@@ -334,8 +323,8 @@ class TestLmmseBaseline:
         y = rng.standard_normal(cfg.M * cfg.N) + 1j * rng.standard_normal(cfg.M * cfg.N)
         y = y.astype(dtype) if dtype is np.complex64 else y.real.copy()
         h_ls = recon.ls_baseline(y, 2.0).reshape(cfg.M, cfg.N)
-        w, v = cov.eigensystem
-        shrink = cov.scale * w / (cov.scale * w + 0.5)
+        lam, v = cov
+        shrink = lam / (lam + 0.5)
         want = (v @ (shrink[:, None] * (v.conj().T @ h_ls))).ravel()
         got = recon.lmmse_baseline(y, cov, cfg, 2.0)
         assert got.dtype == np.complex128
@@ -345,11 +334,11 @@ class TestLmmseBaseline:
         cfg = small_cfg()
         rng = np.random.default_rng(51)
         y = rng.standard_normal(cfg.M * cfg.N) + 1j * rng.standard_normal(cfg.M * cfg.N)
-        huge = recon.SpaceFrequencyCovariance(spatial=np.eye(cfg.M), scale=1e12)
+        huge = (1e12 * np.ones(cfg.M), np.eye(cfg.M))
         np.testing.assert_allclose(
             recon.lmmse_baseline(y, huge, cfg, 1.0),
             recon.ls_baseline(y, 1.0), rtol=1e-9)
-        null = recon.SpaceFrequencyCovariance(spatial=np.eye(cfg.M), scale=0.0)
+        null = (np.zeros(cfg.M), np.eye(cfg.M))
         np.testing.assert_array_equal(recon.lmmse_baseline(y, null, cfg, 1.0), 0.0)
 
     def test_beats_ls_at_low_snr(self):

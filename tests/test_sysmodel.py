@@ -337,6 +337,16 @@ class TestSounding:
         with pytest.raises(ValueError, match="p_tx"):
             sysmodel.sounding_observation((p,), cfg, p_tx, 11)
 
+    @pytest.mark.parametrize("channel, noise", [
+        (np.ones(4), np.ones((3, 1))),  # broadcast to (3, 4)
+        (np.ones(4), np.ones(3)),
+        (np.ones((4, 1)), np.ones(4)),
+        (np.ones(4), np.ones(1)),
+    ])
+    def test_rejects_noise_that_is_not_scalar_or_the_channel_shape(self, channel, noise):
+        with pytest.raises(ValueError, match="noise shape"):
+            sysmodel.observation(channel, 1.0, noise)
+
 
 class TestScenario:
     def test_counts_and_reproducibility(self):
